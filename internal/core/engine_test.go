@@ -8,6 +8,7 @@ import (
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -24,7 +25,7 @@ func buildGraph(t *testing.T, edges []graphio.Edge, n uint32, ivBudget int64) *c
 
 // runBoth executes prog on the MultiLogVC engine and the reference engine
 // and asserts identical vertex values.
-func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int, cfg Config) (*Result, *vc.RefResult) {
+func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int, cfg Config) (*superstep.Result, *vc.RefResult) {
 	t.Helper()
 	g := buildGraph(t, edges, n, 2048)
 	cfg.MaxSupersteps = maxSteps
@@ -61,39 +62,14 @@ func rmatEdges(t *testing.T, scale, ef int, seed int64) ([]graphio.Edge, uint32)
 	return edges, uint32(1 << scale)
 }
 
-func TestEngineBFSMatchesReference(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 11)
-	res, ref := runBoth(t, edges, n, &apps.BFS{Source: 3}, 50, Config{})
-	if res.Report.Converged != ref.Converged {
-		t.Fatalf("converged = %v, ref %v", res.Report.Converged, ref.Converged)
-	}
-	if len(res.Report.Supersteps) != ref.Supersteps {
-		t.Fatalf("supersteps = %d, ref %d", len(res.Report.Supersteps), ref.Supersteps)
-	}
-}
-
 func TestEngineBFSGrid(t *testing.T) {
 	edges, _ := gen.Grid(12, 12)
 	runBoth(t, edges, 144, &apps.BFS{Source: 0}, 60, Config{})
 }
 
-func TestEnginePageRankMatchesReference(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 7)
-	runBoth(t, edges, n, &apps.PageRank{}, 15, Config{})
-}
-
 func TestEnginePageRankNoCombiner(t *testing.T) {
 	edges, n := rmatEdges(t, 8, 6, 7)
 	runBoth(t, edges, n, &apps.PageRank{}, 10, Config{DisableCombiner: true})
-}
-
-func TestEngineCDLPMatchesReference(t *testing.T) {
-	edges, err := gen.PlantedPartition(3, 40, 8, 0.3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := graphio.NumVertices(edges)
-	runBoth(t, edges, n, &apps.CDLP{}, 15, Config{})
 }
 
 func TestEngineColoringMatchesReference(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/grafboost"
+	"multilogvc/internal/graphchi"
 	"multilogvc/internal/vc"
 )
 
@@ -18,9 +20,10 @@ func (p *panicProg) Process(ctx vc.Context, msgs []vc.Msg) {
 }
 
 // TestEnginePanicContained: a panic inside a vertex worker surfaces as a
-// classified ErrPanic from RunCtx instead of killing the process, the
-// run's ephemeral scratch is swept during unwinding, and the same engine
-// stack still computes correct results afterwards.
+// classified ErrPanic from RunCtx instead of killing the process — on the
+// baselines too, which share the worker pool — the run's ephemeral scratch
+// is swept during unwinding, and the same engine stack still computes
+// correct results afterwards.
 func TestEnginePanicContained(t *testing.T) {
 	edges, n := rmatEdges(t, 8, 8, 71)
 	g := buildGraph(t, edges, n, 2048)
@@ -41,6 +44,13 @@ func TestEnginePanicContained(t *testing.T) {
 		if strings.HasPrefix(name, "g.pt.") {
 			t.Fatalf("ephemeral scratch %q survived the panic", name)
 		}
+	}
+
+	if _, err := graphchi.New(dev, "g", edges, g.Intervals(), graphchi.Config{MaxSupersteps: 10}).Run(prog); !errors.Is(err, ErrPanic) {
+		t.Fatalf("graphchi: error %v does not wrap ErrPanic", err)
+	}
+	if _, err := grafboost.New(g, grafboost.Config{MaxSupersteps: 10}).Run(prog); !errors.Is(err, ErrPanic) {
+		t.Fatalf("grafboost: error %v does not wrap ErrPanic", err)
 	}
 
 	// The graph and device are untouched: a clean run still matches the

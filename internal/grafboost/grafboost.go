@@ -17,11 +17,8 @@ package grafboost
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"time"
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
@@ -30,6 +27,7 @@ import (
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -49,10 +47,6 @@ type Config struct {
 	// StopAfter ends the run after the superstep for which it returns
 	// true.
 	StopAfter func(superstep int, cumProcessed uint64) bool
-	// Context, when non-nil, aborts the run at the next superstep boundary
-	// once cancelled or past its deadline. The baseline has no checkpoint
-	// machinery, so the run just stops with the context's error wrapped.
-	Context context.Context
 	// Cache is the page cache attached to the device, if any; the engine
 	// only reads its counters for per-superstep reporting. The caller owns
 	// attachment and lifecycle.
@@ -63,12 +57,7 @@ func (c Config) withDefaults() Config {
 	if c.MemoryBudget <= 0 {
 		c.MemoryBudget = 64 << 20
 	}
-	if c.MaxSupersteps <= 0 {
-		c.MaxSupersteps = 15
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.MaxSupersteps, c.Workers = superstep.Defaults(c.MaxSupersteps, c.Workers)
 	return c
 }
 
@@ -84,18 +73,20 @@ func New(g *csr.Graph, cfg Config) *Engine {
 	return &Engine{g: g, cfg: cfg.withDefaults()}
 }
 
-// Result carries the run report and final vertex values.
-type Result struct {
-	Report *metrics.Report
-	Values []uint32
-}
-
 // ErrNeedsCombiner is returned for non-combinable programs without
 // Adapted mode — GraFBoost's documented limitation.
 var ErrNeedsCombiner = fmt.Errorf("grafboost: program has no combiner (set Adapted to force single-log operation)")
 
 // Run executes prog to convergence or the superstep cap.
-func (e *Engine) Run(prog vc.Program) (*Result, error) {
+func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
+	return e.RunCtx(context.Background(), prog)
+}
+
+// RunCtx is Run bounded by a context: once it is cancelled or past its
+// deadline the run stops at the next superstep boundary with the context's
+// error wrapped (the baseline has no checkpoint machinery), and the
+// device's retry backoff gives up early.
+func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result, error) {
 	cfg := e.cfg
 	g := e.g
 	dev := g.Device()
@@ -106,422 +97,277 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 	if !hasCombiner && !cfg.Adapted {
 		return nil, ErrNeedsCombiner
 	}
-	var combineFn func(a, b uint32) uint32
-	if hasCombiner && !cfg.Adapted {
-		combineFn = combiner.Combine
+	r := &run{eng: e, prog: prog}
+	engine := "grafboost-adapted"
+	if !cfg.Adapted {
+		engine = "grafboost"
+		r.combine = combiner.Combine
 	}
-
-	report := &metrics.Report{Engine: "grafboost", App: prog.Name(), Graph: name}
-	if cfg.Adapted {
-		report.Engine = "grafboost-adapted"
-	}
-	wallStart := time.Now()
-
-	if cfg.Context != nil {
-		// Let the device's retry backoff observe cancellation too.
-		dev.SetRunContext(cfg.Context)
-		defer dev.SetRunContext(nil)
-	}
+	loop := superstep.Begin(ctx, dev, engine, prog.Name(), name)
+	defer loop.End()
 
 	buildS, buildIv := dev.SetStage(obsv.StageBuild, -1)
 	values, err := csr.CreateValuesFunc(dev, name+".gb.values", n, func(v uint32) uint32 {
 		return prog.InitValue(v, n)
 	})
-	if err != nil {
-		dev.SetStage(buildS, buildIv)
-		return nil, err
-	}
-	var aux *csr.Aux
-	auxUser, isAux := prog.(vc.AuxUser)
-	if isAux {
-		aux, err = csr.CreateAux(g, prog.Name()+".gb", auxUser.AuxInit(n))
-		if err != nil {
-			dev.SetStage(buildS, buildIv)
-			return nil, err
-		}
+	if auxUser, isAux := prog.(vc.AuxUser); isAux && err == nil {
+		r.aux, err = csr.CreateAux(g, prog.Name()+".gb", auxUser.AuxInit(n))
 	}
 	dev.SetStage(buildS, buildIv)
-
-	logF, err := dev.OpenOrCreate(name + ".gb.log")
 	if err != nil {
 		return nil, err
 	}
-	if err := logF.Truncate(); err != nil {
+
+	if r.logF, err = dev.OpenOrCreate(name + ".gb.log"); err != nil {
 		return nil, err
 	}
-	logW := ssd.NewWriter(logF)
-	var logCount uint64
+	if err := r.logF.Truncate(); err != nil {
+		return nil, err
+	}
+	r.logW = ssd.NewWriter(r.logF)
+	r.values = values
+	r.carry = superstep.InitialActive(prog.InitActive(n), n)
 
-	carry := bitset.New(int(n))
-	is := prog.InitActive(n)
-	if is.All {
-		for v := uint32(0); v < n; v++ {
-			carry.Set(int(v))
-		}
-	} else {
-		for _, v := range is.Verts {
-			carry.Set(int(v))
+	loop.Values = values
+	loop.MaxSupersteps = cfg.MaxSupersteps
+	loop.StopAfter = cfg.StopAfter
+	loop.Cache = cfg.Cache
+	return loop.Run(r)
+}
+
+// run is the state of one execution: the value and aux files, the carried
+// live set, and the single message log with its record count.
+type run struct {
+	eng     *Engine
+	prog    vc.Program
+	combine func(a, b uint32) uint32 // nil in Adapted mode
+	values  *csr.Values
+	aux     *csr.Aux // nil unless prog is a vc.AuxUser
+	carry   *bitset.Set
+
+	logF     *ssd.File
+	logW     *ssd.Writer
+	logCount uint64
+	sorted   []extsort.Record // the superstep's messages not yet consumed
+}
+
+func (r *run) Pending() bool { return r.carry.Any() || r.logCount > 0 }
+
+// Superstep sorts the log the previous superstep wrote, then streams the
+// whole graph interval by interval (GraFBoost cannot restrict loads to the
+// active set), appending sends to a fresh log.
+func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats) error {
+	var err error
+	if r.sorted, err = r.sortLog(); err != nil {
+		return err
+	}
+	ss.MsgsDelivered = uint64(len(r.sorted))
+
+	if err := r.logF.Truncate(); err != nil {
+		return err
+	}
+	r.logW = ssd.NewWriter(r.logF)
+	r.logCount = 0
+
+	for iv := range r.eng.g.Intervals() {
+		ir := &ivRun{run: r, iv: iv, step: step, ss: ss}
+		if err := ir.process(); err != nil {
+			return err
 		}
 	}
+	ss.MsgsSent = r.logCount
+	return nil
+}
 
-	var cumProcessed uint64
-	converged := false
-	for step := 0; step < cfg.MaxSupersteps; step++ {
-		if !carry.Any() && logCount == 0 {
-			converged = true
-			break
-		}
-		if cfg.Context != nil {
-			if err := cfg.Context.Err(); err != nil {
-				return nil, fmt.Errorf("grafboost: run aborted at superstep %d: %w", step, err)
-			}
-		}
-		stepStart := time.Now()
-		devBefore := dev.Stats()
-		var cacheBefore pagecache.Stats
-		if cfg.Cache != nil {
-			cacheBefore = cfg.Cache.Stats()
-		}
-		ss := metrics.SuperstepStats{Superstep: step}
-
-		// Externally sort the single log into memory-bounded groups.
-		// The sorted stream arrives in destination order; group it.
-		// GraFBoost keeps one global log, so the sort phase carries no
-		// interval attribution.
-		prevS, prevIv := dev.SetStage(obsv.StageSortGroup, -1)
-		if err := logW.Close(); err != nil {
-			dev.SetStage(prevS, prevIv)
-			return nil, err
-		}
-		var sorted []extsort.Record
-		readLog := func(yield func(extsort.Record) error) error {
-			r := ssd.NewReader(logF, 64)
-			var rec [extsort.RecordBytes]byte
-			for i := uint64(0); i < logCount; i++ {
-				if err := r.ReadFull(rec[:]); err != nil {
-					return err
-				}
-				if err := yield(extsort.Record{
-					Dst:  le32(rec[0:]),
-					Src:  le32(rec[4:]),
-					Data: le32(rec[8:]),
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		_, err := extsort.Sort(dev, name+".gb.sort", readLog, cfg.MemoryBudget,
-			combineFn, func(r extsort.Record) error {
-				sorted = append(sorted, r)
-				return nil
-			})
-		dev.SetStage(prevS, prevIv)
-		if err != nil {
-			return nil, err
-		}
-		ss.MsgsDelivered = uint64(len(sorted))
-
-		// Fresh log for the next superstep.
-		if err := logF.Truncate(); err != nil {
-			return nil, err
-		}
-		logW = ssd.NewWriter(logF)
-		logCount = 0
-		var logMu sync.Mutex
-		appendLog := func(dst, src, data uint32) error {
-			logMu.Lock()
-			defer logMu.Unlock()
-			logCount++
-			if err := logW.WriteU32(dst); err != nil {
+// sortLog externally sorts the single log into destination order, applying
+// the combine operator during run generation and merge. GraFBoost keeps
+// one global log, so the sort phase carries no interval attribution.
+func (r *run) sortLog() ([]extsort.Record, error) {
+	dev := r.eng.g.Device()
+	prevS, prevIv := dev.SetStage(obsv.StageSortGroup, -1)
+	defer dev.SetStage(prevS, prevIv)
+	if err := r.logW.Close(); err != nil {
+		return nil, err
+	}
+	readLog := func(yield func(extsort.Record) error) error {
+		rd := ssd.NewReader(r.logF, 64)
+		var rec [extsort.RecordBytes]byte
+		for i := uint64(0); i < r.logCount; i++ {
+			if err := rd.ReadFull(rec[:]); err != nil {
 				return err
 			}
-			if err := logW.WriteU32(src); err != nil {
-				return err
-			}
-			return logW.WriteU32(data)
-		}
-
-		// Stream the whole graph interval by interval; GraFBoost cannot
-		// restrict loads to the active set.
-		pos := 0
-		for iv := range g.Intervals() {
-			if err := e.processInterval(&ivRun{
-				prog: prog, values: values, aux: aux, isAux: isAux,
-				iv: iv, step: step, carry: carry, sorted: sorted,
-				pos: &pos, appendLog: appendLog, ss: &ss,
+			if err := yield(extsort.Record{
+				Dst:  binary.LittleEndian.Uint32(rec[0:]),
+				Src:  binary.LittleEndian.Uint32(rec[4:]),
+				Data: binary.LittleEndian.Uint32(rec[8:]),
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
-
-		devDelta := dev.Stats().Sub(devBefore)
-		ss.Stages = metrics.StagesFromDevice(devDelta)
-		ss.PagesRead = devDelta.PagesRead
-		ss.PagesWritten = devDelta.PagesWritten
-		ss.StorageTime = devDelta.StorageTime()
-		ss.ReadBatchPages = devDelta.ReadBatchPages
-		ss.WriteBatchPages = devDelta.WriteBatchPages
-		ss.ReadLatencyUS = devDelta.ReadLatencyUS
-		ss.WriteLatencyUS = devDelta.WriteLatencyUS
-		ss.ComputeTime = time.Since(stepStart)
-		ss.MsgsSent = logCount
-		if cache := cfg.Cache; cache != nil {
-			cd := cache.Stats().Sub(cacheBefore)
-			ss.CacheHits = cd.Hits
-			ss.CacheMisses = cd.Misses
-			ss.CacheEvictions = cd.Evictions
-			ss.PrefetchInserts = cd.PrefetchInserts
-			ss.PrefetchHits = cd.PrefetchHits
-			ss.PrefetchDropped = cd.PrefetchDropped
-		}
-		cumProcessed += ss.Active
-		report.Supersteps = append(report.Supersteps, ss)
-
-		if cfg.StopAfter != nil && cfg.StopAfter(step, cumProcessed) {
-			break
-		}
+		return nil
 	}
-	if !converged {
-		converged = !carry.Any() && logCount == 0
-	}
-	report.Converged = converged
-	report.WallTime = time.Since(wallStart)
-	report.Finish()
-
-	finalValues, err := values.LoadAll()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Report: report, Values: finalValues}, nil
+	var sorted []extsort.Record
+	_, err := extsort.Sort(dev, r.eng.g.Name()+".gb.sort", readLog, r.eng.cfg.MemoryBudget,
+		r.combine, func(rec extsort.Record) error {
+			sorted = append(sorted, rec)
+			return nil
+		})
+	return sorted, err
 }
 
+// appendLog writes one message record to the next superstep's log.
+func (r *run) appendLog(rec extsort.Record) error {
+	r.logCount++
+	if err := r.logW.WriteU32(rec.Dst); err != nil {
+		return err
+	}
+	if err := r.logW.WriteU32(rec.Src); err != nil {
+		return err
+	}
+	return r.logW.WriteU32(rec.Data)
+}
+
+// ivRun is the run plus the state of one interval's processing.
 type ivRun struct {
-	prog      vc.Program
-	values    *csr.Values
-	aux       *csr.Aux
-	isAux     bool
-	iv        int
-	step      int
-	carry     *bitset.Set
-	sorted    []extsort.Record
-	pos       *int
-	appendLog func(dst, src, data uint32) error
-	ss        *metrics.SuperstepStats
+	*run
+	iv   int
+	step int
+	ss   *metrics.SuperstepStats
+
+	adj       map[uint32][]uint32
+	adjW      map[uint32][]uint32 // nil for unweighted graphs
+	vb        *csr.ValueBatch
+	auxBatch  *csr.AuxBatch // nil unless prog is a vc.AuxUser
+	inSources map[uint32][]uint32
 }
 
-func (e *Engine) processInterval(ir *ivRun) error {
-	g := e.g
+func (ir *ivRun) process() error {
+	e, g := ir.eng, ir.eng.g
 	interval := g.Intervals()[ir.iv]
 	// The whole-graph streaming scan, value loads, and message-log appends
 	// are vertex-processing IO on this interval.
 	prevS, prevIv := g.Device().SetStage(obsv.StageVertex, ir.iv)
 	defer g.Device().SetStage(prevS, prevIv)
 
-	// Stream the interval's full adjacency (whole-graph scan).
-	allVerts := make([]uint32, 0, interval.Len())
-	for v := interval.Lo; v < interval.Hi; v++ {
-		allVerts = append(allVerts, v)
-	}
-	adj := make(map[uint32][]uint32, len(allVerts))
-	var adjW map[uint32][]uint32
-	if g.HasWeights() {
-		adjW = make(map[uint32][]uint32, len(allVerts))
-	}
-	if _, err := g.LoadOutEdgesFull(ir.iv, allVerts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-		cp := make([]uint32, len(nbrs))
-		copy(cp, nbrs)
-		adj[v] = cp
-		if adjW != nil {
-			wcp := make([]uint32, len(weights))
-			copy(wcp, weights)
-			adjW[v] = wcp
-		}
-	}); err != nil {
+	if err := ir.loadAdjacency(); err != nil {
 		return err
 	}
-
-	// Message ranges for this interval from the sorted stream.
-	msgStart := *ir.pos
-	for *ir.pos < len(ir.sorted) && ir.sorted[*ir.pos].Dst < interval.Hi {
-		*ir.pos++
+	// This interval's messages from the sorted stream.
+	n := 0
+	for n < len(ir.sorted) && ir.sorted[n].Dst < interval.Hi {
+		n++
 	}
-	msgs := ir.sorted[msgStart:*ir.pos]
+	msgs := ir.sorted[:n]
+	ir.sorted = ir.sorted[n:]
 
-	// Active set: message destinations plus carried vertices.
-	var verts []uint32
-	mi := 0
-	ir.carry.RangeInRange(int(interval.Lo), int(interval.Hi), func(i int) bool {
-		verts = append(verts, uint32(i))
-		return true
-	})
-	for mi < len(msgs) {
-		dst := msgs[mi].Dst
-		verts = append(verts, dst)
-		for mi < len(msgs) && msgs[mi].Dst == dst {
-			mi++
-		}
-	}
-	verts = dedupSorted(verts)
+	verts := superstep.ActiveSet(msgs, ir.carry, interval.Lo, interval.Hi)
 	if len(verts) == 0 {
 		return nil
 	}
 	ir.ss.Active += uint64(len(verts))
-
-	vb, _, err := ir.values.LoadForVerts(verts)
-	if err != nil {
+	var err error
+	if ir.vb, _, err = ir.values.LoadForVerts(verts); err != nil {
 		return err
 	}
-	var auxBatch *csr.AuxBatch
-	inSources := make(map[uint32][]uint32)
-	if ir.isAux {
-		auxBatch, _, err = ir.aux.LoadBatch(ir.iv, verts)
-		if err != nil {
+	if ir.aux != nil {
+		if ir.auxBatch, _, err = ir.aux.LoadBatch(ir.iv, verts); err != nil {
 			return err
 		}
+		ir.inSources = make(map[uint32][]uint32)
 		if _, err := g.LoadInEdges(ir.iv, verts, func(v uint32, srcs []uint32) {
-			cp := make([]uint32, len(srcs))
-			copy(cp, srcs)
-			inSources[v] = cp
+			ir.inSources[v] = append(make([]uint32, 0, len(srcs)), srcs...)
 		}); err != nil {
 			return err
 		}
 	}
 
-	// Per-vertex message ranges.
-	ranges := make([][2]int, len(verts))
-	p := 0
-	for i, v := range verts {
-		for p < len(msgs) && msgs[p].Dst < v {
-			p++
-		}
-		start := p
-		for p < len(msgs) && msgs[p].Dst == v {
-			p++
-		}
-		ranges[i] = [2]int{start, p}
-	}
-
-	workers := e.cfg.Workers
-	if workers > len(verts) {
-		workers = len(verts)
-	}
+	// Process vertices in parallel. Sends buffer per worker and reach the
+	// log in vertex order once the pool has joined: the log's record order
+	// decides the external sort's run boundaries, so it must not depend on
+	// the goroutine schedule.
+	ranges := superstep.MsgRanges(verts, msgs)
 	halted := make([]bool, len(verts))
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	chunk := (len(verts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(verts) {
-			hi = len(verts)
+	sends := make([][]extsort.Record, e.cfg.Workers)
+	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
+		ctx := &gbCtx{ir: ir, sends: &sends[w]}
+		var msgBuf []vc.Msg
+		for i := lo; i < hi; i++ {
+			msgBuf = superstep.AppendMsgs(msgBuf[:0], msgs[ranges[i][0]:ranges[i][1]])
+			ctx.vertex = verts[i]
+			ctx.haltedFlag = &halted[i]
+			ir.prog.Process(ctx, msgBuf)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ctx := &gbCtx{eng: e, ir: ir, vb: vb, adj: adj, adjW: adjW, auxBatch: auxBatch, inSources: inSources}
-			var msgBuf []vc.Msg
-			for i := lo; i < hi; i++ {
-				v := verts[i]
-				msgBuf = msgBuf[:0]
-				for k := ranges[i][0]; k < ranges[i][1]; k++ {
-					msgBuf = append(msgBuf, vc.Msg{Src: msgs[k].Src, Data: msgs[k].Data})
-				}
-				ctx.vertex = v
-				ctx.haltedFlag = &halted[i]
-				ir.prog.Process(ctx, msgBuf)
-				if ctx.err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = ctx.err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}(lo, hi)
+		return nil
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	for _, bucket := range sends {
+		for _, rec := range bucket {
+			if err := ir.appendLog(rec); err != nil {
+				return err
+			}
+		}
 	}
 
 	for i, v := range verts {
 		ir.carry.SetTo(int(v), !halted[i])
 	}
-	if _, err := vb.Flush(); err != nil {
+	if _, err := ir.vb.Flush(); err != nil {
 		return err
 	}
-	if auxBatch != nil {
-		if _, err := auxBatch.Flush(); err != nil {
+	if ir.auxBatch != nil {
+		if _, err := ir.auxBatch.Flush(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// loadAdjacency streams the interval's full adjacency (whole-graph scan).
+func (ir *ivRun) loadAdjacency() error {
+	g := ir.eng.g
+	interval := g.Intervals()[ir.iv]
+	allVerts := make([]uint32, 0, interval.Len())
+	for v := interval.Lo; v < interval.Hi; v++ {
+		allVerts = append(allVerts, v)
+	}
+	ir.adj = make(map[uint32][]uint32, len(allVerts))
+	if g.HasWeights() {
+		ir.adjW = make(map[uint32][]uint32, len(allVerts))
+	}
+	_, err := g.LoadOutEdgesFull(ir.iv, allVerts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
+		ir.adj[v] = append(make([]uint32, 0, len(nbrs)), nbrs...)
+		if ir.adjW != nil {
+			ir.adjW[v] = append(make([]uint32, 0, len(weights)), weights...)
+		}
+	})
+	return err
+}
+
+// gbCtx implements vc.Context for one worker.
 type gbCtx struct {
-	eng       *Engine
-	ir        *ivRun
-	vb        *csr.ValueBatch
-	adj       map[uint32][]uint32
-	adjW      map[uint32][]uint32 // nil for unweighted graphs
-	auxBatch  *csr.AuxBatch
-	inSources map[uint32][]uint32
+	ir *ivRun
 
 	vertex     uint32
 	haltedFlag *bool
-	err        error
+	sends      *[]extsort.Record
 }
 
-func (c *gbCtx) Superstep() int      { return c.ir.step }
-func (c *gbCtx) NumVertices() uint32 { return c.eng.g.NumVertices() }
-func (c *gbCtx) Vertex() uint32      { return c.vertex }
-func (c *gbCtx) Value() uint32       { return c.vb.Get(c.vertex) }
-func (c *gbCtx) SetValue(v uint32)   { c.vb.Set(c.vertex, v) }
-func (c *gbCtx) VoteToHalt()         { *c.haltedFlag = true }
-func (c *gbCtx) OutEdges() []uint32  { return c.adj[c.vertex] }
-func (c *gbCtx) OutWeights() []uint32 {
-	if c.adjW == nil {
-		return nil
-	}
-	return c.adjW[c.vertex]
-}
+func (c *gbCtx) Superstep() int          { return c.ir.step }
+func (c *gbCtx) NumVertices() uint32     { return c.ir.eng.g.NumVertices() }
+func (c *gbCtx) Vertex() uint32          { return c.vertex }
+func (c *gbCtx) Value() uint32           { return c.ir.vb.Get(c.vertex) }
+func (c *gbCtx) SetValue(v uint32)       { c.ir.vb.Set(c.vertex, v) }
+func (c *gbCtx) VoteToHalt()             { *c.haltedFlag = true }
+func (c *gbCtx) OutEdges() []uint32      { return c.ir.adj[c.vertex] }
+func (c *gbCtx) OutWeights() []uint32    { return c.ir.adjW[c.vertex] }
+func (c *gbCtx) InEdgeSources() []uint32 { return c.ir.inSources[c.vertex] }
 func (c *gbCtx) Send(dst, data uint32) {
-	if err := c.ir.appendLog(dst, c.vertex, data); err != nil && c.err == nil {
-		c.err = err
-	}
+	*c.sends = append(*c.sends, extsort.Record{Dst: dst, Src: c.vertex, Data: data})
 }
-func (c *gbCtx) InEdgeSources() []uint32 { return c.inSources[c.vertex] }
 func (c *gbCtx) Aux() []uint32 {
-	if c.auxBatch == nil {
+	if c.ir.auxBatch == nil {
 		return nil
 	}
-	return c.auxBatch.Get(c.vertex)
-}
-
-func dedupSorted(s []uint32) []uint32 {
-	if len(s) == 0 {
-		return s
-	}
-	sortU32(s)
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
-}
-
-func sortU32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return c.ir.auxBatch.Get(c.vertex)
 }

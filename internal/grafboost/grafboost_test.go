@@ -2,6 +2,7 @@ package grafboost
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"multilogvc/internal/apps"
@@ -9,6 +10,7 @@ import (
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -22,7 +24,7 @@ func newEngine(t *testing.T, edges []graphio.Edge, n uint32, cfg Config) *Engine
 	return New(g, cfg)
 }
 
-func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int, cfg Config) *Result {
+func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int, cfg Config) *superstep.Result {
 	t.Helper()
 	cfg.MaxSupersteps = maxSteps
 	got, err := newEngine(t, edges, n, cfg).Run(prog)
@@ -52,16 +54,6 @@ func rmatEdges(t *testing.T, scale, ef int, seed int64) ([]graphio.Edge, uint32)
 		t.Fatal(err)
 	}
 	return edges, uint32(1 << scale)
-}
-
-func TestGraFBoostBFS(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 11)
-	runBoth(t, edges, n, &apps.BFS{Source: 3}, 50, Config{})
-}
-
-func TestGraFBoostPageRank(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 7)
-	runBoth(t, edges, n, &apps.PageRank{}, 15, Config{})
 }
 
 func TestGraFBoostRejectsNonCombinable(t *testing.T) {
@@ -101,6 +93,29 @@ func TestGraFBoostExternalSortSmallBudget(t *testing.T) {
 	// Force the log to outgrow memory so the external sort actually runs.
 	edges, n := rmatEdges(t, 9, 8, 29)
 	runBoth(t, edges, n, &apps.PageRank{}, 8, Config{MemoryBudget: 8 << 10})
+}
+
+// TestGraFBoostCountersIndependentOfWorkers: the log's record order decides
+// the external sort's run boundaries, so page counters must be a function
+// of the program and graph alone — not of the worker count or the
+// goroutine schedule.
+func TestGraFBoostCountersIndependentOfWorkers(t *testing.T) {
+	edges, n := rmatEdges(t, 9, 8, 29)
+	run := func(workers int) *superstep.Result {
+		// A budget far below the log size, so every superstep sorts many runs.
+		res, err := newEngine(t, edges, n, Config{MaxSupersteps: 8, MemoryBudget: 8 << 10, Workers: workers}).Run(&apps.PageRank{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(1).Report, run(4).Report
+	if a.PagesRead != b.PagesRead || a.PagesWritten != b.PagesWritten {
+		t.Fatalf("pages read/written %d/%d at 1 worker, %d/%d at 4", a.PagesRead, a.PagesWritten, b.PagesRead, b.PagesWritten)
+	}
+	if !reflect.DeepEqual(a.Stages, b.Stages) {
+		t.Fatalf("stage rows differ:\n1 worker:  %+v\n4 workers: %+v", a.Stages, b.Stages)
+	}
 }
 
 func TestGraFBoostFullScanEverySuperstep(t *testing.T) {

@@ -4,36 +4,7 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
-	"multilogvc/internal/csr"
-	"multilogvc/internal/graphio"
-	"multilogvc/internal/ssd"
-	"multilogvc/internal/vc"
 )
-
-func TestGraFBoostSSSPWeighted(t *testing.T) {
-	edges, n := rmatEdges(t, 8, 6, 5)
-	wedges := graphio.AttachWeights(edges, func(s, d uint32) uint32 {
-		if s > d {
-			s, d = d, s
-		}
-		return uint32(vc.Hash64(uint64(s), uint64(d))%16) + 1
-	})
-	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
-	g, err := csr.BuildWeighted(dev, "g", wedges, csr.BuildOptions{NumVertices: n, IntervalBudget: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := New(g, Config{MaxSupersteps: 300}).Run(&apps.SSSP{Source: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := vc.NewRefWeighted(wedges, n).Run(&apps.SSSP{Source: 1}, 300)
-	for v := range ref.Values {
-		if res.Values[v] != ref.Values[v] {
-			t.Fatalf("dist[%d] = %d, ref %d", v, res.Values[v], ref.Values[v])
-		}
-	}
-}
 
 func TestGraFBoostWCC(t *testing.T) {
 	edges, n := rmatEdges(t, 9, 4, 3)

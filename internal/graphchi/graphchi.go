@@ -17,11 +17,7 @@ package graphchi
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
@@ -31,6 +27,7 @@ import (
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/shard"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -44,10 +41,6 @@ type Config struct {
 	// StopAfter, when non-nil, ends the run after the superstep for which
 	// it returns true (same contract as the MultiLogVC engine).
 	StopAfter func(superstep int, cumProcessed uint64) bool
-	// Context, when non-nil, aborts the run at the next superstep boundary
-	// once cancelled or past its deadline. The baseline has no checkpoint
-	// machinery, so the run just stops with the context's error wrapped.
-	Context context.Context
 	// Cache is the page cache attached to the device, if any; the engine
 	// only reads its counters for per-superstep reporting. The caller owns
 	// attachment and lifecycle.
@@ -55,12 +48,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxSupersteps <= 0 {
-		c.MaxSupersteps = 15
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	c.MaxSupersteps, c.Workers = superstep.Defaults(c.MaxSupersteps, c.Workers)
 	return c
 }
 
@@ -103,28 +91,23 @@ func NewWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, ivs
 	}
 }
 
-// Result carries the run report and final vertex values.
-type Result struct {
-	Report *metrics.Report
-	Values []uint32
-}
-
 // send is one buffered message emitted during vertex processing.
 type send struct {
 	src, dst, data uint32
 }
 
 // Run executes prog to convergence or the superstep cap.
-func (e *Engine) Run(prog vc.Program) (*Result, error) {
-	cfg := e.cfg
-	report := &metrics.Report{Engine: "graphchi", App: prog.Name(), Graph: e.name}
-	wallStart := time.Now()
+func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
+	return e.RunCtx(context.Background(), prog)
+}
 
-	if cfg.Context != nil {
-		// Let the device's retry backoff observe cancellation too.
-		e.dev.SetRunContext(cfg.Context)
-		defer e.dev.SetRunContext(nil)
-	}
+// RunCtx is Run bounded by a context: once it is cancelled or past its
+// deadline the run stops at the next superstep boundary with the context's
+// error wrapped (the baseline has no checkpoint machinery), and the
+// device's retry backoff gives up early.
+func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result, error) {
+	loop := superstep.Begin(ctx, e.dev, "graphchi", prog.Name(), e.name)
+	defer loop.End()
 
 	auxUser, isAux := prog.(vc.AuxUser)
 	initVal := uint32(0)
@@ -150,277 +133,204 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 		return nil, err
 	}
 
-	active := bitset.New(int(e.n))
-	is := prog.InitActive(e.n)
-	if is.All {
-		for v := uint32(0); v < e.n; v++ {
-			active.Set(int(v))
-		}
-	} else {
-		for _, v := range is.Verts {
-			active.Set(int(v))
-		}
-	}
-
-	var cumProcessed uint64
-	converged := false
-	for step := 0; step < cfg.MaxSupersteps; step++ {
-		if !active.Any() {
-			converged = true
-			break
-		}
-		if cfg.Context != nil {
-			if err := cfg.Context.Err(); err != nil {
-				return nil, fmt.Errorf("graphchi: run aborted at superstep %d: %w", step, err)
-			}
-		}
-		stepStart := time.Now()
-		devBefore := e.dev.Stats()
-		var cacheBefore pagecache.Stats
-		if cfg.Cache != nil {
-			cacheBefore = cfg.Cache.Stats()
-		}
-		ss := metrics.SuperstepStats{Superstep: step}
-
-		p := step % 2
-		nextActive := bitset.New(int(e.n))
-		halted := bitset.New(int(e.n))
-
-		for k := range e.ivs {
-			iv := e.ivs[k]
-			// GraphChi can skip a shard only when the whole interval is
-			// inactive; aux programs need every shard's copy-forward to
-			// keep edge state coherent, so they never skip.
-			if !isAux && !active.AnyInRange(int(iv.Lo), int(iv.Hi)) {
-				continue
-			}
-			if err := e.processInterval(&intervalRun{
-				prog: prog, store: store, values: values, k: k, p: p,
-				step: step, active: active, nextActive: nextActive,
-				halted: halted, isAux: isAux, ss: &ss,
-			}); err != nil {
-				return nil, err
-			}
-		}
-
-		// Next superstep's active set: message receivers plus processed
-		// vertices that did not halt. A message reactivates a vertex even
-		// if it voted to halt this superstep.
-		carried := active
-		carried.AndNot(halted)
-		nextActive.Or(carried)
-		active = nextActive
-
-		devDelta := e.dev.Stats().Sub(devBefore)
-		ss.Stages = metrics.StagesFromDevice(devDelta)
-		ss.PagesRead = devDelta.PagesRead
-		ss.PagesWritten = devDelta.PagesWritten
-		ss.StorageTime = devDelta.StorageTime()
-		ss.ReadBatchPages = devDelta.ReadBatchPages
-		ss.WriteBatchPages = devDelta.WriteBatchPages
-		ss.ReadLatencyUS = devDelta.ReadLatencyUS
-		ss.WriteLatencyUS = devDelta.WriteLatencyUS
-		ss.ComputeTime = time.Since(stepStart)
-		if cache := cfg.Cache; cache != nil {
-			cd := cache.Stats().Sub(cacheBefore)
-			ss.CacheHits = cd.Hits
-			ss.CacheMisses = cd.Misses
-			ss.CacheEvictions = cd.Evictions
-			ss.PrefetchInserts = cd.PrefetchInserts
-			ss.PrefetchHits = cd.PrefetchHits
-			ss.PrefetchDropped = cd.PrefetchDropped
-		}
-		cumProcessed += ss.Active
-		report.Supersteps = append(report.Supersteps, ss)
-
-		if cfg.StopAfter != nil && cfg.StopAfter(step, cumProcessed) {
-			break
-		}
-	}
-	if !converged {
-		converged = !active.Any()
-	}
-	report.Converged = converged
-	report.WallTime = time.Since(wallStart)
-	report.Finish()
-
-	finalValues, err := values.LoadAll()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Report: report, Values: finalValues}, nil
+	loop.Values = values
+	loop.MaxSupersteps = e.cfg.MaxSupersteps
+	loop.StopAfter = e.cfg.StopAfter
+	loop.Cache = e.cfg.Cache
+	return loop.Run(&run{
+		eng: e, prog: prog, store: store, values: values, isAux: isAux,
+		active: superstep.InitialActive(prog.InitActive(e.n), e.n),
+	})
 }
 
-// intervalRun bundles the state of one interval's processing.
+// run is the state of one execution: the shard store, the value file and
+// the live set.
+type run struct {
+	eng    *Engine
+	prog   vc.Program
+	store  *shard.Store
+	values *csr.Values
+	isAux  bool
+	active *bitset.Set
+}
+
+func (r *run) Pending() bool { return r.active.Any() }
+
+// Superstep slides the window over every interval with a live vertex.
+func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats) error {
+	e := r.eng
+	nextActive := bitset.New(int(e.n))
+	halted := bitset.New(int(e.n))
+	for k, iv := range e.ivs {
+		// GraphChi can skip a shard only when the whole interval is
+		// inactive; aux programs need every shard's copy-forward to
+		// keep edge state coherent, so they never skip.
+		if !r.isAux && !r.active.AnyInRange(int(iv.Lo), int(iv.Hi)) {
+			continue
+		}
+		ir := &intervalRun{run: r, k: k, p: step % 2, step: step, nextActive: nextActive, halted: halted, ss: ss}
+		if err := ir.process(); err != nil {
+			return err
+		}
+	}
+	// Next superstep's active set: message receivers plus processed
+	// vertices that did not halt. A message reactivates a vertex even
+	// if it voted to halt this superstep.
+	r.active.AndNot(halted)
+	nextActive.Or(r.active)
+	r.active = nextActive
+	return nil
+}
+
+// intervalRun is the run plus the state of one interval's processing; each
+// step of process fills in what the next ones read.
 type intervalRun struct {
-	prog       vc.Program
-	store      *shard.Store
-	values     *csr.Values
+	*run
 	k          int
-	p          int
+	p          int // which of the two per-edge value slots is current
 	step       int
-	active     *bitset.Set
 	nextActive *bitset.Set
 	halted     *bitset.Set
-	isAux      bool
 	ss         *metrics.SuperstepStats
+
+	recs       []shard.Record      // shard k in full
+	inEdges    map[uint32][]int    // dst -> indices into recs, source-sorted
+	msgs       map[uint32][]vc.Msg // this superstep's messages by destination
+	windows    []*shard.Window     // interval k's block inside every other shard
+	outEdges   map[uint32][]uint32
+	outWeights map[uint32][]uint32 // nil for unweighted graphs
+	vb         *csr.ValueBatch
 }
 
-func (e *Engine) processInterval(ir *intervalRun) error {
+func (ir *intervalRun) process() error {
+	e := ir.eng
 	iv := e.ivs[ir.k]
-	p := ir.p
 	// All shard and value IO for this interval is vertex-processing work in
 	// GraphChi's PSW model.
 	prevS, prevIv := e.dev.SetStage(obsv.StageVertex, ir.k)
 	defer e.dev.SetStage(prevS, prevIv)
 
-	// Load shard k in full (the whole-shard cost the paper measures).
-	recs, err := ir.store.LoadShard(ir.k)
-	if err != nil {
+	if err := ir.loadShard(); err != nil {
 		return err
 	}
-	// Copy-forward: slots for the next superstep start from the current
-	// value unless a message already arrived there.
-	otherFlag := uint32(shard.FlagMsg0 << (1 - p))
-	curFlag := uint32(shard.FlagMsg0 << p)
-	for i := range recs {
-		if recs[i].Flags&otherFlag == 0 {
-			recs[i].Val[1-p] = recs[i].Val[p]
-		}
+	if err := ir.loadWindows(); err != nil {
+		return err
 	}
-
-	// Index in-edges by destination (preserving source-sorted order) and
-	// extract this superstep's messages.
-	inEdges := make(map[uint32][]int) // dst -> record indices
-	msgs := make(map[uint32][]vc.Msg)
-	for i := range recs {
-		r := &recs[i]
-		inEdges[r.Dst] = append(inEdges[r.Dst], i)
-		if r.Flags&curFlag != 0 {
-			msgs[r.Dst] = append(msgs[r.Dst], vc.Msg{Src: r.Src, Data: r.Val[p]})
-			r.Flags &^= curFlag // consumed
-		}
-	}
-
-	// Load the sliding windows holding this interval's out-edges. The
-	// self-window is served from the in-memory shard records.
-	windows := make([]*shard.Window, len(e.ivs))
-	for j := range e.ivs {
-		if j == ir.k {
-			continue
-		}
-		w, err := ir.store.LoadWindow(j, ir.k)
-		if err != nil {
-			return err
-		}
-		windows[j] = w
-	}
-
-	// Out-edge lists per vertex, assembled from the windows (and the
-	// self block inside shard k).
-	outEdges := make(map[uint32][]uint32)
-	var outWeights map[uint32][]uint32
-	if e.weighted {
-		outWeights = make(map[uint32][]uint32)
-	}
-	collect := func(ws []shard.Record) {
-		for i := range ws {
-			r := &ws[i]
-			if r.Src >= iv.Lo && r.Src < iv.Hi {
-				outEdges[r.Src] = append(outEdges[r.Src], r.Dst)
-				if outWeights != nil {
-					outWeights[r.Src] = append(outWeights[r.Src], r.Weight)
-				}
-			}
-		}
-	}
-	// Iterate destination intervals in ascending order so each vertex's
-	// out-edge list is sorted by destination, matching the CSR engines —
-	// programs that index into OutEdges (random walk) depend on a
-	// consistent order.
-	for j := range e.ivs {
-		if j == ir.k {
-			collect(recs) // self block
-		} else if w := windows[j]; w != nil {
-			collect(w.Records())
-		}
-	}
-
-	// The active vertices of this interval.
-	var verts []uint32
-	ir.active.RangeInRange(int(iv.Lo), int(iv.Hi), func(i int) bool {
-		verts = append(verts, uint32(i))
-		return true
-	})
+	// The active vertices of this interval (messages travel as edge values,
+	// so there is no record slice to merge in).
+	verts := superstep.ActiveSet(nil, ir.active, iv.Lo, iv.Hi)
 	if len(verts) == 0 && !ir.isAux {
 		return nil
 	}
 	ir.ss.Active += uint64(len(verts))
-
-	// Vertex values for the interval.
-	vb, _, err := ir.values.LoadForVerts(verts)
-	if err != nil {
+	var err error
+	if ir.vb, _, err = ir.values.LoadForVerts(verts); err != nil {
 		return err
 	}
 
 	// Process vertices in parallel; sends buffer per worker and apply
 	// sequentially afterwards (edge records are shared state).
-	workers := e.cfg.Workers
-	if workers > len(verts) {
-		workers = len(verts)
-	}
-	sends := make([][]send, workers)
+	sends := make([][]send, e.cfg.Workers)
 	haltedFlags := make([]bool, len(verts))
-	var wg sync.WaitGroup
-	chunk := 0
-	if workers > 0 {
-		chunk = (len(verts) + workers - 1) / workers
-	}
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(verts) {
-			hi = len(verts)
+	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
+		ctx := &chiCtx{ir: ir, sends: &sends[w]}
+		for i := lo; i < hi; i++ {
+			ctx.vertex = verts[i]
+			ctx.haltedFlag = &haltedFlags[i]
+			ctx.prepare()
+			ir.prog.Process(ctx, ir.msgs[verts[i]])
+			ctx.persistAux()
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ctx := &chiCtx{eng: e, ir: ir, vb: vb, recs: recs, inEdges: inEdges, outEdges: outEdges, outWeights: outWeights}
-			for i := lo; i < hi; i++ {
-				v := verts[i]
-				ctx.vertex = v
-				ctx.haltedFlag = &haltedFlags[i]
-				ctx.sends = &sends[w]
-				ctx.prepare()
-				ir.prog.Process(ctx, msgs[v])
-				ctx.persistAux()
-			}
-		}(w, lo, hi)
+		return nil
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
-
 	for i, v := range verts {
-		if haltedFlags[i] {
-			ir.halted.Set(int(v))
-		} else {
-			ir.halted.Clear(int(v))
-		}
-		ir.ss.MsgsDelivered += uint64(len(msgs[v]))
+		ir.halted.SetTo(int(v), haltedFlags[i])
+		ir.ss.MsgsDelivered += uint64(len(ir.msgs[v]))
 	}
+	ir.applySends(sends)
+	return ir.writeBack()
+}
 
-	// Apply buffered sends: write the message into the out-edge record
-	// (self block or window) and activate the destination.
+// loadShard loads shard k in full (the whole-shard cost the paper
+// measures), copies edge values forward, and indexes the records.
+func (ir *intervalRun) loadShard() (err error) {
+	if ir.recs, err = ir.store.LoadShard(ir.k); err != nil {
+		return err
+	}
+	// Copy-forward: slots for the next superstep start from the current
+	// value unless a message already arrived there.
+	p := ir.p
+	otherFlag := uint32(shard.FlagMsg0 << (1 - p))
+	curFlag := uint32(shard.FlagMsg0 << p)
+	// Index in-edges by destination (preserving source-sorted order) and
+	// extract this superstep's messages.
+	ir.inEdges = make(map[uint32][]int)
+	ir.msgs = make(map[uint32][]vc.Msg)
+	for i := range ir.recs {
+		r := &ir.recs[i]
+		if r.Flags&otherFlag == 0 {
+			r.Val[1-p] = r.Val[p]
+		}
+		ir.inEdges[r.Dst] = append(ir.inEdges[r.Dst], i)
+		if r.Flags&curFlag != 0 {
+			ir.msgs[r.Dst] = append(ir.msgs[r.Dst], vc.Msg{Src: r.Src, Data: r.Val[p]})
+			r.Flags &^= curFlag // consumed
+		}
+	}
+	return nil
+}
+
+// loadWindows loads the sliding windows holding this interval's out-edges
+// (the self-window is served from the in-memory shard records) and
+// assembles the per-vertex out-edge lists.
+func (ir *intervalRun) loadWindows() error {
+	e := ir.eng
+	iv := e.ivs[ir.k]
+	ir.windows = make([]*shard.Window, len(e.ivs))
+	ir.outEdges = make(map[uint32][]uint32)
+	if e.weighted {
+		ir.outWeights = make(map[uint32][]uint32)
+	}
+	// Destination intervals ascend, so each vertex's out-edge list is
+	// sorted by destination, matching the CSR engines — programs that index
+	// into OutEdges (random walk) depend on a consistent order.
+	for j := range e.ivs {
+		block := ir.recs // self block
+		if j != ir.k {
+			w, err := ir.store.LoadWindow(j, ir.k)
+			if err != nil {
+				return err
+			}
+			ir.windows[j] = w
+			block = w.Records()
+		}
+		for i := range block {
+			r := &block[i]
+			if r.Src >= iv.Lo && r.Src < iv.Hi {
+				ir.outEdges[r.Src] = append(ir.outEdges[r.Src], r.Dst)
+				if ir.outWeights != nil {
+					ir.outWeights[r.Src] = append(ir.outWeights[r.Src], r.Weight)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// applySends writes each buffered message into its out-edge record (self
+// block or window) and activates the destination.
+func (ir *intervalRun) applySends(sends [][]send) {
+	otherFlag := uint32(shard.FlagMsg0 << (1 - ir.p))
 	for _, bucket := range sends {
 		for _, s := range bucket {
 			ir.ss.MsgsSent++
 			ir.nextActive.Set(int(s.dst))
-			j := e.idx.Of(s.dst)
 			var rec *shard.Record
-			if j == ir.k {
-				rec = findRecord(recs, inEdges, s.src, s.dst)
-			} else if w := windows[j]; w != nil {
+			if j := ir.eng.idx.Of(s.dst); j == ir.k {
+				rec = findRecord(ir.recs, ir.inEdges, s.src, s.dst)
+			} else if w := ir.windows[j]; w != nil {
 				rec = w.Find(s.src, s.dst)
 			}
 			if rec == nil {
@@ -428,27 +338,25 @@ func (e *Engine) processInterval(ir *intervalRun) error {
 				// deliver it; our programs never do this.
 				continue
 			}
-			rec.Val[1-p] = s.data
+			rec.Val[1-ir.p] = s.data
 			rec.Flags |= otherFlag
 		}
 	}
+}
 
-	// Write everything back.
-	if err := ir.store.StoreShard(ir.k, recs); err != nil {
+func (ir *intervalRun) writeBack() error {
+	if err := ir.store.StoreShard(ir.k, ir.recs); err != nil {
 		return err
 	}
-	for j, w := range windows {
-		if j == ir.k || w == nil {
-			continue
-		}
-		if err := w.WriteBack(); err != nil {
-			return err
+	for _, w := range ir.windows {
+		if w != nil {
+			if err := w.WriteBack(); err != nil {
+				return err
+			}
 		}
 	}
-	if _, err := vb.Flush(); err != nil {
-		return err
-	}
-	return nil
+	_, err := ir.vb.Flush()
+	return err
 }
 
 // findRecord locates (src, dst) among shard k's records using the per-dst
@@ -464,13 +372,7 @@ func findRecord(recs []shard.Record, inEdges map[uint32][]int, src, dst uint32) 
 
 // chiCtx implements vc.Context for the GraphChi engine.
 type chiCtx struct {
-	eng        *Engine
-	ir         *intervalRun
-	vb         *csr.ValueBatch
-	recs       []shard.Record
-	inEdges    map[uint32][]int
-	outEdges   map[uint32][]uint32
-	outWeights map[uint32][]uint32 // nil for unweighted graphs
+	ir *intervalRun
 
 	vertex     uint32
 	haltedFlag *bool
@@ -488,12 +390,12 @@ func (c *chiCtx) prepare() {
 	if !c.ir.isAux {
 		return
 	}
-	idxs := c.inEdges[c.vertex]
+	idxs := c.ir.inEdges[c.vertex]
 	c.srcsBuf = c.srcsBuf[:0]
 	c.auxBuf = c.auxBuf[:0]
 	for _, i := range idxs {
-		c.srcsBuf = append(c.srcsBuf, c.recs[i].Src)
-		c.auxBuf = append(c.auxBuf, c.recs[i].Val[c.ir.p])
+		c.srcsBuf = append(c.srcsBuf, c.ir.recs[i].Src)
+		c.auxBuf = append(c.auxBuf, c.ir.recs[i].Val[c.ir.p])
 	}
 	c.hasAux = true
 }
@@ -506,27 +408,22 @@ func (c *chiCtx) persistAux() {
 	}
 	p := c.ir.p
 	otherFlag := uint32(shard.FlagMsg0 << (1 - p))
-	for j, i := range c.inEdges[c.vertex] {
-		r := &c.recs[i]
+	for j, i := range c.ir.inEdges[c.vertex] {
+		r := &c.ir.recs[i]
 		if r.Flags&otherFlag == 0 && r.Val[1-p] != c.auxBuf[j] {
 			r.Val[1-p] = c.auxBuf[j]
 		}
 	}
 }
 
-func (c *chiCtx) Superstep() int      { return c.ir.step }
-func (c *chiCtx) NumVertices() uint32 { return c.eng.n }
-func (c *chiCtx) Vertex() uint32      { return c.vertex }
-func (c *chiCtx) Value() uint32       { return c.vb.Get(c.vertex) }
-func (c *chiCtx) SetValue(v uint32)   { c.vb.Set(c.vertex, v) }
-func (c *chiCtx) VoteToHalt()         { *c.haltedFlag = true }
-func (c *chiCtx) OutEdges() []uint32  { return c.outEdges[c.vertex] }
-func (c *chiCtx) OutWeights() []uint32 {
-	if c.outWeights == nil {
-		return nil
-	}
-	return c.outWeights[c.vertex]
-}
+func (c *chiCtx) Superstep() int       { return c.ir.step }
+func (c *chiCtx) NumVertices() uint32  { return c.ir.eng.n }
+func (c *chiCtx) Vertex() uint32       { return c.vertex }
+func (c *chiCtx) Value() uint32        { return c.ir.vb.Get(c.vertex) }
+func (c *chiCtx) SetValue(v uint32)    { c.ir.vb.Set(c.vertex, v) }
+func (c *chiCtx) VoteToHalt()          { *c.haltedFlag = true }
+func (c *chiCtx) OutEdges() []uint32   { return c.ir.outEdges[c.vertex] }
+func (c *chiCtx) OutWeights() []uint32 { return c.ir.outWeights[c.vertex] }
 func (c *chiCtx) Send(dst, data uint32) {
 	*c.sends = append(*c.sends, send{src: c.vertex, dst: dst, data: data})
 }

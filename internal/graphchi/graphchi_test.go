@@ -8,6 +8,7 @@ import (
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -23,7 +24,7 @@ func newEngine(t *testing.T, edges []graphio.Edge, n uint32, cfg Config) *Engine
 
 // runBoth executes prog on the GraphChi engine and the reference engine
 // and asserts identical values.
-func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int) *Result {
+func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxSteps int) *superstep.Result {
 	t.Helper()
 	eng := newEngine(t, edges, n, Config{MaxSupersteps: maxSteps})
 	got, err := eng.Run(prog)
@@ -55,27 +56,9 @@ func rmatEdges(t *testing.T, scale, ef int, seed int64) ([]graphio.Edge, uint32)
 	return edges, uint32(1 << scale)
 }
 
-func TestGraphChiBFS(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 11)
-	runBoth(t, edges, n, &apps.BFS{Source: 3}, 50)
-}
-
 func TestGraphChiBFSGrid(t *testing.T) {
 	edges, _ := gen.Grid(12, 12)
 	runBoth(t, edges, 144, &apps.BFS{Source: 0}, 60)
-}
-
-func TestGraphChiPageRank(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 7)
-	runBoth(t, edges, n, &apps.PageRank{}, 15)
-}
-
-func TestGraphChiCDLP(t *testing.T) {
-	edges, err := gen.PlantedPartition(3, 40, 8, 0.3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBoth(t, edges, graphio.NumVertices(edges), &apps.CDLP{}, 15)
 }
 
 func TestGraphChiColoring(t *testing.T) {

@@ -4,34 +4,7 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
-	"multilogvc/internal/csr"
-	"multilogvc/internal/graphio"
-	"multilogvc/internal/ssd"
-	"multilogvc/internal/vc"
 )
-
-func TestGraphChiSSSPWeighted(t *testing.T) {
-	edges, n := rmatEdges(t, 8, 6, 5)
-	wedges := graphio.AttachWeights(edges, func(s, d uint32) uint32 {
-		if s > d {
-			s, d = d, s
-		}
-		return uint32(vc.Hash64(uint64(s), uint64(d))%16) + 1
-	})
-	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
-	ivs := csr.Partition(graphio.InDegrees(edges, n), csr.MsgBytes, 2048)
-	eng := NewWeighted(dev, "g", wedges, ivs, Config{MaxSupersteps: 300})
-	res, err := eng.Run(&apps.SSSP{Source: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := vc.NewRefWeighted(wedges, n).Run(&apps.SSSP{Source: 1}, 300)
-	for v := range ref.Values {
-		if res.Values[v] != ref.Values[v] {
-			t.Fatalf("dist[%d] = %d, ref %d", v, res.Values[v], ref.Values[v])
-		}
-	}
-}
 
 func TestGraphChiWCC(t *testing.T) {
 	edges, n := rmatEdges(t, 9, 4, 3)

@@ -17,6 +17,7 @@ import (
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -255,6 +256,21 @@ func (o RunOpts) budget(env *Env) int64 {
 	return env.MemBudget
 }
 
+// runner is any of the three engines.
+type runner interface {
+	RunCtx(context.Context, vc.Program) (*superstep.Result, error)
+}
+
+// finish runs prog on eng and unpacks the result for the experiment code.
+func (env *Env) finish(engine string, prog vc.Program, o RunOpts, eng runner) (*metrics.Report, []uint32, error) {
+	res, err := eng.RunCtx(o.Context, prog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("harness: %s/%s on %s: %w", engine, prog.Name(), env.DS.Name, err)
+	}
+	emitReport(res.Report)
+	return res.Report, res.Values, nil
+}
+
 // RunMLVC runs prog on the MultiLogVC engine.
 func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
 	var pf *pagecache.Prefetcher
@@ -278,16 +294,7 @@ func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, e
 		Resume:          o.Resume,
 		Interrupt:       o.Interrupt,
 	})
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := eng.RunCtx(ctx, prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: multilogvc/%s on %s: %w", prog.Name(), env.DS.Name, err)
-	}
-	emitReport(res.Report)
-	return res.Report, res.Values, nil
+	return env.finish("multilogvc", prog, o, eng)
 }
 
 // RunGraphChi runs prog on the GraphChi baseline.
@@ -297,14 +304,8 @@ func RunGraphChi(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint3
 		StopAfter:     o.StopAfter,
 		Workers:       o.Workers,
 		Cache:         env.Cache,
-		Context:       o.Context,
 	})
-	res, err := eng.Run(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: graphchi/%s on %s: %w", prog.Name(), env.DS.Name, err)
-	}
-	emitReport(res.Report)
-	return res.Report, res.Values, nil
+	return env.finish("graphchi", prog, o, eng)
 }
 
 // RunGraFBoost runs prog on the GraFBoost baseline.
@@ -316,14 +317,8 @@ func RunGraFBoost(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint
 		Adapted:       o.Adapted,
 		Workers:       o.Workers,
 		Cache:         env.Cache,
-		Context:       o.Context,
 	})
-	res, err := eng.Run(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: grafboost/%s on %s: %w", prog.Name(), env.DS.Name, err)
-	}
-	emitReport(res.Report)
-	return res.Report, res.Values, nil
+	return env.finish("grafboost", prog, o, eng)
 }
 
 // PrepareWeighted builds a weighted CSR graph for ds (wedges must strip to
@@ -364,12 +359,6 @@ func RunGraphChiWeighted(env *Env, wedges []graphio.WeightedEdge, prog vc.Progra
 		StopAfter:     o.StopAfter,
 		Workers:       o.Workers,
 		Cache:         env.Cache,
-		Context:       o.Context,
 	})
-	res, err := eng.Run(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: graphchi-w/%s on %s: %w", prog.Name(), env.DS.Name, err)
-	}
-	emitReport(res.Report)
-	return res.Report, res.Values, nil
+	return env.finish("graphchi-w", prog, o, eng)
 }

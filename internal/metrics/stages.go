@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"multilogvc/internal/obsv"
+	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 )
 
@@ -105,4 +106,37 @@ func StageByName(rows []StageIO, name string) StageIO {
 		}
 	}
 	return StageIO{Stage: name}
+}
+
+// AddDevice folds a device stats delta into the superstep: page counts,
+// storage time, the batch/latency histograms, fault and capacity counters,
+// and the per-stage rows. It accumulates, so a second window inside the
+// same superstep (a boundary checkpoint) adds on top of the first.
+func (s *SuperstepStats) AddDevice(d ssd.Stats) {
+	s.Stages = MergeStages(s.Stages, StagesFromDevice(d))
+	s.PagesRead += d.PagesRead
+	s.PagesWritten += d.PagesWritten
+	s.StorageTime += d.StorageTime()
+	s.ReadBatchPages.Add(d.ReadBatchPages)
+	s.WriteBatchPages.Add(d.WriteBatchPages)
+	s.ReadLatencyUS.Add(d.ReadLatencyUS)
+	s.WriteLatencyUS.Add(d.WriteLatencyUS)
+	s.TransientFaults += d.TransientFaults
+	s.Retries += d.Retries
+	s.RetryBackoff += d.RetryBackoff
+	s.RetriesExhausted += d.RetriesExhausted
+	s.CorruptPages += d.CorruptPages
+	s.NoSpaceFaults += d.NoSpaceFaults
+	s.Reclaims += d.Reclaims
+	s.ReclaimedBytes += d.ReclaimedBytes
+}
+
+// AddCache folds a page-cache stats delta into the superstep.
+func (s *SuperstepStats) AddCache(c pagecache.Stats) {
+	s.CacheHits += c.Hits
+	s.CacheMisses += c.Misses
+	s.CacheEvictions += c.Evictions
+	s.PrefetchInserts += c.PrefetchInserts
+	s.PrefetchHits += c.PrefetchHits
+	s.PrefetchDropped += c.PrefetchDropped
 }

@@ -13,6 +13,7 @@ import (
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -314,7 +315,7 @@ func (b *batcher) runSolo(q *pointQuery, batchErr error) pointResult {
 // runEngine is the one place a serving execution is configured: private
 // scratch namespace, ephemeral cleanup on any exit, per-run IO scope,
 // shared cache with a private prefetcher.
-func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*core.Result, ssd.Stats, error) {
+func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, error) {
 	// Pin the delta epoch for the whole execution: queries read a frozen
 	// graph while streaming ingest acknowledges mutations around them,
 	// and every lane of the batch sees the same structure.

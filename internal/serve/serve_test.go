@@ -18,6 +18,7 @@ import (
 	"multilogvc/internal/gen"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 )
 
 // fixture builds a small resident rmat graph on a fresh in-memory device.
@@ -38,7 +39,7 @@ func fixture(t *testing.T, seed int64) *csr.Graph {
 // single runs the reference single-source program sequentially.
 func single(t *testing.T, g *csr.Graph, kind string, src uint32) []uint32 {
 	t.Helper()
-	var res *core.Result
+	var res *superstep.Result
 	var err error
 	if kind == "bfs" {
 		res, err = core.New(g, core.Config{MaxSupersteps: 100}).Run(&apps.BFS{Source: src})

@@ -27,10 +27,9 @@ import (
 	"multilogvc/internal/vc"
 )
 
-// Rec is one update record read back from a log.
-type Rec struct {
-	Dst, Src, Data uint32
-}
+// Rec is one update record read back from a log: the same record the
+// external sort moves, so dst-sorted slices of either origin share helpers.
+type Rec = extsort.Record
 
 // Batch is the sorted, grouped update set of one or more fused intervals.
 // A spilled batch (Spilled true) serves one budget-sized chunk at a time:
@@ -225,7 +224,7 @@ func (b *Batch) fillChunk() error {
 		return nil
 	}
 	for {
-		b.Recs = append(b.Recs, Rec{Dst: s.next.Dst, Src: s.next.Src, Data: s.next.Data})
+		b.Recs = append(b.Recs, s.next)
 		r, ok, err := s.m.Next()
 		if err != nil {
 			return err
@@ -272,20 +271,6 @@ func (b *Batch) Close() {
 		b.spill.m.Close()
 		b.spill = nil
 	}
-}
-
-// ActiveVertices returns the distinct destinations in the batch, ascending
-// — the paper's ExtractActiveVert.
-func (b *Batch) ActiveVertices() []uint32 {
-	var verts []uint32
-	for i := 0; i < len(b.Recs); {
-		dst := b.Recs[i].Dst
-		verts = append(verts, dst)
-		for i < len(b.Recs) && b.Recs[i].Dst == dst {
-			i++
-		}
-	}
-	return verts
 }
 
 // MsgsFor returns the messages bound for vertex v, optionally reduced by a

@@ -89,21 +89,20 @@ func TestLoadFusedPartial(t *testing.T) {
 	}
 }
 
-func TestActiveVertices(t *testing.T) {
+func TestLoadSortsByDst(t *testing.T) {
 	l, ivs := fixture(t)
 	for _, dst := range []uint32{5, 3, 5, 3, 7, 5} {
 		l.Append(0, dst, 0, 0)
 	}
 	l.FlushAll()
 	b, _ := LoadFused(l, ivs, 0, 1<<20)
-	got := b.ActiveVertices()
-	want := []uint32{3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("active = %v, want %v", got, want)
+	want := []uint32{3, 3, 5, 5, 5, 7}
+	if len(b.Recs) != len(want) {
+		t.Fatalf("recs = %v, want dsts %v", b.Recs, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("active = %v, want %v", got, want)
+		if b.Recs[i].Dst != want[i] {
+			t.Fatalf("recs = %v, want dsts %v", b.Recs, want)
 		}
 	}
 }
@@ -234,8 +233,8 @@ func TestGrouperEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verts := b.ActiveVertices(); len(verts) != 0 {
-		t.Fatalf("active = %v", verts)
+	if len(b.Recs) != 0 {
+		t.Fatalf("recs = %v", b.Recs)
 	}
 	g := NewGrouper(b, nil)
 	if _, _, ok := g.Next(); ok {

@@ -43,6 +43,7 @@ import (
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -69,6 +70,8 @@ type (
 	Report = metrics.Report
 	// SuperstepStats is one superstep's measurements.
 	SuperstepStats = metrics.SuperstepStats
+	// RunResult is a finished run: the report and final vertex values.
+	RunResult = superstep.Result
 	// Trace collects structured spans from an engine run; export it with
 	// WriteChromeTrace for Perfetto / chrome://tracing.
 	Trace = obsv.Trace
@@ -424,12 +427,13 @@ type RunOptions struct {
 	// run commits a checkpoint — even with CheckpointEvery 0 — and
 	// returns ErrInterrupted.
 	Interrupt <-chan struct{}
-	// Context, when non-nil, bounds the run: cancellation or a deadline
-	// stops it at the next superstep boundary. The MultiLogVC engine
-	// commits a checkpoint first and classifies deadline expiry as
-	// ErrDeadline (plain cancellation as ErrInterrupted); the baseline
-	// engines stop with the context's error wrapped. The device's
-	// transient-fault retry backoff also observes it.
+	// Context, when non-nil, bounds the run on every engine alike:
+	// cancellation or a deadline stops it at the next superstep boundary,
+	// and the device's transient-fault retry backoff observes it too. The
+	// MultiLogVC engine commits a checkpoint first and classifies deadline
+	// expiry as ErrDeadline (plain cancellation as ErrInterrupted); the
+	// baseline engines, which have no checkpoints, stop with the context's
+	// error wrapped.
 	Context context.Context
 	// SortBudget overrides the in-memory sort bound in bytes (MultiLogVC
 	// engine only); interval logs above it spill through the external
@@ -437,14 +441,9 @@ type RunOptions struct {
 	SortBudget int64
 }
 
-// RunResult is a finished run: the report and final vertex values.
-type RunResult struct {
-	Report *Report
-	Values []uint32
-}
-
 // Run executes prog on the selected engine.
 func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
+	ctx := opts.Context // nil means context.Background()
 	switch opts.Engine {
 	case EngineGraphChi:
 		cfg := graphchi.Config{
@@ -452,41 +451,27 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			Workers:       opts.Workers,
 			StopAfter:     opts.StopAfter,
 			Cache:         g.sys.cache,
-			Context:       opts.Context,
 		}
-		var eng *graphchi.Engine
 		if g.g.HasWeights() {
-			eng = graphchi.NewWeighted(g.sys.dev, g.g.Name(), g.wedges, g.g.Intervals(), cfg)
-		} else {
-			eng = graphchi.New(g.sys.dev, g.g.Name(), g.edges, g.g.Intervals(), cfg)
+			return graphchi.NewWeighted(g.sys.dev, g.g.Name(), g.wedges, g.g.Intervals(), cfg).RunCtx(ctx, prog)
 		}
-		res, err := eng.Run(prog)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Report: res.Report, Values: res.Values}, nil
+		return graphchi.New(g.sys.dev, g.g.Name(), g.edges, g.g.Intervals(), cfg).RunCtx(ctx, prog)
 	case EngineGraFBoost, EngineGraFBoostAdapted:
-		eng := grafboost.New(g.g, grafboost.Config{
+		return grafboost.New(g.g, grafboost.Config{
 			MemoryBudget:  g.memBudget,
 			MaxSupersteps: opts.MaxSupersteps,
 			Workers:       opts.Workers,
 			Adapted:       opts.Engine == EngineGraFBoostAdapted,
 			StopAfter:     opts.StopAfter,
 			Cache:         g.sys.cache,
-			Context:       opts.Context,
-		})
-		res, err := eng.Run(prog)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Report: res.Report, Values: res.Values}, nil
+		}).RunCtx(ctx, prog)
 	default:
 		var pf *pagecache.Prefetcher
 		if g.sys.cache != nil && !opts.NoPrefetch {
 			pf = pagecache.NewPrefetcher(8)
 			defer pf.Close()
 		}
-		eng := core.New(g.g, core.Config{
+		return core.New(g.g, core.Config{
 			MemoryBudget:    g.memBudget,
 			SortBudget:      opts.SortBudget,
 			MaxSupersteps:   opts.MaxSupersteps,
@@ -502,16 +487,7 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			CheckpointEvery: opts.CheckpointEvery,
 			Resume:          opts.Resume,
 			Interrupt:       opts.Interrupt,
-		})
-		ctx := opts.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		res, err := eng.RunCtx(ctx, prog)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Report: res.Report, Values: res.Values}, nil
+		}).RunCtx(ctx, prog)
 	}
 }
 
