@@ -280,7 +280,7 @@ func runSnapshotMode(sz harness.Size, snapshotPath, checkPath, freshPath string)
 	if err != nil {
 		fatal(err)
 	}
-	d := harness.Compare(base, fresh, harness.DiffOptions{})
+	d := harness.Compare(base, fresh)
 	sort.Strings(d.Warnings)
 	for _, w := range d.Warnings {
 		fmt.Printf("WARN  %s\n", w)

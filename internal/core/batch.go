@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"sort"
-	"sync/atomic"
 
 	"multilogvc/internal/csr"
+	"multilogvc/internal/extsort"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/sortgroup"
@@ -42,10 +42,9 @@ type adjEntry struct {
 // processBatch runs the vertex stage over the batch's current chunk.
 func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) error {
 	// Everything this batch touches — value pages, adjacency, aux, and the
-	// message-log evictions its worker Sends trigger — is vertex-processing
-	// IO on the batch's interval range. Workers inherit the tag: they only
-	// issue device IO through Send, whose eviction path runs while this
-	// phase owns the device tag.
+	// message-log evictions draining its sends triggers — is
+	// vertex-processing IO on the batch's interval range. Workers issue no
+	// device IO at all.
 	prevS, prevIv := r.io.SetStage(obsv.StageVertex, sg.FirstIv)
 	defer r.io.SetStage(prevS, prevIv)
 
@@ -213,44 +212,49 @@ func (b *batch) loadAux() error {
 }
 
 // processVertices runs the program over the active set on the shared
-// worker pool and updates the carry set.
+// worker pool, wave by wave, and updates the carry set. Workers only fill
+// their send buckets; after each wave the run goroutine drains them into the
+// logs, so buffered sends stay bounded and the schedule decides no device IO.
 func (b *batch) processVertices() error {
 	recs := b.sg.Recs
 	ranges := superstep.MsgRanges(b.verts, recs)
 	span := b.cfg.Trace.Begin("engine", "process-vertices")
 	span.Arg("verts", int64(len(b.verts)))
 	halted := make([]bool, len(b.verts))
-	var sent atomic.Uint64
-	workerMuts := make([][]vc.Mutation, b.cfg.Workers)
-	if err := superstep.ForEach(b.cfg.Workers, len(b.verts), func(w, lo, hi int) error {
-		ctx := &engineCtx{b: b, muts: &workerMuts[w]}
-		var msgBuf []vc.Msg
-		for i := lo; i < hi; i++ {
-			msgBuf = superstep.AppendMsgs(msgBuf[:0], recs[ranges[i][0]:ranges[i][1]])
-			msgs := msgBuf
-			if b.combiner != nil && len(msgs) > 1 {
-				acc := msgs[0].Data
-				for _, m := range msgs[1:] {
-					acc = b.combiner.Combine(acc, m.Data)
+	for start, end := 0, 0; start < len(b.verts); start = end {
+		end = b.waveEnd(start)
+		if err := superstep.ForEach(b.cfg.Workers, end-start, func(w, lo, hi int) error {
+			ctx := &b.ctxs[w]
+			ctx.b, ctx.w = b, w
+			for i := start + lo; i < start+hi; i++ {
+				ctx.msgBuf = superstep.AppendMsgs(ctx.msgBuf[:0], recs[ranges[i][0]:ranges[i][1]])
+				msgs := ctx.msgBuf
+				if b.combiner != nil && len(msgs) > 1 {
+					acc := msgs[0].Data
+					for _, m := range msgs[1:] {
+						acc = b.combiner.Combine(acc, m.Data)
+					}
+					msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
 				}
-				msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
+				ctx.vertex = b.verts[i]
+				ctx.haltedFlag = &halted[i]
+				b.prog.Process(ctx, msgs)
 			}
-			ctx.vertex = b.verts[i]
-			ctx.haltedFlag = &halted[i]
-			b.prog.Process(ctx, msgs)
-			if ctx.err != nil {
-				return ctx.err
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
-		sent.Add(ctx.sent)
-		return nil
-	}); err != nil {
-		return err
+		if err := b.drainSends(); err != nil {
+			return err
+		}
 	}
-	for _, wm := range workerMuts {
-		b.muts = append(b.muts, wm...)
+	for w := range b.ctxs {
+		ctx := &b.ctxs[w]
+		b.muts = append(b.muts, ctx.muts...)
+		// Let go of the batch: a ctx outlives it, and would keep its records,
+		// adjacency and value pages reachable while the next batch loads.
+		ctx.b, ctx.haltedFlag, ctx.muts = nil, nil, ctx.muts[:0]
 	}
-	b.ss.MsgsSent += sent.Load()
 	span.End()
 
 	// Processed vertices stay live unless halted.
@@ -258,6 +262,36 @@ func (b *batch) processVertices() error {
 		b.carry.SetTo(int(v), !halted[i])
 	}
 	return nil
+}
+
+// waveEnd returns where the wave of b.verts starting at start ends: once its
+// out-edges — the sends to expect; adjacency is resident before Process
+// runs — reach waveSends. The cut is a function of the graph, the active set
+// and the log budget, never of the order sends arrive in.
+func (b *batch) waveEnd(start int) int {
+	end := start
+	for sends := 0; end < len(b.verts) && sends < b.waveSends; end++ {
+		if a := b.adj[b.verts[end]]; a != nil {
+			sends += len(a.nbrs)
+		}
+	}
+	return end
+}
+
+// drainSends appends the wave's buffered sends to the logs in sender order.
+func (b *batch) drainSends() error {
+	sent, err := b.sends.Drain(func(rec extsort.Record) error {
+		iv := b.g.IntervalOf(rec.Dst)
+		log := b.nextLog
+		// Asynchronous model: forward sends (to intervals processed later
+		// this superstep) stay in the current generation.
+		if b.cfg.Async && iv > b.sg.LastIv {
+			log = b.curLog
+		}
+		return log.Append(iv, rec.Dst, rec.Src, rec.Data)
+	})
+	b.ss.MsgsSent += sent
+	return err
 }
 
 // relog makes the edge-log decisions (single-threaded; the log writer is
@@ -306,15 +340,16 @@ func (b *batch) flush() error {
 	return nil
 }
 
-// engineCtx implements vc.Context for one worker.
+// engineCtx implements vc.Context for one worker; the run keeps it across
+// waves, batches and supersteps.
 type engineCtx struct {
 	b *batch
+	w int // worker index: its bucket of b.sends
 
 	vertex     uint32
 	haltedFlag *bool
-	muts       *[]vc.Mutation
-	sent       uint64
-	err        error
+	muts       []vc.Mutation
+	msgBuf     []vc.Msg // the processed vertex's messages
 }
 
 func (c *engineCtx) Superstep() int      { return c.b.step }
@@ -346,30 +381,18 @@ func (c *engineCtx) OutWeights() []uint32 {
 	return nil
 }
 
-func (c *engineCtx) Send(dst, data uint32) {
-	iv := c.b.g.IntervalOf(dst)
-	log := c.b.nextLog
-	// Asynchronous model: forward sends (to intervals processed later
-	// this superstep) stay in the current generation.
-	if c.b.cfg.Async && iv > c.b.sg.LastIv {
-		log = c.b.curLog
-	}
-	if err := log.Append(iv, dst, c.vertex, data); err != nil && c.err == nil {
-		c.err = err
-	}
-	c.sent++
-}
+func (c *engineCtx) Send(dst, data uint32) { c.b.sends.Send(c.w, c.vertex, dst, data) }
 
 func (c *engineCtx) InEdgeSources() []uint32 { return c.b.inSources[c.vertex] }
 
 // AddEdge implements vc.Mutator: the edge appears next superstep.
 func (c *engineCtx) AddEdge(src, dst, weight uint32) {
-	*c.muts = append(*c.muts, vc.Mutation{Add: true, Src: src, Dst: dst, Weight: weight})
+	c.muts = append(c.muts, vc.Mutation{Add: true, Src: src, Dst: dst, Weight: weight})
 }
 
 // RemoveEdge implements vc.Mutator: the removal applies next superstep.
 func (c *engineCtx) RemoveEdge(src, dst uint32) {
-	*c.muts = append(*c.muts, vc.Mutation{Src: src, Dst: dst})
+	c.muts = append(c.muts, vc.Mutation{Src: src, Dst: dst})
 }
 
 func (c *engineCtx) Aux() []uint32 {

@@ -11,7 +11,8 @@
 //	    load its update log, sort by destination, extract active vertices
 //	    load the active vertices' values, adjacency (CSR pages or edge
 //	    log), and aux state
-//	    process each active vertex; sends append to next-generation logs
+//	    process the active vertices in waves; after each wave its sends are
+//	    appended, in vertex order, to the next-generation logs
 //	    log out-edges of predicted-active vertices on inefficient pages
 //	flush next-generation logs; swap generations
 package core

@@ -48,7 +48,23 @@ type run struct {
 
 	step int           // superstep in progress
 	muts []vc.Mutation // structural mutations it has requested so far
+
+	// The vertex stage's send path: workers fill sends, the run goroutine
+	// drains it into the logs every waveSends expected sends.
+	ctxs      []engineCtx // one per worker
+	sends     *superstep.SendBuffer
+	waveSends int
 }
+
+// A wave buffers about an eighth of the message log's own buffer budget —
+// small enough that buffering sends ahead of the log costs no measurable
+// memory, and a function of the configuration alone. minWaveSends keeps a
+// floor-budget log (one page per interval, the serving shape) from chopping
+// a batch into hundred-vertex waves that each pay a pool fork and join.
+const (
+	waveBudgetShare = 8
+	minWaveSends    = 4096
+)
 
 // lanesOf returns the lane count of prog (1 for a plain program) and its
 // lane view when it has one.
@@ -171,6 +187,9 @@ func (r *run) open(resume bool) error {
 		r.pred = edgelog.NewPredictor(n, dev.PageSize(), cfg.UtilThreshold)
 	}
 	r.carry = superstep.InitialActive(prog.InitActive(n), n)
+	r.sends = superstep.NewSendBuffer(cfg.Workers, n)
+	r.ctxs = make([]engineCtx, cfg.Workers)
+	r.waveSends = max(int(r.nextLog.Budget()/mlog.RecordBytes/waveBudgetShare), minWaveSends)
 
 	// Space governance: register what this run can give back when a write
 	// hits the disk quota — consumed intervals of the previous-generation

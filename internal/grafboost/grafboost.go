@@ -97,7 +97,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	if !hasCombiner && !cfg.Adapted {
 		return nil, ErrNeedsCombiner
 	}
-	r := &run{eng: e, prog: prog}
+	r := &run{eng: e, prog: prog, sends: superstep.NewSendBuffer(cfg.Workers, n)}
 	engine := "grafboost-adapted"
 	if !cfg.Adapted {
 		engine = "grafboost"
@@ -148,7 +148,8 @@ type run struct {
 	logF     *ssd.File
 	logW     *ssd.Writer
 	logCount uint64
-	sorted   []extsort.Record // the superstep's messages not yet consumed
+	sorted   []extsort.Record      // the superstep's messages not yet consumed
+	sends    *superstep.SendBuffer // the interval's sends on their way to the log
 }
 
 func (r *run) Pending() bool { return r.carry.Any() || r.logCount > 0 }
@@ -287,9 +288,8 @@ func (ir *ivRun) process() error {
 	// the goroutine schedule.
 	ranges := superstep.MsgRanges(verts, msgs)
 	halted := make([]bool, len(verts))
-	sends := make([][]extsort.Record, e.cfg.Workers)
 	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
-		ctx := &gbCtx{ir: ir, sends: &sends[w]}
+		ctx := &gbCtx{ir: ir, w: w}
 		var msgBuf []vc.Msg
 		for i := lo; i < hi; i++ {
 			msgBuf = superstep.AppendMsgs(msgBuf[:0], msgs[ranges[i][0]:ranges[i][1]])
@@ -301,12 +301,8 @@ func (ir *ivRun) process() error {
 	}); err != nil {
 		return err
 	}
-	for _, bucket := range sends {
-		for _, rec := range bucket {
-			if err := ir.appendLog(rec); err != nil {
-				return err
-			}
-		}
+	if _, err := ir.sends.Drain(ir.appendLog); err != nil {
+		return err
 	}
 
 	for i, v := range verts {
@@ -350,7 +346,7 @@ type gbCtx struct {
 
 	vertex     uint32
 	haltedFlag *bool
-	sends      *[]extsort.Record
+	w          int // worker index: its bucket of ir.sends
 }
 
 func (c *gbCtx) Superstep() int          { return c.ir.step }
@@ -362,9 +358,7 @@ func (c *gbCtx) VoteToHalt()             { *c.haltedFlag = true }
 func (c *gbCtx) OutEdges() []uint32      { return c.ir.adj[c.vertex] }
 func (c *gbCtx) OutWeights() []uint32    { return c.ir.adjW[c.vertex] }
 func (c *gbCtx) InEdgeSources() []uint32 { return c.ir.inSources[c.vertex] }
-func (c *gbCtx) Send(dst, data uint32) {
-	*c.sends = append(*c.sends, extsort.Record{Dst: dst, Src: c.vertex, Data: data})
-}
+func (c *gbCtx) Send(dst, data uint32)   { c.ir.sends.Send(c.w, c.vertex, dst, data) }
 func (c *gbCtx) Aux() []uint32 {
 	if c.ir.auxBatch == nil {
 		return nil

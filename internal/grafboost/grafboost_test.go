@@ -2,7 +2,6 @@ package grafboost
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"multilogvc/internal/apps"
@@ -93,29 +92,6 @@ func TestGraFBoostExternalSortSmallBudget(t *testing.T) {
 	// Force the log to outgrow memory so the external sort actually runs.
 	edges, n := rmatEdges(t, 9, 8, 29)
 	runBoth(t, edges, n, &apps.PageRank{}, 8, Config{MemoryBudget: 8 << 10})
-}
-
-// TestGraFBoostCountersIndependentOfWorkers: the log's record order decides
-// the external sort's run boundaries, so page counters must be a function
-// of the program and graph alone — not of the worker count or the
-// goroutine schedule.
-func TestGraFBoostCountersIndependentOfWorkers(t *testing.T) {
-	edges, n := rmatEdges(t, 9, 8, 29)
-	run := func(workers int) *superstep.Result {
-		// A budget far below the log size, so every superstep sorts many runs.
-		res, err := newEngine(t, edges, n, Config{MaxSupersteps: 8, MemoryBudget: 8 << 10, Workers: workers}).Run(&apps.PageRank{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(1).Report, run(4).Report
-	if a.PagesRead != b.PagesRead || a.PagesWritten != b.PagesWritten {
-		t.Fatalf("pages read/written %d/%d at 1 worker, %d/%d at 4", a.PagesRead, a.PagesWritten, b.PagesRead, b.PagesWritten)
-	}
-	if !reflect.DeepEqual(a.Stages, b.Stages) {
-		t.Fatalf("stage rows differ:\n1 worker:  %+v\n4 workers: %+v", a.Stages, b.Stages)
-	}
 }
 
 func TestGraFBoostFullScanEverySuperstep(t *testing.T) {

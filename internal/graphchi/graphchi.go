@@ -21,6 +21,7 @@ import (
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/extsort"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
@@ -91,11 +92,6 @@ func NewWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, ivs
 	}
 }
 
-// send is one buffered message emitted during vertex processing.
-type send struct {
-	src, dst, data uint32
-}
-
 // Run executes prog to convergence or the superstep cap.
 func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
 	return e.RunCtx(context.Background(), prog)
@@ -140,11 +136,12 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	return loop.Run(&run{
 		eng: e, prog: prog, store: store, values: values, isAux: isAux,
 		active: superstep.InitialActive(prog.InitActive(e.n), e.n),
+		sends:  superstep.NewSendBuffer(e.cfg.Workers, e.n),
 	})
 }
 
-// run is the state of one execution: the shard store, the value file and
-// the live set.
+// run is the state of one execution: the shard store, the value file, the
+// live set and the interval's buffered sends.
 type run struct {
 	eng    *Engine
 	prog   vc.Program
@@ -152,6 +149,7 @@ type run struct {
 	values *csr.Values
 	isAux  bool
 	active *bitset.Set
+	sends  *superstep.SendBuffer
 }
 
 func (r *run) Pending() bool { return r.active.Any() }
@@ -230,10 +228,9 @@ func (ir *intervalRun) process() error {
 
 	// Process vertices in parallel; sends buffer per worker and apply
 	// sequentially afterwards (edge records are shared state).
-	sends := make([][]send, e.cfg.Workers)
 	haltedFlags := make([]bool, len(verts))
 	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
-		ctx := &chiCtx{ir: ir, sends: &sends[w]}
+		ctx := &chiCtx{ir: ir, w: w}
 		for i := lo; i < hi; i++ {
 			ctx.vertex = verts[i]
 			ctx.haltedFlag = &haltedFlags[i]
@@ -249,7 +246,9 @@ func (ir *intervalRun) process() error {
 		ir.halted.SetTo(int(v), haltedFlags[i])
 		ir.ss.MsgsDelivered += uint64(len(ir.msgs[v]))
 	}
-	ir.applySends(sends)
+	if err := ir.applySends(); err != nil {
+		return err
+	}
 	return ir.writeBack()
 }
 
@@ -321,27 +320,26 @@ func (ir *intervalRun) loadWindows() error {
 
 // applySends writes each buffered message into its out-edge record (self
 // block or window) and activates the destination.
-func (ir *intervalRun) applySends(sends [][]send) {
+func (ir *intervalRun) applySends() error {
 	otherFlag := uint32(shard.FlagMsg0 << (1 - ir.p))
-	for _, bucket := range sends {
-		for _, s := range bucket {
-			ir.ss.MsgsSent++
-			ir.nextActive.Set(int(s.dst))
-			var rec *shard.Record
-			if j := ir.eng.idx.Of(s.dst); j == ir.k {
-				rec = findRecord(ir.recs, ir.inEdges, s.src, s.dst)
-			} else if w := ir.windows[j]; w != nil {
-				rec = w.Find(s.src, s.dst)
-			}
-			if rec == nil {
-				// Message along a non-existent edge: GraphChi cannot
-				// deliver it; our programs never do this.
-				continue
-			}
-			rec.Val[1-ir.p] = s.data
+	sent, err := ir.sends.Drain(func(s extsort.Record) error {
+		ir.nextActive.Set(int(s.Dst))
+		var rec *shard.Record
+		if j := ir.eng.idx.Of(s.Dst); j == ir.k {
+			rec = findRecord(ir.recs, ir.inEdges, s.Src, s.Dst)
+		} else if w := ir.windows[j]; w != nil {
+			rec = w.Find(s.Src, s.Dst)
+		}
+		// A message along a non-existent edge finds no record: GraphChi
+		// cannot deliver it; our programs never do this.
+		if rec != nil {
+			rec.Val[1-ir.p] = s.Data
 			rec.Flags |= otherFlag
 		}
-	}
+		return nil
+	})
+	ir.ss.MsgsSent += sent
+	return err
 }
 
 func (ir *intervalRun) writeBack() error {
@@ -376,7 +374,7 @@ type chiCtx struct {
 
 	vertex     uint32
 	haltedFlag *bool
-	sends      *[]send
+	w          int // worker index: its bucket of ir.sends
 
 	srcsBuf []uint32
 	auxBuf  []uint32
@@ -424,9 +422,6 @@ func (c *chiCtx) SetValue(v uint32)    { c.ir.vb.Set(c.vertex, v) }
 func (c *chiCtx) VoteToHalt()          { *c.haltedFlag = true }
 func (c *chiCtx) OutEdges() []uint32   { return c.ir.outEdges[c.vertex] }
 func (c *chiCtx) OutWeights() []uint32 { return c.ir.outWeights[c.vertex] }
-func (c *chiCtx) Send(dst, data uint32) {
-	*c.sends = append(*c.sends, send{src: c.vertex, dst: dst, data: data})
-}
 func (c *chiCtx) InEdgeSources() []uint32 {
 	if !c.hasAux {
 		return nil
@@ -439,3 +434,5 @@ func (c *chiCtx) Aux() []uint32 {
 	}
 	return c.auxBuf
 }
+
+func (c *chiCtx) Send(dst, data uint32) { c.ir.sends.Send(c.w, c.vertex, dst, data) }

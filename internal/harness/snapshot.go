@@ -220,33 +220,19 @@ func cacheOpt(mb int) int {
 	return mb
 }
 
-// DiffOptions tunes Compare.
-type DiffOptions struct {
-	// WallTolPct is the warn threshold on wall-time drift in percent
-	// (either direction). <= 0 defaults to 50.
-	WallTolPct float64
-	// PageTolPct is the warn threshold on page-count drift of
-	// nondeterministic (cached) entries. <= 0 defaults to 10.
-	PageTolPct float64
-	// MinPages is the absolute floor below which nondeterministic
+// Compare's warn thresholds.
+const (
+	// wallTolPct is the wall-time drift, in percent either way, that warns.
+	wallTolPct = 50
+	// pageTolPct is the page-count or storage-time drift of a
+	// nondeterministic (cached) entry that warns.
+	pageTolPct = 10
+	// minPages is the absolute floor below which nondeterministic
 	// page-count drift is ignored: a prefetcher warming 12 pages one run
 	// and 0 the next is scheduling noise, not a trend, and percent
-	// thresholds explode on small denominators. <= 0 defaults to 64.
-	MinPages uint64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.WallTolPct <= 0 {
-		o.WallTolPct = 50
-	}
-	if o.PageTolPct <= 0 {
-		o.PageTolPct = 10
-	}
-	if o.MinPages <= 0 {
-		o.MinPages = 64
-	}
-	return o
-}
+	// thresholds explode on small denominators.
+	minPages = 64
+)
 
 // DiffResult is the outcome of a baseline comparison. Regressions fail
 // the CI gate; warnings are informational (wall drift, stale-baseline
@@ -268,12 +254,11 @@ func pctDrift(base, fresh int64) float64 {
 
 // Compare diffs a fresh snapshot against the committed baseline. On
 // deterministic entries any page-count, superstep, spill, or retry
-// increase — total or per-stage — is a regression; decreases warn that
-// the baseline is stale. Virtual device time on deterministic entries
-// warns on drift (it folds in batch shapes that worker scheduling can
-// perturb). Wall time always warns only.
-func Compare(base, fresh *Snapshot, opts DiffOptions) *DiffResult {
-	opts = opts.withDefaults()
+// increase — total or per-stage — is a regression, and decreases warn that
+// the baseline is stale; virtual device time, total and per-stage, is a
+// pure function of (graph, program, config) and must match exactly. Wall
+// time always warns only.
+func Compare(base, fresh *Snapshot) *DiffResult {
 	d := &DiffResult{}
 	if base.SchemaVersion != fresh.SchemaVersion {
 		d.Regressions = append(d.Regressions, fmt.Sprintf(
@@ -298,7 +283,7 @@ func Compare(base, fresh *Snapshot, opts DiffOptions) *DiffResult {
 			d.Regressions = append(d.Regressions, fmt.Sprintf("%s: missing from fresh snapshot", b.Key()))
 			continue
 		}
-		compareEntry(d, b, f, opts)
+		compareEntry(d, b, f)
 	}
 	for _, f := range fresh.Entries {
 		if !baseKeys[f.Key()] {
@@ -309,7 +294,7 @@ func Compare(base, fresh *Snapshot, opts DiffOptions) *DiffResult {
 	return d
 }
 
-func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
+func compareEntry(d *DiffResult, b, f SnapEntry) {
 	key := b.Key()
 	regress := func(format string, args ...any) {
 		d.Regressions = append(d.Regressions, key+": "+fmt.Sprintf(format, args...))
@@ -321,10 +306,10 @@ func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
 		switch {
 		case fresh == base:
 		case !b.Deterministic:
-			if base < opts.MinPages && fresh < opts.MinPages {
+			if base < minPages && fresh < minPages {
 				return
 			}
-			if drift := pctDrift(int64(base), int64(fresh)); drift > opts.PageTolPct || drift < -opts.PageTolPct {
+			if drift := pctDrift(int64(base), int64(fresh)); drift > pageTolPct || drift < -pageTolPct {
 				warn("%s drifted %+.1f%% (%d -> %d, nondeterministic entry)", name, drift, base, fresh)
 			}
 		case fresh > base:
@@ -343,37 +328,37 @@ func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
 
 	// Per-stage page counts: an increase in any stage is a regression even
 	// when the totals balance out — attribution moving between stages is a
-	// behavior change the baseline should record deliberately.
-	baseStages := make(map[string]StageSnap, len(b.Stages))
-	for _, st := range b.Stages {
-		baseStages[st.Stage] = st
-	}
-	for _, fs := range f.Stages {
-		bs := baseStages[fs.Stage]
+	// behavior change the baseline should record deliberately. A stage on
+	// one side only compares against zero.
+	stage := func(bs, fs StageSnap) {
 		counter("stage["+fs.Stage+"].pages_read", bs.PagesRead, fs.PagesRead)
 		counter("stage["+fs.Stage+"].pages_written", bs.PagesWritten, fs.PagesWritten)
+		if b.Deterministic && fs.TimeNS != bs.TimeNS {
+			regress("stage[%s].time_ns changed %d -> %d", fs.Stage, bs.TimeNS, fs.TimeNS)
+		}
+	}
+	baseStages := make(map[string]StageSnap, len(b.Stages))
+	for _, bs := range b.Stages {
+		baseStages[bs.Stage] = bs
+	}
+	for _, fs := range f.Stages {
+		stage(baseStages[fs.Stage], fs)
+		delete(baseStages, fs.Stage)
 	}
 	for _, bs := range b.Stages {
-		found := false
-		for _, fs := range f.Stages {
-			if fs.Stage == bs.Stage {
-				found = true
-				break
-			}
-		}
-		if !found && (bs.PagesRead > 0 || bs.PagesWritten > 0) {
-			counter("stage["+bs.Stage+"].pages_read", bs.PagesRead, 0)
-			counter("stage["+bs.Stage+"].pages_written", bs.PagesWritten, 0)
+		if _, missing := baseStages[bs.Stage]; missing {
+			stage(bs, StageSnap{Stage: bs.Stage})
 		}
 	}
 
-	// Virtual device time: reproducible in principle, but batch shapes can
-	// shift with worker scheduling — warn-level until proven stable.
-	if drift := pctDrift(b.StorageNS, f.StorageNS); drift > opts.PageTolPct || drift < -opts.PageTolPct {
+	switch drift := pctDrift(b.StorageNS, f.StorageNS); {
+	case b.Deterministic && f.StorageNS != b.StorageNS:
+		regress("storage_ns changed %d -> %d", b.StorageNS, f.StorageNS)
+	case drift > pageTolPct || drift < -pageTolPct:
 		warn("storage time drifted %+.1f%% (%s -> %s)", drift,
 			time.Duration(b.StorageNS), time.Duration(f.StorageNS))
 	}
-	if drift := pctDrift(b.WallNS, f.WallNS); drift > opts.WallTolPct || drift < -opts.WallTolPct {
+	if drift := pctDrift(b.WallNS, f.WallNS); drift > wallTolPct || drift < -wallTolPct {
 		warn("wall time drifted %+.1f%% (%s -> %s)", drift,
 			time.Duration(b.WallNS), time.Duration(f.WallNS))
 	}

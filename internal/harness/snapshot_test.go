@@ -52,7 +52,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data:\nout:  %+v\nback: %+v", snap, back)
 	}
 
-	d := Compare(snap, back, DiffOptions{})
+	d := Compare(snap, back)
 	if !d.OK() || len(d.Warnings) != 0 {
 		t.Fatalf("self-compare not clean: regressions=%v warnings=%v", d.Regressions, d.Warnings)
 	}
@@ -90,7 +90,7 @@ func TestSnapshotDeterministicEntriesRepeat(t *testing.T) {
 		}
 	}
 	// The deterministic entries must diff clean through the gate too.
-	d := Compare(a, b, DiffOptions{})
+	d := Compare(a, b)
 	if !d.OK() {
 		t.Fatalf("repeat-run compare regressed: %v", d.Regressions)
 	}
@@ -125,14 +125,14 @@ func TestCompareGateFires(t *testing.T) {
 	}
 
 	// Identical snapshots: gate quiet.
-	if d := Compare(base, clone(), DiffOptions{}); !d.OK() || len(d.Warnings) != 0 {
+	if d := Compare(base, clone()); !d.OK() || len(d.Warnings) != 0 {
 		t.Fatalf("identical compare not clean: %+v", d)
 	}
 
 	// Seeded regression: deterministic total page count up.
 	worse := clone()
 	worse.Entries[0].PagesRead += 50
-	d := Compare(base, worse, DiffOptions{})
+	d := Compare(base, worse)
 	if d.OK() {
 		t.Fatal("gate did not fire on deterministic page-count increase")
 	}
@@ -143,36 +143,44 @@ func TestCompareGateFires(t *testing.T) {
 	// Seeded regression: a single stage's pages up, totals untouched.
 	shifted := clone()
 	shifted.Entries[0].Stages[1].PagesRead += 25
-	if d := Compare(base, shifted, DiffOptions{}); d.OK() {
+	if d := Compare(base, shifted); d.OK() {
 		t.Fatal("gate did not fire on per-stage page increase")
+	}
+
+	// Seeded regression: one stage's virtual time off by a page write, every
+	// page count equal — what a schedule-dependent eviction used to do.
+	slower := clone()
+	slower.Entries[0].Stages[0].TimeNS += 70_000
+	if d := Compare(base, slower); d.OK() || !strings.Contains(strings.Join(d.Regressions, "\n"), "stage[vertex].time_ns") {
+		t.Fatalf("gate did not fire on deterministic time_ns drift: %+v", d)
 	}
 
 	// Superstep count change is a regression in either direction.
 	steps := clone()
 	steps.Entries[0].Supersteps--
-	if d := Compare(base, steps, DiffOptions{}); d.OK() {
+	if d := Compare(base, steps); d.OK() {
 		t.Fatal("gate did not fire on superstep-count change")
 	}
 
 	// Nondeterministic drift within tolerance: silent.
 	cachedOK := clone()
 	cachedOK.Entries[1].PagesRead += 40 // +5% < 10% tolerance
-	if d := Compare(base, cachedOK, DiffOptions{}); !d.OK() || len(d.Warnings) != 0 {
+	if d := Compare(base, cachedOK); !d.OK() || len(d.Warnings) != 0 {
 		t.Fatalf("tolerated nondet drift not silent: %+v", d)
 	}
 
 	// Tiny absolute counts on nondeterministic entries stay quiet even at
 	// huge percent drift (prefetcher warming 12 pages one run, 0 the next).
 	cachedNoise := clone()
-	cachedNoise.Entries[1].Stages[0].PagesRead = 0 // -100%, but below MinPages
-	if d := Compare(base, cachedNoise, DiffOptions{}); !d.OK() || len(d.Warnings) != 0 {
+	cachedNoise.Entries[1].Stages[0].PagesRead = 0 // -100%, but below minPages
+	if d := Compare(base, cachedNoise); !d.OK() || len(d.Warnings) != 0 {
 		t.Fatalf("sub-floor nondet drift not silent: %+v", d)
 	}
 
 	// Nondeterministic drift beyond tolerance: warns, does not fail.
 	cachedWarn := clone()
 	cachedWarn.Entries[1].PagesRead += 200 // +25%
-	if d := Compare(base, cachedWarn, DiffOptions{}); !d.OK() || len(d.Warnings) == 0 {
+	if d := Compare(base, cachedWarn); !d.OK() || len(d.Warnings) == 0 {
 		t.Fatalf("large nondet drift should warn only: %+v", d)
 	}
 
@@ -180,26 +188,26 @@ func TestCompareGateFires(t *testing.T) {
 	better := clone()
 	better.Entries[0].PagesRead -= 100
 	better.Entries[0].Stages[0].PagesRead -= 100
-	if d := Compare(base, better, DiffOptions{}); !d.OK() || len(d.Warnings) == 0 {
+	if d := Compare(base, better); !d.OK() || len(d.Warnings) == 0 {
 		t.Fatalf("improvement should warn, not fail: %+v", d)
 	}
 
 	// Missing entry: regression. Extra entry: warning.
 	missing := clone()
 	missing.Entries = missing.Entries[:1]
-	if d := Compare(base, missing, DiffOptions{}); d.OK() {
+	if d := Compare(base, missing); d.OK() {
 		t.Fatal("gate did not fire on missing entry")
 	}
 	extra := clone()
 	extra.Entries = append(extra.Entries, SnapEntry{Engine: "x", App: "y", Graph: "z"})
-	if d := Compare(base, extra, DiffOptions{}); !d.OK() || len(d.Warnings) == 0 {
+	if d := Compare(base, extra); !d.OK() || len(d.Warnings) == 0 {
 		t.Fatalf("extra entry should warn: %+v", d)
 	}
 
 	// Schema version mismatch refuses the diff.
 	vbump := clone()
 	vbump.SchemaVersion++
-	if d := Compare(base, vbump, DiffOptions{}); d.OK() {
+	if d := Compare(base, vbump); d.OK() {
 		t.Fatal("gate did not fire on schema version mismatch")
 	}
 }

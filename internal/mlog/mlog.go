@@ -31,34 +31,28 @@ const RecordBytes = 12
 const pageHeader = 4
 
 // Log is one generation of the multi-log: one append-only log file per
-// vertex interval. Appends are safe for concurrent use (per-interval
-// locking); FlushAll, Read, and ResetAll are not concurrent with appends.
+// vertex interval. It has one writer role — the engine's send drain, on the
+// run goroutine — and one mutex, for what crosses goroutines: ReclaimConsumed
+// is a device reclaimer, called from whichever goroutine's write hit the disk
+// quota (another run's, or this log's own eviction re-entering through the
+// device). So mu guards every field below it, never across a device write.
 type Log struct {
-	dev       *ssd.Device
-	prefix    string
-	pageSize  int
-	recPerPag int
-	budget    int64 // multi-log memory buffer size (paper's A%)
+	dev      *ssd.Device
+	prefix   string
+	pageSize int
+	budget   int64 // multi-log memory buffer size (paper's A%)
 
-	mu    []sync.Mutex // one per interval
-	files []*ssd.File  // created lazily
-	top   [][]byte     // top (partial) page per interval
-	fill  []int        // bytes used in top page
-	full  [][][]byte   // completed pages awaiting eviction
-	count []uint64     // records per interval
-
-	evictMu  sync.Mutex
-	buffered int64 // bytes held in completed (evictable) pages
-
-	totalMu sync.Mutex
-	total   uint64
-
+	mu       sync.Mutex
+	files    []*ssd.File // created lazily
+	top      [][]byte    // top (partial) page per interval; its len is its fill
+	full     [][][]byte  // completed pages awaiting eviction
+	count    []uint64    // records per interval
+	buffered int64       // bytes held in completed (evictable) pages
 	// consumed marks intervals whose records were fully processed this
 	// superstep; ReclaimConsumed (the device's space-reclamation hook)
 	// truncates their logs early instead of waiting for the generation
-	// swap. Guarded by consumedMu, never by the per-interval locks.
-	consumedMu sync.Mutex
-	consumed   []bool
+	// swap.
+	consumed []bool
 
 	scope *ssd.IOScope // nil = device-global attribution
 	tr    *obsv.Trace  // nil = tracing disabled
@@ -103,68 +97,53 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 		return nil, fmt.Errorf("mlog: numIntervals %d invalid", numIntervals)
 	}
 	ps := dev.PageSize()
-	if min := int64(numIntervals) * int64(ps); budget < min {
-		budget = min
-	}
-	l := &Log{
-		dev:       dev,
-		prefix:    prefix,
-		pageSize:  ps,
-		recPerPag: (ps - pageHeader) / RecordBytes,
-		budget:    budget,
-		mu:        make([]sync.Mutex, numIntervals),
-		files:     make([]*ssd.File, numIntervals),
-		top:       make([][]byte, numIntervals),
-		fill:      make([]int, numIntervals),
-		full:      make([][][]byte, numIntervals),
-		count:     make([]uint64, numIntervals),
-		consumed:  make([]bool, numIntervals),
-	}
-	if l.recPerPag == 0 {
+	if ps < pageHeader+RecordBytes {
 		return nil, fmt.Errorf("mlog: page size %d smaller than record", ps)
 	}
-	return l, nil
+	return &Log{
+		dev:      dev,
+		prefix:   prefix,
+		pageSize: ps,
+		budget:   max(budget, int64(numIntervals)*int64(ps)),
+		files:    make([]*ssd.File, numIntervals),
+		top:      make([][]byte, numIntervals),
+		full:     make([][][]byte, numIntervals),
+		count:    make([]uint64, numIntervals),
+		consumed: make([]bool, numIntervals),
+	}, nil
 }
 
 // NumIntervals returns the number of interval logs.
-func (l *Log) NumIntervals() int { return len(l.mu) }
+func (l *Log) NumIntervals() int { return len(l.count) }
 
-// Append logs the update <dst, src, data> to interval's log.
+// Budget returns the in-memory buffer size in bytes, after New's floor.
+func (l *Log) Budget() int64 { return l.budget }
+
+// Append logs the update <dst, src, data> to interval's log. Once the
+// completed pages outgrow the budget it evicts them all, so the order of
+// Appends alone decides which one evicts, and what.
 func (l *Log) Append(interval int, dst, src, data uint32) error {
-	l.mu[interval].Lock()
-	if l.top[interval] == nil {
-		l.top[interval] = make([]byte, l.pageSize)
-		l.fill[interval] = pageHeader
-	}
+	l.mu.Lock()
 	page := l.top[interval]
-	off := l.fill[interval]
-	binary.LittleEndian.PutUint32(page[off:], dst)
-	binary.LittleEndian.PutUint32(page[off+4:], src)
-	binary.LittleEndian.PutUint32(page[off+8:], data)
-	l.fill[interval] = off + RecordBytes
-	l.count[interval]++
-	var completed bool
-	if l.fill[interval]+RecordBytes > l.pageSize {
-		sealPage(page, l.fill[interval])
-		l.full[interval] = append(l.full[interval], page)
-		l.top[interval] = nil
-		l.fill[interval] = 0
-		completed = true
+	if page == nil {
+		page = make([]byte, pageHeader, l.pageSize)
 	}
-	l.mu[interval].Unlock()
-
-	l.totalMu.Lock()
-	l.total++
-	l.totalMu.Unlock()
-
-	if completed {
-		l.evictMu.Lock()
+	page = binary.LittleEndian.AppendUint32(page, dst)
+	page = binary.LittleEndian.AppendUint32(page, src)
+	page = binary.LittleEndian.AppendUint32(page, data)
+	l.count[interval]++
+	over := false
+	if len(page)+RecordBytes > l.pageSize {
+		sealPage(page, len(page))
+		l.full[interval] = append(l.full[interval], page[:l.pageSize])
+		page = nil
 		l.buffered += int64(l.pageSize)
-		over := l.buffered > l.budget
-		l.evictMu.Unlock()
-		if over {
-			return l.evictFull()
-		}
+		over = l.buffered > l.budget
+	}
+	l.top[interval] = page
+	l.mu.Unlock()
+	if over {
+		return l.evictFull()
 	}
 	return nil
 }
@@ -172,40 +151,59 @@ func (l *Log) Append(interval int, dst, src, data uint32) error {
 // evictFull writes every completed page to its interval's file, batching
 // the pages of each interval into a single device write.
 func (l *Log) evictFull() error {
-	// Tid 2 keeps log-unit spans off the engine's stage timeline: evictions
-	// triggered by concurrent Appends may overlap each other and would
-	// break the engine track's strict nesting.
+	// Tid 2 keeps log-unit spans off the engine's stage timeline: callers
+	// other than the engine may Append concurrently, and their evictions
+	// would overlap and break the engine track's strict nesting.
 	sp := l.tr.BeginTid("mlog", "evict", 2)
 	defer sp.End()
-	for iv := range l.mu {
-		l.mu[iv].Lock()
-		pages := l.full[iv]
-		l.full[iv] = nil
-		l.mu[iv].Unlock()
-		if len(pages) == 0 {
-			continue
-		}
-		f, err := l.file(iv)
-		if err != nil {
+	return l.flushEach(false)
+}
+
+func (l *Log) flushEach(top bool) error {
+	for iv := range l.count {
+		if err := l.flush(iv, top); err != nil {
 			return err
 		}
-		buf := make([]byte, 0, len(pages)*l.pageSize)
-		for _, p := range pages {
-			buf = append(buf, p...)
-		}
-		if err := f.AppendPages(buf); err != nil {
-			return err
-		}
-		l.evictMu.Lock()
-		l.buffered -= int64(len(pages) * l.pageSize)
-		l.evictMu.Unlock()
 	}
 	return nil
 }
 
+// flush writes interval iv's completed pages — and, with top set, its
+// partial top page, sealed — to the interval's file as one device write.
+// The pages leave the Log under mu; the write itself runs outside it,
+// because a write that hits the disk quota calls back into ReclaimConsumed.
+func (l *Log) flush(iv int, top bool) error {
+	l.mu.Lock()
+	pages := l.full[iv]
+	l.full[iv] = nil
+	l.buffered -= int64(len(pages) * l.pageSize)
+	if page := l.top[iv]; top && page != nil {
+		sealPage(page, len(page))
+		pages = append(pages, page[:l.pageSize])
+		l.top[iv] = nil
+	}
+	l.mu.Unlock()
+	if len(pages) == 0 {
+		return nil
+	}
+	f, err := l.file(iv)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, len(pages)*l.pageSize)
+	for _, p := range pages {
+		buf = append(buf, p...)
+	}
+	return f.AppendPages(buf)
+}
+
+// file returns interval iv's log file, creating it on first use — under mu,
+// so two flushes cannot both find a surviving file and truncate each other's
+// pages. Neither OpenOrCreate nor Truncate reserves space, so neither
+// re-enters the reclaimer.
 func (l *Log) file(iv int) (*ssd.File, error) {
-	l.mu[iv].Lock()
-	defer l.mu[iv].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.files[iv] == nil {
 		f, err := l.dev.OpenOrCreate(fmt.Sprintf("%s.%d", l.prefix, iv))
 		if err != nil {
@@ -234,50 +232,7 @@ func (l *Log) FlushAll() error {
 	if err := l.evictFull(); err != nil {
 		return err
 	}
-	for iv := range l.mu {
-		if err := l.FlushInterval(iv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FlushInterval evicts interval iv's completed pages and partial top page
-// so that interval's log is readable. The asynchronous engine flushes
-// single intervals mid-superstep.
-func (l *Log) FlushInterval(iv int) error {
-	l.mu[iv].Lock()
-	fullPages := l.full[iv]
-	l.full[iv] = nil
-	page := l.top[iv]
-	fill := l.fill[iv]
-	l.top[iv] = nil
-	l.fill[iv] = 0
-	l.mu[iv].Unlock()
-	if len(fullPages) > 0 {
-		l.evictMu.Lock()
-		l.buffered -= int64(len(fullPages) * l.pageSize)
-		l.evictMu.Unlock()
-	}
-	if page != nil && fill > pageHeader {
-		for i := fill; i < l.pageSize; i++ {
-			page[i] = 0
-		}
-		sealPage(page, fill)
-		fullPages = append(fullPages, page)
-	}
-	if len(fullPages) == 0 {
-		return nil
-	}
-	buf := make([]byte, 0, len(fullPages)*l.pageSize)
-	for _, p := range fullPages {
-		buf = append(buf, p...)
-	}
-	f, err := l.file(iv)
-	if err != nil {
-		return err
-	}
-	return f.AppendPages(buf)
+	return l.flushEach(true)
 }
 
 // sealPage records the page's byte fill in its header.
@@ -289,16 +244,20 @@ func sealPage(page []byte, fill int) {
 // generation — the counter the runtime uses to estimate log sizes for
 // interval fusing (§V-A2).
 func (l *Log) Count(interval int) uint64 {
-	l.mu[interval].Lock()
-	defer l.mu[interval].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.count[interval]
 }
 
 // Total returns the number of records logged across all intervals.
 func (l *Log) Total() uint64 {
-	l.totalMu.Lock()
-	defer l.totalMu.Unlock()
-	return l.total
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var total uint64
+	for _, c := range l.count {
+		total += c
+	}
+	return total
 }
 
 // Read streams interval's log from the device in record order, flushing
@@ -307,13 +266,13 @@ func (l *Log) Total() uint64 {
 // device's batched reader, so a log dispersed over the channels loads at
 // full bandwidth (§V-A3). Each page's record count comes from its header.
 func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
-	if err := l.FlushInterval(interval); err != nil {
+	if err := l.flush(interval, true); err != nil {
 		return err
 	}
-	l.mu[interval].Lock()
+	l.mu.Lock()
 	n := l.count[interval]
 	f := l.files[interval]
-	l.mu[interval].Unlock()
+	l.mu.Unlock()
 	if n == 0 || f == nil {
 		return nil
 	}
@@ -369,9 +328,9 @@ func decodePage(page []byte, remaining uint64, fn func(dst, src, data uint32)) (
 // in-memory buffers need no warming. Returns (nil, nil) when the interval
 // has nothing on the device.
 func (l *Log) FilePages(iv int) (*ssd.File, []int) {
-	l.mu[iv].Lock()
+	l.mu.Lock()
 	f := l.files[iv]
-	l.mu[iv].Unlock()
+	l.mu.Unlock()
 	if f == nil {
 		return nil, nil
 	}
@@ -391,13 +350,11 @@ func (l *Log) FilePages(iv int) (*ssd.File, []int) {
 // re-read from this generation (the next read happens after ResetAll).
 // ReclaimConsumed may truncate their logs to free device space.
 func (l *Log) MarkConsumed(first, last int) {
-	l.consumedMu.Lock()
-	for iv := first; iv <= last && iv < len(l.consumed); iv++ {
-		if iv >= 0 {
-			l.consumed[iv] = true
-		}
+	l.mu.Lock()
+	for iv := max(first, 0); iv <= last && iv < len(l.consumed); iv++ {
+		l.consumed[iv] = true
 	}
-	l.consumedMu.Unlock()
+	l.mu.Unlock()
 }
 
 // ReclaimConsumed truncates the log files of every consumed interval and
@@ -405,74 +362,41 @@ func (l *Log) MarkConsumed(first, last int) {
 // multi-log's space-reclamation hook (ssd.Device.AddReclaimer): safe to
 // call from any goroutine, including mid-write on another file, and
 // idempotent — each consumed interval is reclaimed once. It must not run
-// concurrently with Read or Flush of the same intervals; the engine only
-// marks intervals consumed after it is done reading them.
+// concurrently with Append, Read or Flush of the same intervals; the engine
+// only marks intervals consumed after it is done reading them.
 func (l *Log) ReclaimConsumed() error {
-	l.consumedMu.Lock()
-	var ivs []int
-	for iv, c := range l.consumed {
-		if c {
-			ivs = append(ivs, iv)
-			l.consumed[iv] = false
-		}
-	}
-	l.consumedMu.Unlock()
-	for _, iv := range ivs {
-		l.mu[iv].Lock()
-		dropped := len(l.full[iv])
-		n := l.count[iv]
-		l.top[iv] = nil
-		l.fill[iv] = 0
-		l.full[iv] = nil
-		l.count[iv] = 0
-		f := l.files[iv]
-		l.mu[iv].Unlock()
-		if dropped > 0 {
-			l.evictMu.Lock()
-			l.buffered -= int64(dropped * l.pageSize)
-			l.evictMu.Unlock()
-		}
-		if n > 0 {
-			l.totalMu.Lock()
-			l.total -= n
-			l.totalMu.Unlock()
-		}
-		if f != nil && f.NumPages() > 0 {
-			if err := f.Truncate(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return l.reset(func(iv int) bool { return l.consumed[iv] })
 }
 
 // ResetAll truncates every interval log and zeroes the counters, readying
 // the generation for reuse.
 func (l *Log) ResetAll() error {
-	l.consumedMu.Lock()
-	for iv := range l.consumed {
-		l.consumed[iv] = false
+	return l.reset(func(int) bool { return true })
+}
+
+// reset empties every interval pick (called under mu) selects: buffers,
+// record count and consumed mark under the lock, then the log file outside
+// it.
+func (l *Log) reset(pick func(iv int) bool) error {
+	l.mu.Lock()
+	var files []*ssd.File
+	for iv := range l.count {
+		if !pick(iv) {
+			continue
+		}
+		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
+		l.top[iv], l.full[iv], l.count[iv], l.consumed[iv] = nil, nil, 0, false
+		if f := l.files[iv]; f != nil {
+			files = append(files, f)
+		}
 	}
-	l.consumedMu.Unlock()
-	for iv := range l.mu {
-		l.mu[iv].Lock()
-		l.top[iv] = nil
-		l.fill[iv] = 0
-		l.full[iv] = nil
-		l.count[iv] = 0
-		f := l.files[iv]
-		l.mu[iv].Unlock()
-		if f != nil {
+	l.mu.Unlock()
+	for _, f := range files {
+		if f.NumPages() > 0 {
 			if err := f.Truncate(); err != nil {
 				return err
 			}
 		}
 	}
-	l.evictMu.Lock()
-	l.buffered = 0
-	l.evictMu.Unlock()
-	l.totalMu.Lock()
-	l.total = 0
-	l.totalMu.Unlock()
 	return nil
 }

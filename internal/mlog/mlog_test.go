@@ -151,6 +151,64 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestReclaimConcurrentWithAppend is the contract the Log's mutex exists
+// for: while the single writer appends to (and evicts) the intervals still
+// ahead of it, a device reclaimer on another goroutine marks and truncates
+// the intervals already read.
+func TestReclaimConcurrentWithAppend(t *testing.T) {
+	l, _ := testLog(t, 4, 1) // floor budget: appends evict all along
+	for i := uint32(0); i < 100; i++ {
+		if err := l.Append(int(i%2), i, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for iv := 0; iv < 2; iv++ {
+		if err := l.Read(iv, func(uint32, uint32, uint32) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const appends = 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			l.MarkConsumed(0, 1)
+			if err := l.ReclaimConsumed(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := uint32(0); i < appends; i++ {
+		if err := l.Append(2+int(i%2), i, 0, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+
+	if l.Count(0) != 0 || l.Count(1) != 0 || l.Total() != appends {
+		t.Fatalf("counts after reclaim = %d, %d, total %d; want 0, 0, %d", l.Count(0), l.Count(1), l.Total(), appends)
+	}
+	if f, _ := l.FilePages(0); f != nil {
+		t.Fatal("reclaimed interval still has pages on the device")
+	}
+	seen := 0
+	for iv := 0; iv < 4; iv++ {
+		if err := l.Read(iv, func(dst, src, data uint32) {
+			if data != 7 {
+				t.Errorf("interval %d: record %d survived reclaim or is corrupt", iv, dst)
+			}
+			seen++
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen != appends {
+		t.Fatalf("read %d records, want %d", seen, appends)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	dev := ssd.MustOpen(ssd.Config{PageSize: 8, Channels: 1}) // < record size
 	if _, err := New(dev, "l", 1, 100); err == nil {

@@ -231,12 +231,14 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 		if retryable(err) {
 			o = outcomeFault
 		}
+		// Record first: a client holding its answer must find the breaker moved.
+		b.s.brk.recordN(o, len(batch))
 		for _, q := range batch {
 			q.deliver(pointResult{err: err, batchSize: len(batch)})
 		}
-		b.s.brk.recordN(o, len(batch))
 		return
 	}
+	b.s.brk.recordN(outcomeSuccess, len(batch))
 	for i, q := range batch {
 		q.deliver(pointResult{
 			values:       apps.LaneResult(res.Values, len(batch), i),
@@ -246,7 +248,6 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 			pagesWritten: st.PagesWritten,
 		})
 	}
-	b.s.brk.recordN(outcomeSuccess, len(batch))
 }
 
 // isolate is batch fault isolation: the lane-batched execution died of a
@@ -262,8 +263,8 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
 		if !q.deadline.After(time.Now()) {
 			// No time left for a solo run: the batch's classified fault
 			// is this member's honest outcome.
-			q.deliver(pointResult{err: batchErr, batchSize: len(batch)})
 			b.s.brk.record(outcomeFault)
+			q.deliver(pointResult{err: batchErr, batchSize: len(batch)})
 			continue
 		}
 		live.QueriesRetried.Add(1)
@@ -275,8 +276,8 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
 				o = outcomeFault
 			}
 		}
-		q.deliver(res)
 		b.s.brk.record(o)
+		q.deliver(res)
 	}
 }
 

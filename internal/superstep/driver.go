@@ -2,7 +2,8 @@
 // internal/graphchi, internal/grafboost) have in common, so that they
 // differ in their storage layout and in nothing else: the superstep loop
 // with its per-superstep device and cache accounting (Loop), the
-// static-chunk vertex worker pool (ForEach), and the active-set and
+// static-chunk vertex worker pool (ForEach), the per-worker send buffer
+// drained in sender order (SendBuffer), and the active-set and
 // message-range assembly over a destination-sorted record slice.
 //
 // An engine supplies "is work pending" and "run one superstep"; the loop

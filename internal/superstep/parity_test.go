@@ -1,7 +1,10 @@
 package superstep_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"multilogvc/internal/apps"
@@ -45,16 +48,26 @@ func TestCrossEngineParity(t *testing.T) {
 		n        uint32
 		weighted bool
 		steps    int
+		badDst   uint32 // != 0: the program sends here and every engine must refuse
 	}{
-		{"bfs", func() vc.Program { return &apps.BFS{Source: 3} }, rmat(9, 8, 11), 1 << 9, false, 50},
-		{"pagerank", func() vc.Program { return &apps.PageRank{} }, rmat(9, 8, 7), 1 << 9, false, 15},
-		{"cdlp", func() vc.Program { return &apps.CDLP{} }, planted, graphio.NumVertices(planted), false, 15},
-		{"sssp-weighted", func() vc.Program { return &apps.SSSP{Source: 1} }, rmat(8, 6, 5), 1 << 8, true, 300},
+		{"bfs", func() vc.Program { return &apps.BFS{Source: 3} }, rmat(9, 8, 11), 1 << 9, false, 50, 0},
+		{"pagerank", func() vc.Program { return &apps.PageRank{} }, rmat(9, 8, 7), 1 << 9, false, 15, 0},
+		{"cdlp", func() vc.Program { return &apps.CDLP{} }, planted, graphio.NumVertices(planted), false, 15, 0},
+		{"sssp-weighted", func() vc.Program { return &apps.SSSP{Source: 1} }, rmat(8, 6, 5), 1 << 8, true, 300, 0},
+		// A send past the last vertex: just past (it used to be filed in the
+		// last interval and panic a superstep later) and far past (it used to
+		// panic in the interval lookup).
+		{"send-past-end", func() vc.Program { return strayBFS{&apps.BFS{Source: 3}, 1 << 8} }, rmat(8, 6, 5), 1 << 8, false, 50, 1 << 8},
+		{"send-far-past-end", func() vc.Program { return strayBFS{&apps.BFS{Source: 3}, 1 << 20} }, rmat(8, 6, 5), 1 << 8, false, 50, 1 << 20},
 	}
 	for _, app := range cases {
 		var wedges []graphio.WeightedEdge // only for weighted cases
-		want := vc.NewRef(app.edges, app.n).Run(app.prog(), app.steps)
-		if app.weighted {
+		var want *vc.RefResult
+		switch {
+		case app.badDst != 0: // the reference would index out of range too
+		case !app.weighted:
+			want = vc.NewRef(app.edges, app.n).Run(app.prog(), app.steps)
+		default:
 			wedges = graphio.AttachWeights(app.edges, weights)
 			want = vc.NewRefWeighted(wedges, app.n).Run(app.prog(), app.steps)
 		}
@@ -97,6 +110,12 @@ func TestCrossEngineParity(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", app.name, name, workers), func(t *testing.T) {
 					got, err := run(build(t), workers)
+					if app.badDst != 0 {
+						if !errors.Is(err, superstep.ErrBadSend) || !strings.Contains(err.Error(), fmt.Sprintf("vertex 3 sent to %d", app.badDst)) {
+							t.Fatalf("err = %v, want ErrBadSend naming sender 3 and destination %d", err, app.badDst)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -122,4 +141,91 @@ func TestCrossEngineParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCountersIndependentOfWorkers is the contract the shared send buffer
+// exists to keep: what reaches the device — pages per stage and the virtual
+// time they cost — is a function of the graph, the program and the
+// configuration, never of the worker count or the goroutine schedule.
+func TestCountersIndependentOfWorkers(t *testing.T) {
+	edges, err := gen.RMAT(gen.DefaultRMAT(11, 8, 29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 11
+	build := func(t *testing.T) *csr.Graph {
+		g, err := csr.Build(ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4}), "g", edges,
+			csr.BuildOptions{NumVertices: n, IntervalBudget: 8 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	mlvc := func(cfg core.Config) func(*csr.Graph, int) (*superstep.Result, error) {
+		return func(g *csr.Graph, workers int) (*superstep.Result, error) {
+			cfg.MaxSupersteps, cfg.Workers = 6, workers
+			return core.New(g, cfg).Run(&apps.PageRank{})
+		}
+	}
+	engines := []struct {
+		name string
+		run  func(g *csr.Graph, workers int) (*superstep.Result, error)
+	}{
+		{"multilogvc", mlvc(core.Config{})},
+		// The sort budget fuses the whole graph into one batch of ~16K
+		// sends — several waves — while the message log keeps its floor of
+		// one 42-record page per interval, so evictions fall mid-wave.
+		{"multilogvc/waves+evictions", mlvc(core.Config{MemoryBudget: 1 << 10, SortBudget: 1 << 20})},
+		{"multilogvc/async", mlvc(core.Config{MemoryBudget: 1 << 10, Async: true})},
+		{"graphchi", func(g *csr.Graph, workers int) (*superstep.Result, error) {
+			return graphchi.New(g.Device(), "g", edges, g.Intervals(),
+				graphchi.Config{MaxSupersteps: 6, Workers: workers}).Run(&apps.PageRank{})
+		}},
+		// A budget far below the log size, so every superstep sorts many
+		// runs whose boundaries follow the log's record order.
+		{"grafboost", func(g *csr.Graph, workers int) (*superstep.Result, error) {
+			return grafboost.New(g, grafboost.Config{
+				MaxSupersteps: 6, MemoryBudget: 8 << 10, Workers: workers,
+			}).Run(&apps.PageRank{})
+		}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			var want *superstep.Result
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, err := eng.run(build(t), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				a, b := want.Report, got.Report
+				if a.PagesRead != b.PagesRead || a.PagesWritten != b.PagesWritten {
+					t.Fatalf("pages read/written %d/%d at 1 worker, %d/%d at %d",
+						a.PagesRead, a.PagesWritten, b.PagesRead, b.PagesWritten, workers)
+				}
+				if !reflect.DeepEqual(a.Stages, b.Stages) {
+					t.Fatalf("stage rows differ:\n1 worker:  %+v\n%d workers: %+v", a.Stages, workers, b.Stages)
+				}
+				if !reflect.DeepEqual(want.Values, got.Values) {
+					t.Fatalf("values differ between 1 and %d workers", workers)
+				}
+			}
+		})
+	}
+}
+
+// strayBFS is BFS from vertex 3 whose source also sends to dst.
+type strayBFS struct {
+	*apps.BFS
+	dst uint32
+}
+
+func (p strayBFS) Process(ctx vc.Context, msgs []vc.Msg) {
+	if ctx.Superstep() == 0 {
+		ctx.Send(p.dst, 1)
+	}
+	p.BFS.Process(ctx, msgs)
 }

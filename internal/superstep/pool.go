@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"multilogvc/internal/extsort"
 )
 
 // ErrPanic is returned when a panic escapes a run — a vertex worker's
@@ -49,4 +51,51 @@ func ForEach(workers, n int, fn func(w, lo, hi int) error) error {
 	}
 	wg.Wait()
 	return first
+}
+
+// ErrBadSend is returned when a program sends to a vertex the graph lacks.
+var ErrBadSend = errors.New("superstep: message to a vertex that does not exist")
+
+// SendBuffer is the one way a message leaves vertex processing in any
+// engine: during a ForEach pass worker w Sends into bucket w, and once the
+// pool has joined the run goroutine Drains the buckets into the engine's
+// log. Chunks ascend with w and each worker walks its chunk in order, so the
+// drain sees sends in sender order whatever the goroutine schedule — and so
+// does everything that depends on append order: eviction batches,
+// external-sort run boundaries, virtual device time.
+type SendBuffer struct {
+	numVertices uint32
+	buckets     [][]extsort.Record // capacity survives Drain
+}
+
+// NewSendBuffer makes the buffer of a workers-wide pool over numVertices vertices.
+func NewSendBuffer(workers int, numVertices uint32) *SendBuffer {
+	return &SendBuffer{numVertices: numVertices, buckets: make([][]extsort.Record, workers)}
+}
+
+// Send files the message <dst, src, data> in worker w's bucket; workers
+// share nothing, so it needs no synchronisation.
+func (b *SendBuffer) Send(w int, src, dst, data uint32) {
+	b.buckets[w] = append(b.buckets[w], extsort.Record{Dst: dst, Src: src, Data: data})
+}
+
+// Drain hands every buffered send to deliver in sender order and empties
+// the buffer, returning how many were delivered. It stops at the first
+// send deliver rejects or whose destination is not a vertex (ErrBadSend).
+func (b *SendBuffer) Drain(deliver func(extsort.Record) error) (uint64, error) {
+	var n uint64
+	for w, bucket := range b.buckets {
+		b.buckets[w] = bucket[:0]
+		for _, rec := range bucket {
+			if rec.Dst >= b.numVertices {
+				return n, fmt.Errorf("%w: vertex %d sent to %d, the graph has vertices 0..%d",
+					ErrBadSend, rec.Src, rec.Dst, b.numVertices-1)
+			}
+			if err := deliver(rec); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
+	return n, nil
 }

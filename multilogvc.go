@@ -115,6 +115,9 @@ var (
 	// deadline; on the MultiLogVC engine a boundary checkpoint was
 	// committed first, so rerunning with Resume continues the computation.
 	ErrDeadline = core.ErrDeadline
+	// ErrBadSend is returned when a Program's Send addresses a vertex the
+	// graph does not have; the message names the sender and the destination.
+	ErrBadSend = superstep.ErrBadSend
 )
 
 // ServeDebug starts an HTTP listener exposing live engine gauges at
