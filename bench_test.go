@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"testing"
 
+	"multilogvc"
 	"multilogvc/internal/apps"
 	"multilogvc/internal/harness"
 	"multilogvc/internal/metrics"
@@ -273,4 +274,31 @@ func BenchmarkExtendedApps(b *testing.B) {
 		speedup = avgColumn(t, 2)
 	}
 	b.ReportMetric(speedup, "speedup-vs-graphchi")
+}
+
+// BenchmarkRunPageRankDense is the shape of bench/'s pagerank_dense workload
+// as a Go benchmark, so the message plane (mlog append, sortgroup load+sort,
+// vertex processing) can be profiled with -cpuprofile/-memprofile: RMAT(14,12),
+// memory budget 2 % of the edge bytes (≈200 intervals), 4 KiB pages on 8
+// channels, uncached, 15 supersteps.
+func BenchmarkRunPageRankDense(b *testing.B) {
+	edges, err := multilogvc.RMAT(14, 12, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := multilogvc.NewSystem(multilogvc.SystemOptions{PageSize: 4096, Channels: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := sys.BuildGraph("g", edges, multilogvc.GraphOptions{MemoryBudget: int64(len(edges)) * 4 * 2 / 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Run(multilogvc.NewPageRank(), multilogvc.RunOptions{MaxSupersteps: 15}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

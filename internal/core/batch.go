@@ -234,7 +234,8 @@ func (b *batch) processVertices() error {
 					for _, m := range msgs[1:] {
 						acc = b.combiner.Combine(acc, m.Data)
 					}
-					msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
+					msgs[0].Data = acc
+					msgs = msgs[:1]
 				}
 				ctx.vertex = b.verts[i]
 				ctx.haltedFlag = &halted[i]
@@ -280,18 +281,35 @@ func (b *batch) waveEnd(start int) int {
 
 // drainSends appends the wave's buffered sends to the logs in sender order.
 func (b *batch) drainSends() error {
-	sent, err := b.sends.Drain(func(rec extsort.Record) error {
-		iv := b.g.IntervalOf(rec.Dst)
-		log := b.nextLog
-		// Asynchronous model: forward sends (to intervals processed later
-		// this superstep) stay in the current generation.
-		if b.cfg.Async && iv > b.sg.LastIv {
-			log = b.curLog
-		}
-		return log.Append(iv, rec.Dst, rec.Src, rec.Data)
-	})
+	sent, err := b.sends.Drain(b.logSends)
 	b.ss.MsgsSent += sent
 	return err
+}
+
+// logSends appends one worker's sends, in order, to the message logs: each
+// to its destination interval's log of the next generation, or — in the
+// asynchronous model — of the current one when that interval is still to be
+// processed this superstep (a forward send). Consecutive sends bound for the
+// same generation go to it as one run.
+func (b *batch) logSends(recs []extsort.Record) error {
+	ivs := b.sendIvs[:0]
+	for _, rec := range recs {
+		ivs = append(ivs, int32(b.g.IntervalOf(rec.Dst)))
+	}
+	b.sendIvs = ivs
+	forward := func(i int) bool { return b.cfg.Async && int(ivs[i]) > b.sg.LastIv }
+	for start, end := 0, 0; start < len(recs); start = end {
+		log, fwd := b.nextLog, forward(start)
+		if fwd {
+			log = b.curLog
+		}
+		for end = start + 1; end < len(recs) && forward(end) == fwd; end++ {
+		}
+		if err := log.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // relog makes the edge-log decisions (single-threaded; the log writer is

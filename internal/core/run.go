@@ -53,6 +53,7 @@ type run struct {
 	// drains it into the logs every waveSends expected sends.
 	ctxs      []engineCtx // one per worker
 	sends     *superstep.SendBuffer
+	sendIvs   []int32 // destination interval of each send of the bucket being drained
 	waveSends int
 }
 
@@ -400,6 +401,7 @@ func (r *run) flushLogs(ss *metrics.SuperstepStats) error {
 	if err := r.nextLog.ResetAll(); err != nil {
 		return err
 	}
+	r.nextLog.AdoptPages(r.curLog)
 	span.End()
 	return nil
 }

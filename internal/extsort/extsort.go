@@ -12,7 +12,6 @@ package extsort
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/ssd"
 )
@@ -69,7 +68,7 @@ func Sort(dev *ssd.Device, prefix string, src Source, memBudget int64, combine f
 
 	if rs.NumRuns() == 0 {
 		// Everything fit in memory: no external phase.
-		sortRecs(buf)
+		rs.scratch = SortByDst(buf, rs.scratch)
 		if combine != nil {
 			buf = combineSorted(buf, combine, &rs.st)
 		}
@@ -115,6 +114,7 @@ type Runs struct {
 	files   []*ssd.File
 	counts  []uint64
 	st      Stats
+	scratch []Record // SortByDst's second buffer, kept from Flush to Flush
 }
 
 // NewRuns prepares a run accumulator. combine, when non-nil, merges
@@ -133,7 +133,7 @@ func (rs *Runs) Flush(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	sortRecs(recs)
+	rs.scratch = SortByDst(recs, rs.scratch)
 	if rs.combine != nil {
 		recs = combineSorted(recs, rs.combine, &rs.st)
 	}
@@ -188,9 +188,10 @@ func (rs *Runs) Remove() {
 // Merge starts the k-way merge over every flushed run and returns the
 // streaming iterator. No further Flush calls are allowed afterwards.
 func (rs *Runs) Merge() *Merger {
+	rs.scratch = nil // no Flush follows: the merge holds one record per run
 	m := &Merger{rs: rs, h: &runHeap{}}
 	for i, f := range rs.files {
-		rr := &runReader{r: ssd.NewReader(f, 16), remaining: rs.counts[i]}
+		rr := &runReader{r: ssd.NewReader(f, 16), remaining: rs.counts[i], run: i}
 		if rr.advance() {
 			heap.Push(m.h, rr)
 		} else if rr.err != nil {
@@ -201,8 +202,10 @@ func (rs *Runs) Merge() *Merger {
 }
 
 // Merger streams the merged, destination-ordered record sequence of a run
-// set. Unlike Sort's internal merge it is pull-based, so a consumer can
-// process the output in memory-bounded chunks (sortgroup's spill mode).
+// set; records of one destination come out in the order they were flushed
+// (earlier run first, and in input order within a run). Unlike Sort's
+// internal merge it is pull-based, so a consumer can process the output in
+// memory-bounded chunks (sortgroup's spill mode).
 type Merger struct {
 	rs          *Runs
 	h           *runHeap
@@ -258,10 +261,6 @@ func (m *Merger) Close() {
 	m.rs.Remove()
 }
 
-func sortRecs(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
-}
-
 // combineSorted merges equal-destination neighbors in a dst-sorted slice.
 func combineSorted(recs []Record, combine func(a, b uint32) uint32, st *Stats) []Record {
 	if len(recs) == 0 {
@@ -293,9 +292,11 @@ func writeRec(w *ssd.Writer, r Record) error {
 // runReader streams one run during the merge.
 type runReader struct {
 	r         *ssd.Reader
+	run       int // flush order: the tie-break that keeps the merge stable
 	remaining uint64
 	cur       Record
-	err       error // sticky read failure; checked by Merger
+	err       error             // sticky read failure; checked by Merger
+	buf       [RecordBytes]byte // the encoded cur; a local would escape through ReadFull
 }
 
 // advance loads the next record into cur; false at end of run or on a read
@@ -304,8 +305,8 @@ func (rr *runReader) advance() bool {
 	if rr.remaining == 0 {
 		return false
 	}
-	var rec [RecordBytes]byte
-	if err := rr.r.ReadFull(rec[:]); err != nil {
+	rec := rr.buf[:]
+	if err := rr.r.ReadFull(rec); err != nil {
 		rr.err = err
 		return false
 	}
@@ -324,8 +325,10 @@ func le32(b []byte) uint32 {
 
 type runHeap []*runReader
 
-func (h runHeap) Len() int            { return len(h) }
-func (h runHeap) Less(i, j int) bool  { return h[i].cur.Dst < h[j].cur.Dst }
+func (h runHeap) Len() int { return len(h) }
+func (h runHeap) Less(i, j int) bool {
+	return h[i].cur.Dst < h[j].cur.Dst || h[i].cur.Dst == h[j].cur.Dst && h[i].run < h[j].run
+}
 func (h runHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *runHeap) Push(x interface{}) { *h = append(*h, x.(*runReader)) }
 func (h *runHeap) Pop() interface{} {

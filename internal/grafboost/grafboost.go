@@ -216,16 +216,21 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 	return sorted, err
 }
 
-// appendLog writes one message record to the next superstep's log.
-func (r *run) appendLog(rec extsort.Record) error {
-	r.logCount++
-	if err := r.logW.WriteU32(rec.Dst); err != nil {
-		return err
+// appendLog writes message records to the next superstep's log.
+func (r *run) appendLog(recs []extsort.Record) error {
+	for _, rec := range recs {
+		if err := r.logW.WriteU32(rec.Dst); err != nil {
+			return err
+		}
+		if err := r.logW.WriteU32(rec.Src); err != nil {
+			return err
+		}
+		if err := r.logW.WriteU32(rec.Data); err != nil {
+			return err
+		}
+		r.logCount++
 	}
-	if err := r.logW.WriteU32(rec.Src); err != nil {
-		return err
-	}
-	return r.logW.WriteU32(rec.Data)
+	return nil
 }
 
 // ivRun is the run plus the state of one interval's processing.

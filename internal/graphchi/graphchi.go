@@ -322,19 +322,21 @@ func (ir *intervalRun) loadWindows() error {
 // block or window) and activates the destination.
 func (ir *intervalRun) applySends() error {
 	otherFlag := uint32(shard.FlagMsg0 << (1 - ir.p))
-	sent, err := ir.sends.Drain(func(s extsort.Record) error {
-		ir.nextActive.Set(int(s.Dst))
-		var rec *shard.Record
-		if j := ir.eng.idx.Of(s.Dst); j == ir.k {
-			rec = findRecord(ir.recs, ir.inEdges, s.Src, s.Dst)
-		} else if w := ir.windows[j]; w != nil {
-			rec = w.Find(s.Src, s.Dst)
-		}
-		// A message along a non-existent edge finds no record: GraphChi
-		// cannot deliver it; our programs never do this.
-		if rec != nil {
-			rec.Val[1-ir.p] = s.Data
-			rec.Flags |= otherFlag
+	sent, err := ir.sends.Drain(func(sends []extsort.Record) error {
+		for _, s := range sends {
+			ir.nextActive.Set(int(s.Dst))
+			var rec *shard.Record
+			if j := ir.eng.idx.Of(s.Dst); j == ir.k {
+				rec = findRecord(ir.recs, ir.inEdges, s.Src, s.Dst)
+			} else if w := ir.windows[j]; w != nil {
+				rec = w.Find(s.Src, s.Dst)
+			}
+			// A message along a non-existent edge finds no record: GraphChi
+			// cannot deliver it; our programs never do this.
+			if rec != nil {
+				rec.Val[1-ir.p] = s.Data
+				rec.Flags |= otherFlag
+			}
 		}
 		return nil
 	})

@@ -136,6 +136,32 @@ func Fig5(size Size) (*metrics.Table, error) {
 		Headers: []string{"dataset", "fraction", "speedup", "page ratio",
 			"mlvc storage%", "graphchi storage%"},
 	}
+	runs, err := Fig5Runs(size)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		t.AddRow(r.Dataset, metrics.F(r.Fraction),
+			metrics.F(metrics.Speedup(r.GraphChi, r.MLVC)),
+			metrics.F(metrics.PageRatio(r.GraphChi, r.MLVC)),
+			metrics.F(r.MLVC.StorageFraction()*100),
+			metrics.F(r.GraphChi.StorageFraction()*100))
+	}
+	return t, nil
+}
+
+// Fig5Result carries both engines' reports for one dataset and traversal
+// fraction of Fig 5.
+type Fig5Result struct {
+	Dataset  string
+	Fraction float64
+	MLVC     *metrics.Report
+	GraphChi *metrics.Report
+}
+
+// Fig5Runs executes BFS to each traversal fraction on both engines, dataset
+// by dataset with the fractions ascending.
+func Fig5Runs(size Size) ([]Fig5Result, error) {
 	wf, err := WebFrontier(size)
 	if err != nil {
 		return nil, err
@@ -144,6 +170,7 @@ func Fig5(size Size) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var out []Fig5Result
 	// The web-frontier analog resolves traversal fractions into distinct
 	// stopping supersteps; the power-law analogs are reported too, but
 	// their tiny diameter clumps the fractions (a scale artifact).
@@ -164,14 +191,10 @@ func Fig5(size Size) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(ds.Name, metrics.F(frac),
-				metrics.F(metrics.Speedup(gc, ml)),
-				metrics.F(metrics.PageRatio(gc, ml)),
-				metrics.F(ml.StorageFraction()*100),
-				metrics.F(gc.StorageFraction()*100))
+			out = append(out, Fig5Result{Dataset: ds.Name, Fraction: frac, MLVC: ml, GraphChi: gc})
 		}
 	}
-	return t, nil
+	return out, nil
 }
 
 // Fig6Result carries one app's cross-engine reports for Fig 6/7.

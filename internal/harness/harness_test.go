@@ -137,25 +137,35 @@ func TestFig2ActivityShrinks(t *testing.T) {
 }
 
 func TestFig5ShapeHolds(t *testing.T) {
-	tab, err := Fig5(Tiny)
+	runs, err := Fig5Runs(Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Speedups must exceed 1 and shrink (or at least not grow much) as
-	// the traversal fraction grows — Fig 5a's shape.
+	// Fig 5a's shape, on the part of the modeled time that is a function of
+	// (graph, program, config) alone: virtual storage time, and the pages
+	// behind it. Host compute time varies with the machine's load, and moves
+	// whenever one engine's code gets faster.
 	perDS := map[string][]float64{}
-	for _, row := range tab.Rows {
-		f, _ := strconv.ParseFloat(row[2], 64)
-		perDS[row[0]] = append(perDS[row[0]], f)
+	for _, r := range runs {
+		if r.MLVC.StorageTime <= 0 || r.MLVC.TotalPages() == 0 {
+			t.Fatalf("%s at %.1f: multilogvc charged no storage time or pages", r.Dataset, r.Fraction)
+		}
+		sp := float64(r.GraphChi.StorageTime) / float64(r.MLVC.StorageTime)
+		perDS[r.Dataset] = append(perDS[r.Dataset], sp)
+		if pr := metrics.PageRatio(r.GraphChi, r.MLVC); pr <= 1 {
+			t.Errorf("%s at %.1f: GraphChi moved %.2fx the pages of MultiLogVC, want > 1", r.Dataset, r.Fraction, pr)
+		}
 	}
+	// Storage speedups must exceed 1 and shrink (or at least not grow much)
+	// as the traversal fraction grows.
 	for ds, sp := range perDS {
 		if sp[0] <= 1 {
-			t.Errorf("%s: speedup at fraction 0.1 = %f, want > 1", ds, sp[0])
+			t.Errorf("%s: storage speedup at fraction 0.1 = %f, want > 1", ds, sp[0])
 		}
 		// At Tiny scale the power-law analogs are noisy; only catch gross
 		// inversions there.
 		if sp[len(sp)-1] > sp[0]*1.5 {
-			t.Errorf("%s: speedup grew sharply with traversal fraction: %v", ds, sp)
+			t.Errorf("%s: storage speedup grew sharply with traversal fraction: %v", ds, sp)
 		}
 	}
 	// The web-frontier analog must not invert Fig 5a's shape: the deep
@@ -167,8 +177,9 @@ func TestFig5ShapeHolds(t *testing.T) {
 		t.Fatal("webfrontier-mini missing from Fig 5")
 	}
 	if wf[len(wf)-1] > wf[0]*1.2 {
-		t.Errorf("webfrontier: speedup at 0.9 (%f) decisively exceeds 0.1 (%f)", wf[len(wf)-1], wf[0])
+		t.Errorf("webfrontier: storage speedup at 0.9 (%f) decisively exceeds 0.1 (%f)", wf[len(wf)-1], wf[0])
 	}
+	t.Logf("storage speedups by dataset: %v", perDS)
 }
 
 func TestFig6SpeedupsPositive(t *testing.T) {

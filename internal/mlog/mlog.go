@@ -16,14 +16,23 @@ package mlog
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
+	"multilogvc/internal/extsort"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
 )
 
 // RecordBytes is the on-device size of one logged update.
 const RecordBytes = 12
+
+// Record is one logged update in memory: what AppendRecs takes and ReadRecs
+// gives back, and the record the sort-and-group unit sorts.
+type Record = extsort.Record
+
+// readBatch is how many pages Read and ReadRecs fetch per device read.
+const readBatch = 64
 
 // pageHeader is the per-page record-count prefix. It lets a log be read
 // back even when partially filled pages were flushed mid-superstep, which
@@ -36,6 +45,11 @@ const pageHeader = 4
 // is a device reclaimer, called from whichever goroutine's write hit the disk
 // quota (another run's, or this log's own eviction re-entering through the
 // device). So mu guards every field below it, never across a device write.
+//
+// The buffers a record crosses on its way through the Log are recycled, not
+// reallocated: written-out pages become top pages again (free), one staging
+// buffer carries pages to and from the device (stage), and the record buffers
+// of closed sort batches wait for the next one (recs).
 type Log struct {
 	dev      *ssd.Device
 	prefix   string
@@ -44,7 +58,7 @@ type Log struct {
 
 	mu       sync.Mutex
 	files    []*ssd.File // created lazily
-	top      [][]byte    // top (partial) page per interval; its len is its fill
+	top      []topPage   // top (partial) page per interval
 	full     [][][]byte  // completed pages awaiting eviction
 	count    []uint64    // records per interval
 	buffered int64       // bytes held in completed (evictable) pages
@@ -54,8 +68,20 @@ type Log struct {
 	// swap.
 	consumed []bool
 
+	free  [][]byte   // pages whose content reached the device
+	stage []byte     // flush's and Read's device buffer while neither holds it
+	recs  [][]Record // at most maxFreeRecs buffers from PutRecs
+
 	scope *ssd.IOScope // nil = device-global attribution
 	tr    *obsv.Trace  // nil = tracing disabled
+}
+
+// topPage is an interval's partial page: fill bytes of page are in use, the
+// header's room included. The fill is kept beside the slice, not as its
+// length, so that logging a record stores no pointer.
+type topPage struct {
+	page []byte // nil until the interval's next record arrives
+	fill int
 }
 
 // Device returns the device hosting the log files; Prefix the file-name
@@ -106,7 +132,7 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 		pageSize: ps,
 		budget:   max(budget, int64(numIntervals)*int64(ps)),
 		files:    make([]*ssd.File, numIntervals),
-		top:      make([][]byte, numIntervals),
+		top:      make([]topPage, numIntervals),
 		full:     make([][][]byte, numIntervals),
 		count:    make([]uint64, numIntervals),
 		consumed: make([]bool, numIntervals),
@@ -121,31 +147,64 @@ func (l *Log) Budget() int64 { return l.budget }
 
 // Append logs the update <dst, src, data> to interval's log. Once the
 // completed pages outgrow the budget it evicts them all, so the order of
-// Appends alone decides which one evicts, and what.
+// Appends alone decides which one evicts, and what. It is the one-record,
+// goroutine-safe form of AppendRecs.
 func (l *Log) Append(interval int, dst, src, data uint32) error {
 	l.mu.Lock()
-	page := l.top[interval]
-	if page == nil {
-		page = make([]byte, pageHeader, l.pageSize)
-	}
-	page = binary.LittleEndian.AppendUint32(page, dst)
-	page = binary.LittleEndian.AppendUint32(page, src)
-	page = binary.LittleEndian.AppendUint32(page, data)
-	l.count[interval]++
-	over := false
-	if len(page)+RecordBytes > l.pageSize {
-		sealPage(page, len(page))
-		l.full[interval] = append(l.full[interval], page[:l.pageSize])
-		page = nil
-		l.buffered += int64(l.pageSize)
-		over = l.buffered > l.budget
-	}
-	l.top[interval] = page
+	over := l.put(interval, Record{Dst: dst, Src: src, Data: data})
 	l.mu.Unlock()
 	if over {
 		return l.evictFull()
 	}
 	return nil
+}
+
+// AppendRecs logs recs[i] to interval ivs[i]'s log, in order, under one hold
+// of the lock. It evicts at exactly the records where Append, called once per
+// record, would have — the lock is dropped around each eviction, as a device
+// write may re-enter ReclaimConsumed — so the two leave the same pages on the
+// device after the same device writes.
+func (l *Log) AppendRecs(ivs []int32, recs []Record) error {
+	l.mu.Lock()
+	for i, r := range recs {
+		if l.put(int(ivs[i]), r) {
+			l.mu.Unlock()
+			if err := l.evictFull(); err != nil {
+				return err
+			}
+			l.mu.Lock()
+		}
+	}
+	l.mu.Unlock()
+	return nil
+}
+
+// put appends r to interval iv's top page, under mu, and reports whether
+// that completed a page which took the completed pages past the budget: the
+// caller then owes an evictFull, outside mu.
+func (l *Log) put(iv int, r Record) bool {
+	t := &l.top[iv]
+	if t.page == nil {
+		if n := len(l.free); n > 0 {
+			t.page, l.free = l.free[n-1][:l.pageSize], l.free[:n-1]
+		} else {
+			t.page = make([]byte, l.pageSize)
+		}
+		t.fill = pageHeader
+	}
+	rec := t.page[t.fill : t.fill+RecordBytes]
+	binary.LittleEndian.PutUint32(rec, r.Dst)
+	binary.LittleEndian.PutUint32(rec[4:], r.Src)
+	binary.LittleEndian.PutUint32(rec[8:], r.Data)
+	t.fill += RecordBytes
+	l.count[iv]++
+	if t.fill+RecordBytes <= l.pageSize {
+		return false
+	}
+	l.full[iv] = append(l.full[iv], t.page[:t.fill])
+	t.page = nil
+	l.buffered += int64(l.pageSize)
+	return l.buffered > l.budget
 }
 
 // evictFull writes every completed page to its interval's file, batching
@@ -169,32 +228,56 @@ func (l *Log) flushEach(top bool) error {
 }
 
 // flush writes interval iv's completed pages — and, with top set, its
-// partial top page, sealed — to the interval's file as one device write.
-// The pages leave the Log under mu; the write itself runs outside it,
-// because a write that hits the disk quota calls back into ReclaimConsumed.
+// partial top page — to the interval's file as one device write. The pages
+// are sealed into the staging buffer and recycled under mu; the write itself
+// runs outside it, because a write that hits the disk quota calls back into
+// ReclaimConsumed.
 func (l *Log) flush(iv int, top bool) error {
 	l.mu.Lock()
 	pages := l.full[iv]
-	l.full[iv] = nil
-	l.buffered -= int64(len(pages) * l.pageSize)
-	if page := l.top[iv]; top && page != nil {
-		sealPage(page, len(page))
-		pages = append(pages, page[:l.pageSize])
-		l.top[iv] = nil
+	if t := &l.top[iv]; top && t.page != nil {
+		pages = append(pages, t.page[:t.fill])
+		t.page = nil
 	}
-	l.mu.Unlock()
 	if len(pages) == 0 {
+		l.mu.Unlock()
 		return nil
 	}
+	l.buffered -= int64(len(l.full[iv]) * l.pageSize)
+	buf := l.takeStage(len(pages) * l.pageSize)
+	for i, page := range pages {
+		sealPage(buf[i*l.pageSize:(i+1)*l.pageSize], page)
+	}
+	l.free = append(l.free, pages...)
+	l.full[iv] = pages[:0]
+	l.mu.Unlock()
+
 	f, err := l.file(iv)
-	if err != nil {
-		return err
+	if err == nil {
+		err = f.AppendPages(buf)
 	}
-	buf := make([]byte, 0, len(pages)*l.pageSize)
-	for _, p := range pages {
-		buf = append(buf, p...)
+	l.putStage(buf)
+	return err
+}
+
+// takeStage takes the staging buffer, n bytes long, out of the Log (under mu);
+// putStage gives it back. Two flushes can overlap — Append is goroutine-safe —
+// and then the second allocates its own.
+func (l *Log) takeStage(n int) []byte {
+	buf := l.stage
+	l.stage = nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return f.AppendPages(buf)
+	return buf[:n]
+}
+
+func (l *Log) putStage(buf []byte) {
+	l.mu.Lock()
+	if cap(buf) > cap(l.stage) {
+		l.stage = buf
+	}
+	l.mu.Unlock()
 }
 
 // file returns interval iv's log file, creating it on first use — under mu,
@@ -235,9 +318,12 @@ func (l *Log) FlushAll() error {
 	return l.flushEach(true)
 }
 
-// sealPage records the page's byte fill in its header.
-func sealPage(page []byte, fill int) {
-	binary.LittleEndian.PutUint32(page, uint32((fill-pageHeader)/RecordBytes))
+// sealPage writes page — a header's room plus the records logged so far —
+// to dst, one device page long, as it goes to the device: the record count in
+// the header, the records, and zeroes after them.
+func sealPage(dst, page []byte) {
+	clear(dst[copy(dst, page):])
+	binary.LittleEndian.PutUint32(dst, uint32((len(page)-pageHeader)/RecordBytes))
 }
 
 // Count returns the number of records logged to interval's log this
@@ -262,64 +348,130 @@ func (l *Log) Total() uint64 {
 
 // Read streams interval's log from the device in record order, flushing
 // the interval's in-memory buffers first so mid-superstep reads (the
-// asynchronous model) see every appended record. Pages are read with the
-// device's batched reader, so a log dispersed over the channels loads at
-// full bandwidth (§V-A3). Each page's record count comes from its header.
+// asynchronous model) see every appended record. Pages are read in batches,
+// so a log dispersed over the channels loads at full bandwidth (§V-A3). Each
+// page's record count comes from its header.
 func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
+	return l.readPages(interval, func(enc []byte) {
+		for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
+			r := decodeRecord(enc)
+			fn(r.Dst, r.Src, r.Data)
+		}
+	})
+}
+
+// ReadRecs is Read for a caller that wants the records side by side: it
+// appends interval's records to recs, in log order, and returns the extended
+// slice. It issues the same device reads as Read.
+func (l *Log) ReadRecs(interval int, recs []Record) ([]Record, error) {
+	err := l.readPages(interval, func(enc []byte) { recs = appendRecords(recs, enc) })
+	return recs, err
+}
+
+// readPages flushes interval's buffers, then reads its log file readBatch
+// pages at a time and hands visit each page's record bytes, in log order.
+func (l *Log) readPages(interval int, visit func(recs []byte)) error {
 	if err := l.flush(interval, true); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	n := l.count[interval]
+	remaining := l.count[interval]
 	f := l.files[interval]
 	l.mu.Unlock()
-	if n == 0 || f == nil {
+	if remaining == 0 || f == nil {
 		return nil
 	}
-	r := ssd.NewReader(f, 64)
-	remaining := n
-	var buf []byte
-	for remaining > 0 {
-		need := l.pageSize
-		if cap(buf) < need {
-			buf = make([]byte, need)
+	ps, total := l.pageSize, f.DataPages()
+	l.mu.Lock()
+	buf := l.takeStage(min(readBatch, total) * ps)
+	l.mu.Unlock()
+	defer l.putStage(buf)
+	for start := 0; remaining > 0; {
+		n := min(readBatch, total-start)
+		if n <= 0 {
+			return fmt.Errorf("mlog: read interval %d: %d records missing: %w", interval, remaining, io.ErrUnexpectedEOF)
 		}
-		if err := r.ReadFull(buf[:need]); err != nil {
+		if err := f.ReadPageRange(start, n, buf[:n*ps]); err != nil {
 			return fmt.Errorf("mlog: read interval %d: %w", interval, err)
 		}
-		inPage, err := decodePage(buf[:need], remaining, fn)
-		if err != nil {
-			return fmt.Errorf("mlog: interval %d: %w", interval, err)
+		start += n
+		for page := buf[:n*ps]; len(page) > 0 && remaining > 0; page = page[ps:] {
+			recs, err := pageRecords(page[:ps], remaining)
+			if err != nil {
+				return fmt.Errorf("mlog: interval %d: %w", interval, err)
+			}
+			visit(recs)
+			remaining -= uint64(len(recs) / RecordBytes)
 		}
-		remaining -= inPage
 	}
 	return nil
 }
 
-// decodePage decodes one sealed log page, invoking fn per record, and
-// returns the number of records consumed. The header's record count is
-// validated against both the page's record capacity and the remaining
-// record budget before any record is touched, so a corrupt or truncated
-// page surfaces as an error — never an out-of-range panic.
-func decodePage(page []byte, remaining uint64, fn func(dst, src, data uint32)) (uint64, error) {
+// pageRecords returns the record bytes of one sealed log page. The header's
+// record count is validated against both the page's record capacity and the
+// remaining record budget before any record is touched, so a corrupt or
+// truncated page surfaces as an error — never an out-of-range panic.
+func pageRecords(page []byte, remaining uint64) ([]byte, error) {
 	if len(page) < pageHeader+RecordBytes {
-		return 0, fmt.Errorf("page of %d bytes is shorter than header plus one record", len(page))
+		return nil, fmt.Errorf("page of %d bytes is shorter than header plus one record", len(page))
 	}
 	capacity := uint64((len(page) - pageHeader) / RecordBytes)
 	inPage := uint64(binary.LittleEndian.Uint32(page))
 	if inPage > capacity {
-		return 0, fmt.Errorf("page header claims %d records, page holds at most %d", inPage, capacity)
+		return nil, fmt.Errorf("page header claims %d records, page holds at most %d", inPage, capacity)
 	}
 	if inPage > remaining {
-		return 0, fmt.Errorf("page holds %d records, %d expected", inPage, remaining)
+		return nil, fmt.Errorf("page holds %d records, %d expected", inPage, remaining)
 	}
-	for i := uint64(0); i < inPage; i++ {
-		off := pageHeader + int(i)*RecordBytes
-		fn(binary.LittleEndian.Uint32(page[off:]),
-			binary.LittleEndian.Uint32(page[off+4:]),
-			binary.LittleEndian.Uint32(page[off+8:]))
+	return page[pageHeader : pageHeader+int(inPage)*RecordBytes], nil
+}
+
+// decodeRecord decodes the record at the head of enc.
+func decodeRecord(enc []byte) Record {
+	_ = enc[RecordBytes-1]
+	return Record{
+		Dst:  binary.LittleEndian.Uint32(enc),
+		Src:  binary.LittleEndian.Uint32(enc[4:]),
+		Data: binary.LittleEndian.Uint32(enc[8:]),
 	}
-	return inPage, nil
+}
+
+// appendRecords decodes a whole number of encoded records onto recs.
+func appendRecords(recs []Record, enc []byte) []Record {
+	for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
+		recs = append(recs, decodeRecord(enc))
+	}
+	return recs
+}
+
+// maxFreeRecs bounds the record buffers a Log keeps: a sort batch holds two
+// at a time, its records and the sort's scratch.
+const maxFreeRecs = 2
+
+// GetRecs returns an empty record buffer with room for n records: one that
+// PutRecs returned if it is large enough, a new one otherwise. The buffer is
+// the caller's alone until PutRecs.
+func (l *Log) GetRecs(n int) []Record {
+	l.mu.Lock()
+	var buf []Record
+	if k := len(l.recs); k > 0 {
+		buf, l.recs = l.recs[k-1], l.recs[:k-1]
+	}
+	l.mu.Unlock()
+	if cap(buf) < n {
+		buf = make([]Record, 0, n)
+	}
+	return buf[:0]
+}
+
+// PutRecs hands a buffer from GetRecs — possibly regrown since — back for
+// reuse; the caller must not touch it afterwards.
+func (l *Log) PutRecs(buf []Record) {
+	l.mu.Lock()
+	if len(l.recs) < maxFreeRecs && cap(buf) > 0 {
+		l.recs = append(l.recs, buf)
+	}
+	l.mu.Unlock()
 }
 
 // FilePages returns interval iv's device-resident log file and its data
@@ -368,9 +520,26 @@ func (l *Log) ReclaimConsumed() error {
 	return l.reset(func(iv int) bool { return l.consumed[iv] })
 }
 
+// AdoptPages moves the recycled pages of from, a generation that from now on
+// is only read, to l, the generation written next — so the two Logs of a run
+// hold one generation's worth of page buffers between them, not one each.
+func (l *Log) AdoptPages(from *Log) {
+	from.mu.Lock()
+	pages := from.free
+	from.free = nil
+	from.mu.Unlock()
+	l.mu.Lock()
+	l.free = append(l.free, pages...)
+	l.mu.Unlock()
+}
+
 // ResetAll truncates every interval log and zeroes the counters, readying
-// the generation for reuse.
+// the generation for reuse. The generation is written next, not read: its
+// pages stay, its record buffers go.
 func (l *Log) ResetAll() error {
+	l.mu.Lock()
+	l.recs = nil
+	l.mu.Unlock()
 	return l.reset(func(int) bool { return true })
 }
 
@@ -385,7 +554,11 @@ func (l *Log) reset(pick func(iv int) bool) error {
 			continue
 		}
 		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
-		l.top[iv], l.full[iv], l.count[iv], l.consumed[iv] = nil, nil, 0, false
+		l.free = append(l.free, l.full[iv]...)
+		if l.top[iv].page != nil {
+			l.free = append(l.free, l.top[iv].page)
+		}
+		l.top[iv].page, l.full[iv], l.count[iv], l.consumed[iv] = nil, l.full[iv][:0], 0, false
 		if f := l.files[iv]; f != nil {
 			files = append(files, f)
 		}

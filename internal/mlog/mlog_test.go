@@ -1,8 +1,13 @@
 package mlog
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"multilogvc/internal/ssd"
 )
@@ -231,11 +236,270 @@ func TestReadEmptyInterval(t *testing.T) {
 	}
 }
 
-func BenchmarkAppend(b *testing.B) {
-	dev := ssd.MustOpen(ssd.Config{PageSize: 16384, Channels: 8})
-	l, _ := New(dev, "bench", 64, 1<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Append(i&63, uint32(i), uint32(i), uint32(i))
+// testStream is a seeded record stream over the intervals of a Log.
+func testStream(n, intervals int, seed int64) ([]int32, []Record) {
+	rng := rand.New(rand.NewSource(seed))
+	ivs, recs := make([]int32, n), make([]Record, n)
+	for i := range recs {
+		ivs[i] = int32(rng.Intn(intervals))
+		recs[i] = Record{Dst: rng.Uint32(), Src: uint32(i), Data: rng.Uint32()}
 	}
+	return ivs, recs
+}
+
+// filePages returns the raw device pages of every interval log file.
+func filePages(t *testing.T, dev *ssd.Device, intervals int) [][]byte {
+	t.Helper()
+	out := make([][]byte, intervals)
+	for iv := range out {
+		name := fmt.Sprintf("log.%d", iv)
+		if !dev.Exists(name) {
+			continue
+		}
+		f, err := dev.OpenFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[iv] = make([]byte, f.NumPages()*dev.PageSize())
+		if err := f.ReadPageRange(0, f.NumPages(), out[iv]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestAppendRecsMatchesAppend is the bulk append's contract: fed the same
+// sequence, with a budget that forces evictions in the middle of runs, it
+// leaves the device exactly where one Append per record does — the same
+// pages written after every run (so each eviction fired at the same record),
+// the same virtual time, the same counts, byte-identical log files. A second
+// generation over recycled pages must in turn match a Log that never had a
+// first: nothing of a page's earlier life reaches the device.
+func TestAppendRecsMatchesAppend(t *testing.T) {
+	const intervals, n = 5, 6000
+	budget := int64((intervals + 3) * 120) // three pages over the floor
+	one, devOne := testLog(t, intervals, budget)
+	bulk, devBulk := testLog(t, intervals, budget)
+	fresh, devFresh := testLog(t, intervals, budget)
+
+	for gen, seed := range []int64{1, 2} {
+		ivs, recs := testStream(n, intervals, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for start := 0; start < n; {
+			end := min(start+1+rng.Intn(400), n) // most runs span several evictions
+			for i := start; i < end; i++ {
+				if err := one.Append(int(ivs[i]), recs[i].Dst, recs[i].Src, recs[i].Data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bulk.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := devOne.Stats(), devBulk.Stats(); a != b {
+				t.Fatalf("gen %d, after record %d: device stats differ\none:  %+v\nbulk: %+v", gen, end, a, b)
+			}
+			start = end
+		}
+		if gen == 1 {
+			if err := fresh.AppendRecs(ivs, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range []*Log{one, bulk, fresh} {
+			if err := l.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if devOne.Stats().PagesWritten <= uint64(intervals) {
+			t.Fatal("the budget forced no eviction")
+		}
+		if a, b := devOne.Stats(), devBulk.Stats(); a != b || a.StorageTime() != b.StorageTime() {
+			t.Fatalf("gen %d: device stats differ after FlushAll\none:  %+v\nbulk: %+v", gen, a, b)
+		}
+		for iv := 0; iv < intervals; iv++ {
+			if one.Count(iv) != bulk.Count(iv) {
+				t.Fatalf("gen %d: Count(%d) = %d per record, %d bulk", gen, iv, one.Count(iv), bulk.Count(iv))
+			}
+		}
+		if one.Total() != n || bulk.Total() != n {
+			t.Fatalf("gen %d: totals %d and %d, want %d", gen, one.Total(), bulk.Total(), n)
+		}
+		pagesOne, pagesBulk := filePages(t, devOne, intervals), filePages(t, devBulk, intervals)
+		for iv := range pagesOne {
+			if !bytes.Equal(pagesOne[iv], pagesBulk[iv]) {
+				t.Fatalf("gen %d: interval %d log files differ", gen, iv)
+			}
+		}
+		if gen == 1 {
+			for iv, want := range filePages(t, devFresh, intervals) {
+				if !bytes.Equal(pagesOne[iv], want) {
+					t.Fatalf("interval %d: a log on recycled pages differs from a fresh one", iv)
+				}
+			}
+		}
+		if err := one.ResetAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bulk.ResetAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendRecsEvictionReentersReclaimer: an eviction in the middle of a
+// bulk append hits the disk quota, and the device calls back into this very
+// Log's ReclaimConsumed — which takes the Log's lock. AppendRecs must not be
+// holding it.
+func TestAppendRecsEvictionReentersReclaimer(t *testing.T) {
+	l, dev := testLog(t, 4, 1) // floor budget: appends evict all along
+	for i := uint32(0); i < 100; i++ {
+		if err := l.Append(int(i%2), i, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	l.MarkConsumed(0, 1)
+	defer dev.AddReclaimer(func() {
+		if err := l.ReclaimConsumed(); err != nil {
+			t.Error(err)
+		}
+	})()
+	dev.FailNoSpaceAt(0) // the next write that grows a file finds the device full
+
+	ivs, recs := testStream(500, 2, 4)
+	for i := range ivs {
+		ivs[i] += 2
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.AppendRecs(ivs, recs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("AppendRecs held the Log's lock across an eviction: the reclaimer deadlocked")
+	}
+	if st := dev.Stats(); st.Reclaims == 0 {
+		t.Fatalf("no reclamation ran: %+v", st)
+	}
+	if l.Count(0) != 0 || l.Count(1) != 0 || l.Total() != 500 {
+		t.Fatalf("counts after reclaim = %d, %d, total %d; want 0, 0, 500", l.Count(0), l.Count(1), l.Total())
+	}
+}
+
+// TestReadRecsMatchesRead: the bulk read appends exactly what Read streams,
+// after what the caller's slice already held, for the same device reads.
+func TestReadRecsMatchesRead(t *testing.T) {
+	const intervals = 3
+	l, dev := testLog(t, intervals, 1<<20)
+	ivs, recs := testStream(2500, intervals, 9) // > readBatch pages in each interval
+	if err := l.AppendRecs(ivs, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	held := Record{Dst: 7, Src: 8, Data: 9}
+	for iv := 0; iv < intervals; iv++ {
+		before := dev.Stats()
+		want := []Record{held}
+		if err := l.Read(iv, func(dst, src, data uint32) {
+			want = append(want, Record{Dst: dst, Src: src, Data: data})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		readIO := dev.Stats().Sub(before)
+		before = dev.Stats()
+		got, err := l.ReadRecs(iv, []Record{held})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("interval %d: ReadRecs gave %d records, Read %d, or they differ", iv, len(got)-1, len(want)-1)
+		}
+		if bulkIO := dev.Stats().Sub(before); bulkIO != readIO || readIO.BatchReads < 2 {
+			t.Fatalf("interval %d: device reads differ or were one batch\nRead:     %+v\nReadRecs: %+v", iv, readIO, bulkIO)
+		}
+		if uint64(len(got)-1) != l.Count(iv) {
+			t.Fatalf("interval %d: read %d records, Count %d", iv, len(got)-1, l.Count(iv))
+		}
+	}
+}
+
+// TestRecsBuffersNeverShared: a buffer from GetRecs is the caller's alone
+// until PutRecs, however many are out, and the Log keeps a bounded number.
+func TestRecsBuffersNeverShared(t *testing.T) {
+	l, _ := testLog(t, 1, 1<<20)
+	var out [][]Record
+	for i := 0; i < 5; i++ {
+		buf := l.GetRecs(10)
+		if cap(buf) < 10 || len(buf) != 0 {
+			t.Fatalf("GetRecs(10): len %d cap %d", len(buf), cap(buf))
+		}
+		out = append(out, append(buf, Record{Dst: uint32(i)}))
+	}
+	for i, buf := range out {
+		if buf[0].Dst != uint32(i) {
+			t.Fatalf("buffer %d was handed out twice", i)
+		}
+		l.PutRecs(buf)
+	}
+	a, b, c := l.GetRecs(1), l.GetRecs(1), l.GetRecs(1)
+	a, b, c = append(a, Record{}), append(b, Record{}), append(c, Record{})
+	if &a[0] == &b[0] || &a[0] == &c[0] || &b[0] == &c[0] {
+		t.Fatal("one returned buffer handed out twice")
+	}
+	if got := l.GetRecs(1 << 12); cap(got) < 1<<12 {
+		t.Fatalf("GetRecs(4096) returned cap %d", cap(got))
+	}
+}
+
+// BenchmarkLogAppend: the cost of logging one record, sent one Append at a
+// time and in bulk, evictions and device writes included (64 intervals,
+// 16 KiB pages, a budget of 64 pages).
+func BenchmarkLogAppend(b *testing.B) {
+	const intervals, run = 64, 4096
+	ivs, recs := testStream(run, intervals, 1)
+	newLog := func(b *testing.B) *Log {
+		dev := ssd.MustOpen(ssd.Config{PageSize: 16384, Channels: 8})
+		l, err := New(dev, "bench", intervals, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return l
+	}
+	// Every 64 runs the generation is reset, as at a superstep boundary, so
+	// the RAM-backed device does not grow with b.N.
+	reset := func(b *testing.B, l *Log, i int) {
+		if i%(64*run) == 0 {
+			if err := l.ResetAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("one", func(b *testing.B) {
+		l := newLog(b)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reset(b, l, i)
+			r := recs[i%run]
+			if err := l.Append(int(ivs[i%run]), r.Dst, r.Src, r.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bulk", func(b *testing.B) {
+		l := newLog(b)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += run {
+			reset(b, l, i)
+			n := min(run, b.N-i)
+			if err := l.AppendRecs(ivs[:n], recs[:n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,7 +2,10 @@
 // the update log of a vertex interval from the device, fuses the logs of
 // consecutive intervals while they fit the sort budget (§V-A2), sorts the
 // records in memory by destination vertex, and serves per-vertex message
-// groups to the engine.
+// groups to the engine. The sort is stable (extsort.SortByDst), and a log
+// keeps its records in append order, so the messages of one destination are
+// delivered in the order they were sent — across fused intervals and on the
+// spill path too, whose runs are cut in log order and merged stably.
 //
 // The paper sizes intervals so one interval's worst-case log fits the sort
 // budget, but at runtime a log can exceed that build-time bound (random
@@ -35,6 +38,11 @@ type Rec = extsort.Record
 // A spilled batch (Spilled true) serves one budget-sized chunk at a time:
 // Recs holds the current chunk, NextChunk advances, and Close releases the
 // on-device run files.
+//
+// Recs is a buffer borrowed from the log: it is the batch's alone from Load
+// until Close, which hands it back for a later Load to fill. Batches that are
+// open together therefore never share records, and nothing may read Recs
+// after Close.
 type Batch struct {
 	// FirstIv and LastIv delimit the fused interval range [FirstIv, LastIv].
 	FirstIv, LastIv int
@@ -48,6 +56,7 @@ type Batch struct {
 	// is being served through the external sort-group.
 	Spilled bool
 
+	log   *mlog.Log // where Recs goes back to; nil once closed
 	spill *spillState
 }
 
@@ -115,22 +124,24 @@ func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch,
 		LastIv:  last,
 		Lo:      ivs[startIv].Lo,
 		Hi:      ivs[last].Hi,
-		Recs:    make([]Rec, 0, total/mlog.RecordBytes),
+		Recs:    log.GetRecs(int(total / mlog.RecordBytes)),
+		log:     log,
 	}
 	tag := log.Tagger()
 	for iv := startIv; iv <= last; iv++ {
 		// Tag per fused interval so interval-level IO skew attributes log
 		// read-back to the interval that produced it.
 		prevS, prevIv := tag.SetStage(obsv.StageSortGroup, iv)
-		err := log.Read(iv, func(dst, src, data uint32) {
-			b.Recs = append(b.Recs, Rec{Dst: dst, Src: src, Data: data})
-		})
+		var err error
+		b.Recs, err = log.ReadRecs(iv, b.Recs)
 		tag.SetStage(prevS, prevIv)
 		if err != nil {
+			b.Close()
 			return nil, err
 		}
 	}
-	sort.Slice(b.Recs, func(i, j int) bool { return b.Recs[i].Dst < b.Recs[j].Dst })
+	// The scratch buffer is only grown if the sort needs one.
+	log.PutRecs(extsort.SortByDst(b.Recs, log.GetRecs(0)))
 	return b, nil
 }
 
@@ -146,7 +157,7 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 	tag := log.Tagger()
 	runs := extsort.NewRuns(log.Device(), fmt.Sprintf("%s.%d.spill", log.Prefix(), ivIdx), nil)
 	runs.SetScope(log.Scope())
-	buf := make([]extsort.Record, 0, budgetRecs)
+	buf := log.GetRecs(budgetRecs)
 	var flushErr error
 	// Log read-back is sort+group work on this interval; the run-file
 	// writes it triggers are spill traffic. The tag flips around each
@@ -164,25 +175,25 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 			buf = buf[:0]
 		}
 	})
-	if err != nil {
-		tag.SetStage(prevS, prevIv)
-		runs.Remove()
-		return nil, err
-	}
-	tag.SetStage(obsv.StageSpill, ivIdx)
-	if flushErr == nil {
-		flushErr = runs.Flush(buf)
+	if err == nil {
+		tag.SetStage(obsv.StageSpill, ivIdx)
+		if err = flushErr; err == nil {
+			err = runs.Flush(buf)
+		}
 	}
 	tag.SetStage(prevS, prevIv)
-	if flushErr != nil {
+	log.PutRecs(buf) // the first chunk takes it straight back
+	if err != nil {
 		runs.Remove()
-		return nil, flushErr
+		return nil, err
 	}
 
 	b := &Batch{
 		FirstIv: ivIdx, LastIv: ivIdx,
 		Lo: iv.Lo, Hi: iv.Hi,
+		Recs:    log.GetRecs(budgetRecs),
 		Spilled: true,
+		log:     log,
 		spill: &spillState{
 			runs: runs, tag: tag, budgetRecs: budgetRecs,
 			ivHi: iv.Hi, nextLo: iv.Lo,
@@ -264,9 +275,14 @@ func (b *Batch) SpillBytes() int64 {
 	return b.spill.bytes
 }
 
-// Close releases a spilled batch's merge cursor and deletes its on-device
-// run files. A no-op for in-memory batches; safe to call more than once.
+// Close hands Recs back to the log and, for a spilled batch, releases the
+// merge cursor and deletes the on-device run files. Safe to call more than
+// once.
 func (b *Batch) Close() {
+	if b.log != nil {
+		b.log.PutRecs(b.Recs)
+		b.Recs, b.log = nil, nil
+	}
 	if b.spill != nil {
 		b.spill.m.Close()
 		b.spill = nil

@@ -85,6 +85,10 @@ func (m *memStore) numPages() int { return len(m.pages) }
 
 func (m *memStore) truncate(pages int) error {
 	if pages < len(m.pages) {
+		// Drop the pointers too: the array behind the slice would keep every
+		// truncated page reachable until a later append happened to overwrite
+		// its slot, and a recycled log file would hold its largest size ever.
+		clear(m.pages[pages:])
 		m.pages = m.pages[:pages]
 	}
 	if pages < len(m.crcs) {

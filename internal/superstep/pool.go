@@ -15,18 +15,24 @@ import (
 // panic value is preserved in the wrapping message.
 var ErrPanic = errors.New("superstep: panic during run")
 
-// ForEach splits [0, n) into at most workers contiguous chunks and runs
-// fn(w, lo, hi) for each on its own goroutine, returning after all of them
-// finish. w < workers is the chunk's index, ascending with lo, so results
-// buffered per w and read back in w order are in index order whatever the
-// schedule. The first failure wins — an error fn returns or a panic it
-// raises, the latter classified as ErrPanic — and the other chunks still
-// run to completion.
+// minChunk is the fewest items ForEach gives a chunk when it has the choice:
+// starting a goroutine and waking a processor for it costs about what
+// processing this many vertices does.
+const minChunk = 64
+
+// ForEach splits [0, n) into at most workers contiguous chunks of at least
+// minChunk items (one chunk when n is smaller) and runs fn(w, lo, hi) for
+// each, the first on the calling goroutine and the others on goroutines of
+// their own, returning after all of them finish. w < workers is the chunk's
+// index, ascending with lo, so results buffered per w and read back in w
+// order are in index order whatever the schedule. The first failure wins — an
+// error fn returns or a panic it raises, the latter classified as ErrPanic —
+// and the other chunks still run to completion.
 func ForEach(workers, n int, fn func(w, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = max(1, min(workers, n))
+	workers = max(1, min(workers, n/minChunk))
 	var (
 		wg    sync.WaitGroup
 		once  sync.Once
@@ -34,21 +40,24 @@ func ForEach(workers, n int, fn func(w, lo, hi int) error) error {
 	)
 	fail := func(err error) { once.Do(func() { first = err }) }
 	chunk := (n + workers - 1) / workers
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
+	run := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				fail(fmt.Errorf("%w: vertex worker: %v", ErrPanic, r))
+			}
+		}()
+		if err := fn(w, w*chunk, min((w+1)*chunk, n)); err != nil {
+			fail(err)
+		}
+	}
+	for w := 1; w*chunk < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("%w: vertex worker: %v", ErrPanic, r))
-				}
-			}()
-			if err := fn(w, lo, hi); err != nil {
-				fail(err)
-			}
+			run(w)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	return first
 }
@@ -79,22 +88,32 @@ func (b *SendBuffer) Send(w int, src, dst, data uint32) {
 	b.buckets[w] = append(b.buckets[w], extsort.Record{Dst: dst, Src: src, Data: data})
 }
 
-// Drain hands every buffered send to deliver in sender order and empties
-// the buffer, returning how many were delivered. It stops at the first
-// send deliver rejects or whose destination is not a vertex (ErrBadSend).
-func (b *SendBuffer) Drain(deliver func(extsort.Record) error) (uint64, error) {
+// Drain hands deliver each worker's buffered sends, a bucket at a time and
+// so in sender order, and empties the buffer, returning how many were
+// delivered. It stops at the first bucket deliver rejects or the first send
+// whose destination is not a vertex (ErrBadSend), having delivered the sends
+// before it. deliver must not keep the slice.
+func (b *SendBuffer) Drain(deliver func([]extsort.Record) error) (uint64, error) {
 	var n uint64
 	for w, bucket := range b.buckets {
 		b.buckets[w] = bucket[:0]
-		for _, rec := range bucket {
+		var bad error
+		for i, rec := range bucket {
 			if rec.Dst >= b.numVertices {
-				return n, fmt.Errorf("%w: vertex %d sent to %d, the graph has vertices 0..%d",
+				bad = fmt.Errorf("%w: vertex %d sent to %d, the graph has vertices 0..%d",
 					ErrBadSend, rec.Src, rec.Dst, b.numVertices-1)
+				bucket = bucket[:i]
+				break
 			}
-			if err := deliver(rec); err != nil {
+		}
+		if len(bucket) > 0 {
+			if err := deliver(bucket); err != nil {
 				return n, err
 			}
-			n++
+			n += uint64(len(bucket))
+		}
+		if bad != nil {
+			return n, bad
 		}
 	}
 	return n, nil

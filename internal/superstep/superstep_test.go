@@ -1,9 +1,11 @@
 package superstep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -17,8 +19,8 @@ import (
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	const n = 37
-	for _, workers := range []int{1, n - 1, n, n + 3} {
+	const n = 5*minChunk + 37
+	for _, workers := range []int{1, 3, 5, 6, n} {
 		hits := make([]atomic.Int32, n)
 		var chunks atomic.Int32
 		err := ForEach(workers, n, func(w, lo, hi int) error {
@@ -39,8 +41,8 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
 		}
-		if c := int(chunks.Load()); c > workers || c > n {
-			t.Fatalf("workers=%d: %d chunks", workers, c)
+		if c := int(chunks.Load()); c != min(workers, n/minChunk) {
+			t.Fatalf("workers=%d: %d chunks, want %d", workers, c, min(workers, n/minChunk))
 		}
 	}
 	if err := ForEach(4, 0, func(int, int, int) error { t.Error("fn called for n = 0"); return nil }); err != nil {
@@ -51,7 +53,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 // Chunk indices ascend with the index range, so per-chunk buffers read
 // back in chunk order are in index order.
 func TestForEachChunkOrder(t *testing.T) {
-	const n, workers = 100, 7
+	const n, workers = 10 * minChunk, 7
 	los := make([]int, workers)
 	for i := range los {
 		los[i] = -1
@@ -71,7 +73,7 @@ func TestForEachChunkOrder(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := ForEach(4, 4, func(w, lo, hi int) error {
+	err := ForEach(4, 4*minChunk, func(w, lo, hi int) error {
 		ran.Add(1)
 		if w == 2 {
 			return boom
@@ -88,18 +90,54 @@ func TestForEachFirstErrorWins(t *testing.T) {
 
 func TestForEachPanicBecomesError(t *testing.T) {
 	var ran atomic.Int32
-	err := ForEach(4, 8, func(w, lo, hi int) error {
-		ran.Add(1)
-		if w == 1 {
-			panic("injected")
+	for _, bad := range []int{0, 1} { // the caller's own chunk, and a spawned one
+		ran.Store(0)
+		err := ForEach(4, 4*minChunk, func(w, lo, hi int) error {
+			ran.Add(1)
+			if w == bad {
+				panic("injected")
+			}
+			return nil
+		})
+		if !errors.Is(err, ErrPanic) {
+			t.Fatalf("panic in chunk %d: err = %v, want ErrPanic", bad, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic", err)
+		if ran.Load() != 4 {
+			t.Fatalf("panic in chunk %d: %d chunks ran, want the other workers to join", bad, ran.Load())
+		}
 	}
-	if ran.Load() != 4 {
-		t.Fatalf("%d chunks ran, want the other workers to join", ran.Load())
+}
+
+// goid returns the calling goroutine's id, read off its stack header.
+func goid() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// Chunk 0 runs on the calling goroutine, so a pass that has a single chunk —
+// one worker, or too few items to share out — starts no goroutine at all.
+func TestForEachFirstChunkOnCaller(t *testing.T) {
+	caller := goid()
+	for _, tc := range []struct{ workers, n, chunks int }{
+		{1, 10 * minChunk, 1}, {8, 2*minChunk - 1, 1}, {8, 1, 1}, {3, 3 * minChunk, 3},
+	} {
+		var chunks, onCaller atomic.Int32
+		if err := ForEach(tc.workers, tc.n, func(w, lo, hi int) error {
+			chunks.Add(1)
+			if goid() == caller {
+				onCaller.Add(1)
+				if w != 0 {
+					t.Errorf("workers=%d n=%d: chunk %d ran on the caller", tc.workers, tc.n, w)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if int(chunks.Load()) != tc.chunks || onCaller.Load() != 1 {
+			t.Errorf("workers=%d n=%d: %d chunks, %d on the caller; want %d and 1",
+				tc.workers, tc.n, chunks.Load(), onCaller.Load(), tc.chunks)
+		}
 	}
 }
 
@@ -281,5 +319,56 @@ func TestLoopHooks(t *testing.T) {
 	}
 	if _, err := loop.Run(eng); !errors.Is(err, stop) || !slices.Equal(eng.ran, []int{0}) {
 		t.Fatalf("err=%v ran=%v, want the boundary error before superstep 1", err, eng.ran)
+	}
+}
+
+// Drain hands over whole buckets in worker order — which, with ForEach's
+// ascending chunks, is sender order — and leaves the buffer empty.
+func TestSendBufferDrainsBucketsInOrder(t *testing.T) {
+	sb := NewSendBuffer(3, 100)
+	sb.Send(2, 20, 5, 0)
+	sb.Send(0, 1, 7, 0)
+	sb.Send(0, 2, 6, 0)
+	sb.Send(2, 21, 4, 0)
+	var got []uint32
+	buckets := 0
+	n, err := sb.Drain(func(recs []extsort.Record) error {
+		buckets++
+		for _, r := range recs {
+			got = append(got, r.Src)
+		}
+		return nil
+	})
+	if err != nil || n != 4 || buckets != 2 {
+		t.Fatalf("drained %d sends in %d buckets, err %v; want 4 in 2 (the empty bucket is skipped)", n, buckets, err)
+	}
+	if want := []uint32{1, 2, 20, 21}; !slices.Equal(got, want) {
+		t.Fatalf("senders in drain order %v, want %v", got, want)
+	}
+	if n, err := sb.Drain(func([]extsort.Record) error { t.Error("deliver called on an empty buffer"); return nil }); n != 0 || err != nil {
+		t.Fatalf("second drain: %d sends, err %v", n, err)
+	}
+}
+
+// A send to a vertex the graph lacks ends the drain with ErrBadSend, after
+// the sends before it were delivered and before any after it.
+func TestSendBufferBadSend(t *testing.T) {
+	sb := NewSendBuffer(2, 10)
+	sb.Send(0, 1, 3, 0)
+	sb.Send(0, 2, 10, 0) // vertex 10 does not exist
+	sb.Send(0, 3, 4, 0)
+	sb.Send(1, 4, 5, 0)
+	var got []uint32
+	n, err := sb.Drain(func(recs []extsort.Record) error {
+		for _, r := range recs {
+			got = append(got, r.Src)
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrBadSend) {
+		t.Fatalf("err = %v, want ErrBadSend", err)
+	}
+	if n != 1 || !slices.Equal(got, []uint32{1}) {
+		t.Fatalf("delivered %d sends from %v before the bad one, want 1 from [1]", n, got)
 	}
 }
