@@ -172,13 +172,12 @@ func (r *run) open(resume bool) error {
 		r.sortOpts.SortBudget = cfg.SortBudget
 	}
 	r.elogBudget = pct(cfg.ELogPct)
-	nIvs := len(g.Intervals())
-	if r.curLog, err = r.newLog(name+".mlog.0", nIvs, pct(cfg.MLogPct)); err != nil {
+	if r.curLog, err = mlog.New(dev, name+".mlog.0", len(g.Intervals()), pct(cfg.MLogPct)); err != nil {
 		return err
 	}
-	if r.nextLog, err = r.newLog(name+".mlog.1", nIvs, pct(cfg.MLogPct)); err != nil {
-		return err
-	}
+	r.curLog.SetTracer(cfg.Trace)
+	r.curLog.SetScope(cfg.Scope)
+	r.nextLog = r.curLog.NewGeneration(name + ".mlog.1")
 	if !cfg.DisableEdgeLog {
 		if r.elog, err = edgelog.New(dev, name+".elog", g.HasWeights()); err != nil {
 			return err
@@ -204,16 +203,6 @@ func (r *run) open(resume bool) error {
 		return r.restore(rst)
 	}
 	return nil
-}
-
-func (r *run) newLog(name string, intervals int, budget int64) (*mlog.Log, error) {
-	l, err := mlog.New(r.g.Device(), name, intervals, budget)
-	if err != nil {
-		return nil, err
-	}
-	l.SetTracer(r.cfg.Trace)
-	l.SetScope(r.cfg.Scope)
-	return l, nil
 }
 
 // close runs on every exit of the attempt, success or not.
@@ -401,7 +390,6 @@ func (r *run) flushLogs(ss *metrics.SuperstepStats) error {
 	if err := r.nextLog.ResetAll(); err != nil {
 		return err
 	}
-	r.nextLog.AdoptPages(r.curLog)
 	span.End()
 	return nil
 }

@@ -20,10 +20,7 @@
 // read amplification (Fig 3) and feed the edge-log optimizer (Fig 9).
 package csr
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Interval is a contiguous vertex range [Lo, Hi).
 type Interval struct {
@@ -72,33 +69,26 @@ func Partition(inDeg []uint32, msgBytes int, budgetBytes int64) []Interval {
 }
 
 // IntervalIndex maps vertices to their interval in O(1) using a lookup
-// table at block granularity — the paper's vId2IntervalMap.
+// table at page granularity — the paper's vId2IntervalMap.
 type IntervalIndex struct {
 	ivs []Interval
 	// firstIv[v>>shift] is the index of the interval containing the first
-	// vertex of that block; scan forward from there. A block is the largest
-	// power of two within the mean interval width (16 to 256 vertices), so
-	// the scan is a step or two however narrow the intervals are — it runs
-	// once per message sent.
+	// vertex of that block; scan forward from there (blocks are 256
+	// vertices, and intervals are typically much larger).
 	firstIv []int32
-	shift   uint
 }
 
-const minIvBlockShift, maxIvBlockShift = 4, 8
+const ivBlockShift = 8
 
 // NewIntervalIndex builds the lookup structure. Intervals must be sorted,
 // non-overlapping, and cover [0, n).
 func NewIntervalIndex(ivs []Interval, n uint32) *IntervalIndex {
-	idx := &IntervalIndex{ivs: ivs, shift: maxIvBlockShift}
-	if len(ivs) > 0 {
-		meanWidth := max(n/uint32(len(ivs)), 1)
-		idx.shift = min(max(uint(bits.Len32(meanWidth))-1, minIvBlockShift), maxIvBlockShift)
-	}
-	blocks := int(n>>idx.shift) + 1
+	idx := &IntervalIndex{ivs: ivs}
+	blocks := int(n>>ivBlockShift) + 1
 	idx.firstIv = make([]int32, blocks)
 	cur := 0
 	for b := 0; b < blocks; b++ {
-		v := uint32(b) << idx.shift
+		v := uint32(b) << ivBlockShift
 		for cur < len(ivs)-1 && v >= ivs[cur].Hi {
 			cur++
 		}
@@ -109,7 +99,7 @@ func NewIntervalIndex(ivs []Interval, n uint32) *IntervalIndex {
 
 // Of returns the index of the interval containing v.
 func (x *IntervalIndex) Of(v uint32) int {
-	i := int(x.firstIv[v>>x.shift])
+	i := int(x.firstIv[v>>ivBlockShift])
 	for i < len(x.ivs)-1 && v >= x.ivs[i].Hi {
 		i++
 	}

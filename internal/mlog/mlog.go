@@ -47,9 +47,7 @@ const pageHeader = 4
 // device). So mu guards every field below it, never across a device write.
 //
 // The buffers a record crosses on its way through the Log are recycled, not
-// reallocated: written-out pages become top pages again (free), one staging
-// buffer carries pages to and from the device (stage), and the record buffers
-// of closed sort batches wait for the next one (recs).
+// reallocated (see buffers).
 type Log struct {
 	dev      *ssd.Device
 	prefix   string
@@ -68,9 +66,7 @@ type Log struct {
 	// swap.
 	consumed []bool
 
-	free  [][]byte   // pages whose content reached the device
-	stage []byte     // flush's and Read's device buffer while neither holds it
-	recs  [][]Record // at most maxFreeRecs buffers from PutRecs
+	bufs *buffers // shared with the run's other generation
 
 	scope *ssd.IOScope // nil = device-global attribution
 	tr    *obsv.Trace  // nil = tracing disabled
@@ -136,7 +132,25 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 		full:     make([][][]byte, numIntervals),
 		count:    make([]uint64, numIntervals),
 		consumed: make([]bool, numIntervals),
+		bufs:     &buffers{},
 	}, nil
+}
+
+// NewGeneration returns the Log's other generation: an empty Log under
+// another file-name prefix with the same device, intervals, budget, tracer
+// and scope, drawing on the same recycled buffers — so the two Logs of a run
+// hold one generation's worth of page buffers between them, not one each.
+func (l *Log) NewGeneration(prefix string) *Log {
+	n := l.NumIntervals()
+	return &Log{
+		dev: l.dev, prefix: prefix, pageSize: l.pageSize, budget: l.budget,
+		files:    make([]*ssd.File, n),
+		top:      make([]topPage, n),
+		full:     make([][][]byte, n),
+		count:    make([]uint64, n),
+		consumed: make([]bool, n),
+		bufs:     l.bufs, scope: l.scope, tr: l.tr,
+	}
 }
 
 // NumIntervals returns the number of interval logs.
@@ -185,12 +199,7 @@ func (l *Log) AppendRecs(ivs []int32, recs []Record) error {
 func (l *Log) put(iv int, r Record) bool {
 	t := &l.top[iv]
 	if t.page == nil {
-		if n := len(l.free); n > 0 {
-			t.page, l.free = l.free[n-1][:l.pageSize], l.free[:n-1]
-		} else {
-			t.page = make([]byte, l.pageSize)
-		}
-		t.fill = pageHeader
+		t.page, t.fill = l.bufs.page(l.pageSize), pageHeader
 	}
 	rec := t.page[t.fill : t.fill+RecordBytes]
 	binary.LittleEndian.PutUint32(rec, r.Dst)
@@ -229,55 +238,33 @@ func (l *Log) flushEach(top bool) error {
 
 // flush writes interval iv's completed pages — and, with top set, its
 // partial top page — to the interval's file as one device write. The pages
-// are sealed into the staging buffer and recycled under mu; the write itself
-// runs outside it, because a write that hits the disk quota calls back into
-// ReclaimConsumed.
+// leave the Log under mu; sealing them into the staging buffer and the write
+// itself run outside it, the write because one that hits the disk quota calls
+// back into ReclaimConsumed.
 func (l *Log) flush(iv int, top bool) error {
 	l.mu.Lock()
 	pages := l.full[iv]
+	l.full[iv] = nil
+	l.buffered -= int64(len(pages) * l.pageSize)
 	if t := &l.top[iv]; top && t.page != nil {
 		pages = append(pages, t.page[:t.fill])
 		t.page = nil
 	}
+	l.mu.Unlock()
 	if len(pages) == 0 {
-		l.mu.Unlock()
 		return nil
 	}
-	l.buffered -= int64(len(l.full[iv]) * l.pageSize)
-	buf := l.takeStage(len(pages) * l.pageSize)
+	buf := l.bufs.takeStage(len(pages) * l.pageSize)
+	defer l.bufs.putStage(buf, readBatch*l.pageSize)
 	for i, page := range pages {
 		sealPage(buf[i*l.pageSize:(i+1)*l.pageSize], page)
 	}
-	l.free = append(l.free, pages...)
-	l.full[iv] = pages[:0]
-	l.mu.Unlock()
-
+	l.bufs.putPages(pages...)
 	f, err := l.file(iv)
-	if err == nil {
-		err = f.AppendPages(buf)
+	if err != nil {
+		return err
 	}
-	l.putStage(buf)
-	return err
-}
-
-// takeStage takes the staging buffer, n bytes long, out of the Log (under mu);
-// putStage gives it back. Two flushes can overlap — Append is goroutine-safe —
-// and then the second allocates its own.
-func (l *Log) takeStage(n int) []byte {
-	buf := l.stage
-	l.stage = nil
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	return buf[:n]
-}
-
-func (l *Log) putStage(buf []byte) {
-	l.mu.Lock()
-	if cap(buf) > cap(l.stage) {
-		l.stage = buf
-	}
-	l.mu.Unlock()
+	return f.AppendPages(buf)
 }
 
 // file returns interval iv's log file, creating it on first use — under mu,
@@ -382,10 +369,8 @@ func (l *Log) readPages(interval int, visit func(recs []byte)) error {
 		return nil
 	}
 	ps, total := l.pageSize, f.DataPages()
-	l.mu.Lock()
-	buf := l.takeStage(min(readBatch, total) * ps)
-	l.mu.Unlock()
-	defer l.putStage(buf)
+	buf := l.bufs.takeStage(min(readBatch, total) * ps)
+	defer l.bufs.putStage(buf, readBatch*ps)
 	for start := 0; remaining > 0; {
 		n := min(readBatch, total-start)
 		if n <= 0 {
@@ -444,20 +429,74 @@ func appendRecords(recs []Record, enc []byte) []Record {
 	return recs
 }
 
-// maxFreeRecs bounds the record buffers a Log keeps: a sort batch holds two
-// at a time, its records and the sort's scratch.
+// buffers recycles what a record crosses on its way through a Log: written-
+// out pages become top pages again, one staging buffer carries pages to and
+// from the device, and the record buffers of closed sort batches wait for the
+// next one. The two generations of a run share one (NewGeneration). mu is a
+// leaf: it is taken under Log.mu, never the other way round.
+type buffers struct {
+	mu    sync.Mutex
+	pages [][]byte   // log pages whose content reached the device
+	stage []byte     // while neither flush nor Read holds it; at most readBatch pages
+	recs  [][]Record // at most maxFreeRecs
+}
+
+// maxFreeRecs bounds the record buffers kept: a sort batch holds two at a
+// time, its records and the sort's scratch.
 const maxFreeRecs = 2
+
+// page returns a log page of size bytes, recycled if there is one.
+func (b *buffers) page(size int) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.pages); n > 0 {
+		page := b.pages[n-1][:size]
+		b.pages = b.pages[:n-1]
+		return page
+	}
+	return make([]byte, size)
+}
+
+func (b *buffers) putPages(pages ...[]byte) {
+	b.mu.Lock()
+	b.pages = append(b.pages, pages...)
+	b.mu.Unlock()
+}
+
+// takeStage takes the staging buffer, n bytes long, out of b; putStage gives
+// it back, unless it is longer than keep — an outsized flush allocates its
+// own. Two flushes can overlap — Append is goroutine-safe — and then the
+// second allocates too.
+func (b *buffers) takeStage(n int) []byte {
+	b.mu.Lock()
+	buf := b.stage
+	b.stage = nil
+	b.mu.Unlock()
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
+}
+
+func (b *buffers) putStage(buf []byte, keep int) {
+	b.mu.Lock()
+	if cap(buf) <= keep && cap(buf) > cap(b.stage) {
+		b.stage = buf
+	}
+	b.mu.Unlock()
+}
 
 // GetRecs returns an empty record buffer with room for n records: one that
 // PutRecs returned if it is large enough, a new one otherwise. The buffer is
 // the caller's alone until PutRecs.
 func (l *Log) GetRecs(n int) []Record {
-	l.mu.Lock()
+	b := l.bufs
+	b.mu.Lock()
 	var buf []Record
-	if k := len(l.recs); k > 0 {
-		buf, l.recs = l.recs[k-1], l.recs[:k-1]
+	if k := len(b.recs); k > 0 {
+		buf, b.recs = b.recs[k-1], b.recs[:k-1]
 	}
-	l.mu.Unlock()
+	b.mu.Unlock()
 	if cap(buf) < n {
 		buf = make([]Record, 0, n)
 	}
@@ -467,11 +506,12 @@ func (l *Log) GetRecs(n int) []Record {
 // PutRecs hands a buffer from GetRecs — possibly regrown since — back for
 // reuse; the caller must not touch it afterwards.
 func (l *Log) PutRecs(buf []Record) {
-	l.mu.Lock()
-	if len(l.recs) < maxFreeRecs && cap(buf) > 0 {
-		l.recs = append(l.recs, buf)
+	b := l.bufs
+	b.mu.Lock()
+	if len(b.recs) < maxFreeRecs && cap(buf) > 0 {
+		b.recs = append(b.recs, buf)
 	}
-	l.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // FilePages returns interval iv's device-resident log file and its data
@@ -520,26 +560,9 @@ func (l *Log) ReclaimConsumed() error {
 	return l.reset(func(iv int) bool { return l.consumed[iv] })
 }
 
-// AdoptPages moves the recycled pages of from, a generation that from now on
-// is only read, to l, the generation written next — so the two Logs of a run
-// hold one generation's worth of page buffers between them, not one each.
-func (l *Log) AdoptPages(from *Log) {
-	from.mu.Lock()
-	pages := from.free
-	from.free = nil
-	from.mu.Unlock()
-	l.mu.Lock()
-	l.free = append(l.free, pages...)
-	l.mu.Unlock()
-}
-
 // ResetAll truncates every interval log and zeroes the counters, readying
-// the generation for reuse. The generation is written next, not read: its
-// pages stay, its record buffers go.
+// the generation for reuse.
 func (l *Log) ResetAll() error {
-	l.mu.Lock()
-	l.recs = nil
-	l.mu.Unlock()
 	return l.reset(func(int) bool { return true })
 }
 
@@ -554,11 +577,11 @@ func (l *Log) reset(pick func(iv int) bool) error {
 			continue
 		}
 		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
-		l.free = append(l.free, l.full[iv]...)
-		if l.top[iv].page != nil {
-			l.free = append(l.free, l.top[iv].page)
+		l.bufs.putPages(l.full[iv]...)
+		if page := l.top[iv].page; page != nil {
+			l.bufs.putPages(page)
 		}
-		l.top[iv].page, l.full[iv], l.count[iv], l.consumed[iv] = nil, l.full[iv][:0], 0, false
+		l.top[iv].page, l.full[iv], l.count[iv], l.consumed[iv] = nil, nil, 0, false
 		if f := l.files[iv]; f != nil {
 			files = append(files, f)
 		}

@@ -457,6 +457,53 @@ func TestRecsBuffersNeverShared(t *testing.T) {
 	}
 }
 
+// TestGenerationsShareBuffers: the pages one generation wrote out are the
+// pages the other writes into next — the pair allocates one generation's
+// worth — while their records and files stay apart; and the staging buffer an
+// outsized flush needed is not kept.
+func TestGenerationsShareBuffers(t *testing.T) {
+	const intervals = 2
+	cur, dev := testLog(t, intervals, 1<<20)
+	next := cur.NewGeneration("log.next")
+	if next.Budget() != cur.Budget() || next.NumIntervals() != intervals || next.Device() != dev {
+		t.Fatalf("NewGeneration: budget %d, %d intervals", next.Budget(), next.NumIntervals())
+	}
+	ivs, recs := testStream(10*(readBatch+6), intervals, 3) // a flush of > readBatch pages
+	if err := cur.AppendRecs(ivs, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pages := len(cur.bufs.pages)
+	if pages < readBatch+6 {
+		t.Fatalf("%d pages recycled after the flush, want every page written", pages)
+	}
+	if keep := readBatch * dev.PageSize(); cap(cur.bufs.stage) > keep {
+		t.Fatalf("staging buffer of %d bytes kept, the bound is %d", cap(cur.bufs.stage), keep)
+	}
+	if err := next.AppendRecs(ivs, recs[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(next.bufs.pages); got >= pages {
+		t.Fatalf("the next generation took none of the %d recycled pages (%d left)", pages, got)
+	}
+	if cur.Total() != uint64(len(recs)) || next.Total() != 100 {
+		t.Fatalf("totals %d and %d, want %d and 100", cur.Total(), next.Total(), len(recs))
+	}
+	var got []Record
+	for iv := 0; iv < intervals; iv++ {
+		var err error
+		if got, err = cur.ReadRecs(iv, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.SortFunc(got, func(a, b Record) int { return int(a.Src) - int(b.Src) })
+	if !slices.Equal(got, recs) {
+		t.Fatal("the first generation's records changed under the second's appends")
+	}
+}
+
 // BenchmarkLogAppend: the cost of logging one record, sent one Append at a
 // time and in bulk, evictions and device writes included (64 intervals,
 // 16 KiB pages, a budget of 64 pages).

@@ -15,24 +15,18 @@ import (
 // panic value is preserved in the wrapping message.
 var ErrPanic = errors.New("superstep: panic during run")
 
-// minChunk is the fewest items ForEach gives a chunk when it has the choice:
-// starting a goroutine and waking a processor for it costs about what
-// processing this many vertices does.
-const minChunk = 64
-
-// ForEach splits [0, n) into at most workers contiguous chunks of at least
-// minChunk items (one chunk when n is smaller) and runs fn(w, lo, hi) for
-// each, the first on the calling goroutine and the others on goroutines of
-// their own, returning after all of them finish. w < workers is the chunk's
-// index, ascending with lo, so results buffered per w and read back in w
-// order are in index order whatever the schedule. The first failure wins — an
-// error fn returns or a panic it raises, the latter classified as ErrPanic —
-// and the other chunks still run to completion.
+// ForEach splits [0, n) into at most workers contiguous chunks and runs
+// fn(w, lo, hi) for each — the first on the calling goroutine, the others on
+// goroutines of their own — returning after all of them finish. w < workers
+// is the chunk's index, ascending with lo, so results buffered per w and read
+// back in w order are in index order whatever the schedule. The first failure
+// wins — an error fn returns or a panic it raises, the latter classified as
+// ErrPanic — and the other chunks still run to completion.
 func ForEach(workers, n int, fn func(w, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = max(1, min(workers, n/minChunk))
+	workers = max(1, min(workers, n))
 	var (
 		wg    sync.WaitGroup
 		once  sync.Once
@@ -92,7 +86,9 @@ func (b *SendBuffer) Send(w int, src, dst, data uint32) {
 // so in sender order, and empties the buffer, returning how many were
 // delivered. It stops at the first bucket deliver rejects or the first send
 // whose destination is not a vertex (ErrBadSend), having delivered the sends
-// before it. deliver must not keep the slice.
+// before it. A bucket deliver rejects counts for nothing, however much of it
+// deliver consumed first, so beside an error the count is a lower bound.
+// deliver must not keep the slice.
 func (b *SendBuffer) Drain(deliver func([]extsort.Record) error) (uint64, error) {
 	var n uint64
 	for w, bucket := range b.buckets {

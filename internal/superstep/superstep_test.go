@@ -19,8 +19,8 @@ import (
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	const n = 5*minChunk + 37
-	for _, workers := range []int{1, 3, 5, 6, n} {
+	const n = 37
+	for _, workers := range []int{1, n - 1, n, n + 3} {
 		hits := make([]atomic.Int32, n)
 		var chunks atomic.Int32
 		err := ForEach(workers, n, func(w, lo, hi int) error {
@@ -41,8 +41,8 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
 		}
-		if c := int(chunks.Load()); c != min(workers, n/minChunk) {
-			t.Fatalf("workers=%d: %d chunks, want %d", workers, c, min(workers, n/minChunk))
+		if c := int(chunks.Load()); c > workers || c > n {
+			t.Fatalf("workers=%d: %d chunks", workers, c)
 		}
 	}
 	if err := ForEach(4, 0, func(int, int, int) error { t.Error("fn called for n = 0"); return nil }); err != nil {
@@ -53,7 +53,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 // Chunk indices ascend with the index range, so per-chunk buffers read
 // back in chunk order are in index order.
 func TestForEachChunkOrder(t *testing.T) {
-	const n, workers = 10 * minChunk, 7
+	const n, workers = 100, 7
 	los := make([]int, workers)
 	for i := range los {
 		los[i] = -1
@@ -73,7 +73,7 @@ func TestForEachChunkOrder(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := ForEach(4, 4*minChunk, func(w, lo, hi int) error {
+	err := ForEach(4, 4, func(w, lo, hi int) error {
 		ran.Add(1)
 		if w == 2 {
 			return boom
@@ -92,7 +92,7 @@ func TestForEachPanicBecomesError(t *testing.T) {
 	var ran atomic.Int32
 	for _, bad := range []int{0, 1} { // the caller's own chunk, and a spawned one
 		ran.Store(0)
-		err := ForEach(4, 4*minChunk, func(w, lo, hi int) error {
+		err := ForEach(4, 8, func(w, lo, hi int) error {
 			ran.Add(1)
 			if w == bad {
 				panic("injected")
@@ -115,11 +115,11 @@ func goid() string {
 }
 
 // Chunk 0 runs on the calling goroutine, so a pass that has a single chunk —
-// one worker, or too few items to share out — starts no goroutine at all.
+// one worker, or one item — starts no goroutine at all.
 func TestForEachFirstChunkOnCaller(t *testing.T) {
 	caller := goid()
 	for _, tc := range []struct{ workers, n, chunks int }{
-		{1, 10 * minChunk, 1}, {8, 2*minChunk - 1, 1}, {8, 1, 1}, {3, 3 * minChunk, 3},
+		{1, 100, 1}, {8, 1, 1}, {3, 3, 3}, {4, 100, 4},
 	} {
 		var chunks, onCaller atomic.Int32
 		if err := ForEach(tc.workers, tc.n, func(w, lo, hi int) error {
