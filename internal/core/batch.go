@@ -15,28 +15,70 @@ import (
 )
 
 // batch is one sorted chunk of a fused-interval batch on its way through
-// the vertex stage; each step below fills in what the next ones read.
+// the vertex stage; each step below fills in what the next ones read — all
+// of it in the run's vertexPlane.
 type batch struct {
 	*run
 	sg *sortgroup.Batch
 	ss *metrics.SuperstepStats
-
-	verts      []uint32              // active set, ascending
-	vb         *csr.ValueBatch       // their value pages
-	adj        map[uint32]*adjEntry  // their out-edges
-	auxBatches map[int]*csr.AuxBatch // aux pages by interval (AuxUser programs)
-	inSources  map[uint32][]uint32   // in-edge sources (AuxUser programs)
 }
 
-// adjEntry is one active vertex's adjacency, plus where it came from.
-type adjEntry struct {
-	nbrs      []uint32
-	weights   []uint32 // nil for unweighted graphs
-	fromElog  bool
-	pageIneff bool // any covering CSR page measured inefficient now
-	interval  int32
-	firstPage int32
-	lastPage  int32
+// vertexPlane is the vertex data of the batch in progress — values, out-edges,
+// in-edge sources, aux state and the per-vertex flags between them — in flat
+// buffers indexed by position in the batch's active set. The run owns it and
+// reuses it from batch to batch, as it does the message plane's mlog buffers:
+// each buffer is sized from what a batch needs and never doubled, so the plane
+// holds little more than the largest batch's vertex data (bytes a batch always
+// had to hold while it ran) and a steady-state batch allocates nothing per
+// vertex. A batch that leaves more than run.planeKeep bytes behind takes them
+// with it, and the plane dies with the run.
+type vertexPlane struct {
+	verts []uint32       // the active set, ascending
+	vb    csr.ValueBatch // value pages
+	adj   csr.Arena      // out-edges
+	inAdj csr.Arena      // in-edge sources (AuxUser programs)
+	// auxBatches[iv-sg.FirstIv] is interval iv's aux pages (AuxUser
+	// programs); nil for an interval with no active vertex.
+	auxBatches []*csr.AuxBatch
+
+	fromElog  []bool // adjacency served by the edge log
+	pageIneff []bool // any covering CSR page measured inefficient now
+	halted    []bool
+	ranges    [][2]int // each vertex's messages inside the batch's records
+
+	// The active set split by adjacency source, each vertex with its position.
+	logVerts, csrVerts []uint32
+	logPos, csrPos     []int32
+	iota               []int32 // iota[i] == i
+}
+
+// positions returns the position list of a whole active set of n vertices.
+func (p *vertexPlane) positions(n int) []int32 {
+	if len(p.iota) < n {
+		grown := make([]int32, n)
+		for i := range grown {
+			grown[i] = int32(i)
+		}
+		p.iota = grown
+	}
+	return p.iota[:n]
+}
+
+// bytes returns the memory the plane holds on to between batches.
+func (p *vertexPlane) bytes() int {
+	return p.vb.Bytes() + p.adj.Bytes() + p.inAdj.Bytes() + 8*cap(p.auxBatches) +
+		cap(p.fromElog) + cap(p.pageIneff) + cap(p.halted) + 16*cap(p.ranges) +
+		4*(cap(p.verts)+cap(p.logVerts)+cap(p.csrVerts)+cap(p.logPos)+cap(p.csrPos)+cap(p.iota))
+}
+
+// cleared returns buf with length n and every element zero.
+func cleared[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // processBatch runs the vertex stage over the batch's current chunk.
@@ -52,12 +94,18 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 	if !b.activeSet() {
 		return nil
 	}
-	for _, step := range []func() error{
+	for _, step := range [...]func() error{
 		b.loadValues, b.loadAdjacency, b.loadAux, b.processVertices, b.relog, b.flush,
 	} {
 		if err := step(); err != nil {
 			return err
 		}
+	}
+	// A batch far larger than the budget sizes batches for — superstep 0 of
+	// an all-active program fuses every interval, having no messages to bound
+	// it — must not leave its buffers with the run.
+	if r.bytes() > r.planeKeep {
+		r.vertexPlane = vertexPlane{}
 	}
 	return nil
 }
@@ -65,7 +113,7 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 // activeSet collects message destinations ∪ carried-live vertices in range
 // and reports whether there is anything to process.
 func (b *batch) activeSet() bool {
-	b.verts = superstep.ActiveSet(b.sg.Recs, b.carry, b.sg.Lo, b.sg.Hi)
+	b.verts = superstep.ActiveSet(b.verts, b.sg.Recs, b.carry, b.sg.Lo, b.sg.Hi)
 	b.ss.Active += uint64(len(b.verts))
 	b.ss.MsgsDelivered += uint64(len(b.sg.Recs))
 	if b.pred != nil {
@@ -77,10 +125,10 @@ func (b *batch) activeSet() bool {
 }
 
 // loadValues loads exactly the value pages covering the active set.
-func (b *batch) loadValues() (err error) {
+func (b *batch) loadValues() error {
 	span := b.cfg.Trace.Begin("engine", "load-values")
 	span.Arg("verts", int64(len(b.verts)))
-	if b.vb, _, err = b.values.LoadForVerts(b.verts); err != nil {
+	if _, err := b.values.LoadBatch(&b.vb, b.verts); err != nil {
 		return err
 	}
 	span.End()
@@ -88,83 +136,77 @@ func (b *batch) loadValues() (err error) {
 }
 
 // byInterval calls fn once per vertex interval with the run of verts
-// (ascending) it owns, in interval order.
-func (b *batch) byInterval(verts []uint32, fn func(iv int, verts []uint32) error) error {
+// (ascending) it owns and their positions, in interval order.
+func (b *batch) byInterval(verts []uint32, pos []int32, fn func(iv int, verts []uint32, pos []int32) error) error {
 	ivs := b.g.Intervals()
 	for len(verts) > 0 {
 		iv := b.g.IntervalOf(verts[0])
 		n := sort.Search(len(verts), func(i int) bool { return verts[i] >= ivs[iv].Hi })
-		if err := fn(iv, verts[:n]); err != nil {
+		if err := fn(iv, verts[:n], pos[:n]); err != nil {
 			return err
 		}
-		verts = verts[n:]
+		verts, pos = verts[n:], pos[n:]
 	}
 	return nil
 }
 
-func cloneAdj(nbrs, weights []uint32) *adjEntry {
-	a := &adjEntry{nbrs: append(make([]uint32, 0, len(nbrs)), nbrs...)}
-	if weights != nil {
-		a.weights = append(make([]uint32, 0, len(weights)), weights...)
-	}
-	return a
-}
-
-// loadAdjacency fetches each active vertex's out-edges from the edge log
-// when it holds them and from CSR pages otherwise.
+// loadAdjacency fetches each active vertex's out-edges into the arena, from
+// the edge log when it holds them and from CSR pages otherwise.
 func (b *batch) loadAdjacency() error {
 	span := b.cfg.Trace.Begin("engine", "load-adjacency")
-	b.adj = make(map[uint32]*adjEntry, len(b.verts))
-	var fromLog []uint32
-	fromCSR := make([]uint32, 0, len(b.verts))
-	for _, v := range b.verts {
-		if b.elog != nil && b.elog.Has(v) {
-			fromLog = append(fromLog, v)
-		} else {
-			fromCSR = append(fromCSR, v)
+	n := len(b.verts)
+	b.adj.Reset(n, b.g.HasWeights())
+	b.fromElog, b.pageIneff = cleared(b.fromElog, n), cleared(b.pageIneff, n)
+	b.logVerts, b.logPos = b.logVerts[:0], b.logPos[:0]
+	fromCSR, csrPos := b.verts, b.positions(n)
+	if b.elog != nil {
+		fromCSR, csrPos = b.csrVerts[:0], b.csrPos[:0]
+		for i, v := range b.verts {
+			if b.elog.Has(v) {
+				b.logVerts, b.logPos = append(b.logVerts, v), append(b.logPos, int32(i))
+			} else {
+				fromCSR, csrPos = append(fromCSR, v), append(csrPos, int32(i))
+			}
 		}
+		b.csrVerts, b.csrPos = fromCSR, csrPos
 	}
-	if len(fromLog) > 0 {
-		pages, err := b.elog.Load(fromLog, func(v uint32, nbrs, weights []uint32) {
-			a := cloneAdj(nbrs, weights)
-			a.fromElog = true
-			b.adj[v] = a
-		})
+	if len(b.logVerts) > 0 {
+		pages, err := b.elog.Fill(b.logVerts, b.logPos, &b.adj)
 		switch {
 		case errors.Is(err, ssd.ErrCorruptPage):
 			// Self-healing: the edge log is a redundant adjacency cache, so
 			// a corrupt page costs the whole current generation — never
-			// correctness. Load batches all its page reads before the first
-			// visit, so no partial adjacency was delivered; reroute every
-			// log-resident vertex to canonical CSR loading below.
+			// correctness. Fill batches all its page reads before it decodes
+			// the first list, so no partial adjacency was delivered; reroute
+			// every log-resident vertex to canonical CSR loading below.
 			if err := b.elog.InvalidateCurrent(); err != nil {
 				return err
 			}
 			b.ss.ElogHealed++
-			fromCSR = b.verts
+			b.logVerts = b.logVerts[:0]
+			fromCSR, csrPos = b.verts, b.positions(n)
 		case err != nil:
 			return err
 		default:
 			b.ss.EdgeLogPagesRead += uint64(pages)
+			for _, p := range b.logPos {
+				b.fromElog[p] = true
+			}
 		}
 	}
-	if err := b.byInterval(fromCSR, b.loadCSR); err != nil {
+	if err := b.byInterval(fromCSR, csrPos, b.loadCSR); err != nil {
 		return err
 	}
-	span.Arg("from_elog", int64(len(fromLog)))
-	span.Arg("from_csr", int64(len(b.verts)-len(fromLog)))
+	span.Arg("from_elog", int64(len(b.logVerts)))
+	span.Arg("from_csr", int64(n-len(b.logVerts)))
 	span.End()
 	return nil
 }
 
 // loadCSR fetches the out-edges of verts (all in interval iv) from CSR
 // pages and feeds the pages' utilization to the edge-log predictor.
-func (b *batch) loadCSR(iv int, verts []uint32) error {
-	stats, err := b.g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, first, last int32) {
-		a := cloneAdj(nbrs, weights)
-		a.interval, a.firstPage, a.lastPage = int32(iv), first, last
-		b.adj[v] = a
-	})
+func (b *batch) loadCSR(iv int, verts []uint32, pos []int32) error {
+	stats, err := b.g.FillOutEdges(iv, verts, pos, &b.adj)
 	if err != nil {
 		return err
 	}
@@ -175,11 +217,11 @@ func (b *batch) loadCSR(iv int, verts []uint32) error {
 	b.pred.NotePageUtils(stats.PageUtils)
 	// Mark vertices whose pages measured inefficient this superstep; the
 	// edge-log decision (relog) reads this.
-	for _, v := range verts {
-		a := b.adj[v]
-		for p := a.firstPage; p <= a.lastPage; p++ {
-			if b.pred.PageIneffNow(csr.PageKey{Side: 0, Interval: a.interval, Page: p}) {
-				a.pageIneff = true
+	for _, p := range pos {
+		first, last := b.adj.PageRange(int(p))
+		for page := first; page <= last; page++ {
+			if b.pred.PageIneffNow(csr.PageKey{Side: 0, Interval: int32(iv), Page: page}) {
+				b.pageIneff[p] = true
 				break
 			}
 		}
@@ -194,17 +236,15 @@ func (b *batch) loadAux() error {
 		return nil
 	}
 	span := b.cfg.Trace.Begin("engine", "load-aux")
-	b.auxBatches = make(map[int]*csr.AuxBatch)
-	b.inSources = make(map[uint32][]uint32)
-	err := b.byInterval(b.verts, func(iv int, verts []uint32) error {
+	b.inAdj.Reset(len(b.verts), false)
+	b.auxBatches = cleared(b.auxBatches, b.sg.LastIv-b.sg.FirstIv+1)
+	err := b.byInterval(b.verts, b.positions(len(b.verts)), func(iv int, verts []uint32, pos []int32) error {
 		ab, _, err := b.aux.LoadBatch(iv, verts)
 		if err != nil {
 			return err
 		}
-		b.auxBatches[iv] = ab
-		_, err = b.g.LoadInEdges(iv, verts, func(v uint32, srcs []uint32) {
-			b.inSources[v] = append(make([]uint32, 0, len(srcs)), srcs...)
-		})
+		b.auxBatches[iv-b.sg.FirstIv] = ab
+		_, err = b.g.FillInEdges(iv, verts, pos, &b.inAdj)
 		return err
 	})
 	span.End()
@@ -217,10 +257,12 @@ func (b *batch) loadAux() error {
 // logs, so buffered sends stay bounded and the schedule decides no device IO.
 func (b *batch) processVertices() error {
 	recs := b.sg.Recs
-	ranges := superstep.MsgRanges(b.verts, recs)
+	b.ranges = superstep.MsgRanges(b.ranges, b.verts, recs)
+	ranges := b.ranges
 	span := b.cfg.Trace.Begin("engine", "process-vertices")
 	span.Arg("verts", int64(len(b.verts)))
-	halted := make([]bool, len(b.verts))
+	b.halted = cleared(b.halted, len(b.verts))
+	halted := b.halted
 	for start, end := 0, 0; start < len(b.verts); start = end {
 		end = b.waveEnd(start)
 		if err := superstep.ForEach(b.cfg.Workers, end-start, func(w, lo, hi int) error {
@@ -237,8 +279,7 @@ func (b *batch) processVertices() error {
 					msgs[0].Data = acc
 					msgs = msgs[:1]
 				}
-				ctx.vertex = b.verts[i]
-				ctx.haltedFlag = &halted[i]
+				ctx.pos, ctx.vertex = i, b.verts[i]
 				b.prog.Process(ctx, msgs)
 			}
 			return nil
@@ -252,9 +293,9 @@ func (b *batch) processVertices() error {
 	for w := range b.ctxs {
 		ctx := &b.ctxs[w]
 		b.muts = append(b.muts, ctx.muts...)
-		// Let go of the batch: a ctx outlives it, and would keep its records,
-		// adjacency and value pages reachable while the next batch loads.
-		ctx.b, ctx.haltedFlag, ctx.muts = nil, nil, ctx.muts[:0]
+		// Let go of the batch: a ctx outlives it, and would keep its records
+		// reachable while the next batch loads.
+		ctx.b, ctx.muts = nil, ctx.muts[:0]
 	}
 	span.End()
 
@@ -272,14 +313,13 @@ func (b *batch) processVertices() error {
 func (b *batch) waveEnd(start int) int {
 	end := start
 	for sends := 0; end < len(b.verts) && sends < b.waveSends; end++ {
-		if a := b.adj[b.verts[end]]; a != nil {
-			sends += len(a.nbrs)
-		}
+		sends += b.adj.Degree(end)
 	}
 	return end
 }
 
 // drainSends appends the wave's buffered sends to the logs in sender order.
+// MsgsSent counts the records that reached a log, on the error path too.
 func (b *batch) drainSends() error {
 	sent, err := b.sends.Drain(b.logSends)
 	b.ss.MsgsSent += sent
@@ -290,14 +330,18 @@ func (b *batch) drainSends() error {
 // to its destination interval's log of the next generation, or — in the
 // asynchronous model — of the current one when that interval is still to be
 // processed this superstep (a forward send). Consecutive sends bound for the
-// same generation go to it as one run.
-func (b *batch) logSends(recs []extsort.Record) error {
+// same generation go to it as one run. It returns how many records were
+// logged, which falls short of len(recs) only beside an error.
+func (b *batch) logSends(recs []extsort.Record) (int, error) {
 	ivs := b.sendIvs[:0]
 	for _, rec := range recs {
 		ivs = append(ivs, int32(b.g.IntervalOf(rec.Dst)))
 	}
 	b.sendIvs = ivs
-	forward := func(i int) bool { return b.cfg.Async && int(ivs[i]) > b.sg.LastIv }
+	if !b.cfg.Async {
+		return b.nextLog.AppendRecs(ivs, recs)
+	}
+	forward := func(i int) bool { return int(ivs[i]) > b.sg.LastIv }
 	for start, end := 0, 0; start < len(recs); start = end {
 		log, fwd := b.nextLog, forward(start)
 		if fwd {
@@ -305,11 +349,11 @@ func (b *batch) logSends(recs []extsort.Record) error {
 		}
 		for end = start + 1; end < len(recs) && forward(end) == fwd; end++ {
 		}
-		if err := log.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
-			return err
+		if n, err := log.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
+			return start + n, err
 		}
 	}
-	return nil
+	return len(recs), nil
 }
 
 // relog makes the edge-log decisions (single-threaded; the log writer is
@@ -322,9 +366,8 @@ func (b *batch) relog() error {
 	span := b.cfg.Trace.Begin("engine", "edgelog-relog")
 	prevS, prevIv := b.io.SetStage(obsv.StageRelog, b.sg.FirstIv)
 	defer b.io.SetStage(prevS, prevIv)
-	for _, v := range b.verts {
-		a := b.adj[v]
-		if a == nil || a.fromElog || len(a.nbrs) == 0 || !a.pageIneff {
+	for i, v := range b.verts {
+		if b.fromElog[i] || !b.pageIneff[i] || b.adj.Degree(i) == 0 {
 			continue
 		}
 		if !b.pred.PredictActive(v) {
@@ -333,7 +376,7 @@ func (b *batch) relog() error {
 		if b.elog.LoggedBytes() >= b.elogBudget {
 			break
 		}
-		if err := b.elog.LogEdges(v, a.nbrs, a.weights); err != nil {
+		if err := b.elog.LogEdges(v, b.adj.Edges(i), b.adj.Weights(i)); err != nil {
 			return err
 		}
 		b.ss.EdgeLogPagesWrite++ // approximate: accounted precisely at flush
@@ -349,9 +392,14 @@ func (b *batch) flush() error {
 	if _, err := b.vb.Flush(); err != nil {
 		return err
 	}
-	for _, ab := range b.auxBatches {
-		if _, err := ab.Flush(); err != nil {
-			return err
+	if b.aux != nil {
+		for _, ab := range b.auxBatches {
+			if ab == nil {
+				continue
+			}
+			if _, err := ab.Flush(); err != nil {
+				return err
+			}
 		}
 	}
 	span.End()
@@ -364,10 +412,10 @@ type engineCtx struct {
 	b *batch
 	w int // worker index: its bucket of b.sends
 
-	vertex     uint32
-	haltedFlag *bool
-	muts       []vc.Mutation
-	msgBuf     []vc.Msg // the processed vertex's messages
+	pos    int // the processed vertex's position in b.verts
+	vertex uint32
+	muts   []vc.Mutation
+	msgBuf []vc.Msg // the processed vertex's messages
 }
 
 func (c *engineCtx) Superstep() int      { return c.b.step }
@@ -375,7 +423,7 @@ func (c *engineCtx) NumVertices() uint32 { return c.b.g.NumVertices() }
 func (c *engineCtx) Vertex() uint32      { return c.vertex }
 func (c *engineCtx) Value() uint32       { return c.b.vb.Get(c.vertex) }
 func (c *engineCtx) SetValue(v uint32)   { c.b.vb.Set(c.vertex, v) }
-func (c *engineCtx) VoteToHalt()         { *c.haltedFlag = true }
+func (c *engineCtx) VoteToHalt()         { c.b.halted[c.pos] = true }
 
 // ValueLane and SetValueLane implement vc.LaneContext: lane-batched
 // programs address the lane-strided value slots of the processed vertex.
@@ -385,23 +433,17 @@ func (c *engineCtx) ValueLane(lane int) uint32 { return c.b.vb.GetLane(c.vertex,
 
 func (c *engineCtx) SetValueLane(lane int, v uint32) { c.b.vb.SetLane(c.vertex, lane, v) }
 
-func (c *engineCtx) OutEdges() []uint32 {
-	if a := c.b.adj[c.vertex]; a != nil {
-		return a.nbrs
-	}
-	return nil
-}
-
-func (c *engineCtx) OutWeights() []uint32 {
-	if a := c.b.adj[c.vertex]; a != nil {
-		return a.weights
-	}
-	return nil
-}
+func (c *engineCtx) OutEdges() []uint32   { return c.b.adj.Edges(c.pos) }
+func (c *engineCtx) OutWeights() []uint32 { return c.b.adj.Weights(c.pos) }
 
 func (c *engineCtx) Send(dst, data uint32) { c.b.sends.Send(c.w, c.vertex, dst, data) }
 
-func (c *engineCtx) InEdgeSources() []uint32 { return c.b.inSources[c.vertex] }
+func (c *engineCtx) InEdgeSources() []uint32 {
+	if c.b.aux == nil {
+		return nil
+	}
+	return c.b.inAdj.Edges(c.pos)
+}
 
 // AddEdge implements vc.Mutator: the edge appears next superstep.
 func (c *engineCtx) AddEdge(src, dst, weight uint32) {
@@ -414,8 +456,8 @@ func (c *engineCtx) RemoveEdge(src, dst uint32) {
 }
 
 func (c *engineCtx) Aux() []uint32 {
-	if ab := c.b.auxBatches[c.b.g.IntervalOf(c.vertex)]; ab != nil {
-		return ab.Get(c.vertex)
+	if c.b.aux == nil {
+		return nil
 	}
-	return nil
+	return c.b.auxBatches[c.b.g.IntervalOf(c.vertex)-c.b.sg.FirstIv].Get(c.vertex)
 }

@@ -65,11 +65,15 @@ func (r *run) restore(rst *ckpt.State) error {
 		return fmt.Errorf("core: checkpoint has %d message-log intervals, graph has %d",
 			len(rst.Msgs), r.curLog.NumIntervals())
 	}
-	for iv, recs := range rst.Msgs {
-		for _, m := range recs {
-			if err := r.curLog.Append(iv, m.Dst, m.Src, m.Data); err != nil {
-				return err
-			}
+	var ivs []int32
+	var recs []mlog.Record
+	for iv, msgs := range rst.Msgs {
+		ivs, recs = ivs[:0], recs[:0]
+		for _, m := range msgs {
+			ivs, recs = append(ivs, int32(iv)), append(recs, mlog.Record(m))
+		}
+		if _, err := r.curLog.AppendRecs(ivs, recs); err != nil {
+			return err
 		}
 	}
 	// The edge log is an adjacency cache: replay only when the optimizer
@@ -126,14 +130,16 @@ func (r *run) checkpoint(step int, ss *metrics.SuperstepStats) error {
 		return err
 	}
 	st.Msgs = make([][]ckpt.MsgRec, r.curLog.NumIntervals())
+	var recs []mlog.Record
 	for iv := range st.Msgs {
-		recs := make([]ckpt.MsgRec, 0, r.curLog.Count(iv))
-		if err := r.curLog.Read(iv, func(dst, src, data uint32) {
-			recs = append(recs, ckpt.MsgRec{Dst: dst, Src: src, Data: data})
-		}); err != nil {
+		if recs, err = r.curLog.ReadRecs(iv, recs[:0]); err != nil {
 			return err
 		}
-		st.Msgs[iv] = recs
+		msgs := make([]ckpt.MsgRec, len(recs))
+		for i, rec := range recs {
+			msgs[i] = ckpt.MsgRec(rec)
+		}
+		st.Msgs[iv] = msgs
 	}
 	if r.elog != nil {
 		if err := r.snapshotElog(st, ss); err != nil {

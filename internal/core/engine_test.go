@@ -13,7 +13,7 @@ import (
 )
 
 // buildGraph places edges on a fresh small-page device.
-func buildGraph(t *testing.T, edges []graphio.Edge, n uint32, ivBudget int64) *csr.Graph {
+func buildGraph(t testing.TB, edges []graphio.Edge, n uint32, ivBudget int64) *csr.Graph {
 	t.Helper()
 	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
 	g, err := csr.Build(dev, "g", edges, csr.BuildOptions{NumVertices: n, IntervalBudget: ivBudget})
@@ -53,7 +53,7 @@ func runBoth(t *testing.T, edges []graphio.Edge, n uint32, prog vc.Program, maxS
 	return got, want
 }
 
-func rmatEdges(t *testing.T, scale, ef int, seed int64) ([]graphio.Edge, uint32) {
+func rmatEdges(t testing.TB, scale, ef int, seed int64) ([]graphio.Edge, uint32) {
 	t.Helper()
 	edges, err := gen.RMAT(gen.DefaultRMAT(scale, ef, seed))
 	if err != nil {

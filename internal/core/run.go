@@ -49,6 +49,9 @@ type run struct {
 	step int           // superstep in progress
 	muts []vc.Mutation // structural mutations it has requested so far
 
+	vertexPlane     // the vertex data of the batch in progress
+	planeKeep   int // bytes of it that may outlive a batch
+
 	// The vertex stage's send path: workers fill sends, the run goroutine
 	// drains it into the logs every waveSends expected sends.
 	ctxs      []engineCtx // one per worker
@@ -190,6 +193,9 @@ func (r *run) open(resume bool) error {
 	r.sends = superstep.NewSendBuffer(cfg.Workers, n)
 	r.ctxs = make([]engineCtx, cfg.Workers)
 	r.waveSends = max(int(r.nextLog.Budget()/mlog.RecordBytes/waveBudgetShare), minWaveSends)
+	// The vertex plane may keep what a budget-sized batch's messages weigh, or
+	// the message plane's own buffers (floored at a page per interval) if more.
+	r.planeKeep = int(max(r.sortOpts.SortBudget, r.nextLog.Budget()))
 
 	// Space governance: register what this run can give back when a write
 	// hits the disk quota — consumed intervals of the previous-generation
@@ -207,6 +213,7 @@ func (r *run) open(resume bool) error {
 
 // close runs on every exit of the attempt, success or not.
 func (r *run) close() {
+	r.vertexPlane = vertexPlane{} // the batch buffers die with the attempt
 	// Drop the pin epochs covering in-flight batches, or the pinned frames
 	// would stay unevictable for the life of the cache.
 	if pf := r.cfg.Prefetcher; pf != nil {

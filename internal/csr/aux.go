@@ -3,7 +3,7 @@ package csr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"multilogvc/internal/ssd"
 )
@@ -99,116 +99,95 @@ func (a *Aux) RestoreAll(data [][]uint32) error {
 }
 
 // AuxBatch holds the aux slices of a set of active vertices in one
-// interval. Get returns a mutable slice (parallel to the vertex's in-CSR
-// source list); Flush writes dirty entries back with page-granular RMW.
+// interval, in one slab found by the vertex's place in the sorted set. Get
+// returns a mutable slice (parallel to the vertex's in-CSR source list);
+// Flush writes the entries back with page-granular RMW.
 type AuxBatch struct {
-	aux    *Aux
-	iv     int
-	ranges map[uint32][2]uint64 // vertex -> [start,end) entry offsets
-	data   map[uint32][]uint32  // vertex -> loaded slice
-	pages  map[int][]byte       // page index -> page image
-	order  []int                // sorted page indices
+	aux   *Aux
+	iv    int
+	verts []uint32 // ascending
+	rows  []uint64 // [start, end) entry offsets, two per vertex
+	vals  []uint32 // verts[i]'s slice is vals[off[i]:off[i+1]]
+	off   []uint32
+	order []int  // the loaded pages, ascending
+	buf   []byte // their images, in order
 }
 
-// LoadBatch fetches the aux slices of the given vertices (sorted, all in
-// interval iv). It reads the covering in-rowptr and aux pages as batches
-// and returns IO stats alongside the batch.
+// LoadBatch fetches the aux slices of the given vertices (strictly
+// ascending, all in interval iv). It reads the covering in-rowptr and aux
+// pages as batches and returns IO stats alongside the batch.
 func (a *Aux) LoadBatch(iv int, verts []uint32) (*AuxBatch, LoadStats, error) {
 	var stats LoadStats
-	b := &AuxBatch{
-		aux:    a,
-		iv:     iv,
-		ranges: make(map[uint32][2]uint64, len(verts)),
-		data:   make(map[uint32][]uint32, len(verts)),
-		pages:  make(map[int][]byte),
-	}
+	b := &AuxBatch{aux: a, iv: iv}
 	if len(verts) == 0 {
 		return b, stats, nil
 	}
-	interval := a.g.meta.Intervals[iv]
-	rows, rowPages, err := a.g.readRowEntries(a.g.inRow[iv], interval, verts)
+	var scratch Arena
+	rowPages, err := a.g.readRowEntries(&scratch, a.g.inRow[iv], a.g.meta.Intervals[iv], verts, a.g.inRow[iv].ReadPages)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.RowPtrPages = rowPages
+	b.verts, b.rows = slices.Clone(verts), scratch.rows
 
-	ps := a.g.dev.PageSize()
-	pageSet := make(map[int]bool)
-	for i, v := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		b.ranges[v] = [2]uint64{start, end}
-		if start == end {
-			continue
-		}
-		for p := int64(start) * 4 / int64(ps); p <= (int64(end)*4-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
+	// Rows ascend with the vertices, so the page list does too.
+	ps := int64(a.g.dev.PageSize())
+	b.off = make([]uint32, len(verts)+1)
+	for i := range verts {
+		start, end := int64(b.rows[2*i]), int64(b.rows[2*i+1])
+		b.off[i+1] = b.off[i] + uint32(end-start)
+		b.order = appendCover(b.order, start*4, end*4, ps)
 	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := a.files[iv].ReadPages(pages, buf); err != nil {
+	b.buf = make([]byte, len(b.order)*int(ps))
+	if err := a.files[iv].ReadPages(b.order, b.buf); err != nil {
 		return nil, stats, err
 	}
-	stats.ColIdxPages = len(pages)
-	for i, p := range pages {
-		b.pages[p] = buf[i*ps : (i+1)*ps]
-	}
-	b.order = pages
-
-	for i, v := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		vals := make([]uint32, end-start)
-		for j := range vals {
-			off := (int64(start) + int64(j)) * 4
-			page := b.pages[int(off/int64(ps))]
-			vals[j] = binary.LittleEndian.Uint32(page[off%int64(ps):])
-		}
-		b.data[v] = vals
-	}
+	stats.ColIdxPages = len(b.order)
+	b.vals = make([]uint32, b.off[len(verts)])
+	b.eachRun(func(vals []uint32, image []byte) { decodeU32(vals, image) })
 	return b, stats, nil
+}
+
+// eachRun pairs every run of entries that lies on one page with its place in
+// that page's image, walking vertices and pages forward together.
+func (b *AuxBatch) eachRun(fn func(vals []uint32, image []byte)) {
+	ps := b.aux.g.dev.PageSize()
+	k := 0
+	for i := range b.verts {
+		vals := b.vals[b.off[i]:b.off[i+1]]
+		for off := int64(b.rows[2*i]) * 4; len(vals) > 0; {
+			for b.order[k] < int(off/int64(ps)) {
+				k++
+			}
+			in := int(off % int64(ps))
+			n := min(len(vals), (ps-in)/4)
+			fn(vals[:n], b.buf[k*ps+in:k*ps+in+4*n])
+			vals, off = vals[n:], off+int64(4*n)
+		}
+	}
 }
 
 // Get returns the mutable aux slice for v (parallel to its in-CSR source
 // list), or nil if v was not in the batch.
-func (b *AuxBatch) Get(v uint32) []uint32 { return b.data[v] }
+func (b *AuxBatch) Get(v uint32) []uint32 {
+	i, ok := slices.BinarySearch(b.verts, v)
+	if !ok {
+		return nil
+	}
+	return b.vals[b.off[i]:b.off[i+1]:b.off[i+1]]
+}
 
 // Flush writes all batch slices back into the loaded page images and
-// writes those pages to the device. It returns the number of pages
-// written.
+// writes those pages to the device in contiguous runs. It returns the
+// number of pages written.
 func (b *AuxBatch) Flush() (int, error) {
-	if len(b.pages) == 0 {
+	if len(b.order) == 0 {
 		return 0, nil
 	}
-	ps := b.aux.g.dev.PageSize()
-	for v, vals := range b.data {
-		start := b.ranges[v][0]
+	b.eachRun(func(vals []uint32, image []byte) {
 		for j, val := range vals {
-			off := (int64(start) + int64(j)) * 4
-			page := b.pages[int(off/int64(ps))]
-			binary.LittleEndian.PutUint32(page[off%int64(ps):], val)
+			binary.LittleEndian.PutUint32(image[4*j:], val)
 		}
-	}
-	// Write back in contiguous runs to batch channel usage.
-	f := b.aux.files[b.iv]
-	written := 0
-	for i := 0; i < len(b.order); {
-		j := i
-		for j+1 < len(b.order) && b.order[j+1] == b.order[j]+1 {
-			j++
-		}
-		run := make([]byte, (j-i+1)*ps)
-		for k := i; k <= j; k++ {
-			copy(run[(k-i)*ps:], b.pages[b.order[k]])
-		}
-		if err := f.WritePageRange(b.order[i], run); err != nil {
-			return written, err
-		}
-		written += j - i + 1
-		i = j + 1
-	}
-	return written, nil
+	})
+	return writeRuns(b.aux.files[b.iv], b.order, b.buf, b.aux.g.dev.PageSize())
 }

@@ -109,8 +109,10 @@ func (d *DeltaSet) clear() {
 // list (and its weights slice, which may be nil for unweighted graphs).
 // Ops replay in sequence order: an add appends an instance, a delete
 // removes the most recently added matching instance (falling back to the
-// base CSR instance), giving the edge list multiset semantics.
-func (d *DeltaSet) apply(side uint8, v uint32, nbrs, weights []uint32, epoch uint64) ([]uint32, []uint32) {
+// base CSR instance), giving the edge list multiset semantics. With no op
+// visible it reports false and returns its arguments; otherwise the lists it
+// returns are fresh copies.
+func (d *DeltaSet) apply(side uint8, v uint32, nbrs, weights []uint32, epoch uint64) ([]uint32, []uint32, bool) {
 	var ops []edgeOp
 	if side == 0 {
 		ops = d.outOps[v]
@@ -124,7 +126,7 @@ func (d *DeltaSet) apply(side uint8, v uint32, nbrs, weights []uint32, epoch uin
 		}
 	}
 	if n == 0 {
-		return nbrs, weights
+		return nbrs, weights, false
 	}
 	out := make([]uint32, 0, len(nbrs)+n)
 	out = append(out, nbrs...)
@@ -154,7 +156,7 @@ func (d *DeltaSet) apply(side uint8, v uint32, nbrs, weights []uint32, epoch uin
 			}
 		}
 	}
-	return out, outW
+	return out, outW, true
 }
 
 // PendingUpdates returns the number of buffered structural update

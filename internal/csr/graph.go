@@ -2,8 +2,8 @@ package csr
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/ssd"
 )
@@ -175,17 +175,23 @@ type EdgeVisitorEx func(v uint32, nbrs []uint32, firstPage, lastPage int32)
 // (nil for unweighted graphs), parallel to nbrs.
 type EdgeVisitorFull func(v uint32, nbrs, weights []uint32, firstPage, lastPage int32)
 
+// ErrVertsNotAscending is returned by a load handed a vertex list out of
+// order: pages are decoded in one forward pass that relies on it. Adjacency
+// and aux loads need the list strictly ascending; value loads let a vertex
+// repeat.
+var ErrVertsNotAscending = errors.New("csr: vertex list not ascending")
+
 // LoadOutEdges loads the out-edge lists of the given vertices, which must
-// all lie in interval iv and be sorted ascending. Only the row-pointer and
+// all lie in interval iv and be strictly ascending. Only the row-pointer and
 // column-index pages covering the requested vertices are read, in batches.
 func (g *Graph) LoadOutEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadStats, error) {
-	return g.loadEdges(0, g.outRow[iv], g.outCol[iv], nil, iv, verts,
+	return g.visitEdges(0, false, iv, verts,
 		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
 }
 
 // LoadOutEdgesEx is LoadOutEdges with page-range information.
 func (g *Graph) LoadOutEdgesEx(iv int, verts []uint32, visit EdgeVisitorEx) (LoadStats, error) {
-	return g.loadEdges(0, g.outRow[iv], g.outCol[iv], nil, iv, verts,
+	return g.visitEdges(0, false, iv, verts,
 		func(v uint32, nbrs, _ []uint32, first, last int32) { visit(v, nbrs, first, last) })
 }
 
@@ -193,32 +199,67 @@ func (g *Graph) LoadOutEdgesEx(iv int, verts []uint32, visit EdgeVisitorEx) (Loa
 // graphs; the val pages are fetched alongside the colidx pages and
 // counted in the stats.
 func (g *Graph) LoadOutEdgesFull(iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
-	var valF *ssd.File
-	if g.meta.HasWeights {
-		valF = g.outVal[iv]
-	}
-	return g.loadEdges(0, g.outRow[iv], g.outCol[iv], valF, iv, verts, visit)
+	return g.visitEdges(0, true, iv, verts, visit)
 }
 
 // LoadInEdges is LoadOutEdges for the in-edge (source) lists.
 func (g *Graph) LoadInEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadStats, error) {
-	return g.loadEdges(1, g.inRow[iv], g.inCol[iv], nil, iv, verts,
+	return g.visitEdges(1, false, iv, verts,
 		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
 }
 
 // LoadInEdgesFull is LoadInEdges plus in-edge weights.
 func (g *Graph) LoadInEdgesFull(iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
-	var valF *ssd.File
-	if g.meta.HasWeights {
-		valF = g.inVal[iv]
-	}
-	return g.loadEdges(1, g.inRow[iv], g.inCol[iv], valF, iv, verts, visit)
+	return g.visitEdges(1, true, iv, verts, visit)
 }
 
-func (g *Graph) loadEdges(side uint8, rowF, colF, valF *ssd.File, iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
+// visitEdges is the visitor form of every load: one fill of an arena of its
+// own, then a walk over it. No list is visited unless all were loaded.
+func (g *Graph) visitEdges(side uint8, weights bool, iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
+	var a Arena
+	a.Reset(len(verts), weights && g.meta.HasWeights)
+	stats, err := g.fill(side, iv, verts, nil, &a)
+	if err != nil {
+		return stats, err
+	}
+	for i, v := range verts {
+		visit(v, a.Edges(i), a.Weights(i), a.first[i], a.last[i])
+	}
+	return stats, nil
+}
+
+// FillOutEdges loads the out-edge lists of verts — strictly ascending, all in
+// interval iv — into a, verts[i]'s at position pos[i] (position i when pos is
+// nil), with their weights when a is weighted. It issues the device reads
+// LoadOutEdgesFull does. The stats' PageUtils alias a's scratch: they are
+// valid until a's next fill.
+func (g *Graph) FillOutEdges(iv int, verts []uint32, pos []int32, a *Arena) (LoadStats, error) {
+	return g.fill(0, iv, verts, pos, a)
+}
+
+// FillInEdges is FillOutEdges for the in-edge (source) lists.
+func (g *Graph) FillInEdges(iv int, verts []uint32, pos []int32, a *Arena) (LoadStats, error) {
+	return g.fill(1, iv, verts, pos, a)
+}
+
+// fill is the one body behind every adjacency load. verts ascend, so their
+// row entries, their edge ranges and the pages holding both ascend too: each
+// page list is built by comparing with its last element, and a cursor that
+// only moves forward decodes a page's run of edges in one loop.
+func (g *Graph) fill(side uint8, iv int, verts []uint32, pos []int32, a *Arena) (LoadStats, error) {
 	var stats LoadStats
 	if len(verts) == 0 {
 		return stats, nil
+	}
+	rowF, colF := g.outRow[iv], g.outCol[iv]
+	if side == 1 {
+		rowF, colF = g.inRow[iv], g.inCol[iv]
+	}
+	var valF *ssd.File
+	if a.weighted && g.meta.HasWeights {
+		if valF = g.outVal[iv]; side == 1 {
+			valF = g.inVal[iv]
+		}
 	}
 	// Shared-lock the ingest plane for the whole load: a crash-atomic
 	// merge (exclusive) must never rewrite the CSR files under a
@@ -237,171 +278,147 @@ func (g *Graph) loadEdges(side uint8, rowF, colF, valF *ssd.File, iv int, verts 
 			epoch = ing.epoch.Load()
 		}
 	}
-	interval := g.meta.Intervals[iv]
-	for _, v := range verts {
-		if !interval.Contains(v) {
-			return stats, fmt.Errorf("csr: vertex %d outside interval %d %v", v, iv, interval)
-		}
-	}
-
-	rows, rowPages, err := g.readRowEntries(rowF, interval, verts)
-	if err != nil {
+	var err error
+	if stats.RowPtrPages, err = g.readRowEntries(a, rowF, g.meta.Intervals[iv], verts, rowF.ReadPages); err != nil {
 		return stats, err
 	}
-	stats.RowPtrPages = rowPages
 
-	// Gather the set of colidx pages covering all requested edge ranges,
-	// tracking used bytes per page.
-	ps := g.dev.PageSize()
-	used := make(map[int]int32) // page -> used bytes
+	// The colidx pages covering the requested edge ranges, with the bytes of
+	// each that the request uses.
+	ps := int64(g.dev.PageSize())
+	a.pages, a.utils = a.pages[:0], a.utils[:0]
+	edges := 0
 	for i := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		if start == end {
-			continue
-		}
-		bLo := int64(start) * 4
-		bHi := int64(end) * 4
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pLo := p * int64(ps)
-			pHi := pLo + int64(ps)
-			lo, hi := bLo, bHi
-			if lo < pLo {
-				lo = pLo
+		bLo, bHi := int64(a.rows[2*i])*4, int64(a.rows[2*i+1])*4
+		edges += int(bHi-bLo) / 4
+		for p := bLo / ps; bLo < bHi && p*ps < bHi; p++ {
+			if n := len(a.pages); n == 0 || a.pages[n-1] != int(p) {
+				a.pages = append(a.pages, int(p))
+				a.utils = append(a.utils, PageUtil{Key: PageKey{Side: side, Interval: int32(iv), Page: int32(p)}})
 			}
-			if hi > pHi {
-				hi = pHi
-			}
-			used[int(p)] += int32(hi - lo)
+			a.utils[len(a.utils)-1].UsedBytes += int32(min(bHi, (p+1)*ps) - max(bLo, p*ps))
 		}
 	}
-	pages := make([]int, 0, len(used))
-	for p := range used {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	pageBuf := make([]byte, len(pages)*ps)
-	if err := colF.ReadPages(pages, pageBuf); err != nil {
+	a.colBuf = grown(a.colBuf, len(a.pages)*int(ps))
+	if err := colF.ReadPages(a.pages, a.colBuf); err != nil {
 		return stats, err
 	}
-	stats.ColIdxPages = len(pages)
-	pageAt := make(map[int][]byte, len(pages))
-	for i, p := range pages {
-		pageAt[p] = pageBuf[i*ps : (i+1)*ps]
-		stats.PageUtils = append(stats.PageUtils, PageUtil{
-			Key:       PageKey{Side: side, Interval: int32(iv), Page: int32(p)},
-			UsedBytes: used[p],
-		})
-	}
+	stats.ColIdxPages, stats.PageUtils = len(a.pages), a.utils
 
-	// Weighted graphs: the val file mirrors the colidx layout, so the
-	// same page set serves the weights.
-	var valAt map[int][]byte
+	// Weighted graphs: the val file mirrors the colidx layout, so the same
+	// page list serves the weights. A val file can be shorter than its colidx
+	// file only by padding; clamp the request to allocated pages.
+	valPages := 0
 	if valF != nil {
-		valBuf := make([]byte, len(pages)*ps)
-		// val files can be shorter than colidx files only by padding;
-		// clamp the request to allocated pages.
-		valPages := make([]int, 0, len(pages))
-		for _, p := range pages {
-			if p < valF.NumPages() {
-				valPages = append(valPages, p)
-			}
+		for valPages < len(a.pages) && a.pages[valPages] < valF.NumPages() {
+			valPages++
 		}
-		if err := valF.ReadPages(valPages, valBuf[:len(valPages)*ps]); err != nil {
+		a.valBuf = grown(a.valBuf, valPages*int(ps))
+		if err := valF.ReadPages(a.pages[:valPages], a.valBuf); err != nil {
 			return stats, err
 		}
-		stats.ValPages = len(valPages)
-		valAt = make(map[int][]byte, len(valPages))
-		for i, p := range valPages {
-			valAt[p] = valBuf[i*ps : (i+1)*ps]
-		}
+		stats.ValPages = valPages
 	}
 
-	// Reassemble each vertex's neighbor list from the fetched pages and
+	// Decode each vertex's list from the fetched pages into the slab, and
 	// overlay structural deltas if present.
-	var nbrBuf, wBuf []uint32
+	a.Reserve(edges)
+	k := 0 // a.pages[k]: the page the cursor is on
 	for i, v := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		deg := int(end - start)
-		if cap(nbrBuf) < deg {
-			nbrBuf = make([]uint32, deg)
-			wBuf = make([]uint32, deg)
+		p := i
+		if pos != nil {
+			p = int(pos[i])
 		}
-		nbrs := nbrBuf[:deg]
-		var weights []uint32
-		if valAt != nil {
-			weights = wBuf[:deg]
-		}
-		for j := 0; j < deg; j++ {
-			off := (int64(start) + int64(j)) * 4
-			page := pageAt[int(off/int64(ps))]
-			nbrs[j] = binary.LittleEndian.Uint32(page[off%int64(ps):])
-			if weights != nil {
-				if vp := valAt[int(off/int64(ps))]; vp != nil {
-					weights[j] = binary.LittleEndian.Uint32(vp[off%int64(ps):])
+		deg := int(a.rows[2*i+1] - a.rows[2*i])
+		nbrs, weights := a.Alloc(p, deg)
+		lo := len(a.nbrs) - deg
+		if deg > 0 {
+			off := int64(a.rows[2*i]) * 4
+			a.first[p], a.last[p] = int32(off/ps), int32((int64(a.rows[2*i+1])*4-1)/ps)
+			for a.pages[k] < int(off/ps) {
+				k++
+			}
+			// The list's pages are consecutive in a.pages from k on.
+			in := int(off % ps)
+			for j, kp := 0, k; j < deg; kp++ {
+				n := min(deg-j, (int(ps)-in)/4)
+				decodeU32(nbrs[j:j+n], a.colBuf[kp*int(ps)+in:])
+				switch {
+				case weights == nil:
+				case kp < valPages:
+					decodeU32(weights[j:j+n], a.valBuf[kp*int(ps)+in:])
+				default:
+					clear(weights[j : j+n])
 				}
+				j, in = j+n, 0
 			}
 		}
+		edges -= deg
 		if g.ing != nil {
-			nbrs, weights = g.ing.deltas.apply(side, v, nbrs, weights, epoch)
+			if a.weighted && weights == nil {
+				weights = []uint32{} // apply reads nil weights as an unweighted list
+			}
+			// Rare: the overlaid list replaces the decoded one at the slab's
+			// tail, and the lists still to come are reserved afresh behind it.
+			if nbrs, weights, ok := g.ing.deltas.apply(side, v, nbrs, weights, epoch); ok {
+				a.nbrs = append(a.nbrs[:lo], nbrs...)
+				if a.weighted {
+					a.weights = append(a.weights[:lo], weights...)
+				}
+				a.Reserve(edges)
+				a.span[2*p+1] = uint32(len(a.nbrs))
+			}
 		}
-		firstPage := int32(int64(start) * 4 / int64(ps))
-		lastPage := int32((int64(end)*4 - 1) / int64(ps))
-		if deg == 0 {
-			firstPage, lastPage = 1, 0
-		}
-		visit(v, nbrs, weights, firstPage, lastPage)
 	}
 	return stats, nil
 }
 
-// readRowEntries returns, for each requested vertex, its (start, end) edge
-// offsets, reading only the covering row-pointer pages. The result is laid
-// out as [start0, end0, start1, end1, ...].
-func (g *Graph) readRowEntries(rowF *ssd.File, interval Interval, verts []uint32) ([]uint64, int, error) {
-	return g.readRowEntriesWith(rowF, interval, verts, rowF.ReadPages)
+// decodeU32 fills dst with the little-endian words at the head of src.
+func decodeU32(dst []uint32, src []byte) {
+	src = src[:4*len(dst)]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+	}
 }
 
-// readRowEntriesWith is readRowEntries with the page read indirected, so
-// the prefetcher's planning path can issue it stage-tagged (its goroutine
-// runs concurrently with the engine's ambient device tag).
-func (g *Graph) readRowEntriesWith(rowF *ssd.File, interval Interval, verts []uint32,
-	read func(pages []int, dst []byte) error) ([]uint64, int, error) {
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
-	for _, v := range verts {
-		j := int64(v - interval.Lo)
+// readRowEntries leaves in a.rows, for each requested vertex, its
+// [start, end) edge offsets — laid out [start0, end0, start1, end1, ...] —
+// reading only the covering row-pointer pages, and returns how many those
+// were. It is where every load checks its input: verts inside the interval
+// and strictly ascending. The page read is indirected so the prefetcher's
+// planning path can issue it stage-tagged (its goroutine runs concurrently
+// with the engine's ambient device tag).
+func (g *Graph) readRowEntries(a *Arena, rowF *ssd.File, interval Interval, verts []uint32,
+	read func(pages []int, dst []byte) error) (int, error) {
+	ps := int64(g.dev.PageSize())
+	a.pages = a.pages[:0]
+	for i, v := range verts {
+		if !interval.Contains(v) {
+			return 0, fmt.Errorf("csr: vertex %d outside interval %v", v, interval)
+		}
+		if i > 0 && v <= verts[i-1] {
+			return 0, fmt.Errorf("%w: %d follows %d", ErrVertsNotAscending, v, verts[i-1])
+		}
 		// Entries j and j+1, 8 bytes each.
-		bLo := j * 8
-		bHi := bLo + 16
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
+		bLo := int64(v-interval.Lo) * 8
+		a.pages = appendCover(a.pages, bLo, bLo+16, ps)
+	}
+	a.rowBuf = grown(a.rowBuf, len(a.pages)*int(ps))
+	if err := read(a.pages, a.rowBuf); err != nil {
+		return 0, err
+	}
+	a.rows = grown(a.rows, 2*len(verts))
+	k := 0
+	for i, v := range verts {
+		for e := int64(0); e < 2; e++ {
+			off := (int64(v-interval.Lo) + e) * 8
+			for a.pages[k] < int(off/ps) {
+				k++
+			}
+			a.rows[2*i+int(e)] = binary.LittleEndian.Uint64(a.rowBuf[int64(k)*ps+off%ps:])
 		}
 	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := read(pages, buf); err != nil {
-		return nil, 0, err
-	}
-	pageAt := make(map[int][]byte, len(pages))
-	for i, p := range pages {
-		pageAt[p] = buf[i*ps : (i+1)*ps]
-	}
-	entry := func(j int64) uint64 {
-		off := j * 8
-		page := pageAt[int(off/int64(ps))]
-		return binary.LittleEndian.Uint64(page[off%int64(ps):])
-	}
-	out := make([]uint64, 2*len(verts))
-	for i, v := range verts {
-		j := int64(v - interval.Lo)
-		out[2*i] = entry(j)
-		out[2*i+1] = entry(j + 1)
-	}
-	return out, len(pages), nil
+	return len(a.pages), nil
 }
 
 // ReadWholeInterval reads every out-edge list of an interval sequentially

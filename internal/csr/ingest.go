@@ -480,7 +480,7 @@ func (g *Graph) buildMergePlan(foldedSeq uint64) (*mergePlan, error) {
 			}
 			rows := make([][]wpair, interval.Len())
 			visit := func(v uint32, nbrs, weights []uint32, _, _ int32) {
-				nbrs, weights = deltas.apply(side, v, nbrs, weights, foldedSeq)
+				nbrs, weights, _ = deltas.apply(side, v, nbrs, weights, foldedSeq)
 				pairs := make([]wpair, len(nbrs))
 				for i, nb := range nbrs {
 					pairs[i] = wpair{id: nb}

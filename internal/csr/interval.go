@@ -20,7 +20,10 @@
 // read amplification (Fig 3) and feed the edge-log optimizer (Fig 9).
 package csr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Interval is a contiguous vertex range [Lo, Hi).
 type Interval struct {
@@ -68,42 +71,43 @@ func Partition(inDeg []uint32, msgBytes int, budgetBytes int64) []Interval {
 	return ivs
 }
 
-// IntervalIndex maps vertices to their interval in O(1) using a lookup
-// table at page granularity — the paper's vId2IntervalMap.
+// IntervalIndex maps a vertex to its interval in constant time — the
+// paper's vId2IntervalMap — as a rank table: per block of 64 vertices, one
+// bit for every vertex that starts an interval and the number of the interval
+// the vertex before the block lies in. A lookup is one block load, a shift
+// and a population count, whatever the interval widths; the table takes
+// 16 bytes per 64 vertices (n/4 bytes), against 4n for a direct array, and
+// BenchmarkIntervalOf measures both ahead of the block scan it replaced.
 type IntervalIndex struct {
-	ivs []Interval
-	// firstIv[v>>shift] is the index of the interval containing the first
-	// vertex of that block; scan forward from there (blocks are 256
-	// vertices, and intervals are typically much larger).
-	firstIv []int32
+	ivs    []Interval
+	blocks []ivBlock
 }
 
-const ivBlockShift = 8
+type ivBlock struct {
+	starts uint64 // bit j: vertex 64·b+j is the first of an interval
+	before int32  // interval of vertex 64·b−1; −1 for block 0
+}
 
 // NewIntervalIndex builds the lookup structure. Intervals must be sorted,
-// non-overlapping, and cover [0, n).
+// non-empty, non-overlapping, and cover [0, n).
 func NewIntervalIndex(ivs []Interval, n uint32) *IntervalIndex {
-	idx := &IntervalIndex{ivs: ivs}
-	blocks := int(n>>ivBlockShift) + 1
-	idx.firstIv = make([]int32, blocks)
-	cur := 0
-	for b := 0; b < blocks; b++ {
-		v := uint32(b) << ivBlockShift
-		for cur < len(ivs)-1 && v >= ivs[cur].Hi {
-			cur++
-		}
-		idx.firstIv[b] = int32(cur)
+	idx := &IntervalIndex{ivs: ivs, blocks: make([]ivBlock, n>>6+1)}
+	for _, iv := range ivs {
+		idx.blocks[iv.Lo>>6].starts |= 1 << (iv.Lo & 63)
+	}
+	before := int32(-1)
+	for b := range idx.blocks {
+		idx.blocks[b].before = before
+		before += int32(bits.OnesCount64(idx.blocks[b].starts))
 	}
 	return idx
 }
 
-// Of returns the index of the interval containing v.
+// Of returns the index of the interval containing v: the intervals started
+// before v's block plus those started inside it at or before v.
 func (x *IntervalIndex) Of(v uint32) int {
-	i := int(x.firstIv[v>>ivBlockShift])
-	for i < len(x.ivs)-1 && v >= x.ivs[i].Hi {
-		i++
-	}
-	return i
+	b := &x.blocks[v>>6]
+	return int(b.before) + bits.OnesCount64(b.starts<<(63-v&63))
 }
 
 // Intervals returns the underlying interval slice. Callers must not

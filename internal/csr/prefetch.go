@@ -1,8 +1,6 @@
 package csr
 
 import (
-	"sort"
-
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
 )
@@ -20,48 +18,36 @@ func (vv *Values) File() *ssd.File { return vv.f }
 // PagesForVerts returns the distinct pages holding the value slots of the
 // given vertices (all lanes), which must be sorted ascending.
 func (vv *Values) PagesForVerts(verts []uint32) []int {
-	ps := vv.dev.PageSize()
+	ps := int64(vv.dev.PageSize())
 	lanes := int64(vv.laneCount())
 	var pages []int
-	last := -1
 	for _, v := range verts {
-		if v >= vv.n {
-			continue
-		}
-		bLo := int64(v) * lanes * 4
-		bHi := bLo + lanes*4
-		for p := int(bLo / int64(ps)); p <= int((bHi-1)/int64(ps)); p++ {
-			if p != last {
-				pages = append(pages, p)
-				last = p
-			}
+		if v < vv.n {
+			pages = appendCover(pages, int64(v)*lanes*4, int64(v+1)*lanes*4, ps)
 		}
 	}
 	return pages
 }
 
 // OutRowPages returns interval iv's out-CSR row-pointer file and the
-// pages covering the row entries of verts. Pure arithmetic — no IO — so
-// it is safe to call from the engine's main loop when planning prefetch.
+// pages covering the row entries of verts (ascending; vertices outside the
+// interval are skipped). Pure arithmetic — no IO — so it is safe to call
+// from the engine's main loop when planning prefetch.
 func (g *Graph) OutRowPages(iv int, verts []uint32) (*ssd.File, []int) {
 	if len(verts) == 0 {
 		return nil, nil
 	}
 	interval := g.meta.Intervals[iv]
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
+	ps := int64(g.dev.PageSize())
+	var pages []int
 	for _, v := range verts {
 		if !interval.Contains(v) {
 			continue
 		}
-		j := int64(v - interval.Lo)
-		bLo := j * 8
-		bHi := bLo + 16 // entries j and j+1
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
+		bLo := int64(v-interval.Lo) * 8 // entries j and j+1, 8 bytes each
+		pages = appendCover(pages, bLo, bLo+16, ps)
 	}
-	return g.outRow[iv], sortedPages(pageSet)
+	return g.outRow[iv], pages
 }
 
 // OutColPages reads the row entries of verts (a cache hit when the
@@ -86,34 +72,17 @@ func (g *Graph) OutColPages(iv int, verts []uint32) (*ssd.File, []int, error) {
 	// Runs on the prefetch worker, concurrent with the engine's tagged
 	// phase — charge the row-entry reads to the prefetch stage explicitly.
 	rowF := g.outRow[iv]
-	rows, _, err := g.readRowEntriesWith(rowF, interval, inRange,
+	var scratch Arena
+	if _, err := g.readRowEntries(&scratch, rowF, interval, inRange,
 		func(pages []int, dst []byte) error {
 			return rowF.ReadPagesTagged(pages, dst, obsv.StagePrefetch)
-		})
-	if err != nil {
+		}); err != nil {
 		return nil, nil, err
 	}
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
+	ps := int64(g.dev.PageSize())
+	var pages []int
 	for i := range inRange {
-		start, end := rows[2*i], rows[2*i+1]
-		if start == end {
-			continue
-		}
-		bLo := int64(start) * 4
-		bHi := int64(end) * 4
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
+		pages = appendCover(pages, int64(scratch.rows[2*i])*4, int64(scratch.rows[2*i+1])*4, ps)
 	}
-	return g.outCol[iv], sortedPages(pageSet), nil
-}
-
-func sortedPages(set map[int]bool) []int {
-	pages := make([]int, 0, len(set))
-	for p := range set {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	return pages
+	return g.outCol[iv], pages, nil
 }

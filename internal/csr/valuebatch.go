@@ -3,7 +3,6 @@ package csr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/ssd"
 )
@@ -11,50 +10,62 @@ import (
 // ValueBatch holds the values of a sparse set of vertices, loaded by
 // reading only the covering pages of the value file. Sets write into the
 // loaded page images; Flush writes the touched pages back. Distinct
-// vertices may be Set concurrently.
+// vertices may be Set concurrently. The zero value is an empty batch;
+// LoadBatch reuses one batch's buffers for load after load.
 type ValueBatch struct {
 	vv    *Values
-	pages map[int][]byte
-	order []int
+	order []int  // the loaded pages, ascending
+	buf   []byte // their images, in order
+	// slot[p-order[0]] is page p's index in order. A table over the batch's
+	// page span — at most one entry per page of the value file — finds a slot
+	// with no search and nothing for concurrent readers to share but reads.
+	slot []int32
 }
 
 // LoadForVerts reads the value-file pages covering the given vertices
-// (sorted ascending) as one batch. Returns the batch and the number of
-// pages read.
+// (ascending; a descent is ErrVertsNotAscending) as one batch. Returns the
+// batch and the number of pages read.
 func (vv *Values) LoadForVerts(verts []uint32) (*ValueBatch, int, error) {
-	b := &ValueBatch{vv: vv, pages: make(map[int][]byte)}
-	if len(verts) == 0 {
-		return b, 0, nil
-	}
-	ps := vv.dev.PageSize()
-	lanes := int64(vv.laneCount())
-	pageSet := make(map[int]bool)
-	for _, v := range verts {
-		if v >= vv.n {
-			return nil, 0, fmt.Errorf("csr: value vertex %d out of [0,%d)", v, vv.n)
-		}
-		// All lanes of v: slots [v*lanes, (v+1)*lanes), 4 bytes each.
-		bLo := int64(v) * lanes * 4
-		bHi := bLo + lanes*4
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
-	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := vv.f.ReadPages(pages, buf); err != nil {
+	b := &ValueBatch{}
+	pages, err := vv.LoadBatch(b, verts)
+	if err != nil {
 		return nil, 0, err
 	}
-	for i, p := range pages {
-		b.pages[p] = buf[i*ps : (i+1)*ps]
-	}
-	b.order = pages
-	return b, len(pages), nil
+	return b, pages, nil
 }
+
+// LoadBatch is LoadForVerts into a batch the caller keeps: b's previous
+// contents are dropped and its buffers reused. Returns the pages read.
+func (vv *Values) LoadBatch(b *ValueBatch, verts []uint32) (int, error) {
+	b.vv, b.order = vv, b.order[:0]
+	ps := int64(vv.dev.PageSize())
+	lanes := int64(vv.laneCount())
+	for i, v := range verts {
+		if v >= vv.n {
+			return 0, fmt.Errorf("csr: value vertex %d out of [0,%d)", v, vv.n)
+		}
+		if i > 0 && v < verts[i-1] {
+			return 0, fmt.Errorf("%w: value vertex %d follows %d", ErrVertsNotAscending, v, verts[i-1])
+		}
+		// All lanes of v: slots [v*lanes, (v+1)*lanes), 4 bytes each.
+		b.order = appendCover(b.order, int64(v)*lanes*4, int64(v+1)*lanes*4, ps)
+	}
+	b.buf = grown(b.buf, len(b.order)*int(ps))
+	if err := vv.f.ReadPages(b.order, b.buf); err != nil {
+		return 0, err
+	}
+	if len(b.order) > 0 {
+		first := b.order[0]
+		b.slot = grown(b.slot, b.order[len(b.order)-1]-first+1)
+		for k, p := range b.order {
+			b.slot[p-first] = int32(k)
+		}
+	}
+	return len(b.order), nil
+}
+
+// Bytes returns the memory the batch holds on to between loads.
+func (b *ValueBatch) Bytes() int { return cap(b.buf) + 8*cap(b.order) + 4*cap(b.slot) }
 
 // Get returns v's lane-0 value. v must be covered by the batch.
 func (b *ValueBatch) Get(v uint32) uint32 { return b.GetLane(v, 0) }
@@ -63,42 +74,32 @@ func (b *ValueBatch) Get(v uint32) uint32 { return b.GetLane(v, 0) }
 // batch. Distinct vertices may be Set concurrently.
 func (b *ValueBatch) Set(v uint32, val uint32) { b.SetLane(v, 0, val) }
 
+// word returns the four bytes of slot (v, lane) inside the loaded images.
+func (b *ValueBatch) word(v uint32, lane int) []byte {
+	ps := int64(b.vv.dev.PageSize())
+	off := (int64(v)*int64(b.vv.laneCount()) + int64(lane)) * 4
+	at := int64(b.slot[int(off/ps)-b.order[0]])*ps + off%ps
+	return b.buf[at : at+4]
+}
+
 // GetLane returns v's value in the given lane of a lane-strided array.
 func (b *ValueBatch) GetLane(v uint32, lane int) uint32 {
-	ps := b.vv.dev.PageSize()
-	off := (int64(v)*int64(b.vv.laneCount()) + int64(lane)) * 4
-	return binary.LittleEndian.Uint32(b.pages[int(off/int64(ps))][off%int64(ps):])
+	return binary.LittleEndian.Uint32(b.word(v, lane))
 }
 
 // SetLane updates v's value in the given lane. Distinct (vertex, lane)
 // slots may be set concurrently.
 func (b *ValueBatch) SetLane(v uint32, lane int, val uint32) {
-	ps := b.vv.dev.PageSize()
-	off := (int64(v)*int64(b.vv.laneCount()) + int64(lane)) * 4
-	binary.LittleEndian.PutUint32(b.pages[int(off/int64(ps))][off%int64(ps):], val)
+	binary.LittleEndian.PutUint32(b.word(v, lane), val)
 }
 
 // Flush writes the batch's pages back to the device in contiguous runs and
 // returns the number of pages written.
 func (b *ValueBatch) Flush() (int, error) {
-	ps := b.vv.dev.PageSize()
-	written := 0
-	for i := 0; i < len(b.order); {
-		j := i
-		for j+1 < len(b.order) && b.order[j+1] == b.order[j]+1 {
-			j++
-		}
-		run := make([]byte, (j-i+1)*ps)
-		for k := i; k <= j; k++ {
-			copy(run[(k-i)*ps:], b.pages[b.order[k]])
-		}
-		if err := b.vv.f.WritePageRange(b.order[i], run); err != nil {
-			return written, err
-		}
-		written += j - i + 1
-		i = j + 1
+	if len(b.order) == 0 {
+		return 0, nil
 	}
-	return written, nil
+	return writeRuns(b.vv.f, b.order, b.buf, b.vv.dev.PageSize())
 }
 
 // CreateValuesFunc creates a value array of n entries where entry v is

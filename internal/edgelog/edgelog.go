@@ -13,6 +13,7 @@ package edgelog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"multilogvc/internal/bitset"
@@ -178,6 +179,11 @@ type EdgeLog struct {
 	writer  *ssd.Writer
 	written int64
 
+	// Scratch of the Fill in progress, kept between calls.
+	pages []int
+	ents  []entry
+	buf   []byte
+
 	tr *obsv.Trace // nil = tracing disabled
 }
 
@@ -266,8 +272,26 @@ func (e *EdgeLog) Has(v uint32) bool {
 // Load fetches the out-edge lists (and weights, for weighted logs) of the
 // given vertices from the current generation, reading only covering pages
 // in one batch. All vertices must satisfy Has. Returns the number of pages
-// read. weights is nil for unweighted logs.
+// read. weights is nil for unweighted logs. It is the visitor form of Fill:
+// no list is visited unless all were loaded.
 func (e *EdgeLog) Load(verts []uint32, visit func(v uint32, nbrs, weights []uint32)) (int, error) {
+	var a csr.Arena
+	a.Reset(len(verts), e.weighted)
+	pages, err := e.Fill(verts, nil, &a)
+	if err != nil {
+		return 0, err
+	}
+	for i, v := range verts {
+		visit(v, a.Edges(i), a.Weights(i))
+	}
+	return pages, nil
+}
+
+// Fill loads the lists of verts from the current generation into a,
+// verts[i]'s at position pos[i] (position i when pos is nil), with one batched
+// read of the covering pages into a buffer the log keeps. All vertices must
+// satisfy Has. Returns the number of pages read.
+func (e *EdgeLog) Fill(verts []uint32, pos []int32, a *csr.Arena) (int, error) {
 	if len(verts) == 0 {
 		return 0, nil
 	}
@@ -276,58 +300,69 @@ func (e *EdgeLog) Load(verts []uint32, visit func(v uint32, nbrs, weights []uint
 		stride = 8 // ids then weights, both deg×4 bytes
 	}
 	idx := e.index[e.gen]
-	ps := e.pageSize
-	pageSet := make(map[int]bool)
+	ps := int64(e.pageSize)
+	// Vertices are logged in the order batches process them, so offsets
+	// ascend with vertex id and the page list comes out sorted — except after
+	// a caller that logged out of order, which costs one sort.
+	e.pages, e.ents = e.pages[:0], e.ents[:0]
+	sorted, edges := true, 0
 	for _, v := range verts {
 		ent, ok := idx[v]
 		if !ok {
 			return 0, fmt.Errorf("edgelog: vertex %d not logged", v)
 		}
-		if ent.deg == 0 {
-			continue
-		}
-		end := ent.off + int64(ent.deg)*stride
-		for p := ent.off / int64(ps); p <= (end-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
-	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := e.files[e.gen].ReadPages(pages, buf); err != nil {
-		return 0, err
-	}
-	pageAt := make(map[int][]byte, len(pages))
-	for i, p := range pages {
-		pageAt[p] = buf[i*ps : (i+1)*ps]
-	}
-	u32At := func(off int64) uint32 {
-		return binary.LittleEndian.Uint32(pageAt[int(off/int64(ps))][off%int64(ps):])
-	}
-	var nbrBuf, wBuf []uint32
-	for _, v := range verts {
-		ent := idx[v]
-		if cap(nbrBuf) < int(ent.deg) {
-			nbrBuf = make([]uint32, ent.deg)
-			wBuf = make([]uint32, ent.deg)
-		}
-		nbrs := nbrBuf[:ent.deg]
-		var weights []uint32
-		if e.weighted {
-			weights = wBuf[:ent.deg]
-		}
-		for j := uint32(0); j < ent.deg; j++ {
-			nbrs[j] = u32At(ent.off + int64(j)*4)
-			if e.weighted {
-				weights[j] = u32At(ent.off + int64(ent.deg)*4 + int64(j)*4)
+		e.ents = append(e.ents, ent)
+		edges += int(ent.deg)
+		for p := int(ent.off / ps); ent.deg > 0 && int64(p)*ps < ent.off+int64(ent.deg)*stride; p++ {
+			if n := len(e.pages); n == 0 || e.pages[n-1] != p {
+				sorted = sorted && (n == 0 || e.pages[n-1] < p)
+				e.pages = append(e.pages, p)
 			}
 		}
-		visit(v, nbrs, weights)
 	}
-	return len(pages), nil
+	if !sorted {
+		slices.Sort(e.pages)
+		e.pages = slices.Compact(e.pages)
+	}
+	if need := len(e.pages) * e.pageSize; cap(e.buf) < need {
+		e.buf = make([]byte, need)
+	} else {
+		e.buf = e.buf[:need]
+	}
+	if err := e.files[e.gen].ReadPages(e.pages, e.buf); err != nil {
+		return 0, err
+	}
+	a.Reserve(edges)
+	for i, ent := range e.ents {
+		p := i
+		if pos != nil {
+			p = int(pos[i])
+		}
+		nbrs, weights := a.Alloc(p, int(ent.deg))
+		e.decode(nbrs, ent.off)
+		if e.weighted {
+			e.decode(weights, ent.off+int64(ent.deg)*4)
+		} else {
+			clear(weights)
+		}
+	}
+	return len(e.pages), nil
+}
+
+// decode fills dst with the words logged from byte offset off on, which lie
+// on consecutive pages of the batch just read.
+func (e *EdgeLog) decode(dst []uint32, off int64) {
+	ps := e.pageSize
+	k, _ := slices.BinarySearch(e.pages, int(off/int64(ps)))
+	in := int(off % int64(ps))
+	for len(dst) > 0 {
+		n := min(len(dst), (ps-in)/4)
+		src := e.buf[k*ps+in:]
+		for j := range dst[:n] {
+			dst[j] = binary.LittleEndian.Uint32(src[4*j:])
+		}
+		dst, k, in = dst[n:], k+1, 0
+	}
 }
 
 // InvalidateCurrent discards the current generation: the index empties

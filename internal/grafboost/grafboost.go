@@ -216,21 +216,18 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 	return sorted, err
 }
 
-// appendLog writes message records to the next superstep's log.
-func (r *run) appendLog(recs []extsort.Record) error {
-	for _, rec := range recs {
-		if err := r.logW.WriteU32(rec.Dst); err != nil {
-			return err
-		}
-		if err := r.logW.WriteU32(rec.Src); err != nil {
-			return err
-		}
-		if err := r.logW.WriteU32(rec.Data); err != nil {
-			return err
+// appendLog writes message records to the next superstep's log and returns
+// how many it wrote in full.
+func (r *run) appendLog(recs []extsort.Record) (int, error) {
+	for i, rec := range recs {
+		for _, word := range [3]uint32{rec.Dst, rec.Src, rec.Data} {
+			if err := r.logW.WriteU32(word); err != nil {
+				return i, err
+			}
 		}
 		r.logCount++
 	}
-	return nil
+	return len(recs), nil
 }
 
 // ivRun is the run plus the state of one interval's processing.
@@ -266,7 +263,7 @@ func (ir *ivRun) process() error {
 	msgs := ir.sorted[:n]
 	ir.sorted = ir.sorted[n:]
 
-	verts := superstep.ActiveSet(msgs, ir.carry, interval.Lo, interval.Hi)
+	verts := superstep.ActiveSet(nil, msgs, ir.carry, interval.Lo, interval.Hi)
 	if len(verts) == 0 {
 		return nil
 	}
@@ -291,7 +288,7 @@ func (ir *ivRun) process() error {
 	// log in vertex order once the pool has joined: the log's record order
 	// decides the external sort's run boundaries, so it must not depend on
 	// the goroutine schedule.
-	ranges := superstep.MsgRanges(verts, msgs)
+	ranges := superstep.MsgRanges(nil, verts, msgs)
 	halted := make([]bool, len(verts))
 	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
 		ctx := &gbCtx{ir: ir, w: w}

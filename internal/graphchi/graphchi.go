@@ -216,7 +216,7 @@ func (ir *intervalRun) process() error {
 	}
 	// The active vertices of this interval (messages travel as edge values,
 	// so there is no record slice to merge in).
-	verts := superstep.ActiveSet(nil, ir.active, iv.Lo, iv.Hi)
+	verts := superstep.ActiveSet(nil, nil, ir.active, iv.Lo, iv.Hi)
 	if len(verts) == 0 && !ir.isAux {
 		return nil
 	}
@@ -322,7 +322,7 @@ func (ir *intervalRun) loadWindows() error {
 // block or window) and activates the destination.
 func (ir *intervalRun) applySends() error {
 	otherFlag := uint32(shard.FlagMsg0 << (1 - ir.p))
-	sent, err := ir.sends.Drain(func(sends []extsort.Record) error {
+	sent, err := ir.sends.Drain(func(sends []extsort.Record) (int, error) {
 		for _, s := range sends {
 			ir.nextActive.Set(int(s.Dst))
 			var rec *shard.Record
@@ -338,7 +338,7 @@ func (ir *intervalRun) applySends() error {
 				rec.Flags |= otherFlag
 			}
 		}
-		return nil
+		return len(sends), nil
 	})
 	ir.ss.MsgsSent += sent
 	return err

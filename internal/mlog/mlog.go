@@ -177,20 +177,21 @@ func (l *Log) Append(interval int, dst, src, data uint32) error {
 // of the lock. It evicts at exactly the records where Append, called once per
 // record, would have — the lock is dropped around each eviction, as a device
 // write may re-enter ReclaimConsumed — so the two leave the same pages on the
-// device after the same device writes.
-func (l *Log) AppendRecs(ivs []int32, recs []Record) error {
+// device after the same device writes. It returns how many records it logged:
+// all of them, or those up to and including the one whose eviction failed.
+func (l *Log) AppendRecs(ivs []int32, recs []Record) (int, error) {
 	l.mu.Lock()
 	for i, r := range recs {
 		if l.put(int(ivs[i]), r) {
 			l.mu.Unlock()
 			if err := l.evictFull(); err != nil {
-				return err
+				return i + 1, err
 			}
 			l.mu.Lock()
 		}
 	}
 	l.mu.Unlock()
-	return nil
+	return len(recs), nil
 }
 
 // put appends r to interval iv's top page, under mu, and reports whether

@@ -292,7 +292,7 @@ func TestAppendRecsMatchesAppend(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := bulk.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
+			if _, err := bulk.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
 				t.Fatal(err)
 			}
 			if a, b := devOne.Stats(), devBulk.Stats(); a != b {
@@ -301,7 +301,7 @@ func TestAppendRecsMatchesAppend(t *testing.T) {
 			start = end
 		}
 		if gen == 1 {
-			if err := fresh.AppendRecs(ivs, recs); err != nil {
+			if _, err := fresh.AppendRecs(ivs, recs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func TestAppendRecsEvictionReentersReclaimer(t *testing.T) {
 		ivs[i] += 2
 	}
 	done := make(chan error, 1)
-	go func() { done <- l.AppendRecs(ivs, recs) }()
+	go func() { _, err := l.AppendRecs(ivs, recs); done <- err }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -396,7 +396,7 @@ func TestReadRecsMatchesRead(t *testing.T) {
 	const intervals = 3
 	l, dev := testLog(t, intervals, 1<<20)
 	ivs, recs := testStream(2500, intervals, 9) // > readBatch pages in each interval
-	if err := l.AppendRecs(ivs, recs); err != nil {
+	if _, err := l.AppendRecs(ivs, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.FlushAll(); err != nil {
@@ -469,7 +469,7 @@ func TestGenerationsShareBuffers(t *testing.T) {
 		t.Fatalf("NewGeneration: budget %d, %d intervals", next.Budget(), next.NumIntervals())
 	}
 	ivs, recs := testStream(10*(readBatch+6), intervals, 3) // a flush of > readBatch pages
-	if err := cur.AppendRecs(ivs, recs); err != nil {
+	if _, err := cur.AppendRecs(ivs, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := cur.FlushAll(); err != nil {
@@ -482,7 +482,7 @@ func TestGenerationsShareBuffers(t *testing.T) {
 	if keep := readBatch * dev.PageSize(); cap(cur.bufs.stage) > keep {
 		t.Fatalf("staging buffer of %d bytes kept, the bound is %d", cap(cur.bufs.stage), keep)
 	}
-	if err := next.AppendRecs(ivs, recs[:100]); err != nil {
+	if _, err := next.AppendRecs(ivs, recs[:100]); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(next.bufs.pages); got >= pages {
@@ -544,7 +544,7 @@ func BenchmarkLogAppend(b *testing.B) {
 		for i := 0; i < b.N; i += run {
 			reset(b, l, i)
 			n := min(run, b.N-i)
-			if err := l.AppendRecs(ivs[:n], recs[:n]); err != nil {
+			if _, err := l.AppendRecs(ivs[:n], recs[:n]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -924,7 +924,13 @@ func maxPerChannel(chanBase uint32, channels int, pages []int) int {
 	if len(pages) == 1 {
 		return 1
 	}
-	counts := make([]int, channels)
+	// On the stack for any realistic channel count: this runs once per batched
+	// device read.
+	var few [64]int
+	counts := few[:]
+	if channels > len(few) {
+		counts = make([]int, channels)
+	}
 	maxc := 0
 	for _, p := range pages {
 		c := int((chanBase + uint32(p)) % uint32(channels))

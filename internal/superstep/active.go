@@ -38,9 +38,9 @@ func InitialActive(is vc.InitSet, n uint32) *bitset.Set {
 
 // ActiveSet returns, ascending and without duplicates, the vertices one
 // batch must process: the destinations of recs (sorted by Dst) plus the
-// vertices of [lo, hi) set in live.
-func ActiveSet(recs []extsort.Record, live *bitset.Set, lo, hi uint32) []uint32 {
-	var verts []uint32
+// vertices of [lo, hi) set in live. The result reuses buf's storage.
+func ActiveSet(buf []uint32, recs []extsort.Record, live *bitset.Set, lo, hi uint32) []uint32 {
+	verts := buf[:0]
 	for _, r := range recs {
 		if n := len(verts); n == 0 || verts[n-1] != r.Dst {
 			verts = append(verts, r.Dst)
@@ -55,9 +55,14 @@ func ActiveSet(recs []extsort.Record, live *bitset.Set, lo, hi uint32) []uint32 
 }
 
 // MsgRanges locates each vertex's messages inside recs (sorted by Dst):
-// recs[out[i][0]:out[i][1]] are bound for verts[i]. verts must ascend.
-func MsgRanges(verts []uint32, recs []extsort.Record) [][2]int {
-	out := make([][2]int, len(verts))
+// recs[out[i][0]:out[i][1]] are bound for verts[i]. verts must ascend. The
+// result reuses buf's storage when it is large enough.
+func MsgRanges(buf [][2]int, verts []uint32, recs []extsort.Record) [][2]int {
+	out := buf[:0]
+	if cap(out) < len(verts) {
+		out = make([][2]int, len(verts))
+	}
+	out = out[:len(verts)]
 	pos := 0
 	for i, v := range verts {
 		for pos < len(recs) && recs[pos].Dst < v {

@@ -83,13 +83,13 @@ func (b *SendBuffer) Send(w int, src, dst, data uint32) {
 }
 
 // Drain hands deliver each worker's buffered sends, a bucket at a time and
-// so in sender order, and empties the buffer, returning how many were
-// delivered. It stops at the first bucket deliver rejects or the first send
-// whose destination is not a vertex (ErrBadSend), having delivered the sends
-// before it. A bucket deliver rejects counts for nothing, however much of it
-// deliver consumed first, so beside an error the count is a lower bound.
-// deliver must not keep the slice.
-func (b *SendBuffer) Drain(deliver func([]extsort.Record) error) (uint64, error) {
+// so in sender order, and empties the buffer. deliver returns how many of the
+// records it was handed it consumed — all of them unless it fails — and Drain
+// returns their sum: exactly the sends that reached the engine's log, on the
+// error path too. It stops at the first bucket deliver fails on or the first
+// send whose destination is not a vertex (ErrBadSend), having delivered the
+// sends before it. deliver must not keep the slice.
+func (b *SendBuffer) Drain(deliver func([]extsort.Record) (int, error)) (uint64, error) {
 	var n uint64
 	for w, bucket := range b.buckets {
 		b.buckets[w] = bucket[:0]
@@ -103,10 +103,11 @@ func (b *SendBuffer) Drain(deliver func([]extsort.Record) error) (uint64, error)
 			}
 		}
 		if len(bucket) > 0 {
-			if err := deliver(bucket); err != nil {
+			done, err := deliver(bucket)
+			n += uint64(done)
+			if err != nil {
 				return n, err
 			}
-			n += uint64(len(bucket))
 		}
 		if bad != nil {
 			return n, bad

@@ -147,11 +147,11 @@ func TestActiveSetAndMsgRanges(t *testing.T) {
 	for _, v := range []int{1, 5, 6, 12} { // 1 and 12 lie outside [2, 10)
 		live.Set(v)
 	}
-	verts := ActiveSet(recs, live, 2, 10)
+	verts := ActiveSet(nil, recs, live, 2, 10)
 	if want := []uint32{3, 5, 6, 7}; !slices.Equal(verts, want) {
 		t.Fatalf("active = %v, want %v", verts, want)
 	}
-	ranges := MsgRanges(verts, recs)
+	ranges := MsgRanges(nil, verts, recs)
 	if want := [][2]int{{0, 2}, {2, 3}, {3, 3}, {3, 6}}; !slices.Equal(ranges, want) {
 		t.Fatalf("ranges = %v, want %v", ranges, want)
 	}
@@ -159,7 +159,7 @@ func TestActiveSetAndMsgRanges(t *testing.T) {
 	if want := []vc.Msg{{Src: 9}, {Src: 8}}; !slices.Equal(msgs, want) {
 		t.Fatalf("msgs = %v, want %v", msgs, want)
 	}
-	if got := ActiveSet(nil, bitset.New(4), 0, 4); len(got) != 0 {
+	if got := ActiveSet(nil, nil, bitset.New(4), 0, 4); len(got) != 0 {
 		t.Fatalf("empty batch active = %v", got)
 	}
 }
@@ -332,12 +332,12 @@ func TestSendBufferDrainsBucketsInOrder(t *testing.T) {
 	sb.Send(2, 21, 4, 0)
 	var got []uint32
 	buckets := 0
-	n, err := sb.Drain(func(recs []extsort.Record) error {
+	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
 		buckets++
 		for _, r := range recs {
 			got = append(got, r.Src)
 		}
-		return nil
+		return len(recs), nil
 	})
 	if err != nil || n != 4 || buckets != 2 {
 		t.Fatalf("drained %d sends in %d buckets, err %v; want 4 in 2 (the empty bucket is skipped)", n, buckets, err)
@@ -345,7 +345,7 @@ func TestSendBufferDrainsBucketsInOrder(t *testing.T) {
 	if want := []uint32{1, 2, 20, 21}; !slices.Equal(got, want) {
 		t.Fatalf("senders in drain order %v, want %v", got, want)
 	}
-	if n, err := sb.Drain(func([]extsort.Record) error { t.Error("deliver called on an empty buffer"); return nil }); n != 0 || err != nil {
+	if n, err := sb.Drain(func([]extsort.Record) (int, error) { t.Error("deliver called on an empty buffer"); return 0, nil }); n != 0 || err != nil {
 		t.Fatalf("second drain: %d sends, err %v", n, err)
 	}
 }
@@ -359,16 +359,36 @@ func TestSendBufferBadSend(t *testing.T) {
 	sb.Send(0, 3, 4, 0)
 	sb.Send(1, 4, 5, 0)
 	var got []uint32
-	n, err := sb.Drain(func(recs []extsort.Record) error {
+	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
 		for _, r := range recs {
 			got = append(got, r.Src)
 		}
-		return nil
+		return len(recs), nil
 	})
 	if !errors.Is(err, ErrBadSend) {
 		t.Fatalf("err = %v, want ErrBadSend", err)
 	}
 	if n != 1 || !slices.Equal(got, []uint32{1}) {
 		t.Fatalf("delivered %d sends from %v before the bad one, want 1 from [1]", n, got)
+	}
+}
+
+// A deliver that fails part-way through a bucket is counted for what it
+// consumed, so the total is exact on the error path too.
+func TestSendBufferCountsPartialDelivery(t *testing.T) {
+	sb := NewSendBuffer(2, 10)
+	for i := uint32(0); i < 3; i++ {
+		sb.Send(0, i, 1, 0)
+		sb.Send(1, i, 2, 0)
+	}
+	boom := errors.New("boom")
+	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
+		if recs[0].Dst == 2 {
+			return 2, boom
+		}
+		return len(recs), nil
+	})
+	if !errors.Is(err, boom) || n != 5 {
+		t.Fatalf("drained %d sends, err %v; want 5 (3 + 2 of the failing bucket) and boom", n, err)
 	}
 }
