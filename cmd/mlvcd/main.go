@@ -1,9 +1,10 @@
 // Command mlvcd serves point queries over one resident graph: a
 // long-running daemon that opens a built device directory, attaches a
 // shared page cache, and answers concurrent BFS/SSSP/random-walk queries
-// over HTTP/JSON. Compatible point queries arriving within the batching
-// window coalesce into one multi-source engine execution with per-query
-// results bit-identical to individual runs.
+// over HTTP/JSON. Compatible point queries that wait for the same
+// execution slot coalesce into one multi-source engine execution with
+// per-query results bit-identical to individual runs; a query that finds a
+// slot free runs at once.
 //
 // Usage:
 //
@@ -70,8 +71,7 @@ func run(args []string) error {
 	cacheMB := fs.Int("cache-mb", 64, "shared page-cache size in MiB; 0 serves uncached")
 	mem := fs.Int64("mem", 64<<20, "per-execution engine memory budget (bytes)")
 	steps := fs.Int("steps", 100, "max supersteps per query execution")
-	window := fs.Duration("batch-window", 2*time.Millisecond, "query batching window")
-	maxBatch := fs.Int("max-batch", 16, "max queries per batched execution")
+	maxBatch := fs.Int("max-batch", 16, "max queries that waited for one execution slot and share its run")
 	maxConc := fs.Int("max-concurrent", 2, "max simultaneous engine executions")
 	maxQueue := fs.Int("max-queue", 64, "max admitted-but-unfinished queries; beyond it queries are shed")
 	deadline := fs.Duration("deadline", 30*time.Second, "default per-query deadline")
@@ -151,7 +151,6 @@ func run(args []string) error {
 	s, err := serve.New(serve.Options{
 		Graph:             g,
 		Cache:             cache,
-		BatchWindow:       *window,
 		MaxBatch:          *maxBatch,
 		MaxConcurrent:     *maxConc,
 		MaxQueue:          *maxQueue,

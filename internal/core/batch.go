@@ -30,8 +30,9 @@ type batch struct {
 // each buffer is sized from what a batch needs and never doubled, so the plane
 // holds little more than the largest batch's vertex data (bytes a batch always
 // had to hold while it ran) and a steady-state batch allocates nothing per
-// vertex. A batch that leaves more than run.planeKeep bytes behind takes them
-// with it, and the plane dies with the run.
+// vertex. A batch that leaves more than run.planeKeep bytes behind — more than
+// a whole interval's batch must hold anyway, and more than the budgets — takes
+// them with it, and the plane dies with the run.
 type vertexPlane struct {
 	verts []uint32       // the active set, ascending
 	vb    csr.ValueBatch // value pages
@@ -101,8 +102,8 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 			return err
 		}
 	}
-	// A batch far larger than the budget sizes batches for — superstep 0 of
-	// an all-active program fuses every interval, having no messages to bound
+	// A batch far larger than any one interval's — superstep 0 of an
+	// all-active program fuses every interval, having no messages to bound
 	// it — must not leave its buffers with the run.
 	if r.bytes() > r.planeKeep {
 		r.vertexPlane = vertexPlane{}

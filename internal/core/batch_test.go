@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"multilogvc/internal/metrics"
@@ -146,6 +147,36 @@ func TestPlaneDropsOutsizedBatch(t *testing.T) {
 	}
 	if left := r.bytes(); left != 0 {
 		t.Fatalf("a whole-graph batch under a floor budget left %d bytes behind (keep %d)", left, r.planeKeep)
+	}
+}
+
+// In the serving shape a whole interval's batch outweighs both budgets, and
+// the run still keeps its plane for the next one: a second pass over the
+// intervals allocates next to nothing, where re-reserving the arena after
+// every outsized batch would cost the plane's size each time.
+func TestServingBatchesReusePlane(t *testing.T) {
+	g, _ := servingGraph(t)
+	r := openRun(t, New(g, Config{MemoryBudget: servingBudget, Workers: 1}), degreeSum{})
+	var ss metrics.SuperstepStats
+	pass := func() (largest int) {
+		for iv, span := range g.Intervals() {
+			if err := r.processBatch(&sortgroup.Batch{FirstIv: iv, LastIv: iv, Lo: span.Lo, Hi: span.Hi}, &ss); err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, r.bytes())
+		}
+		return largest
+	}
+	kept := pass()
+	if budgets := int(max(r.sortOpts.SortBudget, r.nextLog.Budget())); kept <= budgets || kept > r.planeKeep {
+		t.Fatalf("the largest one-interval batch left %d bytes; budgets %d, keep %d: it must outweigh the budgets and still be kept", kept, budgets, r.planeKeep)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(kept)/8 {
+		t.Fatalf("a second pass over %d intervals allocated %d bytes beside a %d-byte plane", len(g.Intervals()), grew, kept)
 	}
 }
 

@@ -70,6 +70,29 @@ const (
 	minWaveSends    = 4096
 )
 
+// planeVertexBytes bounds what the vertex plane holds per active vertex
+// besides values and edges: the active set and its position lists, the
+// per-vertex flags and message ranges, the arena's spans, page ranges and row
+// pointers (vertexPlane.bytes and csr.Arena.Bytes sum 83 bytes of them).
+const planeVertexBytes = 96
+
+// unfusedPlaneBytes returns what the vertex plane holds after a batch over
+// the one interval that needs most — all of its vertices active, every
+// out-edge decoded — which is what any run may have to hold whatever its
+// budgets, since an interval is never split by vertex. The plane may keep
+// that much between batches (run.planeKeep), or the budgets if they are
+// larger: a function of the graph and the configuration alone. Edges count
+// twice, once in the neighbour slab and once in the pages they were decoded
+// from; four pages cover the rounding of the value, row, column and weight
+// buffers.
+func unfusedPlaneBytes(g *csr.Graph, lanes int) int64 {
+	var most int64
+	for iv, span := range g.Intervals() {
+		most = max(most, 2*g.OutEdgeBytes(iv)+int64(span.Len())*int64(planeVertexBytes+4*lanes))
+	}
+	return most + 4*int64(g.Device().PageSize())
+}
+
 // lanesOf returns the lane count of prog (1 for a plain program) and its
 // lane view when it has one.
 func lanesOf(prog vc.Program) (int, vc.LaneProgram) {
@@ -193,9 +216,7 @@ func (r *run) open(resume bool) error {
 	r.sends = superstep.NewSendBuffer(cfg.Workers, n)
 	r.ctxs = make([]engineCtx, cfg.Workers)
 	r.waveSends = max(int(r.nextLog.Budget()/mlog.RecordBytes/waveBudgetShare), minWaveSends)
-	// The vertex plane may keep what a budget-sized batch's messages weigh, or
-	// the message plane's own buffers (floored at a page per interval) if more.
-	r.planeKeep = int(max(r.sortOpts.SortBudget, r.nextLog.Budget()))
+	r.planeKeep = int(max(r.sortOpts.SortBudget, r.nextLog.Budget(), unfusedPlaneBytes(g, lanes)))
 
 	// Space governance: register what this run can give back when a write
 	// hits the disk quota — consumed intervals of the previous-generation

@@ -58,7 +58,6 @@ func TestServingChaosSoak(t *testing.T) {
 	s, err := serve.New(serve.Options{
 		Graph:             g,
 		Cache:             cache,
-		BatchWindow:       3 * time.Millisecond,
 		MaxBatch:          8,
 		MaxConcurrent:     2,
 		BreakerWindow:     16,

@@ -354,18 +354,15 @@ func (c *Cache) Invalidate(fid uint32, page int) {
 	s.mu.Unlock()
 }
 
-// InvalidateFile drops every cached page of the file — called on truncate
-// and remove so recycled files never serve stale pages.
-func (c *Cache) InvalidateFile(fid uint32) {
-	for si := range c.shards {
-		s := &c.shards[si]
-		s.mu.Lock()
-		for key, i := range s.index {
-			if uint32(key>>32) == fid {
-				s.dropFrame(i)
-			}
-		}
-		s.mu.Unlock()
+// InvalidateFile drops the cached pages [0, pages) of the file — called on
+// truncate and remove with the file's page count, so recycled files never
+// serve stale pages. It probes the file's own keys and costs what the file
+// holds, whatever the size of the cache: a serving run truncates and removes
+// dozens of few-page scratch files per query in front of a cache of
+// thousands of frames.
+func (c *Cache) InvalidateFile(fid uint32, pages int) {
+	for page := 0; page < pages; page++ {
+		c.Invalidate(fid, page)
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"multilogvc/internal/ssd"
 )
@@ -225,7 +228,7 @@ func TestInvalidateFile(t *testing.T) {
 		c.Put(2, pg, page(byte(pg+10)), false)
 	}
 	c.Pin(1, 0) // invalidation must clear pins too
-	c.InvalidateFile(1)
+	c.InvalidateFile(1, 3)
 	for pg := 0; pg < 3; pg++ {
 		if c.Contains(1, pg) {
 			t.Fatalf("file 1 page %d survived invalidation", pg)
@@ -238,6 +241,88 @@ func TestInvalidateFile(t *testing.T) {
 	// Freed frames are reusable without eviction.
 	if !c.Put(1, 5, page(5), true) {
 		t.Fatal("prefetch put refused after invalidation freed frames")
+	}
+}
+
+// invalidateFileScan is the reference InvalidateFile: walk every shard's
+// whole index and drop the file's frames below pages.
+func invalidateFileScan(c *Cache, fid uint32, pages int) {
+	for si := range c.shards {
+		s := &c.shards[si]
+		s.mu.Lock()
+		for key, i := range s.index {
+			if uint32(key>>32) == fid && int(uint32(key)) < pages {
+				s.dropFrame(i)
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestInvalidateFileMatchesScan: probing a file's keys leaves the cache in
+// exactly the state the whole-index scan did — same frames dropped, pins and
+// prefetch marks cleared, same counters — over random residency in several
+// files, whether the file is larger than what is resident (sparse, evicted)
+// or the call names fewer pages than are resident (the tail survives).
+func TestInvalidateFileMatchesScan(t *testing.T) {
+	const files, filePages = 5, 40
+	build := func() *Cache {
+		c := NewSharded(96, testPage, 4) // smaller than files×filePages: evictions happen
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 600; i++ {
+			fid, pg := uint32(1+rng.Intn(files)), rng.Intn(filePages)
+			switch rng.Intn(5) {
+			case 0:
+				c.Put(fid, pg, page(byte(i)), true)
+			case 1:
+				c.Pin(fid, pg)
+			case 2:
+				c.Get(fid, pg, nil)
+			default:
+				c.Put(fid, pg, page(byte(i)), false)
+			}
+		}
+		return c
+	}
+	got, want := build(), build()
+	if got.PinnedPages() == 0 || got.Stats().PrefetchInserts == 0 || got.Stats().Evictions == 0 {
+		t.Fatalf("the random fill pinned %d pages, stats %+v: the test covers nothing", got.PinnedPages(), got.Stats())
+	}
+	for _, call := range []struct {
+		fid   uint32
+		pages int
+	}{
+		{1, filePages},     // the whole file
+		{2, 4 * filePages}, // a file far larger than what is resident
+		{3, filePages / 4}, // fewer pages than are resident
+		{3, filePages / 4}, // again: nothing left to drop
+		{4, 0},             // an empty file
+		{9, filePages},     // a file the cache never saw
+		{5, filePages},
+	} {
+		got.InvalidateFile(call.fid, call.pages)
+		invalidateFileScan(want, call.fid, call.pages)
+		if g, w := got.Stats(), want.Stats(); g != w {
+			t.Fatalf("InvalidateFile(%d, %d): stats %+v, the scan's %+v", call.fid, call.pages, g, w)
+		}
+		for si := range got.shards {
+			g, w := &got.shards[si], &want.shards[si]
+			if !reflect.DeepEqual(g.index, w.index) || !reflect.DeepEqual(g.frames, w.frames) {
+				t.Fatalf("InvalidateFile(%d, %d): shard %d differs from the scan's", call.fid, call.pages, si)
+			}
+		}
+	}
+	if got.Contains(3, filePages/4-1) || got.Stats().Invalidations == 0 {
+		t.Fatal("nothing was invalidated")
+	}
+	survivors := 0
+	for pg := filePages / 4; pg < filePages; pg++ {
+		if got.Contains(3, pg) {
+			survivors++
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no page of file 3 past the named count stayed resident; the short-count case covers nothing")
 	}
 }
 
@@ -551,4 +636,30 @@ func BenchmarkPageCache(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkInvalidateFile: dropping a resident 8-page file from a full cache
+// of 16 Ki frames (mlvcd's default 64 MiB of 4 KiB pages) — what every
+// scratch truncate and remove of a serving run pays. ns/page is the number to
+// read: it times the invalidations alone (ns/op includes re-inserting the
+// file's pages).
+func BenchmarkInvalidateFile(b *testing.B) {
+	const frames, filePages = 16 << 10, 8
+	c := New(frames, testPage)
+	data := page(1)
+	for pg := 0; pg < frames; pg++ {
+		c.Put(1, pg, data, false)
+	}
+	var spent time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fid := uint32(2 + i)
+		for pg := 0; pg < filePages; pg++ {
+			c.Put(fid, pg, data, false)
+		}
+		start := time.Now()
+		c.InvalidateFile(fid, filePages)
+		spent += time.Since(start)
+	}
+	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N*filePages), "ns/page")
 }

@@ -22,6 +22,8 @@ import (
 type pointQuery struct {
 	source    uint32
 	deadline  time.Time
+	admitted  time.Time        // when the handler admitted it
+	wait      time.Duration    // admitted → its batch held an execution slot; read after done
 	done      chan pointResult // buffered(1)
 	delivered atomic.Bool      // deliver() wins exactly once
 }
@@ -43,77 +45,71 @@ type pointResult struct {
 	supersteps   int
 	pagesRead    uint64 // the whole execution's scoped device reads
 	pagesWritten uint64
-	isolated     bool // answered by a solo re-run after its batch faulted
+	isolated     bool          // answered by a solo re-run after its batch faulted
+	engine       time.Duration // the engine execution that answered it
 	err          error
 }
 
-// batcher coalesces compatible point queries of one app kind. The first
-// query to arrive opens a window (Options.BatchWindow); companions
-// arriving inside it join the same lane-batched execution. A full batch
-// (Options.MaxBatch) flushes early. Under brownout (breaker pressure)
-// both limits shrink so a faulty execution has fewer co-batched victims.
+// batcher coalesces compatible point queries of one app kind, driven by
+// execution slots rather than a clock: the first pending query starts a
+// dispatcher that takes a slot first and then runs whatever is pending, up
+// to Options.MaxBatch (a quarter of it under brownout, so a faulty execution
+// has fewer co-batched victims). An idle daemon therefore answers a lone
+// query at once, and a saturated one coalesces exactly the queries that had
+// to wait for a slot anyway — nothing ever waits for company.
 type batcher struct {
 	s    *Server
 	kind string // "bfs" or "sssp"
 
 	mu      sync.Mutex
 	pending []*pointQuery
-	timer   *time.Timer
+	// dispatching says a dispatcher has yet to take its batch; it holds
+	// whenever pending is non-empty, so no query is ever left behind.
+	dispatching bool
 }
 
 func newBatcher(s *Server, kind string) *batcher {
 	return &batcher{s: s, kind: kind}
 }
 
-// enqueue admits q into the current window, flushing when the batch
-// fills. Returns an error only when the server is draining.
+// enqueue admits q, starting a dispatcher unless one is already waiting
+// for a slot. Returns an error only when the server is draining.
 func (b *batcher) enqueue(q *pointQuery) error {
-	maxBatch, window := b.s.batchParams()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.s.closed.Load() {
-		b.mu.Unlock()
 		return fmt.Errorf("serve: shutting down")
 	}
 	b.pending = append(b.pending, q)
-	if len(b.pending) >= maxBatch {
-		batch := b.takeLocked()
-		b.mu.Unlock()
-		b.launch(batch)
-		return nil
+	if !b.dispatching {
+		b.dispatching = true
+		b.s.wg.Add(1)
+		go b.dispatch()
 	}
-	if len(b.pending) == 1 {
-		b.timer = time.AfterFunc(window, b.flushNow)
-	}
-	b.mu.Unlock()
 	return nil
 }
 
-// flushNow closes the current window and launches whatever is pending.
-// Also called on server Close to drain without waiting for the timer.
-func (b *batcher) flushNow() {
+// dispatch takes one execution slot from the admission semaphore, then the
+// oldest pending queries as one batch, and runs it under that slot. If more
+// queries are pending than the batch may hold it hands dispatching on to a
+// fresh goroutine first, which queues for the next slot while this one runs.
+func (b *batcher) dispatch() {
+	defer b.s.wg.Done()
+	b.s.sem <- struct{}{}
+	defer func() { <-b.s.sem }()
+
 	b.mu.Lock()
-	batch := b.takeLocked()
+	n := min(len(b.pending), b.s.maxBatch())
+	batch := b.pending[:n:n]
+	b.pending = b.pending[n:]
+	if len(b.pending) > 0 {
+		b.s.wg.Add(1)
+		go b.dispatch()
+	} else {
+		b.pending, b.dispatching = nil, false
+	}
 	b.mu.Unlock()
-	b.launch(batch)
-}
-
-// takeLocked detaches the pending batch; the caller holds b.mu.
-func (b *batcher) takeLocked() []*pointQuery {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
-}
-
-func (b *batcher) launch(batch []*pointQuery) {
-	if len(batch) == 0 {
-		return
-	}
-	b.s.wg.Add(1)
-	go b.runBatch(batch)
+	b.runBatch(batch)
 }
 
 // retryable reports whether a failed batch execution is worth isolating:
@@ -129,17 +125,17 @@ func retryable(err error) bool {
 		errors.Is(err, ssd.ErrNoSpace)
 }
 
-// runBatch executes one lane-batched engine run for batch and fans the
-// per-lane results back out. The batch's context deadline is the LATEST
-// member deadline: a member whose own deadline passes while a
-// longer-deadline companion keeps the run alive still gets its result
-// ("late but computed" beats recomputing), while a batch whose every
-// member expired is cut before it costs an execution slot. A retryable
-// device fault does not fail the companions: surviving members re-run
-// solo within their remaining deadlines (batch fault isolation).
+// runBatch executes one lane-batched engine run for batch, under the
+// execution slot its dispatcher holds, and fans the per-lane results back
+// out. The batch's context deadline is the LATEST member deadline: a member
+// whose own deadline passes while a longer-deadline companion keeps the run
+// alive still gets its result ("late but computed" beats recomputing), while
+// a batch whose every member expired is cut before it costs an execution. A
+// retryable device fault does not fail the companions: surviving members
+// re-run solo within their remaining deadlines (batch fault isolation).
 func (b *batcher) runBatch(batch []*pointQuery) {
-	defer b.s.wg.Done()
 	live := obsv.Live()
+	slotAt := time.Now()
 
 	// Panic containment at the batch-goroutine boundary: a panic here
 	// (engine internals beyond core's own recovery, or serving code)
@@ -165,17 +161,17 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 	sources := make([]uint32, len(batch))
 	latest := batch[0].deadline
 	for i, q := range batch {
+		q.wait = slotAt.Sub(q.admitted)
 		sources[i] = q.source
 		if q.deadline.After(latest) {
 			latest = q.deadline
 		}
 	}
 
-	// Fast-fail a fully-expired batch before it costs anything: no
-	// semaphore slot, no program build, no engine. (Queries park in the
-	// batching window and the admission queue; a short-deadline batch
-	// can be dead on flush.)
-	if !latest.After(time.Now()) {
+	// Fast-fail a fully-expired batch before it costs anything more than
+	// the slot it waited for: no program build, no engine. (Queries park
+	// behind busy slots; a short-deadline batch can be dead on dispatch.)
+	if !latest.After(slotAt) {
 		err := fmt.Errorf("serve: every batch member's deadline expired before execution: %w", core.ErrDeadline)
 		for _, q := range batch {
 			q.deliver(pointResult{err: err, batchSize: len(batch)})
@@ -183,10 +179,6 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 		b.s.brk.recordN(outcomeNeutral, len(batch))
 		return
 	}
-
-	// One execution slot from the admission semaphore.
-	b.s.sem <- struct{}{}
-	defer func() { <-b.s.sem }()
 
 	if b.s.testBatchHook != nil {
 		b.s.testBatchHook(b.kind, len(batch))
@@ -213,7 +205,7 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 	tag = fmt.Sprintf("q%d", b.s.runSeq.Add(1))
 	ctx, cancel := context.WithDeadline(context.Background(), latest)
 	defer cancel()
-	res, st, err := b.s.runEngine(ctx, tag, prog)
+	res, st, engine, err := b.s.runEngine(ctx, tag, prog)
 
 	live.BatchesRun.Add(1)
 	if len(batch) > 1 {
@@ -246,6 +238,7 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 			supersteps:   len(res.Report.Supersteps),
 			pagesRead:    st.PagesRead,
 			pagesWritten: st.PagesWritten,
+			engine:       engine,
 		})
 	}
 }
@@ -291,7 +284,7 @@ func (b *batcher) runSolo(q *pointQuery, batchErr error) pointResult {
 	tag := fmt.Sprintf("q%d", b.s.runSeq.Add(1))
 	ctx, cancel := context.WithDeadline(context.Background(), q.deadline)
 	defer cancel()
-	res, st, err := b.s.runEngine(ctx, tag, prog)
+	res, st, engine, err := b.s.runEngine(ctx, tag, prog)
 
 	live := obsv.Live()
 	live.BatchesRun.Add(1)
@@ -310,13 +303,15 @@ func (b *batcher) runSolo(q *pointQuery, batchErr error) pointResult {
 		pagesRead:    st.PagesRead,
 		pagesWritten: st.PagesWritten,
 		isolated:     true,
+		engine:       engine,
 	}
 }
 
 // runEngine is the one place a serving execution is configured: private
 // scratch namespace, ephemeral cleanup on any exit, per-run IO scope,
-// shared cache with a private prefetcher.
-func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, error) {
+// shared cache with a private prefetcher. It also times the execution.
+func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, time.Duration, error) {
+	start := time.Now()
 	// Pin the delta epoch for the whole execution: queries read a frozen
 	// graph while streaming ingest acknowledges mutations around them,
 	// and every lane of the batch sees the same structure.
@@ -337,5 +332,5 @@ func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*s
 		cfg.Prefetcher = pf
 	}
 	res, err := core.New(snap.Graph(), cfg).RunCtx(ctx, prog)
-	return res, sc.Stats(), err
+	return res, sc.Stats(), time.Since(start), err
 }

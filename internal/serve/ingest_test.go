@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
@@ -182,7 +181,7 @@ func TestMutateDisabledByDefault(t *testing.T) {
 // exercised by mutating past the merge threshold while queries run.
 func TestQueriesSnapshotIsolatedFromIngest(t *testing.T) {
 	g := ingestFixture(t, csr.IngestOptions{})
-	s, err := New(Options{Graph: g, EnableIngest: true, MergeThreshold: 64, BatchWindow: time.Millisecond})
+	s, err := New(Options{Graph: g, EnableIngest: true, MergeThreshold: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

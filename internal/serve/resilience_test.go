@@ -17,9 +17,9 @@ import (
 // TestServeBatchFaultIsolation is the tentpole contract: a retryable
 // device fault in a lane-batched execution must not fail the healthy
 // companions. Corruption is armed only for the batch's scratch namespace
-// (".q1." — the first RunTag this server issues), so the 2-lane batch
-// dies of corrupt scratch while the solo re-runs (tags q2, q3) execute
-// clean. Both clients still get 200s, solo-sized, marked isolated, and
+// (".q2." — the second RunTag this server issues, the first being the
+// slot holder's), so the 2-lane batch dies of corrupt scratch while the
+// solo re-runs (tags q3, q4) execute clean. Both clients still get 200s, solo-sized, marked isolated, and
 // bit-identical to sequential single-source runs.
 func TestServeBatchFaultIsolation(t *testing.T) {
 	g := fixture(t, 91)
@@ -29,16 +29,18 @@ func TestServeBatchFaultIsolation(t *testing.T) {
 	for i, src := range sources {
 		want[i] = single(t, g, "bfs", src)
 	}
-	dev.CorruptOnly(".q1.")
+	dev.CorruptOnly(".q2.")
 	dev.FailCorruptProb(1, 42)
 
-	s, err := New(Options{Graph: g, BatchWindow: 200 * time.Millisecond, MaxBatch: 8})
+	s, err := New(Options{Graph: g, MaxConcurrent: 1, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	hold := installSlotHold(s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	holders := hold.holdSlots(t, ts.URL, "bfs")
 
 	live := obsv.Live()
 	isolated0 := live.QueriesIsolated.Value()
@@ -65,7 +67,10 @@ func TestServeBatchFaultIsolation(t *testing.T) {
 			}
 		}(i, src)
 	}
+	waitPending(t, s.bfs, len(sources))
+	hold.release()
 	wg.Wait()
+	holders.Wait()
 
 	for i := range sources {
 		r := replies[i]
@@ -157,28 +162,43 @@ func TestServeWalkFaultPaths(t *testing.T) {
 }
 
 // TestServeFastFailExpiredBatch: a batch whose every member deadline
-// expired while parked in the batching window is cut before the admission
-// semaphore and the engine — a classified 504 with zero executions run.
+// expired while it waited for a busy slot is cut before the engine — a
+// classified 504 with no execution run for it.
 func TestServeFastFailExpiredBatch(t *testing.T) {
 	g := fixture(t, 93)
-	s, err := New(Options{Graph: g, BatchWindow: 150 * time.Millisecond})
+	s, err := New(Options{Graph: g, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	hold := installSlotHold(s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	holders := hold.holdSlots(t, ts.URL, "bfs")
 
 	live := obsv.Live()
 	batches0 := live.BatchesRun.Value()
 
-	// Deadline (30ms) is alive at admission but dead by flush (150ms).
-	resp, data := postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 5, DeadlineMS: 30})
-	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, data) != "deadline" {
-		t.Fatalf("fast-fail: status %d body %s", resp.StatusCode, data)
+	// Deadline (30ms) is alive at admission but dead once the slot frees.
+	type reply struct {
+		status int
+		data   []byte
 	}
-	if d := live.BatchesRun.Value() - batches0; d != 0 {
-		t.Fatalf("expired batch still ran %d executions, want 0", d)
+	replied := make(chan reply, 1)
+	go func() {
+		resp, data := postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 5, DeadlineMS: 30})
+		replied <- reply{resp.StatusCode, data}
+	}()
+	waitPending(t, s.bfs, 1)
+	time.Sleep(40 * time.Millisecond) // outlive the deadline
+	hold.release()
+	holders.Wait()
+	if r := <-replied; r.status != http.StatusGatewayTimeout || errCode(t, r.data) != "deadline" {
+		t.Fatalf("fast-fail: status %d body %s", r.status, r.data)
+	}
+	// Only the slot holder's execution ran.
+	if d := live.BatchesRun.Value() - batches0; d != 1 {
+		t.Fatalf("%d executions ran, want 1 (the slot holder's; none for the expired batch)", d)
 	}
 }
 

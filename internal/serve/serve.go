@@ -7,11 +7,12 @@
 // Three mechanisms carry the design:
 //
 //   - Multi-source batching: compatible point queries (same app) that
-//     arrive within a short window coalesce into ONE lane-batched engine
-//     execution (apps.MultiBFS / apps.MultiSSSP), so K queued BFS
-//     queries cost one pass over the logs instead of K. Per-lane results
-//     are bit-identical to K individual runs — batching is invisible to
-//     callers except in latency and shared IO.
+//     wait for the same execution slot coalesce into ONE lane-batched
+//     engine execution (apps.MultiBFS / apps.MultiSSSP), so K queued BFS
+//     queries cost one pass over the logs instead of K; a query that finds
+//     a slot free runs at once, alone. Per-lane results are bit-identical
+//     to K individual runs — batching is invisible to callers except in
+//     latency and shared IO.
 //
 //   - Isolation: every execution gets its own RunTag scratch namespace,
 //     an Ephemeral config (scratch removed even on failure), and an
@@ -50,10 +51,8 @@ type Options struct {
 	// Cache is the shared page cache attached to the graph's device
 	// (nil = uncached serving; every query pays device reads).
 	Cache *pagecache.Cache
-	// BatchWindow is how long the first query of a batch waits for
-	// companions before the batch executes. Defaults to 2ms.
-	BatchWindow time.Duration
-	// MaxBatch caps queries per execution; defaults to 16, clamped to
+	// MaxBatch caps queries per execution — how many that waited for the
+	// same execution slot may share it; defaults to 16, clamped to
 	// apps.MaxLanes (the packed-message format's limit).
 	MaxBatch int
 	// MaxConcurrent bounds simultaneous engine executions; defaults to 2.
@@ -107,9 +106,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
 	}
@@ -242,33 +238,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// batchParams returns the effective MaxBatch and BatchWindow, shrunk 4×
-// under brownout: while the breaker suspects the device, smaller batches
-// mean fewer co-batched victims per faulty execution and cheaper solo
-// isolation when one does fault.
-func (s *Server) batchParams() (int, time.Duration) {
+// maxBatch returns the effective MaxBatch, shrunk 4× under brownout: while
+// the breaker suspects the device, smaller batches mean fewer co-batched
+// victims per faulty execution and cheaper solo isolation when one does
+// fault.
+func (s *Server) maxBatch() int {
 	if s.brk.brownout() {
-		mb := s.opts.MaxBatch / 4
-		if mb < 1 {
-			mb = 1
-		}
-		return mb, s.opts.BatchWindow / 4
+		return max(s.opts.MaxBatch/4, 1)
 	}
-	return s.opts.MaxBatch, s.opts.BatchWindow
+	return s.opts.MaxBatch
 }
 
-// Close drains the server: new queries are shed with 503, queued batches
-// flush immediately, and Close returns once every in-flight execution has
-// finished.
+// Close drains the server: new queries are shed with 503, queries already
+// pending still get their slot and run, and Close returns once every
+// dispatcher and in-flight execution has finished.
 func (s *Server) Close() {
-	if s.closed.Swap(true) {
+	// Flip closed under both batcher locks: an enqueue either saw it, or has
+	// already counted its dispatcher into wg before the Wait below.
+	s.bfs.mu.Lock()
+	s.sssp.mu.Lock()
+	already := s.closed.Swap(true)
+	s.sssp.mu.Unlock()
+	s.bfs.mu.Unlock()
+	if already {
 		return
 	}
 	if f := s.fol.Load(); f != nil {
 		f.Stop()
 	}
-	s.bfs.flushNow()
-	s.sssp.flushNow()
 	s.wg.Wait()
 }
 
@@ -303,11 +300,28 @@ type pointResponse struct {
 	BatchPagesWritten uint64            `json:"batch_pages_written"`
 	Dist              map[string]uint32 `json:"dist,omitempty"`
 	AllValues         []uint32          `json:"all_values,omitempty"`
+	// Timings splits the request's latency, in milliseconds.
+	Timings timingsMS `json:"timings_ms"`
 }
 
-// handlePoint admits one point query into b's batching window and waits
-// for its lane result.
+// timingsMS is where one point query's time went. Wait runs from admission
+// until the query's batch held an execution slot; Engine is the engine
+// execution that produced the answer (the solo re-run for an isolated
+// query, whose failed batch run is then part of Total only); Total runs
+// from handler entry until the response is encoded. Total − Wait − Engine
+// is decode, admission, fan-out and result extraction.
+type timingsMS struct {
+	Wait   float64 `json:"wait"`
+	Engine float64 `json:"engine"`
+	Total  float64 `json:"total"`
+}
+
+// ms converts a duration to fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// handlePoint admits one point query into b and waits for its lane result.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher) {
+	entered := time.Now()
 	live := obsv.Live()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "bad_request", "POST required")
@@ -365,7 +379,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher)
 		return
 	}
 
-	q := &pointQuery{source: req.Source, deadline: deadline, done: make(chan pointResult, 1)}
+	q := &pointQuery{source: req.Source, deadline: deadline, admitted: time.Now(), done: make(chan pointResult, 1)}
 	if err := b.enqueue(q); err != nil {
 		s.brk.record(outcomeNeutral)
 		live.QueriesShed.Add(1)
@@ -416,6 +430,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher)
 		if req.Values {
 			resp.AllValues = res.values
 		}
+		resp.Timings = timingsMS{Wait: ms(q.wait), Engine: ms(res.engine), Total: ms(time.Since(entered))}
 		writeJSON(w, http.StatusOK, resp)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,9 +81,10 @@ func errCode(t *testing.T, data []byte) string {
 }
 
 // TestServeBatchingParity drives K concurrent BFS queries through the
-// HTTP API inside one batching window and asserts each client's full
-// value array is bit-identical to its own sequential single-source run —
-// the daemon's batching contract, verified end to end.
+// HTTP API while the only execution slot is busy, so they share the next
+// execution, and asserts each client's full value array is bit-identical
+// to its own sequential single-source run — the daemon's batching
+// contract, verified end to end.
 func TestServeBatchingParity(t *testing.T) {
 	g := fixture(t, 21)
 	sources := []uint32{3, 7, 100, 400}
@@ -91,13 +93,15 @@ func TestServeBatchingParity(t *testing.T) {
 		want[i] = single(t, g, "bfs", src)
 	}
 
-	s, err := New(Options{Graph: g, BatchWindow: 100 * time.Millisecond, MaxBatch: 8})
+	s, err := New(Options{Graph: g, MaxConcurrent: 1, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	hold := installSlotHold(s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	holders := hold.holdSlots(t, ts.URL, "bfs")
 
 	type reply struct {
 		resp pointResponse
@@ -119,7 +123,10 @@ func TestServeBatchingParity(t *testing.T) {
 			}
 		}(i, src)
 	}
+	waitPending(t, s.bfs, len(sources))
+	hold.release()
 	wg.Wait()
+	holders.Wait()
 
 	for i := range sources {
 		r := replies[i]
@@ -136,7 +143,7 @@ func TestServeBatchingParity(t *testing.T) {
 			}
 		}
 	}
-	// All four arrived inside one window: they must have shared a batch.
+	// All four waited for the same slot: they must have shared a batch.
 	for i := range sources {
 		if replies[i].resp.BatchSize != len(sources) {
 			t.Fatalf("query %d ran in a batch of %d, want %d", i, replies[i].resp.BatchSize, len(sources))
@@ -189,14 +196,20 @@ func TestServeDeadlineShedClean(t *testing.T) {
 	dev.AttachCache(cache)
 	want := single(t, g, "bfs", 12)
 
-	// The batching window (50ms) alone outlives the 1ms deadline, so by
-	// flush time the batch context is already expired: the engine sheds
-	// at its first boundary check, classified as a deadline.
-	s, err := New(Options{Graph: g, Cache: cache, BatchWindow: 50 * time.Millisecond})
+	// The first execution dawdles past its query's 1ms deadline after
+	// taking its slot, so the engine starts under an expired context and
+	// sheds at its first boundary check, classified as a deadline.
+	s, err := New(Options{Graph: g, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	var dawdled atomic.Bool
+	s.testBatchHook = func(string, int) {
+		if dawdled.CompareAndSwap(false, true) {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -241,10 +254,11 @@ func TestServeDeadlineShedClean(t *testing.T) {
 // queries, out-of-range sources, queue overflow, and draining.
 func TestServeAdmission(t *testing.T) {
 	g := fixture(t, 44)
-	s, err := New(Options{Graph: g, BatchWindow: 200 * time.Millisecond, MaxQueue: 1})
+	s, err := New(Options{Graph: g, MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hold := installSlotHold(s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -264,19 +278,15 @@ func TestServeAdmission(t *testing.T) {
 		t.Fatalf("negative deadline should fall back to default: %d %s", resp.StatusCode, data)
 	}
 
-	// Queue overflow: with MaxQueue=1 and a long batching window, a
-	// first query parks in the window and the second is shed.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 2, DeadlineMS: 30_000})
-	}()
-	time.Sleep(30 * time.Millisecond) // let the first query enter the window
+	// Queue overflow: with MaxQueue=1, while a first query's execution is
+	// parked the second is shed.
+	holders := hold.holdSlots(t, ts.URL, "bfs")
 	resp, data = postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 3})
 	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, data) != "overloaded" {
 		t.Fatalf("overflow: status %d body %s", resp.StatusCode, data)
 	}
-	<-done
+	hold.release()
+	holders.Wait()
 
 	// Draining: queries after Close are shed with shutting_down.
 	s.Close()
@@ -287,7 +297,8 @@ func TestServeAdmission(t *testing.T) {
 }
 
 // TestServeConcurrentMixed hammers the daemon with concurrent BFS and
-// SSSP queries across several batches — under -race this is the shared
+// SSSP queries that pile up behind three busy slots and then run as
+// several batches at once — under -race this is the shared
 // cache/device/scope interference audit at the HTTP layer.
 func TestServeConcurrentMixed(t *testing.T) {
 	g := fixture(t, 55)
@@ -302,16 +313,15 @@ func TestServeConcurrentMixed(t *testing.T) {
 		want[i] = single(t, g, kinds[i], sources[i])
 	}
 
-	s, err := New(Options{
-		Graph: g, Cache: cache,
-		BatchWindow: 20 * time.Millisecond, MaxBatch: 4, MaxConcurrent: 3,
-	})
+	s, err := New(Options{Graph: g, Cache: cache, MaxBatch: 4, MaxConcurrent: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	hold := installSlotHold(s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
+	holders := hold.holdSlots(t, ts.URL, "bfs", "sssp", "bfs")
 
 	var wg sync.WaitGroup
 	for i := range kinds {
@@ -338,7 +348,13 @@ func TestServeConcurrentMixed(t *testing.T) {
 			}
 		}(i)
 	}
+	// Five BFS queries (a batch of four and one of one) and three SSSP are
+	// pending; freeing the three slots runs the three batches together.
+	waitPending(t, s.bfs, 5)
+	waitPending(t, s.sssp, 3)
+	hold.release()
 	wg.Wait()
+	holders.Wait()
 
 	if p := cache.PinnedPages(); p != 0 {
 		t.Fatalf("%d pages left pinned after the storm", p)

@@ -366,7 +366,7 @@ func (f *File) Truncate() error {
 		f.dev.freePages(np)
 	}
 	if c := f.dev.cache; c != nil {
-		c.InvalidateFile(f.id)
+		c.InvalidateFile(f.id, np)
 	}
 	if err != nil {
 		return err

@@ -256,6 +256,7 @@ func (s Stats) subStages(t Stats) [obsv.NumStages]StageStats {
 type Device struct {
 	cfg   Config
 	cache PageCache // optional buffer pool; see AttachCache
+	pool  pagePool  // free RAM pages of truncated and removed files (no Dir)
 
 	mu         sync.Mutex
 	files      map[string]*File
@@ -391,8 +392,9 @@ type PageCache interface {
 	// Pin marks a resident page non-evictable; Unpin releases one pin.
 	Pin(fid uint32, page int) bool
 	Unpin(fid uint32, page int)
-	// InvalidateFile drops every cached page of a file.
-	InvalidateFile(fid uint32)
+	// InvalidateFile drops the cached pages [0, pages) of a file; pages is
+	// the file's page count, so the cost follows the file, not the cache.
+	InvalidateFile(fid uint32, pages int)
 }
 
 // AttachCache installs a page cache in front of the device. Cached reads
@@ -716,13 +718,13 @@ func (d *Device) Remove(name string) error {
 	delete(d.files, name)
 	d.stats.FilesRemoved++
 	d.mu.Unlock()
-	if d.cache != nil {
-		d.cache.InvalidateFile(f.id)
-	}
 	f.s.mu.Lock()
 	np := f.s.store.numPages()
 	err := f.s.store.close()
 	f.s.mu.Unlock()
+	if d.cache != nil {
+		d.cache.InvalidateFile(f.id, np)
+	}
 	d.freePages(np)
 	return err
 }
@@ -774,7 +776,7 @@ func (d *Device) newStore(name string) (store, error) {
 	if d.cfg.Dir != "" {
 		return newDiskStore(d.cfg.Dir, name, d.cfg.PageSize)
 	}
-	return newMemStore(d.cfg.PageSize), nil
+	return newMemStore(d.cfg.PageSize, &d.pool), nil
 }
 
 // FileStats is the per-file IO counter set.

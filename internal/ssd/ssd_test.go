@@ -385,6 +385,71 @@ func TestWriterPartialPageZeroPadded(t *testing.T) {
 	}
 }
 
+// A RAM page recycled from a truncated or removed file never shows its old
+// bytes in the file that takes it over — not past a short last page, not past
+// a short store write — and its checksum is the new owner's.
+func TestRecycledPageLeaksNothing(t *testing.T) {
+	d := testDev(t)
+	ps := d.PageSize()
+	old, _ := d.Create("old")
+	gone, _ := d.Create("gone")
+	dirty := bytes.Repeat([]byte{0xEE}, 3*ps)
+	if err := old.AppendPages(dirty); err != nil {
+		t.Fatal(err)
+	}
+	if err := gone.AppendPages(dirty[:2*ps]); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if free := len(d.pool.free); free != 5 {
+		t.Fatalf("the pool holds %d pages after 3 were truncated and 2 removed", free)
+	}
+
+	f, _ := d.Create("new")
+	w := NewWriter(f)
+	w.Write(bytes.Repeat([]byte{7}, ps+3)) // one full page, one three-byte page
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if free := len(d.pool.free); free != 3 {
+		t.Fatalf("the pool holds %d pages after a two-page file drew on it, want 3", free)
+	}
+	got := make([]byte, 2*ps)
+	if err := f.ReadPageRange(0, 2, got); err != nil { // verifies both CRCs
+		t.Fatal(err)
+	}
+	want := append(bytes.Repeat([]byte{7}, ps+3), make([]byte, ps-3)...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a recycled page leaked: last page reads % x ...", got[ps:ps+8])
+	}
+	if st := d.Stats(); st.CorruptPages != 0 {
+		t.Fatalf("%d checksum failures on recycled pages", st.CorruptPages)
+	}
+
+	// The store itself zero-fills past a short write into a recycled page.
+	m := newMemStore(ps, &d.pool)
+	if err := m.writePage(0, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.pages[0], append([]byte{1, 2}, make([]byte, ps-2)...)) {
+		t.Fatalf("short write into a recycled page: % x ...", m.pages[0][:8])
+	}
+	// The pool never holds more than was freed: draining it allocates afresh.
+	for i := 1; i < 4; i++ {
+		if err := m.writePage(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := len(d.pool.free); free != 0 {
+		t.Fatalf("the pool holds %d pages after more were drawn than freed", free)
+	}
+}
+
 func TestDiskBacking(t *testing.T) {
 	dir := t.TempDir()
 	d := MustOpen(Config{PageSize: 128, Channels: 2, Dir: dir})
@@ -496,6 +561,26 @@ func BenchmarkAppendPage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.AppendPage(page)
+	}
+}
+
+// BenchmarkLogRecycle: fill a 64-page file and truncate it, over and over —
+// a message log's life across supersteps. B/op says whether the RAM device
+// allocates the pages once or once per fill.
+func BenchmarkLogRecycle(b *testing.B) {
+	d := MustOpen(Config{PageSize: 4096, Channels: 8})
+	f, _ := d.Create("log")
+	pages := make([]byte, 64*4096)
+	b.SetBytes(int64(len(pages)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.AppendPages(pages); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Truncate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // store is the backing for a file's pages. Implementations are not
@@ -36,16 +37,47 @@ const crcSidecarSuffix = ".mlvc-crc"
 // from a never-written slot in a sparse or pre-extended sidecar.
 const crcEntrySize = 8
 
-// memStore keeps pages in RAM.
+// pagePool is a RAM device's free list of pages: truncated and removed files
+// feed it, growing files draw from it, so a run that recycles its log files
+// every superstep allocates each page once instead of once per superstep. It
+// only ever holds pages the device's files gave back, so the pages of a
+// device, live plus free, never exceed the high-water its files reached.
+type pagePool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns a free page — with its previous contents — or nil.
+func (p *pagePool) get() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	page := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return page
+}
+
+func (p *pagePool) put(pages [][]byte) {
+	p.mu.Lock()
+	p.free = append(p.free, pages...)
+	p.mu.Unlock()
+}
+
+// memStore keeps pages in RAM, drawn from and returned to its device's pool.
 type memStore struct {
 	pageSize int
+	pool     *pagePool
 	pages    [][]byte
 	crcs     []uint32
 	known    []bool
 }
 
-func newMemStore(pageSize int) *memStore {
-	return &memStore{pageSize: pageSize}
+func newMemStore(pageSize int, pool *pagePool) *memStore {
+	return &memStore{pageSize: pageSize, pool: pool}
 }
 
 func (m *memStore) readPage(idx int, buf []byte) error {
@@ -55,8 +87,13 @@ func (m *memStore) readPage(idx int, buf []byte) error {
 
 func (m *memStore) writePage(idx int, data []byte) error {
 	if idx == len(m.pages) {
-		p := make([]byte, m.pageSize)
-		copy(p, data)
+		p := m.pool.get()
+		if p == nil {
+			p = make([]byte, m.pageSize)
+		}
+		// A recycled page still holds another file's bytes: zero what a
+		// short write leaves uncovered.
+		clear(p[copy(p, data):])
 		m.pages = append(m.pages, p)
 		return nil
 	}
@@ -85,9 +122,9 @@ func (m *memStore) numPages() int { return len(m.pages) }
 
 func (m *memStore) truncate(pages int) error {
 	if pages < len(m.pages) {
-		// Drop the pointers too: the array behind the slice would keep every
-		// truncated page reachable until a later append happened to overwrite
-		// its slot, and a recycled log file would hold its largest size ever.
+		m.pool.put(m.pages[pages:])
+		// Drop the pointers too: the pages now belong to the pool, and the
+		// array behind the slice would otherwise keep handing them out.
 		clear(m.pages[pages:])
 		m.pages = m.pages[:pages]
 	}
@@ -99,6 +136,7 @@ func (m *memStore) truncate(pages int) error {
 }
 
 func (m *memStore) close() error {
+	m.pool.put(m.pages)
 	m.pages = nil
 	m.crcs = nil
 	m.known = nil
