@@ -65,6 +65,11 @@ func (p *vertexPlane) positions(n int) []int32 {
 	return p.iota[:n]
 }
 
+// planeVertexBytes is the part of bytes that grows with a batch's vertices
+// rather than with its edges or values: the three flags, the message range,
+// the six vertex and position lists, and the out-edge arena's share.
+const planeVertexBytes = 3 + 16 + 6*4 + csr.ArenaPositionBytes
+
 // bytes returns the memory the plane holds on to between batches.
 func (p *vertexPlane) bytes() int {
 	return p.vb.Bytes() + p.adj.Bytes() + p.inAdj.Bytes() + 8*cap(p.auxBatches) +

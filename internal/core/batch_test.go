@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"multilogvc/internal/apps"
+	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/sortgroup"
 	"multilogvc/internal/superstep"
@@ -177,6 +179,53 @@ func TestServingBatchesReusePlane(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(kept)/8 {
 		t.Fatalf("a second pass over %d intervals allocated %d bytes beside a %d-byte plane", len(g.Intervals()), grew, kept)
+	}
+}
+
+// unfusedPlaneBytes is computed from CSR metadata before anything is loaded;
+// vertexPlane.bytes is what the buffers then weigh. On every fixture, a fresh
+// plane that has served any one whole interval stays inside the bound — a
+// field added to the plane and not to planeVertexBytes fails here, not as a
+// silently re-reserved arena.
+func TestUnfusedPlaneBytesBoundsEveryInterval(t *testing.T) {
+	small, nSmall := rmatEdges(t, 11, 8, 4)
+	large, nLarge := rmatEdges(t, 13, 16, 2)
+	_, _, weighted := weightedFixture(t, 10, 3)
+	serving, _ := servingGraph(t)
+	multi, err := apps.NewMultiBFS([]uint32{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fx := range map[string]struct {
+		g    *csr.Graph
+		prog vc.Program
+	}{
+		"rmat11":        {buildGraph(t, small, nSmall, 4096), degreeSum{}},
+		"rmat13":        {buildGraph(t, large, nLarge, 1<<16), degreeSum{}},
+		"weighted":      {weighted, &apps.SSSP{Source: 0}},
+		"serving":       {serving, degreeSum{}},
+		"serving-lanes": {serving, multi},
+	} {
+		r := openRun(t, New(fx.g, Config{MemoryBudget: 1, Workers: 1}), fx.prog)
+		lanes, _ := lanesOf(fx.prog)
+		bound := int(unfusedPlaneBytes(fx.g, lanes))
+		if r.planeKeep < bound {
+			t.Fatalf("%s: the run keeps %d bytes, less than the %d a whole interval needs", name, r.planeKeep, bound)
+		}
+		for v := 0; v < r.carry.Len(); v++ { // every vertex of every interval is active
+			r.carry.Set(v)
+		}
+		var ss metrics.SuperstepStats
+		for iv, span := range fx.g.Intervals() {
+			r.vertexPlane = vertexPlane{}
+			if err := r.processBatch(&sortgroup.Batch{FirstIv: iv, LastIv: iv, Lo: span.Lo, Hi: span.Hi}, &ss); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.bytes(); got == 0 || got > bound {
+				t.Fatalf("%s interval %d (%d vertices, %d edge bytes): the plane holds %d bytes, bound %d",
+					name, iv, span.Len(), fx.g.OutEdgeBytes(iv), got, bound)
+			}
+		}
 	}
 }
 

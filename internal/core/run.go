@@ -70,12 +70,6 @@ const (
 	minWaveSends    = 4096
 )
 
-// planeVertexBytes bounds what the vertex plane holds per active vertex
-// besides values and edges: the active set and its position lists, the
-// per-vertex flags and message ranges, the arena's spans, page ranges and row
-// pointers (vertexPlane.bytes and csr.Arena.Bytes sum 83 bytes of them).
-const planeVertexBytes = 96
-
 // unfusedPlaneBytes returns what the vertex plane holds after a batch over
 // the one interval that needs most — all of its vertices active, every
 // out-edge decoded — which is what any run may have to hold whatever its

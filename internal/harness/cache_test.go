@@ -127,13 +127,12 @@ func TestCachePrefetchAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The prefetcher runs beside the engine: on a loaded host a run this short
-	// can finish its supersteps before the background goroutine is scheduled
-	// (queued jobs are cancelled unserved) or just after (pages are warmed too
-	// late to be hit). Scheduling luck does not repeat; a wrong predictor does.
-	// So the best of a few runs is judged.
+	// On a loaded host a run this short can finish before the prefetcher
+	// goroutine is ever scheduled, so nothing is warmed and there is nothing
+	// to judge. Only that case is retried; the first run that warmed any
+	// page is the one held to the bar.
 	var rep *metrics.Report
-	for attempt := 0; attempt < 5 && (rep == nil || rep.PrefetchAccuracy() < 0.25); attempt++ {
+	for attempt := 0; attempt < 5 && (rep == nil || rep.PrefetchInserts == 0); attempt++ {
 		env, err := Prepare(ds, EnvOptions{CacheMB: 8})
 		if err != nil {
 			t.Fatal(err)

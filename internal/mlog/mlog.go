@@ -567,12 +567,15 @@ func (l *Log) ResetAll() error {
 	return l.reset(func(int) bool { return true })
 }
 
-// reset empties every interval pick (called under mu) selects: buffers,
-// record count and consumed mark under the lock, then the log file outside
-// it.
+// reset empties every interval pick selects — buffers, record count, consumed
+// mark and log file — all under mu. The file too: a reclaimer runs on
+// whichever goroutine's write hit the quota, in a daemon another query's, and
+// a truncation left for after the unlock could land once the owner's ResetAll
+// had returned and the reused generation had flushed new pages to that file.
+// Truncate reserves no space, so it does not re-enter the reclaimer (see file).
 func (l *Log) reset(pick func(iv int) bool) error {
 	l.mu.Lock()
-	var files []*ssd.File
+	defer l.mu.Unlock()
 	for iv := range l.count {
 		if !pick(iv) {
 			continue
@@ -583,13 +586,7 @@ func (l *Log) reset(pick func(iv int) bool) error {
 			l.bufs.putPages(page)
 		}
 		l.top[iv].page, l.full[iv], l.count[iv], l.consumed[iv] = nil, nil, 0, false
-		if f := l.files[iv]; f != nil {
-			files = append(files, f)
-		}
-	}
-	l.mu.Unlock()
-	for _, f := range files {
-		if f.NumPages() > 0 {
+		if f := l.files[iv]; f != nil && f.NumPages() > 0 {
 			if err := f.Truncate(); err != nil {
 				return err
 			}

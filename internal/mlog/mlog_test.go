@@ -550,3 +550,54 @@ func BenchmarkLogAppend(b *testing.B) {
 		}
 	})
 }
+
+// A device reclaimer runs on whichever goroutine's write hit the quota — in
+// a daemon, another query's. Its sweep of the consumed intervals must be
+// over, file truncations included, before the owner's ResetAll returns:
+// a truncation that lands after the generation is reused would drop pages
+// the new superstep has already flushed ("records missing").
+func TestReclaimNeverTruncatesReusedGeneration(t *testing.T) {
+	l, _ := testLog(t, 2, 1) // floor budget: appends flush all along
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := l.ReclaimConsumed(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const recs = 35 // three full pages and a partial one
+	for round := 0; round < 3000; round++ {
+		for i := uint32(0); i < recs; i++ {
+			if err := l.Append(0, i, 0, uint32(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen := 0
+		if err := l.Read(0, func(_, _, data uint32) {
+			if data == uint32(round) {
+				seen++
+			}
+		}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if seen != recs {
+			t.Fatalf("round %d: read %d of its %d records", round, seen, recs)
+		}
+		l.MarkConsumed(0, 0)
+		if err := l.ResetAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

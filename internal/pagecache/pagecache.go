@@ -106,6 +106,7 @@ type shard struct {
 // references into cache memory.
 type Cache struct {
 	pageSize int
+	capacity int // total frames over all shards
 	shards   []shard
 }
 
@@ -141,7 +142,7 @@ func NewSharded(capacityPages, pageSize, shards int) *Cache {
 	if shards > capacityPages {
 		shards = capacityPages
 	}
-	c := &Cache{pageSize: pageSize, shards: make([]shard, shards)}
+	c := &Cache{pageSize: pageSize, capacity: capacityPages, shards: make([]shard, shards)}
 	per := capacityPages / shards
 	extra := capacityPages % shards
 	for i := range c.shards {
@@ -158,13 +159,7 @@ func NewSharded(capacityPages, pageSize, shards int) *Cache {
 func (c *Cache) PageSize() int { return c.pageSize }
 
 // CapacityPages returns the total frame capacity.
-func (c *Cache) CapacityPages() int {
-	total := 0
-	for i := range c.shards {
-		total += c.shards[i].capacity
-	}
-	return total
-}
+func (c *Cache) CapacityPages() int { return c.capacity }
 
 // pageKey packs a file ID and page index into the cache key.
 func pageKey(fid uint32, page int) uint64 {
@@ -359,10 +354,31 @@ func (c *Cache) Invalidate(fid uint32, page int) {
 // serve stale pages. It probes the file's own keys and costs what the file
 // holds, whatever the size of the cache: a serving run truncates and removes
 // dozens of few-page scratch files per query in front of a cache of
-// thousands of frames.
+// thousands of frames. A file with more pages than the cache has frames is
+// dropped by one pass over what is resident instead, so the cost is bounded
+// by the smaller of the two.
+//
+// A frame at page >= pages is left alone. One can exist: the device's read
+// paths insert after releasing the file's lock, so a Put may land after the
+// truncate that should have covered it. Such a frame lies past the file's
+// end, where no in-range read looks, and the caller must Write every page it
+// later extends the file with, which overwrites it before it is in range.
 func (c *Cache) InvalidateFile(fid uint32, pages int) {
-	for page := 0; page < pages; page++ {
-		c.Invalidate(fid, page)
+	if pages <= c.capacity {
+		for page := 0; page < pages; page++ {
+			c.Invalidate(fid, page)
+		}
+		return
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for key, slot := range s.index {
+			if uint32(key>>32) == fid && int(uint32(key)) < pages {
+				s.dropFrame(slot)
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 

@@ -293,7 +293,7 @@ func TestInvalidateFileMatchesScan(t *testing.T) {
 		pages int
 	}{
 		{1, filePages},     // the whole file
-		{2, 4 * filePages}, // a file far larger than what is resident
+		{2, 4 * filePages}, // more pages than the cache has frames: the one-pass branch
 		{3, filePages / 4}, // fewer pages than are resident
 		{3, filePages / 4}, // again: nothing left to drop
 		{4, 0},             // an empty file

@@ -172,6 +172,63 @@ func TestTruncateInvalidates(t *testing.T) {
 	}
 }
 
+// TestLatePutPastTruncateNeverServed: a read inserts into the cache after it
+// has released the file lock, so its Put can land after a Truncate, and
+// InvalidateFile(fid, pages) does not drop a frame past the page count it is
+// given. The stale frame survives a second truncate and a shorter regrowth;
+// every path that grows the file over it must replace its bytes before a
+// read of that page is in range.
+func TestLatePutPastTruncateNeverServed(t *testing.T) {
+	for name, grow := range map[string]func(f *ssd.File, idx int, data []byte) error{
+		"AppendPage":     func(f *ssd.File, _ int, data []byte) error { _, err := f.AppendPage(data); return err },
+		"AppendPages":    func(f *ssd.File, _ int, data []byte) error { return f.AppendPages(data) },
+		"WritePage":      func(f *ssd.File, idx int, data []byte) error { return f.WritePage(idx, data) },
+		"WritePageRange": func(f *ssd.File, idx int, data []byte) error { return f.WritePageRange(idx, data) },
+	} {
+		dev, c := newCachedDev(t, 16)
+		f := fillFile(t, dev, "log", 6)
+		if err := f.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		stale := make([]byte, ps)
+		for i := range stale {
+			stale[i] = 0x55
+		}
+		c.Put(f.ID(), 5, stale, false) // the read that raced the truncate
+		if err := f.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Contains(f.ID(), 5) {
+			t.Fatalf("%s: the late frame did not survive a truncate of an empty file; this test covers nothing", name)
+		}
+		page := make([]byte, ps)
+		buf := make([]byte, ps)
+		for idx := 0; idx < 6; idx++ {
+			for i := range page {
+				page[i] = byte(0xA0 + idx)
+			}
+			if err := grow(f, idx, page); err != nil {
+				t.Fatalf("%s page %d: %v", name, idx, err)
+			}
+		}
+		if err := f.ReadPage(5, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 0xA5 {
+			t.Fatalf("%s: page 5 read %#x after regrowth, want 0xa5 (0x55 is the frame from before the truncate)", name, buf[0])
+		}
+		dst := make([]byte, 6*ps)
+		if err := f.ReadPageRange(0, 6, dst); err != nil {
+			t.Fatal(err)
+		}
+		for idx := 0; idx < 6; idx++ {
+			if dst[idx*ps] != byte(0xA0+idx) {
+				t.Fatalf("%s: page %d read %#x after regrowth", name, idx, dst[idx*ps])
+			}
+		}
+	}
+}
+
 // TestRemoveInvalidatesAndNoAliasing checks that removing a file drops its
 // pages and that a new file reusing the name gets a fresh cache namespace.
 func TestRemoveInvalidatesAndNoAliasing(t *testing.T) {

@@ -394,6 +394,9 @@ type PageCache interface {
 	Unpin(fid uint32, page int)
 	// InvalidateFile drops the cached pages [0, pages) of a file; pages is
 	// the file's page count, so the cost follows the file, not the cache.
+	// A frame at page >= pages may survive (a read's Put runs after the file
+	// lock is released, so it can land after a Truncate): every path that
+	// grows a file must therefore Write each page it adds, as all four do.
 	InvalidateFile(fid uint32, pages int)
 }
 
@@ -593,6 +596,7 @@ func Open(cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
 	d := &Device{cfg: cfg, files: make(map[string]*File), retryRNG: cfg.Retry.JitterSeed}
 	d.noSpaceArmed.Store(cfg.Capacity > 0)
+	d.pool.max = poolMaxBytes / cfg.PageSize
 	if cfg.Dir != "" {
 		if err := d.adoptDir(); err != nil {
 			return nil, err

@@ -450,6 +450,37 @@ func TestRecycledPageLeaksNothing(t *testing.T) {
 	}
 }
 
+// The free list stops at its cap: what one large removed file gives back
+// beyond it goes to the GC, not into the device for good.
+func TestPagePoolIsCapped(t *testing.T) {
+	d := testDev(t)
+	ps := d.PageSize()
+	if want := poolMaxBytes / ps; d.pool.max != want {
+		t.Fatalf("pool cap %d pages, want %d", d.pool.max, want)
+	}
+	d.pool.max = 4
+	big, _ := d.Create("big")
+	if err := big.AppendPages(make([]byte, 7*ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Remove("big"); err != nil {
+		t.Fatal(err)
+	}
+	if free := len(d.pool.free); free != 4 {
+		t.Fatalf("the pool holds %d pages after a 7-page file was removed under a cap of 4", free)
+	}
+	small, _ := d.Create("small")
+	if err := small.AppendPages(make([]byte, 2*ps)); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if free := len(d.pool.free); free != 4 {
+		t.Fatalf("the pool holds %d pages after drawing 2 and freeing 2 under a cap of 4", free)
+	}
+}
+
 func TestDiskBacking(t *testing.T) {
 	dir := t.TempDir()
 	d := MustOpen(Config{PageSize: 128, Channels: 2, Dir: dir})

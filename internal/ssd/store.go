@@ -41,11 +41,20 @@ const crcEntrySize = 8
 // feed it, growing files draw from it, so a run that recycles its log files
 // every superstep allocates each page once instead of once per superstep. It
 // only ever holds pages the device's files gave back, so the pages of a
-// device, live plus free, never exceed the high-water its files reached.
+// device, live plus free, never exceed the high-water its files reached — and
+// at most poolMaxBytes of them: what a large removed file (a build's temporary
+// files) gives back beyond that is left to the GC rather than kept for the
+// device's whole life.
 type pagePool struct {
 	mu   sync.Mutex
+	max  int // pages; set by the device from poolMaxBytes
 	free [][]byte
 }
+
+// poolMaxBytes bounds a device's free list. It is several supersteps' worth
+// of message-log pages at the sizes this repository runs, so the recycling the
+// list exists for is unaffected.
+const poolMaxBytes = 32 << 20
 
 // get returns a free page — with its previous contents — or nil.
 func (p *pagePool) get() []byte {
@@ -63,6 +72,9 @@ func (p *pagePool) get() []byte {
 
 func (p *pagePool) put(pages [][]byte) {
 	p.mu.Lock()
+	if room := max(p.max-len(p.free), 0); len(pages) > room {
+		pages = pages[:room]
+	}
 	p.free = append(p.free, pages...)
 	p.mu.Unlock()
 }
