@@ -10,13 +10,38 @@
 // page copies when possible, writes go through to the device and update
 // resident copies in place, and truncation invalidates a file's pages.
 //
-// Eviction is CLOCK (second chance): a hit sets a frame's reference bit;
-// the eviction hand clears reference bits until it finds a cold, unpinned
-// frame. Pinned frames are never evicted. Pages inserted by the
-// prefetcher (see Prefetcher) start cold and may only claim frames that
-// are already cold and unpinned — prefetch never evicts hotter pages,
-// which is the backpressure rule that keeps a mispredicting prefetcher
-// from thrashing the demand working set.
+// Eviction is sweep-aware. An engine reads its pages in the same interval
+// order every superstep, and the pages one superstep touches usually outnumber
+// the frames; on such a loop every recency policy (LRU, CLOCK) evicts each
+// page just before it is asked for again and the cache hits almost never.
+// What separates the page needed soonest from the one needed last is where
+// the superstep started, and the engine knows that: superstep.Loop calls
+// NextSweep at the start of every superstep, and every frame records the
+// sweep of its last touch (hit, insert or refresh). A demand miss on a full
+// shard takes, in order, a free frame; the first unpinned frame from the
+// hand that was touched in neither this sweep nor the last (the frontier has
+// moved past it); otherwise the frame of the shard's newest demand insert —
+// on a loop that is the page needed furthest in the future, so the resident
+// set stays put and the overflow streams through one frame per shard.
+// Pinned frames are never evicted. A prefetch insert (see Prefetcher) may
+// claim only a free or stale frame and is otherwise refused and counted:
+// prefetch never evicts a page used this sweep or the last, the backpressure
+// rule that keeps a mispredicting prefetcher off the demand working set.
+//
+// Limits, stated because the policy has no fallback for any of them. Several
+// runs sharing one cache (mlvcd) tick the same counter, so "the last two
+// sweeps" shortens in time as concurrency rises and protection decays toward
+// plain recency: pages every run touches (the graph) stay protected, a run's
+// private scratch pages may not. A cache nobody announces sweeps to never
+// finds a stale frame: it keeps its first fill and streams the rest. Every
+// engine announces through the one driver, and the readers that do not (csr
+// merges, scrub) never read a page twice, so there is no second policy and
+// no mode switch for that case. And a shard full of protected pages gives
+// the overflow one frame, so a page read twice within a sweep, further apart
+// than the shard's next miss, is fetched twice: GraphChi's sliding windows
+// do that and read more than under CLOCK while the cache is under about a third
+// of the shards (DESIGN §5 has the numbers), and a prefetcher facing such a
+// shard is refused every frame.
 //
 // The cache identifies pages by the owning file's device-assigned ID plus
 // the page index, so reopened or recreated files can never alias stale
@@ -25,6 +50,7 @@ package pagecache
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultShards is the number of independently locked cache shards.
@@ -45,7 +71,7 @@ type Stats struct {
 	PrefetchHits    uint64 `json:"prefetch_hits"`    // first demand hit on a prefetched page
 	PrefetchDropped uint64 `json:"prefetch_dropped"` // prefetch inserts refused by backpressure
 
-	PinSkips      uint64 `json:"pin_skips"` // eviction scans that stepped over a pinned frame
+	PinSkips      uint64 `json:"pin_skips"` // evictable frames passed over because they were pinned
 	Invalidations uint64 `json:"invalidations"`
 }
 
@@ -86,17 +112,20 @@ func (s Stats) PrefetchAccuracy() float64 {
 type frame struct {
 	key        uint64
 	data       []byte
-	ref        bool  // CLOCK reference bit
-	prefetched bool  // inserted by prefetch, no demand hit yet
-	pins       int32 // pinned frames are never evicted
+	sweep      uint64 // sweep of the last hit, insert or refresh
+	prefetched bool   // inserted by prefetch, no demand hit yet
+	pins       int32  // pinned frames are never evicted
 }
 
-// shard is an independently locked CLOCK ring.
+// shard is an independently locked ring of frames.
 type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   []frame
-	hand     int
+	free     []int          // invalidated slots, reused before anything is evicted
+	hand     int            // where the next search for a stale frame starts
+	newest   int            // slot of the newest demand insert, -1 when invalidated
+	noStale  uint64         // 1 + the sweep in which a whole lap found no stale frame
 	index    map[uint64]int // key -> frame slot
 	stats    Stats
 }
@@ -107,6 +136,7 @@ type shard struct {
 type Cache struct {
 	pageSize int
 	capacity int // total frames over all shards
+	sweep    atomic.Uint64
 	shards   []shard
 }
 
@@ -150,10 +180,16 @@ func NewSharded(capacityPages, pageSize, shards int) *Cache {
 		if i < extra {
 			cap++
 		}
-		c.shards[i] = shard{capacity: cap, index: make(map[uint64]int, cap)}
+		c.shards[i] = shard{capacity: cap, newest: -1, index: make(map[uint64]int, cap)}
 	}
 	return c
 }
+
+// NextSweep announces that a new pass over the data begins: pages touched
+// in neither the pass that just ended nor this one become evictable. The
+// superstep driver calls it once per superstep; the counter is 64-bit
+// because a busy daemon ticks it thousands of times a second.
+func (c *Cache) NextSweep() { c.sweep.Add(1) }
 
 // PageSize returns the page size the cache was built for.
 func (c *Cache) PageSize() int { return c.pageSize }
@@ -173,8 +209,9 @@ func (c *Cache) shardOf(key uint64) *shard {
 }
 
 // Get copies the cached page into dst (when dst is non-nil) and reports
-// whether the page was resident. A hit sets the frame's reference bit; the
-// first demand hit on a prefetched page counts toward prefetch accuracy.
+// whether the page was resident. A hit stamps the frame with the current
+// sweep; the first demand hit on a prefetched page counts toward prefetch
+// accuracy.
 func (c *Cache) Get(fid uint32, page int, dst []byte) bool {
 	key := pageKey(fid, page)
 	s := c.shardOf(key)
@@ -189,7 +226,7 @@ func (c *Cache) Get(fid uint32, page int, dst []byte) bool {
 	if dst != nil {
 		copy(dst, f.data)
 	}
-	f.ref = true
+	f.sweep = c.sweep.Load()
 	if f.prefetched {
 		f.prefetched = false
 		s.stats.PrefetchHits++
@@ -198,7 +235,7 @@ func (c *Cache) Get(fid uint32, page int, dst []byte) bool {
 	return true
 }
 
-// Contains reports residency without touching reference bits or counters.
+// Contains reports residency without touching the frame or the counters.
 func (c *Cache) Contains(fid uint32, page int) bool {
 	key := pageKey(fid, page)
 	s := c.shardOf(key)
@@ -208,14 +245,17 @@ func (c *Cache) Contains(fid uint32, page int) bool {
 	return ok
 }
 
-// Put inserts (or refreshes) a page copy. Demand inserts (prefetch ==
-// false) evict with CLOCK second chance and enter hot (reference bit
-// set). Prefetch inserts enter cold and may only claim a frame that is
-// already cold and unpinned; when the whole shard is hot or pinned the
-// insert is refused and counted as dropped — prefetch never evicts
-// pinned or hotter pages. Returns whether the page is now resident.
+// Put inserts (or refreshes) a page copy, stamped with the current sweep. A
+// new page takes a free frame — one never used yet, else one an invalidation
+// emptied — if there is one. Otherwise a demand insert
+// (prefetch == false) evicts a stale frame or, when none is stale, recycles
+// the frame of the newest demand insert; it is refused only when every frame
+// is pinned. A prefetch insert evicts a stale frame or is refused and counted
+// as dropped — prefetch never evicts a pinned page or one touched this sweep
+// or the last. Returns whether the page is now resident.
 func (c *Cache) Put(fid uint32, page int, data []byte, prefetch bool) bool {
 	key := pageKey(fid, page)
+	cur := c.sweep.Load()
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,73 +263,89 @@ func (c *Cache) Put(fid uint32, page int, data []byte, prefetch bool) bool {
 	if i, ok := s.index[key]; ok {
 		f := &s.frames[i]
 		copy(f.data, data)
-		if !prefetch {
-			f.ref = true
-		}
+		f.sweep = cur
 		return true
 	}
 
-	if len(s.frames) < s.capacity {
-		s.frames = append(s.frames, frame{
-			key:        key,
-			data:       append(make([]byte, 0, len(data)), data...),
-			ref:        !prefetch,
-			prefetched: prefetch,
-		})
-		s.index[key] = len(s.frames) - 1
-		s.noteInsert(prefetch)
-		return true
-	}
-
-	victim := s.findVictim(prefetch)
-	if victim < 0 {
-		if prefetch {
-			s.stats.PrefetchDropped++
+	// Never-used capacity first, then an invalidated frame, then a victim.
+	// Taking invalidated frames first would keep a serving cache at the few
+	// hundred pages it needs instead of its configured size — and was
+	// measured to cost a third more latency: the collector paces itself by
+	// the live heap, and a daemon that allocates megabytes per query in
+	// front of a 10 MiB heap collects twelve times as often as in front of
+	// a filled 64 MiB cache (DESIGN §5).
+	slot := -1
+	switch {
+	case len(s.frames) < s.capacity:
+		s.frames = append(s.frames, frame{})
+		slot = len(s.frames) - 1
+	case len(s.free) > 0:
+		slot = s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+	default:
+		if slot = s.findVictim(cur, prefetch); slot < 0 {
+			if prefetch {
+				s.stats.PrefetchDropped++
+			}
+			return false
 		}
-		return false
+		delete(s.index, s.frames[slot].key)
+		s.stats.Evictions++
 	}
-	f := &s.frames[victim]
-	delete(s.index, f.key)
-	s.stats.Evictions++
+	f := &s.frames[slot]
 	f.key = key
-	f.data = f.data[:0]
-	f.data = append(f.data, data...)
-	f.ref = !prefetch
+	f.data = append(f.data[:0], data...)
+	f.sweep = cur
 	f.prefetched = prefetch
 	f.pins = 0
-	s.index[key] = victim
-	s.noteInsert(prefetch)
-	return true
-}
-
-func (s *shard) noteInsert(prefetch bool) {
+	s.index[key] = slot
 	s.stats.Inserts++
 	if prefetch {
 		s.stats.PrefetchInserts++
+	} else {
+		s.newest = slot
 	}
+	return true
 }
 
-// findVictim advances the CLOCK hand to an evictable frame and returns
-// its slot, or -1 when none qualifies. Demand eviction gives referenced
-// frames a second chance (clearing the bit); prefetch eviction may not
-// demote hot frames, so it only takes frames that are already cold.
-func (s *shard) findVictim(prefetch bool) int {
-	limit := 2 * len(s.frames)
-	if prefetch {
-		limit = len(s.frames)
+// findVictim picks the frame a new page replaces in a full shard, or -1 when
+// none may be taken. First choice is a stale frame: unpinned and touched in
+// neither sweep cur nor the one before. A frame only turns stale when the
+// sweep advances, so a lap that finds none settles the question until then
+// (noStale), and the misses of a sweep whose working set is all live cost no
+// walk at all. A demand insert then falls back on the newest demand insert's
+// frame, or on any unpinned frame when that one is pinned or was invalidated.
+func (s *shard) findVictim(cur uint64, prefetch bool) int {
+	if s.noStale != cur+1 {
+		if i := s.walk(cur, true); i >= 0 {
+			return i
+		}
+		s.noStale = cur + 1
 	}
-	for step := 0; step < limit; step++ {
+	if prefetch {
+		return -1
+	}
+	if i := s.newest; i >= 0 {
+		if s.frames[i].pins == 0 {
+			return i
+		}
+		s.stats.PinSkips++
+	}
+	return s.walk(cur, false)
+}
+
+// walk advances the hand at most one lap to the first unpinned frame — with
+// staleOnly, the first unpinned stale one — and returns its slot, or -1.
+func (s *shard) walk(cur uint64, staleOnly bool) int {
+	for range s.frames {
 		i := s.hand
 		s.hand = (s.hand + 1) % len(s.frames)
 		f := &s.frames[i]
-		if f.pins > 0 {
-			s.stats.PinSkips++
+		if staleOnly && f.sweep+1 >= cur {
 			continue
 		}
-		if f.ref {
-			if !prefetch {
-				f.ref = false // second chance
-			}
+		if f.pins > 0 {
+			s.stats.PinSkips++
 			continue
 		}
 		return i
@@ -382,15 +438,17 @@ func (c *Cache) InvalidateFile(fid uint32, pages int) {
 	}
 }
 
-// dropFrame invalidates slot i in place: the frame stays in the ring as
-// an empty cold slot keyed to an impossible key, immediately reusable.
+// dropFrame invalidates slot i: the frame keeps its buffer and goes on the
+// shard's free list, which a full shard's Put empties before it evicts.
 func (s *shard) dropFrame(i int) {
 	f := &s.frames[i]
 	delete(s.index, f.key)
-	f.key = ^uint64(0)
-	f.ref = false
 	f.prefetched = false
 	f.pins = 0
+	s.free = append(s.free, i)
+	if s.newest == i {
+		s.newest = -1
+	}
 	s.stats.Invalidations++
 }
 

@@ -37,74 +37,119 @@ func mustGet(t *testing.T, c *Cache, fid uint32, pg int, want byte) {
 	}
 }
 
-// TestClockEvictionOrder drives CLOCK second-chance through scripted
-// access sequences and checks exactly which pages survive.
-func TestClockEvictionOrder(t *testing.T) {
+// TestSweepEvictionOrder drives the sweep-aware policy through scripted
+// access sequences on one shard and checks exactly which pages survive.
+// "sweep" announces the next sweep; "has" and "gone" check residency in
+// mid-sequence; "refused" is a demand put that must fail.
+func TestSweepEvictionOrder(t *testing.T) {
 	type op struct {
-		kind string // put, get, pin, unpin
+		kind string // put, refused, get, pin, unpin, drop, sweep, has, gone
 		page int
 	}
+	sweep := op{kind: "sweep"}
 	cases := []struct {
-		name     string
-		capacity int
-		ops      []op
-		resident []int
-		gone     []int
+		name      string
+		capacity  int
+		ops       []op
+		resident  []int
+		gone      []int
+		evictions uint64
+		pinSkips  bool
 	}{
 		{
-			name:     "fifo when nothing is touched",
+			name:     "a free frame is taken before anything is evicted",
 			capacity: 3,
-			// All frames enter hot; the hand clears ref bits in insertion
-			// order, so with no touches the oldest page goes first.
-			ops:      []op{{"put", 0}, {"put", 1}, {"put", 2}, {"put", 3}},
-			resident: []int{1, 2, 3},
-			gone:     []int{0},
+			// Pages 0 and 2 are stale by the time page 3 arrives, but the
+			// frame page 1 was dropped from is free.
+			ops: []op{{"put", 0}, {"put", 1}, {"put", 2}, {"drop", 1},
+				sweep, sweep, {"put", 3}},
+			resident: []int{0, 2, 3},
+			gone:     []int{1},
 		},
 		{
-			name:     "second chance protects a touched page",
+			name:     "a stale frame goes before a protected one",
 			capacity: 3,
-			// put 3 sweeps all reference bits clear (evicting page 0).
-			// Touching page 1 re-arms its bit, so the next eviction skips
-			// it and takes page 2 — the younger but colder page.
+			// At sweep 2 page 0 (sweep 0) is stale, page 1 (last sweep) and
+			// page 2 (this sweep) are protected.
+			ops: []op{{"put", 0}, sweep, {"put", 1}, sweep, {"put", 2},
+				{"put", 3}},
+			resident:  []int{1, 2, 3},
+			gone:      []int{0},
+			evictions: 1,
+		},
+		{
+			name:     "nothing stale, the newest demand insert is recycled",
+			capacity: 3,
+			// Pages 3 and 4 stream through the frame page 2 entered last;
+			// the first fill stays put.
 			ops: []op{{"put", 0}, {"put", 1}, {"put", 2}, {"put", 3},
-				{"get", 1}, {"put", 4}},
-			resident: []int{1, 3, 4},
-			gone:     []int{0, 2},
+				{"gone", 2}, {"put", 4}},
+			resident:  []int{0, 1, 4},
+			gone:      []int{2, 3},
+			evictions: 2,
 		},
 		{
-			name:     "reference bit grants one lap, not immunity",
+			name:     "a page touched last sweep survives this one and goes in the next",
 			capacity: 2,
-			// get 0 sets a bit that was already set; the sweep for put 2
-			// clears both bits and still evicts page 0 on the wrap.
-			ops:      []op{{"put", 0}, {"put", 1}, {"get", 0}, {"put", 2}, {"put", 3}},
-			resident: []int{2, 3},
-			gone:     []int{0, 1},
+			ops: []op{{"put", 0}, {"put", 1}, sweep, {"get", 1},
+				sweep, {"put", 2}, {"has", 1}, {"gone", 0},
+				sweep, {"put", 3}},
+			resident:  []int{2, 3},
+			gone:      []int{0, 1},
+			evictions: 2,
 		},
 		{
-			name:     "pin prevents eviction",
+			name:     "a pinned stale frame is skipped and counted",
 			capacity: 2,
-			// Page 0 is pinned; every eviction must take the other frame.
-			ops:      []op{{"put", 0}, {"pin", 0}, {"put", 1}, {"put", 2}, {"put", 3}},
-			resident: []int{0, 3},
-			gone:     []int{1, 2},
+			ops: []op{{"put", 0}, {"pin", 0}, {"put", 1}, sweep, sweep,
+				{"put", 2}},
+			resident:  []int{0, 2},
+			gone:      []int{1},
+			evictions: 1,
+			pinSkips:  true,
+		},
+		{
+			name:     "a pinned newest insert is skipped and counted",
+			capacity: 2,
+			// Nothing is stale and the newest insert may not be recycled, so
+			// the other unpinned frame goes.
+			ops:       []op{{"put", 0}, {"put", 1}, {"pin", 1}, {"put", 2}},
+			resident:  []int{1, 2},
+			gone:      []int{0},
+			evictions: 1,
+			pinSkips:  true,
 		},
 		{
 			name:     "unpin makes the page evictable again",
 			capacity: 2,
 			ops: []op{{"put", 0}, {"pin", 0}, {"put", 1}, {"put", 2},
-				{"unpin", 0}, {"put", 3}, {"put", 4}},
-			resident: []int{3, 4},
-			gone:     []int{0, 1, 2},
+				{"has", 0}, {"unpin", 0}, sweep, sweep, {"put", 3}, {"put", 4}},
+			resident:  []int{3, 4},
+			gone:      []int{0, 1, 2},
+			evictions: 3,
+		},
+		{
+			name:     "every frame pinned, the insert is refused",
+			capacity: 2,
+			ops: []op{{"put", 0}, {"put", 1}, {"pin", 0}, {"pin", 1},
+				sweep, sweep, {"refused", 2}},
+			resident: []int{0, 1},
+			gone:     []int{2},
+			pinSkips: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newTest(tc.capacity)
-			for _, o := range tc.ops {
+			for step, o := range tc.ops {
 				switch o.kind {
 				case "put":
 					if !c.Put(1, o.page, page(byte(o.page)), false) {
 						t.Fatalf("demand put of page %d refused", o.page)
+					}
+				case "refused":
+					if c.Put(1, o.page, page(byte(o.page)), false) {
+						t.Fatalf("demand put of page %d accepted", o.page)
 					}
 				case "get":
 					mustGet(t, c, 1, o.page, byte(o.page))
@@ -114,6 +159,14 @@ func TestClockEvictionOrder(t *testing.T) {
 					}
 				case "unpin":
 					c.Unpin(1, o.page)
+				case "drop":
+					c.Invalidate(1, o.page)
+				case "sweep":
+					c.NextSweep()
+				case "has", "gone":
+					if c.Contains(1, o.page) != (o.kind == "has") {
+						t.Fatalf("step %d: page %d resident = %v", step, o.page, o.kind != "has")
+					}
 				}
 			}
 			for _, pg := range tc.resident {
@@ -125,6 +178,13 @@ func TestClockEvictionOrder(t *testing.T) {
 				if c.Contains(1, pg) {
 					t.Errorf("page %d should have been evicted", pg)
 				}
+			}
+			st := c.Stats()
+			if st.Evictions != tc.evictions {
+				t.Errorf("Evictions = %d, want %d", st.Evictions, tc.evictions)
+			}
+			if (st.PinSkips > 0) != tc.pinSkips {
+				t.Errorf("PinSkips = %d, want counted = %v", st.PinSkips, tc.pinSkips)
 			}
 		})
 	}
@@ -150,35 +210,45 @@ func TestAllPinnedDemandPutFails(t *testing.T) {
 	}
 }
 
-// TestPrefetchBackpressure checks that prefetch inserts never evict hot or
-// pinned pages: they only claim cold unpinned frames, else are dropped.
+// TestPrefetchBackpressure checks that a prefetch insert never displaces a
+// pinned page or one touched this sweep or the last: it claims a free or
+// stale frame, else it is dropped and counted.
 func TestPrefetchBackpressure(t *testing.T) {
 	c := newTest(2)
-	c.Put(1, 0, page(0), false) // hot (demand inserts enter referenced)
-	c.Put(1, 1, page(1), false) // hot
-	if c.Put(1, 2, page(2), true) {
-		t.Fatal("prefetch evicted a hot page")
+	c.Put(1, 0, page(0), false)
+	c.Put(1, 1, page(1), false)
+	for _, when := range []string{"this sweep", "the last sweep"} {
+		if c.Put(1, 2, page(2), true) {
+			t.Fatalf("prefetch evicted a page touched %s", when)
+		}
+		c.NextSweep()
 	}
-	if got := c.Stats().PrefetchDropped; got != 1 {
-		t.Fatalf("PrefetchDropped = %d, want 1", got)
+	if got := c.Stats().PrefetchDropped; got != 2 {
+		t.Fatalf("PrefetchDropped = %d, want 2", got)
 	}
 	if !c.Contains(1, 0) || !c.Contains(1, 1) {
-		t.Fatal("hot pages were disturbed by refused prefetch")
+		t.Fatal("protected pages were disturbed by refused prefetch")
 	}
 
-	// A demand eviction pass cools the survivors; now prefetch can land.
-	c.Put(1, 3, page(3), false) // evicts page 0, cools page 1
-	if !c.Put(1, 4, page(4), true) {
-		t.Fatal("prefetch refused a cold unpinned frame")
+	// Both pages are stale now; a hit renews page 1, so the prefetch must
+	// land in page 0's frame.
+	mustGet(t, c, 1, 1, 1)
+	if !c.Put(1, 3, page(3), true) {
+		t.Fatal("prefetch refused a stale unpinned frame")
 	}
-	if c.Contains(1, 3) == c.Contains(1, 1) {
-		t.Fatal("exactly one of the two cold pages should have been replaced")
+	if c.Contains(1, 0) || !c.Contains(1, 1) {
+		t.Fatal("prefetch took the protected frame, not the stale one")
 	}
 
-	// Prefetched pages themselves are cold: a second prefetch may replace
-	// the first, but never a pinned one.
+	// Staleness does not unlock a pinned frame.
+	c.Pin(1, 3)
+	c.NextSweep()
+	c.NextSweep()
+	if !c.Put(1, 4, page(4), true) || !c.Contains(1, 3) || c.Contains(1, 1) {
+		t.Fatal("prefetch should have replaced stale page 1 and left pinned page 3")
+	}
 	c.Pin(1, 4)
-	if c.Put(1, 5, page(5), true) && !c.Contains(1, 4) {
+	if c.Put(1, 5, page(5), true) {
 		t.Fatal("prefetch evicted a pinned page")
 	}
 }
@@ -238,9 +308,21 @@ func TestInvalidateFile(t *testing.T) {
 	if got := c.Stats().Invalidations; got != 3 {
 		t.Fatalf("Invalidations = %d, want 3", got)
 	}
-	// Freed frames are reusable without eviction.
+	// Five more pages fit without an eviction: two in the capacity never
+	// used, three in the frames the invalidation freed. The sixth evicts.
 	if !c.Put(1, 5, page(5), true) {
 		t.Fatal("prefetch put refused after invalidation freed frames")
+	}
+	for pg := 6; pg < 10; pg++ {
+		c.Put(1, pg, page(byte(pg)), false)
+	}
+	if st := c.Stats(); st.Evictions != 0 || c.Resident() != 8 || len(c.shards[0].free) != 0 {
+		t.Fatalf("evictions %d, resident %d, free frames %d; want 0, 8 and 0",
+			st.Evictions, c.Resident(), len(c.shards[0].free))
+	}
+	c.Put(1, 10, page(10), false)
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions %d after overfilling, want 1", st.Evictions)
 	}
 }
 
@@ -456,12 +538,19 @@ func TestPrefetcherWarmsAndPins(t *testing.T) {
 			t.Fatalf("pinned page %d evicted while epoch live", pg)
 		}
 	}
+	// Released, the pages are ordinary frames again: protected while their
+	// last touch is recent, evicted once two sweeps have passed.
 	p.ReleaseEpoch(ep)
+	RequireNoPins(t, c)
+	c.NextSweep()
+	c.NextSweep()
 	for pg := 20; pg < 30; pg++ {
 		c.Put(f.ID(), pg, page(byte(pg)), false)
 	}
-	if c.Contains(f.ID(), 3) && c.Contains(f.ID(), 4) && c.Contains(f.ID(), 5) {
-		t.Fatal("released pages survived heavy pressure — pins leaked")
+	for _, pg := range []int{3, 4, 5} {
+		if c.Contains(f.ID(), pg) {
+			t.Fatalf("released page %d survived two sweeps of pressure — pins leaked", pg)
+		}
 	}
 }
 
@@ -592,8 +681,11 @@ func TestPrefetcherLateEpochRelease(t *testing.T) {
 	close(gate)
 	p.WaitIdle()
 
-	// The page may be resident, but it must not be pinned: two demand
-	// inserts must be able to claim both frames.
+	// The page may be resident, but it must not be pinned: once it is
+	// stale, two demand inserts must be able to claim both frames.
+	RequireNoPins(t, c)
+	c.NextSweep()
+	c.NextSweep()
 	c.Put(f.ID(), 10, page(10), false)
 	c.Put(f.ID(), 11, page(11), false)
 	if !c.Contains(f.ID(), 10) || !c.Contains(f.ID(), 11) {
@@ -636,6 +728,31 @@ func BenchmarkPageCache(b *testing.B) {
 			}
 		})
 	}
+	// loop is the superstep shape: a cyclic scan of 2,300 pages through
+	// 1,024 frames, a sweep announced at every wrap. ns/op is the price of
+	// the policy's miss path (6 in 10 accesses miss), hit% what it buys; a
+	// recency policy scores 0 here.
+	b.Run("loop", func(b *testing.B) {
+		const frames, span = 1024, 2300
+		c := New(frames, 4096)
+		data := make([]byte, 4096)
+		dst := make([]byte, 4096)
+		hits := 0
+		b.SetBytes(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pg := i % span
+			if pg == 0 {
+				c.NextSweep()
+			}
+			if c.Get(1, pg, dst) {
+				hits++
+			} else {
+				c.Put(1, pg, data, false)
+			}
+		}
+		b.ReportMetric(100*float64(hits)/float64(b.N), "hit%")
+	})
 }
 
 // BenchmarkInvalidateFile: dropping a resident 8-page file from a full cache

@@ -79,6 +79,7 @@ type Prefetcher struct {
 	pending  int
 	firstErr error
 	stats    PrefetchStats
+	warmBuf  []byte // one page of scratch, touched by the worker goroutine only
 
 	queue chan item
 	stop  chan struct{}
@@ -291,7 +292,10 @@ func (p *Prefetcher) runJob(gen, epoch uint64, j Job) {
 	}
 
 	if j.File != nil && len(j.Pages) > 0 {
-		warmed, pinnedPages, err := j.File.WarmPages(j.Pages, j.Pin)
+		if ps := j.File.PageSize(); len(p.warmBuf) < ps {
+			p.warmBuf = make([]byte, ps)
+		}
+		warmed, pinnedPages, err := j.File.WarmPages(j.Pages, j.Pin, p.warmBuf)
 		p.mu.Lock()
 		p.stats.PagesWarmed += uint64(len(warmed))
 		if err != nil {

@@ -12,19 +12,26 @@ import (
 // file.go are byte-for-byte the original device model, which keeps the
 // paper-faithful baselines comparable.
 
+// missInline is how many missed pages of one cached read fit the stack-backed
+// lists; a vertex batch reads a handful of pages per file.
+const missInline = 32
+
 // readPagesCached serves a batch read through the attached cache: hits
 // copy out of memory for free, and only the missing subset is read from
 // the store and charged to the virtual clock — a batch that hits entirely
 // costs zero device time, which is precisely the win a buffer pool buys.
-// Missed pages enter the cache as demand (hot) pages. Hits and misses are
+// Missed pages enter the cache as demand inserts. Hits and misses are
 // attributed to the stage issuing the read (st; stageAmbient resolves the
 // device's current tag), so per-stage cache counters identify which stage
 // a miss stalled.
 func (f *File) readPagesCached(pages []int, dst []byte, st obsv.Stage) error {
 	ps := f.dev.cfg.PageSize
 	c := f.dev.cache
-	var miss []int   // page indices still needed from the store
-	var missAt []int // their slot in dst
+	// The two miss lists live on the stack for any batch that misses at most
+	// missInline pages: this runs once per cached read.
+	var missBuf, atBuf [missInline]int
+	miss := missBuf[:0] // page indices still needed from the store
+	missAt := atBuf[:0] // their slot in dst
 	for i, p := range pages {
 		if !c.Get(f.id, p, dst[i*ps:(i+1)*ps]) {
 			miss = append(miss, p)
@@ -61,8 +68,8 @@ func (f *File) readPagesCached(pages []int, dst []byte, st obsv.Stage) error {
 	return nil
 }
 
-// WarmPages fetches the listed pages into the cache as prefetched (cold)
-// pages, optionally pinning them. It returns the pages it actually fetched
+// WarmPages fetches the listed pages into the cache as prefetch inserts,
+// optionally pinning them. It returns the pages it actually fetched
 // and inserted, and — when pin is set — the subset it successfully pinned.
 // The two can differ under concurrency: on a shared cache another run's
 // demand traffic can evict a just-inserted page before the pin lands, and
@@ -70,15 +77,21 @@ func (f *File) readPagesCached(pages []int, dst []byte, st obsv.Stage) error {
 // whoever re-pinned the frame in between. Epoch bookkeeping must therefore
 // track the pinned list, never the warmed list. Already-resident and
 // out-of-range pages are skipped; an insert refused by backpressure stops
-// the job, since a shard too hot for one page is too hot for the rest.
-// Only fetched pages are charged to the virtual clock. It is a no-op
-// without an attached cache.
-func (f *File) WarmPages(pages []int, pin bool) (warmed, pinned []int, err error) {
+// the job, since a shard with no free or stale frame for one page has none
+// for the rest.
+// Only fetched pages are charged to the virtual clock. buf is scratch for
+// one page (PageSize bytes) that a caller warming in a loop reuses; a
+// shorter one, or nil, is replaced. It is a no-op without an attached cache.
+func (f *File) WarmPages(pages []int, pin bool, buf []byte) (warmed, pinned []int, err error) {
 	c := f.dev.cache
 	if c == nil || len(pages) == 0 {
 		return nil, nil, nil
 	}
-	buf := make([]byte, f.dev.cfg.PageSize)
+	ps := f.dev.cfg.PageSize
+	if len(buf) < ps {
+		buf = make([]byte, ps)
+	}
+	buf = buf[:ps]
 	checked := false
 	for _, p := range pages {
 		if c.Contains(f.id, p) {
@@ -110,7 +123,7 @@ func (f *File) WarmPages(pages []int, pin bool) (warmed, pinned []int, err error
 			return warmed, pinned, err
 		}
 		if !c.Put(f.id, p, buf, true) {
-			break // backpressure: cache is hot or pinned solid
+			break // backpressure: every frame is pinned or in use this sweep or the last
 		}
 		if pin && c.Pin(f.id, p) {
 			pinned = append(pinned, p)

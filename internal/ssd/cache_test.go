@@ -271,7 +271,7 @@ func TestFaultPropagatesThroughCacheMiss(t *testing.T) {
 	if err := f.ReadPages([]int{0, 2}, make([]byte, 2*ps)); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("partial-hit batch error = %v, want ErrInjected", err)
 	}
-	if _, _, err := f.WarmPages([]int{3, 4}, false); !errors.Is(err, ssd.ErrInjected) {
+	if _, _, err := f.WarmPages([]int{3, 4}, false, nil); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("WarmPages error = %v, want ErrInjected", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestWarmPagesChargesAndPins(t *testing.T) {
 	f := fillFile(t, dev, "data", 8)
 	dev.ResetStats()
 
-	warmed, pinnedPages, err := f.WarmPages([]int{1, 2, 99, -1, 3}, true)
+	warmed, pinnedPages, err := f.WarmPages([]int{1, 2, 99, -1, 3}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestWarmPagesChargesAndPins(t *testing.T) {
 	}
 
 	// Re-warming resident pages is free and returns nothing.
-	again, _, err := f.WarmPages([]int{1, 2, 3}, false)
+	again, _, err := f.WarmPages([]int{1, 2, 3}, false, nil)
 	if err != nil || len(again) != 0 {
 		t.Fatalf("re-warm = %v, %v; want empty, nil", again, err)
 	}
@@ -332,7 +332,7 @@ func TestUncachedPathsUnchanged(t *testing.T) {
 	if got := dev.Stats().PagesRead; got != 3 {
 		t.Fatalf("uncached repeat reads charged %d pages, want 3", got)
 	}
-	if warmed, _, err := f.WarmPages([]int{0, 1}, true); err != nil || warmed != nil {
+	if warmed, _, err := f.WarmPages([]int{0, 1}, true, nil); err != nil || warmed != nil {
 		t.Fatalf("WarmPages without cache = %v, %v; want nil, nil", warmed, err)
 	}
 }

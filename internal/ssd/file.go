@@ -55,6 +55,9 @@ func (f *File) Name() string { return f.name }
 // ID returns the device-assigned file ID used as the cache namespace.
 func (f *File) ID() uint32 { return f.id }
 
+// PageSize returns the page size of the device the file lives on.
+func (f *File) PageSize() int { return f.dev.cfg.PageSize }
+
 // NumPages returns the number of allocated pages.
 func (f *File) NumPages() int {
 	f.s.mu.Lock()

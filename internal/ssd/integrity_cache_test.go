@@ -39,7 +39,7 @@ func TestWarmPagesSkipsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warmed, _, err := f.WarmPages([]int{0, 1, 2, 3}, false)
+	warmed, _, err := f.WarmPages([]int{0, 1, 2, 3}, false, nil)
 	if err != nil {
 		t.Fatalf("warm with one corrupt page errored: %v", err)
 	}

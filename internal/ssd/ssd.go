@@ -402,8 +402,9 @@ type PageCache interface {
 
 // AttachCache installs a page cache in front of the device. Cached reads
 // are served from memory and charge nothing to the virtual storage clock —
-// that is the point. Must be called before any IO is issued; a nil cache
-// leaves the device uncached (the default, matching the paper's model).
+// that is the point. Must be called while no IO is in flight, with an empty
+// cache: from then on write-through keeps it coherent. A nil cache leaves
+// the device uncached (the default, matching the paper's model).
 func (d *Device) AttachCache(c PageCache) { d.cache = c }
 
 // Cache returns the attached page cache, or nil.

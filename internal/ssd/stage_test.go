@@ -149,7 +149,7 @@ func TestStagePrefetchExplicit(t *testing.T) {
 	// Even with the engine mid-vertex-processing, warming attributes to
 	// the prefetch stage — WarmPages runs on the prefetcher's goroutine.
 	dev.SetStage(obsv.StageVertex, 3)
-	if _, _, err := f.WarmPages([]int{5, 6}, false); err != nil {
+	if _, _, err := f.WarmPages([]int{5, 6}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A tagged read of the warmed pages: hits for the vertex stage.

@@ -61,8 +61,9 @@ type Loop struct {
 	// the superstep for which it returns true.
 	MaxSupersteps int
 	StopAfter     func(superstep int, cumProcessed uint64) bool
-	// Cache, when non-nil, is the page cache attached to the device: its
-	// counter deltas are reported per superstep.
+	// Cache, when non-nil, is the page cache attached to the device: the
+	// loop tells it where each superstep starts (its eviction policy is
+	// built on that) and reports its counter deltas per superstep.
 	Cache *pagecache.Cache
 	// Trace, when non-nil, receives one "superstep" span per superstep.
 	Trace *obsv.Trace
@@ -159,6 +160,9 @@ func (l *Loop) superstep(eng Engine, step int, live *obsv.LiveVars) error {
 	span := l.Trace.Begin("engine", "superstep")
 	span.Arg("step", int64(step))
 
+	if l.Cache != nil {
+		l.Cache.NextSweep()
+	}
 	if _, err := l.Charge(&ss, func() error { return eng.Superstep(l.ctx, step, &ss) }); err != nil {
 		return err
 	}

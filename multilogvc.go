@@ -139,7 +139,8 @@ type SystemOptions struct {
 	// pages live in RAM (still fully accounted).
 	Dir string
 	// CacheMB attaches a buffer-pool page cache of the given size (in
-	// MiB) between the engines and the device: CLOCK eviction, pinning
+	// MiB) between the engines and the device: sweep-aware eviction (the
+	// superstep loop tells the cache where each superstep starts), pinning
 	// for in-flight batches, write-through coherence, and — on the
 	// MultiLogVC engine — asynchronous next-interval prefetch. 0 (the
 	// default) runs uncached; page reads always hit the device, which is
