@@ -1,8 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
@@ -44,8 +46,8 @@ func sampleState(seq uint64, step int) *State {
 		},
 		Aux: [][]uint32{{1, 2, 3}, {}},
 		Supersteps: []metrics.SuperstepStats{
-			{Superstep: 0, Active: 100},
-			{Superstep: 1, Active: 42},
+			{Superstep: 0, Counters: metrics.Counters{Active: 100}},
+			{Superstep: 1, Counters: metrics.Counters{Active: 42}},
 		},
 	}
 }
@@ -315,4 +317,48 @@ func TestEmptyOptionalSections(t *testing.T) {
 		t.Fatalf("want nil aux, got %v", got.Aux)
 	}
 	statesEqual(t, got, want)
+}
+
+// pr19Stats is a checkpoint's stats section as PR 19 wrote it, when
+// SuperstepStats declared its counters inline instead of embedding
+// metrics.Counters. A run checkpointed before the upgrade must resume.
+const pr19Stats = `[{"superstep":4,"active":42,"msgs_sent":90,"msgs_delivered":88,"pages_read":17,"pages_written":5,"storage_ns":1300000,"compute_ns":250000,"colidx_pages_read":6,"edgelog_pages_read":2,"cache_hits":11,"cache_misses":3,"retries":1,"retry_backoff_ns":100000,"checkpoints":1,"checkpoint_pages":4,"checkpoint_ns":400000,"spills":2,"spill_bytes":8192,"msg_skew":1.5,"stages":[{"stage":"vertex","pages_read":17,"pages_written":5,"time_ns":1300000,"cache_misses":3}],"io_skew":1.25,"interval_pages":{"n":0,"sum":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0},"read_batch_pages":{"n":2,"sum":17,"mean":8.5,"p50":15,"p90":15,"p99":15,"max":15,"buckets":{"8-15":2}},"write_batch_pages":{"n":0,"sum":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0},"read_latency_us":{"n":0,"sum":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0},"write_latency_us":{"n":0,"sum":0,"mean":0,"p50":0,"p90":0,"p99":0,"max":0}}]`
+
+func TestDecodePR19StatsPayload(t *testing.T) {
+	st := sampleState(0, 5)
+	st.Supersteps = nil
+	payload, err := encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stats section is the payload's tail: a u32 length and the JSON.
+	// With no supersteps that JSON is "null"; swap in the old-format text.
+	var tail bytes.Buffer
+	putU32(&tail, uint32(len(pr19Stats)))
+	tail.WriteString(pr19Stats)
+	payload = append(payload[:len(payload)-len("null")-4], tail.Bytes()...)
+
+	got, err := decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Supersteps) != 1 {
+		t.Fatalf("decoded %d supersteps, want 1", len(got.Supersteps))
+	}
+	ss := got.Supersteps[0]
+	want := metrics.Counters{Active: 42, MsgsSent: 90, MsgsDelivered: 88,
+		PagesRead: 17, PagesWritten: 5, StorageTime: 1300 * time.Microsecond, ComputeTime: 250 * time.Microsecond,
+		ColIdxPagesRead: 6, EdgeLogPagesRead: 2, CacheHits: 11, CacheMisses: 3,
+		Retries: 1, RetryBackoff: 100 * time.Microsecond,
+		Checkpoints: 1, CheckpointPages: 4, CheckpointTime: 400 * time.Microsecond,
+		Spills: 2, SpillBytes: 8192}
+	if ss.Superstep != 4 || ss.Counters != want {
+		t.Fatalf("superstep %d counters:\n got %+v\nwant %+v", ss.Superstep, ss.Counters, want)
+	}
+	if ss.MsgSkew != 1.5 || ss.IOSkew != 1.25 || len(ss.Stages) != 1 || ss.Stages[0].PagesRead != 17 {
+		t.Fatalf("non-counter fields lost: %+v", ss)
+	}
+	if ss.ReadBatchPages.N != 2 || ss.ReadBatchPages.Sum != 17 {
+		t.Fatalf("read-batch histogram = %+v", ss.ReadBatchPages)
+	}
 }

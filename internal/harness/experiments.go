@@ -112,14 +112,9 @@ func Fig3(size Size) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var ineff, touched uint64
-			for _, ss := range rep.Supersteps {
-				ineff += ss.InefficientPages
-				touched += ss.UtilPagesTouched
-			}
 			frac := 0.0
-			if touched > 0 {
-				frac = float64(ineff) / float64(touched)
+			if rep.UtilPagesTouched > 0 {
+				frac = float64(rep.InefficientPages) / float64(rep.UtilPagesTouched)
 			}
 			t.AddRow(ds.Name, prog.Name(), metrics.F(frac))
 		}

@@ -17,10 +17,11 @@ import (
 	"multilogvc/internal/obsv"
 )
 
-// SuperstepStats measures one superstep of one engine run.
-type SuperstepStats struct {
-	Superstep int `json:"superstep"`
-
+// Counters are the additive measurements of an engine run. This struct is
+// their one declaration: SuperstepStats embeds it as the superstep's row,
+// Report as the run totals, and both JSON forms flatten it, so a new
+// counter is one field here plus one line in Add.
+type Counters struct {
 	Active        uint64 `json:"active"` // vertices processed
 	MsgsSent      uint64 `json:"msgs_sent"`
 	MsgsDelivered uint64 `json:"msgs_delivered"`
@@ -39,10 +40,9 @@ type SuperstepStats struct {
 	CorrectPredicted  uint64 `json:"correct_predicted,omitempty"`  // predictions that were inefficient again
 	UtilPagesTouched  uint64 `json:"util_pages_touched,omitempty"` // distinct colidx pages whose utilization was measured
 
-	// Page-cache accounting for the superstep: per-step deltas of the
-	// buffer pool's counters (see internal/pagecache). All zero when the
-	// run is uncached, which keeps omitempty exports byte-identical to
-	// pre-cache baselines.
+	// Page-cache accounting: deltas of the buffer pool's counters (see
+	// internal/pagecache). All zero when the run is uncached, which keeps
+	// omitempty exports byte-identical to pre-cache baselines.
 	CacheHits       uint64 `json:"cache_hits,omitempty"`
 	CacheMisses     uint64 `json:"cache_misses,omitempty"`
 	CacheEvictions  uint64 `json:"cache_evictions,omitempty"`
@@ -51,37 +51,107 @@ type SuperstepStats struct {
 	PrefetchDropped uint64 `json:"prefetch_dropped,omitempty"` // warm attempts refused by backpressure
 
 	// Fault-tolerance accounting: transient device faults absorbed by the
-	// retry layer this superstep, the retries spent doing so, and the
-	// backoff charged to the virtual clock (see ssd.RetryPolicy). All zero
-	// on fault-free runs, keeping exports byte-identical to old baselines.
+	// retry layer, the retries spent doing so, and the backoff charged to
+	// the virtual clock (see ssd.RetryPolicy). All zero on fault-free runs,
+	// keeping exports byte-identical to old baselines.
 	TransientFaults  uint64        `json:"transient_faults,omitempty"`
 	Retries          uint64        `json:"retries,omitempty"`
 	RetryBackoff     time.Duration `json:"retry_backoff_ns,omitempty"`
 	RetriesExhausted uint64        `json:"retries_exhausted,omitempty"`
 
-	// Integrity accounting: pages whose checksum failed verification this
-	// superstep and edge-log heal events (a corrupt redundant page whose
-	// generation was invalidated and rebuilt from CSR).
+	// Integrity accounting: pages whose checksum failed verification and
+	// edge-log heal events (a corrupt redundant page whose generation was
+	// invalidated and rebuilt from CSR).
 	CorruptPages uint64 `json:"corrupt_pages,omitempty"`
 	ElogHealed   uint64 `json:"elog_healed,omitempty"`
 
-	// Checkpoint accounting: checkpoints committed at this superstep's
-	// boundary (0 or 1), the device pages they wrote, and the storage time
-	// those writes cost.
+	// Checkpoint accounting: checkpoints committed at superstep boundaries
+	// (0 or 1 per superstep), the device pages they wrote, and the storage
+	// time those writes cost.
 	Checkpoints     uint64        `json:"checkpoints,omitempty"`
 	CheckpointPages uint64        `json:"checkpoint_pages,omitempty"`
 	CheckpointTime  time.Duration `json:"checkpoint_ns,omitempty"`
 
 	// Resource-governance accounting: interval logs that overflowed the
-	// sort budget into the external sort-group this superstep, the record
-	// bytes they spilled through the device, and disk-quota events (no-space
-	// faults hit, reclamation sweeps run, bytes those sweeps freed). All
-	// zero on ungoverned runs.
+	// sort budget into the external sort-group, the record bytes they
+	// spilled through the device, and disk-quota events (no-space faults
+	// hit, reclamation sweeps run, bytes those sweeps freed). All zero on
+	// ungoverned runs.
 	Spills         uint64 `json:"spills,omitempty"`
 	SpillBytes     uint64 `json:"spill_bytes,omitempty"`
 	NoSpaceFaults  uint64 `json:"no_space_faults,omitempty"`
 	Reclaims       uint64 `json:"reclaims,omitempty"`
 	ReclaimedBytes uint64 `json:"reclaimed_bytes,omitempty"`
+}
+
+// Add accumulates o into c, field by field (TestCountersAddComplete fails
+// by name for a field missing here).
+func (c *Counters) Add(o Counters) {
+	c.Active += o.Active
+	c.MsgsSent += o.MsgsSent
+	c.MsgsDelivered += o.MsgsDelivered
+	c.PagesRead += o.PagesRead
+	c.PagesWritten += o.PagesWritten
+	c.StorageTime += o.StorageTime
+	c.ComputeTime += o.ComputeTime
+	c.ColIdxPagesRead += o.ColIdxPagesRead
+	c.EdgeLogPagesRead += o.EdgeLogPagesRead
+	c.EdgeLogPagesWrite += o.EdgeLogPagesWrite
+	c.InefficientPages += o.InefficientPages
+	c.PredictedIneff += o.PredictedIneff
+	c.CorrectPredicted += o.CorrectPredicted
+	c.UtilPagesTouched += o.UtilPagesTouched
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.CacheEvictions += o.CacheEvictions
+	c.PrefetchInserts += o.PrefetchInserts
+	c.PrefetchHits += o.PrefetchHits
+	c.PrefetchDropped += o.PrefetchDropped
+	c.TransientFaults += o.TransientFaults
+	c.Retries += o.Retries
+	c.RetryBackoff += o.RetryBackoff
+	c.RetriesExhausted += o.RetriesExhausted
+	c.CorruptPages += o.CorruptPages
+	c.ElogHealed += o.ElogHealed
+	c.Checkpoints += o.Checkpoints
+	c.CheckpointPages += o.CheckpointPages
+	c.CheckpointTime += o.CheckpointTime
+	c.Spills += o.Spills
+	c.SpillBytes += o.SpillBytes
+	c.NoSpaceFaults += o.NoSpaceFaults
+	c.Reclaims += o.Reclaims
+	c.ReclaimedBytes += o.ReclaimedBytes
+}
+
+// Total returns the modeled time: storage (virtual) + compute (host).
+func (c Counters) Total() time.Duration { return c.StorageTime + c.ComputeTime }
+
+// TotalPages returns pages read + written.
+func (c Counters) TotalPages() uint64 { return c.PagesRead + c.PagesWritten }
+
+// CacheHitRate returns the cache hit rate, or 0 when the run was uncached
+// (no accesses recorded).
+func (c Counters) CacheHitRate() float64 {
+	if t := c.CacheHits + c.CacheMisses; t > 0 {
+		return float64(c.CacheHits) / float64(t)
+	}
+	return 0
+}
+
+// PrefetchAccuracy returns the share of warmed pages that saw a demand
+// hit, or 0 when nothing was prefetched.
+func (c Counters) PrefetchAccuracy() float64 {
+	if c.PrefetchInserts > 0 {
+		return float64(c.PrefetchHits) / float64(c.PrefetchInserts)
+	}
+	return 0
+}
+
+// SuperstepStats measures one superstep of one engine run.
+type SuperstepStats struct {
+	Superstep int `json:"superstep"`
+
+	Counters
 
 	// MsgSkew is the per-interval message imbalance of the superstep:
 	// max interval log volume over the mean across all intervals (1.0 =
@@ -112,89 +182,39 @@ type SuperstepStats struct {
 	WriteLatencyUS  obsv.Hist `json:"write_latency_us"`
 }
 
-// Total returns storage + compute time for the superstep.
-func (s SuperstepStats) Total() time.Duration { return s.StorageTime + s.ComputeTime }
-
-// CacheHitRate returns the superstep's cache hit rate, or 0 when the run
-// was uncached (no accesses recorded).
-func (s SuperstepStats) CacheHitRate() float64 {
-	if t := s.CacheHits + s.CacheMisses; t > 0 {
-		return float64(s.CacheHits) / float64(t)
-	}
-	return 0
-}
-
-// PrefetchAccuracy returns the share of pages warmed this superstep that
-// saw a demand hit, or 0 when nothing was prefetched.
-func (s SuperstepStats) PrefetchAccuracy() float64 {
-	if s.PrefetchInserts > 0 {
-		return float64(s.PrefetchHits) / float64(s.PrefetchInserts)
-	}
-	return 0
-}
-
-// Report is the outcome of one engine run.
+// Report is the outcome of one engine run. The JSON tags are its export
+// schema; MarshalJSON adds the derived quantities beside them.
 type Report struct {
-	Engine string
-	App    string
-	Graph  string
+	Engine string `json:"engine"`
+	App    string `json:"app"`
+	Graph  string `json:"graph"`
 
-	Supersteps []SuperstepStats
-	Converged  bool
+	Converged bool `json:"converged"`
 
-	PagesRead    uint64
-	PagesWritten uint64
-	StorageTime  time.Duration
-	ComputeTime  time.Duration
-	WallTime     time.Duration // measured end-to-end host time
-
-	// Page-cache totals over the run (all zero for uncached runs).
-	CacheHits       uint64
-	CacheMisses     uint64
-	CacheEvictions  uint64
-	PrefetchInserts uint64
-	PrefetchHits    uint64
-	PrefetchDropped uint64
-
-	// Fault-tolerance totals over the run (all zero on fault-free runs
-	// with checkpointing off).
-	TransientFaults  uint64
-	Retries          uint64
-	RetryBackoff     time.Duration
-	RetriesExhausted uint64
-	Checkpoints      uint64
-	CheckpointPages  uint64
-	CheckpointTime   time.Duration
-
-	// Integrity totals over the run.
-	CorruptPages uint64
-	ElogHealed   uint64
-
-	// Resource-governance totals over the run.
-	Spills         uint64
-	SpillBytes     uint64
-	NoSpaceFaults  uint64
-	Reclaims       uint64
-	ReclaimedBytes uint64
+	// Counters are the run totals, summed from Supersteps by Finish.
+	Counters
+	WallTime time.Duration `json:"wall_ns"` // measured end-to-end host time
 
 	// Stages is the run-wide per-stage IO breakdown, accumulated from the
 	// supersteps by Finish (canonical stage order; empty for runs without
 	// stage tagging).
-	Stages []StageIO
+	Stages []StageIO `json:"stages,omitempty"`
 
 	// Resumed records that the run restarted from a checkpoint instead of
 	// superstep 0; ResumeStep is the first superstep executed after
 	// restore. Supersteps before it come from the checkpoint.
-	Resumed    bool
-	ResumeStep int
+	Resumed    bool `json:"resumed,omitempty"`
+	ResumeStep int  `json:"resume_step,omitempty"`
 	// Rollbacks counts how many times corrupt vital data sent this run
 	// back to its newest checkpoint before it completed. Like Resumed it
 	// is run-level state, not accumulated from supersteps.
-	Rollbacks int
+	Rollbacks int `json:"rollbacks,omitempty"`
+
+	Supersteps []SuperstepStats `json:"supersteps"`
 }
 
 // TotalTime is the modeled run time: storage (virtual) + compute (host).
-func (r *Report) TotalTime() time.Duration { return r.StorageTime + r.ComputeTime }
+func (r *Report) TotalTime() time.Duration { return r.Total() }
 
 // Finish accumulates per-superstep stats into the run totals. Supersteps
 // are normalized to ascending order first, so totals and per-step exports
@@ -207,64 +227,13 @@ func (r *Report) Finish() {
 			return r.Supersteps[i].Superstep < r.Supersteps[j].Superstep
 		})
 	}
-	r.PagesRead, r.PagesWritten = 0, 0
-	r.StorageTime, r.ComputeTime = 0, 0
-	r.CacheHits, r.CacheMisses, r.CacheEvictions = 0, 0, 0
-	r.PrefetchInserts, r.PrefetchHits, r.PrefetchDropped = 0, 0, 0
-	r.TransientFaults, r.Retries, r.RetryBackoff = 0, 0, 0
-	r.RetriesExhausted, r.CorruptPages, r.ElogHealed = 0, 0, 0
-	r.Checkpoints, r.CheckpointPages, r.CheckpointTime = 0, 0, 0
-	r.Spills, r.SpillBytes = 0, 0
-	r.NoSpaceFaults, r.Reclaims, r.ReclaimedBytes = 0, 0, 0
+	r.Counters = Counters{}
 	r.Stages = nil
-	for _, s := range r.Supersteps {
-		r.PagesRead += s.PagesRead
-		r.PagesWritten += s.PagesWritten
-		r.StorageTime += s.StorageTime
-		r.ComputeTime += s.ComputeTime
-		r.CacheHits += s.CacheHits
-		r.CacheMisses += s.CacheMisses
-		r.CacheEvictions += s.CacheEvictions
-		r.PrefetchInserts += s.PrefetchInserts
-		r.PrefetchHits += s.PrefetchHits
-		r.PrefetchDropped += s.PrefetchDropped
-		r.TransientFaults += s.TransientFaults
-		r.Retries += s.Retries
-		r.RetryBackoff += s.RetryBackoff
-		r.RetriesExhausted += s.RetriesExhausted
-		r.CorruptPages += s.CorruptPages
-		r.ElogHealed += s.ElogHealed
-		r.Checkpoints += s.Checkpoints
-		r.CheckpointPages += s.CheckpointPages
-		r.CheckpointTime += s.CheckpointTime
-		r.Spills += s.Spills
-		r.SpillBytes += s.SpillBytes
-		r.NoSpaceFaults += s.NoSpaceFaults
-		r.Reclaims += s.Reclaims
-		r.ReclaimedBytes += s.ReclaimedBytes
-		r.Stages = MergeStages(r.Stages, s.Stages)
+	for i := range r.Supersteps {
+		r.Add(r.Supersteps[i].Counters)
+		r.Stages = MergeStages(r.Stages, r.Supersteps[i].Stages)
 	}
 }
-
-// CacheHitRate returns the run-wide cache hit rate (0 for uncached runs).
-func (r *Report) CacheHitRate() float64 {
-	if t := r.CacheHits + r.CacheMisses; t > 0 {
-		return float64(r.CacheHits) / float64(t)
-	}
-	return 0
-}
-
-// PrefetchAccuracy returns the run-wide share of warmed pages that saw a
-// demand hit (0 when nothing was prefetched).
-func (r *Report) PrefetchAccuracy() float64 {
-	if r.PrefetchInserts > 0 {
-		return float64(r.PrefetchHits) / float64(r.PrefetchInserts)
-	}
-	return 0
-}
-
-// TotalPages returns pages read + written.
-func (r *Report) TotalPages() uint64 { return r.PagesRead + r.PagesWritten }
 
 // StorageFraction returns the share of total time spent on storage
 // (the paper's Fig 5c series).
@@ -325,58 +294,23 @@ func (r *Report) String() string {
 	return s
 }
 
-// reportJSON is the machine-readable report schema: the raw fields plus
-// the derived quantities every figure of the paper is built from, so
+// plainReport is Report without its methods, so the JSON codec sees the
+// tagged fields instead of recursing into MarshalJSON.
+type plainReport Report
+
+// reportJSON is the machine-readable report schema: Report's own fields
+// plus the derived quantities every figure of the paper is built from, so
 // downstream tooling never recomputes them from text tables.
 type reportJSON struct {
-	Engine string `json:"engine"`
-	App    string `json:"app"`
-	Graph  string `json:"graph"`
-
-	Converged    bool          `json:"converged"`
-	NumSteps     int           `json:"num_supersteps"`
-	PagesRead    uint64        `json:"pages_read"`
-	PagesWritten uint64        `json:"pages_written"`
-	TotalPages   uint64        `json:"total_pages"`
-	StorageTime  time.Duration `json:"storage_ns"`
-	ComputeTime  time.Duration `json:"compute_ns"`
-	TotalTime    time.Duration `json:"total_ns"`
-	WallTime     time.Duration `json:"wall_ns"`
-	Total        string        `json:"total"`
-	Wall         string        `json:"wall"`
-	StorageFrac  float64       `json:"storage_fraction"`
-
-	CacheHits       uint64  `json:"cache_hits,omitempty"`
-	CacheMisses     uint64  `json:"cache_misses,omitempty"`
-	CacheEvictions  uint64  `json:"cache_evictions,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
-	PrefetchInserts uint64  `json:"prefetch_inserts,omitempty"`
-	PrefetchHits    uint64  `json:"prefetch_hits,omitempty"`
-	PrefetchDropped uint64  `json:"prefetch_dropped,omitempty"`
-	PrefetchAcc     float64 `json:"prefetch_accuracy,omitempty"`
-
-	TransientFaults  uint64        `json:"transient_faults,omitempty"`
-	Retries          uint64        `json:"retries,omitempty"`
-	RetryBackoff     time.Duration `json:"retry_backoff_ns,omitempty"`
-	RetriesExhausted uint64        `json:"retries_exhausted,omitempty"`
-	Checkpoints      uint64        `json:"checkpoints,omitempty"`
-	CheckpointPages  uint64        `json:"checkpoint_pages,omitempty"`
-	CheckpointTime   time.Duration `json:"checkpoint_ns,omitempty"`
-	CorruptPages     uint64        `json:"corrupt_pages,omitempty"`
-	ElogHealed       uint64        `json:"elog_healed,omitempty"`
-	Resumed          bool          `json:"resumed,omitempty"`
-	ResumeStep       int           `json:"resume_step,omitempty"`
-	Rollbacks        int           `json:"rollbacks,omitempty"`
-
-	Spills         uint64 `json:"spills,omitempty"`
-	SpillBytes     uint64 `json:"spill_bytes,omitempty"`
-	NoSpaceFaults  uint64 `json:"no_space_faults,omitempty"`
-	Reclaims       uint64 `json:"reclaims,omitempty"`
-	ReclaimedBytes uint64 `json:"reclaimed_bytes,omitempty"`
-
-	Stages []StageIO `json:"stages,omitempty"`
-
-	Supersteps []SuperstepStats `json:"supersteps"`
+	*plainReport
+	NumSteps    int           `json:"num_supersteps"`
+	TotalPages  uint64        `json:"total_pages"`
+	TotalTime   time.Duration `json:"total_ns"`
+	Total       string        `json:"total"`
+	Wall        string        `json:"wall"`
+	StorageFrac float64       `json:"storage_fraction"`
+	HitRate     float64       `json:"cache_hit_rate,omitempty"`
+	PrefetchAcc float64       `json:"prefetch_accuracy,omitempty"`
 }
 
 // MarshalJSON exports the report with derived totals included; durations
@@ -384,104 +318,26 @@ type reportJSON struct {
 // companions for the headline times.
 func (r *Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportJSON{
-		Engine:       r.Engine,
-		App:          r.App,
-		Graph:        r.Graph,
-		Converged:    r.Converged,
-		NumSteps:     len(r.Supersteps),
-		PagesRead:    r.PagesRead,
-		PagesWritten: r.PagesWritten,
-		TotalPages:   r.TotalPages(),
-		StorageTime:  r.StorageTime,
-		ComputeTime:  r.ComputeTime,
-		TotalTime:    r.TotalTime(),
-		WallTime:     r.WallTime,
-		Total:        r.TotalTime().Round(time.Microsecond).String(),
-		Wall:         r.WallTime.Round(time.Microsecond).String(),
-		StorageFrac:  r.StorageFraction(),
-
-		CacheHits:       r.CacheHits,
-		CacheMisses:     r.CacheMisses,
-		CacheEvictions:  r.CacheEvictions,
-		CacheHitRate:    r.CacheHitRate(),
-		PrefetchInserts: r.PrefetchInserts,
-		PrefetchHits:    r.PrefetchHits,
-		PrefetchDropped: r.PrefetchDropped,
-		PrefetchAcc:     r.PrefetchAccuracy(),
-
-		TransientFaults:  r.TransientFaults,
-		Retries:          r.Retries,
-		RetryBackoff:     r.RetryBackoff,
-		RetriesExhausted: r.RetriesExhausted,
-		Checkpoints:      r.Checkpoints,
-		CheckpointPages:  r.CheckpointPages,
-		CheckpointTime:   r.CheckpointTime,
-		CorruptPages:     r.CorruptPages,
-		ElogHealed:       r.ElogHealed,
-		Resumed:          r.Resumed,
-		ResumeStep:       r.ResumeStep,
-		Rollbacks:        r.Rollbacks,
-
-		Spills:         r.Spills,
-		SpillBytes:     r.SpillBytes,
-		NoSpaceFaults:  r.NoSpaceFaults,
-		Reclaims:       r.Reclaims,
-		ReclaimedBytes: r.ReclaimedBytes,
-
-		Stages: r.Stages,
-
-		Supersteps: r.Supersteps,
+		plainReport: (*plainReport)(r),
+		NumSteps:    len(r.Supersteps),
+		TotalPages:  r.TotalPages(),
+		TotalTime:   r.TotalTime(),
+		Total:       r.TotalTime().Round(time.Microsecond).String(),
+		Wall:        r.WallTime.Round(time.Microsecond).String(),
+		StorageFrac: r.StorageFraction(),
+		HitRate:     r.CacheHitRate(),
+		PrefetchAcc: r.PrefetchAccuracy(),
 	})
 }
 
 // UnmarshalJSON restores a report from its JSON export; derived fields
 // are ignored (recomputed on demand).
 func (r *Report) UnmarshalJSON(data []byte) error {
-	var in reportJSON
+	var in plainReport
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
-	*r = Report{
-		Engine:       in.Engine,
-		App:          in.App,
-		Graph:        in.Graph,
-		Converged:    in.Converged,
-		PagesRead:    in.PagesRead,
-		PagesWritten: in.PagesWritten,
-		StorageTime:  in.StorageTime,
-		ComputeTime:  in.ComputeTime,
-		WallTime:     in.WallTime,
-
-		CacheHits:       in.CacheHits,
-		CacheMisses:     in.CacheMisses,
-		CacheEvictions:  in.CacheEvictions,
-		PrefetchInserts: in.PrefetchInserts,
-		PrefetchHits:    in.PrefetchHits,
-		PrefetchDropped: in.PrefetchDropped,
-
-		TransientFaults:  in.TransientFaults,
-		Retries:          in.Retries,
-		RetryBackoff:     in.RetryBackoff,
-		RetriesExhausted: in.RetriesExhausted,
-		Checkpoints:      in.Checkpoints,
-		CheckpointPages:  in.CheckpointPages,
-		CheckpointTime:   in.CheckpointTime,
-		CorruptPages:     in.CorruptPages,
-		ElogHealed:       in.ElogHealed,
-		Resumed:          in.Resumed,
-		ResumeStep:       in.ResumeStep,
-		Rollbacks:        in.Rollbacks,
-
-		Spills:         in.Spills,
-		SpillBytes:     in.SpillBytes,
-		NoSpaceFaults:  in.NoSpaceFaults,
-		Reclaims:       in.Reclaims,
-		ReclaimedBytes: in.ReclaimedBytes,
-
-		Stages: in.Stages,
-
-		Supersteps: in.Supersteps,
-	}
+	*r = Report(in)
 	return nil
 }
 

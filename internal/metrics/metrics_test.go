@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +12,10 @@ import (
 func sampleReport(storage, compute time.Duration) *Report {
 	r := &Report{Engine: "multilogvc", App: "bfs", Graph: "g"}
 	r.Supersteps = []SuperstepStats{
-		{Superstep: 0, Active: 10, PagesRead: 100, PagesWritten: 20,
-			StorageTime: storage / 2, ComputeTime: compute / 2},
-		{Superstep: 1, Active: 5, PagesRead: 50, PagesWritten: 10,
-			StorageTime: storage / 2, ComputeTime: compute / 2},
+		{Superstep: 0, Counters: Counters{Active: 10, PagesRead: 100, PagesWritten: 20,
+			StorageTime: storage / 2, ComputeTime: compute / 2}},
+		{Superstep: 1, Counters: Counters{Active: 5, PagesRead: 50, PagesWritten: 10,
+			StorageTime: storage / 2, ComputeTime: compute / 2}},
 	}
 	r.Finish()
 	return r
@@ -62,7 +64,7 @@ func TestSpeedupAndPageRatio(t *testing.T) {
 }
 
 func TestSuperstepTotal(t *testing.T) {
-	ss := SuperstepStats{StorageTime: time.Second, ComputeTime: 2 * time.Second}
+	ss := SuperstepStats{Counters: Counters{StorageTime: time.Second, ComputeTime: 2 * time.Second}}
 	if ss.Total() != 3*time.Second {
 		t.Fatalf("Total = %v", ss.Total())
 	}
@@ -148,9 +150,9 @@ func TestReportStringIncludesWallTime(t *testing.T) {
 func TestFinishSortsSupersteps(t *testing.T) {
 	r := &Report{}
 	r.Supersteps = []SuperstepStats{
-		{Superstep: 2, PagesRead: 1},
-		{Superstep: 0, PagesRead: 2},
-		{Superstep: 1, PagesRead: 3},
+		{Superstep: 2, Counters: Counters{PagesRead: 1}},
+		{Superstep: 0, Counters: Counters{PagesRead: 2}},
+		{Superstep: 1, Counters: Counters{PagesRead: 3}},
 	}
 	r.Finish()
 	for i, ss := range r.Supersteps {
@@ -208,5 +210,172 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if got := back.Supersteps[0].ReadBatchPages; got.N != 2 || got.Sum != 71 {
 		t.Fatalf("hist round trip = %+v", got)
+	}
+}
+
+// fillCounters sets every field of c to 1 and fails on a field kind it
+// does not know how to set, so a new kind cannot slip past the checks.
+func fillCounters(t *testing.T, c *Counters) {
+	t.Helper()
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Int64:
+			f.SetInt(1)
+		default:
+			t.Fatalf("Counters.%s has kind %s; counters are uint64 or time.Duration", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestCountersAddComplete is the check that replaces keeping Add in step
+// with the struct by hand: a field Add forgets stays 1 and fails by name.
+func TestCountersAddComplete(t *testing.T) {
+	var c Counters
+	fillCounters(t, &c)
+	c.Add(c)
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		var got uint64
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			got = f.Uint()
+		} else {
+			got = uint64(f.Int())
+		}
+		if got != 2 {
+			t.Errorf("Counters.Add does not accumulate %s: 1+1 = %d", v.Type().Field(i).Name, got)
+		}
+	}
+}
+
+// jsonKinds marshals v and maps each top-level key to its JSON type.
+func jsonKinds(t *testing.T, v any) map[string]string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]string, len(m))
+	for k, x := range m {
+		switch x.(type) {
+		case float64:
+			kinds[k] = "number"
+		case string:
+			kinds[k] = "string"
+		case bool:
+			kinds[k] = "bool"
+		case map[string]any:
+			kinds[k] = "object"
+		case []any:
+			kinds[k] = "array"
+		default:
+			kinds[k] = fmt.Sprintf("%T", x)
+		}
+	}
+	return kinds
+}
+
+func populatedSuperstep(t *testing.T) SuperstepStats {
+	ss := SuperstepStats{Superstep: 1, MsgSkew: 1.5, IOSkew: 1.25,
+		Stages: []StageIO{{Stage: "vertex", PagesRead: 1}}}
+	fillCounters(t, &ss.Counters)
+	return ss
+}
+
+// The key lists below are what PR 19's exports carried when every field
+// was set. Consumers outside the repo read these names, so they may grow
+// but never shrink, be renamed or change JSON type.
+var counterKeysAtPR19 = []string{
+	"pages_read", "pages_written", "storage_ns", "compute_ns",
+	"cache_hits", "cache_misses", "cache_evictions",
+	"prefetch_inserts", "prefetch_hits", "prefetch_dropped",
+	"transient_faults", "retries", "retry_backoff_ns", "retries_exhausted",
+	"corrupt_pages", "elog_healed",
+	"checkpoints", "checkpoint_pages", "checkpoint_ns",
+	"spills", "spill_bytes", "no_space_faults", "reclaims", "reclaimed_bytes",
+}
+
+func checkKeys(t *testing.T, got, want map[string]string) {
+	t.Helper()
+	for k, kind := range want {
+		if got[k] != kind {
+			t.Errorf("key %q: JSON type %q, want %q", k, got[k], kind)
+		}
+	}
+}
+
+func TestSuperstepJSONKeysStable(t *testing.T) {
+	want := map[string]string{
+		"superstep": "number", "active": "number", "msgs_sent": "number", "msgs_delivered": "number",
+		"colidx_pages_read": "number", "edgelog_pages_read": "number", "edgelog_pages_write": "number",
+		"inefficient_pages": "number", "predicted_ineff": "number", "correct_predicted": "number",
+		"util_pages_touched": "number", "msg_skew": "number", "io_skew": "number", "stages": "array",
+		"interval_pages": "object", "read_batch_pages": "object", "write_batch_pages": "object",
+		"read_latency_us": "object", "write_latency_us": "object",
+	}
+	for _, k := range counterKeysAtPR19 {
+		want[k] = "number"
+	}
+	ss := populatedSuperstep(t)
+	checkKeys(t, jsonKinds(t, ss), want)
+
+	raw, err := json.Marshal(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back SuperstepStats
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Counters != ss.Counters {
+		t.Fatalf("superstep counters changed in a JSON round trip:\n got %+v\nwant %+v", back.Counters, ss.Counters)
+	}
+}
+
+func TestReportJSONKeysStable(t *testing.T) {
+	want := map[string]string{
+		"engine": "string", "app": "string", "graph": "string", "converged": "bool",
+		"num_supersteps": "number", "total_pages": "number", "total_ns": "number", "wall_ns": "number",
+		"total": "string", "wall": "string", "storage_fraction": "number",
+		"cache_hit_rate": "number", "prefetch_accuracy": "number",
+		"resumed": "bool", "resume_step": "number", "rollbacks": "number",
+		"stages": "array", "supersteps": "array",
+	}
+	for _, k := range counterKeysAtPR19 {
+		want[k] = "number"
+	}
+	r := &Report{Engine: "multilogvc", App: "bfs", Graph: "g", Converged: true,
+		WallTime: time.Second, Resumed: true, ResumeStep: 1, Rollbacks: 1,
+		Supersteps: []SuperstepStats{populatedSuperstep(t)}}
+	r.Finish()
+	got := jsonKinds(t, r)
+	checkKeys(t, got, want)
+	// The run totals the embedding added: additive keys, same names as the
+	// per-superstep rows.
+	for _, k := range []string{"active", "msgs_sent", "msgs_delivered", "edgelog_pages_read"} {
+		if got[k] != "number" {
+			t.Errorf("run total %q: JSON type %q, want number", k, got[k])
+		}
+	}
+
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Counters != r.Counters {
+		t.Fatalf("run totals changed in a JSON round trip:\n got %+v\nwant %+v", back.Counters, r.Counters)
+	}
+	if back.Resumed != r.Resumed || back.ResumeStep != r.ResumeStep || back.Rollbacks != r.Rollbacks {
+		t.Fatalf("run-level state changed in a JSON round trip: %+v", back)
 	}
 }

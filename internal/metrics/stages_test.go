@@ -62,11 +62,11 @@ func TestMergeStagesFoldsByName(t *testing.T) {
 func TestReportFinishAggregatesStages(t *testing.T) {
 	r := &Report{Engine: "multilogvc", App: "pagerank", Graph: "g"}
 	r.Supersteps = []SuperstepStats{
-		{Superstep: 0, PagesRead: 6, Stages: []StageIO{
+		{Superstep: 0, Counters: Counters{PagesRead: 6}, Stages: []StageIO{
 			{Stage: "vertex", PagesRead: 4},
 			{Stage: "sortgroup", PagesRead: 2},
 		}},
-		{Superstep: 1, PagesRead: 5, PagesWritten: 1, Stages: []StageIO{
+		{Superstep: 1, Counters: Counters{PagesRead: 5, PagesWritten: 1}, Stages: []StageIO{
 			{Stage: "vertex", PagesRead: 5, PagesWritten: 1, Time: 2 * time.Millisecond},
 		}},
 	}

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
+	"strings"
 	"sync"
 	"time"
 )
@@ -19,79 +21,79 @@ import (
 // gauges; the page/message counters accumulate across every run in the
 // process, which is what a long-lived server wants.
 type LiveVars struct {
-	Superstep      *expvar.Int   // current superstep of the latest run
-	Active         *expvar.Int   // vertices processed in that superstep
-	PagesRead      *expvar.Int   // cumulative device pages read by engines
-	PagesWritten   *expvar.Int   // cumulative device pages written
-	MsgsSent       *expvar.Int   // cumulative messages sent
-	EdgeLogHitRate *expvar.Float // share of adjacency pages served from the edge log
-	MsgSkew        *expvar.Float // per-interval message skew (max/mean) of that superstep
-	Runs           *expvar.Int   // engine runs started in this process
+	Superstep      *expvar.Int   `metric:"mlvc.superstep" kind:"gauge" help:"Current superstep of the latest engine run"`
+	Active         *expvar.Int   `metric:"mlvc.active_vertices" kind:"gauge" help:"Vertices processed in the latest superstep"`
+	PagesRead      *expvar.Int   `metric:"mlvc.pages_read" kind:"counter" help:"Cumulative device pages read by engine runs"`
+	PagesWritten   *expvar.Int   `metric:"mlvc.pages_written" kind:"counter" help:"Cumulative device pages written by engine runs"`
+	MsgsSent       *expvar.Int   `metric:"mlvc.msgs_sent" kind:"counter" help:"Cumulative messages sent"`
+	EdgeLogHitRate *expvar.Float `metric:"mlvc.edgelog_hit_rate" kind:"gauge" help:"Share of adjacency pages served from the edge log"`
+	MsgSkew        *expvar.Float `metric:"mlvc.msg_skew" kind:"gauge" help:"Per-interval message skew (max/mean) of the latest superstep"`
+	Runs           *expvar.Int   `metric:"mlvc.runs" kind:"counter" help:"Engine runs started in this process"`
 
 	// Page-cache gauges: zero unless a run attached a cache (-cache-mb).
-	CacheHitRate  *expvar.Float // hit rate of the latest superstep
-	CacheResident *expvar.Int   // pages currently resident in the cache
-	PrefetchAcc   *expvar.Float // prefetch accuracy of the latest superstep
+	CacheHitRate  *expvar.Float `metric:"mlvc.cache_hit_rate" kind:"gauge" help:"Page-cache hit rate of the latest superstep"`
+	CacheResident *expvar.Int   `metric:"mlvc.cache_resident_pages" kind:"gauge" help:"Pages currently resident in the page cache"`
+	PrefetchAcc   *expvar.Float `metric:"mlvc.prefetch_accuracy" kind:"gauge" help:"Prefetch accuracy of the latest superstep"`
 
 	// Fault-tolerance counters: cumulative across runs in the process.
-	TransientFaults *expvar.Int // transient device faults absorbed by retry
-	Retries         *expvar.Int // retry attempts spent absorbing them
-	Checkpoints     *expvar.Int // checkpoints committed
-	Resumes         *expvar.Int // runs resumed from a checkpoint
+	TransientFaults *expvar.Int `metric:"mlvc.transient_faults" kind:"counter" help:"Transient device faults absorbed by retry"`
+	Retries         *expvar.Int `metric:"mlvc.retries" kind:"counter" help:"Retry attempts spent absorbing transient faults"`
+	Checkpoints     *expvar.Int `metric:"mlvc.checkpoints" kind:"counter" help:"Checkpoints committed"`
+	Resumes         *expvar.Int `metric:"mlvc.resumes" kind:"counter" help:"Runs resumed from a checkpoint"`
 
 	// Integrity counters: cumulative across runs in the process.
-	CorruptPages *expvar.Int // pages that failed checksum verification
-	ElogHeals    *expvar.Int // edge-log generations healed from CSR
-	Rollbacks    *expvar.Int // runs rolled back to a checkpoint on corruption
+	CorruptPages *expvar.Int `metric:"mlvc.corrupt_pages" kind:"counter" help:"Pages that failed checksum verification"`
+	ElogHeals    *expvar.Int `metric:"mlvc.elog_heals" kind:"counter" help:"Edge-log generations healed from the CSR"`
+	Rollbacks    *expvar.Int `metric:"mlvc.rollbacks" kind:"counter" help:"Runs rolled back to a checkpoint on corruption"`
 
 	// Resource-governance counters: cumulative across runs in the process.
-	Spills         *expvar.Int // interval logs spilled through the external sort-group
-	SpillBytes     *expvar.Int // record bytes those spills wrote to the device
-	NoSpaceFaults  *expvar.Int // writes that hit the disk quota (or injected no-space)
-	Reclaims       *expvar.Int // space-reclamation sweeps run
-	ReclaimedBytes *expvar.Int // bytes freed by those sweeps
+	Spills         *expvar.Int `metric:"mlvc.spills" kind:"counter" help:"Interval logs spilled through the external sort-group"`
+	SpillBytes     *expvar.Int `metric:"mlvc.spill_bytes" kind:"counter" help:"Record bytes spilled to the device"`
+	NoSpaceFaults  *expvar.Int `metric:"mlvc.no_space_faults" kind:"counter" help:"Writes that hit the disk quota"`
+	Reclaims       *expvar.Int `metric:"mlvc.reclaims" kind:"counter" help:"Space-reclamation sweeps run"`
+	ReclaimedBytes *expvar.Int `metric:"mlvc.reclaimed_bytes" kind:"counter" help:"Bytes freed by reclamation sweeps"`
 
 	// Serving counters: cumulative across the daemon's lifetime. Zero in
 	// one-shot CLI processes.
-	QueriesServed   *expvar.Int // queries answered successfully
-	QueriesShed     *expvar.Int // queries rejected at admission (queue full, shutdown, expired)
-	QueryDeadlines  *expvar.Int // queries cut by their deadline mid-run
-	QueryErrors     *expvar.Int // queries failed for any other reason
-	BatchesRun      *expvar.Int // engine executions serving those queries
-	BatchedQueries  *expvar.Int // queries that shared an execution with at least one other
-	QueryPagesRead  *expvar.Int // device pages read by query executions (scoped)
-	QueryPagesWrite *expvar.Int // device pages written by query executions (scoped)
+	QueriesServed   *expvar.Int `metric:"mlvc.queries_served" kind:"counter" help:"Queries answered successfully by the serving daemon"`
+	QueriesShed     *expvar.Int `metric:"mlvc.queries_shed" kind:"counter" help:"Queries rejected at admission (queue full, shutdown, expired)"`
+	QueryDeadlines  *expvar.Int `metric:"mlvc.query_deadlines" kind:"counter" help:"Queries cut by their deadline mid-run"`
+	QueryErrors     *expvar.Int `metric:"mlvc.query_errors" kind:"counter" help:"Queries failed for any other reason"`
+	BatchesRun      *expvar.Int `metric:"mlvc.batches_run" kind:"counter" help:"Engine executions serving queries"`
+	BatchedQueries  *expvar.Int `metric:"mlvc.batched_queries" kind:"counter" help:"Queries that shared an execution with at least one other"`
+	QueryPagesRead  *expvar.Int `metric:"mlvc.query_pages_read" kind:"counter" help:"Device pages read by query executions (per-query scoped)"`
+	QueryPagesWrite *expvar.Int `metric:"mlvc.query_pages_written" kind:"counter" help:"Device pages written by query executions (per-query scoped)"`
 
 	// Serving-resilience counters: cumulative across the daemon's
 	// lifetime. Zero in one-shot CLI processes.
-	QueriesIsolated *expvar.Int // queries whose failed batch was isolated into solo re-runs
-	QueriesRetried  *expvar.Int // solo re-executions spent on that isolation
-	PanicsRecovered *expvar.Int // panics contained at the serving boundaries
-	BreakerOpens    *expvar.Int // fault circuit-breaker open transitions
-	BreakerSheds    *expvar.Int // queries shed while the breaker was open or probing
+	QueriesIsolated *expvar.Int `metric:"mlvc.queries_isolated" kind:"counter" help:"Queries whose failed batch was isolated into solo re-runs"`
+	QueriesRetried  *expvar.Int `metric:"mlvc.queries_retried" kind:"counter" help:"Solo re-executions spent on that isolation"`
+	PanicsRecovered *expvar.Int `metric:"mlvc.panics_recovered" kind:"counter" help:"Panics contained at the serving boundaries"`
+	BreakerOpens    *expvar.Int `metric:"mlvc.breaker_opens" kind:"counter" help:"Fault circuit-breaker open transitions"`
+	BreakerSheds    *expvar.Int `metric:"mlvc.breaker_sheds" kind:"counter" help:"Queries shed while the breaker was open or probing"`
 
 	// Streaming-ingest counters: cumulative across the process. Zero
 	// unless the graph was opened for durable ingest.
-	IngestMutations    *expvar.Int // edge mutations acknowledged (durable + applied)
-	IngestBatches      *expvar.Int // mutation batches acknowledged
-	IngestBackpressure *expvar.Int // mutation batches shed at the pending-update cap
-	IngestErrors       *expvar.Int // mutation batches failed for any other reason
-	IngestMerges       *expvar.Int // crash-atomic delta merges (WAL checkpoints)
-	WALFlushes         *expvar.Int // WAL group-commit flushes
-	WALFrames          *expvar.Int // WAL frames made durable by those flushes
-	WALReplayed        *expvar.Int // WAL frames replayed into the delta overlay on open
-	WALTornTails       *expvar.Int // torn WAL tails truncated during replay
-	ReplicaAppliedSeq  *expvar.Int // highest WAL seq applied by this replica (gauge)
-	ReplicaLagFrames   *expvar.Int // frames the replica trails the primary by (gauge)
-	FramesShipped      *expvar.Int // WAL frames served to followers via /replicate
-	Promotions         *expvar.Int // follower promotions to writable primary
+	IngestMutations    *expvar.Int `metric:"mlvc.ingest_mutations" kind:"counter" help:"Edge mutations acknowledged (durable and applied)"`
+	IngestBatches      *expvar.Int `metric:"mlvc.ingest_batches" kind:"counter" help:"Mutation batches acknowledged"`
+	IngestBackpressure *expvar.Int `metric:"mlvc.ingest_backpressure" kind:"counter" help:"Mutation batches shed at the pending-update cap"`
+	IngestErrors       *expvar.Int `metric:"mlvc.ingest_errors" kind:"counter" help:"Mutation batches failed for any other reason"`
+	IngestMerges       *expvar.Int `metric:"mlvc.ingest_merges" kind:"counter" help:"Crash-atomic delta merges (WAL checkpoints)"`
+	WALFlushes         *expvar.Int `metric:"mlvc.wal_flushes" kind:"counter" help:"WAL group-commit flushes"`
+	WALFrames          *expvar.Int `metric:"mlvc.wal_frames" kind:"counter" help:"WAL frames made durable"`
+	WALReplayed        *expvar.Int `metric:"mlvc.wal_replayed_frames" kind:"counter" help:"WAL frames replayed into the delta overlay on open"`
+	WALTornTails       *expvar.Int `metric:"mlvc.wal_torn_tails" kind:"counter" help:"Torn WAL tails truncated during replay"`
+	ReplicaAppliedSeq  *expvar.Int `metric:"mlvc.replica_applied_seq" kind:"gauge" help:"Highest WAL sequence number applied by this replica"`
+	ReplicaLagFrames   *expvar.Int `metric:"mlvc.replica_lag_frames" kind:"gauge" help:"WAL frames this replica trails its primary by"`
+	FramesShipped      *expvar.Int `metric:"mlvc.frames_shipped" kind:"counter" help:"WAL frames served to followers via /replicate"`
+	Promotions         *expvar.Int `metric:"mlvc.promotions" kind:"counter" help:"Follower promotions to writable primary"`
 
 	// Per-stage IO maps, keyed by the stable obsv.Stage names: cumulative
 	// device pages each pipeline stage read and wrote across runs in the
 	// process. The OpenMetrics handler exports them as labeled samples
 	// (mlvc_stage_pages_read{stage="vertex"}).
-	StagePagesRead    *expvar.Map
-	StagePagesWritten *expvar.Map
+	StagePagesRead    *expvar.Map `metric:"mlvc.stage_pages_read" kind:"counter" label:"stage" help:"Cumulative device pages read, by pipeline stage"`
+	StagePagesWritten *expvar.Map `metric:"mlvc.stage_pages_written" kind:"counter" label:"stage" help:"Cumulative device pages written, by pipeline stage"`
 }
 
 var (
@@ -103,68 +105,39 @@ var (
 // use. expvar panics on duplicate registration, hence the Once.
 func Live() *LiveVars {
 	liveOnce.Do(func() {
-		liveVars = &LiveVars{
-			Superstep:      expvar.NewInt("mlvc.superstep"),
-			Active:         expvar.NewInt("mlvc.active_vertices"),
-			PagesRead:      expvar.NewInt("mlvc.pages_read"),
-			PagesWritten:   expvar.NewInt("mlvc.pages_written"),
-			MsgsSent:       expvar.NewInt("mlvc.msgs_sent"),
-			EdgeLogHitRate: expvar.NewFloat("mlvc.edgelog_hit_rate"),
-			MsgSkew:        expvar.NewFloat("mlvc.msg_skew"),
-			Runs:           expvar.NewInt("mlvc.runs"),
-			CacheHitRate:   expvar.NewFloat("mlvc.cache_hit_rate"),
-			CacheResident:  expvar.NewInt("mlvc.cache_resident_pages"),
-			PrefetchAcc:    expvar.NewFloat("mlvc.prefetch_accuracy"),
-
-			TransientFaults: expvar.NewInt("mlvc.transient_faults"),
-			Retries:         expvar.NewInt("mlvc.retries"),
-			Checkpoints:     expvar.NewInt("mlvc.checkpoints"),
-			Resumes:         expvar.NewInt("mlvc.resumes"),
-
-			CorruptPages: expvar.NewInt("mlvc.corrupt_pages"),
-			ElogHeals:    expvar.NewInt("mlvc.elog_heals"),
-			Rollbacks:    expvar.NewInt("mlvc.rollbacks"),
-
-			Spills:         expvar.NewInt("mlvc.spills"),
-			SpillBytes:     expvar.NewInt("mlvc.spill_bytes"),
-			NoSpaceFaults:  expvar.NewInt("mlvc.no_space_faults"),
-			Reclaims:       expvar.NewInt("mlvc.reclaims"),
-			ReclaimedBytes: expvar.NewInt("mlvc.reclaimed_bytes"),
-
-			QueriesServed:   expvar.NewInt("mlvc.queries_served"),
-			QueriesShed:     expvar.NewInt("mlvc.queries_shed"),
-			QueryDeadlines:  expvar.NewInt("mlvc.query_deadlines"),
-			QueryErrors:     expvar.NewInt("mlvc.query_errors"),
-			BatchesRun:      expvar.NewInt("mlvc.batches_run"),
-			BatchedQueries:  expvar.NewInt("mlvc.batched_queries"),
-			QueryPagesRead:  expvar.NewInt("mlvc.query_pages_read"),
-			QueryPagesWrite: expvar.NewInt("mlvc.query_pages_written"),
-
-			QueriesIsolated: expvar.NewInt("mlvc.queries_isolated"),
-			QueriesRetried:  expvar.NewInt("mlvc.queries_retried"),
-			PanicsRecovered: expvar.NewInt("mlvc.panics_recovered"),
-			BreakerOpens:    expvar.NewInt("mlvc.breaker_opens"),
-			BreakerSheds:    expvar.NewInt("mlvc.breaker_sheds"),
-
-			IngestMutations:    expvar.NewInt("mlvc.ingest_mutations"),
-			IngestBatches:      expvar.NewInt("mlvc.ingest_batches"),
-			IngestBackpressure: expvar.NewInt("mlvc.ingest_backpressure"),
-			IngestErrors:       expvar.NewInt("mlvc.ingest_errors"),
-			IngestMerges:       expvar.NewInt("mlvc.ingest_merges"),
-			WALFlushes:         expvar.NewInt("mlvc.wal_flushes"),
-			WALFrames:          expvar.NewInt("mlvc.wal_frames"),
-			WALReplayed:        expvar.NewInt("mlvc.wal_replayed_frames"),
-			WALTornTails:       expvar.NewInt("mlvc.wal_torn_tails"),
-			ReplicaAppliedSeq:  expvar.NewInt("mlvc.replica_applied_seq"),
-			ReplicaLagFrames:   expvar.NewInt("mlvc.replica_lag_frames"),
-			FramesShipped:      expvar.NewInt("mlvc.frames_shipped"),
-			Promotions:         expvar.NewInt("mlvc.promotions"),
-
-			StagePagesRead:    expvar.NewMap("mlvc.stage_pages_read"),
-			StagePagesWritten: expvar.NewMap("mlvc.stage_pages_written"),
-		}
+		liveVars = new(LiveVars)
+		declare(reflect.ValueOf(liveVars).Elem())
 	})
 	return liveVars
+}
+
+// declare registers one expvar per field of the struct v and records its
+// metadata in varMeta. A field is a metric's one declaration: its tags give
+// the expvar name, the kind ("counter" or "gauge"), the help text and, for
+// a map family, the label its keys populate. A field missing one panics
+// here, at first use, instead of exporting as untyped.
+func declare(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name := f.Tag.Get("metric")
+		meta := metricMeta{help: f.Tag.Get("help"), typ: f.Tag.Get("kind"), label: f.Tag.Get("label")}
+		_, isMap := v.Field(i).Interface().(*expvar.Map)
+		if !strings.HasPrefix(name, "mlvc.") || meta.help == "" ||
+			(meta.typ != "counter" && meta.typ != "gauge") || isMap != (meta.label != "") {
+			panic(fmt.Sprintf("obsv: field %s needs metric:\"mlvc.…\", kind:\"counter|gauge\", help and (maps only) label tags; has `%s`", f.Name, f.Tag))
+		}
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case **expvar.Int:
+			*p = expvar.NewInt(name)
+		case **expvar.Float:
+			*p = expvar.NewFloat(name)
+		case **expvar.Map:
+			*p = expvar.NewMap(name)
+		default:
+			panic(fmt.Sprintf("obsv: field %s is a %s, not an expvar Int, Float or Map", f.Name, f.Type))
+		}
+		varMeta[name] = meta
+	}
 }
 
 // Serve starts an HTTP listener exposing expvar counters at /debug/vars,

@@ -32,54 +32,9 @@ type metricMeta struct {
 	label string // label name for map families; "" for scalars
 }
 
-var varMeta = map[string]metricMeta{
-	"mlvc.superstep":            {"Current superstep of the latest engine run", "gauge", ""},
-	"mlvc.active_vertices":      {"Vertices processed in the latest superstep", "gauge", ""},
-	"mlvc.pages_read":           {"Cumulative device pages read by engine runs", "counter", ""},
-	"mlvc.pages_written":        {"Cumulative device pages written by engine runs", "counter", ""},
-	"mlvc.msgs_sent":            {"Cumulative messages sent", "counter", ""},
-	"mlvc.edgelog_hit_rate":     {"Share of adjacency pages served from the edge log", "gauge", ""},
-	"mlvc.msg_skew":             {"Per-interval message skew (max/mean) of the latest superstep", "gauge", ""},
-	"mlvc.runs":                 {"Engine runs started in this process", "counter", ""},
-	"mlvc.cache_hit_rate":       {"Page-cache hit rate of the latest superstep", "gauge", ""},
-	"mlvc.cache_resident_pages": {"Pages currently resident in the page cache", "gauge", ""},
-	"mlvc.prefetch_accuracy":    {"Prefetch accuracy of the latest superstep", "gauge", ""},
-	"mlvc.transient_faults":     {"Transient device faults absorbed by retry", "counter", ""},
-	"mlvc.retries":              {"Retry attempts spent absorbing transient faults", "counter", ""},
-	"mlvc.checkpoints":          {"Checkpoints committed", "counter", ""},
-	"mlvc.resumes":              {"Runs resumed from a checkpoint", "counter", ""},
-	"mlvc.corrupt_pages":        {"Pages that failed checksum verification", "counter", ""},
-	"mlvc.elog_heals":           {"Edge-log generations healed from the CSR", "counter", ""},
-	"mlvc.rollbacks":            {"Runs rolled back to a checkpoint on corruption", "counter", ""},
-	"mlvc.spills":               {"Interval logs spilled through the external sort-group", "counter", ""},
-	"mlvc.spill_bytes":          {"Record bytes spilled to the device", "counter", ""},
-	"mlvc.no_space_faults":      {"Writes that hit the disk quota", "counter", ""},
-	"mlvc.reclaims":             {"Space-reclamation sweeps run", "counter", ""},
-	"mlvc.reclaimed_bytes":      {"Bytes freed by reclamation sweeps", "counter", ""},
-	"mlvc.queries_served":       {"Queries answered successfully by the serving daemon", "counter", ""},
-	"mlvc.queries_shed":         {"Queries rejected at admission (queue full, shutdown, expired)", "counter", ""},
-	"mlvc.query_deadlines":      {"Queries cut by their deadline mid-run", "counter", ""},
-	"mlvc.query_errors":         {"Queries failed for any other reason", "counter", ""},
-	"mlvc.batches_run":          {"Engine executions serving queries", "counter", ""},
-	"mlvc.batched_queries":      {"Queries that shared an execution with at least one other", "counter", ""},
-	"mlvc.query_pages_read":     {"Device pages read by query executions (per-query scoped)", "counter", ""},
-	"mlvc.query_pages_written":  {"Device pages written by query executions (per-query scoped)", "counter", ""},
-	"mlvc.stage_pages_read":     {"Cumulative device pages read, by pipeline stage", "counter", "stage"},
-	"mlvc.stage_pages_written":  {"Cumulative device pages written, by pipeline stage", "counter", "stage"},
-	"mlvc.ingest_mutations":     {"Edge mutations acknowledged (durable and applied)", "counter", ""},
-	"mlvc.ingest_batches":       {"Mutation batches acknowledged", "counter", ""},
-	"mlvc.ingest_backpressure":  {"Mutation batches shed at the pending-update cap", "counter", ""},
-	"mlvc.ingest_errors":        {"Mutation batches failed for any other reason", "counter", ""},
-	"mlvc.ingest_merges":        {"Crash-atomic delta merges (WAL checkpoints)", "counter", ""},
-	"mlvc.wal_flushes":          {"WAL group-commit flushes", "counter", ""},
-	"mlvc.wal_frames":           {"WAL frames made durable", "counter", ""},
-	"mlvc.wal_replayed_frames":  {"WAL frames replayed into the delta overlay on open", "counter", ""},
-	"mlvc.wal_torn_tails":       {"Torn WAL tails truncated during replay", "counter", ""},
-	"mlvc.replica_applied_seq":  {"Highest WAL sequence number applied by this replica", "gauge", ""},
-	"mlvc.replica_lag_frames":   {"WAL frames this replica trails its primary by", "gauge", ""},
-	"mlvc.frames_shipped":       {"WAL frames served to followers via /replicate", "counter", ""},
-	"mlvc.promotions":           {"Follower promotions to writable primary", "counter", ""},
-}
+// varMeta is filled by Live from the LiveVars field tags and only read
+// after Live has returned.
+var varMeta = map[string]metricMeta{}
 
 var (
 	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
@@ -104,6 +59,7 @@ func WriteOpenMetrics(w io.Writer) error {
 // writeOpenMetricsVars is WriteOpenMetrics over an explicit var list
 // (unit-testable without touching the process-global expvar registry).
 func writeOpenMetricsVars(w io.Writer, vars []expvar.KeyValue) error {
+	Live() // varMeta is complete once this returns
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Key < vars[j].Key })
 	for _, kv := range vars {
 		name := strings.ReplaceAll(kv.Key, ".", "_")

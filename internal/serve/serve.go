@@ -319,6 +319,23 @@ type timingsMS struct {
 // ms converts a duration to fractional milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// maxRequestDeadline caps a request's deadline_ms. Beyond any query's run
+// time, and far below the ~9.2e12 ms at which the conversion to
+// nanoseconds overflows into a deadline in the past.
+const maxRequestDeadline = 24 * time.Hour
+
+// requestDeadline turns a request's deadline_ms into an absolute deadline:
+// def when ms names none (<= 0), and at most maxRequestDeadline from now.
+func requestDeadline(ms int64, def time.Duration) time.Time {
+	d := def
+	if ms > int64(maxRequestDeadline/time.Millisecond) {
+		d = maxRequestDeadline
+	} else if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return time.Now().Add(d)
+}
+
 // handlePoint admits one point query into b and waits for its lane result.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher) {
 	entered := time.Now()
@@ -350,10 +367,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher)
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
 		return
 	}
-	deadline := time.Now().Add(s.opts.DefaultDeadline)
-	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
+	deadline := requestDeadline(req.DeadlineMS, s.opts.DefaultDeadline)
 	if !deadline.After(time.Now()) {
 		live.QueriesShed.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "deadline", "deadline expired before admission")

@@ -466,3 +466,39 @@ func TestServeIntrospection(t *testing.T) {
 		t.Fatalf("query_pages_read = %d, want >= 1", stats.Serving["query_pages_read"])
 	}
 }
+
+// TestServeDeadlineMSBounds: deadline_ms is outside input. Values whose
+// conversion to nanoseconds would overflow int64 (from ~9.2e12 ms) must
+// read as "a very long deadline", not as one already past; 0 and negative
+// values keep meaning "use the server default", shown here by a default so
+// short that only those requests expire.
+func TestServeDeadlineMSBounds(t *testing.T) {
+	g := fixture(t, 67)
+	s, err := New(Options{Graph: g, DefaultDeadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		ms   int64
+		want int
+	}{
+		{30_000, http.StatusOK},
+		{10_000_000_000_000, http.StatusOK}, // overflows to a negative duration unclamped
+		{1 << 62, http.StatusOK},            // overflows to exactly 0 unclamped
+		{0, http.StatusGatewayTimeout},
+		{-1, http.StatusGatewayTimeout},
+	} {
+		resp, data := postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 3, DeadlineMS: tc.ms})
+		if resp.StatusCode != tc.want {
+			t.Errorf("/query/bfs deadline_ms=%d: status %d, want %d: %s", tc.ms, resp.StatusCode, tc.want, data)
+		}
+		resp, data = postJSON(t, ts.URL+"/walk", walkRequest{Source: 3, Walks: 2, Length: 4, DeadlineMS: tc.ms})
+		if resp.StatusCode != tc.want {
+			t.Errorf("/walk deadline_ms=%d: status %d, want %d: %s", tc.ms, resp.StatusCode, tc.want, data)
+		}
+	}
+}

@@ -76,10 +76,7 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
 		return
 	}
-	deadline := time.Now().Add(s.opts.DefaultDeadline)
-	if req.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
+	deadline := requestDeadline(req.DeadlineMS, s.opts.DefaultDeadline)
 
 	// Walks pass the same breaker gate as point queries — their CSR
 	// reads hit the same device — and record exactly one outcome.
