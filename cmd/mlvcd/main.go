@@ -44,7 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -91,12 +90,16 @@ func run(args []string) error {
 	walFlush := fs.Duration("wal-flush", 2*time.Millisecond, "WAL group-commit window; 0 flushes synchronously per batch")
 	maxPending := fs.Int("max-pending", 1<<20, "buffered delta side-entry cap; past it /mutate sheds with ingest_backpressure (0 = unbounded)")
 	mergeThreshold := fs.Int("merge-threshold", 0, "buffered side-entries that trigger a crash-atomic delta merge (0 = library default)")
-	faultInject := fs.Bool("fault-inject", false,
-		"TESTING ONLY: honor MLVCD_FAULT_{TRANSIENT,CORRUPT,NOSPACE}_PROB / MLVCD_FAULT_CORRUPT_ONLY / MLVCD_FAULT_SEED env vars and expose POST /debug/fault")
+	fault := fs.String("fault", "",
+		"TESTING ONLY: fault plan armed once the graph is open, e.g. transient=0.9,corrupt=0.01@.colidx,nospace=0.05,seed=7 (probabilities per page operation; @ restricts corruption to matching file names); any non-empty spec also exposes POST /debug/fault, which takes the same spec as its body (empty body heals)")
 	fs.Parse(args)
 	if *dir == "" {
 		fs.Usage()
 		return fmt.Errorf("-dir is required")
+	}
+	plan, err := ssd.ParseFaultPlan(*fault)
+	if err != nil {
+		return err
 	}
 
 	dev, err := ssd.Open(ssd.Config{
@@ -144,8 +147,9 @@ func run(args []string) error {
 	// Fault injection arms AFTER the graph is opened (the open itself
 	// must not trip) and only when explicitly enabled: this is the CI
 	// fault smoke's control surface, never a production mode.
-	if *faultInject {
-		armFaultsFromEnv(dev)
+	if *fault != "" {
+		dev.SetFaults(plan)
+		fmt.Printf("mlvcd: fault injection armed: %s\n", *fault)
 	}
 
 	s, err := serve.New(serve.Options{
@@ -166,7 +170,7 @@ func run(args []string) error {
 		MergeThreshold:    *mergeThreshold,
 		EnableReplication: *ingest,
 		ReadOnly:          follower,
-		FaultControl:      *faultInject,
+		FaultControl:      *fault != "",
 	})
 	if err != nil {
 		return err
@@ -225,29 +229,4 @@ func run(args []string) error {
 	}
 	fmt.Println("mlvcd: drained; bye")
 	return nil
-}
-
-// armFaultsFromEnv arms the device's probabilistic fault injection from
-// MLVCD_FAULT_* env vars (testing only; see -fault-inject). Unset or
-// malformed vars are ignored.
-func armFaultsFromEnv(dev *ssd.Device) {
-	seed := uint64(1)
-	if v, err := strconv.ParseUint(os.Getenv("MLVCD_FAULT_SEED"), 10, 64); err == nil && v > 0 {
-		seed = v
-	}
-	if only := os.Getenv("MLVCD_FAULT_CORRUPT_ONLY"); only != "" {
-		dev.CorruptOnly(only)
-	}
-	if p, err := strconv.ParseFloat(os.Getenv("MLVCD_FAULT_TRANSIENT_PROB"), 64); err == nil && p > 0 {
-		dev.FailTransientProb(p, seed)
-		fmt.Printf("mlvcd: fault injection armed: transient p=%g\n", p)
-	}
-	if p, err := strconv.ParseFloat(os.Getenv("MLVCD_FAULT_CORRUPT_PROB"), 64); err == nil && p > 0 {
-		dev.FailCorruptProb(p, seed|1)
-		fmt.Printf("mlvcd: fault injection armed: corrupt p=%g\n", p)
-	}
-	if p, err := strconv.ParseFloat(os.Getenv("MLVCD_FAULT_NOSPACE_PROB"), 64); err == nil && p > 0 {
-		dev.FailNoSpaceProb(p, seed|3)
-		fmt.Printf("mlvcd: fault injection armed: no-space p=%g\n", p)
-	}
 }

@@ -12,9 +12,9 @@
 // the new one is in flight. Each slot holds a data file (the serialized
 // payload) and a manifest file committed strictly afterwards:
 //
-//	1. truncate the slot's manifest   — the slot is now invalid
-//	2. write the payload data file
-//	3. write the manifest: magic, version, seq, step, payload length, CRC
+//  1. truncate the slot's manifest   — the slot is now invalid
+//  2. write the payload data file
+//  3. write the manifest: magic, version, seq, step, payload length, CRC
 //
 // A crash at any point leaves at most one slot torn, and a torn slot is
 // detectable: either its manifest is missing/short, or the payload CRC
@@ -185,13 +185,19 @@ func GCStale(dev *ssd.Device, prefix string, newestSeq uint64) error {
 // a torn or missing manifest (an interrupted commit) is skipped; a slot
 // with a committed manifest but failing payload is corruption evidence.
 // ErrNoCheckpoint means no committed checkpoint exists; ErrCorrupt means
-// a committed one exists but nothing validates.
+// a committed one exists but nothing validates. A slot the device could not
+// read is evidence of neither: with no valid slot, Load returns the device's
+// own classified error.
 func Load(dev *ssd.Device, prefix string) (*State, error) {
 	var best *State
+	var readErr error
 	sawCorrupt := false
 	for slot := uint64(0); slot < 2; slot++ {
 		st, corrupt, err := loadSlot(dev, prefix, slot)
 		sawCorrupt = sawCorrupt || corrupt
+		if err != nil && readErr == nil {
+			readErr = err
+		}
 		if err != nil || st == nil {
 			continue
 		}
@@ -201,6 +207,9 @@ func Load(dev *ssd.Device, prefix string) (*State, error) {
 	}
 	if best != nil {
 		return best, nil
+	}
+	if readErr != nil {
+		return nil, fmt.Errorf("ckpt: reading %q: %w", prefix, readErr)
 	}
 	if sawCorrupt {
 		return nil, fmt.Errorf("%w: no slot of %q validates", ErrCorrupt, prefix)
@@ -244,7 +253,7 @@ func loadSlot(dev *ssd.Device, prefix string, slot uint64) (st *State, corrupt b
 		if errors.Is(err, ssd.ErrCorruptPage) {
 			return nil, true, nil // corrupt payload page: try the other slot
 		}
-		return nil, true, err
+		return nil, false, err
 	}
 	if crc32.Checksum(payload, crcTable) != wantCRC {
 		return nil, true, nil

@@ -270,6 +270,54 @@ func TestAllSlotsCorruptIsErrCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadClassifiesUnreadableSlots: what Load reports when no slot
+// validates depends on why. A device that dies under the read (at the
+// manifest, depth 0, or at the payload behind a good manifest, depth 1)
+// says nothing about the checkpoint, so its own error comes back — not
+// ErrCorrupt, which would send a resumable run down the wrong exit. Payload
+// pages that fail the device checksum in both slots are corruption.
+func TestLoadClassifiesUnreadableSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dev *ssd.Device)
+		want   error
+		never  []error
+	}{
+		{"device dies at the manifest", func(t *testing.T, dev *ssd.Device) {
+			dev.SetFaults(ssd.FaultPlan{Crash: true})
+		}, ssd.ErrInjected, []error{ErrCorrupt, ErrNoCheckpoint}},
+		{"device dies at the payload", func(t *testing.T, dev *ssd.Device) {
+			dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: 1})
+		}, ssd.ErrInjected, []error{ErrCorrupt, ErrNoCheckpoint}},
+		{"payload page fails its CRC in both slots", func(t *testing.T, dev *ssd.Device) {
+			for _, name := range []string{"p.ckpt.0", "p.ckpt.1"} {
+				if err := dev.CorruptStoredPage(name, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, ErrCorrupt, []error{ssd.ErrInjected}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := testDev(t)
+			for seq := uint64(0); seq < 2; seq++ {
+				if err := Save(dev, "p", sampleState(seq, int(seq)+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.damage(t, dev)
+			_, err := Load(dev, "p")
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Load = %v, want %v", err, tc.want)
+			}
+			for _, e := range tc.never {
+				if errors.Is(err, e) {
+					t.Fatalf("Load = %v, must not read as %v", err, e)
+				}
+			}
+		})
+	}
+}
+
 // TestTornOnlySlotIsNoCheckpoint: a crash during the very first commit
 // leaves payload data but a truncated manifest — that is an interrupted
 // commit, not corruption, and must read as "no checkpoint".

@@ -9,6 +9,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/sortgroup"
+	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
@@ -60,9 +61,9 @@ func TestMsgsSentExactWhenDrainFails(t *testing.T) {
 		}
 		var ss metrics.SuperstepStats
 		b := &batch{run: r, sg: &sortgroup.Batch{LastIv: len(g.Intervals()) / 2}, ss: &ss}
-		dev.FailAfter(5, nil)
+		dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: 5})
 		err := b.drainSends()
-		dev.FailAfter(-1, nil)
+		dev.SetFaults(ssd.FaultPlan{})
 		if err == nil {
 			t.Fatalf("async %v: the drain outlived the device", async)
 		}

@@ -321,7 +321,7 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 		if err := g.ApplyMutations(muts, 1<<30); err != nil {
 			t.Fatalf("failAt %d: apply: %v", failAt, err)
 		}
-		dev.FailAfter(failAt, ssd.ErrInjected)
+		dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: failAt})
 		mergeErr := g.MergeInterval(0)
 		if mergeErr == nil {
 			completed = true // the injection point is past the whole merge
@@ -369,9 +369,9 @@ func TestMergeFailureIsStickyUntilReopen(t *testing.T) {
 		if err := g.AddEdge(4, 5, 1<<30); err != nil {
 			t.Fatalf("failAt %d: add: %v", failAt, err)
 		}
-		dev.FailAfter(failAt, ssd.ErrInjected)
+		dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: failAt})
 		mergeErr := g.MergeInterval(0)
-		dev.FailAfter(-1, nil)
+		dev.SetFaults(ssd.FaultPlan{})
 		if mergeErr == nil {
 			g, err = OpenIngest(ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir}), "g",
 				IngestOptions{WAL: true, MergeThreshold: 1 << 30})

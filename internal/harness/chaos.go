@@ -142,33 +142,33 @@ func ChaosCase(seed int64) (ChaosOutcome, error) {
 	add := func(s string) { schedule += "+" + s }
 
 	// Fault mix: each hazard independently armed.
+	plan := ssd.FaultPlan{Seed: uint64(seed) | 1}
 	if rng.Intn(2) == 0 {
-		env.Dev.FailTransientProb(0.005+rng.Float64()*0.02, uint64(seed)|1)
+		plan.Transient.Prob = 0.005 + rng.Float64()*0.02
 		add("transient")
 	}
 	if rng.Intn(3) == 0 {
-		env.Dev.FailNoSpaceProb(0.01+rng.Float64()*0.05, uint64(seed)|3)
+		plan.NoSpace.Prob = 0.01 + rng.Float64()*0.05
 		add("nospace")
 	}
 	if engine == "multilogvc" && rng.Intn(3) == 0 {
 		filters := []string{".elog", ".mlog.", ".values"}
-		env.Dev.CorruptOnly(filters[rng.Intn(len(filters))])
-		env.Dev.FailCorruptProb(0.002+rng.Float64()*0.02, uint64(seed)|5)
+		plan.CorruptOnly = filters[rng.Intn(len(filters))]
+		plan.Corrupt.Prob = 0.002 + rng.Float64()*0.02
 		add("corrupt")
 	}
 	if engine == "multilogvc" && rng.Intn(3) == 0 {
 		opts.SortBudget = int64(64 + rng.Intn(512)) // tiny: forces spilling
 		add("spill")
 	}
-	crashing := false
 	if rng.Intn(3) == 0 {
 		// Crash depth is calibrated against a rough op estimate; if the
 		// credit outlives the run the case degrades to fault-free, which
 		// the invariant still covers.
-		env.Dev.FailAfter(20+rng.Int63n(600), nil)
-		crashing = true
+		plan.Crash, plan.CrashAfter = true, 20+rng.Int63n(600)
 		add("crash")
 	}
+	env.Dev.SetFaults(plan)
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	switch rng.Intn(4) {
@@ -235,17 +235,14 @@ func ChaosCase(seed int64) (ChaosOutcome, error) {
 	// exit remains acceptable — but a wrong answer never is.
 	resumable := engine == "multilogvc" && every > 0 &&
 		(family == "crash" || family == "deadline" || family == "interrupted" || family == "canceled")
-	if !crashing && (family == "crash") {
+	if !plan.Crash && family == "crash" {
 		return out, fmt.Errorf("seed %d [%s/%s %s]: ErrInjected without a crash armed: %w",
 			seed, engine, out.App, out.Schedule, err)
 	}
 	if !resumable {
 		return out, nil
 	}
-	env.Dev.FailAfter(-1, nil)
-	env.Dev.FailTransientProb(0, 0)
-	env.Dev.FailNoSpaceProb(0, 0)
-	env.Dev.FailCorruptProb(0, 0)
+	env.Dev.SetFaults(ssd.FaultPlan{})
 	resumeOpts := opts
 	resumeOpts.Context = context.Background()
 	resumeOpts.Resume = true

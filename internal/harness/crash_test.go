@@ -97,7 +97,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				env.Dev.FailAfter(depth, nil)
+				env.Dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: depth})
 				_, got, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: steps, CheckpointEvery: every})
 				if err == nil {
 					// The fault credit outlived the run: nothing crashed.
@@ -107,7 +107,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 				if !errors.Is(err, ssd.ErrInjected) {
 					t.Fatalf("%s: crash at depth %d surfaced %v, want ErrInjected in chain", name, depth, err)
 				}
-				env.Dev.FailAfter(-1, nil)
+				env.Dev.SetFaults(ssd.FaultPlan{})
 				rep, got, err := RunMLVC(env, app.make(),
 					RunOpts{MaxSupersteps: steps, CheckpointEvery: every, Resume: true})
 				if err != nil {

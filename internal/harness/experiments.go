@@ -35,12 +35,6 @@ func AppSet(n uint32) []vc.Program {
 	}
 }
 
-// NonMergeable returns the programs GraFBoost cannot run unmodified.
-func NonMergeable(n uint32) []vc.Program {
-	all := AppSet(n)
-	return all[2:] // CDLP, GC, MIS, RW
-}
-
 // Table1 reproduces Table I: the dataset inventory.
 func Table1(size Size) (*metrics.Table, error) {
 	dss, err := Datasets(size)

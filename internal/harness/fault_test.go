@@ -72,7 +72,7 @@ func TestFaultInjectionPropagates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Dev.FailAfter(depth, nil)
+			env.Dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: depth})
 			err = r.run(env)
 			if err == nil {
 				t.Errorf("%s: injected failure at depth %d was swallowed", r.name, depth)
@@ -115,7 +115,7 @@ func TestTransientFaultsInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		// One scripted transient fault in each quarter of the op window.
-		env.Dev.FailTransientAt(1, total/4, total/2, 3*total/4)
+		env.Dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{1, total / 4, total / 2, 3 * total / 4}}})
 		rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
 		if err != nil {
 			t.Fatalf("%s: transient faults within budget surfaced: %v", mode, err)
@@ -189,7 +189,7 @@ func TestTransientExhaustionPropagates(t *testing.T) {
 		}
 		// Probability 1: every attempt faults, so every retry fails too
 		// and the budget always exhausts.
-		env.Dev.FailTransientProb(1.0, 42)
+		env.Dev.SetFaults(ssd.FaultPlan{Seed: 42, Transient: ssd.Trigger{Prob: 1.0}})
 		err = r.run(env)
 		if err == nil {
 			t.Errorf("%s: exhausted retries did not surface", r.name)
@@ -211,11 +211,11 @@ func TestFaultDisarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.FailAfter(0, nil)
+	env.Dev.SetFaults(ssd.FaultPlan{Crash: true})
 	if _, _, err := RunMLVC(env, &apps.BFS{Source: 0}, RunOpts{MaxSupersteps: 3}); err == nil {
 		t.Fatal("armed device did not fail")
 	}
-	env.Dev.FailAfter(-1, nil)
+	env.Dev.SetFaults(ssd.FaultPlan{})
 	if _, _, err := RunMLVC(env, &apps.BFS{Source: 0}, RunOpts{MaxSupersteps: 3}); err != nil {
 		t.Fatalf("disarmed device still failing: %v", err)
 	}

@@ -80,7 +80,7 @@ func TestNoSpaceAbsorbedByReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.FailNoSpaceAt(25) // one credit: mid-run, absorbed by the retry
+	env.Dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{25}}}) // one credit: mid-run, absorbed by the retry
 	rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
 	if err != nil {
 		t.Fatalf("single no-space fault not absorbed: %v", err)
@@ -104,7 +104,7 @@ func TestNoSpaceClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.FailNoSpaceAt(25, 26) // both attempts of one logical write
+	env.Dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{25, 26}}}) // both attempts of one logical write
 	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
 	if !errors.Is(err, ssd.ErrNoSpace) {
 		t.Fatalf("persistent no-space surfaced %v, want ssd.ErrNoSpace", err)

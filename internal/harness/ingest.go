@@ -213,23 +213,23 @@ func IngestChaosCase(seed int64, dir string) (IngestChaosOutcome, error) {
 		// Hazards arm and heal at random; every classified failure also
 		// disarms via the crash path (the fresh device carries no injectors).
 		if !armed && rng.Intn(8) == 0 {
+			plan := ssd.FaultPlan{Seed: uint64(seed) | 1}
 			switch rng.Intn(3) {
 			case 0:
-				dev.FailAfter(3+rng.Int63n(80), nil)
+				plan.Crash, plan.CrashAfter = true, 3+rng.Int63n(80)
 				scheduled["crash"] = true
 			case 1:
 				// Hot enough that 4 retries sometimes exhaust.
-				dev.FailTransientProb(0.05+rng.Float64()*0.25, uint64(seed)|1)
+				plan.Transient.Prob = 0.05 + rng.Float64()*0.25
 				scheduled["transient"] = true
 			default:
-				dev.FailNoSpaceProb(0.05+rng.Float64()*0.20, uint64(seed)|3)
+				plan.NoSpace.Prob = 0.05 + rng.Float64()*0.20
 				scheduled["nospace"] = true
 			}
+			dev.SetFaults(plan)
 			armed = true
 		} else if armed && rng.Intn(6) == 0 {
-			dev.FailAfter(-1, nil)
-			dev.FailTransientProb(0, 0)
-			dev.FailNoSpaceProb(0, 0)
+			dev.SetFaults(ssd.FaultPlan{})
 			armed = false
 		}
 
@@ -301,9 +301,7 @@ func IngestChaosCase(seed int64, dir string) (IngestChaosOutcome, error) {
 
 	// Final leg: disarm, crash once more, then fold everything down with a
 	// merge and re-check — the compacted CSR must still equal the oracle.
-	dev.FailAfter(-1, nil)
-	dev.FailTransientProb(0, 0)
-	dev.FailNoSpaceProb(0, 0)
+	dev.SetFaults(ssd.FaultPlan{})
 	if err := crash(nil); err != nil {
 		return fail("%v", err)
 	}

@@ -54,8 +54,7 @@ func TestElogCorruptionHealsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Dev.CorruptOnly(".elog")
-			env.Dev.FailCorruptProb(1, 0xE106)
+			env.Dev.SetFaults(ssd.FaultPlan{Seed: 0xE106, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".elog"})
 			rep, got, err := RunMLVC(env, app.make(), ro)
 			if err != nil {
 				t.Fatalf("%s: run under elog corruption: %v", name, err)
@@ -99,7 +98,7 @@ func TestMlogCorruptionRollsBackBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.Dev.CorruptOnly(".mlog.")
+		env.Dev.SetFaults(ssd.FaultPlan{CorruptOnly: ".mlog."})
 		_, want, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: integritySteps, CheckpointEvery: every})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", app.name, err)
@@ -114,8 +113,7 @@ func TestMlogCorruptionRollsBackBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Dev.CorruptOnly(".mlog.")
-			env.Dev.FailCorruptAt(target)
+			env.Dev.SetFaults(ssd.FaultPlan{Corrupt: ssd.Trigger{At: []int64{target}}, CorruptOnly: ".mlog."})
 			rep, got, err := RunMLVC(env, app.make(),
 				RunOpts{MaxSupersteps: integritySteps, CheckpointEvery: every})
 			if err != nil {
@@ -145,7 +143,7 @@ func TestMlogCorruptionWithoutCheckpointsFailsClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.CorruptOnly(".mlog.")
+	env.Dev.SetFaults(ssd.FaultPlan{CorruptOnly: ".mlog."})
 	if _, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: integritySteps}); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
@@ -158,8 +156,7 @@ func TestMlogCorruptionWithoutCheckpointsFailsClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.CorruptOnly(".mlog.")
-	env.Dev.FailCorruptAt(ops / 2)
+	env.Dev.SetFaults(ssd.FaultPlan{Corrupt: ssd.Trigger{At: []int64{ops / 2}}, CorruptOnly: ".mlog."})
 	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: integritySteps})
 	if !errors.Is(err, core.ErrCorruptData) {
 		t.Fatalf("err = %v, want ErrCorruptData in chain", err)

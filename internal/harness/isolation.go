@@ -77,8 +77,7 @@ func IsolationCost(size Size) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Dev.CorruptOnly(".iso.")
-	env.Dev.FailCorruptProb(1, 99)
+	env.Dev.SetFaults(ssd.FaultPlan{Seed: 99, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".iso."})
 	sc := ssd.NewScope()
 	_, ferr := core.New(env.Graph, core.Config{
 		MemoryBudget:  env.MemBudget,
@@ -90,7 +89,7 @@ func IsolationCost(size Size) (*metrics.Table, error) {
 	if ferr == nil {
 		return nil, fmt.Errorf("isolation: corrupt-scratch batch unexpectedly succeeded")
 	}
-	env.Dev.FailCorruptProb(0, 0)
+	env.Dev.SetFaults(ssd.FaultPlan{})
 	failedSt := sc.Stats()
 	isoRead, isoWrite := failedSt.PagesRead, failedSt.PagesWritten
 	for _, src := range sources {

@@ -232,7 +232,7 @@ func FailoverChaosCase(seed int64, primaryDir, followerDir string) (FailoverChao
 		// Arm a mid-IO crash on the primary at random: the next batch (or
 		// its merge) dies partway and the primary is killed there.
 		if !armed && rng.Intn(10) == 0 {
-			pDev.FailAfter(3+rng.Int63n(80), nil)
+			pDev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: 3 + rng.Int63n(80)})
 			armed = true
 		}
 
@@ -301,7 +301,7 @@ func FailoverChaosCase(seed int64, primaryDir, followerDir string) (FailoverChao
 		if !armed && rng.Intn(30) == 0 && fg.AppliedSeq() < pg.AppliedSeq() {
 			midMergeKill := rng.Intn(2) == 0
 			if midMergeKill {
-				pDev.FailAfter(2+rng.Int63n(20), nil)
+				pDev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: 2 + rng.Int63n(20)})
 			}
 			mergeErr := pg.MergeInterval(0)
 			if mergeErr != nil {
@@ -314,7 +314,7 @@ func FailoverChaosCase(seed int64, primaryDir, followerDir string) (FailoverChao
 					return fail("%v", err)
 				}
 			} else if midMergeKill {
-				pDev.FailAfter(-1, nil)
+				pDev.SetFaults(ssd.FaultPlan{})
 			}
 			err := ship(64, false)
 			switch {
@@ -338,7 +338,7 @@ func FailoverChaosCase(seed int64, primaryDir, followerDir string) (FailoverChao
 	// Finale: disarm, let the follower catch up fully, kill the primary
 	// for good, promote the follower, and prove the promoted node is the
 	// primary's bit-identical successor.
-	pDev.FailAfter(-1, nil)
+	pDev.SetFaults(ssd.FaultPlan{})
 	if err := crashPrimary(nil); err != nil {
 		return fail("%v", err)
 	}

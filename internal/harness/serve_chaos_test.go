@@ -116,10 +116,13 @@ func TestServingChaosSoak(t *testing.T) {
 	// Phase 1: mixed-fault storm under concurrent clients. Probabilities
 	// are per page operation, and a run touches hundreds of 512-byte
 	// pages, so per-run fault rates are far higher than these look.
-	dev.CorruptOnly(".q")
-	dev.FailTransientProb(0.02, 101)
-	dev.FailCorruptProb(0.001, 102)
-	dev.FailNoSpaceProb(0.01, 103)
+	storm := ssd.FaultPlan{
+		Seed:      101,
+		Transient: ssd.Trigger{Prob: 0.02},
+		Corrupt:   ssd.Trigger{Prob: 0.001}, CorruptOnly: ".q",
+		NoSpace: ssd.Trigger{Prob: 0.01},
+	}
+	dev.SetFaults(storm)
 
 	clients, perClient := 4, 24
 	if testing.Short() {
@@ -194,7 +197,8 @@ func TestServingChaosSoak(t *testing.T) {
 	}
 
 	// Phase 2: hard fault storm must open the breaker and flip readiness.
-	dev.FailTransientProb(1, 104)
+	storm.Seed, storm.Transient.Prob = 104, 1
+	dev.SetFaults(storm)
 	flipDeadline := time.Now().Add(10 * time.Second)
 	flipped := false
 	for time.Now().Before(flipDeadline) {
@@ -221,9 +225,7 @@ func TestServingChaosSoak(t *testing.T) {
 
 	// Phase 3: the device heals; half-open probes must close the breaker
 	// and restore readiness.
-	dev.FailTransientProb(0, 0)
-	dev.FailCorruptProb(0, 0)
-	dev.FailNoSpaceProb(0, 0)
+	dev.SetFaults(ssd.FaultPlan{})
 	healDeadline := time.Now().Add(15 * time.Second)
 	healed := false
 	for time.Now().Before(healDeadline) {

@@ -366,7 +366,7 @@ func TestAppendRecsEvictionReentersReclaimer(t *testing.T) {
 			t.Error(err)
 		}
 	})()
-	dev.FailNoSpaceAt(0) // the next write that grows a file finds the device full
+	dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{0}}}) // the next write that grows a file finds the device full
 
 	ivs, recs := testStream(500, 2, 4)
 	for i := range ivs {

@@ -641,7 +641,7 @@ func TestPrefetcherDeviceError(t *testing.T) {
 	p := NewPrefetcher(8)
 	defer p.Close()
 
-	dev.FailAfter(0, nil)
+	dev.SetFaults(ssd.FaultPlan{Crash: true})
 	ep := p.BeginEpoch()
 	p.Submit(ep, Job{File: f, Pages: []int{1, 2, 3}, Pin: true})
 	p.WaitIdle()
@@ -652,7 +652,7 @@ func TestPrefetcherDeviceError(t *testing.T) {
 		t.Fatalf("Errors = %d, want 1", got)
 	}
 
-	dev.FailAfter(-1, nil)
+	dev.SetFaults(ssd.FaultPlan{})
 	p.Submit(ep, Job{File: f, Pages: []int{4}})
 	p.WaitIdle()
 	if got := p.Stats().PagesWarmed; got != 1 {

@@ -1,60 +1,39 @@
 package serve
 
 import (
-	"encoding/json"
+	"io"
 	"net/http"
+
+	"multilogvc/internal/ssd"
 )
 
-// Fault-injection control, registered only when Options.FaultControl is
-// set (mlvcd -fault-inject): POST /debug/fault re-arms or disarms the
-// device's probabilistic fault injection while the daemon runs, so a
-// cross-process harness (the CI fault smoke) can drive a
-// fault-storm -> breaker-open -> disarm -> recovery cycle against a real
-// daemon without restarting it. Strictly a testing surface — production
-// deployments leave FaultControl off and the endpoint absent.
+// Fault control, registered only when Options.FaultControl is
+// set (mlvcd -fault): POST /debug/fault replaces the device's armed fault
+// plan while the daemon runs, so a cross-process harness (the CI fault
+// smoke) can drive a fault-storm -> breaker-open -> heal -> recovery cycle
+// against a real daemon without restarting it. The body is the one-line
+// spec ssd.ParseFaultPlan reads; an empty body heals the device. Strictly a
+// testing surface — production deployments leave FaultControl off and the
+// endpoint absent.
 
-// faultRequest arms the fields it names and leaves the rest untouched;
-// a zero probability disarms that injector.
-type faultRequest struct {
-	TransientProb *float64 `json:"transient_prob,omitempty"`
-	CorruptProb   *float64 `json:"corrupt_prob,omitempty"`
-	NoSpaceProb   *float64 `json:"nospace_prob,omitempty"`
-	// CorruptOnly restricts corruption injection to files whose name
-	// contains the substring (empty = all files).
-	CorruptOnly *string `json:"corrupt_only,omitempty"`
-	// Seed makes the probabilistic draws reproducible; defaults to 1.
-	Seed uint64 `json:"seed,omitempty"`
-}
+// maxFaultSpec bounds the request body; a real spec is a few dozen bytes.
+const maxFaultSpec = 4096
 
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "bad_request", "POST required")
 		return
 	}
-	var req faultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxFaultSpec+1))
+	if err != nil || len(body) > maxFaultSpec {
+		writeError(w, http.StatusBadRequest, "bad_request", "fault spec unreadable or too long")
 		return
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
+	plan, err := ssd.ParseFaultPlan(string(body))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
-	armed := map[string]float64{}
-	if req.TransientProb != nil {
-		s.dev.FailTransientProb(*req.TransientProb, seed)
-		armed["transient_prob"] = *req.TransientProb
-	}
-	if req.CorruptOnly != nil {
-		s.dev.CorruptOnly(*req.CorruptOnly)
-	}
-	if req.CorruptProb != nil {
-		s.dev.FailCorruptProb(*req.CorruptProb, seed|1)
-		armed["corrupt_prob"] = *req.CorruptProb
-	}
-	if req.NoSpaceProb != nil {
-		s.dev.FailNoSpaceProb(*req.NoSpaceProb, seed|3)
-		armed["nospace_prob"] = *req.NoSpaceProb
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "armed": armed})
+	s.dev.SetFaults(plan)
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

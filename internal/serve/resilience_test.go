@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
+	"multilogvc/internal/ssd"
 )
 
 // TestServeBatchFaultIsolation is the tentpole contract: a retryable
@@ -29,8 +31,7 @@ func TestServeBatchFaultIsolation(t *testing.T) {
 	for i, src := range sources {
 		want[i] = single(t, g, "bfs", src)
 	}
-	dev.CorruptOnly(".q2.")
-	dev.FailCorruptProb(1, 42)
+	dev.SetFaults(ssd.FaultPlan{Seed: 42, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".q2."})
 
 	s, err := New(Options{Graph: g, MaxConcurrent: 1, MaxBatch: 8})
 	if err != nil {
@@ -127,19 +128,19 @@ func TestServeWalkFaultPaths(t *testing.T) {
 	}
 
 	// Transient storm past the retry budget: classified device_fault.
-	dev.FailTransientProb(1, 11)
+	dev.SetFaults(ssd.FaultPlan{Seed: 11, Transient: ssd.Trigger{Prob: 1}})
 	resp, data := postJSON(t, ts.URL+"/walk", walkReq)
 	if resp.StatusCode != http.StatusInternalServerError || errCode(t, data) != "device_fault" {
 		t.Fatalf("transient storm: status %d body %s", resp.StatusCode, data)
 	}
-	dev.FailTransientProb(0, 0)
+	dev.SetFaults(ssd.FaultPlan{})
 	if resp, data := postJSON(t, ts.URL+"/walk", walkReq); resp.StatusCode != http.StatusOK {
 		t.Fatalf("walk after transient disarm: %d %s", resp.StatusCode, data)
 	}
 
 	// No-space hits query scratch growth (walks are read-only): 507 with
 	// the slower reclamation Retry-After.
-	dev.FailNoSpaceProb(1, 13)
+	dev.SetFaults(ssd.FaultPlan{Seed: 13, NoSpace: ssd.Trigger{Prob: 1}})
 	resp, data = postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 3, DeadlineMS: 30_000})
 	if resp.StatusCode != http.StatusInsufficientStorage || errCode(t, data) != "no_space" {
 		t.Fatalf("no-space: status %d body %s", resp.StatusCode, data)
@@ -147,18 +148,96 @@ func TestServeWalkFaultPaths(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "5" {
 		t.Fatalf("no-space Retry-After %q, want 5", ra)
 	}
-	dev.FailNoSpaceProb(0, 0)
+	dev.SetFaults(ssd.FaultPlan{})
 	if resp, data := postJSON(t, ts.URL+"/query/bfs",
 		pointRequest{Source: 3, DeadlineMS: 30_000}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after no-space disarm: %d %s", resp.StatusCode, data)
 	}
 
 	// Corruption on the adjacency itself (sticky; keep last).
-	dev.FailCorruptProb(1, 17)
+	dev.SetFaults(ssd.FaultPlan{Seed: 17, Corrupt: ssd.Trigger{Prob: 1}})
 	resp, data = postJSON(t, ts.URL+"/walk", walkRequest{Source: 200, Walks: 2, Length: 4})
 	if resp.StatusCode != http.StatusInternalServerError || errCode(t, data) != "corrupt" {
 		t.Fatalf("corrupt: status %d body %s", resp.StatusCode, data)
 	}
+}
+
+// TestServeFaultEndpoint covers POST /debug/fault end to end: absent
+// without FaultControl, POST only, a malformed or oversized spec refused
+// with the device left exactly as it was (healthy stays healthy, armed
+// stays armed — never a silent idle plan), a valid spec arming the device
+// the next query reads, and the empty body healing it.
+func TestServeFaultEndpoint(t *testing.T) {
+	g := fixture(t, 94)
+	post := func(base, spec string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/debug/fault", "text/plain", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	walkReq := walkRequest{Source: 3, Walks: 4, Length: 8, Seed: 7}
+
+	off, err := New(Options{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsOff := httptest.NewServer(off)
+	if status, _ := post(tsOff.URL, "transient=1"); status != http.StatusNotFound {
+		t.Fatalf("without FaultControl: status %d, want 404", status)
+	}
+	tsOff.Close()
+	off.Close()
+
+	s, err := New(Options{Graph: g, FaultControl: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	walk := func(wantStatus int, wantCode, when string) {
+		t.Helper()
+		resp, data := postJSON(t, ts.URL+"/walk", walkReq)
+		if resp.StatusCode != wantStatus || (wantCode != "" && errCode(t, data) != wantCode) {
+			t.Fatalf("walk %s: status %d body %s, want %d %s", when, resp.StatusCode, data, wantStatus, wantCode)
+		}
+	}
+	refused := func(spec, when string) {
+		t.Helper()
+		if status, data := post(ts.URL, spec); status != http.StatusBadRequest || errCode(t, data) != "bad_request" {
+			t.Fatalf("%s: status %d body %s, want 400 bad_request", when, status, data)
+		}
+	}
+
+	if resp, err := http.Get(ts.URL + "/debug/fault"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET: status %d, want 405", resp.StatusCode)
+	}
+
+	refused("transient=90%", "malformed spec on a healthy device")
+	walk(http.StatusOK, "", "after a refused spec")
+
+	if status, data := post(ts.URL, "transient=1"); status != http.StatusOK {
+		t.Fatalf("arm: status %d body %s", status, data)
+	}
+	walk(http.StatusInternalServerError, "device_fault", "after transient=1")
+
+	refused("bogus=1", "malformed spec on an armed device")
+	refused("transient=0"+strings.Repeat(" ", maxFaultSpec), "oversized body")
+	walk(http.StatusInternalServerError, "device_fault", "after refused specs on an armed device")
+
+	if status, data := post(ts.URL, ""); status != http.StatusOK {
+		t.Fatalf("heal: status %d body %s", status, data)
+	}
+	walk(http.StatusOK, "", "after the empty-body heal")
 }
 
 // TestServeFastFailExpiredBatch: a batch whose every member deadline
@@ -356,7 +435,7 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Sustained device faults: two classified failures trip the breaker.
-	dev.FailTransientProb(1, 23)
+	dev.SetFaults(ssd.FaultPlan{Seed: 23, Transient: ssd.Trigger{Prob: 1}})
 	for i := 0; i < 2; i++ {
 		resp, data := postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 2, DeadlineMS: 30_000})
 		if resp.StatusCode != http.StatusInternalServerError || errCode(t, data) != "device_fault" {
@@ -403,7 +482,7 @@ func TestServeBreakerTripsAndRecovers(t *testing.T) {
 
 	// Device heals; after the cooldown the half-open probe succeeds and
 	// closes the breaker.
-	dev.FailTransientProb(0, 0)
+	dev.SetFaults(ssd.FaultPlan{})
 	deadline := time.Now().Add(10 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {

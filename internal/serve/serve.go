@@ -101,7 +101,7 @@ type Options struct {
 	ReadOnly bool
 
 	// FaultControl registers POST /debug/fault, the cross-process
-	// fault-injection control surface. Testing only.
+	// fault control surface. Testing only.
 	FaultControl bool
 }
 

@@ -88,11 +88,6 @@ type Options struct {
 	NoFuse bool
 }
 
-// LoadFused is Load with fusing on — the historical entry point.
-func LoadFused(log *mlog.Log, ivs []csr.Interval, startIv int, sortBudget int64) (*Batch, error) {
-	return Load(log, ivs, startIv, Options{SortBudget: sortBudget})
-}
-
 // Load loads the log of interval startIv and keeps fusing the following
 // intervals' logs while the estimated total record volume stays within the
 // sort budget (always at least one interval). Records are sorted by

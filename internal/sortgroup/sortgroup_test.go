@@ -29,7 +29,7 @@ func TestLoadFusedSingleInterval(t *testing.T) {
 	}
 	l.FlushAll()
 	// Budget fits exactly one interval's log: no room to fuse, no spill.
-	b, err := LoadFused(l, ivs, 0, 10*mlog.RecordBytes)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 10 * mlog.RecordBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLoadFusedMergesSmallLogs(t *testing.T) {
 	}
 	l.FlushAll()
 	// Budget fits everything: all three logs fuse into one batch.
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLoadFusedPartial(t *testing.T) {
 		l.Append(2, 21, 0, 0)
 	}
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 0, 5*mlog.RecordBytes)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 5 * mlog.RecordBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLoadSortsByDst(t *testing.T) {
 		l.Append(0, dst, 0, 0)
 	}
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	want := []uint32{3, 3, 5, 5, 5, 7}
 	if len(b.Recs) != len(want) {
 		t.Fatalf("recs = %v, want dsts %v", b.Recs, want)
@@ -113,7 +113,7 @@ func TestGrouperGroupsByDst(t *testing.T) {
 	l.Append(0, 2, 11, 200)
 	l.Append(0, 4, 12, 300)
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	g := NewGrouper(b, nil)
 
 	dst, msgs, ok := g.Next()
@@ -143,7 +143,7 @@ func TestGrouperCombines(t *testing.T) {
 	l.Append(0, 2, 11, 200)
 	l.Append(0, 2, 12, 300)
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	g := NewGrouper(b, sumCombiner{})
 	_, msgs, ok := g.Next()
 	if !ok || len(msgs) != 1 || msgs[0].Data != 600 {
@@ -157,7 +157,7 @@ func TestGrouperSkipTo(t *testing.T) {
 		l.Append(0, dst, 0, uint32(dst))
 	}
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	g := NewGrouper(b, nil)
 	g.SkipTo(4)
 	dst, _, ok := g.Next()
@@ -179,7 +179,7 @@ func TestGrouperMatchesMapGrouping(t *testing.T) {
 		ref[dst] = append(ref[dst], vc.Msg{Src: src, Data: data})
 	}
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestLoadFusedLastInterval(t *testing.T) {
 	l, ivs := fixture(t)
 	l.Append(2, 25, 0, 0)
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 2, 1<<20)
+	b, err := Load(l, ivs, 2, Options{SortBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestLoadFusedLastInterval(t *testing.T) {
 
 func TestGrouperEmptyBatch(t *testing.T) {
 	l, ivs := fixture(t)
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package ssd_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"multilogvc/internal/pagecache"
@@ -261,7 +262,7 @@ func TestFaultPropagatesThroughCacheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev.FailAfter(0, nil)
+	dev.SetFaults(ssd.FaultPlan{Crash: true})
 	if err := f.ReadPage(0, buf); err != nil {
 		t.Fatalf("cache hit failed under fault injection: %v", err)
 	}
@@ -334,5 +335,56 @@ func TestUncachedPathsUnchanged(t *testing.T) {
 	}
 	if warmed, _, err := f.WarmPages([]int{0, 1}, true, nil); err != nil || warmed != nil {
 		t.Fatalf("WarmPages without cache = %v, %v; want nil, nil", warmed, err)
+	}
+}
+
+// TestZeroPlanEqualsFreshDevice: a device armed with every hazard and then
+// handed the zero plan is indistinguishable from one never armed — the same
+// reads, cached reads and growing writes land on the same Stats, and no
+// fault, retry or no-space counter moves.
+func TestZeroPlanEqualsFreshDevice(t *testing.T) {
+	workload := func(dev *ssd.Device) ssd.Stats {
+		f := fillFile(t, dev, "data", 8)
+		buf := make([]byte, ps)
+		for round := 0; round < 2; round++ { // misses, then hits
+			for pg := 0; pg < 8; pg++ {
+				if err := f.ReadPage(pg, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := f.ReadPages([]int{1, 5, 7}, make([]byte, 3*ps)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ { // growth past the filled extent
+			if _, err := f.AppendPage(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dev.Stats()
+	}
+	fresh, _ := newCachedDev(t, 16)
+	want := workload(fresh)
+
+	healed, _ := newCachedDev(t, 16)
+	healed.SetFaults(ssd.FaultPlan{
+		Seed:      9,
+		Transient: ssd.Trigger{At: []int64{0, 1}, Prob: 1},
+		Corrupt:   ssd.Trigger{At: []int64{0}, Prob: 1}, CorruptOnly: "data",
+		NoSpace: ssd.Trigger{At: []int64{0}, Prob: 1},
+		Crash:   true,
+	})
+	healed.SetFaults(ssd.FaultPlan{})
+	got := workload(healed)
+
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("healed device diverged from a fresh one:\n got %+v\nwant %+v", got, want)
+	}
+	if got.TransientFaults != 0 || got.Retries != 0 || got.RetriesExhausted != 0 || got.RetryBackoff != 0 ||
+		got.CorruptPages != 0 || got.CorruptionsInjected != 0 || got.NoSpaceFaults != 0 || got.Reclaims != 0 {
+		t.Fatalf("fault counters moved on a healthy device: %+v", got)
+	}
+	if healed.CorruptOps() != 0 {
+		t.Fatalf("healed device still counts corruptible reads: %d", healed.CorruptOps())
 	}
 }

@@ -51,52 +51,6 @@ func (d *Device) AddReclaimer(fn func()) (remove func()) {
 	}
 }
 
-// FailNoSpaceAt arms scripted no-space faults: growth attempt number op
-// (0-based, counted across every page write that requests new pages from
-// this call on, including the post-reclaim retry attempt) fails as if the
-// device were full. Scripting two consecutive indices makes one logical
-// write fail both before and after reclamation, which is how tests drive
-// the classified ErrNoSpace exit. Calling with no arguments disarms.
-func (d *Device) FailNoSpaceAt(ops ...int64) {
-	d.mu.Lock()
-	d.spaceOps = 0
-	if len(ops) == 0 {
-		d.noSpaceAt = nil
-	} else {
-		d.noSpaceAt = make(map[int64]bool, len(ops))
-		for _, op := range ops {
-			d.noSpaceAt[op] = true
-		}
-	}
-	d.updateNoSpaceArmedLocked()
-	d.mu.Unlock()
-}
-
-// FailNoSpaceProb arms probabilistic no-space faults: every growth attempt
-// independently fails with probability p, drawn from a deterministic PRNG
-// seeded by seed. The post-reclaim retry redraws, so a fault rate p
-// surfaces as a classified ErrNoSpace with probability p². p <= 0 disarms.
-func (d *Device) FailNoSpaceProb(p float64, seed uint64) {
-	d.mu.Lock()
-	if p <= 0 {
-		d.noSpaceProb = 0
-	} else {
-		d.noSpaceProb = p
-		if seed == 0 {
-			seed = 1
-		}
-		d.noSpaceRNG = seed
-	}
-	d.updateNoSpaceArmedLocked()
-	d.mu.Unlock()
-}
-
-// updateNoSpaceArmedLocked caches whether any growth-path governance is on
-// (quota or injection) so ungoverned devices pay one atomic load per write.
-func (d *Device) updateNoSpaceArmedLocked() {
-	d.noSpaceArmed.Store(d.cfg.Capacity > 0 || d.noSpaceAt != nil || d.noSpaceProb > 0)
-}
-
 // reserveGrow accounts grow new pages against the device quota. On a quota
 // hit or an injected no-space fault it runs the registered reclaimers and
 // retries the reservation exactly once; a second failure surfaces as a
@@ -124,18 +78,9 @@ func (d *Device) reserveGrow(grow int) error {
 func (d *Device) tryReserve(grow int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.noSpaceAt != nil || d.noSpaceProb > 0 {
-		op := d.spaceOps
-		d.spaceOps++
-		hit := d.noSpaceAt != nil && d.noSpaceAt[op]
-		if !hit && d.noSpaceProb > 0 {
-			draw := float64(splitmix64(&d.noSpaceRNG)>>11) / float64(1 << 53)
-			hit = draw < d.noSpaceProb
-		}
-		if hit {
-			d.stats.NoSpaceFaults++
-			return fmt.Errorf("%w (injected)", ErrNoSpace)
-		}
+	if d.noSpace.armed() && d.noSpace.hit() {
+		d.stats.NoSpaceFaults++
+		return fmt.Errorf("%w (injected)", ErrNoSpace)
 	}
 	if quota := d.cfg.Capacity; quota > 0 {
 		capPages := quota / int64(d.cfg.PageSize)

@@ -138,17 +138,17 @@ func TestNoSpaceScripted(t *testing.T) {
 	buf := make([]byte, dev.PageSize())
 	f, _ := dev.Create("a")
 
-	dev.FailNoSpaceAt(0)
+	dev.SetFaults(FaultPlan{NoSpace: Trigger{At: []int64{0}}})
 	if _, err := f.AppendPage(buf); err != nil {
 		t.Fatalf("single scripted no-space not absorbed by retry: %v", err)
 	}
 
-	dev.FailNoSpaceAt(0, 1)
+	dev.SetFaults(FaultPlan{NoSpace: Trigger{At: []int64{0, 1}}})
 	if _, err := f.AppendPage(buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("double scripted no-space = %v, want ErrNoSpace", err)
 	}
 
-	dev.FailNoSpaceAt() // disarm
+	dev.SetFaults(FaultPlan{}) // disarm
 	if _, err := f.AppendPage(buf); err != nil {
 		t.Fatalf("append after disarm: %v", err)
 	}
@@ -161,11 +161,11 @@ func TestNoSpaceProbabilistic(t *testing.T) {
 	buf := make([]byte, dev.PageSize())
 	f, _ := dev.Create("a")
 
-	dev.FailNoSpaceProb(1, 7)
+	dev.SetFaults(FaultPlan{Seed: 7, NoSpace: Trigger{Prob: 1}})
 	if _, err := f.AppendPage(buf); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("p=1 no-space = %v, want ErrNoSpace", err)
 	}
-	dev.FailNoSpaceProb(0, 0)
+	dev.SetFaults(FaultPlan{})
 	if _, err := f.AppendPage(buf); err != nil {
 		t.Fatalf("append after disarm: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestRetryAbandonedOnCancel(t *testing.T) {
 	dev.SetRunContext(ctx)
 	defer dev.SetRunContext(nil)
 
-	dev.FailTransientAt(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}})
 	err := f.ReadPage(0, make([]byte, dev.PageSize()))
 	if err == nil {
 		t.Fatal("cancelled retry loop surfaced no error")

@@ -2,6 +2,8 @@ package ssd
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,7 +39,7 @@ func fillPages(t *testing.T, dev *Device, name string, n int) *File {
 func TestTransientScriptedInvisible(t *testing.T) {
 	dev := retryDev(t, RetryPolicy{})
 	f := fillPages(t, dev, "a", 8)
-	dev.FailTransientAt(2)
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{2}}})
 	buf := make([]byte, dev.PageSize())
 	for i := 0; i < 8; i++ {
 		if err := f.ReadPage(i, buf); err != nil {
@@ -68,7 +70,7 @@ func TestTransientConsecutiveExhausts(t *testing.T) {
 	f := fillPages(t, dev, "a", 4)
 	// Arming resets the attempt counter; the next read is attempt 0 and
 	// its three retries are attempts 1-3.
-	dev.FailTransientAt(0, 1, 2, 3)
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0, 1, 2, 3}}})
 	err := f.ReadPage(0, make([]byte, dev.PageSize()))
 	if err == nil {
 		t.Fatal("exhausted retry budget did not surface")
@@ -94,7 +96,7 @@ func TestTransientConsecutiveExhausts(t *testing.T) {
 func TestRetryDisabled(t *testing.T) {
 	dev := retryDev(t, RetryPolicy{MaxRetries: -1})
 	f := fillPages(t, dev, "a", 2)
-	dev.FailTransientAt(0)
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0}}})
 	err := f.ReadPage(0, make([]byte, dev.PageSize()))
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("want ErrTransient with retries disabled, got %v", err)
@@ -112,7 +114,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: 4, BaseBackoff: 100 * time.Microsecond, MaxBackoff: 300 * time.Microsecond}
 	dev := retryDev(t, pol)
 	f := fillPages(t, dev, "a", 2)
-	dev.FailTransientAt(0, 1, 2, 3, 4) // exhaust: 1 attempt + 4 retries
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0, 1, 2, 3, 4}}}) // exhaust: 1 attempt + 4 retries
 	if err := f.ReadPage(0, make([]byte, dev.PageSize())); err == nil {
 		t.Fatal("want exhaustion")
 	}
@@ -133,7 +135,7 @@ func TestTransientProbDeterministic(t *testing.T) {
 	for trial := 0; trial < 2; trial++ {
 		dev := retryDev(t, RetryPolicy{})
 		f := fillPages(t, dev, "a", 16)
-		dev.FailTransientProb(0.3, 99)
+		dev.SetFaults(FaultPlan{Seed: 99, Transient: Trigger{Prob: 0.3}})
 		buf := make([]byte, dev.PageSize())
 		for i := 0; i < 16; i++ {
 			// p=0.3 with 3 retries exhausts with probability 0.3^4 ≈ 0.8%;
@@ -156,8 +158,7 @@ func TestTransientProbDeterministic(t *testing.T) {
 func TestPermanentBeatsTransient(t *testing.T) {
 	dev := retryDev(t, RetryPolicy{})
 	f := fillPages(t, dev, "a", 2)
-	dev.FailTransientProb(1.0, 7)
-	dev.FailAfter(0, nil)
+	dev.SetFaults(FaultPlan{Seed: 7, Transient: Trigger{Prob: 1.0}, Crash: true})
 	err := f.ReadPage(0, make([]byte, dev.PageSize()))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected from a dead device, got %v", err)
@@ -167,19 +168,166 @@ func TestPermanentBeatsTransient(t *testing.T) {
 	}
 }
 
-// TestTransientDisarm: arming with no arguments (scripted) and p<=0
-// (probabilistic) disarms cleanly.
+// TestTransientDisarm: a new plan replaces the old one (the scripted plan
+// drops the probabilistic injector) and the zero plan disarms cleanly.
 func TestTransientDisarm(t *testing.T) {
 	dev := retryDev(t, RetryPolicy{MaxRetries: -1})
 	f := fillPages(t, dev, "a", 2)
-	dev.FailTransientProb(1.0, 7)
+	dev.SetFaults(FaultPlan{Seed: 7, Transient: Trigger{Prob: 1.0}})
 	if err := f.ReadPage(0, make([]byte, dev.PageSize())); err == nil {
 		t.Fatal("armed probabilistic injector did not fire")
 	}
-	dev.FailTransientProb(0, 0)
-	dev.FailTransientAt(0)
-	dev.FailTransientAt()
+	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0}}})
+	dev.SetFaults(FaultPlan{})
 	if err := f.ReadPage(0, make([]byte, dev.PageSize())); err != nil {
 		t.Fatalf("disarmed device still failing: %v", err)
+	}
+}
+
+// TestParseFaultPlan: the one-line spec every text surface takes. The
+// accepted rows include the examples README and DESIGN print; every
+// rejected row must be an error with no partial plan, never an idle plan.
+func TestParseFaultPlan(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want FaultPlan
+	}{
+		{"", FaultPlan{}},
+		{" \n", FaultPlan{}},
+		{"transient=0.9,seed=7", FaultPlan{Seed: 7, Transient: Trigger{Prob: 0.9}}},
+		{"transient=0.9,corrupt=0.01@.colidx,nospace=0.05,seed=7", FaultPlan{
+			Seed: 7, Transient: Trigger{Prob: 0.9}, NoSpace: Trigger{Prob: 0.05},
+			Corrupt: Trigger{Prob: 0.01}, CorruptOnly: ".colidx"}},
+		{"corrupt=1", FaultPlan{Corrupt: Trigger{Prob: 1}}},
+		{"seed=1", FaultPlan{Seed: 1}},
+		{"nospace=0.5, transient=0", FaultPlan{NoSpace: Trigger{Prob: 0.5}}},
+	} {
+		got, err := ParseFaultPlan(tc.spec)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseFaultPlan(%q) = %+v, %v; want %+v", tc.spec, got, err, tc.want)
+		}
+	}
+	for _, spec := range []string{
+		"transient=90%", "transient=1.5", "transient=-0.1", "transient=NaN", "transient=",
+		"bogus=1", "seed=-1", "seed=x", "corrupt=@x", "transient", "transient=0.5,,seed=1",
+	} {
+		if got, err := ParseFaultPlan(spec); err == nil {
+			t.Errorf("ParseFaultPlan(%q) = %+v, want an error", spec, got)
+		} else if !reflect.DeepEqual(got, FaultPlan{}) {
+			t.Errorf("ParseFaultPlan(%q) returned a partial plan %+v beside its error", spec, got)
+		}
+	}
+}
+
+// TestSetFaultsReplacesAndResets: SetFaults replaces the armed plan rather
+// than layering on it. A device armed with transient, corruption and a
+// crash, then handed a plan naming only no-space, has the first three off
+// with their attempt counters back at zero.
+func TestSetFaultsReplacesAndResets(t *testing.T) {
+	dev := retryDev(t, RetryPolicy{})
+	f := fillPages(t, dev, "a", 4)
+	buf := make([]byte, dev.PageSize())
+	dev.SetFaults(FaultPlan{
+		Transient: Trigger{At: []int64{1}},
+		Corrupt:   Trigger{At: []int64{1000}}, CorruptOnly: "a",
+		Crash: true, CrashAfter: 1000,
+	})
+	for i := 0; i < 4; i++ {
+		if err := f.ReadPage(i, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dev.transient.ops == 0 || dev.CorruptOps() != 4 || dev.crashLeft == 1000 {
+		t.Fatalf("armed gates consumed nothing: transient ops %d, corrupt ops %d, crash left %d",
+			dev.transient.ops, dev.CorruptOps(), dev.crashLeft)
+	}
+
+	dev.SetFaults(FaultPlan{NoSpace: Trigger{At: []int64{0}}})
+	if dev.faultArmed.Load() || dev.corruptArmed.Load() || dev.crashArmed ||
+		dev.transient.armed() || dev.corrupt.armed() || dev.corruptOnly != "" {
+		t.Fatal("hazards the new plan does not name are still armed")
+	}
+	if dev.transient.ops != 0 || dev.CorruptOps() != 0 || dev.noSpace.ops != 0 {
+		t.Fatalf("attempt counters not restarted: transient %d, corrupt %d, no-space %d",
+			dev.transient.ops, dev.CorruptOps(), dev.noSpace.ops)
+	}
+	before := dev.Stats()
+	for i := 0; i < 4; i++ {
+		if err := f.ReadPage(i, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.AppendPage(buf); err != nil {
+		t.Fatalf("one scripted no-space not absorbed by the post-reclaim retry: %v", err)
+	}
+	d := dev.Stats().Sub(before)
+	if d.NoSpaceFaults != 1 || d.TransientFaults != 0 || d.CorruptionsInjected != 0 {
+		t.Fatalf("after the replacing plan: no-space %d (want 1), transient %d, corruptions %d (want 0)",
+			d.NoSpaceFaults, d.TransientFaults, d.CorruptionsInjected)
+	}
+	if dev.transient.ops != 0 || dev.CorruptOps() != 0 {
+		t.Fatal("disarmed gates still count attempts")
+	}
+}
+
+// TestSetFaultsConcurrentWithIO re-arms and heals the device while readers
+// and a growing writer run; meaningful under -race. Errors are the plans'
+// own classified faults; after the final heal every operation succeeds.
+func TestSetFaultsConcurrentWithIO(t *testing.T) {
+	dev := retryDev(t, RetryPolicy{})
+	f := fillPages(t, dev, "a", 8)
+	c := fillPages(t, dev, "c", 8) // the only file the plans corrupt (sticky)
+	g, err := dev.Create("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []FaultPlan{
+		{Seed: 3, Transient: Trigger{Prob: 0.5}, Corrupt: Trigger{Prob: 0.1}, CorruptOnly: "c", NoSpace: Trigger{Prob: 0.5}},
+		{},
+		{Crash: true, CrashAfter: 3, Transient: Trigger{At: []int64{0, 2}}},
+		{},
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, dev.PageSize())
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				switch w {
+				case 0:
+					_, err = g.AppendPage(buf)
+				case 1:
+					err = f.ReadPage(i%8, buf)
+				default:
+					err = c.ReadPage(i%8, buf)
+				}
+				if err != nil && !errors.Is(err, ErrTransient) && !errors.Is(err, ErrInjected) &&
+					!errors.Is(err, ErrNoSpace) && !errors.Is(err, ErrCorruptPage) {
+					t.Errorf("worker %d: unclassified error %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 200; i++ {
+		dev.SetFaults(plans[i%len(plans)])
+	}
+	dev.SetFaults(FaultPlan{})
+	close(stop)
+	wg.Wait()
+	buf := make([]byte, dev.PageSize())
+	if err := f.ReadPage(0, buf); err != nil {
+		t.Fatalf("read after the final heal: %v", err)
+	}
+	if _, err := g.AppendPage(buf); err != nil {
+		t.Fatalf("append after the final heal: %v", err)
 	}
 }

@@ -30,73 +30,12 @@ var ErrCorruptPage = errors.New("ssd: page checksum mismatch")
 // storage stacks (iSCSI, ext4 metadata, Btrfs) use for data integrity.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// FailCorruptAt arms scripted corruption: the op-th physical page read
-// (0-based, counted from the most recent arming call across reads of
-// files matching the CorruptOnly filter) returns a page with a flipped
-// bit and a stale checksum. The flip is written back to the store, so
-// the corruption is sticky. Calling with no arguments disarms scripting
-// but keeps counting reads (see CorruptOps).
-func (d *Device) FailCorruptAt(ops ...int64) {
-	d.mu.Lock()
-	d.corruptOps = 0
-	if len(ops) == 0 {
-		d.corruptAt = nil
-	} else {
-		d.corruptAt = make(map[int64]bool, len(ops))
-		for _, op := range ops {
-			d.corruptAt[op] = true
-		}
-	}
-	d.updateCorruptArmed()
-	d.mu.Unlock()
-}
-
-// FailCorruptProb arms probabilistic corruption: every physical page read
-// of a matching file independently corrupts the page with probability p,
-// drawn from a deterministic PRNG seeded by seed. p <= 0 disarms.
-func (d *Device) FailCorruptProb(p float64, seed uint64) {
-	d.mu.Lock()
-	if p <= 0 {
-		d.corruptProb = 0
-	} else {
-		d.corruptProb = p
-		if seed == 0 {
-			seed = 1
-		}
-		d.corruptRNG = seed
-	}
-	d.updateCorruptArmed()
-	d.mu.Unlock()
-}
-
-// CorruptOnly restricts corruption injection — and the CorruptOps read
-// counter — to files whose name contains substr ("" matches every file).
-// Arming a filter alone (no FailCorruptAt/FailCorruptProb) makes the
-// device count matching physical reads without corrupting anything, which
-// lets a test measure a reference run and then script an exact read with
-// FailCorruptAt.
-func (d *Device) CorruptOnly(substr string) {
-	d.mu.Lock()
-	d.corruptOnly = substr
-	d.corruptTrack = true
-	d.corruptOps = 0
-	d.updateCorruptArmed()
-	d.mu.Unlock()
-}
-
 // CorruptOps returns the number of physical page reads of files matching
-// the CorruptOnly filter since the last arming call.
+// the armed plan's CorruptOnly filter since SetFaults armed it.
 func (d *Device) CorruptOps() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.corruptOps
-}
-
-// updateCorruptArmed caches whether corruptHit has any work to do, so the
-// common disarmed case costs one atomic load per page read. Caller holds
-// d.mu.
-func (d *Device) updateCorruptArmed() {
-	d.corruptArmed.Store(d.corruptAt != nil || d.corruptProb > 0 || d.corruptTrack)
+	return d.corrupt.ops
 }
 
 // corruptHit consumes one read credit for a physical page read of the
@@ -107,19 +46,7 @@ func (d *Device) corruptHit(name string) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.corruptOnly != "" && !strings.Contains(name, d.corruptOnly) {
-		return false
-	}
-	op := d.corruptOps
-	d.corruptOps++
-	if d.corruptAt != nil && d.corruptAt[op] {
-		return true
-	}
-	if d.corruptProb > 0 {
-		draw := float64(splitmix64(&d.corruptRNG)>>11) / float64(1<<53)
-		return draw < d.corruptProb
-	}
-	return false
+	return strings.Contains(name, d.corruptOnly) && d.corrupt.hit()
 }
 
 // readPageLocked is the integrity-checked physical read: store read,

@@ -55,7 +55,7 @@ func TestCorruptScriptedSticky(t *testing.T) {
 	f := writeFile(t, d, "data", 4)
 	buf := make([]byte, d.PageSize())
 
-	d.FailCorruptAt(1) // second physical page read
+	d.SetFaults(FaultPlan{Corrupt: Trigger{At: []int64{1}}}) // second physical page read
 	if err := f.ReadPage(0, buf); err != nil {
 		t.Fatalf("op 0 should be clean: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestCorruptScriptedSticky(t *testing.T) {
 
 	// Sticky: disarm injection; the stored bits stay flipped and the CRC
 	// stays stale, so the same page keeps failing until rewritten.
-	d.FailCorruptAt()
+	d.SetFaults(FaultPlan{})
 	if err := f.ReadPage(2, buf); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("disarmed re-read err = %v, want ErrCorruptPage (sticky)", err)
 	}
@@ -97,7 +97,7 @@ func TestCorruptProbDeterministic(t *testing.T) {
 	count := func(seed uint64) (uint64, int) {
 		d := intDev(t)
 		f := writeFile(t, d, "data", 16)
-		d.FailCorruptProb(0.3, seed)
+		d.SetFaults(FaultPlan{Seed: seed, Corrupt: Trigger{Prob: 0.3}})
 		buf := make([]byte, d.PageSize())
 		fails := 0
 		for pg := 0; pg < 16; pg++ {
@@ -126,7 +126,7 @@ func TestCorruptOnlyFilterAndOps(t *testing.T) {
 	buf := make([]byte, d.PageSize())
 
 	// A filter alone counts matching reads without corrupting anything.
-	d.CorruptOnly("target")
+	d.SetFaults(FaultPlan{CorruptOnly: "target"})
 	for pg := 0; pg < 4; pg++ {
 		if err := fa.ReadPage(pg, buf); err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCorruptOnlyFilterAndOps(t *testing.T) {
 	}
 
 	// Script an exact matching read; the filter keeps other files safe.
-	d.FailCorruptAt(2)
+	d.SetFaults(FaultPlan{Corrupt: Trigger{At: []int64{2}}, CorruptOnly: "target"})
 	if err := fa.ReadPage(0, buf); err != nil {
 		t.Fatalf("filtered-out file corrupted: %v", err)
 	}

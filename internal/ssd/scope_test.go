@@ -131,13 +131,13 @@ func TestScopedRunContextIsolation(t *testing.T) {
 	buf := make([]byte, ps)
 
 	// Run A's transient retry is abandoned on its canceled context...
-	dev.FailTransientAt(0)
+	dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{0}}})
 	if err := fa.ReadPage(0, buf); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled scope read error = %v, want context.Canceled", err)
 	}
 	// ...while run B, on the same device at the same time, retries through
 	// its transient fault and succeeds.
-	dev.FailTransientAt(0)
+	dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{0}}})
 	if err := fb.ReadPage(0, buf); err != nil {
 		t.Fatalf("live scope read failed: %v", err)
 	}

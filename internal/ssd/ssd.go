@@ -262,42 +262,23 @@ type Device struct {
 	files      map[string]*File
 	nextFileID uint32
 	stats      Stats
-	failAfter  int64 // remaining ops before injected failures; -1 = off
-	failErr    error
 
-	// Transient fault injection: opCount numbers every attempt since
-	// arming; transientAt scripts exact attempt indices that fail, and
-	// transientProb fails each attempt independently with probability p.
-	opCount       int64
-	transientAt   map[int64]bool
-	transientProb float64
-	transientRNG  uint64
-
-	retryRNG uint64 // jitter PRNG state, distinct from fault injection
-
-	// Corruption injection (see integrity.go): corruptOps numbers every
-	// physical page read of files matching corruptOnly since arming;
-	// corruptAt scripts exact reads, corruptProb damages each matching
-	// read independently. corruptArmed caches "any of this is on" so the
-	// disarmed hot path costs one atomic load.
-	corruptOps   int64
-	corruptAt    map[int64]bool
-	corruptProb  float64
-	corruptRNG   uint64
+	// Fault injection (see fault.go): the armed FaultPlan, compiled by
+	// SetFaults. Each *Armed flag caches "this gate has work to do" so a
+	// healthy device pays one atomic load per gate; noSpaceArmed also
+	// covers the Capacity quota.
+	crashArmed   bool
+	crashLeft    int64 // page operations left before every one fails
+	transient    injector
+	corrupt      injector
+	noSpace      injector
 	corruptOnly  string
-	corruptTrack bool
+	faultArmed   atomic.Bool
 	corruptArmed atomic.Bool
-
-	// Capacity governance (see capacity.go): usedPages counts allocated
-	// pages across live files; spaceOps numbers every growth attempt since
-	// no-space injection was armed; noSpaceArmed caches "quota or
-	// injection on" so ungoverned writes pay one atomic load.
-	usedPages    int64
-	spaceOps     int64
-	noSpaceAt    map[int64]bool
-	noSpaceProb  float64
-	noSpaceRNG   uint64
 	noSpaceArmed atomic.Bool
+
+	retryRNG  uint64 // jitter PRNG state, distinct from fault injection
+	usedPages int64  // allocated pages across live files (see capacity.go)
 
 	reclaimMu     sync.Mutex
 	reclaimers    map[int]func()
@@ -410,13 +391,13 @@ func (d *Device) AttachCache(c PageCache) { d.cache = c }
 // Cache returns the attached page cache, or nil.
 func (d *Device) Cache() PageCache { return d.cache }
 
-// ErrInjected is the default error produced by FailAfter. It models a
-// permanent fault: once armed, every subsequent operation fails and no
-// amount of retrying helps.
+// ErrInjected is the error a crashed device returns (FaultPlan.Crash). It
+// models a permanent fault: once the crash depth is reached every
+// subsequent operation fails and no amount of retrying helps.
 var ErrInjected = errors.New("ssd: injected device failure")
 
 // ErrTransient is the error produced by transient fault injection
-// (FailTransientAt, FailTransientProb). It models the recoverable
+// (FaultPlan.Transient). It models the recoverable
 // read/write errors real flash arrays return under load: a retry of the
 // same operation is a fresh attempt and may succeed. The device's retry
 // policy absorbs transient faults invisibly unless the budget runs out.
@@ -427,65 +408,6 @@ var ErrTransient = errors.New("ssd: transient device error")
 // ErrRetriesExhausted and ErrTransient on such errors.
 var ErrRetriesExhausted = errors.New("ssd: transient-retry budget exhausted")
 
-// FailAfter arms fault injection: the next n page operations (reads,
-// writes, appends) succeed, then every subsequent operation fails with
-// err (ErrInjected when nil). Pass a negative n to disarm. Used by the
-// failure-injection tests to verify engines propagate device errors
-// instead of panicking or corrupting results.
-func (d *Device) FailAfter(n int64, err error) {
-	if err == nil {
-		err = ErrInjected
-	}
-	d.mu.Lock()
-	if n < 0 {
-		d.failAfter = -1
-		d.failErr = nil
-	} else {
-		d.failAfter = n
-		d.failErr = err
-	}
-	d.mu.Unlock()
-}
-
-// FailTransientAt arms scripted transient faults: attempt number op
-// (0-based, counted across all page operations from this call on,
-// including retry attempts) fails with ErrTransient; all other attempts
-// succeed. Scripting k consecutive indices makes one logical operation
-// fail k times in a row, which is how tests drive the retry budget dry.
-// Calling with no arguments disarms scripted transients.
-func (d *Device) FailTransientAt(ops ...int64) {
-	d.mu.Lock()
-	d.opCount = 0
-	if len(ops) == 0 {
-		d.transientAt = nil
-	} else {
-		d.transientAt = make(map[int64]bool, len(ops))
-		for _, op := range ops {
-			d.transientAt[op] = true
-		}
-	}
-	d.mu.Unlock()
-}
-
-// FailTransientProb arms probabilistic transient faults: every attempt
-// independently fails with probability p, drawn from a deterministic PRNG
-// seeded by seed. p <= 0 disarms. Retried attempts redraw, so with the
-// default retry policy a fault rate p surfaces to callers only with
-// probability p^(1+MaxRetries).
-func (d *Device) FailTransientProb(p float64, seed uint64) {
-	d.mu.Lock()
-	if p <= 0 {
-		d.transientProb = 0
-	} else {
-		d.transientProb = p
-		if seed == 0 {
-			seed = 1
-		}
-		d.transientRNG = seed
-	}
-	d.mu.Unlock()
-}
-
 // splitmix64 advances the PRNG state and returns the next draw.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9E3779B97F4A7C15
@@ -493,35 +415,6 @@ func splitmix64(state *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// faultCheck consumes one attempt credit; it returns the armed transient
-// or permanent error for this attempt, transient faults first (a device
-// that is dying permanently reports the permanent error).
-func (d *Device) faultCheck() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failErr != nil {
-		if d.failAfter > 0 {
-			d.failAfter--
-		} else {
-			return d.failErr
-		}
-	}
-	op := d.opCount
-	d.opCount++
-	if d.transientAt != nil && d.transientAt[op] {
-		d.stats.TransientFaults++
-		return ErrTransient
-	}
-	if d.transientProb > 0 {
-		draw := float64(splitmix64(&d.transientRNG)>>11) / float64(1<<53)
-		if draw < d.transientProb {
-			d.stats.TransientFaults++
-			return ErrTransient
-		}
-	}
-	return nil
 }
 
 // faultCheckScoped is faultCheck with the transient-fault count mirrored

@@ -652,7 +652,7 @@ func TestFaultInjectionBasics(t *testing.T) {
 	d := testDev(t)
 	f, _ := d.Create("f")
 	page := make([]byte, d.PageSize())
-	d.FailAfter(2, nil)
+	d.SetFaults(FaultPlan{Crash: true, CrashAfter: 2})
 	if _, err := f.AppendPage(page); err != nil {
 		t.Fatalf("op 1 failed early: %v", err)
 	}
@@ -665,7 +665,7 @@ func TestFaultInjectionBasics(t *testing.T) {
 	if err := f.ReadPage(0, page); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read err = %v, want ErrInjected", err)
 	}
-	d.FailAfter(-1, nil)
+	d.SetFaults(FaultPlan{})
 	if err := f.ReadPage(0, page); err != nil {
 		t.Fatalf("disarmed read failed: %v", err)
 	}

@@ -89,7 +89,7 @@ func TestStageTimeSumsWithRetryBackoff(t *testing.T) {
 	dev.ResetStats()
 
 	dev.SetStage(obsv.StageRelog, -1)
-	dev.FailTransientAt(0) // first attempt fails, retry succeeds
+	dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{0}}}) // first attempt fails, retry succeeds
 	if err := f.ReadPage(0, make([]byte, ps)); err != nil {
 		t.Fatal(err)
 	}

@@ -181,8 +181,5 @@ func (r *Reader) U64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// Pos returns the current byte offset.
-func (r *Reader) Pos() int64 { return r.pos }
-
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int64 { return r.size - r.pos }

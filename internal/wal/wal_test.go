@@ -221,11 +221,11 @@ func TestFlushFailureIsSticky(t *testing.T) {
 	if _, _, err := l.Append([]Record{addRec(1, 1)}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	dev.FailAfter(0, ssd.ErrInjected)
+	dev.SetFaults(ssd.FaultPlan{Crash: true})
 	if _, _, err := l.Append([]Record{addRec(2, 2)}); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("append over failing device: %v", err)
 	}
-	dev.FailAfter(-1, nil) // heal the device; the log must stay down
+	dev.SetFaults(ssd.FaultPlan{}) // heal the device; the log must stay down
 	if _, _, err := l.Append([]Record{addRec(3, 3)}); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("sticky failure not sticky: %v", err)
 	}
