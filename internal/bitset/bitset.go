@@ -31,6 +31,22 @@ func New(n int) *Set {
 // Len returns the number of bits the set holds.
 func (s *Set) Len() int { return s.n }
 
+// Add sets bit i, growing the set to hold it, and reports whether the bit
+// was clear.
+func (s *Set) Add(i int) bool {
+	if i >= s.n {
+		s.words = append(s.words, make([]uint64, i/wordBits+1-len(s.words))...)
+		s.n = i + 1
+	} else if s.Test(i) {
+		return false
+	}
+	s.Set(i)
+	return true
+}
+
+// Has is Test for any i >= 0: a bit past Len is clear.
+func (s *Set) Has(i int) bool { return i < s.n && s.Test(i) }
+
 // Set sets bit i to 1.
 func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)

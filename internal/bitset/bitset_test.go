@@ -379,3 +379,20 @@ func BenchmarkRangeSparse(b *testing.B) {
 		s.Range(func(int) bool { n++; return true })
 	}
 }
+
+func TestAddGrowsAndHasLooksPastLen(t *testing.T) {
+	var s Set // the zero Set grows from nothing
+	if s.Has(0) || !s.Add(69) || s.Add(69) || !s.Add(3) {
+		t.Fatal("Add must report a clear bit once")
+	}
+	if s.Len() != 70 || s.Count() != 2 || !s.Has(3) || !s.Has(69) || s.Has(68) || s.Has(70) || s.Has(1<<20) {
+		t.Fatalf("after Add(69), Add(3): len %d, count %d", s.Len(), s.Count())
+	}
+	if !s.Add(199) || s.Len() != 200 || s.NextSet(70) != 199 || !s.Has(69) {
+		t.Fatalf("after Add(199): len %d, next set bit after 70 is %d", s.Len(), s.NextSet(70))
+	}
+	s.Reset()
+	if s.Len() != 200 || s.Any() || !s.Add(5) {
+		t.Fatal("Reset keeps the length and clears every bit")
+	}
+}

@@ -220,13 +220,22 @@ func (b *batch) loadCSR(iv int, verts []uint32, pos []int32) error {
 	if b.pred == nil {
 		return nil
 	}
-	b.pred.NotePageUtils(stats.PageUtils)
+	utils := stats.PageUtils
+	b.pred.NotePageUtils(utils)
 	// Mark vertices whose pages measured inefficient this superstep; the
-	// edge-log decision (relog) reads this.
+	// edge-log decision (relog) reads this. The fill listed its pages
+	// ascending, as the vertices' page ranges ascend: k only moves forward.
+	k := 0
 	for _, p := range pos {
 		first, last := b.adj.PageRange(int(p))
-		for page := first; page <= last; page++ {
-			if b.pred.PageIneffNow(csr.PageKey{Side: 0, Interval: int32(iv), Page: page}) {
+		if first > last {
+			continue
+		}
+		for k < len(utils) && utils[k].Key.Page < first {
+			k++
+		}
+		for j := k; j < len(utils) && utils[j].Key.Page <= last; j++ {
+			if b.pred.PageIneffNow(utils[j].Key) {
 				b.pageIneff[p] = true
 				break
 			}
@@ -385,7 +394,6 @@ func (b *batch) relog() error {
 		if err := b.elog.LogEdges(v, b.adj.Edges(i), b.adj.Weights(i)); err != nil {
 			return err
 		}
-		b.ss.EdgeLogPagesWrite++ // approximate: accounted precisely at flush
 	}
 	span.Arg("logged_bytes", b.elog.LoggedBytes())
 	span.End()

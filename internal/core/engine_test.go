@@ -7,6 +7,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
+	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
@@ -431,9 +432,20 @@ func TestEngineEdgeLogActuallyServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var served, logged uint64
-	for _, ss := range res.Report.Supersteps {
+	for i, ss := range res.Report.Supersteps {
 		served += ss.EdgeLogPagesRead
 		logged += ss.EdgeLogPagesWrite
+		// The counter is the pages the generation took on the device: exactly
+		// what the relog stage wrote this superstep.
+		var relog uint64
+		for _, st := range ss.Stages {
+			if st.Stage == obsv.StageRelog.String() {
+				relog = st.PagesWritten
+			}
+		}
+		if ss.EdgeLogPagesWrite != relog {
+			t.Fatalf("superstep %d: EdgeLogPagesWrite = %d, relog stage wrote %d pages", i, ss.EdgeLogPagesWrite, relog)
+		}
 	}
 	if logged == 0 {
 		t.Skip("predictor logged nothing on this graph/seed")

@@ -25,12 +25,12 @@ func (r *run) submitPrefetch(nextIv int) uint64 {
 // current batch computes. The prediction is the same signal the edge-log
 // optimizer uses: a vertex is expected active next if it carried over
 // live or its activity history predicts it (Predictor.PredictActive).
-// Three page families are warmed, all pinned until the consuming batch
-// releases the epoch:
+// Two page families are warmed, both pinned until the consuming batch
+// releases the epoch (the interval's message log is a read-once stream and
+// never enters the cache):
 //
-//  1. the interval's message-log pages (sortgroup will read them whole),
-//  2. the value pages of the predicted vertices,
-//  3. their CSR pages — row-pointer pages up front (pure arithmetic),
+//  1. the value pages of the predicted vertices,
+//  2. their CSR pages — row-pointer pages up front (pure arithmetic),
 //     column-index pages via a second-stage Expand that reads the row
 //     entries through the now-warm cache on the prefetch worker.
 //
@@ -39,10 +39,6 @@ func (r *run) submitPrefetch(nextIv int) uint64 {
 // immutable layout).
 func (r *run) planPrefetch(nextIv int) []pagecache.Job {
 	var jobs []pagecache.Job
-	if f, pages := r.curLog.FilePages(nextIv); f != nil {
-		jobs = append(jobs, pagecache.Job{File: f, Pages: pages, Pin: true})
-	}
-
 	iv := r.g.Intervals()[nextIv]
 	verts := make([]uint32, 0, 256)
 	for v := iv.Lo; v < iv.Hi && len(verts) < maxPrefetchVerts; v++ {

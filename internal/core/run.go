@@ -406,6 +406,7 @@ func (r *run) flushLogs(ss *metrics.SuperstepStats) error {
 		if err != nil {
 			return err
 		}
+		ss.EdgeLogPagesWrite += uint64(r.elog.Pages())
 	}
 	r.curLog, r.nextLog = r.nextLog, r.curLog
 	r.rcl.setLog(r.curLog)

@@ -20,6 +20,9 @@ type ValueBatch struct {
 	// page span — at most one entry per page of the value file — finds a slot
 	// with no search and nothing for concurrent readers to share but reads.
 	slot []int32
+	// The file's page size and lane count, kept here so that a Get or Set
+	// chases no pointer.
+	ps, lanes uint64
 }
 
 // LoadForVerts reads the value-file pages covering the given vertices
@@ -40,6 +43,7 @@ func (vv *Values) LoadBatch(b *ValueBatch, verts []uint32) (int, error) {
 	b.vv, b.order = vv, b.order[:0]
 	ps := int64(vv.dev.PageSize())
 	lanes := int64(vv.laneCount())
+	b.ps, b.lanes = uint64(ps), uint64(lanes)
 	for i, v := range verts {
 		if v >= vv.n {
 			return 0, fmt.Errorf("csr: value vertex %d out of [0,%d)", v, vv.n)
@@ -76,9 +80,9 @@ func (b *ValueBatch) Set(v uint32, val uint32) { b.SetLane(v, 0, val) }
 
 // word returns the four bytes of slot (v, lane) inside the loaded images.
 func (b *ValueBatch) word(v uint32, lane int) []byte {
-	ps := int64(b.vv.dev.PageSize())
-	off := (int64(v)*int64(b.vv.laneCount()) + int64(lane)) * 4
-	at := int64(b.slot[int(off/ps)-b.order[0]])*ps + off%ps
+	off := (uint64(v)*b.lanes + uint64(lane)) * 4
+	page := off / b.ps
+	at := uint64(b.slot[int(page)-b.order[0]])*b.ps + off - page*b.ps
 	return b.buf[at : at+4]
 }
 

@@ -11,10 +11,10 @@
 package edgelog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
@@ -35,12 +35,67 @@ type Predictor struct {
 	prevActive *bitset.Set // active in superstep s-1
 	currActive *bitset.Set // active in superstep s (being filled)
 
-	prevIneff map[csr.PageKey]bool // pages inefficient in s-1 (the prediction for s)
-	currIneff map[csr.PageKey]bool // pages inefficient in s (being measured)
-	currSeen  map[csr.PageKey]bool // pages touched in s
+	prevIneff pageSet // pages inefficient in s-1 (the prediction for s)
+	currIneff pageSet // pages inefficient in s (being measured)
+	currSeen  pageSet // pages touched in s
 
 	// Accuracy accounting for the superstep being measured (Fig 9).
 	correct int // touched pages inefficient in s that were predicted (inefficient in s-1)
+}
+
+// pageSet is a set of column-index pages: one bitmap per (side, interval) —
+// a colidx file's page numbers are dense — with the population count beside
+// it. A bitmap grows when a page past its end is added (a merge can lengthen
+// a colidx file) and is kept across supersteps, so a set costs one bit per
+// page up to the highest page of each file it ever held and a steady-state
+// superstep allocates nothing.
+type pageSet struct {
+	rows [2][]bitset.Set // rows[side][interval], bit = page
+	n    int
+}
+
+func (s *pageSet) has(k csr.PageKey) bool {
+	return k.Side < 2 && uint(k.Interval) < uint(len(s.rows[k.Side])) && k.Page >= 0 &&
+		s.rows[k.Side][k.Interval].Has(int(k.Page))
+}
+
+// add inserts k and reports whether it was absent. A key no colidx page can
+// have (only a damaged checkpoint could carry one) is ignored.
+func (s *pageSet) add(k csr.PageKey) bool {
+	if k.Side > 1 || k.Interval < 0 || k.Page < 0 {
+		return false
+	}
+	if n := int(k.Interval) + 1 - len(s.rows[k.Side]); n > 0 {
+		s.rows[k.Side] = append(s.rows[k.Side], make([]bitset.Set, n)...)
+	}
+	if !s.rows[k.Side][k.Interval].Add(int(k.Page)) {
+		return false
+	}
+	s.n++
+	return true
+}
+
+func (s *pageSet) clear() {
+	for side := range s.rows {
+		for iv := range s.rows[side] {
+			s.rows[side][iv].Reset()
+		}
+	}
+	s.n = 0
+}
+
+// keys returns the set's pages in (Side, Interval, Page) order.
+func (s *pageSet) keys() []csr.PageKey {
+	keys := make([]csr.PageKey, 0, s.n)
+	for side := range s.rows {
+		for iv := range s.rows[side] {
+			s.rows[side][iv].Range(func(page int) bool {
+				keys = append(keys, csr.PageKey{Side: uint8(side), Interval: int32(iv), Page: int32(page)})
+				return true
+			})
+		}
+	}
+	return keys
 }
 
 // NewPredictor creates a predictor for n vertices. threshold <= 0 selects
@@ -54,9 +109,6 @@ func NewPredictor(n uint32, pageSize int, threshold float64) *Predictor {
 		pageSize:   pageSize,
 		prevActive: bitset.New(int(n)),
 		currActive: bitset.New(int(n)),
-		prevIneff:  make(map[csr.PageKey]bool),
-		currIneff:  make(map[csr.PageKey]bool),
-		currSeen:   make(map[csr.PageKey]bool),
 	}
 }
 
@@ -66,14 +118,13 @@ func (p *Predictor) NoteActive(v uint32) { p.currActive.Set(int(v)) }
 // NotePageUtils records measured page utilization from one adjacency load.
 func (p *Predictor) NotePageUtils(utils []csr.PageUtil) {
 	for _, u := range utils {
-		if p.currSeen[u.Key] {
+		if !p.currSeen.add(u.Key) {
 			continue
 		}
-		p.currSeen[u.Key] = true
 		frac := float64(u.UsedBytes) / float64(p.pageSize)
 		if u.UsedBytes > 0 && frac < p.threshold {
-			p.currIneff[u.Key] = true
-			if p.prevIneff[u.Key] {
+			p.currIneff.add(u.Key)
+			if p.prevIneff.has(u.Key) {
 				p.correct++
 			}
 		}
@@ -89,12 +140,12 @@ func (p *Predictor) PredictActive(v uint32) bool {
 
 // PageIneff reports whether the page was predicted inefficient for the
 // current superstep (measured inefficient in the previous one).
-func (p *Predictor) PageIneff(key csr.PageKey) bool { return p.prevIneff[key] }
+func (p *Predictor) PageIneff(key csr.PageKey) bool { return p.prevIneff.has(key) }
 
 // PageIneffNow reports whether the page has been measured inefficient in
 // the current superstep; the engine uses the current measurement when
 // deciding what to log for the next superstep.
-func (p *Predictor) PageIneffNow(key csr.PageKey) bool { return p.currIneff[key] }
+func (p *Predictor) PageIneffNow(key csr.PageKey) bool { return p.currIneff.has(key) }
 
 // StepStats summarizes a finished superstep's prediction quality.
 type StepStats struct {
@@ -108,16 +159,16 @@ type StepStats struct {
 // prediction stats.
 func (p *Predictor) EndSuperstep() StepStats {
 	st := StepStats{
-		InefficientPages: uint64(len(p.currIneff)),
-		PredictedIneff:   uint64(len(p.prevIneff)),
+		InefficientPages: uint64(p.currIneff.n),
+		PredictedIneff:   uint64(p.prevIneff.n),
 		Correct:          uint64(p.correct),
-		PagesTouched:     uint64(len(p.currSeen)),
+		PagesTouched:     uint64(p.currSeen.n),
 	}
 	p.prevActive, p.currActive = p.currActive, p.prevActive
 	p.currActive.Reset()
-	p.prevIneff = p.currIneff
-	p.currIneff = make(map[csr.PageKey]bool)
-	p.currSeen = make(map[csr.PageKey]bool)
+	p.prevIneff, p.currIneff = p.currIneff, p.prevIneff
+	p.currIneff.clear()
+	p.currSeen.clear()
 	p.correct = 0
 	return st
 }
@@ -129,22 +180,7 @@ func (p *Predictor) EndSuperstep() StepStats {
 // signal across a crash, so a resumed run re-logs the same vertices an
 // uninterrupted run would.
 func (p *Predictor) History() (prevActive []uint64, prevIneff []csr.PageKey) {
-	prevActive = p.prevActive.Words()
-	prevIneff = make([]csr.PageKey, 0, len(p.prevIneff))
-	for k := range p.prevIneff {
-		prevIneff = append(prevIneff, k)
-	}
-	sort.Slice(prevIneff, func(i, j int) bool {
-		a, b := prevIneff[i], prevIneff[j]
-		if a.Side != b.Side {
-			return a.Side < b.Side
-		}
-		if a.Interval != b.Interval {
-			return a.Interval < b.Interval
-		}
-		return a.Page < b.Page
-	})
-	return prevActive, prevIneff
+	return p.prevActive.Words(), p.prevIneff.keys()
 }
 
 // RestoreHistory overwrites the predictor's previous-superstep state from
@@ -153,12 +189,12 @@ func (p *Predictor) History() (prevActive []uint64, prevIneff []csr.PageKey) {
 func (p *Predictor) RestoreHistory(prevActive []uint64, prevIneff []csr.PageKey) {
 	p.prevActive.SetWords(prevActive)
 	p.currActive.Reset()
-	p.prevIneff = make(map[csr.PageKey]bool, len(prevIneff))
+	p.prevIneff.clear()
 	for _, k := range prevIneff {
-		p.prevIneff[k] = true
+		p.prevIneff.add(k)
 	}
-	p.currIneff = make(map[csr.PageKey]bool)
-	p.currSeen = make(map[csr.PageKey]bool)
+	p.currIneff.clear()
+	p.currSeen.clear()
 	p.correct = 0
 }
 
@@ -172,19 +208,37 @@ type EdgeLog struct {
 	pageSize int
 	weighted bool
 
-	gen   int
-	files [2]*ssd.File
-	// index maps vertex -> (byte offset, degree) within each generation.
-	index   [2]map[uint32]entry
+	gen     int
+	files   [2]*ssd.File
+	index   [2]generation
 	writer  *ssd.Writer
 	written int64
 
-	// Scratch of the Fill in progress, kept between calls.
+	// Scratch kept between calls: the Fill in progress, and LogEdges' encoding.
 	pages []int
 	ents  []entry
 	buf   []byte
 
 	tr *obsv.Trace // nil = tracing disabled
+}
+
+// generation indexes one generation's lists: a bitmap answers Has — asked of
+// every active vertex, of a log that holds few — and the entries, ordered by
+// vertex, say where each list lies.
+type generation struct {
+	has  bitset.Set
+	ents []entry // in log order; by vertex once the generation is current
+}
+
+type entry struct {
+	off int64
+	v   uint32
+	deg uint32
+}
+
+func (g *generation) reset() {
+	g.has.Reset()
+	g.ents = g.ents[:0]
 }
 
 // SetTracer attaches a span tracer; generation swaps emit spans on it.
@@ -205,11 +259,6 @@ func (e *EdgeLog) SetScope(sc *ssd.IOScope) {
 	e.writer = ssd.NewWriter(e.files[1])
 }
 
-type entry struct {
-	off int64
-	deg uint32
-}
-
 // New creates an EdgeLog using two device files "<prefix>.0/1". Set
 // weighted for graphs whose edge lists carry weights.
 func New(dev *ssd.Device, prefix string, weighted bool) (*EdgeLog, error) {
@@ -225,7 +274,6 @@ func New(dev *ssd.Device, prefix string, weighted bool) (*EdgeLog, error) {
 			return nil, err
 		}
 		e.files[i] = f
-		e.index[i] = make(map[uint32]entry)
 	}
 	e.writer = ssd.NewWriter(e.files[1])
 	return e, nil
@@ -235,39 +283,37 @@ func New(dev *ssd.Device, prefix string, weighted bool) (*EdgeLog, error) {
 // next generation. weights must be parallel to nbrs when the log is
 // weighted and is ignored otherwise.
 func (e *EdgeLog) LogEdges(v uint32, nbrs, weights []uint32) error {
-	next := 1 - e.gen
-	if _, dup := e.index[next][v]; dup {
+	next := &e.index[1-e.gen]
+	if !next.has.Add(int(v)) {
 		return nil
 	}
-	e.index[next][v] = entry{off: e.writer.Offset(), deg: uint32(len(nbrs))}
-	var b [4]byte
-	for _, nb := range nbrs {
-		binary.LittleEndian.PutUint32(b[:], nb)
-		if _, err := e.writer.Write(b[:]); err != nil {
-			return err
-		}
+	next.ents = append(next.ents, entry{off: e.writer.Offset(), v: v, deg: uint32(len(nbrs))})
+	// One encoding and one write per list: ids, then weights.
+	e.buf = e.buf[:0]
+	for _, w := range nbrs {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, w)
 	}
-	e.written += int64(len(nbrs)) * 4
 	if e.weighted {
 		for _, w := range weights {
-			binary.LittleEndian.PutUint32(b[:], w)
-			if _, err := e.writer.Write(b[:]); err != nil {
-				return err
-			}
+			e.buf = binary.LittleEndian.AppendUint32(e.buf, w)
 		}
-		e.written += int64(len(weights)) * 4
 	}
+	if _, err := e.writer.Write(e.buf); err != nil {
+		return err
+	}
+	e.written += int64(len(e.buf))
 	return nil
 }
 
 // LoggedBytes returns the bytes logged into the next generation so far.
 func (e *EdgeLog) LoggedBytes() int64 { return e.written }
 
+// Pages returns the device pages the current generation occupies: what
+// logging it wrote, by the time EndSuperstep has made it current.
+func (e *EdgeLog) Pages() int { return e.files[e.gen].NumPages() }
+
 // Has reports whether the current generation holds v's edges.
-func (e *EdgeLog) Has(v uint32) bool {
-	_, ok := e.index[e.gen][v]
-	return ok
-}
+func (e *EdgeLog) Has(v uint32) bool { return e.index[e.gen].has.Has(int(v)) }
 
 // Load fetches the out-edge lists (and weights, for weighted logs) of the
 // given vertices from the current generation, reading only covering pages
@@ -299,18 +345,24 @@ func (e *EdgeLog) Fill(verts []uint32, pos []int32, a *csr.Arena) (int, error) {
 	if e.weighted {
 		stride = 8 // ids then weights, both deg×4 bytes
 	}
-	idx := e.index[e.gen]
+	logged := e.index[e.gen].ents
 	ps := int64(e.pageSize)
 	// Vertices are logged in the order batches process them, so offsets
 	// ascend with vertex id and the page list comes out sorted — except after
-	// a caller that logged out of order, which costs one sort.
+	// a caller that logged out of order, which costs one sort. A batch asks
+	// in that order too: the cursor k finds a run of consecutive entries
+	// without a search.
 	e.pages, e.ents = e.pages[:0], e.ents[:0]
-	sorted, edges := true, 0
+	sorted, edges, k := true, 0, 0
 	for _, v := range verts {
-		ent, ok := idx[v]
-		if !ok {
-			return 0, fmt.Errorf("edgelog: vertex %d not logged", v)
+		if k >= len(logged) || logged[k].v != v {
+			var ok bool
+			if k, ok = slices.BinarySearchFunc(logged, v, func(ent entry, v uint32) int { return cmp.Compare(ent.v, v) }); !ok {
+				return 0, fmt.Errorf("edgelog: vertex %d not logged", v)
+			}
 		}
+		ent := logged[k]
+		k++
 		e.ents = append(e.ents, ent)
 		edges += int(ent.deg)
 		for p := int(ent.off / ps); ent.deg > 0 && int64(p)*ps < ent.off+int64(ent.deg)*stride; p++ {
@@ -372,7 +424,7 @@ func (e *EdgeLog) decode(dst []uint32, off int64) {
 // so dropping a generation costs extra CSR reads but never correctness.
 // Logging into the *next* generation is unaffected.
 func (e *EdgeLog) InvalidateCurrent() error {
-	e.index[e.gen] = make(map[uint32]entry)
+	e.index[e.gen].reset()
 	return e.files[e.gen].Truncate()
 }
 
@@ -382,15 +434,14 @@ func (e *EdgeLog) InvalidateCurrent() error {
 // serialize the generation that will serve the next superstep. Returns
 // the number of pages read.
 func (e *EdgeLog) Dump(visit func(v uint32, nbrs, weights []uint32)) (int, error) {
-	idx := e.index[e.gen]
-	if len(idx) == 0 {
+	logged := e.index[e.gen].ents
+	if len(logged) == 0 {
 		return 0, nil
 	}
-	verts := make([]uint32, 0, len(idx))
-	for v := range idx {
-		verts = append(verts, v)
+	verts := make([]uint32, len(logged))
+	for i, ent := range logged {
+		verts[i] = ent.v
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
 	return e.Load(verts, visit)
 }
 
@@ -401,14 +452,16 @@ func (e *EdgeLog) EndSuperstep() error {
 	// the multi-log unit tid 2).
 	sp := e.tr.BeginTid("elog", "end-superstep", 3)
 	sp.Arg("logged_bytes", e.written)
-	sp.Arg("logged_verts", int64(len(e.index[1-e.gen])))
+	sp.Arg("logged_verts", int64(len(e.index[1-e.gen].ents)))
 	defer sp.End()
 	if err := e.writer.Close(); err != nil {
 		return err
 	}
 	old := e.gen
 	e.gen = 1 - e.gen
-	e.index[old] = make(map[uint32]entry)
+	// Logged ascending, as the engine does, this is one pass over the entries.
+	slices.SortFunc(e.index[e.gen].ents, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+	e.index[old].reset()
 	if err := e.files[old].Truncate(); err != nil {
 		return err
 	}

@@ -239,7 +239,10 @@ func refLoad(e *EdgeLog, verts []uint32) (map[uint32][2][]uint32, int, error) {
 	if e.weighted {
 		stride = 8
 	}
-	idx, ps := e.index[e.gen], int64(e.pageSize)
+	idx, ps := map[uint32]entry{}, int64(e.pageSize)
+	for _, ent := range e.index[e.gen].ents {
+		idx[ent.v] = ent
+	}
 	set := map[int]bool{}
 	for _, v := range verts {
 		ent := idx[v]

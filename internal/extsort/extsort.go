@@ -142,6 +142,7 @@ func (rs *Runs) Flush(recs []Record) error {
 	if err != nil {
 		return err
 	}
+	f.SetReadOnce() // a run is merged once, then removed
 	f = f.Scoped(rs.scope)
 	if err := f.Truncate(); err != nil {
 		return err

@@ -13,11 +13,12 @@ package graphio
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -193,22 +194,15 @@ func Dedup(edges []Edge) []Edge {
 
 // SortEdges sorts by (src, dst).
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
+	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(key(a.Src, a.Dst), key(b.Src, b.Dst)) })
 }
+
+// key maps a pair to an integer that orders as (hi, lo) does.
+func key(hi, lo uint32) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
 // SortEdgesByDst sorts by (dst, src); shard builders need this order.
 func SortEdgesByDst(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Dst != edges[j].Dst {
-			return edges[i].Dst < edges[j].Dst
-		}
-		return edges[i].Src < edges[j].Src
-	})
+	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(key(a.Dst, a.Src), key(b.Dst, b.Src)) })
 }
 
 // WeightedEdge is a directed edge with a uint32 weight (the paper's CSR
@@ -238,22 +232,12 @@ func AttachWeights(edges []Edge, w func(src, dst uint32) uint32) []WeightedEdge 
 
 // SortWeighted sorts by (src, dst), keeping weights attached.
 func SortWeighted(wedges []WeightedEdge) {
-	sort.Slice(wedges, func(i, j int) bool {
-		if wedges[i].Src != wedges[j].Src {
-			return wedges[i].Src < wedges[j].Src
-		}
-		return wedges[i].Dst < wedges[j].Dst
-	})
+	slices.SortFunc(wedges, func(a, b WeightedEdge) int { return cmp.Compare(key(a.Src, a.Dst), key(b.Src, b.Dst)) })
 }
 
 // SortWeightedByDst sorts by (dst, src), keeping weights attached.
 func SortWeightedByDst(wedges []WeightedEdge) {
-	sort.Slice(wedges, func(i, j int) bool {
-		if wedges[i].Dst != wedges[j].Dst {
-			return wedges[i].Dst < wedges[j].Dst
-		}
-		return wedges[i].Src < wedges[j].Src
-	})
+	slices.SortFunc(wedges, func(a, b WeightedEdge) int { return cmp.Compare(key(a.Dst, a.Src), key(b.Dst, b.Src)) })
 }
 
 // DedupWeighted sorts by (src, dst) and removes duplicate edges (keeping

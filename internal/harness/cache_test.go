@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/core"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/pagecache"
@@ -125,9 +126,13 @@ func TestCacheParityBaselines(t *testing.T) {
 // TestCachePrefetchAccuracy checks the async prefetcher warms pages the
 // next interval actually consumes: a meaningful share of warmed pages
 // must see a demand hit on a PageRank run, where every vertex stays
-// active and the predictor has full history.
+// active and the predictor has full history. The run is one resumed from a
+// checkpoint behind a cold cache, as a restarted process finds it: the one
+// place a predicted vertex's value and CSR pages are not already resident
+// (a message log, which an uninterrupted run used to warm, is a read-once
+// stream and stays out of the cache).
 func TestCachePrefetchAccuracy(t *testing.T) {
-	ds, err := CFMini(Tiny)
+	ds, err := CFMini(Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +146,18 @@ func TestCachePrefetchAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5}); err != nil {
+		crash := RunOpts{MaxSupersteps: 5, CheckpointEvery: 1, StopAfter: func(step int, _ uint64) bool { return step >= 1 }}
+		if _, _, err = RunMLVC(env, &apps.PageRank{}, crash); err != nil {
+			t.Fatal(err)
+		}
+		env.Cache = pagecache.FromMB(8, env.PageSize)
+		env.Dev.AttachCache(env.Cache)
+		if rep, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5, Resume: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rep.PrefetchInserts == 0 {
-		t.Skip("no pages warmed (single-batch supersteps leave nothing to prefetch)")
+		t.Skip("no pages warmed (the prefetcher was never scheduled)")
 	}
 	if acc := rep.PrefetchAccuracy(); acc < 0.25 {
 		t.Errorf("prefetch accuracy %.2f: fewer than a quarter of warmed pages were used", acc)
@@ -161,7 +172,10 @@ func TestCachePrefetchAccuracy(t *testing.T) {
 // pages in the same order every superstep, the pattern on which the CLOCK
 // policy this replaced hit one read in ten (0.105 on the BFS below). The
 // baselines do not prefetch, so their page counts are deterministic and are
-// held to what CLOCK read on these exact runs.
+// held to what CLOCK read on these exact runs; so is MultiLogVC's with the
+// prefetcher left out, held below what it read while message-log pages —
+// read once, then truncated — still took frames from the CSR (13,960 at
+// 0b35599).
 func TestCacheUnderSweep(t *testing.T) {
 	const side = 304
 	edges, err := gen.SmallWorld(side, side, side*side/128, 0x5EE9)
@@ -178,6 +192,10 @@ func TestCacheUnderSweep(t *testing.T) {
 	type engine func(*Env, vc.Program, RunOpts) (*metrics.Report, []uint32, error)
 	bfs := func() vc.Program { return &apps.BFS{Source: 0} }
 	pagerank := func() vc.Program { return &apps.PageRank{} }
+	noPrefetch := func(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
+		eng := core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget, MaxSupersteps: o.MaxSupersteps, StopAfter: o.StopAfter, Cache: env.Cache})
+		return env.finish("multilogvc", prog, o, eng)
+	}
 	for _, tc := range []struct {
 		name       string
 		run        engine
@@ -185,9 +203,10 @@ func TestCacheUnderSweep(t *testing.T) {
 		steps      int
 		edgeFiles  string // what the names of the engine's edge files contain
 		minHitRate float64
-		clockPages uint64 // device reads of the same run under CLOCK; 0 where prefetch makes them vary
+		maxPages   uint64 // the most device reads allowed: what CLOCK read on the same run; 0 where prefetch makes them vary
 	}{
 		{"multilogvc/bfs", RunMLVC, bfs, 200, ".out.", 0.35, 0},
+		{"multilogvc/bfs/no-prefetch", noPrefetch, bfs, 200, ".out.", 0.35, 13959},
 		{"graphchi/pagerank", RunGraphChi, pagerank, 5, ".gc.shard", 0, 11271},
 		{"grafboost/pagerank", RunGraFBoost, pagerank, 5, ".out.", 0, 9144},
 	} {
@@ -232,7 +251,7 @@ func TestCacheUnderSweep(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatal("cached run's values differ from the uncached run's")
 			}
-			if tc.name == "multilogvc/bfs" {
+			if strings.HasPrefix(tc.name, "multilogvc/") {
 				ref := vc.NewRef(ds.Edges, ds.N).Run(tc.prog(), tc.steps)
 				if !slices.Equal(got, ref.Values) {
 					t.Fatal("cached run's values differ from the reference engine's")
@@ -249,8 +268,8 @@ func TestCacheUnderSweep(t *testing.T) {
 			if rep.PagesRead >= coldRep.PagesRead {
 				t.Errorf("cached run read %d pages, uncached %d: the cache saved nothing", rep.PagesRead, coldRep.PagesRead)
 			}
-			if tc.clockPages > 0 && rep.PagesRead > tc.clockPages {
-				t.Errorf("read %d pages, more than the %d CLOCK read on this run", rep.PagesRead, tc.clockPages)
+			if tc.maxPages > 0 && rep.PagesRead > tc.maxPages {
+				t.Errorf("read %d pages, more than the %d this run may read", rep.PagesRead, tc.maxPages)
 			}
 		})
 	}

@@ -280,6 +280,7 @@ func (l *Log) file(iv int) (*ssd.File, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.SetReadOnce() // every page is read by one sort-and-group load, then truncated
 		f = f.Scoped(l.scope)
 		// A fresh Log generation must start empty even when the device
 		// file survives from an earlier run.
@@ -513,29 +514,6 @@ func (l *Log) PutRecs(buf []Record) {
 		b.recs = append(b.recs, buf)
 	}
 	b.mu.Unlock()
-}
-
-// FilePages returns interval iv's device-resident log file and its data
-// page indices. The engine's prefetcher warms these while the previous
-// batch computes; only pages already evicted to the device count, since
-// in-memory buffers need no warming. Returns (nil, nil) when the interval
-// has nothing on the device.
-func (l *Log) FilePages(iv int) (*ssd.File, []int) {
-	l.mu.Lock()
-	f := l.files[iv]
-	l.mu.Unlock()
-	if f == nil {
-		return nil, nil
-	}
-	n := f.DataPages()
-	if n == 0 {
-		return nil, nil
-	}
-	pages := make([]int, n)
-	for i := range pages {
-		pages[i] = i
-	}
-	return f, pages
 }
 
 // MarkConsumed records that intervals [first, last] have been fully

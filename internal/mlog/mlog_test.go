@@ -195,7 +195,7 @@ func TestReclaimConcurrentWithAppend(t *testing.T) {
 	if l.Count(0) != 0 || l.Count(1) != 0 || l.Total() != appends {
 		t.Fatalf("counts after reclaim = %d, %d, total %d; want 0, 0, %d", l.Count(0), l.Count(1), l.Total(), appends)
 	}
-	if f, _ := l.FilePages(0); f != nil {
+	if f := l.files[0]; f != nil && f.DataPages() != 0 {
 		t.Fatal("reclaimed interval still has pages on the device")
 	}
 	seen := 0

@@ -83,7 +83,7 @@ func (f *File) readPagesCached(pages []int, dst []byte, st obsv.Stage) error {
 // one page (PageSize bytes) that a caller warming in a loop reuses; a
 // shorter one, or nil, is replaced. It is a no-op without an attached cache.
 func (f *File) WarmPages(pages []int, pin bool, buf []byte) (warmed, pinned []int, err error) {
-	c := f.dev.cache
+	c := f.cache()
 	if c == nil || len(pages) == 0 {
 		return nil, nil, nil
 	}
@@ -149,7 +149,7 @@ func (f *File) chargeWarm(warmed []int) {
 // UnpinPages releases one pin on each listed page. Pages evicted or
 // invalidated in the meantime are skipped safely.
 func (f *File) UnpinPages(pages []int) {
-	c := f.dev.cache
+	c := f.cache()
 	if c == nil {
 		return
 	}

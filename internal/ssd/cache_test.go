@@ -388,3 +388,74 @@ func TestZeroPlanEqualsFreshDevice(t *testing.T) {
 		t.Fatalf("healed device still counts corruptible reads: %d", healed.CorruptOps())
 	}
 }
+
+// TestReadOnceFileNeverTouchesCache is the stream contract: on a file declared
+// read-once, batched reads, range reads, appends and Truncate leave the
+// attached cache's residency and every one of its counters where they were,
+// and charge the device the pages and virtual time the same calls cost with
+// no cache attached at all — through a Scoped handle too, since the property
+// is the file's.
+func TestReadOnceFileNeverTouchesCache(t *testing.T) {
+	drive := func(dev *ssd.Device) ssd.Stats {
+		f, err := dev.Create("stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetReadOnce()
+		f = f.Scoped(ssd.NewScope())
+		page := make([]byte, 6*ps)
+		for i := range page {
+			page[i] = byte(i / ps)
+		}
+		if err := f.AppendPages(page); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 3*ps)
+		for pass := 0; pass < 2; pass++ { // a repeat is as dear as the first read
+			if err := f.ReadPages([]int{0, 2, 5}, dst); err != nil {
+				t.Fatal(err)
+			}
+			if dst[0] != 0 || dst[ps] != 2 || dst[2*ps] != 5 {
+				t.Fatalf("ReadPages returned pages %d, %d, %d", dst[0], dst[ps], dst[2*ps])
+			}
+			if err := f.ReadPageRange(1, 3, dst); err != nil {
+				t.Fatal(err)
+			}
+			if dst[0] != 1 || dst[2*ps] != 3 {
+				t.Fatalf("ReadPageRange returned pages %d..%d", dst[0], dst[2*ps])
+			}
+		}
+		if err := f.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AppendPages(page[:2*ps]); err != nil { // the generation is reused
+			t.Fatal(err)
+		}
+		if err := f.ReadPageRange(0, 2, dst[:2*ps]); err != nil {
+			t.Fatal(err)
+		}
+		return dev.Stats()
+	}
+
+	cached, c := newCachedDev(t, 16)
+	other := fillFile(t, cached, "data", 4) // an ordinary neighbour keeps the cache busy
+	buf := make([]byte, ps)
+	if err := other.ReadPage(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	cached.ResetStats()
+	resident, counters := c.Resident(), c.Stats()
+	got := drive(cached)
+	if c.Resident() != resident || c.Stats() != counters {
+		t.Fatalf("read-once IO moved the cache: resident %d -> %d, stats %+v -> %+v", resident, c.Resident(), counters, c.Stats())
+	}
+
+	want := drive(ssd.MustOpen(ssd.Config{PageSize: ps, Channels: 4}))
+	got.FilesCreated, want.FilesCreated = 0, 0 // the cached device also holds "data"
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read-once file under a cache charged\n%+v\nuncached device charged\n%+v", got, want)
+	}
+	if got.PagesRead != 2*6+2 || got.Stages[0].CacheMisses != 0 {
+		t.Fatalf("read %d pages with %d cache misses noted, want 14 and 0", got.PagesRead, got.Stages[0].CacheMisses)
+	}
+}

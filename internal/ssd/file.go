@@ -41,6 +41,23 @@ type fileState struct {
 	pagesRead    atomic.Uint64
 	pagesWritten atomic.Uint64
 	corrupt      atomic.Uint64 // checksum failures detected on this file
+	readOnce     atomic.Bool   // see File.SetReadOnce
+}
+
+// SetReadOnce declares the file a stream: written, read once and truncated,
+// as message-log generations and sort spill runs are. No page of it ever
+// takes a cache frame — reads, write-through and Truncate go straight to the
+// store and charge the device as they would with no cache attached. Call it
+// where the file is created, before its first IO; the property is the file's,
+// so every Scoped handle agrees.
+func (f *File) SetReadOnce() { f.s.readOnce.Store(true) }
+
+// cache returns the page cache this file's IO goes through, nil for none.
+func (f *File) cache() PageCache {
+	if f.s.readOnce.Load() {
+		return nil
+	}
+	return f.dev.cache
 }
 
 // ErrShortBuffer is returned when a destination buffer is not page-sized.
@@ -86,7 +103,7 @@ func (f *File) ReadPage(idx int, buf []byte) error {
 	if len(buf) != f.dev.cfg.PageSize {
 		return ErrShortBuffer
 	}
-	c := f.dev.cache
+	c := f.cache()
 	if c != nil {
 		if c.Get(f.id, idx, buf) {
 			f.dev.noteCache(1, 0, stageAmbient, f.scope)
@@ -139,7 +156,7 @@ func (f *File) readPagesStage(pages []int, dst []byte, st obsv.Stage) error {
 	if len(pages) == 0 {
 		return nil
 	}
-	if f.dev.cache != nil {
+	if f.cache() != nil {
 		return f.readPagesCached(pages, dst, st)
 	}
 	if err := f.dev.opCheck(f.scope); err != nil {
@@ -173,7 +190,7 @@ func (f *File) ReadPageRange(start, n int, dst []byte) error {
 	if n == 0 {
 		return nil
 	}
-	if f.dev.cache != nil {
+	if f.cache() != nil {
 		pages := make([]int, n)
 		for i := range pages {
 			pages[i] = start + i
@@ -234,7 +251,7 @@ func (f *File) WritePage(idx int, data []byte) error {
 	f.s.mu.Unlock()
 	f.s.pagesWritten.Add(1)
 	f.dev.chargeWrite(1, 1, f.scope)
-	if c := f.dev.cache; c != nil {
+	if c := f.cache(); c != nil {
 		c.Write(f.id, idx, data)
 	}
 	return nil
@@ -276,7 +293,7 @@ func (f *File) WritePageRange(start int, data []byte) error {
 	f.s.mu.Unlock()
 	f.s.pagesWritten.Add(uint64(n))
 	f.dev.chargeWrite(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
-	if c := f.dev.cache; c != nil {
+	if c := f.cache(); c != nil {
 		for i := 0; i < n; i++ {
 			c.Write(f.id, start+i, data[i*ps:(i+1)*ps])
 		}
@@ -311,7 +328,7 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	f.s.mu.Unlock()
 	f.s.pagesWritten.Add(1)
 	f.dev.chargeWrite(1, 1, f.scope)
-	if c := f.dev.cache; c != nil {
+	if c := f.cache(); c != nil {
 		c.Write(f.id, idx, data)
 	}
 	return idx, nil
@@ -349,7 +366,7 @@ func (f *File) AppendPages(data []byte) error {
 	f.s.mu.Unlock()
 	f.s.pagesWritten.Add(uint64(n))
 	f.dev.chargeWrite(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
-	if c := f.dev.cache; c != nil {
+	if c := f.cache(); c != nil {
 		for i := 0; i < n; i++ {
 			c.Write(f.id, start+i, data[i*ps:(i+1)*ps])
 		}
@@ -368,7 +385,7 @@ func (f *File) Truncate() error {
 	if err == nil {
 		f.dev.freePages(np)
 	}
-	if c := f.dev.cache; c != nil {
+	if c := f.cache(); c != nil {
 		c.InvalidateFile(f.id, np)
 	}
 	if err != nil {

@@ -620,8 +620,8 @@ func (d *Device) Remove(name string) error {
 	np := f.s.store.numPages()
 	err := f.s.store.close()
 	f.s.mu.Unlock()
-	if d.cache != nil {
-		d.cache.InvalidateFile(f.id, np)
+	if c := f.cache(); c != nil {
+		c.InvalidateFile(f.id, np)
 	}
 	d.freePages(np)
 	return err
