@@ -86,10 +86,6 @@ var experiments = []experiment{
 	{"checkpoint", "checkpoint overhead at K=0/1/5", func(b *benchCtx) (*metrics.Table, error) { return harness.CheckpointOverhead(b.size) }},
 	{"integrity", "page-checksum overhead", func(b *benchCtx) (*metrics.Table, error) { return harness.Integrity(b.size) }},
 	{"spill", "sort-budget spill overhead", func(b *benchCtx) (*metrics.Table, error) { return harness.SpillOverhead(b.size) }},
-	{"serving", "multi-source query batching: pages/query at batch 1/4/16", func(b *benchCtx) (*metrics.Table, error) { return harness.Serving(b.size) }},
-	{"isolation", "batch fault isolation: clean batch vs solos vs isolation event", func(b *benchCtx) (*metrics.Table, error) { return harness.IsolationCost(b.size) }},
-	{"ingest", "streaming-ingest throughput and WAL durability overhead", func(b *benchCtx) (*metrics.Table, error) { return harness.Ingest(b.size) }},
-	{"replication", "follower catch-up rate and failover window", func(b *benchCtx) (*metrics.Table, error) { return harness.Replication(b.size) }},
 }
 
 func expNames() string {

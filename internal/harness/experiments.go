@@ -713,135 +713,43 @@ func SpillOverhead(size Size) (*metrics.Table, error) {
 // fixed mutation stream through the sync-flushed WAL plus one merge.
 const ingestApp = "ingest-wal"
 
-// ingestBenchRun is one measured ingest stream: a deterministic mutation
-// sequence applied in fixed batches, then folded into the CSR with one
-// crash-atomic merge.
-type ingestBenchRun struct {
-	Mutations int
-	Batches   int
-	IO        ssd.Stats     // device delta: stream + merge
-	Stream    time.Duration // virtual storage time of the mutation stream
-	Merge     time.Duration // virtual storage time of the final merge
-	Wall      time.Duration
-	WAL       csr.IngestStats
-}
-
-// ingestStreamSpec fixes the benchmark's mutation stream so every mode
-// (and every run of the same binary) applies the identical sequence:
-// 96 batches of 32 mutations, one in four a delete.
+// ingestStream fixes the benchmark's mutation stream so every run of the
+// same binary applies the identical sequence: 96 batches of 32
+// mutations, one in four a delete.
 func ingestStream(n uint32) [][]csr.Mutation {
 	rng := rand.New(rand.NewSource(7))
 	batches := make([][]csr.Mutation, 96)
 	for b := range batches {
-		batch := make([]csr.Mutation, 32)
-		for i := range batch {
-			batch[i] = csr.Mutation{
-				Del: rng.Intn(4) == 0,
-				Src: uint32(rng.Intn(int(n))),
-				Dst: uint32(rng.Intn(int(n))),
-			}
-		}
-		batches[b] = batch
+		batches[b] = randMutations(rng, n, 32, 4)
 	}
 	return batches
 }
 
 // runIngestBench streams the fixed mutation sequence into a freshly
-// built, uncached copy of ds — volatile (withWAL false) or WAL-backed
-// with the given flush window — and folds it down with one merge.
-func runIngestBench(ds Dataset, withWAL bool, flush time.Duration) (*ingestBenchRun, error) {
+// built, uncached copy of ds through the sync-flushed WAL, folds it down
+// with one crash-atomic merge, and returns the device traffic and wall
+// time of both.
+func runIngestBench(ds Dataset) (ssd.Stats, time.Duration, error) {
 	env, err := Prepare(ds, EnvOptions{CacheMB: -1})
 	if err != nil {
-		return nil, err
+		return ssd.Stats{}, 0, err
 	}
-	g := env.Graph
-	if withWAL {
-		g, err = csr.OpenIngest(env.Dev, ds.Name, csr.IngestOptions{
-			WAL: true, FlushEvery: flush, MergeThreshold: 1 << 30,
-		})
-		if err != nil {
-			return nil, err
-		}
+	g, err := csr.OpenIngest(env.Dev, ds.Name, csr.IngestOptions{WAL: true, MergeThreshold: 1 << 30})
+	if err != nil {
+		return ssd.Stats{}, 0, err
 	}
-	r := &ingestBenchRun{}
 	st0 := env.Dev.Stats()
 	start := time.Now()
 	for _, batch := range ingestStream(ds.N) {
-		// Explicit huge threshold: no mid-stream merges, so every mode
-		// pays for the same single fold at the end.
+		// Explicit huge threshold: no mid-stream merges, so the stream
+		// pays for the single fold at the end.
 		if err := g.ApplyMutations(batch, 1<<30); err != nil {
-			return nil, err
+			return ssd.Stats{}, 0, err
 		}
-		r.Batches++
-		r.Mutations += len(batch)
 	}
-	st1 := env.Dev.Stats()
-	// WAL stats snapshot before the merge truncates the log: DurableBytes
-	// is the peak stream length the durability path actually wrote.
-	r.WAL = g.IngestStats()
 	if err := g.MergeInterval(0); err != nil {
-		return nil, err
+		return ssd.Stats{}, 0, err
 	}
-	st2 := env.Dev.Stats()
-	r.Wall = time.Since(start)
-	r.IO = st2.Sub(st0)
-	r.Stream = st1.Sub(st0).StorageTime()
-	r.Merge = st2.Sub(st1).StorageTime()
-	if withWAL {
-		if err := g.CloseIngest(); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// Ingest measures streaming-ingest throughput and the WAL's durability
-// tax: the same deterministic mutation stream applied with the WAL off
-// (volatile deltas — the pre-durability baseline), on with synchronous
-// per-batch flushing, and on with a group-commit window. The stream
-// column is pure ingest-path virtual storage time (the WAL rows' delta
-// over "off" is the durability overhead); the merge fold costs the same
-// in every mode.
-func Ingest(size Size) (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Streaming ingest: WAL durability overhead",
-		Headers: []string{"dataset", "wal", "muts", "flushes", "wal KiB", "pages w", "stream", "merge", "overhead"},
-	}
-	dss, err := Datasets(size)
-	if err != nil {
-		return nil, err
-	}
-	modes := []struct {
-		name  string
-		wal   bool
-		flush time.Duration
-	}{
-		{"off", false, 0},
-		{"sync", true, 0},
-		{"group", true, 500 * time.Microsecond},
-	}
-	for _, ds := range dss {
-		var base float64
-		for _, m := range modes {
-			r, err := runIngestBench(ds, m.wal, m.flush)
-			if err != nil {
-				return nil, fmt.Errorf("ingest %s/%s: %w", ds.Name, m.name, err)
-			}
-			// Volatile ingest does no IO until the merge, so the overhead
-			// compares end-to-end virtual storage time (stream + fold).
-			total := float64(r.Stream + r.Merge)
-			overhead := "-"
-			if !m.wal {
-				base = total
-			} else if base > 0 {
-				overhead = fmt.Sprintf("%+.1f%%", 100*(total-base)/base)
-			}
-			t.AddRow(ds.Name, m.name, fmt.Sprint(r.Mutations),
-				fmt.Sprint(r.WAL.WAL.Flushes),
-				fmt.Sprintf("%.1f", float64(r.WAL.WAL.DurableBytes)/1024),
-				fmt.Sprint(r.IO.PagesWritten),
-				metrics.D(r.Stream), metrics.D(r.Merge), overhead)
-		}
-	}
-	return t, nil
+	st, wall := env.Dev.Stats().Sub(st0), time.Since(start)
+	return st, wall, g.CloseIngest()
 }

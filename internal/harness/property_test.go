@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,58 +124,22 @@ func TestQuickCrossEngineEquality(t *testing.T) {
 func TestQuickCrashRecovery(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-
-		var edges []graphio.Edge
-		var err error
-		if rng.Intn(2) == 0 {
-			edges, err = gen.Uniform(uint32(40+rng.Intn(200)), 150+rng.Intn(600), rng.Int63(), true)
-		} else {
-			edges, err = gen.Grid(3+rng.Intn(10), 3+rng.Intn(10))
+		s, err := randSetup(rng, 2)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
-		if err != nil || len(edges) == 0 {
-			return err == nil
-		}
-		n := graphio.NumVertices(edges)
-
-		// One geometry for both devices, so the reference and the crashed
-		// run see identical layouts.
-		devCfg := ssd.Config{
-			PageSize: 128 << rng.Intn(4),
-			Channels: 1 + rng.Intn(8),
-		}
-		budget := int64(256 + rng.Intn(4096))
-		mem := int64(4096 + rng.Intn(1<<16))
-		mkEnv := func() (*Env, error) {
-			dev := ssd.MustOpen(devCfg)
-			g, err := csr.Build(dev, "q", edges, csr.BuildOptions{
-				NumVertices:    n,
-				IntervalBudget: budget,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &Env{Dev: dev, Graph: g, DS: Dataset{Name: "q", Edges: edges, N: n},
-				MemBudget: mem, PageSize: dev.PageSize()}, nil
-		}
-
-		src := uint32(rng.Intn(int(n)))
-		progs := []func() vc.Program{
-			func() vc.Program { return &apps.PageRank{} },
-			func() vc.Program { return &apps.BFS{Source: src} },
-			func() vc.Program { return &apps.CDLP{} },
-			func() vc.Program { return &apps.WCC{} },
-		}
-		mkProg := progs[rng.Intn(len(progs))]
-		steps := 4 + rng.Intn(8)
 		every := 1 + rng.Intn(3) // random checkpoint interval
-		opts := RunOpts{MaxSupersteps: steps, Workers: 1 + rng.Intn(4)}
+		opts := RunOpts{MaxSupersteps: s.steps, Workers: 1 + rng.Intn(4)}
 
-		env, err := mkEnv()
+		// Two builds of one setup, so the reference and the crashed run
+		// see identical layouts.
+		env, err := s.env("", false)
 		if err != nil {
 			t.Logf("build: %v", err)
 			return false
 		}
-		_, want, err := RunMLVC(env, mkProg(), opts)
+		_, want, err := RunMLVC(env, s.mkProg(), opts)
 		if err != nil {
 			t.Logf("reference: %v", err)
 			return false
@@ -185,7 +150,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 			return true
 		}
 
-		env, err = mkEnv()
+		env, err = s.env("", false)
 		if err != nil {
 			t.Logf("build: %v", err)
 			return false
@@ -205,12 +170,12 @@ func TestQuickCrashRecovery(t *testing.T) {
 		env.Dev.SetFaults(plan)
 		ckOpts := opts
 		ckOpts.CheckpointEvery = every
-		_, got, err := RunMLVC(env, mkProg(), ckOpts)
+		_, got, err := RunMLVC(env, s.mkProg(), ckOpts)
 		switch {
 		case err == nil:
 			// The fault credit outlived the checkpointing run; nothing
 			// crashed, so the values must already match.
-			return equalValues(t, seed, got, want)
+			return sameValues(t, seed, got, want)
 		case corrupting && errors.Is(err, core.ErrCorruptData):
 			// Corruption outran the rollback budget before the crash hit:
 			// a classified failure, which the property accepts.
@@ -223,7 +188,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 		plan.Crash = false
 		env.Dev.SetFaults(plan)
 		ckOpts.Resume = true
-		_, got, err = RunMLVC(env, mkProg(), ckOpts)
+		_, got, err = RunMLVC(env, s.mkProg(), ckOpts)
 		if err != nil {
 			if corrupting && errors.Is(err, core.ErrCorruptData) {
 				return true
@@ -231,7 +196,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 			t.Logf("seed %d: resume after crash at depth %d (every %d): %v", seed, depth, every, err)
 			return false
 		}
-		return equalValues(t, seed, got, want)
+		return sameValues(t, seed, got, want)
 	}
 	// A fixed case ahead of the random ones: corruption on the message log
 	// forces a rollback whose checkpoint read meets the crash, so ckpt.Load
@@ -248,16 +213,10 @@ func TestQuickCrashRecovery(t *testing.T) {
 	}
 }
 
-func equalValues(t *testing.T, seed int64, got, want []uint32) bool {
-	if len(got) != len(want) {
-		t.Logf("seed %d: value count %d != %d", seed, len(got), len(want))
+func sameValues(t *testing.T, seed int64, got, want []uint32) bool {
+	if !slices.Equal(got, want) {
+		t.Logf("seed %d: values differ from the uninterrupted run", seed)
 		return false
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Logf("seed %d: value[%d] %d != %d", seed, i, got[i], want[i])
-			return false
-		}
 	}
 	return true
 }

@@ -1,23 +1,16 @@
 package harness
 
 import (
-	"fmt"
-	"time"
-
 	"multilogvc/internal/apps"
-	"multilogvc/internal/metrics"
 	"multilogvc/internal/vc"
 )
 
-// Serving-throughput experiment: how much device IO multi-source query
-// batching saves. The daemon (cmd/mlvcd) coalesces K compatible point
-// queries into one lane-batched MultiBFS execution; here we replay that
-// shape deterministically — the same 16 queries answered in executions
-// of batch 1 (sequential singles), 4, and 16 — on an uncached device, so
-// pages-per-query is a pure function of the message flow and CI can gate
-// on it via the benchmark snapshot.
+// The daemon's query shapes, replayed deterministically: the benchmark
+// snapshot gates the batch-16 lane-batched MultiBFS execution uncached,
+// so its pages per query are a pure function of the message flow, and
+// the serving soak queries the same sources over HTTP.
 
-// servingQueries is the fixed query count every batch size must answer.
+// servingQueries is the query count of the snapshot's batched shape.
 const servingQueries = 16
 
 // ServingSources spreads k deterministic query sources across [0, n):
@@ -46,47 +39,4 @@ func servingProg(group []uint32) vc.Program {
 		panic(err)
 	}
 	return p
-}
-
-// Serving measures pages per query and host-side throughput for the same
-// 16 BFS point queries answered at batch sizes 1, 4, and 16 — the
-// mlvc-bench face of the daemon's batching contract.
-func Serving(size Size) (*metrics.Table, error) {
-	cf, err := CFMini(size)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("serving: %d BFS queries on %s, uncached, by batch size", servingQueries, cf.Name),
-		Headers: []string{"batch", "executions", "pages read/query", "pages written/query", "storage time/query", "qps (host)"},
-	}
-	sources := ServingSources(cf.N, servingQueries)
-	for _, batch := range []int{1, 4, 16} {
-		env, err := Prepare(cf, EnvOptions{CacheMB: -1})
-		if err != nil {
-			return nil, err
-		}
-		var pagesRead, pagesWritten uint64
-		var storage time.Duration
-		start := time.Now()
-		for off := 0; off < servingQueries; off += batch {
-			rep, _, err := RunMLVC(env, servingProg(sources[off:off+batch]), RunOpts{MaxSupersteps: 50})
-			if err != nil {
-				return nil, err
-			}
-			pagesRead += rep.PagesRead
-			pagesWritten += rep.PagesWritten
-			storage += rep.StorageTime
-		}
-		wall := time.Since(start)
-		t.AddRow(
-			fmt.Sprint(batch),
-			fmt.Sprint(servingQueries/batch),
-			fmt.Sprintf("%.1f", float64(pagesRead)/servingQueries),
-			fmt.Sprintf("%.1f", float64(pagesWritten)/servingQueries),
-			metrics.D(storage/servingQueries),
-			fmt.Sprintf("%.1f", float64(servingQueries)/wall.Seconds()),
-		)
-	}
-	return t, nil
 }

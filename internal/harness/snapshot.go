@@ -178,7 +178,7 @@ func TakeSnapshot(size Size) (*Snapshot, error) {
 	// The durable-ingest shape: the fixed mutation stream through the
 	// sync-flushed WAL plus one crash-atomic merge. Uncached and
 	// fixed-seed, so page counts and WAL bytes gate deterministically.
-	ir, err := runIngestBench(cf, true, 0)
+	ingest, wall, err := runIngestBench(cf)
 	if err != nil {
 		return nil, err
 	}
@@ -187,13 +187,13 @@ func TakeSnapshot(size Size) (*Snapshot, error) {
 		App:           ingestApp,
 		Graph:         cf.Name,
 		Deterministic: true,
-		PagesRead:     ir.IO.PagesRead,
-		PagesWritten:  ir.IO.PagesWritten,
-		StorageNS:     int64(ir.IO.StorageTime()),
-		WallNS:        int64(ir.Wall),
-		Retries:       ir.IO.Retries,
+		PagesRead:     ingest.PagesRead,
+		PagesWritten:  ingest.PagesWritten,
+		StorageNS:     int64(ingest.StorageTime()),
+		WallNS:        int64(wall),
+		Retries:       ingest.Retries,
 	}
-	for i, st := range ir.IO.Stages {
+	for i, st := range ingest.Stages {
 		if st.PagesRead == 0 && st.PagesWritten == 0 {
 			continue
 		}

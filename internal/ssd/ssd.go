@@ -603,9 +603,11 @@ func (d *Device) OpenOrCreate(name string) (*File, error) {
 	return d.Create(name)
 }
 
-// Remove deletes a file and releases its pages. The store is closed
-// outside the device lock (file locks are never acquired under it), so a
-// reclaimer invoked mid-write can remove stale files without deadlocking.
+// Remove deletes a file and releases its pages; on a disk-backed device
+// the backing file and its checksum sidecar are unlinked, so a later Open
+// of the directory does not adopt it. The store is released outside the
+// device lock (file locks are never acquired under it), so a reclaimer
+// invoked mid-write can remove stale files without deadlocking.
 func (d *Device) Remove(name string) error {
 	d.mu.Lock()
 	f, ok := d.files[name]
@@ -618,7 +620,7 @@ func (d *Device) Remove(name string) error {
 	d.mu.Unlock()
 	f.s.mu.Lock()
 	np := f.s.store.numPages()
-	err := f.s.store.close()
+	err := f.s.store.remove()
 	f.s.mu.Unlock()
 	if c := f.cache(); c != nil {
 		c.InvalidateFile(f.id, np)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
@@ -510,6 +511,37 @@ func TestDiskBacking(t *testing.T) {
 	}
 	if err := d.Remove("sub/data.bin"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveUnlinksOnDisk: a removed file leaves nothing behind in the
+// backing directory, so a device reopened over it adopts no removed file
+// and charges none of its pages.
+func TestRemoveUnlinksOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{PageSize: 128, Channels: 2, Dir: dir}
+	d := MustOpen(cfg)
+	for _, name := range []string{"a", "b.q1.x", "b.q1.y"} {
+		f, err := d.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AppendPages(make([]byte, 3*128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := d.RemovePrefix("b.q1."); n != 2 || err != nil {
+		t.Fatalf("RemovePrefix removed %d: %v", n, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("directory after removing every file: %v (%v)", ents, err)
+	}
+	re := MustOpen(cfg)
+	if got := re.ListFiles(); len(got) != 0 || re.usedPages != 0 {
+		t.Fatalf("reopened device adopted %v and charges %d pages", got, re.usedPages)
 	}
 }
 

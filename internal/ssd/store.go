@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,7 +25,9 @@ type store interface {
 	getCRC(idx int) (uint32, bool)
 	numPages() int
 	truncate(pages int) error
-	close() error
+	// remove releases the store for good: RAM pages go back to the pool,
+	// a disk file and its sidecar are closed and unlinked.
+	remove() error
 }
 
 // crcSidecarSuffix names the on-disk checksum region of a disk-backed
@@ -147,7 +150,7 @@ func (m *memStore) truncate(pages int) error {
 	return nil
 }
 
-func (m *memStore) close() error {
+func (m *memStore) remove() error {
 	m.pool.put(m.pages)
 	m.pages = nil
 	m.crcs = nil
@@ -160,6 +163,7 @@ func (m *memStore) close() error {
 // (resume, scrub) can verify pages it did not write.
 type diskStore struct {
 	pageSize int
+	path     string
 	f        *os.File
 	sc       *os.File // checksum sidecar
 	npages   int
@@ -186,7 +190,7 @@ func newDiskStore(dir, name string, pageSize int) (*diskStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("ssd: open checksum sidecar for %q: %w", name, err)
 	}
-	d := &diskStore{pageSize: pageSize, f: f, sc: sc, npages: int(st.Size()) / pageSize}
+	d := &diskStore{pageSize: pageSize, path: path, f: f, sc: sc, npages: int(st.Size()) / pageSize}
 	if err := d.loadSidecar(); err != nil {
 		f.Close()
 		sc.Close()
@@ -275,12 +279,9 @@ func (d *diskStore) truncate(pages int) error {
 	return nil
 }
 
-func (d *diskStore) close() error {
-	err := d.f.Close()
-	if cerr := d.sc.Close(); err == nil {
-		err = cerr
-	}
-	return err
+func (d *diskStore) remove() error {
+	return errors.Join(d.f.Close(), d.sc.Close(),
+		os.Remove(d.path), os.Remove(d.path+crcSidecarSuffix))
 }
 
 // sanitize maps a device file name to a filesystem-safe relative path.
