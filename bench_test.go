@@ -293,7 +293,7 @@ func BenchmarkRunPageRankDense(b *testing.B) {
 
 // BenchmarkRunBFSFrontier is bench/'s bfs_frontier workload in the same form:
 // a thin BFS frontier over ≈62 supersteps of a 512×512 small-world graph
-// behind a 4 MiB page cache with prefetch, smaller than the ≈6 MiB of CSR and
+// behind a 4 MiB page cache, smaller than the ≈6 MiB of CSR and
 // values — adjacency fetch, the cache's miss path and per-superstep cost.
 func BenchmarkRunBFSFrontier(b *testing.B) {
 	edges, err := gen.SmallWorld(512, 512, 2048, 1)

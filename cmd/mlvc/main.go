@@ -252,7 +252,6 @@ func cmdRun(args []string) error {
 	kcoreK := fs.Uint("k", 3, "kcore: minimum degree k")
 	perStep := fs.Bool("per-superstep", false, "print per-superstep stats")
 	cacheMB := fs.Int("cache-mb", 0, "page-cache size in MiB; 0 (default) runs uncached")
-	noPrefetch := fs.Bool("no-prefetch", false, "disable async next-interval prefetch (cache stays on)")
 	retries := fs.Int("retries", 0, "max retries per transient device fault; 0 = default (3), -1 disables")
 	timeout := fs.Duration("timeout", 0, "run deadline; expiry commits a checkpoint and exits 9 (0 disables)")
 	diskCap := fs.Int64("disk-cap", 0, "device byte quota; writes past it reclaim then exit 8 (0 = unlimited)")
@@ -352,7 +351,6 @@ func cmdRun(args []string) error {
 		DisableCombiner: *noCombiner,
 		Async:           *async,
 		Trace:           trace,
-		NoPrefetch:      *noPrefetch,
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
 		Interrupt:       interrupt,

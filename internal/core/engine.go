@@ -44,9 +44,9 @@ var ErrInterrupted = errors.New("core: run interrupted; checkpoint committed")
 
 // ErrDeadline is returned when the run context passed to RunCtx expires.
 // A deadline observed at a superstep boundary commits a checkpoint first
-// (the same graceful path as ErrInterrupted); one observed mid-superstep —
-// by the device retry layer or the prefetcher wait — surfaces without one,
-// but the newest periodic checkpoint (if any) remains valid for Resume.
+// (the same graceful path as ErrInterrupted); one observed mid-superstep
+// by the device retry layer surfaces without one, but the newest periodic
+// checkpoint (if any) remains valid for Resume.
 var ErrDeadline = errors.New("core: run deadline exceeded")
 
 // ErrPanic is returned when a panic escapes the engine — a vertex
@@ -113,11 +113,8 @@ type Config struct {
 	// cached reads on its own; the engine uses this handle for
 	// per-superstep counter deltas and live gauges.
 	Cache *pagecache.Cache
-	// Prefetcher, when non-nil (requires Cache), warms the next
-	// interval's message-log and CSR pages in the background while the
-	// current batch computes. The engine cancels pending work at every
-	// superstep boundary and releases pin epochs one batch after their
-	// pages are consumed. The caller owns the prefetcher's lifecycle.
+	// Prefetcher is ignored: an inert shell kept only because bench/
+	// still sets it (ROADMAP item 11 deletes it).
 	Prefetcher *pagecache.Prefetcher
 	// CheckpointEvery commits a checkpoint to the device every K superstep
 	// boundaries (see internal/ckpt). 0 disables checkpointing.
@@ -214,10 +211,9 @@ func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
 
 // RunCtx is Run bounded by a context. The context reaches every layer that
 // can stall: the superstep loop checks it at each boundary (committing a
-// checkpoint before returning ErrDeadline, like an interrupt), the device
-// retry layer abandons its backoff schedule when it expires, and the
-// prefetcher wait is cut short. A deadline expiry anywhere surfaces
-// classified as ErrDeadline.
+// checkpoint before returning ErrDeadline, like an interrupt), and the
+// device retry layer abandons its backoff schedule when it expires. A deadline
+// expiry anywhere surfaces classified as ErrDeadline.
 func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (res *superstep.Result, err error) {
 	// Contain panics from the run goroutine (engine stages, program
 	// callbacks reached outside the worker pool). Deferred cleanup below
@@ -243,7 +239,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (res *superstep.Re
 			return nil, fmt.Errorf("%w: %w", ErrCorruptData, err)
 		}
 	}
-	// Deadline expiry below a boundary (device retry, prefetcher wait)
+	// Deadline expiry below a boundary (device retry)
 	// propagates as a raw context error; classify it like the boundary path.
 	if err != nil && errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrDeadline) {
 		err = fmt.Errorf("%w: %w", ErrDeadline, err)

@@ -123,10 +123,8 @@ func TestLaneBatchBFSCachedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := pagecache.NewPrefetcher(8)
-	defer pf.Close()
 	res, err := New(g, Config{
-		MaxSupersteps: 50, Cache: cache, Prefetcher: pf,
+		MaxSupersteps: 50, Cache: cache,
 		RunTag: "cbatch", Ephemeral: true, Scope: ssd.NewScope(),
 	}).Run(prog)
 	if err != nil {
@@ -140,16 +138,13 @@ func TestLaneBatchBFSCachedParity(t *testing.T) {
 			}
 		}
 	}
-	if p := cache.PinnedPages(); p != 0 {
-		t.Fatalf("%d pages left pinned after run", p)
-	}
 }
 
 // TestConcurrentScopedEngineRuns is the serving shape: two engine runs
 // over one resident graph, one shared device and page cache, each with
-// its own run tag, IO scope, and prefetcher. Under -race this doubles as
-// the cross-run interference audit: results must be untouched by the
-// neighbor, no pins may leak, and each scope must see only its own IO.
+// its own run tag and IO scope. Under -race this doubles as the cross-run
+// interference audit: results must be untouched by the neighbor, and each
+// scope must see only its own IO.
 func TestConcurrentScopedEngineRuns(t *testing.T) {
 	edges, n := rmatEdges(t, 9, 8, 47)
 	g := buildGraph(t, edges, n, 2048)
@@ -176,11 +171,9 @@ func TestConcurrentScopedEngineRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pf := pagecache.NewPrefetcher(8)
-			defer pf.Close()
 			tag := []string{"qa", "qb"}[i]
 			res, err := New(g, Config{
-				MaxSupersteps: 50, Cache: cache, Prefetcher: pf,
+				MaxSupersteps: 50, Cache: cache,
 				RunTag: tag, Ephemeral: true, Scope: scopes[i],
 			}).Run(&apps.BFS{Source: srcs[i]})
 			if err != nil {
@@ -203,9 +196,6 @@ func TestConcurrentScopedEngineRuns(t *testing.T) {
 		if scopes[i].Stats().PagesRead == 0 {
 			t.Fatalf("run %d: scope saw no reads", i)
 		}
-	}
-	if p := cache.PinnedPages(); p != 0 {
-		t.Fatalf("%d pages left pinned after concurrent runs", p)
 	}
 	for _, name := range dev.ListFiles() {
 		if strings.HasPrefix(name, "g.qa.") || strings.HasPrefix(name, "g.qb.") {

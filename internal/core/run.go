@@ -229,13 +229,6 @@ func (r *run) open(resume bool) error {
 // close runs on every exit of the attempt, success or not.
 func (r *run) close() {
 	r.vertexPlane = vertexPlane{} // the batch buffers die with the attempt
-	// Drop the pin epochs covering in-flight batches, or the pinned frames
-	// would stay unevictable for the life of the cache.
-	if pf := r.cfg.Prefetcher; pf != nil {
-		pf.CancelPending()
-		pf.WaitIdle()
-		pf.ReleaseAll()
-	}
 	if r.unregister != nil {
 		r.unregister()
 	}
@@ -255,23 +248,15 @@ func (r *run) Pending() bool { return r.carry.Any() || r.curLog.Total() > 0 }
 // Superstep follows Algorithm 1: every (fused) interval's log is loaded,
 // sorted and processed in turn, then the boundary work runs — structural
 // mutations, the next-generation log flush, the generation swap.
-func (r *run) Superstep(ctx context.Context, step int, ss *metrics.SuperstepStats) error {
+func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats) error {
 	r.step, r.muts = step, r.muts[:0]
 	ivs := r.g.Intervals()
 	ss.MsgSkew = intervalSkew(r.curLog, len(ivs))
 
-	pf := r.cfg.Prefetcher
-	var pfEpoch uint64 // pins covering the batch about to be processed
 	for ivStart := 0; ivStart < len(ivs); {
 		batch, err := r.loadSort(ivStart, ss)
 		if err != nil {
 			return err
-		}
-		// Warm the next batch's first interval in the background while
-		// this batch computes.
-		var nextEpoch uint64
-		if nextIv := batch.LastIv + 1; pf != nil && nextIv < len(ivs) {
-			nextEpoch = r.submitPrefetch(nextIv)
 		}
 		if err := r.drain(batch, ss); err != nil {
 			return err
@@ -280,27 +265,7 @@ func (r *run) Superstep(ctx context.Context, step int, ss *metrics.SuperstepStat
 		// this generation, so the device may reclaim their log pages
 		// under disk pressure.
 		r.curLog.MarkConsumed(batch.FirstIv, batch.LastIv)
-		if pf != nil {
-			// The pages pinned for this batch have been consumed; the
-			// ones pinned for the next batch stay until it finishes.
-			if pfEpoch != 0 {
-				pf.ReleaseEpoch(pfEpoch)
-			}
-			pfEpoch = nextEpoch
-		}
 		ivStart = batch.LastIv + 1
-	}
-	if pf != nil {
-		// Superstep boundary: stale predictions are worthless and the
-		// graph may mutate below — cancel queued jobs, wait out the one
-		// in flight (bounded by the run context), and drop every
-		// remaining pin.
-		pf.CancelPending()
-		waitErr := pf.WaitIdleCtx(ctx)
-		pf.ReleaseAll()
-		if waitErr != nil {
-			return waitErr
-		}
 	}
 	if err := r.applyMutations(); err != nil {
 		return err

@@ -38,7 +38,7 @@ func servingGraph(t testing.TB) (*csr.Graph, *pagecache.Cache) {
 
 // serveRun executes one lane-batched BFS exactly as serve.runEngine
 // configures it: pinned snapshot, private scratch namespace swept on exit,
-// its own IO scope, the shared cache with a private prefetcher.
+// its own IO scope, the shared cache.
 func serveRun(t testing.TB, g *csr.Graph, cache *pagecache.Cache, tag string, sources []uint32) (*superstep.Result, ssd.Stats) {
 	t.Helper()
 	prog, err := apps.NewMultiBFS(sources)
@@ -48,11 +48,9 @@ func serveRun(t testing.TB, g *csr.Graph, cache *pagecache.Cache, tag string, so
 	snap := g.Snapshot()
 	defer snap.Release()
 	sc := ssd.NewScope()
-	pf := pagecache.NewPrefetcher(8)
-	defer pf.Close()
 	res, err := New(snap.Graph(), Config{
 		MemoryBudget: servingBudget, MaxSupersteps: 100, Cache: cache,
-		RunTag: tag, Ephemeral: true, Scope: sc, Prefetcher: pf,
+		RunTag: tag, Ephemeral: true, Scope: sc,
 	}).RunCtx(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)

@@ -295,7 +295,7 @@ func (g *Graph) fill(side uint8, iv int, verts []uint32, pos []int32, a *Arena) 
 		}
 	}
 	var err error
-	if stats.RowPtrPages, err = g.readRowEntries(a, rowF, g.meta.Intervals[iv], verts, rowF.ReadPages); err != nil {
+	if stats.RowPtrPages, err = g.readRowEntries(a, rowF, g.meta.Intervals[iv], verts); err != nil {
 		return stats, err
 	}
 
@@ -401,11 +401,8 @@ func decodeU32(dst []uint32, src []byte) {
 // [start, end) edge offsets — laid out [start0, end0, start1, end1, ...] —
 // reading only the covering row-pointer pages, and returns how many those
 // were. It is where every load checks its input: verts inside the interval
-// and strictly ascending. The page read is indirected so the prefetcher's
-// planning path can issue it stage-tagged (its goroutine runs concurrently
-// with the engine's ambient device tag).
-func (g *Graph) readRowEntries(a *Arena, rowF *ssd.File, interval Interval, verts []uint32,
-	read func(pages []int, dst []byte) error) (int, error) {
+// and strictly ascending.
+func (g *Graph) readRowEntries(a *Arena, rowF *ssd.File, interval Interval, verts []uint32) (int, error) {
 	ps := int64(g.dev.PageSize())
 	a.pages = a.pages[:0]
 	for i, v := range verts {
@@ -420,7 +417,7 @@ func (g *Graph) readRowEntries(a *Arena, rowF *ssd.File, interval Interval, vert
 		a.pages = appendCover(a.pages, bLo, bLo+16, ps)
 	}
 	a.rowBuf = grown(a.rowBuf, len(a.pages)*int(ps))
-	if err := read(a.pages, a.rowBuf); err != nil {
+	if err := rowF.ReadPages(a.pages, a.rowBuf); err != nil {
 		return 0, err
 	}
 	a.rows = grown(a.rows, 2*len(verts))

@@ -18,7 +18,6 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
-	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
@@ -175,13 +174,10 @@ func (s chaosSetup) env(dir string, reopen bool) (*Env, error) {
 }
 
 // drainAudit is the check every soak case ends in: its device holds no
-// pinned cache page and no query or run-tag scratch (".q"), the
-// goroutines the case started have exited once they settle, and a
-// device backed by dir leaves nothing there beyond the files it lists.
+// query or run-tag scratch (".q"), the goroutines the case started have
+// exited once they settle, and a device backed by dir leaves nothing
+// there beyond the files it lists.
 func drainAudit(dev *ssd.Device, dir string, goroutines int) error {
-	if c, ok := dev.Cache().(*pagecache.Cache); ok && c.PinnedPages() != 0 {
-		return fmt.Errorf("%d cache pages left pinned", c.PinnedPages())
-	}
 	live := map[string]bool{}
 	for _, name := range dev.ListFiles() {
 		if strings.Contains(name, ".q") {

@@ -331,18 +331,15 @@ func TestChaosKitChecksFail(t *testing.T) {
 		return c, nd
 	}
 	// audit runs drainAudit over a directory-backed device holding one
-	// graph file and a cache, after spoil when the state is broken.
-	audit := func(t *testing.T, broken bool, spoil func(*ssd.Device, *pagecache.Cache, string) error) error {
+	// graph file, after spoil when the state is broken.
+	audit := func(t *testing.T, broken bool, spoil func(*ssd.Device, string) error) error {
 		dir := t.TempDir()
 		dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 1, Dir: dir})
-		cache := pagecache.New(4, 128)
-		dev.AttachCache(cache)
-		cache.Put(1, 0, make([]byte, 128), false)
 		if _, err := dev.Create("g.meta"); err != nil {
 			t.Fatal(err)
 		}
 		if broken {
-			if err := spoil(dev, cache, dir); err != nil {
+			if err := spoil(dev, dir); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -376,20 +373,14 @@ func TestChaosKitChecksFail(t *testing.T) {
 			c, nd := applied(t, true, stream, []csr.Mutation{a, b})
 			return c.check(nd)
 		}},
-		{"drain/leftover-pin", "pinned", func(t *testing.T, broken bool) error {
-			return audit(t, broken, func(_ *ssd.Device, c *pagecache.Cache, _ string) error {
-				c.Pin(1, 0)
-				return nil
-			})
-		}},
 		{"drain/scratch-file", "scratch", func(t *testing.T, broken bool) error {
-			return audit(t, broken, func(dev *ssd.Device, _ *pagecache.Cache, _ string) error {
+			return audit(t, broken, func(dev *ssd.Device, _ string) error {
 				_, err := dev.Create("g.q7.mlog.0")
 				return err
 			})
 		}},
 		{"drain/stray-dir-entry", "not on the device", func(t *testing.T, broken bool) error {
-			return audit(t, broken, func(_ *ssd.Device, _ *pagecache.Cache, dir string) error {
+			return audit(t, broken, func(_ *ssd.Device, dir string) error {
 				return os.WriteFile(filepath.Join(dir, "g.stray"), nil, 0o644)
 			})
 		}},

@@ -728,9 +728,9 @@ func ingestStream(n uint32) [][]csr.Mutation {
 // runIngestBench streams the fixed mutation sequence into a freshly
 // built, uncached copy of ds through the sync-flushed WAL, folds it down
 // with one crash-atomic merge, and returns the device traffic and wall
-// time of both.
-func runIngestBench(ds Dataset) (ssd.Stats, time.Duration, error) {
-	env, err := Prepare(ds, EnvOptions{CacheMB: -1})
+// time of both. A non-empty dir backs the device with files there.
+func runIngestBench(ds Dataset, dir string) (ssd.Stats, time.Duration, error) {
+	env, err := Prepare(ds, EnvOptions{CacheMB: -1, Dir: dir})
 	if err != nil {
 		return ssd.Stats{}, 0, err
 	}

@@ -273,11 +273,6 @@ func (env *Env) finish(engine string, prog vc.Program, o RunOpts, eng runner) (*
 
 // RunMLVC runs prog on the MultiLogVC engine.
 func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	var pf *pagecache.Prefetcher
-	if env.Cache != nil {
-		pf = pagecache.NewPrefetcher(8)
-		defer pf.Close()
-	}
 	eng := core.New(env.Graph, core.Config{
 		MemoryBudget:    o.budget(env),
 		SortBudget:      o.SortBudget,
@@ -289,7 +284,6 @@ func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, e
 		Workers:         o.Workers,
 		UtilThreshold:   o.UtilThreshold,
 		Cache:           env.Cache,
-		Prefetcher:      pf,
 		CheckpointEvery: o.CheckpointEvery,
 		Resume:          o.Resume,
 		Interrupt:       o.Interrupt,

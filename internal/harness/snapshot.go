@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"multilogvc/internal/apps"
@@ -16,9 +18,9 @@ import (
 // Continuous-benchmarking snapshots: a fixed suite of engine runs distilled
 // into a schema-versioned JSON file (BENCH_<size>.json). CI regenerates a
 // fresh snapshot on every push and diffs it against the committed baseline:
-// deterministic counter increases (page counts, supersteps, spills) fail the
-// build, wall-clock drift only warns — the virtual storage clock makes page
-// and device-time accounting reproducible in a way host timing never is.
+// counter increases (page counts, supersteps, spills) fail the build,
+// wall-clock drift only warns — the virtual storage clock makes page and
+// device-time accounting reproducible in a way host timing never is.
 
 // SnapshotSchemaVersion identifies the snapshot layout. Bump it when a
 // field changes meaning; Compare refuses to diff across versions.
@@ -34,27 +36,25 @@ type StageSnap struct {
 }
 
 // SnapEntry is one benchmark run's distilled result. Entries are keyed by
-// (Engine, App, Graph, CacheMB). Deterministic marks entries whose page
-// and superstep counters must be bit-identical between runs of the same
-// binary — uncached runs qualify (fixed-size log records make page counts
-// a pure function of the message flow); cached runs do not (prefetch
-// timing shifts hit/miss splits).
+// (Engine, App, Graph, CacheMB). Every counter but the host times is
+// bit-identical between runs of the same binary, cached runs included:
+// fixed-size log records make page counts a pure function of the message
+// flow, and the demand-only cache's hits are a pure function of the reads.
 type SnapEntry struct {
-	Engine        string      `json:"engine"`
-	App           string      `json:"app"`
-	Graph         string      `json:"graph"`
-	CacheMB       int         `json:"cache_mb"`
-	Deterministic bool        `json:"deterministic"`
-	Supersteps    int         `json:"supersteps"`
-	PagesRead     uint64      `json:"pages_read"`
-	PagesWritten  uint64      `json:"pages_written"`
-	StorageNS     int64       `json:"storage_ns"`
-	ComputeNS     int64       `json:"compute_ns"`
-	WallNS        int64       `json:"wall_ns"`
-	CacheHitRate  float64     `json:"cache_hit_rate"`
-	Spills        uint64      `json:"spills"`
-	Retries       uint64      `json:"retries"`
-	Stages        []StageSnap `json:"stages,omitempty"`
+	Engine       string      `json:"engine"`
+	App          string      `json:"app"`
+	Graph        string      `json:"graph"`
+	CacheMB      int         `json:"cache_mb"`
+	Supersteps   int         `json:"supersteps"`
+	PagesRead    uint64      `json:"pages_read"`
+	PagesWritten uint64      `json:"pages_written"`
+	StorageNS    int64       `json:"storage_ns"`
+	ComputeNS    int64       `json:"compute_ns"`
+	WallNS       int64       `json:"wall_ns"`
+	CacheHitRate float64     `json:"cache_hit_rate"`
+	Spills       uint64      `json:"spills"`
+	Retries      uint64      `json:"retries"`
+	Stages       []StageSnap `json:"stages,omitempty"`
 }
 
 // Key identifies the entry across snapshots.
@@ -91,22 +91,21 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	return &s, nil
 }
 
-func entryFromReport(r *metrics.Report, cacheMB int, deterministic bool) SnapEntry {
+func entryFromReport(r *metrics.Report, cacheMB int) SnapEntry {
 	e := SnapEntry{
-		Engine:        r.Engine,
-		App:           r.App,
-		Graph:         r.Graph,
-		CacheMB:       cacheMB,
-		Deterministic: deterministic,
-		Supersteps:    len(r.Supersteps),
-		PagesRead:     r.PagesRead,
-		PagesWritten:  r.PagesWritten,
-		StorageNS:     int64(r.StorageTime),
-		ComputeNS:     int64(r.ComputeTime),
-		WallNS:        int64(r.WallTime),
-		CacheHitRate:  r.CacheHitRate(),
-		Spills:        r.Spills,
-		Retries:       r.Retries,
+		Engine:       r.Engine,
+		App:          r.App,
+		Graph:        r.Graph,
+		CacheMB:      cacheMB,
+		Supersteps:   len(r.Supersteps),
+		PagesRead:    r.PagesRead,
+		PagesWritten: r.PagesWritten,
+		StorageNS:    int64(r.StorageTime),
+		ComputeNS:    int64(r.ComputeTime),
+		WallNS:       int64(r.WallTime),
+		CacheHitRate: r.CacheHitRate(),
+		Spills:       r.Spills,
+		Retries:      r.Retries,
 	}
 	for _, st := range r.Stages {
 		e.Stages = append(e.Stages, StageSnap{
@@ -132,9 +131,19 @@ func sizeName(size Size) string {
 
 // TakeSnapshot runs the benchmark suite at the given size and distills it
 // into a Snapshot. The suite covers all three engines on the paper's two
-// workhorse apps, a sparser-graph run, and one cached MultiLogVC run
-// (nondeterministic, tracked warn-only).
-func TakeSnapshot(size Size) (*Snapshot, error) {
+// workhorse apps, a sparser-graph run, one cached MultiLogVC run, the
+// serving batch shape and the durable-ingest shape.
+func TakeSnapshot(size Size) (*Snapshot, error) { return takeSnapshot(size, "") }
+
+// takeSnapshot is TakeSnapshot with each run's device backed by files in a
+// subdirectory of dir of its own; an empty dir keeps every device in RAM.
+func takeSnapshot(size Size, dir string) (*Snapshot, error) {
+	devDir := func(run int) string {
+		if dir == "" {
+			return ""
+		}
+		return filepath.Join(dir, strconv.Itoa(run))
+	}
 	cf, err := CFMini(size)
 	if err != nil {
 		return nil, err
@@ -164,8 +173,8 @@ func TakeSnapshot(size Size) (*Snapshot, error) {
 		// deterministically like any other engine counter.
 		{cf, func() vc.Program { return servingProg(ServingSources(cf.N, servingQueries)) }, RunMLVC, 0},
 	}
-	for _, sp := range specs {
-		env, err := Prepare(sp.ds, EnvOptions{CacheMB: cacheOpt(sp.cacheMB)})
+	for i, sp := range specs {
+		env, err := Prepare(sp.ds, EnvOptions{CacheMB: cacheOpt(sp.cacheMB), Dir: devDir(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -173,25 +182,24 @@ func TakeSnapshot(size Size) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		snap.Entries = append(snap.Entries, entryFromReport(rep, sp.cacheMB, sp.cacheMB == 0))
+		snap.Entries = append(snap.Entries, entryFromReport(rep, sp.cacheMB))
 	}
 	// The durable-ingest shape: the fixed mutation stream through the
 	// sync-flushed WAL plus one crash-atomic merge. Uncached and
 	// fixed-seed, so page counts and WAL bytes gate deterministically.
-	ingest, wall, err := runIngestBench(cf)
+	ingest, wall, err := runIngestBench(cf, devDir(len(specs)))
 	if err != nil {
 		return nil, err
 	}
 	ie := SnapEntry{
-		Engine:        "multilogvc",
-		App:           ingestApp,
-		Graph:         cf.Name,
-		Deterministic: true,
-		PagesRead:     ingest.PagesRead,
-		PagesWritten:  ingest.PagesWritten,
-		StorageNS:     int64(ingest.StorageTime()),
-		WallNS:        int64(wall),
-		Retries:       ingest.Retries,
+		Engine:       "multilogvc",
+		App:          ingestApp,
+		Graph:        cf.Name,
+		PagesRead:    ingest.PagesRead,
+		PagesWritten: ingest.PagesWritten,
+		StorageNS:    int64(ingest.StorageTime()),
+		WallNS:       int64(wall),
+		Retries:      ingest.Retries,
 	}
 	for i, st := range ingest.Stages {
 		if st.PagesRead == 0 && st.PagesWritten == 0 {
@@ -220,23 +228,12 @@ func cacheOpt(mb int) int {
 	return mb
 }
 
-// Compare's warn thresholds.
-const (
-	// wallTolPct is the wall-time drift, in percent either way, that warns.
-	wallTolPct = 50
-	// pageTolPct is the page-count or storage-time drift of a
-	// nondeterministic (cached) entry that warns.
-	pageTolPct = 10
-	// minPages is the absolute floor below which nondeterministic
-	// page-count drift is ignored: a prefetcher warming 12 pages one run
-	// and 0 the next is scheduling noise, not a trend, and percent
-	// thresholds explode on small denominators.
-	minPages = 64
-)
+// wallTolPct is the wall-time drift, in percent either way, that warns.
+const wallTolPct = 50
 
 // DiffResult is the outcome of a baseline comparison. Regressions fail
 // the CI gate; warnings are informational (wall drift, stale-baseline
-// improvements, nondeterministic page drift).
+// improvements).
 type DiffResult struct {
 	Regressions []string
 	Warnings    []string
@@ -252,12 +249,12 @@ func pctDrift(base, fresh int64) float64 {
 	return 100 * float64(fresh-base) / float64(base)
 }
 
-// Compare diffs a fresh snapshot against the committed baseline. On
-// deterministic entries any page-count, superstep, spill, or retry
-// increase — total or per-stage — is a regression, and decreases warn that
-// the baseline is stale; virtual device time, total and per-stage, is a
-// pure function of (graph, program, config) and must match exactly. Wall
-// time always warns only.
+// Compare diffs a fresh snapshot against the committed baseline. On every
+// entry any page-count, superstep, spill, or retry increase — total or
+// per-stage — is a regression, and decreases warn that the baseline is
+// stale; virtual device time, total and per-stage, is a pure function of
+// (graph, program, config) and must match exactly. Wall time always warns
+// only.
 func Compare(base, fresh *Snapshot) *DiffResult {
 	d := &DiffResult{}
 	if base.SchemaVersion != fresh.SchemaVersion {
@@ -305,13 +302,6 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 	counter := func(name string, base, fresh uint64) {
 		switch {
 		case fresh == base:
-		case !b.Deterministic:
-			if base < minPages && fresh < minPages {
-				return
-			}
-			if drift := pctDrift(int64(base), int64(fresh)); drift > pageTolPct || drift < -pageTolPct {
-				warn("%s drifted %+.1f%% (%d -> %d, nondeterministic entry)", name, drift, base, fresh)
-			}
 		case fresh > base:
 			regress("%s increased %d -> %d (+%.1f%%)", name, base, fresh, pctDrift(int64(base), int64(fresh)))
 		default:
@@ -322,7 +312,7 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 	counter("pages_written", b.PagesWritten, f.PagesWritten)
 	counter("spills", b.Spills, f.Spills)
 	counter("retries", b.Retries, f.Retries)
-	if b.Deterministic && f.Supersteps != b.Supersteps {
+	if f.Supersteps != b.Supersteps {
 		regress("superstep count changed %d -> %d", b.Supersteps, f.Supersteps)
 	}
 
@@ -333,7 +323,7 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 	stage := func(bs, fs StageSnap) {
 		counter("stage["+fs.Stage+"].pages_read", bs.PagesRead, fs.PagesRead)
 		counter("stage["+fs.Stage+"].pages_written", bs.PagesWritten, fs.PagesWritten)
-		if b.Deterministic && fs.TimeNS != bs.TimeNS {
+		if fs.TimeNS != bs.TimeNS {
 			regress("stage[%s].time_ns changed %d -> %d", fs.Stage, bs.TimeNS, fs.TimeNS)
 		}
 	}
@@ -351,12 +341,8 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 		}
 	}
 
-	switch drift := pctDrift(b.StorageNS, f.StorageNS); {
-	case b.Deterministic && f.StorageNS != b.StorageNS:
+	if f.StorageNS != b.StorageNS {
 		regress("storage_ns changed %d -> %d", b.StorageNS, f.StorageNS)
-	case drift > pageTolPct || drift < -pageTolPct:
-		warn("storage time drifted %+.1f%% (%s -> %s)", drift,
-			time.Duration(b.StorageNS), time.Duration(f.StorageNS))
 	}
 	if drift := pctDrift(b.WallNS, f.WallNS); drift > wallTolPct || drift < -wallTolPct {
 		warn("wall time drifted %+.1f%% (%s -> %s)", drift,

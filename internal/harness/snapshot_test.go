@@ -25,9 +25,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if e.PagesRead == 0 || (e.Supersteps == 0 && e.App != ingestApp) {
 			t.Fatalf("empty entry %s: %+v", e.Key(), e)
 		}
-		if e.Deterministic != (e.CacheMB == 0) {
-			t.Fatalf("determinism flag wrong for %s", e.Key())
-		}
 		// Per-stage pages must partition the entry's totals exactly.
 		var pr, pw uint64
 		for _, st := range e.Stages {
@@ -59,8 +56,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDeterministicEntriesRepeat verifies the claim the CI gate
-// rests on: deterministic (uncached) entries produce bit-identical page,
-// superstep, and per-stage counters on a second run of the same suite.
+// rests on: every entry, the cached one included, produces bit-identical
+// page, superstep, storage-time and per-stage counters on a second run of
+// the same suite.
 func TestSnapshotDeterministicEntriesRepeat(t *testing.T) {
 	a, err := TakeSnapshot(Tiny)
 	if err != nil {
@@ -73,15 +71,16 @@ func TestSnapshotDeterministicEntriesRepeat(t *testing.T) {
 	if len(a.Entries) != len(b.Entries) {
 		t.Fatalf("entry counts differ: %d vs %d", len(a.Entries), len(b.Entries))
 	}
+	cached := 0
 	for i, ea := range a.Entries {
 		eb := b.Entries[i]
 		if ea.Key() != eb.Key() {
 			t.Fatalf("entry order differs at %d: %s vs %s", i, ea.Key(), eb.Key())
 		}
-		if !ea.Deterministic {
-			continue
+		if ea.CacheMB > 0 {
+			cached++
 		}
-		if ea.PagesRead != eb.PagesRead || ea.PagesWritten != eb.PagesWritten ||
+		if ea.PagesRead != eb.PagesRead || ea.PagesWritten != eb.PagesWritten || ea.StorageNS != eb.StorageNS ||
 			ea.Supersteps != eb.Supersteps || ea.Spills != eb.Spills || ea.Retries != eb.Retries {
 			t.Fatalf("%s: counters differ between runs:\n%+v\n%+v", ea.Key(), ea, eb)
 		}
@@ -89,7 +88,10 @@ func TestSnapshotDeterministicEntriesRepeat(t *testing.T) {
 			t.Fatalf("%s: stage rows differ between runs:\n%+v\n%+v", ea.Key(), ea.Stages, eb.Stages)
 		}
 	}
-	// The deterministic entries must diff clean through the gate too.
+	if cached == 0 {
+		t.Fatal("the suite has no cached entry")
+	}
+	// The entries must diff clean through the gate too.
 	d := Compare(a, b)
 	if !d.OK() {
 		t.Fatalf("repeat-run compare regressed: %v", d.Regressions)
@@ -97,22 +99,22 @@ func TestSnapshotDeterministicEntriesRepeat(t *testing.T) {
 }
 
 // TestCompareGateFires asserts the regression gate on synthetic data: a
-// seeded page-count increase on a deterministic entry fails, tolerated
-// nondeterministic drift stays quiet, and improvements only warn.
+// seeded page-count or virtual-time increase on any entry, cached or not,
+// fails, and improvements only warn.
 func TestCompareGateFires(t *testing.T) {
 	base := &Snapshot{
 		SchemaVersion: SnapshotSchemaVersion,
 		Size:          "small",
 		Entries: []SnapEntry{
-			{Engine: "multilogvc", App: "pagerank", Graph: "cf-mini", Deterministic: true,
+			{Engine: "multilogvc", App: "pagerank", Graph: "cf-mini",
 				Supersteps: 15, PagesRead: 1000, PagesWritten: 400,
 				Stages: []StageSnap{
 					{Stage: "vertex", PagesRead: 700, PagesWritten: 300},
 					{Stage: "sortgroup", PagesRead: 300, PagesWritten: 100},
 				}},
 			{Engine: "multilogvc", App: "pagerank", Graph: "cf-mini", CacheMB: 8,
-				Supersteps: 15, PagesRead: 800, PagesWritten: 400, WallNS: 1e9,
-				Stages: []StageSnap{{Stage: "prefetch", PagesRead: 12}}},
+				Supersteps: 15, PagesRead: 800, PagesWritten: 400, StorageNS: 5e7, WallNS: 1e9,
+				Stages: []StageSnap{{Stage: "vertex", PagesRead: 12}}},
 		},
 	}
 	clone := func() *Snapshot {
@@ -129,12 +131,12 @@ func TestCompareGateFires(t *testing.T) {
 		t.Fatalf("identical compare not clean: %+v", d)
 	}
 
-	// Seeded regression: deterministic total page count up.
+	// Seeded regression: total page count up.
 	worse := clone()
 	worse.Entries[0].PagesRead += 50
 	d := Compare(base, worse)
 	if d.OK() {
-		t.Fatal("gate did not fire on deterministic page-count increase")
+		t.Fatal("gate did not fire on page-count increase")
 	}
 	if !strings.Contains(strings.Join(d.Regressions, "\n"), "pages_read increased") {
 		t.Fatalf("unexpected regression text: %v", d.Regressions)
@@ -152,7 +154,7 @@ func TestCompareGateFires(t *testing.T) {
 	slower := clone()
 	slower.Entries[0].Stages[0].TimeNS += 70_000
 	if d := Compare(base, slower); d.OK() || !strings.Contains(strings.Join(d.Regressions, "\n"), "stage[vertex].time_ns") {
-		t.Fatalf("gate did not fire on deterministic time_ns drift: %+v", d)
+		t.Fatalf("gate did not fire on time_ns drift: %+v", d)
 	}
 
 	// Superstep count change is a regression in either direction.
@@ -162,29 +164,20 @@ func TestCompareGateFires(t *testing.T) {
 		t.Fatal("gate did not fire on superstep-count change")
 	}
 
-	// Nondeterministic drift within tolerance: silent.
-	cachedOK := clone()
-	cachedOK.Entries[1].PagesRead += 40 // +5% < 10% tolerance
-	if d := Compare(base, cachedOK); !d.OK() || len(d.Warnings) != 0 {
-		t.Fatalf("tolerated nondet drift not silent: %+v", d)
+	// The cached entry is gated exactly like the others: one page more on
+	// one stage, or one virtual nanosecond, fails.
+	cachedPage := clone()
+	cachedPage.Entries[1].Stages[0].PagesRead++
+	if d := Compare(base, cachedPage); d.OK() {
+		t.Fatal("gate did not fire on a cached entry's stage page increase")
+	}
+	cachedTime := clone()
+	cachedTime.Entries[1].StorageNS++
+	if d := Compare(base, cachedTime); d.OK() || !strings.Contains(strings.Join(d.Regressions, "\n"), "storage_ns") {
+		t.Fatalf("gate did not fire on a cached entry's storage_ns drift: %+v", d)
 	}
 
-	// Tiny absolute counts on nondeterministic entries stay quiet even at
-	// huge percent drift (prefetcher warming 12 pages one run, 0 the next).
-	cachedNoise := clone()
-	cachedNoise.Entries[1].Stages[0].PagesRead = 0 // -100%, but below minPages
-	if d := Compare(base, cachedNoise); !d.OK() || len(d.Warnings) != 0 {
-		t.Fatalf("sub-floor nondet drift not silent: %+v", d)
-	}
-
-	// Nondeterministic drift beyond tolerance: warns, does not fail.
-	cachedWarn := clone()
-	cachedWarn.Entries[1].PagesRead += 200 // +25%
-	if d := Compare(base, cachedWarn); !d.OK() || len(d.Warnings) == 0 {
-		t.Fatalf("large nondet drift should warn only: %+v", d)
-	}
-
-	// Improvement on a deterministic entry: warning (stale baseline).
+	// Improvement: warning (stale baseline).
 	better := clone()
 	better.Entries[0].PagesRead -= 100
 	better.Entries[0].Stages[0].PagesRead -= 100
@@ -209,5 +202,34 @@ func TestCompareGateFires(t *testing.T) {
 	vbump.SchemaVersion++
 	if d := Compare(base, vbump); d.OK() {
 		t.Fatal("gate did not fire on schema version mismatch")
+	}
+}
+
+// TestSnapshotStoreParity: virtual time and page counts belong to the
+// device model, not to the store behind it. The snapshot suite run on
+// file-backed devices must reproduce every entry of the committed
+// BENCH_small.json bit for bit in everything the gate holds: pages,
+// supersteps, spills, retries, storage time and every stage's pages and
+// time. The host times and the cache hit ratio, which the gate does not
+// hold, are left out.
+func TestSnapshotStoreParity(t *testing.T) {
+	base, err := LoadSnapshot(filepath.Join("..", "..", "BENCH_small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := takeSnapshot(Small, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Entries) != len(base.Entries) {
+		t.Fatalf("%d entries on files, %d committed", len(fresh.Entries), len(base.Entries))
+	}
+	for i, b := range base.Entries {
+		f := fresh.Entries[i]
+		b.ComputeNS, b.WallNS, b.CacheHitRate = 0, 0, 0
+		f.ComputeNS, f.WallNS, f.CacheHitRate = 0, 0, 0
+		if !reflect.DeepEqual(b, f) {
+			t.Errorf("%s differs on files:\ncommitted: %+v\nfiles:     %+v", b.Key(), b, f)
+		}
 	}
 }

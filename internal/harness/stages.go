@@ -9,7 +9,7 @@ import (
 
 // StageBreakdown attributes PageRank's device traffic to the pipeline
 // stages the engine tagged it with (vertex processing, sort+group, relog,
-// prefetch, checkpoint, spill) — the serial-time decomposition that tells
+// checkpoint, spill) — the serial-time decomposition that tells
 // you which stage an optimization must target. A final "(compute)" row
 // reports the host-side time not spent on the virtual device, so the
 // stage shares sum to a complete picture of where a superstep goes.

@@ -76,8 +76,7 @@ func TestStageParityAllEngines(t *testing.T) {
 }
 
 // TestStageParityCachedWithCheckpoints exercises the attribution layer's
-// hard cases at once: a page cache (hit/miss attribution, prefetcher
-// goroutine), checkpoints (IO folded into the superstep after the delta
+// hard cases at once: a page cache (hit/miss attribution), checkpoints (IO folded into the superstep after the delta
 // was taken), and a sort budget small enough to spill.
 func TestStageParityCachedWithCheckpoints(t *testing.T) {
 	ds, err := CFMini(Tiny)
@@ -112,14 +111,8 @@ func TestStageParityCachedWithCheckpoints(t *testing.T) {
 	if metrics.StageByName(rep.Stages, "vertex").PagesRead == 0 {
 		t.Fatal("vertex stage read nothing")
 	}
-	st := metrics.StageByName(rep.Stages, "sortgroup")
-	if st.PagesRead == 0 {
+	if metrics.StageByName(rep.Stages, "sortgroup").PagesRead == 0 {
 		t.Fatal("sortgroup stage read nothing")
-	}
-	// The prefetcher ran (cache attached), so some IO must carry its tag.
-	pf := metrics.StageByName(rep.Stages, "prefetch")
-	if pf.PagesRead == 0 {
-		t.Log("note: prefetch stage issued no reads this run (prediction may have warmed nothing)")
 	}
 }
 

@@ -43,12 +43,13 @@ type Counters struct {
 	// Page-cache accounting: deltas of the buffer pool's counters (see
 	// internal/pagecache). All zero when the run is uncached, which keeps
 	// omitempty exports byte-identical to pre-cache baselines.
-	CacheHits       uint64 `json:"cache_hits,omitempty"`
-	CacheMisses     uint64 `json:"cache_misses,omitempty"`
-	CacheEvictions  uint64 `json:"cache_evictions,omitempty"`
-	PrefetchInserts uint64 `json:"prefetch_inserts,omitempty"` // pages warmed by the prefetcher
-	PrefetchHits    uint64 `json:"prefetch_hits,omitempty"`    // warmed pages that saw a demand hit
-	PrefetchDropped uint64 `json:"prefetch_dropped,omitempty"` // warm attempts refused by backpressure
+	CacheHits      uint64 `json:"cache_hits,omitempty"`
+	CacheMisses    uint64 `json:"cache_misses,omitempty"`
+	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
+	// PrefetchDropped and PrefetchAccuracy are inert shells that always
+	// read 0, kept only because bench/ still reads them (ROADMAP item 11
+	// deletes them): the cache has no prefetcher.
+	PrefetchDropped uint64 `json:"prefetch_dropped,omitempty"`
 
 	// Fault-tolerance accounting: transient device faults absorbed by the
 	// retry layer, the retries spent doing so, and the backoff charged to
@@ -104,8 +105,6 @@ func (c *Counters) Add(o Counters) {
 	c.CacheHits += o.CacheHits
 	c.CacheMisses += o.CacheMisses
 	c.CacheEvictions += o.CacheEvictions
-	c.PrefetchInserts += o.PrefetchInserts
-	c.PrefetchHits += o.PrefetchHits
 	c.PrefetchDropped += o.PrefetchDropped
 	c.TransientFaults += o.TransientFaults
 	c.Retries += o.Retries
@@ -138,14 +137,8 @@ func (c Counters) CacheHitRate() float64 {
 	return 0
 }
 
-// PrefetchAccuracy returns the share of warmed pages that saw a demand
-// hit, or 0 when nothing was prefetched.
-func (c Counters) PrefetchAccuracy() float64 {
-	if c.PrefetchInserts > 0 {
-		return float64(c.PrefetchHits) / float64(c.PrefetchInserts)
-	}
-	return 0
-}
+// PrefetchAccuracy always returns 0; see PrefetchDropped.
+func (Counters) PrefetchAccuracy() float64 { return 0 }
 
 // SuperstepStats measures one superstep of one engine run.
 type SuperstepStats struct {
@@ -270,9 +263,8 @@ func (r *Report) String() string {
 		r.WallTime.Round(time.Microsecond),
 		r.PagesRead, r.PagesWritten, r.Converged)
 	if r.CacheHits+r.CacheMisses > 0 {
-		s += fmt.Sprintf("\n  cache: %.1f%% hit (%d hits, %d misses, %d evictions), prefetch: %d warmed, %.1f%% useful, %d dropped",
-			100*r.CacheHitRate(), r.CacheHits, r.CacheMisses, r.CacheEvictions,
-			r.PrefetchInserts, 100*r.PrefetchAccuracy(), r.PrefetchDropped)
+		s += fmt.Sprintf("\n  cache: %.1f%% hit (%d hits, %d misses, %d evictions)",
+			100*r.CacheHitRate(), r.CacheHits, r.CacheMisses, r.CacheEvictions)
 	}
 	if r.TransientFaults > 0 || r.Checkpoints > 0 || r.Resumed ||
 		r.CorruptPages > 0 || r.ElogHealed > 0 || r.Rollbacks > 0 {
@@ -310,7 +302,6 @@ type reportJSON struct {
 	Wall        string        `json:"wall"`
 	StorageFrac float64       `json:"storage_fraction"`
 	HitRate     float64       `json:"cache_hit_rate,omitempty"`
-	PrefetchAcc float64       `json:"prefetch_accuracy,omitempty"`
 }
 
 // MarshalJSON exports the report with derived totals included; durations
@@ -326,7 +317,6 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 		Wall:        r.WallTime.Round(time.Microsecond).String(),
 		StorageFrac: r.StorageFraction(),
 		HitRate:     r.CacheHitRate(),
-		PrefetchAcc: r.PrefetchAccuracy(),
 	})
 }
 

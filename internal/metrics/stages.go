@@ -136,7 +136,4 @@ func (s *SuperstepStats) AddCache(c pagecache.Stats) {
 	s.CacheHits += c.Hits
 	s.CacheMisses += c.Misses
 	s.CacheEvictions += c.Evictions
-	s.PrefetchInserts += c.PrefetchInserts
-	s.PrefetchHits += c.PrefetchHits
-	s.PrefetchDropped += c.PrefetchDropped
 }

@@ -97,7 +97,7 @@ func TestStageJSONRoundTrip(t *testing.T) {
 	r := sampleReport(10*time.Millisecond, 6*time.Millisecond)
 	r.Supersteps[0].Stages = []StageIO{
 		{Stage: "vertex", PagesRead: 80, PagesWritten: 20, Time: 4 * time.Millisecond, CacheMisses: 80},
-		{Stage: "prefetch", PagesRead: 20, Time: time.Millisecond},
+		{Stage: "relog", PagesRead: 20, Time: time.Millisecond},
 	}
 	r.Supersteps[0].IOSkew = 1.75
 	r.Supersteps[0].IntervalPages.Observe(32)

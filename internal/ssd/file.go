@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"multilogvc/internal/obsv"
 )
 
 // File is a named extent of pages on a Device.
@@ -106,10 +104,10 @@ func (f *File) ReadPage(idx int, buf []byte) error {
 	c := f.cache()
 	if c != nil {
 		if c.Get(f.id, idx, buf) {
-			f.dev.noteCache(1, 0, stageAmbient, f.scope)
+			f.dev.noteCache(1, 0, f.scope)
 			return nil
 		}
-		f.dev.noteCache(0, 1, stageAmbient, f.scope)
+		f.dev.noteCache(0, 1, f.scope)
 	}
 	if err := f.dev.opCheck(f.scope); err != nil {
 		return err
@@ -137,18 +135,6 @@ func (f *File) ReadPage(idx int, buf []byte) error {
 // virtual clock advances by the busiest channel's queue depth, modelling
 // asynchronous kernel IO over multiple flash channels.
 func (f *File) ReadPages(pages []int, dst []byte) error {
-	return f.readPagesStage(pages, dst, stageAmbient)
-}
-
-// ReadPagesTagged is ReadPages with the charge attributed to an explicit
-// stage instead of the device's current stage tag. Background issuers (the
-// prefetcher's expand step) use it so concurrent engine IO keeps its own
-// attribution.
-func (f *File) ReadPagesTagged(pages []int, dst []byte, st obsv.Stage) error {
-	return f.readPagesStage(pages, dst, st)
-}
-
-func (f *File) readPagesStage(pages []int, dst []byte, st obsv.Stage) error {
 	ps := f.dev.cfg.PageSize
 	if len(dst) != len(pages)*ps {
 		return ErrShortBuffer
@@ -157,7 +143,7 @@ func (f *File) readPagesStage(pages []int, dst []byte, st obsv.Stage) error {
 		return nil
 	}
 	if f.cache() != nil {
-		return f.readPagesCached(pages, dst, st)
+		return f.readPagesCached(pages, dst)
 	}
 	if err := f.dev.opCheck(f.scope); err != nil {
 		return err
@@ -176,7 +162,7 @@ func (f *File) readPagesStage(pages []int, dst []byte, st obsv.Stage) error {
 	}
 	f.s.mu.Unlock()
 	f.s.pagesRead.Add(uint64(len(pages)))
-	f.dev.chargeReadStage(len(pages), maxPerChannel(f.chanBase, f.dev.cfg.Channels, pages), st, f.scope)
+	f.dev.chargeRead(len(pages), maxPerChannel(f.chanBase, f.dev.cfg.Channels, pages), f.scope)
 	return nil
 }
 
@@ -195,7 +181,7 @@ func (f *File) ReadPageRange(start, n int, dst []byte) error {
 		for i := range pages {
 			pages[i] = start + i
 		}
-		return f.readPagesCached(pages, dst, stageAmbient)
+		return f.readPagesCached(pages, dst)
 	}
 	if err := f.dev.opCheck(f.scope); err != nil {
 		return err

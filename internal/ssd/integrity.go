@@ -9,9 +9,8 @@ import (
 
 // This file is the data-plane integrity layer: every page programmed
 // through File records a CRC32C in the store's sidecar region, and every
-// page that comes back from the store — demand reads, cache miss fills,
-// prefetch fills — is verified against it before any caller sees the
-// bytes. A mismatch surfaces as ErrCorruptPage and the page never enters
+// page that comes back from the store — demand reads and cache miss fills —
+// is verified against it before any caller sees the bytes. A mismatch surfaces as ErrCorruptPage and the page never enters
 // the page cache, so a corrupt page cannot be laundered into a clean hit.
 //
 // Corruption injection models silent flash corruption: a hit flips a bit

@@ -1,8 +1,7 @@
 package ssd_test
 
 // Integrity × page-cache interaction: a corrupt page must never be
-// laundered into a clean cache hit, and prefetch must not hide damage
-// from the demand path where recovery policy lives.
+// laundered into a clean cache hit.
 
 import (
 	"bytes"
@@ -29,35 +28,6 @@ func TestCorruptPageNeverCached(t *testing.T) {
 	// The second read must re-detect, not serve a laundered hit.
 	if err := f.ReadPage(1, buf); !errors.Is(err, ssd.ErrCorruptPage) {
 		t.Fatalf("repeat read err = %v, want ErrCorruptPage", err)
-	}
-}
-
-func TestWarmPagesSkipsCorrupt(t *testing.T) {
-	dev, c := newCachedDev(t, 16)
-	f := fillFile(t, dev, "data", 4)
-	if err := dev.CorruptStoredPage("data", 2); err != nil {
-		t.Fatal(err)
-	}
-
-	warmed, _, err := f.WarmPages([]int{0, 1, 2, 3}, false, nil)
-	if err != nil {
-		t.Fatalf("warm with one corrupt page errored: %v", err)
-	}
-	for _, p := range warmed {
-		if p == 2 {
-			t.Fatal("corrupt page reported as warmed")
-		}
-	}
-	if c.Contains(f.ID(), 2) {
-		t.Fatal("corrupt page cached by prefetch")
-	}
-	if !c.Contains(f.ID(), 0) || !c.Contains(f.ID(), 3) {
-		t.Fatal("healthy pages not warmed past the corrupt one")
-	}
-	// Demand read still detects the damage.
-	buf := make([]byte, ps)
-	if err := f.ReadPage(2, buf); !errors.Is(err, ssd.ErrCorruptPage) {
-		t.Fatalf("demand read err = %v, want ErrCorruptPage", err)
 	}
 }
 

@@ -291,9 +291,7 @@ type Device struct {
 	// stageTag packs the current pipeline stage and vertex interval (see
 	// SetStage). It is device-global: the engine's superstep loop is
 	// phase-scoped on one goroutine, so engine IO — including worker sends
-	// during vertex processing — inherits the right stage; the only
-	// background issuer, the prefetcher, charges StagePrefetch explicitly
-	// (WarmPages) instead of touching the tag.
+	// during vertex processing — inherits the right stage.
 	stageTag atomic.Uint64
 
 	// ivPages accumulates pages moved (read+written) per tagged interval,
@@ -301,10 +299,6 @@ type Device struct {
 	// interval-tagged charge.
 	ivPages map[int]uint64
 }
-
-// stageAmbient is the internal sentinel for "resolve the stage from the
-// device's current tag" on charge paths; explicit stages bypass the tag.
-const stageAmbient = obsv.Stage(0xFF)
 
 // packStage packs a stage and interval into one atomic word. Intervals are
 // stored +1 so the zero word reads back as (StageOther, -1).
@@ -362,17 +356,12 @@ type PageCache interface {
 	// Get copies the cached page into dst (when non-nil) and reports
 	// whether it was resident.
 	Get(fid uint32, page int, dst []byte) bool
-	// Put inserts a page copy. Prefetch inserts are subject to
-	// backpressure and may be refused; the return reports residency.
-	Put(fid uint32, page int, data []byte, prefetch bool) bool
-	// Contains reports residency without counting a hit or miss.
-	Contains(fid uint32, page int) bool
+	// Put inserts a page copy; the return reports residency. The fourth
+	// argument is ignored (an inert shell, see pagecache.Prefetcher).
+	Put(fid uint32, page int, data []byte, _ bool) bool
 	// Write updates the cached copy of a page if resident (write-through
 	// coherence); it never populates the cache.
 	Write(fid uint32, page int, data []byte)
-	// Pin marks a resident page non-evictable; Unpin releases one pin.
-	Pin(fid uint32, page int) bool
-	Unpin(fid uint32, page int)
 	// InvalidateFile drops the cached pages [0, pages) of a file; pages is
 	// the file's page count, so the cost follows the file, not the cache.
 	// A frame at page >= pages may survive (a read's Put runs after the file
@@ -735,20 +724,11 @@ func (s *Stats) addWriteBatch(npages, maxOnChan, pageSize, channels int, lat tim
 // chargeRead charges a batch of page reads to the virtual clock,
 // attributed to the issuing scope's current stage tag (nil scope = the
 // device-global tag). The batch completes when the busiest channel drains
-// its queue of maxOnChan pages.
+// its queue of maxOnChan pages. Charges always land in the device-global
+// stats; a non-nil scope additionally mirrors them into its private
+// counters for per-run accounting.
 func (d *Device) chargeRead(npages int, maxOnChan int, sc *IOScope) {
-	d.chargeReadStage(npages, maxOnChan, stageAmbient, sc)
-}
-
-// chargeReadStage is chargeRead with an explicit stage; stageAmbient
-// resolves the stage (and interval) from the issuing scope's tag. Charges
-// always land in the device-global stats; a non-nil scope additionally
-// mirrors them into its private counters for per-run accounting.
-func (d *Device) chargeReadStage(npages int, maxOnChan int, st obsv.Stage, sc *IOScope) {
-	iv := -1
-	if st == stageAmbient {
-		st, iv = d.stageOf(sc)
-	}
+	st, iv := d.stageOf(sc)
 	lat := time.Duration(maxOnChan) * d.cfg.PageReadLatency
 	d.mu.Lock()
 	d.stats.addReadBatch(npages, maxOnChan, d.cfg.PageSize, d.cfg.Channels, lat, st)
@@ -787,17 +767,15 @@ func (d *Device) chargeWrite(npages int, maxOnChan int, sc *IOScope) {
 	}
 }
 
-// noteCache attributes page-cache consult outcomes to a stage;
-// stageAmbient resolves from the issuing scope's tag. Called at the
-// device's cache consult points so per-stage hit/miss counts line up with
-// the cache's own counters (see pagecache.Stats).
-func (d *Device) noteCache(hits, misses int, st obsv.Stage, sc *IOScope) {
+// noteCache attributes page-cache consult outcomes to the issuing scope's
+// stage tag. Called at the device's cache consult points so per-stage
+// hit/miss counts line up with the cache's own counters (see
+// pagecache.Stats).
+func (d *Device) noteCache(hits, misses int, sc *IOScope) {
 	if hits == 0 && misses == 0 {
 		return
 	}
-	if st == stageAmbient {
-		st, _ = d.stageOf(sc)
-	}
+	st, _ := d.stageOf(sc)
 	d.mu.Lock()
 	d.stats.Stages[st].CacheHits += uint64(hits)
 	d.stats.Stages[st].CacheMisses += uint64(misses)

@@ -140,33 +140,3 @@ func TestStageCacheAttribution(t *testing.T) {
 			sum.CacheHits, sum.CacheMisses, cs.Hits, cs.Misses)
 	}
 }
-
-func TestStagePrefetchExplicit(t *testing.T) {
-	dev, _ := newCachedDev(t, 16)
-	f := fillFile(t, dev, "data", 8)
-	dev.ResetStats()
-
-	// Even with the engine mid-vertex-processing, warming attributes to
-	// the prefetch stage — WarmPages runs on the prefetcher's goroutine.
-	dev.SetStage(obsv.StageVertex, 3)
-	if _, _, err := f.WarmPages([]int{5, 6}, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A tagged read of the warmed pages: hits for the vertex stage.
-	if err := f.ReadPages([]int{5, 6}, make([]byte, 2*ps)); err != nil {
-		t.Fatal(err)
-	}
-	dev.SetStage(obsv.StageOther, -1)
-
-	st := dev.Stats()
-	if got := st.Stages[obsv.StagePrefetch]; got.PagesRead != 2 {
-		t.Fatalf("prefetch stage = %+v, want 2 pages read", got)
-	}
-	if got := st.Stages[obsv.StageVertex]; got.PagesRead != 0 || got.CacheHits != 2 {
-		t.Fatalf("vertex stage = %+v, want 0 pages read, 2 cache hits", got)
-	}
-	// Warm batches carry no interval tag.
-	if io := dev.IntervalIO(); io[3] != 0 {
-		t.Fatalf("IntervalIO = %v, want no interval-3 traffic", io)
-	}
-}

@@ -171,10 +171,8 @@ func (l *Loop) superstep(eng Engine, step int, live *obsv.LiveVars) error {
 	if l.Cache != nil {
 		live.CacheHitRate.Set(ss.CacheHitRate())
 		live.CacheResident.Set(int64(l.Cache.Resident()))
-		live.PrefetchAcc.Set(ss.PrefetchAccuracy())
 		span.Arg("cache_hits", int64(ss.CacheHits))
 		span.Arg("cache_misses", int64(ss.CacheMisses))
-		span.Arg("prefetch_warmed", int64(ss.PrefetchInserts))
 	}
 	l.CumProcessed += ss.Active
 	if l.AfterStep != nil {

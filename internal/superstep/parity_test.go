@@ -14,6 +14,7 @@ import (
 	"multilogvc/internal/grafboost"
 	"multilogvc/internal/graphchi"
 	"multilogvc/internal/graphio"
+	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
@@ -145,8 +146,9 @@ func TestCrossEngineParity(t *testing.T) {
 
 // TestCountersIndependentOfWorkers is the contract the shared send buffer
 // exists to keep: what reaches the device — pages per stage and the virtual
-// time they cost — is a function of the graph, the program and the
-// configuration, never of the worker count or the goroutine schedule.
+// time they cost, and with a cache attached its hits and misses — is a
+// function of the graph, the program and the configuration, never of the
+// worker count or the goroutine schedule.
 func TestCountersIndependentOfWorkers(t *testing.T) {
 	edges, err := gen.RMAT(gen.DefaultRMAT(11, 8, 29))
 	if err != nil {
@@ -167,6 +169,19 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 			return core.New(g, cfg).Run(&apps.PageRank{})
 		}
 	}
+	// cached runs MultiLogVC behind a fresh cache of 64 pages, a fraction of
+	// the graph's CSR and values, so every superstep evicts.
+	cached := func(prog vc.Program) func(*csr.Graph, int) (*superstep.Result, error) {
+		return func(g *csr.Graph, workers int) (*superstep.Result, error) {
+			c := pagecache.New(64, g.Device().PageSize())
+			g.Device().AttachCache(c)
+			res, err := core.New(g, core.Config{MaxSupersteps: 6, Workers: workers, Cache: c}).Run(prog)
+			if err == nil && res.Report.CacheEvictions == 0 {
+				err = errors.New("the cache never evicted: it holds the whole graph")
+			}
+			return res, err
+		}
+	}
 	engines := []struct {
 		name string
 		run  func(g *csr.Graph, workers int) (*superstep.Result, error)
@@ -177,6 +192,8 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 		// one 42-record page per interval, so evictions fall mid-wave.
 		{"multilogvc/waves+evictions", mlvc(core.Config{MemoryBudget: 1 << 10, SortBudget: 1 << 20})},
 		{"multilogvc/async", mlvc(core.Config{MemoryBudget: 1 << 10, Async: true})},
+		{"multilogvc/cached/pagerank", cached(&apps.PageRank{})},
+		{"multilogvc/cached/bfs", cached(&apps.BFS{Source: 0})},
 		{"graphchi", func(g *csr.Graph, workers int) (*superstep.Result, error) {
 			return graphchi.New(g.Device(), "g", edges, g.Intervals(),
 				graphchi.Config{MaxSupersteps: 6, Workers: workers}).Run(&apps.PageRank{})
@@ -205,6 +222,10 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 				if a.PagesRead != b.PagesRead || a.PagesWritten != b.PagesWritten {
 					t.Fatalf("pages read/written %d/%d at 1 worker, %d/%d at %d",
 						a.PagesRead, a.PagesWritten, b.PagesRead, b.PagesWritten, workers)
+				}
+				if a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses {
+					t.Fatalf("cache hits/misses %d/%d at 1 worker, %d/%d at %d",
+						a.CacheHits, a.CacheMisses, b.CacheHits, b.CacheMisses, workers)
 				}
 				if !reflect.DeepEqual(a.Stages, b.Stages) {
 					t.Fatalf("stage rows differ:\n1 worker:  %+v\n%d workers: %+v", a.Stages, workers, b.Stages)

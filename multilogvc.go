@@ -139,12 +139,11 @@ type SystemOptions struct {
 	// pages live in RAM (still fully accounted).
 	Dir string
 	// CacheMB attaches a buffer-pool page cache of the given size (in
-	// MiB) between the engines and the device: sweep-aware eviction (the
-	// superstep loop tells the cache where each superstep starts), pinning
-	// for in-flight batches, write-through coherence, and — on the
-	// MultiLogVC engine — asynchronous next-interval prefetch. 0 (the
-	// default) runs uncached; page reads always hit the device, which is
-	// what the paper's accounting model measures.
+	// MiB) between the engines and the device: demand-only, with
+	// sweep-aware eviction (the superstep loop tells the cache where each
+	// superstep starts) and write-through coherence. 0 (the default) runs
+	// uncached; page reads always hit the device, which is what the
+	// paper's accounting model measures.
 	CacheMB int
 	// MaxRetries bounds how many times a page operation hit by a
 	// transient device fault is retried with exponential backoff (charged
@@ -412,11 +411,6 @@ type RunOptions struct {
 	// the run (MultiLogVC engine only). Disabled tracing costs one pointer
 	// test per stage.
 	Trace *Trace
-	// NoPrefetch disables the asynchronous next-interval prefetcher on
-	// cached Systems (the cache itself stays active). No effect when the
-	// System has no cache or on the baseline engines, which never
-	// prefetch.
-	NoPrefetch bool
 	// CheckpointEvery commits a crash-recovery checkpoint every K
 	// superstep boundaries (MultiLogVC engine only); 0 disables it.
 	// Checkpoint IO is charged to the device and reported per superstep.
@@ -470,11 +464,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			Cache:         g.sys.cache,
 		}).RunCtx(ctx, prog)
 	default:
-		var pf *pagecache.Prefetcher
-		if g.sys.cache != nil && !opts.NoPrefetch {
-			pf = pagecache.NewPrefetcher(8)
-			defer pf.Close()
-		}
 		return core.New(g.g, core.Config{
 			MemoryBudget:    g.memBudget,
 			SortBudget:      opts.SortBudget,
@@ -487,7 +476,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			Async:           opts.Async,
 			Trace:           opts.Trace,
 			Cache:           g.sys.cache,
-			Prefetcher:      pf,
 			CheckpointEvery: opts.CheckpointEvery,
 			Resume:          opts.Resume,
 			Interrupt:       opts.Interrupt,
