@@ -93,8 +93,8 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 	// message-log evictions draining its sends triggers — is
 	// vertex-processing IO on the batch's interval range. Workers issue no
 	// device IO at all.
-	prevS, prevIv := r.io.SetStage(obsv.StageVertex, sg.FirstIv)
-	defer r.io.SetStage(prevS, prevIv)
+	prevS, prevIv := r.cfg.Scope.SetStage(obsv.StageVertex, sg.FirstIv)
+	defer r.cfg.Scope.SetStage(prevS, prevIv)
 
 	b := &batch{run: r, sg: sg, ss: ss}
 	if !b.activeSet() {
@@ -379,8 +379,8 @@ func (b *batch) relog() error {
 		return nil
 	}
 	span := b.cfg.Trace.Begin("engine", "edgelog-relog")
-	prevS, prevIv := b.io.SetStage(obsv.StageRelog, b.sg.FirstIv)
-	defer b.io.SetStage(prevS, prevIv)
+	prevS, prevIv := b.cfg.Scope.SetStage(obsv.StageRelog, b.sg.FirstIv)
+	defer b.cfg.Scope.SetStage(prevS, prevIv)
 	for i, v := range b.verts {
 		if b.fromElog[i] || !b.pageIneff[i] || b.adj.Degree(i) == 0 {
 			continue

@@ -18,7 +18,7 @@ import (
 // loop, so a test can drive single stages.
 func openRun(t testing.TB, e *Engine, prog vc.Program) *run {
 	t.Helper()
-	loop := superstep.Begin(context.Background(), e.io, "multilogvc", prog.Name(), e.g.Name())
+	loop := superstep.Begin(context.Background(), e.cfg.Scope, "multilogvc", prog.Name(), e.g.Name())
 	loop.MaxSupersteps = e.cfg.MaxSupersteps
 	r := &run{Engine: e, loop: loop, prog: prog, base: e.g.Name(), auxName: prog.Name()}
 	if err := r.open(false); err != nil {

@@ -24,8 +24,8 @@ func (r *run) ckptPrefix() string { return r.base + "." + r.prog.Name() }
 // restore replay — as checkpoint overhead, so every site attributes
 // identically; the returned func restores the previous tag.
 func (r *run) tagCheckpoint() (restore func()) {
-	prevS, prevIv := r.io.SetStage(obsv.StageCheckpoint, -1)
-	return func() { r.io.SetStage(prevS, prevIv) }
+	prevS, prevIv := r.cfg.Scope.SetStage(obsv.StageCheckpoint, -1)
+	return func() { r.cfg.Scope.SetStage(prevS, prevIv) }
 }
 
 // loadCheckpoint returns the newest committed checkpoint, or nil when there

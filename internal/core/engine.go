@@ -149,12 +149,10 @@ type Config struct {
 	// run returns, success or not. Requires RunTag (the cleanup sweep is
 	// prefix-based) and is incompatible with CheckpointEvery and Resume.
 	Ephemeral bool
-	// Scope, when non-nil, attributes the run's device IO to a per-run
-	// ssd.IOScope: stage tags, the retry-layer run context, and the
-	// stats/interval counters the engine reads per superstep all resolve
-	// against the scope instead of the device-global slots. Required for
-	// correct attribution when several runs share one device; checkpoint
-	// slot IO (ckpt files are not scoped) still lands device-global.
+	// Scope is the ssd.IOScope the engine charges all its IO to — CSR,
+	// scratch files, checkpoints — and whose stage tags, retry-layer run
+	// context and counters it reads per superstep. Nil gives the engine a
+	// scope of its own; a caller sets it to read the scope's counters.
 	Scope *ssd.IOScope
 }
 
@@ -179,24 +177,20 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine runs vertex-centric programs with the MultiLogVC architecture.
+// It works through a view of the graph scoped to cfg.Scope, so every file
+// it touches charges that scope.
 type Engine struct {
 	g   *csr.Graph
 	cfg Config
-	// io is where the run's ambient stage tag, stats and interval
-	// counters live: the IOScope when configured, else the device.
-	io superstep.IO
 }
 
-// New creates an engine over an opened CSR graph. With Config.Scope set,
-// the engine works through a scoped view of the graph so all its CSR and
-// scratch IO is attributed to the scope.
+// New creates an engine over an opened CSR graph.
 func New(g *csr.Graph, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{g: g.View(cfg.Scope), cfg: cfg, io: g.Device()}
-	if cfg.Scope != nil {
-		e.io = cfg.Scope
+	if cfg.Scope == nil {
+		cfg.Scope = ssd.NewScope()
 	}
-	return e
+	return &Engine{g: g.View(cfg.Scope), cfg: cfg}
 }
 
 // Run executes prog to convergence or the superstep cap. When the run

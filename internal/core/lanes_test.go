@@ -144,7 +144,8 @@ func TestLaneBatchBFSCachedParity(t *testing.T) {
 // over one resident graph, one shared device and page cache, each with
 // its own run tag and IO scope. Under -race this doubles as the cross-run
 // interference audit: results must be untouched by the neighbor, and each
-// scope must see only its own IO.
+// scope must see only its own IO — its reports' cache hits and misses
+// included, so together they never count more consults than the cache had.
 func TestConcurrentScopedEngineRuns(t *testing.T) {
 	edges, n := rmatEdges(t, 9, 8, 47)
 	g := buildGraph(t, edges, n, 2048)
@@ -164,7 +165,9 @@ func TestConcurrentScopedEngineRuns(t *testing.T) {
 	}
 
 	scopes := [2]*ssd.IOScope{ssd.NewScope(), ssd.NewScope()}
+	cacheBefore := cache.Stats()
 	got := make([][]uint32, 2)
+	consults := make([]uint64, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -181,9 +184,13 @@ func TestConcurrentScopedEngineRuns(t *testing.T) {
 				return
 			}
 			got[i] = res.Values
+			consults[i] = res.Report.CacheHits + res.Report.CacheMisses
 		}(i)
 	}
 	wg.Wait()
+	if c := cache.Stats().Sub(cacheBefore); consults[0]+consults[1] > c.Hits+c.Misses {
+		t.Fatalf("reports count %d+%d cache consults, the cache had %d", consults[0], consults[1], c.Hits+c.Misses)
+	}
 	for i := 0; i < 2; i++ {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])

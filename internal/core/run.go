@@ -121,7 +121,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 		}
 	}
 
-	loop := superstep.Begin(ctx, e.io, "multilogvc", prog.Name(), e.g.Name())
+	loop := superstep.Begin(ctx, cfg.Scope, "multilogvc", prog.Name(), e.g.Name())
 	defer loop.End()
 	loop.Report.Rollbacks = rollbacks
 	loop.MaxSupersteps = cfg.MaxSupersteps
@@ -172,7 +172,7 @@ func (r *run) open(resume bool) error {
 		initLane = func(v uint32, _ int) uint32 { return rst.Values[v] }
 	}
 	var err error
-	if r.values, err = csr.CreateValuesLanesFunc(dev, name+".values", n, lanes, cfg.Scope, initLane); err != nil {
+	if r.values, err = csr.CreateValuesLanesFunc(dev, name+".values", n, lanes, initLane); err != nil {
 		return err
 	}
 	r.loop.Values = r.values
@@ -196,14 +196,12 @@ func (r *run) open(resume bool) error {
 		return err
 	}
 	r.curLog.SetTracer(cfg.Trace)
-	r.curLog.SetScope(cfg.Scope)
 	r.nextLog = r.curLog.NewGeneration(name + ".mlog.1")
 	if !cfg.DisableEdgeLog {
 		if r.elog, err = edgelog.New(dev, name+".elog", g.HasWeights()); err != nil {
 			return err
 		}
 		r.elog.SetTracer(cfg.Trace)
-		r.elog.SetScope(cfg.Scope)
 		r.pred = edgelog.NewPredictor(n, dev.PageSize(), cfg.UtilThreshold)
 	}
 	r.carry = superstep.InitialActive(prog.InitActive(n), n)
@@ -277,12 +275,12 @@ func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats)
 // following intervals as fit the sort budget — sorted by destination.
 func (r *run) loadSort(ivStart int, ss *metrics.SuperstepStats) (*sortgroup.Batch, error) {
 	span := r.cfg.Trace.Begin("engine", "load+sort")
-	before := r.io.Stats()
+	before := r.cfg.Scope.Stats()
 	batch, err := sortgroup.Load(r.curLog, r.g.Intervals(), ivStart, r.sortOpts)
 	if err != nil {
 		return nil, err
 	}
-	span.Arg("pages_read", int64(r.io.Stats().Sub(before).PagesRead))
+	span.Arg("pages_read", int64(r.cfg.Scope.Stats().Sub(before).PagesRead))
 	span.Arg("first_iv", int64(batch.FirstIv))
 	span.Arg("last_iv", int64(batch.LastIv))
 	span.Arg("records", int64(len(batch.Recs)))
@@ -303,7 +301,7 @@ func (r *run) drain(batch *sortgroup.Batch, ss *metrics.SuperstepStats) error {
 	defer batch.Close()
 	span := r.cfg.Trace.Begin("engine", "process-batch")
 	span.Arg("first_iv", int64(batch.FirstIv))
-	before := r.io.Stats()
+	before := r.cfg.Scope.Stats()
 	for more := true; more; {
 		if err := r.processBatch(batch, ss); err != nil {
 			return err
@@ -313,7 +311,7 @@ func (r *run) drain(batch *sortgroup.Batch, ss *metrics.SuperstepStats) error {
 			return err
 		}
 	}
-	delta := r.io.Stats().Sub(before)
+	delta := r.cfg.Scope.Stats().Sub(before)
 	span.Arg("pages_read", int64(delta.PagesRead))
 	span.Arg("pages_written", int64(delta.PagesWritten))
 	span.End()
@@ -353,9 +351,9 @@ func (r *run) flushLogs(ss *metrics.SuperstepStats) error {
 	// The boundary flush drains message-log pages the vertex stage
 	// produced; it belongs to the same traffic class as the in-batch
 	// Send evictions.
-	prevS, prevIv := r.io.SetStage(obsv.StageVertex, -1)
+	prevS, prevIv := r.cfg.Scope.SetStage(obsv.StageVertex, -1)
 	err := r.nextLog.FlushAll()
-	r.io.SetStage(prevS, prevIv)
+	r.cfg.Scope.SetStage(prevS, prevIv)
 	if err != nil {
 		return err
 	}
@@ -365,9 +363,9 @@ func (r *run) flushLogs(ss *metrics.SuperstepStats) error {
 		ss.PredictedIneff = st.PredictedIneff
 		ss.CorrectPredicted = st.Correct
 		ss.UtilPagesTouched = st.PagesTouched
-		prevS, prevIv := r.io.SetStage(obsv.StageRelog, -1)
+		prevS, prevIv := r.cfg.Scope.SetStage(obsv.StageRelog, -1)
 		err := r.elog.EndSuperstep()
-		r.io.SetStage(prevS, prevIv)
+		r.cfg.Scope.SetStage(prevS, prevIv)
 		if err != nil {
 			return err
 		}

@@ -488,7 +488,7 @@ func TestValueBatchLanesStraddlePages(t *testing.T) {
 	dev := testDev(t)
 	const n, lanes = 64, 24
 	slot := func(v uint32, lane int) uint32 { return v*1000 + uint32(lane) }
-	vv, err := CreateValuesLanesFunc(dev, "vals", n, lanes, nil, slot)
+	vv, err := CreateValuesLanesFunc(dev, "vals", n, lanes, slot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,10 @@ type ingestState struct {
 
 	log  *wal.Log // nil in volatile mode
 	opts IngestOptions
+	// sc is the ingest plane's IO scope, tagged StageIngest: the WAL and
+	// the merges of mutations submitted outside any run charge their IO
+	// to it.
+	sc *ssd.IOScope
 
 	// failed is sticky: set when a merge redo or WAL checkpoint fails
 	// past the commit point, leaving in-memory state ahead of what a
@@ -111,7 +115,9 @@ type ingestState struct {
 }
 
 func newIngestState() *ingestState {
-	return &ingestState{deltas: newDeltaSet(), pins: make(map[uint64]int)}
+	sc := ssd.NewScope()
+	sc.SetStage(obsv.StageIngest, -1)
+	return &ingestState{deltas: newDeltaSet(), pins: make(map[uint64]int), sc: sc}
 }
 
 func ingestWALName(name string) string      { return name + ".wal" }
@@ -332,9 +338,7 @@ func (g *Graph) CloseIngest() error {
 // opens the WAL and replays surviving frames into the delta overlay, so
 // every mutation acknowledged before a crash is visible again.
 func OpenIngest(dev *ssd.Device, name string, opts IngestOptions) (*Graph, error) {
-	prevS, prevIv := dev.SetStage(obsv.StageIngest, -1)
 	g, err := Open(dev, name)
-	dev.SetStage(prevS, prevIv)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +346,7 @@ func OpenIngest(dev *ssd.Device, name string, opts IngestOptions) (*Graph, error
 	if !opts.WAL {
 		return g, nil
 	}
-	log, recs, err := wal.Open(dev, ingestWALName(name), wal.Options{FlushEvery: opts.FlushEvery})
+	log, recs, err := wal.Open(dev.Scoped(g.ing.sc), ingestWALName(name), wal.Options{FlushEvery: opts.FlushEvery})
 	if err != nil {
 		return nil, err
 	}
@@ -408,8 +412,15 @@ func (g *Graph) mergeAllLocked() error {
 		// keeps deferral honest (backpressure instead of unbounded maps).
 		return nil
 	}
-	prevS, prevIv := g.dev.SetStage(obsv.StageIngest, -1)
-	defer g.dev.SetStage(prevS, prevIv)
+	// A fold is ingest-plane IO, tagged StageIngest on the scope of the
+	// graph handle that triggered it: a run's, when the run's own mutations
+	// fill the delta, the ingest plane's otherwise.
+	if g.dev.Scope() == nil {
+		g = g.View(ing.sc)
+	}
+	sc := g.dev.Scope()
+	prevS, prevIv := sc.SetStage(obsv.StageIngest, -1)
+	defer sc.SetStage(prevS, prevIv)
 
 	foldedSeq := ing.epoch.Load()
 	plan, err := g.buildMergePlan(foldedSeq)

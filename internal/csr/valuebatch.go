@@ -109,16 +109,15 @@ func (b *ValueBatch) Flush() (int, error) {
 // CreateValuesFunc creates a value array of n entries where entry v is
 // init(v). Used by engines to materialize per-vertex initial values.
 func CreateValuesFunc(dev *ssd.Device, name string, n uint32, init func(v uint32) uint32) (*Values, error) {
-	return CreateValuesLanesFunc(dev, name, n, 1, nil, func(v uint32, _ int) uint32 { return init(v) })
+	return CreateValuesLanesFunc(dev, name, n, 1, func(v uint32, _ int) uint32 { return init(v) })
 }
 
 // CreateValuesLanesFunc creates a lane-strided value array: lanes slots
 // per vertex, slot (v, lane) initialized to init(v, lane) and laid out
 // v*lanes+lane so vertex ranges stay page-contiguous. A multi-source
 // query batch gives each member query one lane over a single array — one
-// value-file pass serves every query. The creation IO is attributed to sc
-// when non-nil (serving runs charge setup to the issuing query batch).
-func CreateValuesLanesFunc(dev *ssd.Device, name string, n uint32, lanes int, sc *ssd.IOScope, init func(v uint32, lane int) uint32) (*Values, error) {
+// value-file pass serves every query.
+func CreateValuesLanesFunc(dev *ssd.Device, name string, n uint32, lanes int, init func(v uint32, lane int) uint32) (*Values, error) {
 	if lanes < 1 {
 		lanes = 1
 	}
@@ -126,7 +125,6 @@ func CreateValuesLanesFunc(dev *ssd.Device, name string, n uint32, lanes int, sc
 	if err != nil {
 		return nil, err
 	}
-	f = f.Scoped(sc)
 	if err := f.Truncate(); err != nil {
 		return nil, err
 	}

@@ -35,14 +35,6 @@ func (vv *Values) Lanes() int { return int(vv.laneCount()) }
 // slots returns the total slot count (n vertices × lanes).
 func (vv *Values) slots() uint32 { return vv.n * vv.laneCount() }
 
-// Scoped returns a view of the value array whose device IO is attributed
-// to sc (see ssd.IOScope). The underlying data is shared.
-func (vv *Values) Scoped(sc *ssd.IOScope) *Values {
-	w := *vv
-	w.f = vv.f.Scoped(sc)
-	return &w
-}
-
 // CreateValues creates (or resets) a value array of n entries, all
 // initialized to init.
 func CreateValues(dev *ssd.Device, name string, n uint32, init uint32) (*Values, error) {

@@ -245,20 +245,6 @@ func (g *generation) reset() {
 // A nil tracer (the default) disables tracing.
 func (e *EdgeLog) SetTracer(tr *obsv.Trace) { e.tr = tr }
 
-// SetScope attributes the log's device IO to a per-run ssd.IOScope. Must
-// be called right after New, before any logging: both generation handles
-// are rescoped and the next-generation writer is rebound to its scoped
-// handle while still at offset zero.
-func (e *EdgeLog) SetScope(sc *ssd.IOScope) {
-	if sc == nil {
-		return
-	}
-	for i := range e.files {
-		e.files[i] = e.files[i].Scoped(sc)
-	}
-	e.writer = ssd.NewWriter(e.files[1])
-}
-
 // New creates an EdgeLog using two device files "<prefix>.0/1". Set
 // weighted for graphs whose edge lists carry weights.
 func New(dev *ssd.Device, prefix string, weighted bool) (*EdgeLog, error) {

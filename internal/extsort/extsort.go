@@ -110,7 +110,6 @@ type Runs struct {
 	dev     *ssd.Device
 	prefix  string
 	combine func(a, b uint32) uint32
-	scope   *ssd.IOScope
 	files   []*ssd.File
 	counts  []uint64
 	st      Stats
@@ -122,10 +121,6 @@ type Runs struct {
 func NewRuns(dev *ssd.Device, prefix string, combine func(a, b uint32) uint32) *Runs {
 	return &Runs{dev: dev, prefix: prefix, combine: combine}
 }
-
-// SetScope attributes run-file IO to a per-run ssd.IOScope. Must be set
-// before the first Flush; run files adopt the scope at creation.
-func (rs *Runs) SetScope(sc *ssd.IOScope) { rs.scope = sc }
 
 // Flush sorts recs and writes them as one run. The slice is sorted in
 // place and may be reused by the caller afterwards. Empty input is a no-op.
@@ -143,7 +138,6 @@ func (rs *Runs) Flush(recs []Record) error {
 		return err
 	}
 	f.SetReadOnce() // a run is merged once, then removed
-	f = f.Scoped(rs.scope)
 	if err := f.Truncate(); err != nil {
 		return err
 	}

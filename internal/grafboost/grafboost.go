@@ -61,8 +61,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine is a single-log external-sort engine over a CSR graph.
+// Engine is a single-log external-sort engine over a CSR graph. It
+// charges all its IO to an IOScope of its own: g is the graph viewed
+// through sc.
 type Engine struct {
+	sc  *ssd.IOScope
 	g   *csr.Graph
 	cfg Config
 }
@@ -70,7 +73,8 @@ type Engine struct {
 // New creates the engine over an opened CSR graph (shared with the
 // MultiLogVC engine, so graph IO costs are comparable).
 func New(g *csr.Graph, cfg Config) *Engine {
-	return &Engine{g: g, cfg: cfg.withDefaults()}
+	sc := ssd.NewScope()
+	return &Engine{sc: sc, g: g.View(sc), cfg: cfg.withDefaults()}
 }
 
 // ErrNeedsCombiner is returned for non-combinable programs without
@@ -103,17 +107,17 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 		engine = "grafboost"
 		r.combine = combiner.Combine
 	}
-	loop := superstep.Begin(ctx, dev, engine, prog.Name(), name)
+	loop := superstep.Begin(ctx, e.sc, engine, prog.Name(), name)
 	defer loop.End()
 
-	buildS, buildIv := dev.SetStage(obsv.StageBuild, -1)
+	buildS, buildIv := e.sc.SetStage(obsv.StageBuild, -1)
 	values, err := csr.CreateValuesFunc(dev, name+".gb.values", n, func(v uint32) uint32 {
 		return prog.InitValue(v, n)
 	})
 	if auxUser, isAux := prog.(vc.AuxUser); isAux && err == nil {
 		r.aux, err = csr.CreateAux(g, prog.Name()+".gb", auxUser.AuxInit(n))
 	}
-	dev.SetStage(buildS, buildIv)
+	e.sc.SetStage(buildS, buildIv)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +188,8 @@ func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats)
 // the combine operator during run generation and merge. GraFBoost keeps
 // one global log, so the sort phase carries no interval attribution.
 func (r *run) sortLog() ([]extsort.Record, error) {
-	dev := r.eng.g.Device()
-	prevS, prevIv := dev.SetStage(obsv.StageSortGroup, -1)
-	defer dev.SetStage(prevS, prevIv)
+	prevS, prevIv := r.eng.sc.SetStage(obsv.StageSortGroup, -1)
+	defer r.eng.sc.SetStage(prevS, prevIv)
 	if err := r.logW.Close(); err != nil {
 		return nil, err
 	}
@@ -208,7 +211,7 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 		return nil
 	}
 	var sorted []extsort.Record
-	_, err := extsort.Sort(dev, r.eng.g.Name()+".gb.sort", readLog, r.eng.cfg.MemoryBudget,
+	_, err := extsort.Sort(r.eng.g.Device(), r.eng.g.Name()+".gb.sort", readLog, r.eng.cfg.MemoryBudget,
 		r.combine, func(rec extsort.Record) error {
 			sorted = append(sorted, rec)
 			return nil
@@ -249,8 +252,8 @@ func (ir *ivRun) process() error {
 	interval := g.Intervals()[ir.iv]
 	// The whole-graph streaming scan, value loads, and message-log appends
 	// are vertex-processing IO on this interval.
-	prevS, prevIv := g.Device().SetStage(obsv.StageVertex, ir.iv)
-	defer g.Device().SetStage(prevS, prevIv)
+	prevS, prevIv := e.sc.SetStage(obsv.StageVertex, ir.iv)
+	defer e.sc.SetStage(prevS, prevIv)
 
 	if err := ir.loadAdjacency(); err != nil {
 		return err

@@ -53,8 +53,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine is a GraphChi-style shard engine.
+// Engine is a GraphChi-style shard engine. It charges all its IO to an
+// IOScope of its own: dev is the device handle scoped to sc.
 type Engine struct {
+	sc       *ssd.IOScope
 	dev      *ssd.Device
 	name     string
 	edges    []graphio.WeightedEdge
@@ -73,11 +75,7 @@ func New(dev *ssd.Device, name string, edges []graphio.Edge, ivs []csr.Interval,
 	for i, e := range edges {
 		wedges[i] = graphio.WeightedEdge{Src: e.Src, Dst: e.Dst}
 	}
-	n := ivs[len(ivs)-1].Hi
-	return &Engine{
-		dev: dev, name: name, edges: wedges, ivs: ivs, n: n,
-		idx: csr.NewIntervalIndex(ivs, n), cfg: cfg.withDefaults(),
-	}
+	return makeEngine(dev, name, wedges, false, ivs, cfg)
 }
 
 // NewWeighted is New for weighted graphs: record weights flow to
@@ -85,9 +83,14 @@ func New(dev *ssd.Device, name string, edges []graphio.Edge, ivs []csr.Interval,
 func NewWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, ivs []csr.Interval, cfg Config) *Engine {
 	kept := make([]graphio.WeightedEdge, len(edges))
 	copy(kept, edges)
+	return makeEngine(dev, name, kept, true, ivs, cfg)
+}
+
+func makeEngine(dev *ssd.Device, name string, edges []graphio.WeightedEdge, weighted bool, ivs []csr.Interval, cfg Config) *Engine {
 	n := ivs[len(ivs)-1].Hi
+	sc := ssd.NewScope()
 	return &Engine{
-		dev: dev, name: name, edges: kept, weighted: true, ivs: ivs, n: n,
+		sc: sc, dev: dev.Scoped(sc), name: name, edges: edges, weighted: weighted, ivs: ivs, n: n,
 		idx: csr.NewIntervalIndex(ivs, n), cfg: cfg.withDefaults(),
 	}
 }
@@ -102,7 +105,7 @@ func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
 // error wrapped (the baseline has no checkpoint machinery), and the
 // device's retry backoff gives up early.
 func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result, error) {
-	loop := superstep.Begin(ctx, e.dev, "graphchi", prog.Name(), e.name)
+	loop := superstep.Begin(ctx, e.sc, "graphchi", prog.Name(), e.name)
 	defer loop.End()
 
 	auxUser, isAux := prog.(vc.AuxUser)
@@ -113,10 +116,10 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	// Shards are program state (edge values); build fresh per run. Setup
 	// IO is excluded from superstep accounting, mirroring how the paper
 	// reports per-run execution times on preformatted graphs.
-	prevS, prevIv := e.dev.SetStage(obsv.StageBuild, -1)
+	prevS, prevIv := e.sc.SetStage(obsv.StageBuild, -1)
 	store, err := shard.BuildWeighted(e.dev, e.name+".gc", e.edges, e.ivs, initVal)
 	if err != nil {
-		e.dev.SetStage(prevS, prevIv)
+		e.sc.SetStage(prevS, prevIv)
 		return nil, err
 	}
 	defer store.Remove()
@@ -124,7 +127,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	values, err := csr.CreateValuesFunc(e.dev, e.name+".gc.values", e.n, func(v uint32) uint32 {
 		return prog.InitValue(v, e.n)
 	})
-	e.dev.SetStage(prevS, prevIv)
+	e.sc.SetStage(prevS, prevIv)
 	if err != nil {
 		return nil, err
 	}
@@ -205,8 +208,8 @@ func (ir *intervalRun) process() error {
 	iv := e.ivs[ir.k]
 	// All shard and value IO for this interval is vertex-processing work in
 	// GraphChi's PSW model.
-	prevS, prevIv := e.dev.SetStage(obsv.StageVertex, ir.k)
-	defer e.dev.SetStage(prevS, prevIv)
+	prevS, prevIv := e.sc.SetStage(obsv.StageVertex, ir.k)
+	defer e.sc.SetStage(prevS, prevIv)
 
 	if err := ir.loadShard(); err != nil {
 		return err

@@ -108,12 +108,18 @@ func StageByName(rows []StageIO, name string) StageIO {
 	return StageIO{Stage: name}
 }
 
-// AddDevice folds a device stats delta into the superstep: page counts,
-// storage time, the batch/latency histograms, fault and capacity counters,
-// and the per-stage rows. It accumulates, so a second window inside the
-// same superstep (a boundary checkpoint) adds on top of the first.
+// AddDevice folds a run's IOScope stats delta into the superstep: page
+// counts, storage time, the batch/latency histograms, fault and capacity
+// counters, the per-stage rows, and the cache hits and misses the run's
+// reads met (the sum of the stage rows, so a run sharing the cache counts
+// only its own). It accumulates, so a second window inside the same
+// superstep (a boundary checkpoint) adds on top of the first.
 func (s *SuperstepStats) AddDevice(d ssd.Stats) {
 	s.Stages = MergeStages(s.Stages, StagesFromDevice(d))
+	for _, st := range d.Stages {
+		s.CacheHits += st.CacheHits
+		s.CacheMisses += st.CacheMisses
+	}
 	s.PagesRead += d.PagesRead
 	s.PagesWritten += d.PagesWritten
 	s.StorageTime += d.StorageTime()
@@ -131,9 +137,8 @@ func (s *SuperstepStats) AddDevice(d ssd.Stats) {
 	s.ReclaimedBytes += d.ReclaimedBytes
 }
 
-// AddCache folds a page-cache stats delta into the superstep.
+// AddCache folds a page-cache stats delta into the superstep: its
+// evictions, which are the cache's, not any one run's.
 func (s *SuperstepStats) AddCache(c pagecache.Stats) {
-	s.CacheHits += c.Hits
-	s.CacheMisses += c.Misses
 	s.CacheEvictions += c.Evictions
 }

@@ -68,8 +68,7 @@ type Log struct {
 
 	bufs *buffers // shared with the run's other generation
 
-	scope *ssd.IOScope // nil = device-global attribution
-	tr    *obsv.Trace  // nil = tracing disabled
+	tr *obsv.Trace // nil = tracing disabled
 }
 
 // topPage is an interval's partial page: fill bytes of page are in use, the
@@ -80,9 +79,10 @@ type topPage struct {
 	fill int
 }
 
-// Device returns the device hosting the log files; Prefix the file-name
-// prefix. The spill path (internal/sortgroup) externally sorts an
-// oversized interval onto the same device under a derived prefix.
+// Device returns the device handle hosting the log files, and so the
+// IOScope their IO is charged to; Prefix the file-name prefix. The spill
+// path (internal/sortgroup) externally sorts an oversized interval onto
+// the same handle under a derived prefix.
 func (l *Log) Device() *ssd.Device { return l.dev }
 
 // Prefix returns the log's device file-name prefix.
@@ -91,23 +91,6 @@ func (l *Log) Prefix() string { return l.prefix }
 // SetTracer attaches a span tracer; evictions and flushes emit spans on
 // it. A nil tracer (the default) disables tracing.
 func (l *Log) SetTracer(tr *obsv.Trace) { l.tr = tr }
-
-// SetScope attributes the log's device IO to a per-run ssd.IOScope.
-// Must be set before the first Append or Read — interval files are
-// created lazily and adopt the scope at creation.
-func (l *Log) SetScope(sc *ssd.IOScope) { l.scope = sc }
-
-// Scope returns the log's IO attribution scope (nil = device-global).
-func (l *Log) Scope() *ssd.IOScope { return l.scope }
-
-// Tagger returns where readers of this log should set the ambient IO
-// stage: the log's scope when one is attached, else the device.
-func (l *Log) Tagger() ssd.Tagger {
-	if l.scope != nil {
-		return l.scope
-	}
-	return l.dev
-}
 
 // New creates a Log with one interval log per interval. prefix names the
 // device files ("<prefix>.<interval>"). budget is the in-memory buffer
@@ -137,8 +120,8 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 }
 
 // NewGeneration returns the Log's other generation: an empty Log under
-// another file-name prefix with the same device, intervals, budget, tracer
-// and scope, drawing on the same recycled buffers — so the two Logs of a run
+// another file-name prefix with the same device handle, intervals, budget
+// and tracer, drawing on the same recycled buffers — so the two Logs of a run
 // hold one generation's worth of page buffers between them, not one each.
 func (l *Log) NewGeneration(prefix string) *Log {
 	n := l.NumIntervals()
@@ -149,7 +132,7 @@ func (l *Log) NewGeneration(prefix string) *Log {
 		full:     make([][][]byte, n),
 		count:    make([]uint64, n),
 		consumed: make([]bool, n),
-		bufs:     l.bufs, scope: l.scope, tr: l.tr,
+		bufs:     l.bufs, tr: l.tr,
 	}
 }
 
@@ -281,7 +264,6 @@ func (l *Log) file(iv int) (*ssd.File, error) {
 			return nil, err
 		}
 		f.SetReadOnce() // every page is read by one sort-and-group load, then truncated
-		f = f.Scoped(l.scope)
 		// A fresh Log generation must start empty even when the device
 		// file survives from an earlier run.
 		if f.NumPages() > 0 {

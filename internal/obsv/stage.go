@@ -1,10 +1,10 @@
 package obsv
 
 // Stage identifies the pipeline stage on whose behalf a device IO was
-// issued. The engine tags the device with the current stage (and vertex
+// issued. A run tags its ssd.IOScope with the current stage (and vertex
 // interval) as it moves through a superstep; the device attributes every
 // page read/written, its virtual service time, and the cache consults to
-// the stage active when the IO happened (see ssd.Stats.Stages).
+// the issuing scope's stage when the IO happened (see ssd.Stats.Stages).
 //
 // Stage values only index in-memory per-stage arrays; JSON exports and
 // OpenMetrics labels carry the stage's name, so no stored format depends on
@@ -13,7 +13,7 @@ type Stage uint8
 
 const (
 	// StageOther covers untagged IO: run setup, graph opening, value-file
-	// initialization, final value loads, and CLI traffic outside a run.
+	// initialization, final value loads, and IO outside any run's scope.
 	StageOther Stage = iota
 	// StageVertex is vertex processing: value/adjacency/aux loads, the
 	// parallel Process calls (whose sends append to the message logs), and
@@ -26,10 +26,6 @@ const (
 	StageRelog
 	// StageCheckpoint is checkpoint commit and restore traffic.
 	StageCheckpoint
-	// StageScrub is device scrubbing. Scrub reads stores directly and
-	// charges nothing to the virtual clock, so this stage stays zero on
-	// the device; it exists so exports enumerate the whole pipeline.
-	StageScrub
 	// StageSpill is the external sort-group: run files written and merged
 	// back when an interval log overflows the sort budget.
 	StageSpill
@@ -49,7 +45,7 @@ const NumStages = int(numStageSentinel)
 
 var stageNames = [NumStages]string{
 	"other", "vertex", "sortgroup", "relog",
-	"checkpoint", "scrub", "spill", "build", "ingest",
+	"checkpoint", "spill", "build", "ingest",
 }
 
 // String returns the stage's stable lowercase name, used as the JSON

@@ -64,7 +64,7 @@ type Batch struct {
 type spillState struct {
 	runs       *extsort.Runs
 	m          *extsort.Merger
-	tag        ssd.Tagger // for tagging merge reads as StageSpill
+	sc         *ssd.IOScope // for tagging merge reads as StageSpill
 	budgetRecs int
 	next       extsort.Record // lookahead across the chunk boundary
 	have       bool
@@ -122,14 +122,14 @@ func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch,
 		Recs:    log.GetRecs(int(total / mlog.RecordBytes)),
 		log:     log,
 	}
-	tag := log.Tagger()
+	sc := log.Device().Scope()
 	for iv := startIv; iv <= last; iv++ {
 		// Tag per fused interval so interval-level IO skew attributes log
 		// read-back to the interval that produced it.
-		prevS, prevIv := tag.SetStage(obsv.StageSortGroup, iv)
+		prevS, prevIv := sc.SetStage(obsv.StageSortGroup, iv)
 		var err error
 		b.Recs, err = log.ReadRecs(iv, b.Recs)
-		tag.SetStage(prevS, prevIv)
+		sc.SetStage(prevS, prevIv)
 		if err != nil {
 			b.Close()
 			return nil, err
@@ -149,34 +149,33 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 	if budgetRecs < 1 {
 		budgetRecs = 1
 	}
-	tag := log.Tagger()
+	sc := log.Device().Scope()
 	runs := extsort.NewRuns(log.Device(), fmt.Sprintf("%s.%d.spill", log.Prefix(), ivIdx), nil)
-	runs.SetScope(log.Scope())
 	buf := log.GetRecs(budgetRecs)
 	var flushErr error
 	// Log read-back is sort+group work on this interval; the run-file
 	// writes it triggers are spill traffic. The tag flips around each
 	// flush so the two phases stay separable in the per-stage breakdown.
-	prevS, prevIv := tag.SetStage(obsv.StageSortGroup, ivIdx)
+	prevS, prevIv := sc.SetStage(obsv.StageSortGroup, ivIdx)
 	err := log.Read(ivIdx, func(dst, src, data uint32) {
 		if flushErr != nil {
 			return
 		}
 		buf = append(buf, extsort.Record{Dst: dst, Src: src, Data: data})
 		if len(buf) >= budgetRecs {
-			tag.SetStage(obsv.StageSpill, ivIdx)
+			sc.SetStage(obsv.StageSpill, ivIdx)
 			flushErr = runs.Flush(buf)
-			tag.SetStage(obsv.StageSortGroup, ivIdx)
+			sc.SetStage(obsv.StageSortGroup, ivIdx)
 			buf = buf[:0]
 		}
 	})
 	if err == nil {
-		tag.SetStage(obsv.StageSpill, ivIdx)
+		sc.SetStage(obsv.StageSpill, ivIdx)
 		if err = flushErr; err == nil {
 			err = runs.Flush(buf)
 		}
 	}
-	tag.SetStage(prevS, prevIv)
+	sc.SetStage(prevS, prevIv)
 	log.PutRecs(buf) // the first chunk takes it straight back
 	if err != nil {
 		runs.Remove()
@@ -190,15 +189,15 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 		Spilled: true,
 		log:     log,
 		spill: &spillState{
-			runs: runs, tag: tag, budgetRecs: budgetRecs,
+			runs: runs, sc: sc, budgetRecs: budgetRecs,
 			ivHi: iv.Hi, nextLo: iv.Lo,
 			bytes: runs.BytesWritten(),
 		},
 	}
-	prevS, prevIv = tag.SetStage(obsv.StageSpill, ivIdx)
+	prevS, prevIv = sc.SetStage(obsv.StageSpill, ivIdx)
 	b.spill.m = runs.Merge()
 	r, ok, err := b.spill.m.Next()
-	tag.SetStage(prevS, prevIv)
+	sc.SetStage(prevS, prevIv)
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -221,8 +220,8 @@ func (b *Batch) fillChunk() error {
 	s := b.spill
 	// Merge reads pull run pages back from the device: spill traffic,
 	// attributed to the owning interval.
-	prevS, prevIv := s.tag.SetStage(obsv.StageSpill, b.FirstIv)
-	defer s.tag.SetStage(prevS, prevIv)
+	prevS, prevIv := s.sc.SetStage(obsv.StageSpill, b.FirstIv)
+	defer s.sc.SetStage(prevS, prevIv)
 	b.Recs = b.Recs[:0]
 	b.Lo = s.nextLo
 	b.Hi = s.ivHi

@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -54,9 +53,10 @@ func (d *Device) AddReclaimer(fn func()) (remove func()) {
 // reserveGrow accounts grow new pages against the device quota. On a quota
 // hit or an injected no-space fault it runs the registered reclaimers and
 // retries the reservation exactly once; a second failure surfaces as a
-// classified ErrNoSpace. Called with the growing file's lock held; see
+// classified ErrNoSpace. The faults and the sweep count against the
+// issuing scope. Called with the growing file's lock held; see
 // AddReclaimer for the resulting constraint on hooks.
-func (d *Device) reserveGrow(grow int) error {
+func (d *Device) reserveGrow(grow int, sc *IOScope) error {
 	if grow <= 0 {
 		return nil
 	}
@@ -66,26 +66,34 @@ func (d *Device) reserveGrow(grow int) error {
 		d.mu.Unlock()
 		return nil
 	}
-	if err := d.tryReserve(grow); err == nil {
+	if err := d.tryReserve(grow, sc); err == nil {
 		return nil
 	}
-	d.runReclaimers()
-	return d.tryReserve(grow)
+	d.runReclaimers(sc)
+	return d.tryReserve(grow, sc)
 }
 
-// tryReserve is one reservation attempt: it consumes a no-space injection
-// credit, then checks the quota. On success the pages are accounted used.
-func (d *Device) tryReserve(grow int) error {
+// tryReserve is one reservation attempt, a failed one counted as a
+// no-space fault against the issuing scope.
+func (d *Device) tryReserve(grow int, sc *IOScope) error {
+	err := d.reserve(grow)
+	if err != nil {
+		d.account(sc, 0, func(s *Stats, _ *StageStats) { s.NoSpaceFaults++ })
+	}
+	return err
+}
+
+// reserve consumes a no-space injection credit, then checks the quota. On
+// success the pages are accounted used.
+func (d *Device) reserve(grow int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.noSpace.armed() && d.noSpace.hit() {
-		d.stats.NoSpaceFaults++
 		return fmt.Errorf("%w (injected)", ErrNoSpace)
 	}
 	if quota := d.cfg.Capacity; quota > 0 {
 		capPages := quota / int64(d.cfg.PageSize)
 		if d.usedPages+int64(grow) > capPages {
-			d.stats.NoSpaceFaults++
 			return fmt.Errorf("%w: need %d pages, %d of %d used",
 				ErrNoSpace, grow, d.usedPages, capPages)
 		}
@@ -109,7 +117,7 @@ func (d *Device) freePages(n int) {
 
 // runReclaimers executes every registered reclamation hook once, in
 // registration order, and accounts the sweep plus whatever it freed.
-func (d *Device) runReclaimers() {
+func (d *Device) runReclaimers(sc *IOScope) {
 	d.reclaimMu.Lock()
 	ids := make([]int, 0, len(d.reclaimers))
 	for id := range d.reclaimers {
@@ -124,75 +132,30 @@ func (d *Device) runReclaimers() {
 
 	d.mu.Lock()
 	before := d.usedPages
-	d.stats.Reclaims++
 	d.mu.Unlock()
 	for _, fn := range fns {
 		fn()
 	}
 	d.mu.Lock()
-	if freed := before - d.usedPages; freed > 0 {
-		d.stats.ReclaimedBytes += uint64(freed) * uint64(d.cfg.PageSize)
-	}
+	freed := max(before-d.usedPages, 0)
 	d.mu.Unlock()
-}
-
-// SetRunContext installs the context consulted between retry attempts (and
-// cleared with SetRunContext(nil)). A device whose run context is canceled
-// stops burning its retry budget: the next retry attempt returns the
-// context's error instead of backing off, so a run deadline cannot be
-// overshot by the exponential backoff schedule. The engine installs the
-// run context for the duration of a governed run.
-func (d *Device) SetRunContext(ctx context.Context) {
-	if ctx == nil {
-		d.runCtx.Store(&runCtxBox{})
-		return
-	}
-	d.runCtx.Store(&runCtxBox{ctx: ctx})
-}
-
-// runCtxBox wraps a context for atomic.Pointer storage (interfaces cannot
-// be stored in atomic.Value across differing dynamic types).
-type runCtxBox struct{ ctx context.Context }
-
-// runContextErr reports the installed run context's cancellation error, or
-// nil when no context is installed or it is still live.
-func (d *Device) runContextErr() error {
-	box := d.runCtx.Load()
-	if box == nil || box.ctx == nil {
-		return nil
-	}
-	return box.ctx.Err()
-}
-
-// runCtxErrFor resolves the run context governing a scoped operation: a
-// scoped run consults only its own context (its deadline, its
-// cancellation), never the device-global slot, so concurrent runs cannot
-// abort each other's retries.
-func (d *Device) runCtxErrFor(sc *IOScope) error {
-	if sc != nil {
-		return sc.runContextErr()
-	}
-	return d.runContextErr()
+	d.account(sc, 0, func(s *Stats, _ *StageStats) {
+		s.Reclaims++
+		s.ReclaimedBytes += uint64(freed) * uint64(d.cfg.PageSize)
+	})
 }
 
 // sleepRetry charges one jittered backoff delay to the virtual clock,
 // attributed to the stage whose operation is being retried so per-stage
-// times still sum to StorageTime(). A non-nil scope resolves the stage
-// from its own tag and mirrors the charge.
+// times still sum to StorageTime().
 func (d *Device) sleepRetry(backoff time.Duration, sc *IOScope) {
-	st, _ := d.stageOf(sc)
 	d.mu.Lock()
 	half := backoff / 2
 	delay := half + time.Duration(splitmix64(&d.retryRNG)%uint64(half+1))
-	d.stats.Retries++
-	d.stats.RetryBackoff += delay
-	d.stats.Stages[st].Time += delay
 	d.mu.Unlock()
-	if sc != nil {
-		sc.mu.Lock()
-		sc.stats.Retries++
-		sc.stats.RetryBackoff += delay
-		sc.stats.Stages[st].Time += delay
-		sc.mu.Unlock()
-	}
+	d.account(sc, 0, func(s *Stats, st *StageStats) {
+		s.Retries++
+		s.RetryBackoff += delay
+		st.Time += delay
+	})
 }

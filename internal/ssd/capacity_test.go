@@ -199,11 +199,11 @@ func TestRemoveReturnsPages(t *testing.T) {
 // the surfaced error carries the context error.
 func TestRetryAbandonedOnCancel(t *testing.T) {
 	dev := retryDev(t, RetryPolicy{MaxRetries: 10})
-	f := fillPages(t, dev, "a", 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dev.SetRunContext(ctx)
-	defer dev.SetRunContext(nil)
+	sc := NewScope()
+	sc.SetRunContext(ctx)
+	f := fillPages(t, dev, "a", 2).Scoped(sc)
 
 	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}})
 	err := f.ReadPage(0, make([]byte, dev.PageSize()))

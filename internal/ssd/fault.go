@@ -98,24 +98,27 @@ func (d *Device) SetFaults(p FaultPlan) {
 
 // faultCheck consumes one attempt credit; it returns the armed permanent
 // or transient error for this attempt, permanent first (a device that is
-// dying permanently reports the permanent error).
-func (d *Device) faultCheck() error {
+// dying permanently reports the permanent error). A transient fault is
+// counted against the issuing scope.
+func (d *Device) faultCheck(sc *IOScope) error {
 	if !d.faultArmed.Load() {
 		return nil
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.crashArmed {
 		if d.crashLeft <= 0 {
+			d.mu.Unlock()
 			return ErrInjected
 		}
 		d.crashLeft--
 	}
-	if d.transient.hit() {
-		d.stats.TransientFaults++
-		return ErrTransient
+	hit := d.transient.hit()
+	d.mu.Unlock()
+	if !hit {
+		return nil
 	}
-	return nil
+	d.account(sc, 0, func(s *Stats, _ *StageStats) { s.TransientFaults++ })
+	return ErrTransient
 }
 
 // ParseFaultPlan reads the one-line fault spec: comma-separated

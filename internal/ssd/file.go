@@ -25,7 +25,7 @@ type File struct {
 	id       uint32 // device-assigned, identifies this file's pages in the cache
 	name     string
 	chanBase uint32
-	scope    *IOScope // attribution scope; nil = device-global tag
+	scope    *IOScope // attribution scope; nil = device totals only
 
 	s *fileState
 }
@@ -223,7 +223,7 @@ func (f *File) WritePage(idx int, data []byte) error {
 	if idx == np {
 		grow = 1
 	}
-	if err := f.dev.reserveGrow(grow); err != nil {
+	if err := f.dev.reserveGrow(grow, f.scope); err != nil {
 		f.s.mu.Unlock()
 		return err
 	}
@@ -264,7 +264,7 @@ func (f *File) WritePageRange(start int, data []byte) error {
 		return fmt.Errorf("%w: write pages at %d of %q (%d pages)", ErrOutOfRange, start, f.name, np)
 	}
 	grow := start + n - np
-	if err := f.dev.reserveGrow(grow); err != nil {
+	if err := f.dev.reserveGrow(grow, f.scope); err != nil {
 		f.s.mu.Unlock()
 		return err
 	}
@@ -297,7 +297,7 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	}
 	f.s.mu.Lock()
 	idx := f.s.store.numPages()
-	if err := f.dev.reserveGrow(1); err != nil {
+	if err := f.dev.reserveGrow(1, f.scope); err != nil {
 		f.s.mu.Unlock()
 		return 0, err
 	}
@@ -336,7 +336,7 @@ func (f *File) AppendPages(data []byte) error {
 	}
 	f.s.mu.Lock()
 	start := f.s.store.numPages()
-	if err := f.dev.reserveGrow(n); err != nil {
+	if err := f.dev.reserveGrow(n, f.scope); err != nil {
 		f.s.mu.Unlock()
 		return err
 	}

@@ -64,9 +64,7 @@ func (f *File) readPageLocked(idx int, buf []byte) error {
 		if err := f.s.store.writePage(idx, buf); err != nil {
 			return err
 		}
-		d.mu.Lock()
-		d.stats.CorruptionsInjected++
-		d.mu.Unlock()
+		d.account(f.scope, 0, func(s *Stats, _ *StageStats) { s.CorruptionsInjected++ })
 	}
 	if d.cfg.NoVerify {
 		return nil
@@ -77,9 +75,7 @@ func (f *File) readPageLocked(idx int, buf []byte) error {
 	}
 	if crc32.Checksum(buf, castagnoli) != want {
 		f.s.corrupt.Add(1)
-		d.mu.Lock()
-		d.stats.CorruptPages++
-		d.mu.Unlock()
+		d.account(f.scope, 0, func(s *Stats, _ *StageStats) { s.CorruptPages++ })
 		return fmt.Errorf("%w: page %d of %q", ErrCorruptPage, idx, f.name)
 	}
 	return nil

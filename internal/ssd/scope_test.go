@@ -79,15 +79,18 @@ func TestScopedStageAttributionConcurrent(t *testing.T) {
 	}
 }
 
+// TestScopedTagIndependentOfDevice: a scope's tag moves only its own
+// handles' IO. The unscoped handle of the same file stays untagged and its
+// IO reaches the device totals but no scope.
 func TestScopedTagIndependentOfDevice(t *testing.T) {
 	dev := ssd.MustOpen(ssd.Config{PageSize: ps, Channels: 4})
 	f := fillFile(t, dev, "data", 8)
 	dev.ResetStats()
 
-	sc := ssd.NewScope()
+	sc, other := ssd.NewScope(), ssd.NewScope()
 	fs := f.Scoped(sc)
 	sc.SetStage(obsv.StageVertex, 1)
-	dev.SetStage(obsv.StageSpill, 7) // a concurrent "other run" on the global tag
+	other.SetStage(obsv.StageSpill, 7) // a concurrent run's tag
 
 	buf := make([]byte, ps)
 	if err := fs.ReadPage(0, buf); err != nil {
@@ -98,16 +101,24 @@ func TestScopedTagIndependentOfDevice(t *testing.T) {
 	}
 
 	st := dev.Stats()
-	if st.Stages[obsv.StageVertex].PagesRead != 1 || st.Stages[obsv.StageSpill].PagesRead != 1 {
-		t.Fatalf("stage split = vertex:%d spill:%d, want 1/1",
-			st.Stages[obsv.StageVertex].PagesRead, st.Stages[obsv.StageSpill].PagesRead)
+	if st.Stages[obsv.StageVertex].PagesRead != 1 || st.Stages[obsv.StageOther].PagesRead != 1 || st.Stages[obsv.StageSpill].PagesRead != 0 {
+		t.Fatalf("stage split = vertex:%d other:%d spill:%d, want 1/1/0",
+			st.Stages[obsv.StageVertex].PagesRead, st.Stages[obsv.StageOther].PagesRead, st.Stages[obsv.StageSpill].PagesRead)
 	}
-	// The scope mirror saw only the scoped handle's read.
+	// The scope saw only the scoped handle's read, the other scope nothing.
 	if ss := sc.Stats(); ss.PagesRead != 1 || ss.Stages[obsv.StageVertex].PagesRead != 1 {
 		t.Fatalf("scope stats = %d pages (vertex %d), want 1/1", ss.PagesRead, ss.Stages[obsv.StageVertex].PagesRead)
 	}
-	// Writes resolve the scope tag too.
-	if err := fs.WritePage(0, buf); err != nil {
+	if os := other.Stats(); os.PagesRead != 0 {
+		t.Fatalf("idle scope read %d pages", os.PagesRead)
+	}
+	// Writes resolve the scope tag too, and a handle opened through a scoped
+	// device handle is bound to that scope.
+	fd, err := dev.Scoped(sc).OpenFile("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.WritePage(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := sc.Stats().Stages[obsv.StageVertex].PagesWritten; got != 1 {
@@ -143,5 +154,49 @@ func TestScopedRunContextIsolation(t *testing.T) {
 	}
 	if got := scB.Stats().Retries; got == 0 {
 		t.Fatal("live scope recorded no retries — fault injection did not fire")
+	}
+}
+
+// TestScopeCountsEveryFault: checksum failures, exhausted retry budgets,
+// no-space faults and the reclaim sweeps they trigger are charged to the
+// scope whose IO met them, exactly as to the device — a run's report reads
+// them from its scope.
+func TestScopeCountsEveryFault(t *testing.T) {
+	dev := ssd.MustOpen(ssd.Config{PageSize: ps, Channels: 4, Retry: ssd.RetryPolicy{MaxRetries: 1}})
+	fillFile(t, dev, "data", 4)
+	dev.AddReclaimer(func() {})
+	if err := dev.CorruptStoredPage("data", 2); err != nil {
+		t.Fatal(err)
+	}
+	dev.ResetStats()
+	sc := ssd.NewScope()
+	f, err := dev.Scoped(sc).OpenFile("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	buf := make([]byte, ps)
+	if err := f.ReadPage(2, buf); !errors.Is(err, ssd.ErrCorruptPage) {
+		t.Fatalf("corrupt read error = %v", err)
+	}
+	dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{0, 1}}})
+	if err := f.ReadPage(0, buf); !errors.Is(err, ssd.ErrRetriesExhausted) {
+		t.Fatalf("exhausted read error = %v", err)
+	}
+	dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{0}}})
+	if _, err := f.AppendPage(buf); err != nil {
+		t.Fatalf("append after one reclaim: %v", err)
+	}
+
+	st := sc.Stats()
+	if st.CorruptPages != 1 || st.TransientFaults != 2 || st.Retries != 1 || st.RetriesExhausted != 1 ||
+		st.NoSpaceFaults != 1 || st.Reclaims != 1 {
+		t.Fatalf("scope counted corrupt %d, transient %d, retries %d, exhausted %d, no-space %d, reclaims %d; want 1/2/1/1/1/1",
+			st.CorruptPages, st.TransientFaults, st.Retries, st.RetriesExhausted, st.NoSpaceFaults, st.Reclaims)
+	}
+	dst := dev.Stats()
+	if dst.CorruptPages != st.CorruptPages || dst.RetriesExhausted != st.RetriesExhausted ||
+		dst.NoSpaceFaults != st.NoSpaceFaults || dst.Reclaims != st.Reclaims || dst.StorageTime() != st.StorageTime() {
+		t.Fatal("device and scope disagree about the same faults")
 	}
 }

@@ -172,8 +172,9 @@ type Stats struct {
 	WriteLatencyUS  obsv.Hist // virtual service time per write batch, µs
 
 	// Stages attributes the same traffic to the pipeline stage that issued
-	// it (see SetStage). Every charge lands in exactly one stage, so for
-	// any snapshot delta the per-stage counters sum to the global ones:
+	// it (see IOScope.SetStage; unscoped IO is StageOther). Every charge
+	// lands in exactly one stage, so for any snapshot delta the per-stage
+	// counters sum to the global ones:
 	// Σ Stages[i].PagesRead == PagesRead, Σ Stages[i].Time == StorageTime().
 	Stages [obsv.NumStages]StageStats
 }
@@ -252,8 +253,17 @@ func (s Stats) subStages(t Stats) [obsv.NumStages]StageStats {
 	return out
 }
 
-// Device is a simulated multi-channel SSD hosting named files.
+// Device is a simulated multi-channel SSD hosting named files. A *Device
+// is a handle: every handle of one device shares its files, counters and
+// faults, and differs only in the IOScope it attributes IO to (see
+// Scoped). Open returns the unscoped handle.
 type Device struct {
+	*device
+	scope *IOScope // stamped on every file opened through this handle
+}
+
+// device is the state every handle of one Device shares.
+type device struct {
 	cfg   Config
 	cache PageCache // optional buffer pool; see AttachCache
 	pool  pagePool  // free RAM pages of truncated and removed files (no Dir)
@@ -283,68 +293,6 @@ type Device struct {
 	reclaimMu     sync.Mutex
 	reclaimers    map[int]func()
 	nextReclaimID int
-
-	// runCtx, when set, aborts retry backoff on cancellation (see
-	// SetRunContext) so a deadline is not overshot by the retry budget.
-	runCtx atomic.Pointer[runCtxBox]
-
-	// stageTag packs the current pipeline stage and vertex interval (see
-	// SetStage). It is device-global: the engine's superstep loop is
-	// phase-scoped on one goroutine, so engine IO — including worker sends
-	// during vertex processing — inherits the right stage.
-	stageTag atomic.Uint64
-
-	// ivPages accumulates pages moved (read+written) per tagged interval,
-	// for straggler-skew attribution. Guarded by mu; nil until the first
-	// interval-tagged charge.
-	ivPages map[int]uint64
-}
-
-// packStage packs a stage and interval into one atomic word. Intervals are
-// stored +1 so the zero word reads back as (StageOther, -1).
-func packStage(s obsv.Stage, iv int) uint64 {
-	return uint64(s) | uint64(uint32(iv+1))<<8
-}
-
-func unpackStage(w uint64) (obsv.Stage, int) {
-	return obsv.Stage(w & 0xFF), int(uint32(w>>8)) - 1
-}
-
-// SetStage tags subsequent device IO with the issuing pipeline stage and
-// vertex interval (-1 = no interval), returning the previous tag so a
-// scoped section can restore it:
-//
-//	prevS, prevIv := dev.SetStage(obsv.StageCheckpoint, -1)
-//	defer dev.SetStage(prevS, prevIv)
-//
-// The tag is advisory attribution state: it never changes what IO costs,
-// only which Stats.Stages row it lands in.
-func (d *Device) SetStage(s obsv.Stage, iv int) (obsv.Stage, int) {
-	return unpackStage(d.stageTag.Swap(packStage(s, iv)))
-}
-
-// StageTag returns the device's current stage tag. Out-of-range stages
-// (never produced by SetStage with a defined constant) read back as
-// StageOther so attribution arrays cannot be indexed out of bounds.
-func (d *Device) StageTag() (obsv.Stage, int) {
-	st, iv := unpackStage(d.stageTag.Load())
-	if int(st) >= obsv.NumStages {
-		st = obsv.StageOther
-	}
-	return st, iv
-}
-
-// IntervalIO returns a copy of the cumulative pages moved (read+written)
-// per tagged vertex interval. Engines snapshot it around a superstep and
-// subtract to find stragglers.
-func (d *Device) IntervalIO() map[int]uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int]uint64, len(d.ivPages))
-	for iv, n := range d.ivPages {
-		out[iv] = n
-	}
-	return out
 }
 
 // PageCache is the buffer-pool interface the device consults on reads and
@@ -406,26 +354,14 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// faultCheckScoped is faultCheck with the transient-fault count mirrored
-// into the issuing scope.
-func (d *Device) faultCheckScoped(sc *IOScope) error {
-	err := d.faultCheck()
-	if err != nil && sc != nil && errors.Is(err, ErrTransient) {
-		sc.mu.Lock()
-		sc.stats.TransientFaults++
-		sc.mu.Unlock()
-	}
-	return err
-}
-
 // opCheck is the fault gate on every page operation: it consumes attempt
 // credits and absorbs transient faults by retrying with exponential
 // backoff and jitter, charging the waits to the virtual storage clock.
-// Permanent faults and exhausted budgets surface to the caller. The scope
-// (nil = device-global) selects whose run context aborts the retry
-// schedule and whose counters mirror the retry costs.
+// Permanent faults and exhausted budgets surface to the caller. The
+// issuing scope's run context aborts the retry schedule, and its counters
+// see the retry costs.
 func (d *Device) opCheck(sc *IOScope) error {
-	err := d.faultCheckScoped(sc)
+	err := d.faultCheck(sc)
 	if err == nil || !errors.Is(err, ErrTransient) {
 		return err
 	}
@@ -434,13 +370,13 @@ func (d *Device) opCheck(sc *IOScope) error {
 	for attempt := 1; attempt <= pol.MaxRetries; attempt++ {
 		// A canceled run context aborts the schedule instead of burning the
 		// remaining budget, so deadlines are not overshot by retries.
-		if cerr := d.runCtxErrFor(sc); cerr != nil {
+		if cerr := sc.runContextErr(); cerr != nil {
 			return fmt.Errorf("ssd: retry abandoned after %d attempts: %w", attempt, cerr)
 		}
 		// Jittered delay in [backoff/2, backoff), deterministic per device.
 		d.sleepRetry(backoff, sc)
 
-		err = d.faultCheckScoped(sc)
+		err = d.faultCheck(sc)
 		if err == nil {
 			return nil
 		}
@@ -454,14 +390,7 @@ func (d *Device) opCheck(sc *IOScope) error {
 			}
 		}
 	}
-	d.mu.Lock()
-	d.stats.RetriesExhausted++
-	d.mu.Unlock()
-	if sc != nil {
-		sc.mu.Lock()
-		sc.stats.RetriesExhausted++
-		sc.mu.Unlock()
-	}
+	d.account(sc, 0, func(s *Stats, _ *StageStats) { s.RetriesExhausted++ })
 	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, 1+pol.MaxRetries, err)
 }
 
@@ -477,7 +406,7 @@ var ErrExist = errors.New("ssd: file already exists")
 // graphs built by an earlier process can be reopened (see csr.Open).
 func Open(cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
-	d := &Device{cfg: cfg, files: make(map[string]*File), retryRNG: cfg.Retry.JitterSeed}
+	d := &Device{device: &device{cfg: cfg, files: make(map[string]*File), retryRNG: cfg.Retry.JitterSeed}}
 	d.noSpaceArmed.Store(cfg.Capacity > 0)
 	d.pool.max = poolMaxBytes / cfg.PageSize
 	if cfg.Dir != "" {
@@ -543,14 +472,24 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats zeroes all device counters, including the per-stage and
-// per-interval attribution.
+// ResetStats zeroes all device counters, including the per-stage rows.
 func (d *Device) ResetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats = Stats{}
-	d.ivPages = nil
 }
+
+// Scoped returns a handle of the same device whose files — every one
+// created or opened through it — charge their IO to sc as well as to the
+// device totals. A run opens everything it touches through its scoped
+// handle, so its scope sees exactly its own IO. A nil scope returns the
+// unscoped handle, whose IO lands in the device totals under StageOther.
+func (d *Device) Scoped(sc *IOScope) *Device {
+	return &Device{device: d.device, scope: sc}
+}
+
+// Scope returns the scope this handle attributes IO to, nil for none.
+func (d *Device) Scope() *IOScope { return d.scope }
 
 // Create creates a new empty file. It fails if the name is taken.
 func (d *Device) Create(name string) (*File, error) {
@@ -567,7 +506,7 @@ func (d *Device) Create(name string) (*File, error) {
 	f := &File{dev: d, id: d.nextFileID, name: name, chanBase: nameHash(name), s: &fileState{store: st}}
 	d.files[name] = f
 	d.stats.FilesCreated++
-	return f, nil
+	return f.Scoped(d.scope), nil
 }
 
 // OpenFile returns an existing file by name.
@@ -578,7 +517,7 @@ func (d *Device) OpenFile(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, name)
 	}
-	return f, nil
+	return f.Scoped(d.scope), nil
 }
 
 // OpenOrCreate returns the named file, creating it if necessary.
@@ -586,7 +525,7 @@ func (d *Device) OpenOrCreate(name string) (*File, error) {
 	d.mu.Lock()
 	if f, ok := d.files[name]; ok {
 		d.mu.Unlock()
-		return f, nil
+		return f.Scoped(d.scope), nil
 	}
 	d.mu.Unlock()
 	return d.Create(name)
@@ -692,100 +631,76 @@ func (d *Device) StatsByFile() map[string]FileStats {
 	return out
 }
 
-// addReadBatch accumulates one read-batch charge into a counter set; the
-// device's global stats and the issuing scope's mirror share this code so
-// they cannot drift.
-func (s *Stats) addReadBatch(npages, maxOnChan, pageSize, channels int, lat time.Duration, st obsv.Stage) {
-	s.PagesRead += uint64(npages)
-	s.BytesRead += uint64(npages) * uint64(pageSize)
-	s.BatchReads++
-	s.ReadTime += lat
-	s.ReadBatchPages.Observe(uint64(npages))
-	s.ReadImbalance.Observe(uint64(maxOnChan - idealDepth(npages, channels)))
-	s.ReadLatencyUS.Observe(uint64(lat / time.Microsecond))
-	sst := &s.Stages[st]
-	sst.PagesRead += uint64(npages)
-	sst.Time += lat
-}
-
-func (s *Stats) addWriteBatch(npages, maxOnChan, pageSize, channels int, lat time.Duration, st obsv.Stage) {
-	s.PagesWritten += uint64(npages)
-	s.BytesWritten += uint64(npages) * uint64(pageSize)
-	s.BatchWrites++
-	s.WriteTime += lat
-	s.WriteBatchPages.Observe(uint64(npages))
-	s.WriteImbalance.Observe(uint64(maxOnChan - idealDepth(npages, channels)))
-	s.WriteLatencyUS.Observe(uint64(lat / time.Microsecond))
-	sst := &s.Stages[st]
-	sst.PagesWritten += uint64(npages)
-	sst.Time += lat
-}
-
-// chargeRead charges a batch of page reads to the virtual clock,
-// attributed to the issuing scope's current stage tag (nil scope = the
-// device-global tag). The batch completes when the busiest channel drains
-// its queue of maxOnChan pages. Charges always land in the device-global
-// stats; a non-nil scope additionally mirrors them into its private
-// counters for per-run accounting.
-func (d *Device) chargeRead(npages int, maxOnChan int, sc *IOScope) {
-	st, iv := d.stageOf(sc)
-	lat := time.Duration(maxOnChan) * d.cfg.PageReadLatency
+// account applies one counter update to the device totals and, for IO
+// issued through a scope, to the scope's counters too, with st the row of
+// the stage the scope is tagged with (StageOther for unscoped IO); moved
+// pages also count toward the scope's tagged interval. Every charge the
+// device makes goes through here, so a scope and the device cannot
+// disagree about what a charge was.
+func (d *Device) account(sc *IOScope, pages int, add func(s *Stats, st *StageStats)) {
+	stage, iv := sc.stage()
 	d.mu.Lock()
-	d.stats.addReadBatch(npages, maxOnChan, d.cfg.PageSize, d.cfg.Channels, lat, st)
-	if iv >= 0 {
-		if d.ivPages == nil {
-			d.ivPages = make(map[int]uint64)
-		}
-		d.ivPages[iv] += uint64(npages)
-	}
+	add(&d.stats, &d.stats.Stages[stage])
 	d.mu.Unlock()
-	if sc != nil {
-		sc.mu.Lock()
-		sc.stats.addReadBatch(npages, maxOnChan, d.cfg.PageSize, d.cfg.Channels, lat, st)
-		sc.noteIvLocked(iv, npages)
-		sc.mu.Unlock()
+	if sc == nil {
+		return
 	}
+	sc.mu.Lock()
+	add(&sc.stats, &sc.stats.Stages[stage])
+	if iv >= 0 && pages > 0 {
+		if sc.ivPages == nil {
+			sc.ivPages = make(map[int]uint64)
+		}
+		sc.ivPages[iv] += uint64(pages)
+	}
+	sc.mu.Unlock()
+}
+
+// chargeRead charges a batch of page reads to the virtual clock: the batch
+// completes when the busiest channel drains its queue of maxOnChan pages.
+func (d *Device) chargeRead(npages int, maxOnChan int, sc *IOScope) {
+	lat := time.Duration(maxOnChan) * d.cfg.PageReadLatency
+	imbalance := uint64(maxOnChan - idealDepth(npages, d.cfg.Channels))
+	d.account(sc, npages, func(s *Stats, st *StageStats) {
+		s.PagesRead += uint64(npages)
+		s.BytesRead += uint64(npages) * uint64(d.cfg.PageSize)
+		s.BatchReads++
+		s.ReadTime += lat
+		s.ReadBatchPages.Observe(uint64(npages))
+		s.ReadImbalance.Observe(imbalance)
+		s.ReadLatencyUS.Observe(uint64(lat / time.Microsecond))
+		st.PagesRead += uint64(npages)
+		st.Time += lat
+	})
 }
 
 func (d *Device) chargeWrite(npages int, maxOnChan int, sc *IOScope) {
-	st, iv := d.stageOf(sc)
 	lat := time.Duration(maxOnChan) * d.cfg.PageWriteLatency
-	d.mu.Lock()
-	d.stats.addWriteBatch(npages, maxOnChan, d.cfg.PageSize, d.cfg.Channels, lat, st)
-	if iv >= 0 {
-		if d.ivPages == nil {
-			d.ivPages = make(map[int]uint64)
-		}
-		d.ivPages[iv] += uint64(npages)
-	}
-	d.mu.Unlock()
-	if sc != nil {
-		sc.mu.Lock()
-		sc.stats.addWriteBatch(npages, maxOnChan, d.cfg.PageSize, d.cfg.Channels, lat, st)
-		sc.noteIvLocked(iv, npages)
-		sc.mu.Unlock()
-	}
+	imbalance := uint64(maxOnChan - idealDepth(npages, d.cfg.Channels))
+	d.account(sc, npages, func(s *Stats, st *StageStats) {
+		s.PagesWritten += uint64(npages)
+		s.BytesWritten += uint64(npages) * uint64(d.cfg.PageSize)
+		s.BatchWrites++
+		s.WriteTime += lat
+		s.WriteBatchPages.Observe(uint64(npages))
+		s.WriteImbalance.Observe(imbalance)
+		s.WriteLatencyUS.Observe(uint64(lat / time.Microsecond))
+		st.PagesWritten += uint64(npages)
+		st.Time += lat
+	})
 }
 
 // noteCache attributes page-cache consult outcomes to the issuing scope's
-// stage tag. Called at the device's cache consult points so per-stage
-// hit/miss counts line up with the cache's own counters (see
-// pagecache.Stats).
+// stage. Called at the device's cache consult points so per-stage hit/miss
+// counts line up with the cache's own counters (see pagecache.Stats).
 func (d *Device) noteCache(hits, misses int, sc *IOScope) {
 	if hits == 0 && misses == 0 {
 		return
 	}
-	st, _ := d.stageOf(sc)
-	d.mu.Lock()
-	d.stats.Stages[st].CacheHits += uint64(hits)
-	d.stats.Stages[st].CacheMisses += uint64(misses)
-	d.mu.Unlock()
-	if sc != nil {
-		sc.mu.Lock()
-		sc.stats.Stages[st].CacheHits += uint64(hits)
-		sc.stats.Stages[st].CacheMisses += uint64(misses)
-		sc.mu.Unlock()
-	}
+	d.account(sc, 0, func(_ *Stats, st *StageStats) {
+		st.CacheHits += uint64(hits)
+		st.CacheMisses += uint64(misses)
+	})
 }
 
 // idealDepth is the busiest-channel depth of a perfectly striped batch:

@@ -22,16 +22,6 @@ import (
 	"multilogvc/internal/ssd"
 )
 
-// IO is where a run's ambient stage tag, retry-layer context and device
-// counters live: the *ssd.Device for a run that owns the device, or a
-// per-run *ssd.IOScope when several runs share one.
-type IO interface {
-	ssd.Tagger
-	Stats() ssd.Stats
-	IntervalIO() map[int]uint64
-	SetRunContext(ctx context.Context)
-}
-
 // Engine is the storage layout under the loop.
 type Engine interface {
 	// Pending reports whether any vertex is live or any message is
@@ -81,13 +71,15 @@ type Loop struct {
 	AfterStep func(step int, ss *metrics.SuperstepStats) error
 
 	ctx   context.Context
-	io    IO
+	io    *ssd.IOScope
 	start time.Time
 }
 
-// Begin opens a run: it stamps the wall clock, names the report, and lets
-// the device's retry backoff observe ctx until End.
-func Begin(ctx context.Context, io IO, engine, app, graph string) *Loop {
+// Begin opens a run whose IO is charged to io: it stamps the wall clock,
+// names the report, and lets the device's retry backoff on io's handles
+// observe ctx until End. Every file the run touches must be opened through
+// a handle scoped to io, since the loop counts what io saw.
+func Begin(ctx context.Context, io *ssd.IOScope, engine, app, graph string) *Loop {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -98,7 +90,7 @@ func Begin(ctx context.Context, io IO, engine, app, graph string) *Loop {
 	}
 }
 
-// End detaches the run's context from the device.
+// End detaches the run's context from its scope.
 func (l *Loop) End() { l.io.SetRunContext(nil) }
 
 // Run executes supersteps until nothing is pending, the cap is reached,
@@ -132,9 +124,10 @@ func (l *Loop) Run(eng Engine) (*Result, error) {
 	return &Result{Report: l.Report, Values: values}, nil
 }
 
-// Charge runs fn and folds the device and page-cache traffic it caused into
-// ss, returning the device delta. The loop charges every superstep this
-// way; an AfterStep hook uses it for work of its own (a checkpoint).
+// Charge runs fn and folds the IO it charged to the run's scope, and the
+// cache's evictions meanwhile, into ss, returning the scope delta. The loop
+// charges every superstep this way; an AfterStep hook uses it for work of
+// its own (a checkpoint).
 func (l *Loop) Charge(ss *metrics.SuperstepStats, fn func() error) (ssd.Stats, error) {
 	devBefore := l.io.Stats()
 	var cacheBefore pagecache.Stats

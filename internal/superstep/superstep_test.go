@@ -199,7 +199,7 @@ func newLoop(t *testing.T, ctx context.Context, maxSteps int) *Loop {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop := Begin(ctx, dev, "fake", "app", "g")
+	loop := Begin(ctx, ssd.NewScope(), "fake", "app", "g")
 	t.Cleanup(loop.End)
 	loop.Values = values
 	loop.MaxSupersteps = maxSteps

@@ -81,7 +81,6 @@ type Stats struct {
 // use; Append blocks until its records are durable.
 type Log struct {
 	f    *ssd.File
-	sc   *ssd.IOScope
 	ps   int
 	opts Options
 
@@ -104,17 +103,15 @@ type Log struct {
 // order, for the caller to fold into its in-memory state. A torn tail is
 // truncated in place so the durable stream is exactly what was returned.
 //
-// Log IO runs under its own IOScope tagged obsv.StageIngest, so WAL
-// traffic is attributed to the ingest stage, never smeared over queries.
+// Log IO is charged to the scope of the device handle dev: csr.OpenIngest
+// passes the ingest plane's, so WAL traffic lands in the ingest stage and
+// is never smeared over queries.
 func Open(dev *ssd.Device, name string, opts Options) (*Log, []Record, error) {
-	sc := ssd.NewScope()
-	sc.SetStage(obsv.StageIngest, -1)
 	f, err := dev.OpenOrCreate(name)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %q: %w", name, err)
 	}
-	f = f.Scoped(sc)
-	l := &Log{f: f, sc: sc, ps: dev.PageSize(), opts: opts}
+	l := &Log{f: f, ps: dev.PageSize(), opts: opts}
 
 	np := f.NumPages()
 	buf := make([]byte, np*l.ps)
