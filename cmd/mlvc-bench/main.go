@@ -84,7 +84,6 @@ var experiments = []experiment{
 	{"iobreakdown", "device traffic by storage structure", func(b *benchCtx) (*metrics.Table, error) { return harness.IOBreakdown(b.size) }},
 	{"stageio", "device traffic by pipeline stage (serial-time attribution)", func(b *benchCtx) (*metrics.Table, error) { return harness.StageBreakdown(b.size) }},
 	{"checkpoint", "checkpoint overhead at K=0/1/5", func(b *benchCtx) (*metrics.Table, error) { return harness.CheckpointOverhead(b.size) }},
-	{"integrity", "page-checksum overhead", func(b *benchCtx) (*metrics.Table, error) { return harness.Integrity(b.size) }},
 	{"spill", "sort-budget spill overhead", func(b *benchCtx) (*metrics.Table, error) { return harness.SpillOverhead(b.size) }},
 }
 

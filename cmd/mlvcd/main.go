@@ -109,11 +109,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cache *pagecache.Cache
-	if c := pagecache.FromMB(*cacheMB, dev.PageSize()); c != nil {
-		dev.AttachCache(c)
-		cache = c
-	}
+	dev.AttachCache(pagecache.FromMB(*cacheMB, dev.PageSize()))
 	follower := *follow != ""
 	if follower {
 		// A follower needs the full durable ingest plane: its own WAL (the
@@ -154,7 +150,6 @@ func run(args []string) error {
 
 	s, err := serve.New(serve.Options{
 		Graph:             g,
-		Cache:             cache,
 		MaxBatch:          *maxBatch,
 		MaxConcurrent:     *maxConc,
 		MaxQueue:          *maxQueue,
@@ -167,7 +162,6 @@ func run(args []string) error {
 		BreakerCooldown:   *brkCooldown,
 		BreakerProbes:     *brkProbes,
 		EnableIngest:      *ingest,
-		MergeThreshold:    *mergeThreshold,
 		EnableReplication: *ingest,
 		ReadOnly:          follower,
 		FaultControl:      *fault != "",

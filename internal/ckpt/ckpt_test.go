@@ -232,7 +232,7 @@ func TestCorruptPayloadFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[10] ^= 0xff
-	if err := data.WritePage(0, buf); err != nil {
+	if err := data.WritePageRange(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dev, "p")
@@ -261,7 +261,7 @@ func TestAllSlotsCorruptIsErrCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] ^= 0xff
-	if err := data.WritePage(0, buf); err != nil {
+	if err := data.WritePageRange(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Load(dev, "p")

@@ -158,7 +158,7 @@ func TestPlaneDropsOutsizedBatch(t *testing.T) {
 // intervals allocates next to nothing, where re-reserving the arena after
 // every outsized batch would cost the plane's size each time.
 func TestServingBatchesReusePlane(t *testing.T) {
-	g, _ := servingGraph(t)
+	g := servingGraph(t)
 	r := openRun(t, New(g, Config{MemoryBudget: servingBudget, Workers: 1}), degreeSum{})
 	var ss metrics.SuperstepStats
 	pass := func() (largest int) {
@@ -192,7 +192,7 @@ func TestUnfusedPlaneBytesBoundsEveryInterval(t *testing.T) {
 	small, nSmall := rmatEdges(t, 11, 8, 4)
 	large, nLarge := rmatEdges(t, 13, 16, 2)
 	_, _, weighted := weightedFixture(t, 10, 3)
-	serving, _ := servingGraph(t)
+	serving := servingGraph(t)
 	multi, err := apps.NewMultiBFS([]uint32{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -108,13 +108,10 @@ type Config struct {
 	// processing, edge-log relog, flushes). A nil Trace costs one pointer
 	// test per stage.
 	Trace *obsv.Trace
-	// Cache is the buffer pool attached to the graph's device, when one
-	// is (nil = uncached, the paper-faithful default). The device serves
-	// cached reads on its own; the engine uses this handle for
-	// per-superstep counter deltas and live gauges.
-	Cache *pagecache.Cache
-	// Prefetcher is ignored: an inert shell kept only because bench/
-	// still sets it (ROADMAP item 11 deletes it).
+	// Cache and Prefetcher are ignored: inert shells kept only because
+	// bench/ still sets them (ROADMAP item 11 deletes them). The engine
+	// takes the cache from the graph's device.
+	Cache      *pagecache.Cache
 	Prefetcher *pagecache.Prefetcher
 	// CheckpointEvery commits a checkpoint to the device every K superstep
 	// boundaries (see internal/ckpt). 0 disables checkpointing.

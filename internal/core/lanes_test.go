@@ -112,7 +112,7 @@ func TestLaneBatchBFSCachedParity(t *testing.T) {
 
 	singles := make([][]uint32, len(sources))
 	for i, src := range sources {
-		res, err := New(g, Config{MaxSupersteps: 50, Cache: cache}).Run(&apps.BFS{Source: src})
+		res, err := New(g, Config{MaxSupersteps: 50}).Run(&apps.BFS{Source: src})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +124,7 @@ func TestLaneBatchBFSCachedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := New(g, Config{
-		MaxSupersteps: 50, Cache: cache,
-		RunTag: "cbatch", Ephemeral: true, Scope: ssd.NewScope(),
+		MaxSupersteps: 50, RunTag: "cbatch", Ephemeral: true, Scope: ssd.NewScope(),
 	}).Run(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +175,7 @@ func TestConcurrentScopedEngineRuns(t *testing.T) {
 			defer wg.Done()
 			tag := []string{"qa", "qb"}[i]
 			res, err := New(g, Config{
-				MaxSupersteps: 50, Cache: cache,
-				RunTag: tag, Ephemeral: true, Scope: scopes[i],
+				MaxSupersteps: 50, RunTag: tag, Ephemeral: true, Scope: scopes[i],
 			}).Run(&apps.BFS{Source: srcs[i]})
 			if err != nil {
 				errs[i] = err

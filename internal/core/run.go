@@ -126,7 +126,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 	loop.Report.Rollbacks = rollbacks
 	loop.MaxSupersteps = cfg.MaxSupersteps
 	loop.StopAfter = cfg.StopAfter
-	loop.Cache = cfg.Cache
+	loop.Cache = e.g.Device().Cache()
 	loop.Trace = cfg.Trace
 
 	r := &run{Engine: e, loop: loop, prog: prog, base: e.g.Name(), auxName: prog.Name()}

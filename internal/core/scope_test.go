@@ -64,8 +64,7 @@ func TestRunChargesOnlyItsScope(t *testing.T) {
 			g := buildGraph(t, edges, n, 2048)
 			dev := g.Device()
 			if tc.cached {
-				tc.cfg.Cache = pagecache.New(64, dev.PageSize())
-				dev.AttachCache(tc.cfg.Cache)
+				dev.AttachCache(pagecache.New(64, dev.PageSize()))
 			}
 			dev.SetFaults(tc.faults)
 			sc := ssd.NewScope()

@@ -20,26 +20,25 @@ const (
 	servingBudget   = 64 << 10
 )
 
-func servingGraph(t testing.TB) (*csr.Graph, *pagecache.Cache) {
+func servingGraph(t testing.TB) *csr.Graph {
 	t.Helper()
 	edges, _ := rmatEdges(t, 11, 12, 1)
 	dev := ssd.MustOpen(ssd.Config{PageSize: servingPageSize, Channels: 8})
 	if _, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: servingBudget * 75 / 100}); err != nil {
 		t.Fatal(err)
 	}
-	cache := pagecache.FromMB(64, servingPageSize)
-	dev.AttachCache(cache)
+	dev.AttachCache(pagecache.FromMB(64, servingPageSize))
 	g, err := csr.Open(dev, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, cache
+	return g
 }
 
 // serveRun executes one lane-batched BFS exactly as serve.runEngine
 // configures it: pinned snapshot, private scratch namespace swept on exit,
 // its own IO scope, the shared cache.
-func serveRun(t testing.TB, g *csr.Graph, cache *pagecache.Cache, tag string, sources []uint32) (*superstep.Result, ssd.Stats) {
+func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32) (*superstep.Result, ssd.Stats) {
 	t.Helper()
 	prog, err := apps.NewMultiBFS(sources)
 	if err != nil {
@@ -49,7 +48,7 @@ func serveRun(t testing.TB, g *csr.Graph, cache *pagecache.Cache, tag string, so
 	defer snap.Release()
 	sc := ssd.NewScope()
 	res, err := New(snap.Graph(), Config{
-		MemoryBudget: servingBudget, MaxSupersteps: 100, Cache: cache,
+		MemoryBudget: servingBudget, MaxSupersteps: 100,
 		RunTag: tag, Ephemeral: true, Scope: sc,
 	}).RunCtx(context.Background(), prog)
 	if err != nil {
@@ -65,7 +64,7 @@ func serveRun(t testing.TB, g *csr.Graph, cache *pagecache.Cache, tag string, so
 // spills/op counts batches that outgrew the sort budget. Profile it with
 // -cpuprofile to see where a point query's time goes.
 func BenchmarkServeEngine(b *testing.B) {
-	g, cache := servingGraph(b)
+	g := servingGraph(b)
 	n := g.NumVertices()
 	for _, lanes := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
@@ -78,7 +77,7 @@ func BenchmarkServeEngine(b *testing.B) {
 				for l := range sources {
 					sources[l] = uint32(i*lanes+l) * 2654435761 % n
 				}
-				res, st := serveRun(b, g, cache, fmt.Sprintf("q%d", i), sources)
+				res, st := serveRun(b, g, fmt.Sprintf("q%d", i), sources)
 				read += st.PagesRead
 				written += st.PagesWritten
 				storage += st.StorageTime().Seconds() * 1e3

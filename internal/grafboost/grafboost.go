@@ -25,7 +25,6 @@ import (
 	"multilogvc/internal/extsort"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
-	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
@@ -47,10 +46,6 @@ type Config struct {
 	// StopAfter ends the run after the superstep for which it returns
 	// true.
 	StopAfter func(superstep int, cumProcessed uint64) bool
-	// Cache is the page cache attached to the device, if any; the engine
-	// only reads its counters for per-superstep reporting. The caller owns
-	// attachment and lifecycle.
-	Cache *pagecache.Cache
 }
 
 func (c Config) withDefaults() Config {
@@ -135,7 +130,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	loop.Values = values
 	loop.MaxSupersteps = cfg.MaxSupersteps
 	loop.StopAfter = cfg.StopAfter
-	loop.Cache = cfg.Cache
+	loop.Cache = dev.Cache()
 	return loop.Run(r)
 }
 

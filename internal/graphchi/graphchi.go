@@ -25,7 +25,6 @@ import (
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
-	"multilogvc/internal/pagecache"
 	"multilogvc/internal/shard"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
@@ -42,10 +41,6 @@ type Config struct {
 	// StopAfter, when non-nil, ends the run after the superstep for which
 	// it returns true (same contract as the MultiLogVC engine).
 	StopAfter func(superstep int, cumProcessed uint64) bool
-	// Cache is the page cache attached to the device, if any; the engine
-	// only reads its counters for per-superstep reporting. The caller owns
-	// attachment and lifecycle.
-	Cache *pagecache.Cache
 }
 
 func (c Config) withDefaults() Config {
@@ -135,7 +130,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	loop.Values = values
 	loop.MaxSupersteps = e.cfg.MaxSupersteps
 	loop.StopAfter = e.cfg.StopAfter
-	loop.Cache = e.cfg.Cache
+	loop.Cache = e.dev.Cache()
 	return loop.Run(&run{
 		eng: e, prog: prog, store: store, values: values, isAux: isAux,
 		active: superstep.InitialActive(prog.InitActive(e.n), e.n),

@@ -149,11 +149,11 @@ func TestCacheUnderSweep(t *testing.T) {
 	type engine func(*Env, vc.Program, RunOpts) (*metrics.Report, []uint32, error)
 	bfs := func() vc.Program { return &apps.BFS{Source: 0} }
 	pagerank := func() vc.Program { return &apps.PageRank{} }
-	// bare builds the engine from a core.Config holding only the budget,
-	// the step cap and the cache: none of the harness's run options. The
-	// row keeps the name it had while the harness run also prefetched.
+	// bare builds the engine from a core.Config holding only the budget
+	// and the step cap: none of the harness's run options. The row keeps
+	// the name it had while the harness run also prefetched.
 	bare := func(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-		eng := core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget, MaxSupersteps: o.MaxSupersteps, StopAfter: o.StopAfter, Cache: env.Cache})
+		eng := core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget, MaxSupersteps: o.MaxSupersteps, StopAfter: o.StopAfter})
 		return env.finish("multilogvc", prog, o, eng)
 	}
 	for _, tc := range []struct {

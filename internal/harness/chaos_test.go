@@ -131,7 +131,6 @@ func servingSoak(t *testing.T, dir string) outcome {
 
 	s, err := serve.New(serve.Options{
 		Graph:             env.Graph,
-		Cache:             cache,
 		MaxBatch:          8,
 		MaxConcurrent:     2,
 		BreakerWindow:     16,

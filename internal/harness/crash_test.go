@@ -177,7 +177,7 @@ func TestResumeCorruptCheckpointFails(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf[0] ^= 0xff
-		if err := data.WritePage(0, buf); err != nil {
+		if err := data.WritePageRange(0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -614,46 +614,6 @@ func CheckpointOverhead(size Size) (*metrics.Table, error) {
 	return t, nil
 }
 
-// Integrity measures the cost of page-checksum maintenance: PageRank with
-// verification on (the default) against the same run with NoVerify. The
-// checksum work is host-side CRC32C, so the overhead shows up in measured
-// wall time, not in the virtual storage clock.
-func Integrity(size Size) (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Checksum overhead (pagerank)",
-		Headers: []string{"dataset", "verify", "pages r", "pages w", "corrupt", "storage", "wall", "overhead"},
-	}
-	dss, err := Datasets(size)
-	if err != nil {
-		return nil, err
-	}
-	for _, ds := range dss {
-		var base float64
-		for _, noVerify := range []bool{true, false} {
-			env, err := Prepare(ds, EnvOptions{NoVerify: noVerify})
-			if err != nil {
-				return nil, err
-			}
-			rep, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: MaxSupersteps})
-			if err != nil {
-				return nil, err
-			}
-			wall := float64(rep.WallTime)
-			overhead := "-"
-			if noVerify {
-				base = wall
-			} else if base > 0 {
-				overhead = fmt.Sprintf("%+.1f%%", 100*(wall-base)/base)
-			}
-			t.AddRow(ds.Name, fmt.Sprint(!noVerify),
-				fmt.Sprint(rep.PagesRead), fmt.Sprint(rep.PagesWritten),
-				fmt.Sprint(rep.CorruptPages),
-				metrics.D(rep.StorageTime), metrics.D(rep.WallTime), overhead)
-		}
-	}
-	return t, nil
-}
-
 // SpillOverhead measures the sort-budget spill path: PageRank with an
 // unconstrained sort budget against sort budgets that force a growing
 // share of interval logs through the external sort-group. Values are

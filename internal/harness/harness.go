@@ -157,9 +157,6 @@ type EnvOptions struct {
 	// CacheMB attaches a page cache of that size (MiB): > 0 sets the
 	// size, 0 falls back to DefaultCacheMB, < 0 forces uncached.
 	CacheMB int
-	// NoVerify disables page-checksum maintenance and verification on
-	// the device — only for measuring integrity overhead.
-	NoVerify bool
 	// Capacity caps the device byte footprint (ssd.Config.Capacity);
 	// 0 leaves it unbounded.
 	Capacity int64
@@ -197,7 +194,7 @@ func Prepare(ds Dataset, opts EnvOptions) (*Env, error) {
 			opts.MemBudget = 64 << 10
 		}
 	}
-	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, NoVerify: opts.NoVerify, Capacity: opts.Capacity})
+	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, Capacity: opts.Capacity})
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +280,6 @@ func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, e
 		DisableFusing:   o.DisableFusing,
 		Workers:         o.Workers,
 		UtilThreshold:   o.UtilThreshold,
-		Cache:           env.Cache,
 		CheckpointEvery: o.CheckpointEvery,
 		Resume:          o.Resume,
 		Interrupt:       o.Interrupt,
@@ -297,7 +293,6 @@ func RunGraphChi(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint3
 		MaxSupersteps: o.MaxSupersteps,
 		StopAfter:     o.StopAfter,
 		Workers:       o.Workers,
-		Cache:         env.Cache,
 	})
 	return env.finish("graphchi", prog, o, eng)
 }
@@ -310,7 +305,6 @@ func RunGraFBoost(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint
 		StopAfter:     o.StopAfter,
 		Adapted:       o.Adapted,
 		Workers:       o.Workers,
-		Cache:         env.Cache,
 	})
 	return env.finish("grafboost", prog, o, eng)
 }
@@ -331,7 +325,7 @@ func PrepareWeighted(ds Dataset, wedges []graphio.WeightedEdge, opts EnvOptions)
 			opts.MemBudget = 64 << 10
 		}
 	}
-	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, NoVerify: opts.NoVerify, Capacity: opts.Capacity})
+	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, Capacity: opts.Capacity})
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +346,6 @@ func RunGraphChiWeighted(env *Env, wedges []graphio.WeightedEdge, prog vc.Progra
 		MaxSupersteps: o.MaxSupersteps,
 		StopAfter:     o.StopAfter,
 		Workers:       o.Workers,
-		Cache:         env.Cache,
 	})
 	return env.finish("graphchi-w", prog, o, eng)
 }

@@ -391,7 +391,9 @@ func (c *Cache) Stats() Stats {
 // Inert shells, kept only because bench/ still calls them; ROADMAP item 11
 // moves bench/ off them and deletes them. The cache has no prefetcher and
 // no pins: Stats.PrefetchDropped and PrefetchAccuracy always read 0,
-// PinnedPages returns 0, and Put ignores its fourth argument.
+// PinnedPages returns 0, and Put ignores its fourth argument. The engines
+// take the cache from the device it is attached to, so core.Config.Cache
+// and serve.Options.Cache are ignored too.
 
 // Prefetcher is an inert shell; see above.
 type Prefetcher struct{}

@@ -320,7 +320,6 @@ func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*s
 	cfg := core.Config{
 		MemoryBudget:  s.opts.MemoryBudget,
 		MaxSupersteps: s.opts.MaxSupersteps,
-		Cache:         s.opts.Cache,
 		RunTag:        tag,
 		Ephemeral:     true,
 		Scope:         sc,

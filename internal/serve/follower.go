@@ -379,7 +379,7 @@ func (f *Follower) pollOnce() (int, error) {
 
 	applied := 0
 	if len(recs) > 0 {
-		applied, err = f.s.g.ApplyReplicated(recs, f.s.opts.MergeThreshold)
+		applied, err = f.s.g.ApplyReplicated(recs, 0)
 		if err != nil {
 			if errors.Is(err, wal.ErrSeqGap) {
 				f.setGap(err)

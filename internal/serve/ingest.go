@@ -100,7 +100,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if err := s.g.ApplyMutations(ms, s.opts.MergeThreshold); err != nil {
+	if err := s.g.ApplyMutations(ms, 0); err != nil {
 		code, status := classify(err)
 		if errors.Is(err, csr.ErrIngestBackpressure) {
 			live.IngestBackpressure.Add(1)

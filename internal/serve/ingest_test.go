@@ -34,7 +34,7 @@ func ingestFixture(t *testing.T, opts csr.IngestOptions) *csr.Graph {
 
 func newIngestServer(t *testing.T, g *csr.Graph) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Options{Graph: g, EnableIngest: true, MergeThreshold: 1 << 30})
+	s, err := New(Options{Graph: g, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func mutateBody(muts ...mutationSpec) map[string]interface{} {
 // TestMutateEndpoint pins the happy path: a batch acks with the epoch
 // and pending counts, and subsequent queries see the new edges.
 func TestMutateEndpoint(t *testing.T) {
-	g := ingestFixture(t, csr.IngestOptions{})
+	g := ingestFixture(t, csr.IngestOptions{MergeThreshold: 1 << 30})
 	_, ts := newIngestServer(t, g)
 
 	resp, data := postJSON(t, ts.URL+"/mutate", mutateBody(
@@ -95,7 +95,7 @@ func TestMutateEndpoint(t *testing.T) {
 // TestMutateValidation pins the 400 family: bad op, out-of-range edge,
 // empty and oversized batches, wrong method.
 func TestMutateValidation(t *testing.T) {
-	g := ingestFixture(t, csr.IngestOptions{})
+	g := ingestFixture(t, csr.IngestOptions{MergeThreshold: 1 << 30})
 	_, ts := newIngestServer(t, g)
 
 	cases := []struct {
@@ -134,7 +134,7 @@ func TestMutateValidation(t *testing.T) {
 // batch is shed with code ingest_backpressure and a Retry-After header,
 // and nothing of it is applied.
 func TestMutateBackpressure(t *testing.T) {
-	g := ingestFixture(t, csr.IngestOptions{MaxPending: 4})
+	g := ingestFixture(t, csr.IngestOptions{MaxPending: 4, MergeThreshold: 1 << 30})
 	_, ts := newIngestServer(t, g)
 
 	resp, data := postJSON(t, ts.URL+"/mutate", mutateBody(
@@ -180,8 +180,8 @@ func TestMutateDisabledByDefault(t *testing.T) {
 // in-flight pinned snapshot defers merges rather than racing them —
 // exercised by mutating past the merge threshold while queries run.
 func TestQueriesSnapshotIsolatedFromIngest(t *testing.T) {
-	g := ingestFixture(t, csr.IngestOptions{})
-	s, err := New(Options{Graph: g, EnableIngest: true, MergeThreshold: 64})
+	g := ingestFixture(t, csr.IngestOptions{MergeThreshold: 64})
+	s, err := New(Options{Graph: g, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestQueriesSnapshotIsolatedFromIngest(t *testing.T) {
 
 // TestStatsIngestSection pins the /stats surface the CI smoke scrapes.
 func TestStatsIngestSection(t *testing.T) {
-	g := ingestFixture(t, csr.IngestOptions{MaxPending: 100})
+	g := ingestFixture(t, csr.IngestOptions{MaxPending: 100, MergeThreshold: 1 << 30})
 	_, ts := newIngestServer(t, g)
 	if _, data := postJSON(t, ts.URL+"/mutate", mutateBody(mutationSpec{Op: "add", Src: 1, Dst: 2})); data == nil {
 		t.Fatal("no ack")

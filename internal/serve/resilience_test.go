@@ -292,7 +292,7 @@ func TestServePanicContainmentBatch(t *testing.T) {
 	dev.AttachCache(cache)
 	want := single(t, g, "bfs", 12)
 
-	s, err := New(Options{Graph: g, Cache: cache})
+	s, err := New(Options{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkServeSaturated(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s, err := New(Options{Graph: g, Cache: cache, MemoryBudget: budget, MaxBatch: maxBatch})
+				s, err := New(Options{Graph: g, MemoryBudget: budget, MaxBatch: maxBatch})
 				if err != nil {
 					b.Fatal(err)
 				}

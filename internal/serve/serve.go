@@ -48,8 +48,9 @@ import (
 type Options struct {
 	// Graph is the resident graph every query runs against.
 	Graph *csr.Graph
-	// Cache is the shared page cache attached to the graph's device
-	// (nil = uncached serving; every query pays device reads).
+	// Cache is ignored: an inert shell kept only because bench/ still
+	// sets it (ROADMAP item 11 deletes it). Queries use the page cache
+	// attached to the graph's device, if any.
 	Cache *pagecache.Cache
 	// MaxBatch caps queries per execution — how many that waited for the
 	// same execution slot may share it; defaults to 16, clamped to
@@ -88,9 +89,6 @@ type Options struct {
 	// The graph should be opened with csr.OpenIngest for durability;
 	// without it mutations apply volatile (lost on restart).
 	EnableIngest bool
-	// MergeThreshold is passed through to ApplyMutations for /mutate
-	// batches; 0 keeps the graph's configured default.
-	MergeThreshold int
 
 	// EnableReplication registers GET /replicate, the WAL-shipping
 	// endpoint followers tail. Requires a WAL-backed graph (OpenIngest

@@ -199,7 +199,7 @@ func TestServeDeadlineShedClean(t *testing.T) {
 	// The first execution dawdles past its query's 1ms deadline after
 	// taking its slot, so the engine starts under an expired context and
 	// sheds at its first boundary check, classified as a deadline.
-	s, err := New(Options{Graph: g, Cache: cache})
+	s, err := New(Options{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestServeConcurrentMixed(t *testing.T) {
 		want[i] = single(t, g, kinds[i], sources[i])
 	}
 
-	s, err := New(Options{Graph: g, Cache: cache, MaxBatch: 4, MaxConcurrent: 3})
+	s, err := New(Options{Graph: g, MaxBatch: 4, MaxConcurrent: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

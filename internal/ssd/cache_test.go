@@ -1,8 +1,6 @@
 package ssd_test
 
-// End-to-end tests of the device with a real page cache attached. These
-// live in an external test package so they can use internal/pagecache
-// without an import cycle (ssd only knows the PageCache interface).
+// End-to-end tests of the device with a real page cache attached.
 
 import (
 	"errors"
@@ -109,7 +107,7 @@ func TestWriteThroughCoherence(t *testing.T) {
 	for i := range upd {
 		upd[i] = 0xAB
 	}
-	if err := f.WritePage(1, upd); err != nil {
+	if err := f.WritePageRange(1, upd); err != nil {
 		t.Fatal(err)
 	}
 	before := dev.Stats()
@@ -117,7 +115,7 @@ func TestWriteThroughCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf[0] != 0xAB {
-		t.Fatalf("cached read returned stale data after WritePage: %x", buf[0])
+		t.Fatalf("cached read returned stale data after a one-page WritePageRange: %x", buf[0])
 	}
 	if d := dev.Stats().Sub(before); d.PagesRead != 0 {
 		t.Fatal("read after write-through went to the device")
@@ -183,7 +181,6 @@ func TestLatePutPastTruncateNeverServed(t *testing.T) {
 	for name, grow := range map[string]func(f *ssd.File, idx int, data []byte) error{
 		"AppendPage":     func(f *ssd.File, _ int, data []byte) error { _, err := f.AppendPage(data); return err },
 		"AppendPages":    func(f *ssd.File, _ int, data []byte) error { return f.AppendPages(data) },
-		"WritePage":      func(f *ssd.File, idx int, data []byte) error { return f.WritePage(idx, data) },
 		"WritePageRange": func(f *ssd.File, idx int, data []byte) error { return f.WritePageRange(idx, data) },
 	} {
 		dev, c := newCachedDev(t, 16)

@@ -43,7 +43,7 @@ func TestQuotaEnforced(t *testing.T) {
 		t.Fatal("NoSpaceFaults not counted")
 	}
 	// Overwriting in place needs no new pages and must still work.
-	if err := f.WritePage(0, buf); err != nil {
+	if err := f.WritePageRange(0, buf); err != nil {
 		t.Fatalf("in-place overwrite at full quota: %v", err)
 	}
 }

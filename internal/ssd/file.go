@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"multilogvc/internal/pagecache"
 )
 
 // File is a named extent of pages on a Device.
 //
 // A File has two size notions: NumPages, the number of allocated pages, and
-// Size, the logical byte length written through Append/Writer. Page-level
-// methods (ReadPage, WritePage) address whole pages; byte-level helpers
-// (ReadAt, Append) translate to covering page operations and charge the
-// device accordingly.
+// Size, the logical byte length written through AppendPage(s) or a Writer.
+// Every page read (ReadPage, ReadPages, ReadPageRange, ReadAt) is a call into
+// one read body and every page write (WritePageRange, AppendPage,
+// AppendPages) into one write body, so the fault gate, the range check, the
+// checksums, the charge to the virtual clock and the cache step are each
+// written once.
 //
 // Files are safe for concurrent use.
 //
@@ -51,7 +55,7 @@ type fileState struct {
 func (f *File) SetReadOnce() { f.s.readOnce.Store(true) }
 
 // cache returns the page cache this file's IO goes through, nil for none.
-func (f *File) cache() PageCache {
+func (f *File) cache() *pagecache.Cache {
 	if f.s.readOnce.Load() {
 		return nil
 	}
@@ -96,38 +100,8 @@ func (f *File) SetSize(n int64) {
 }
 
 // ReadPage reads page idx into buf, which must be exactly one page long.
-// It charges one page read to the device.
 func (f *File) ReadPage(idx int, buf []byte) error {
-	if len(buf) != f.dev.cfg.PageSize {
-		return ErrShortBuffer
-	}
-	c := f.cache()
-	if c != nil {
-		if c.Get(f.id, idx, buf) {
-			f.dev.noteCache(1, 0, f.scope)
-			return nil
-		}
-		f.dev.noteCache(0, 1, f.scope)
-	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return err
-	}
-	f.s.mu.Lock()
-	if idx < 0 || idx >= f.s.store.numPages() {
-		f.s.mu.Unlock()
-		return fmt.Errorf("%w: page %d of %q (%d pages)", ErrOutOfRange, idx, f.name, f.s.store.numPages())
-	}
-	err := f.readPageLocked(idx, buf)
-	f.s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	f.s.pagesRead.Add(1)
-	f.dev.chargeRead(1, 1, f.scope)
-	if c != nil {
-		c.Put(f.id, idx, buf, false)
-	}
-	return nil
+	return f.read(batch{start: idx, n: 1}, buf)
 }
 
 // ReadPages reads the listed pages into dst, which must be
@@ -135,156 +109,20 @@ func (f *File) ReadPage(idx int, buf []byte) error {
 // virtual clock advances by the busiest channel's queue depth, modelling
 // asynchronous kernel IO over multiple flash channels.
 func (f *File) ReadPages(pages []int, dst []byte) error {
-	ps := f.dev.cfg.PageSize
-	if len(dst) != len(pages)*ps {
-		return ErrShortBuffer
-	}
-	if len(pages) == 0 {
-		return nil
-	}
-	if f.cache() != nil {
-		return f.readPagesCached(pages, dst)
-	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return err
-	}
-	f.s.mu.Lock()
-	np := f.s.store.numPages()
-	for i, p := range pages {
-		if p < 0 || p >= np {
-			f.s.mu.Unlock()
-			return fmt.Errorf("%w: page %d of %q (%d pages)", ErrOutOfRange, p, f.name, np)
-		}
-		if err := f.readPageLocked(p, dst[i*ps:(i+1)*ps]); err != nil {
-			f.s.mu.Unlock()
-			return err
-		}
-	}
-	f.s.mu.Unlock()
-	f.s.pagesRead.Add(uint64(len(pages)))
-	f.dev.chargeRead(len(pages), maxPerChannel(f.chanBase, f.dev.cfg.Channels, pages), f.scope)
-	return nil
+	return f.read(batch{pages: pages, n: len(pages)}, dst)
 }
 
 // ReadPageRange reads the contiguous pages [start, start+n) into dst as a
 // single batch.
 func (f *File) ReadPageRange(start, n int, dst []byte) error {
-	ps := f.dev.cfg.PageSize
-	if len(dst) != n*ps {
-		return ErrShortBuffer
-	}
-	if n == 0 {
-		return nil
-	}
-	if f.cache() != nil {
-		pages := make([]int, n)
-		for i := range pages {
-			pages[i] = start + i
-		}
-		return f.readPagesCached(pages, dst)
-	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return err
-	}
-	f.s.mu.Lock()
-	np := f.s.store.numPages()
-	if start < 0 || start+n > np {
-		f.s.mu.Unlock()
-		return fmt.Errorf("%w: pages [%d,%d) of %q (%d pages)", ErrOutOfRange, start, start+n, f.name, np)
-	}
-	for i := 0; i < n; i++ {
-		if err := f.readPageLocked(start+i, dst[i*ps:(i+1)*ps]); err != nil {
-			f.s.mu.Unlock()
-			return err
-		}
-	}
-	f.s.mu.Unlock()
-	f.s.pagesRead.Add(uint64(n))
-	f.dev.chargeRead(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
-	return nil
-}
-
-// WritePage writes one page at idx. idx may be at most NumPages, in which
-// case the file grows by one page. data must be exactly one page.
-func (f *File) WritePage(idx int, data []byte) error {
-	if len(data) != f.dev.cfg.PageSize {
-		return ErrShortBuffer
-	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return err
-	}
-	f.s.mu.Lock()
-	np := f.s.store.numPages()
-	if idx < 0 || idx > np {
-		f.s.mu.Unlock()
-		return fmt.Errorf("%w: write page %d of %q (%d pages)", ErrOutOfRange, idx, f.name, np)
-	}
-	grow := 0
-	if idx == np {
-		grow = 1
-	}
-	if err := f.dev.reserveGrow(grow, f.scope); err != nil {
-		f.s.mu.Unlock()
-		return err
-	}
-	err := f.writePageLocked(idx, data)
-	if err != nil {
-		unused := grow - (f.s.store.numPages() - np)
-		f.s.mu.Unlock()
-		f.dev.freePages(unused)
-		return err
-	}
-	f.s.mu.Unlock()
-	f.s.pagesWritten.Add(1)
-	f.dev.chargeWrite(1, 1, f.scope)
-	if c := f.cache(); c != nil {
-		c.Write(f.id, idx, data)
-	}
-	return nil
+	return f.read(batch{start: start, n: n}, dst)
 }
 
 // WritePageRange writes contiguous pages starting at start as one batch.
 // The range may extend the file.
 func (f *File) WritePageRange(start int, data []byte) error {
-	ps := f.dev.cfg.PageSize
-	if len(data)%ps != 0 {
-		return ErrShortBuffer
-	}
-	n := len(data) / ps
-	if n == 0 {
-		return nil
-	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return err
-	}
-	f.s.mu.Lock()
-	np := f.s.store.numPages()
-	if start < 0 || start > np {
-		f.s.mu.Unlock()
-		return fmt.Errorf("%w: write pages at %d of %q (%d pages)", ErrOutOfRange, start, f.name, np)
-	}
-	grow := start + n - np
-	if err := f.dev.reserveGrow(grow, f.scope); err != nil {
-		f.s.mu.Unlock()
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := f.writePageLocked(start+i, data[i*ps:(i+1)*ps]); err != nil {
-			unused := grow - (f.s.store.numPages() - np)
-			f.s.mu.Unlock()
-			f.dev.freePages(unused)
-			return err
-		}
-	}
-	f.s.mu.Unlock()
-	f.s.pagesWritten.Add(uint64(n))
-	f.dev.chargeWrite(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
-	if c := f.cache(); c != nil {
-		for i := 0; i < n; i++ {
-			c.Write(f.id, start+i, data[i*ps:(i+1)*ps])
-		}
-	}
-	return nil
+	_, err := f.write(start, data, false)
+	return err
 }
 
 // AppendPage appends one page to the file and returns its index.
@@ -292,72 +130,162 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	if len(data) != f.dev.cfg.PageSize {
 		return 0, ErrShortBuffer
 	}
-	if err := f.dev.opCheck(f.scope); err != nil {
-		return 0, err
-	}
-	f.s.mu.Lock()
-	idx := f.s.store.numPages()
-	if err := f.dev.reserveGrow(1, f.scope); err != nil {
-		f.s.mu.Unlock()
-		return 0, err
-	}
-	err := f.writePageLocked(idx, data)
-	if err == nil {
-		f.s.size = int64(idx+1) * int64(f.dev.cfg.PageSize)
-	}
-	if err != nil {
-		unused := 1 - (f.s.store.numPages() - idx)
-		f.s.mu.Unlock()
-		f.dev.freePages(unused)
-		return 0, err
-	}
-	f.s.mu.Unlock()
-	f.s.pagesWritten.Add(1)
-	f.dev.chargeWrite(1, 1, f.scope)
-	if c := f.cache(); c != nil {
-		c.Write(f.id, idx, data)
-	}
-	return idx, nil
+	return f.write(0, data, true)
 }
 
 // AppendPages appends len(data)/PageSize pages as one batch and updates
 // the logical size. data must be a whole number of pages.
 func (f *File) AppendPages(data []byte) error {
+	_, err := f.write(0, data, true)
+	return err
+}
+
+// batch is the pages of one read: the list pages or, when pages is nil, the
+// contiguous range [start, start+n), which needs no list.
+type batch struct {
+	pages    []int
+	start, n int
+}
+
+func (b batch) page(i int) int {
+	if b.pages != nil {
+		return b.pages[i]
+	}
+	return b.start + i
+}
+
+// depth is the queue depth of the batch's busiest channel on a file whose
+// stripe base is chanBase. Contiguous pages stripe round-robin, so a range's
+// busiest channel holds ceil(n/channels) pages, as maxPerChannel would find.
+func (b batch) depth(chanBase uint32, channels int) int {
+	if b.pages == nil {
+		return idealDepth(b.n, channels)
+	}
+	return maxPerChannel(chanBase, channels, b.pages)
+}
+
+// missInline is how many missed pages of one cached read fit the stack-backed
+// lists; a vertex batch reads a handful of pages per file.
+const missInline = 32
+
+// read is the one read body: page i of b lands in dst[i*ps:(i+1)*ps]. A
+// cached file serves what the cache holds for free; the rest, the misses, pass
+// the fault gate once, are range checked before any physical read, are read
+// and verified from the store, are charged as one batch on their busiest
+// channel, and enter the cache. A batch the cache serves entirely costs no
+// device time, which is the win a buffer pool buys. Without a cache every
+// page misses, which is the paper's device model byte for byte.
+func (f *File) read(b batch, dst []byte) error {
 	ps := f.dev.cfg.PageSize
-	if len(data)%ps != 0 {
+	if len(dst) != b.n*ps {
 		return ErrShortBuffer
 	}
-	n := len(data) / ps
-	if n == 0 {
+	if b.n == 0 {
 		return nil
+	}
+	// The misses are all of b on an uncached file; on a cached one they are
+	// the pages the cache did not hold, listed with their slots in dst (on
+	// the stack up to missInline misses).
+	miss, at := b, []int(nil)
+	var missBuf, atBuf [missInline]int
+	c := f.cache()
+	if c != nil {
+		pages := missBuf[:0]
+		at = atBuf[:0]
+		for i := 0; i < b.n; i++ {
+			if p := b.page(i); !c.Get(f.id, p, dst[i*ps:(i+1)*ps]) {
+				pages = append(pages, p)
+				at = append(at, i)
+			}
+		}
+		f.dev.noteCache(b.n-len(pages), len(pages), f.scope)
+		if len(pages) == 0 {
+			return nil
+		}
+		miss = batch{pages: pages, n: len(pages)}
 	}
 	if err := f.dev.opCheck(f.scope); err != nil {
 		return err
 	}
 	f.s.mu.Lock()
-	start := f.s.store.numPages()
-	if err := f.dev.reserveGrow(n, f.scope); err != nil {
-		f.s.mu.Unlock()
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := f.writePageLocked(start+i, data[i*ps:(i+1)*ps]); err != nil {
-			unused := n - (f.s.store.numPages() - start)
+	np := f.s.store.numPages()
+	for k := 0; k < miss.n; k++ {
+		if p := miss.page(k); p < 0 || p >= np {
 			f.s.mu.Unlock()
-			f.dev.freePages(unused)
+			return fmt.Errorf("%w: page %d of %q (%d pages)", ErrOutOfRange, p, f.name, np)
+		}
+	}
+	for k := 0; k < miss.n; k++ {
+		i := k
+		if at != nil {
+			i = at[k]
+		}
+		if err := f.readPageLocked(miss.page(k), dst[i*ps:(i+1)*ps]); err != nil {
+			f.s.mu.Unlock()
 			return err
 		}
 	}
-	f.s.size = int64(start+n) * int64(ps)
+	f.s.mu.Unlock()
+	f.s.pagesRead.Add(uint64(miss.n))
+	f.dev.chargeRead(miss.n, miss.depth(f.chanBase, f.dev.cfg.Channels), f.scope)
+	for k, i := range at {
+		c.Put(f.id, miss.pages[k], dst[i*ps:(i+1)*ps], false)
+	}
+	return nil
+}
+
+// write is the one write body: it programs data, a whole number of pages, at
+// start, or past the last page when appending, and returns the first page's
+// index. The file may grow, and every page it grows by is reserved against the
+// device quota first. Appending also sets the logical size to the new end.
+// Resident cached copies of the written pages are updated in place: a read's
+// Put can land after a Truncate, past the page count InvalidateFile was given,
+// so every page that grows a file must overwrite any such frame.
+func (f *File) write(start int, data []byte, appending bool) (int, error) {
+	ps := f.dev.cfg.PageSize
+	if len(data)%ps != 0 {
+		return 0, ErrShortBuffer
+	}
+	n := len(data) / ps
+	if n == 0 {
+		return 0, nil
+	}
+	if err := f.dev.opCheck(f.scope); err != nil {
+		return 0, err
+	}
+	f.s.mu.Lock()
+	np := f.s.store.numPages()
+	if appending {
+		start = np
+	} else if start < 0 || start > np {
+		f.s.mu.Unlock()
+		return 0, fmt.Errorf("%w: write pages at %d of %q (%d pages)", ErrOutOfRange, start, f.name, np)
+	}
+	grow := start + n - np
+	if err := f.dev.reserveGrow(grow, f.scope); err != nil {
+		f.s.mu.Unlock()
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		if err := f.writePageLocked(start+i, data[i*ps:(i+1)*ps]); err != nil {
+			unused := grow - (f.s.store.numPages() - np)
+			f.s.mu.Unlock()
+			f.dev.freePages(unused)
+			return 0, err
+		}
+	}
+	if appending {
+		f.s.size = int64(start+n) * int64(ps)
+	}
 	f.s.mu.Unlock()
 	f.s.pagesWritten.Add(uint64(n))
-	f.dev.chargeWrite(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
+	f.dev.chargeWrite(n, idealDepth(n, f.dev.cfg.Channels), f.scope)
 	if c := f.cache(); c != nil {
 		for i := 0; i < n; i++ {
 			c.Write(f.id, start+i, data[i*ps:(i+1)*ps])
 		}
 	}
-	return nil
+	return start, nil
 }
 
 // Truncate discards all pages and resets the logical size to zero. Used to

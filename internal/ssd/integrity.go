@@ -50,7 +50,7 @@ func (d *Device) corruptHit(name string) bool {
 
 // readPageLocked is the integrity-checked physical read: store read,
 // corruption injection, then CRC verification. Every physical page read
-// in file.go and cache.go funnels through here. Caller holds f.s.mu.
+// of File.read funnels through here. Caller holds f.s.mu.
 func (f *File) readPageLocked(idx int, buf []byte) error {
 	if err := f.s.store.readPage(idx, buf); err != nil {
 		return err
@@ -65,9 +65,6 @@ func (f *File) readPageLocked(idx int, buf []byte) error {
 			return err
 		}
 		d.account(f.scope, 0, func(s *Stats, _ *StageStats) { s.CorruptionsInjected++ })
-	}
-	if d.cfg.NoVerify {
-		return nil
 	}
 	want, ok := f.s.store.getCRC(idx)
 	if !ok {
@@ -86,9 +83,6 @@ func (f *File) readPageLocked(idx int, buf []byte) error {
 func (f *File) writePageLocked(idx int, data []byte) error {
 	if err := f.s.store.writePage(idx, data); err != nil {
 		return err
-	}
-	if f.dev.cfg.NoVerify {
-		return nil
 	}
 	return f.s.store.setCRC(idx, crc32.Checksum(data, castagnoli))
 }

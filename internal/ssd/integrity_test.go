@@ -74,7 +74,7 @@ func TestCorruptScriptedSticky(t *testing.T) {
 	}
 
 	// Rewriting the page refreshes the checksum and clears the damage.
-	if err := f.WritePage(2, bytes.Repeat([]byte{9}, d.PageSize())); err != nil {
+	if err := f.WritePageRange(2, bytes.Repeat([]byte{9}, d.PageSize())); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.ReadPage(2, buf); err != nil {
@@ -218,7 +218,7 @@ func TestScrubFindsPlantedCorruption(t *testing.T) {
 
 	// Rewriting the damaged page heals it.
 	f, _ := d.OpenFile("bad")
-	if err := f.WritePage(1, make([]byte, d.PageSize())); err != nil {
+	if err := f.WritePageRange(1, make([]byte, d.PageSize())); err != nil {
 		t.Fatal(err)
 	}
 	res, err = d.Scrub()
@@ -227,21 +227,6 @@ func TestScrubFindsPlantedCorruption(t *testing.T) {
 	}
 	if !res[0].OK() {
 		t.Fatalf("rewritten page still flagged: %+v", res[0])
-	}
-}
-
-func TestNoVerifySkipsChecksums(t *testing.T) {
-	d := MustOpen(Config{PageSize: 128, Channels: 2, NoVerify: true})
-	f := writeFile(t, d, "data", 2)
-	if err := d.CorruptStoredPage("data", 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, d.PageSize())
-	if err := f.ReadPage(0, buf); err != nil {
-		t.Fatalf("NoVerify read errored: %v", err)
-	}
-	if st := d.Stats(); st.CorruptPages != 0 {
-		t.Fatalf("NoVerify charged CorruptPages = %d", st.CorruptPages)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestScopedTagIndependentOfDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fd.WritePage(0, buf); err != nil {
+	if err := fd.WritePageRange(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := sc.Stats().Stages[obsv.StageVertex].PagesWritten; got != 1 {

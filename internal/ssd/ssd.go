@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"multilogvc/internal/obsv"
+	"multilogvc/internal/pagecache"
 )
 
 // DefaultPageSize is the SSD page size used throughout the paper (16KB).
@@ -62,12 +63,6 @@ type Config struct {
 	// operation. The zero value selects the defaults (3 retries, 100µs
 	// base backoff); set Retry.MaxRetries to -1 to disable retrying.
 	Retry RetryPolicy
-	// NoVerify disables page checksum maintenance and verification —
-	// the pre-integrity device model, kept for measuring the checksum
-	// overhead (mlvc-bench -exp integrity). Corrupt pages then flow to
-	// consumers undetected, exactly like hardware without end-to-end
-	// data protection.
-	NoVerify bool
 }
 
 // RetryPolicy bounds how the device retries operations that fail with a
@@ -265,8 +260,8 @@ type Device struct {
 // device is the state every handle of one Device shares.
 type device struct {
 	cfg   Config
-	cache PageCache // optional buffer pool; see AttachCache
-	pool  pagePool  // free RAM pages of truncated and removed files (no Dir)
+	cache *pagecache.Cache // optional buffer pool; see AttachCache
+	pool  pagePool         // free RAM pages of truncated and removed files (no Dir)
 
 	mu         sync.Mutex
 	files      map[string]*File
@@ -295,38 +290,16 @@ type device struct {
 	nextReclaimID int
 }
 
-// PageCache is the buffer-pool interface the device consults on reads and
-// keeps coherent on writes. Pages are identified by the owning file's
-// device-assigned ID plus the page index, so recycled file names cannot
-// alias stale cached data. internal/pagecache provides the implementation;
-// the interface lives here so ssd does not import it.
-type PageCache interface {
-	// Get copies the cached page into dst (when non-nil) and reports
-	// whether it was resident.
-	Get(fid uint32, page int, dst []byte) bool
-	// Put inserts a page copy; the return reports residency. The fourth
-	// argument is ignored (an inert shell, see pagecache.Prefetcher).
-	Put(fid uint32, page int, data []byte, _ bool) bool
-	// Write updates the cached copy of a page if resident (write-through
-	// coherence); it never populates the cache.
-	Write(fid uint32, page int, data []byte)
-	// InvalidateFile drops the cached pages [0, pages) of a file; pages is
-	// the file's page count, so the cost follows the file, not the cache.
-	// A frame at page >= pages may survive (a read's Put runs after the file
-	// lock is released, so it can land after a Truncate): every path that
-	// grows a file must therefore Write each page it adds, as all four do.
-	InvalidateFile(fid uint32, pages int)
-}
-
 // AttachCache installs a page cache in front of the device. Cached reads
 // are served from memory and charge nothing to the virtual storage clock —
 // that is the point. Must be called while no IO is in flight, with an empty
 // cache: from then on write-through keeps it coherent. A nil cache leaves
-// the device uncached (the default, matching the paper's model).
-func (d *Device) AttachCache(c PageCache) { d.cache = c }
+// the device uncached (the default, matching the paper's model). The engines
+// take the cache from the device (Cache) for their per-superstep counters.
+func (d *Device) AttachCache(c *pagecache.Cache) { d.cache = c }
 
 // Cache returns the attached page cache, or nil.
-func (d *Device) Cache() PageCache { return d.cache }
+func (d *Device) Cache() *pagecache.Cache { return d.cache }
 
 // ErrInjected is the error a crashed device returns (FaultPlan.Crash). It
 // models a permanent fault: once the crash depth is reached every
@@ -735,16 +708,6 @@ func maxPerChannel(chanBase uint32, channels int, pages []int) int {
 		}
 	}
 	return maxc
-}
-
-// maxPerChannelRange is maxPerChannel for the contiguous range
-// [start, start+n). Contiguous pages stripe round-robin, so the busiest
-// channel holds ceil(n/channels) pages.
-func maxPerChannelRange(n, channels int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + channels - 1) / channels
 }
 
 func nameHash(name string) uint32 {

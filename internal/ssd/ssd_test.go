@@ -94,10 +94,10 @@ func TestPageReadWrite(t *testing.T) {
 	ps := d.PageSize()
 	p0 := bytes.Repeat([]byte{1}, ps)
 	p1 := bytes.Repeat([]byte{2}, ps)
-	if err := f.WritePage(0, p0); err != nil {
+	if err := f.WritePageRange(0, p0); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WritePage(1, p1); err != nil {
+	if err := f.WritePageRange(1, p1); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumPages() != 2 {
@@ -111,7 +111,7 @@ func TestPageReadWrite(t *testing.T) {
 		t.Fatal("page 1 contents wrong")
 	}
 	// Overwrite in place.
-	if err := f.WritePage(0, p1); err != nil {
+	if err := f.WritePageRange(0, p1); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.ReadPage(0, buf); err != nil {
@@ -130,13 +130,13 @@ func TestPageErrors(t *testing.T) {
 	if err := f.ReadPage(0, page); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("read empty file err = %v", err)
 	}
-	if err := f.WritePage(5, page); !errors.Is(err, ErrOutOfRange) {
+	if err := f.WritePageRange(5, page); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("sparse write err = %v", err)
 	}
 	if err := f.ReadPage(0, page[:1]); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("short buffer err = %v", err)
 	}
-	if err := f.WritePage(0, page[:1]); !errors.Is(err, ErrShortBuffer) {
+	if err := f.WritePageRange(0, page[:1]); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("short write err = %v", err)
 	}
 	if _, err := f.AppendPage(page[:1]); !errors.Is(err, ErrShortBuffer) {
@@ -560,11 +560,16 @@ func TestMaxPerChannel(t *testing.T) {
 	if got := maxPerChannel(0, 4, []int{0, 1, 2, 3}); got != 1 {
 		t.Fatalf("spread pages = %d, want 1", got)
 	}
-	if got := maxPerChannelRange(0, 4); got != 0 {
-		t.Fatalf("range 0 = %d", got)
-	}
-	if got := maxPerChannelRange(9, 4); got != 3 {
-		t.Fatalf("range 9/4 = %d, want 3", got)
+	// A contiguous range needs no list, and its depth is the one
+	// maxPerChannel finds on the listed range, for any stripe base.
+	for _, n := range []int{0, 1, 4, 9, 33} {
+		list := make([]int, n)
+		for i := range list {
+			list[i] = 5 + i
+		}
+		if got, want := (batch{start: 5, n: n}).depth(3, 4), maxPerChannel(3, 4, list); got != want {
+			t.Fatalf("range of %d = %d, listed = %d", n, got, want)
+		}
 	}
 }
 

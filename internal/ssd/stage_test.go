@@ -51,7 +51,7 @@ func TestStageAttributionUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.SetStage(obsv.StageVertex, 2)
-	if err := f.WritePage(0, buf); err != nil {
+	if err := f.WritePageRange(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if s, iv := sc.SetStage(prevS, prevIv); s != obsv.StageVertex || iv != 2 {

@@ -175,7 +175,7 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 		return func(g *csr.Graph, workers int) (*superstep.Result, error) {
 			c := pagecache.New(64, g.Device().PageSize())
 			g.Device().AttachCache(c)
-			res, err := core.New(g, core.Config{MaxSupersteps: 6, Workers: workers, Cache: c}).Run(prog)
+			res, err := core.New(g, core.Config{MaxSupersteps: 6, Workers: workers}).Run(prog)
 			if err == nil && res.Report.CacheEvictions == 0 {
 				err = errors.New("the cache never evicted: it holds the whole graph")
 			}

@@ -160,8 +160,7 @@ type SystemOptions struct {
 
 // System owns a storage device and the graphs on it.
 type System struct {
-	dev   *ssd.Device
-	cache *pagecache.Cache // nil when CacheMB == 0
+	dev *ssd.Device
 }
 
 // NewSystem opens a storage device.
@@ -178,12 +177,8 @@ func NewSystem(opts SystemOptions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{dev: dev}
-	if c := pagecache.FromMB(opts.CacheMB, dev.PageSize()); c != nil {
-		dev.AttachCache(c)
-		s.cache = c
-	}
-	return s, nil
+	dev.AttachCache(pagecache.FromMB(opts.CacheMB, dev.PageSize()))
+	return &System{dev: dev}, nil
 }
 
 // Device exposes the underlying simulated device (stats, page size).
@@ -191,7 +186,7 @@ func (s *System) Device() *ssd.Device { return s.dev }
 
 // Cache exposes the attached page cache, or nil when the System is
 // uncached (SystemOptions.CacheMB == 0).
-func (s *System) Cache() *pagecache.Cache { return s.cache }
+func (s *System) Cache() *pagecache.Cache { return s.dev.Cache() }
 
 // GraphOptions configures BuildGraph.
 type GraphOptions struct {
@@ -448,7 +443,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			MaxSupersteps: opts.MaxSupersteps,
 			Workers:       opts.Workers,
 			StopAfter:     opts.StopAfter,
-			Cache:         g.sys.cache,
 		}
 		if g.g.HasWeights() {
 			return graphchi.NewWeighted(g.sys.dev, g.g.Name(), g.wedges, g.g.Intervals(), cfg).RunCtx(ctx, prog)
@@ -461,7 +455,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			Workers:       opts.Workers,
 			Adapted:       opts.Engine == EngineGraFBoostAdapted,
 			StopAfter:     opts.StopAfter,
-			Cache:         g.sys.cache,
 		}).RunCtx(ctx, prog)
 	default:
 		return core.New(g.g, core.Config{
@@ -475,7 +468,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			DisableFusing:   opts.DisableFusing,
 			Async:           opts.Async,
 			Trace:           opts.Trace,
-			Cache:           g.sys.cache,
 			CheckpointEvery: opts.CheckpointEvery,
 			Resume:          opts.Resume,
 			Interrupt:       opts.Interrupt,
