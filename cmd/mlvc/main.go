@@ -323,21 +323,11 @@ func cmdRun(args []string) error {
 		trace = multilogvc.NewTrace()
 	}
 
-	// Graceful shutdown: SIGINT/SIGTERM asks the engine to commit a
-	// checkpoint at the next superstep boundary and exit (code 7), so
-	// the run can be finished later with -resume.
-	interrupt := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	go func() {
-		if _, ok := <-sigc; ok {
-			fmt.Fprintln(os.Stderr, "mlvc: signal received; committing checkpoint at next superstep boundary")
-			close(interrupt)
-		}
-	}()
-
-	runCtx := context.Background()
+	// Graceful shutdown: SIGINT/SIGTERM cancels the run context, so the
+	// engine commits a checkpoint at the next superstep boundary and exits
+	// (code 7); the run can be finished later with -resume.
+	runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
@@ -353,7 +343,6 @@ func cmdRun(args []string) error {
 		Trace:           trace,
 		CheckpointEvery: *ckptEvery,
 		Resume:          *resume,
-		Interrupt:       interrupt,
 		Context:         runCtx,
 		SortBudget:      *sortBudget,
 	})

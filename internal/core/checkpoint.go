@@ -188,20 +188,16 @@ func (r *run) snapshotElog(st *ckpt.State, ss *metrics.SuperstepStats) error {
 	return nil
 }
 
-// boundary is the loop's hook before every superstep: an interrupt, a
-// cancellation or an expired deadline stops the run here, where the state
-// is consistent.
+// boundary is the loop's hook before every superstep: a cancellation or an
+// expired deadline stops the run here, where the state is consistent.
 func (r *run) boundary(ctx context.Context, step int) error {
-	select {
-	case <-r.cfg.Interrupt:
-		return r.stopAtBoundary(step, ErrInterrupted)
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return r.stopAtBoundary(step, ErrDeadline)
-		}
-		return r.stopAtBoundary(step, ErrInterrupted)
-	default:
+	switch err := ctx.Err(); {
+	case err == nil:
 		return nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return r.stopAtBoundary(step, ErrDeadline)
+	default:
+		return r.stopAtBoundary(step, ErrInterrupted)
 	}
 }
 

@@ -37,10 +37,12 @@ import (
 // data (edge-log pages) never surfaces this — it is healed from CSR.
 var ErrCorruptData = errors.New("core: corrupt data beyond recovery")
 
-// ErrInterrupted is returned when Config.Interrupt fires. The engine
-// commits a checkpoint at the superstep boundary before returning, so an
-// interrupted run is always resumable with Config.Resume.
-var ErrInterrupted = errors.New("core: run interrupted; checkpoint committed")
+// ErrInterrupted is returned when the run context passed to RunCtx is
+// cancelled. Cancellation seen at a superstep boundary commits a checkpoint
+// before returning, so the run is resumable with Config.Resume; one seen
+// mid-superstep by the device retry layer surfaces without one, but the
+// newest periodic checkpoint (if any) remains valid for Resume.
+var ErrInterrupted = errors.New("core: run interrupted")
 
 // ErrDeadline is returned when the run context passed to RunCtx expires.
 // A deadline observed at a superstep boundary commits a checkpoint first
@@ -63,18 +65,24 @@ var ErrPanic = superstep.ErrPanic
 // ErrCorruptData after the budget.
 const maxRollbacks = 3
 
-// Config tunes the engine. The memory budget is split exactly as Fig 4 of
-// the paper: SortPct (X%) for the sort-and-group unit, MLogPct (A%) for
-// the multi-log buffers, ELogPct (B%) for the edge-log buffer.
+// The memory budget is split as in Fig 4 of the paper: sortPct (X%) for
+// the sort-and-group unit, mlogPct (A%) for the multi-log buffers, elogPct
+// (B%) for the edge-log buffer.
+const (
+	sortPct = 75
+	mlogPct = 5
+	elogPct = 5
+)
+
+// IntervalBudget is the sort-and-group share of a memory budget: what one
+// vertex interval's update log may take (§V-A1), and so the budget a graph's
+// intervals are partitioned by.
+func IntervalBudget(memoryBudget int64) int64 { return memoryBudget * sortPct / 100 }
+
+// Config tunes the engine.
 type Config struct {
 	// MemoryBudget in bytes; defaults to 64 MiB.
 	MemoryBudget int64
-	// SortPct defaults to 75 (the paper's X%).
-	SortPct int
-	// MLogPct defaults to 5 (the paper's A%).
-	MLogPct int
-	// ELogPct defaults to 5 (the paper's B%).
-	ELogPct int
 	// MaxSupersteps defaults to 15, the paper's evaluation cap.
 	MaxSupersteps int
 	// Workers is the vertex-processing parallelism; defaults to
@@ -123,17 +131,12 @@ type Config struct {
 	// fresh; a checkpoint whose every slot is torn or corrupt is an error
 	// (ckpt.ErrCorrupt).
 	Resume bool
-	// Interrupt, when non-nil, requests graceful shutdown: at the next
-	// superstep boundary after the channel closes (or receives), the
-	// engine commits a checkpoint — even when CheckpointEvery is 0 — and
-	// returns ErrInterrupted, so the run can be finished later with
-	// Resume.
-	Interrupt <-chan struct{}
 	// SortBudget overrides the sort-and-group budget in bytes (0 derives
-	// it from MemoryBudget×SortPct, the paper's split). An interval log
-	// exceeding the budget no longer over-allocates: it spills through
-	// sortgroup's chunked external sort-group, trading extra device IO for
-	// a hard memory bound, with results identical to the in-memory path.
+	// it from MemoryBudget by IntervalBudget, the paper's split). An
+	// interval log exceeding the budget no longer over-allocates: it spills
+	// through sortgroup's chunked external sort-group, trading extra device
+	// IO for a hard memory bound, with results identical to the in-memory
+	// path.
 	SortBudget int64
 	// RunTag namespaces the run's scratch files (values, message logs,
 	// edge log, spill runs, checkpoints) as "<graph>.<RunTag>.*" instead
@@ -156,15 +159,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MemoryBudget <= 0 {
 		c.MemoryBudget = 64 << 20
-	}
-	if c.SortPct <= 0 {
-		c.SortPct = 75
-	}
-	if c.MLogPct <= 0 {
-		c.MLogPct = 5
-	}
-	if c.ELogPct <= 0 {
-		c.ELogPct = 5
 	}
 	c.MaxSupersteps, c.Workers = superstep.Defaults(c.MaxSupersteps, c.Workers)
 	if c.UtilThreshold <= 0 {
@@ -202,9 +196,10 @@ func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
 
 // RunCtx is Run bounded by a context. The context reaches every layer that
 // can stall: the superstep loop checks it at each boundary (committing a
-// checkpoint before returning ErrDeadline, like an interrupt), and the
-// device retry layer abandons its backoff schedule when it expires. A deadline
-// expiry anywhere surfaces classified as ErrDeadline.
+// checkpoint before returning ErrDeadline or ErrInterrupted), and the device
+// retry layer abandons its backoff schedule when it ends. A deadline expiry
+// anywhere surfaces classified as ErrDeadline, a cancellation as
+// ErrInterrupted.
 func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (res *superstep.Result, err error) {
 	// Contain panics from the run goroutine (engine stages, program
 	// callbacks reached outside the worker pool). Deferred cleanup below
@@ -230,10 +225,14 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (res *superstep.Re
 			return nil, fmt.Errorf("%w: %w", ErrCorruptData, err)
 		}
 	}
-	// Deadline expiry below a boundary (device retry)
-	// propagates as a raw context error; classify it like the boundary path.
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrDeadline) {
+	// A context ending below a boundary (device retry) propagates as a raw
+	// context error; classify it like the boundary path.
+	switch {
+	case err == nil, errors.Is(err, ErrDeadline), errors.Is(err, ErrInterrupted):
+	case errors.Is(err, context.DeadlineExceeded):
 		err = fmt.Errorf("%w: %w", ErrDeadline, err)
+	case errors.Is(err, context.Canceled):
+		err = fmt.Errorf("%w: %w", ErrInterrupted, err)
 	}
 	return res, err
 }

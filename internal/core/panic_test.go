@@ -46,7 +46,7 @@ func TestEnginePanicContained(t *testing.T) {
 		}
 	}
 
-	if _, err := graphchi.New(dev, "g", edges, g.Intervals(), graphchi.Config{MaxSupersteps: 10}).Run(prog); !errors.Is(err, ErrPanic) {
+	if _, err := graphchi.New(g, graphchi.Config{MaxSupersteps: 10}).Run(prog); !errors.Is(err, ErrPanic) {
 		t.Fatalf("graphchi: error %v does not wrap ErrPanic", err)
 	}
 	if _, err := grafboost.New(g, grafboost.Config{MaxSupersteps: 10}).Run(prog); !errors.Is(err, ErrPanic) {

@@ -186,13 +186,12 @@ func (r *run) open(resume bool) error {
 	}
 
 	// The memory budget is split as in Fig 4 of the paper.
-	pct := func(p int) int64 { return cfg.MemoryBudget * int64(p) / 100 }
-	r.sortOpts = sortgroup.Options{SortBudget: pct(cfg.SortPct), NoFuse: cfg.DisableFusing}
+	r.sortOpts = sortgroup.Options{SortBudget: IntervalBudget(cfg.MemoryBudget), NoFuse: cfg.DisableFusing}
 	if cfg.SortBudget > 0 {
 		r.sortOpts.SortBudget = cfg.SortBudget
 	}
-	r.elogBudget = pct(cfg.ELogPct)
-	if r.curLog, err = mlog.New(dev, name+".mlog.0", len(g.Intervals()), pct(cfg.MLogPct)); err != nil {
+	r.elogBudget = cfg.MemoryBudget * elogPct / 100
+	if r.curLog, err = mlog.New(dev, name+".mlog.0", len(g.Intervals()), cfg.MemoryBudget*mlogPct/100); err != nil {
 		return err
 	}
 	r.curLog.SetTracer(cfg.Trace)

@@ -24,7 +24,7 @@ func servingGraph(t testing.TB) *csr.Graph {
 	t.Helper()
 	edges, _ := rmatEdges(t, 11, 12, 1)
 	dev := ssd.MustOpen(ssd.Config{PageSize: servingPageSize, Channels: 8})
-	if _, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: servingBudget * 75 / 100}); err != nil {
+	if _, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: IntervalBudget(servingBudget)}); err != nil {
 		t.Fatal(err)
 	}
 	dev.AttachCache(pagecache.FromMB(64, servingPageSize))

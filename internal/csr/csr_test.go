@@ -491,7 +491,7 @@ func TestStructuralUpdates(t *testing.T) {
 	if err := g.AddEdge(4, 5, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.RemoveEdge(5, 0, 1000); err != nil {
+	if err := g.DelEdge(5, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if g.PendingUpdates() == 0 {
@@ -547,12 +547,12 @@ func TestAddRemoveCancel(t *testing.T) {
 	dev := testDev(t)
 	g, _ := Build(dev, "g", paperEdges(), BuildOptions{})
 	g.AddEdge(0, 3, 1000)
-	g.RemoveEdge(0, 3, 1000) // cancels the pending add
+	g.DelEdge(0, 3, 1000) // cancels the pending add
 	deg, err := g.OutDegreeSlow(0)
 	if err != nil || deg != 1 {
 		t.Fatalf("degree = %d, want 1 (add cancelled)", deg)
 	}
-	g.RemoveEdge(0, 1, 1000)
+	g.DelEdge(0, 1, 1000)
 	g.AddEdge(0, 1, 1000) // cancels the pending remove
 	deg, err = g.OutDegreeSlow(0)
 	if err != nil || deg != 1 {
@@ -566,8 +566,8 @@ func TestStructuralUpdateOutOfRange(t *testing.T) {
 	if err := g.AddEdge(0, 100, 0); err == nil {
 		t.Fatal("out-of-range AddEdge should fail")
 	}
-	if err := g.RemoveEdge(100, 0, 0); err == nil {
-		t.Fatal("out-of-range RemoveEdge should fail")
+	if err := g.DelEdge(100, 0, 0); err == nil {
+		t.Fatal("out-of-range DelEdge should fail")
 	}
 }
 
@@ -598,7 +598,7 @@ func TestQuickStructuralUpdates(t *testing.T) {
 					ref[e] = true
 				}
 			} else if ref[e] {
-				if err := g.RemoveEdge(src, dst, 1000); err != nil {
+				if err := g.DelEdge(src, dst, 1000); err != nil {
 					return false
 				}
 				delete(ref, e)

@@ -202,11 +202,6 @@ func (g *Graph) DelEdge(src, dst uint32, mergeThreshold int) error {
 	return g.ApplyMutations([]Mutation{{Del: true, Src: src, Dst: dst}}, mergeThreshold)
 }
 
-// RemoveEdge is DelEdge under its historical name.
-func (g *Graph) RemoveEdge(src, dst uint32, mergeThreshold int) error {
-	return g.DelEdge(src, dst, mergeThreshold)
-}
-
 func sortPairs(pairs []wpair) {
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
 }

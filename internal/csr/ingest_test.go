@@ -156,7 +156,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err := g.AddEdge(0, 4, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.RemoveEdge(0, 1, 1<<30); err != nil {
+	if err := g.DelEdge(0, 1, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	degSnap, err := snap.Graph().OutDegreeSlow(0)

@@ -22,7 +22,6 @@ import (
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
 	"multilogvc/internal/extsort"
-	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/shard"
@@ -49,45 +48,22 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine is a GraphChi-style shard engine. It charges all its IO to an
-// IOScope of its own: dev is the device handle scoped to sc.
+// IOScope of its own: g is the graph viewed through that scope.
 type Engine struct {
-	sc       *ssd.IOScope
-	dev      *ssd.Device
-	name     string
-	edges    []graphio.WeightedEdge
-	weighted bool
-	ivs      []csr.Interval
-	n        uint32
-	idx      *csr.IntervalIndex
-	cfg      Config
+	sc  *ssd.IOScope
+	g   *csr.Graph
+	ivs []csr.Interval
+	n   uint32
+	cfg Config
 }
 
-// New creates the engine. Intervals are shared with the CSR layout so both
-// engines process identical vertex groupings; shards are built per run
-// (edge values are program state).
-func New(dev *ssd.Device, name string, edges []graphio.Edge, ivs []csr.Interval, cfg Config) *Engine {
-	wedges := make([]graphio.WeightedEdge, len(edges))
-	for i, e := range edges {
-		wedges[i] = graphio.WeightedEdge{Src: e.Src, Dst: e.Dst}
-	}
-	return makeEngine(dev, name, wedges, false, ivs, cfg)
-}
-
-// NewWeighted is New for weighted graphs: record weights flow to
-// Context.OutWeights.
-func NewWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, ivs []csr.Interval, cfg Config) *Engine {
-	kept := make([]graphio.WeightedEdge, len(edges))
-	copy(kept, edges)
-	return makeEngine(dev, name, kept, true, ivs, cfg)
-}
-
-func makeEngine(dev *ssd.Device, name string, edges []graphio.WeightedEdge, weighted bool, ivs []csr.Interval, cfg Config) *Engine {
-	n := ivs[len(ivs)-1].Hi
+// New creates the engine over an opened CSR graph. Its intervals are the
+// CSR's, so every engine processes identical vertex groupings; shards are
+// built per run from the in-CSR (edge values are program state), so a run
+// sees the graph as it is then, pending deltas included.
+func New(g *csr.Graph, cfg Config) *Engine {
 	sc := ssd.NewScope()
-	return &Engine{
-		sc: sc, dev: dev.Scoped(sc), name: name, edges: edges, weighted: weighted, ivs: ivs, n: n,
-		idx: csr.NewIntervalIndex(ivs, n), cfg: cfg.withDefaults(),
-	}
+	return &Engine{sc: sc, g: g.View(sc), ivs: g.Intervals(), n: g.NumVertices(), cfg: cfg.withDefaults()}
 }
 
 // Run executes prog to convergence or the superstep cap.
@@ -100,7 +76,8 @@ func (e *Engine) Run(prog vc.Program) (*superstep.Result, error) {
 // error wrapped (the baseline has no checkpoint machinery), and the
 // device's retry backoff gives up early.
 func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result, error) {
-	loop := superstep.Begin(ctx, e.sc, "graphchi", prog.Name(), e.name)
+	dev, name := e.g.Device(), e.g.Name()
+	loop := superstep.Begin(ctx, e.sc, "graphchi", prog.Name(), name)
 	defer loop.End()
 
 	auxUser, isAux := prog.(vc.AuxUser)
@@ -108,18 +85,19 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	if isAux {
 		initVal = auxUser.AuxInit(e.n)
 	}
-	// Shards are program state (edge values); build fresh per run. Setup
-	// IO is excluded from superstep accounting, mirroring how the paper
-	// reports per-run execution times on preformatted graphs.
+	// Shards are program state (edge values); build fresh per run from the
+	// in-CSR. Setup IO (the in-edge reads and the shard writes) is excluded
+	// from superstep accounting, mirroring how the paper reports per-run
+	// execution times on preformatted graphs.
 	prevS, prevIv := e.sc.SetStage(obsv.StageBuild, -1)
-	store, err := shard.BuildWeighted(e.dev, e.name+".gc", e.edges, e.ivs, initVal)
+	store, err := shard.Build(e.g, name+".gc", initVal)
 	if err != nil {
 		e.sc.SetStage(prevS, prevIv)
 		return nil, err
 	}
 	defer store.Remove()
 
-	values, err := csr.CreateValuesFunc(e.dev, e.name+".gc.values", e.n, func(v uint32) uint32 {
+	values, err := csr.CreateValuesFunc(dev, name+".gc.values", e.n, func(v uint32) uint32 {
 		return prog.InitValue(v, e.n)
 	})
 	e.sc.SetStage(prevS, prevIv)
@@ -130,7 +108,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	loop.Values = values
 	loop.MaxSupersteps = e.cfg.MaxSupersteps
 	loop.StopAfter = e.cfg.StopAfter
-	loop.Cache = e.dev.Cache()
+	loop.Cache = dev.Cache()
 	return loop.Run(&run{
 		eng: e, prog: prog, store: store, values: values, isAux: isAux,
 		active: superstep.InitialActive(prog.InitActive(e.n), e.n),
@@ -287,7 +265,7 @@ func (ir *intervalRun) loadWindows() error {
 	iv := e.ivs[ir.k]
 	ir.windows = make([]*shard.Window, len(e.ivs))
 	ir.outEdges = make(map[uint32][]uint32)
-	if e.weighted {
+	if e.g.HasWeights() {
 		ir.outWeights = make(map[uint32][]uint32)
 	}
 	// Destination intervals ascend, so each vertex's out-edge list is
@@ -324,7 +302,7 @@ func (ir *intervalRun) applySends() error {
 		for _, s := range sends {
 			ir.nextActive.Set(int(s.Dst))
 			var rec *shard.Record
-			if j := ir.eng.idx.Of(s.Dst); j == ir.k {
+			if j := ir.eng.g.IntervalOf(s.Dst); j == ir.k {
 				rec = findRecord(ir.recs, ir.inEdges, s.Src, s.Dst)
 			} else if w := ir.windows[j]; w != nil {
 				rec = w.Find(s.Src, s.Dst)

@@ -15,11 +15,11 @@ import (
 func newEngine(t *testing.T, edges []graphio.Edge, n uint32, cfg Config) *Engine {
 	t.Helper()
 	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
-	if m := graphio.NumVertices(edges); m > n {
-		n = m
+	g, err := csr.Build(dev, "g", edges, csr.BuildOptions{NumVertices: n, IntervalBudget: 2048})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ivs := csr.Partition(graphio.InDegrees(edges, n), csr.MsgBytes, 2048)
-	return New(dev, "g", edges, ivs, cfg)
+	return New(g, cfg)
 }
 
 // runBoth executes prog on the GraphChi engine and the reference engine

@@ -15,12 +15,12 @@ import (
 func TestRunChargesOnlyItsScope(t *testing.T) {
 	edges, n := rmatEdges(t, 9, 8, 5)
 	e := newEngine(t, edges, n, Config{MaxSupersteps: 5})
-	e.dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{7, 70}}})
-	before := e.dev.Stats()
+	e.g.Device().SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{7, 70}}})
+	before := e.g.Device().Stats()
 	if _, err := e.Run(&apps.PageRank{}); err != nil {
 		t.Fatal(err)
 	}
-	want := e.dev.Stats().Sub(before)
+	want := e.g.Device().Stats().Sub(before)
 	want.FilesCreated, want.FilesRemoved, want.FileTruncates = 0, 0, 0
 	got := e.sc.Stats()
 	if !reflect.DeepEqual(got, want) {

@@ -502,7 +502,7 @@ func Extended(size Size) (*metrics.Table, error) {
 			}
 			return uint32(vc.Hash64(uint64(s), uint64(d))%16) + 1
 		})
-		wenv, err := PrepareWeighted(Dataset{Name: ds.Name, Edges: ds.Edges, N: ds.N}, wedges, EnvOptions{})
+		wenv, err := Prepare(ds, EnvOptions{}, wedges...)
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +512,7 @@ func Extended(size Size) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gc, _, err := RunGraphChiWeighted(wenv, wedges, prog, opts)
+		gc, _, err := RunGraphChi(wenv, prog, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -179,8 +179,9 @@ func (o EnvOptions) attachCache(dev *ssd.Device) *pagecache.Cache {
 	return c
 }
 
-// Prepare builds the CSR graph for ds on a fresh device.
-func Prepare(ds Dataset, opts EnvOptions) (*Env, error) {
+// Prepare builds the CSR graph for ds on a fresh device. With wedges it
+// builds a weighted graph (wedges must strip to ds.Edges).
+func Prepare(ds Dataset, opts EnvOptions, wedges ...graphio.WeightedEdge) (*Env, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = 4096
 	}
@@ -199,12 +200,13 @@ func Prepare(ds Dataset, opts EnvOptions) (*Env, error) {
 		return nil, err
 	}
 	cache := opts.attachCache(dev)
-	// Interval budget = the sort share of the memory budget (§V-A1).
-	ivBudget := opts.MemBudget * 75 / 100
-	g, err := csr.Build(dev, ds.Name, ds.Edges, csr.BuildOptions{
-		NumVertices:    ds.N,
-		IntervalBudget: ivBudget,
-	})
+	bopts := csr.BuildOptions{NumVertices: ds.N, IntervalBudget: core.IntervalBudget(opts.MemBudget)}
+	var g *csr.Graph
+	if wedges != nil {
+		g, err = csr.BuildWeighted(dev, ds.Name, wedges, bopts)
+	} else {
+		g, err = csr.Build(dev, ds.Name, ds.Edges, bopts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -233,12 +235,10 @@ type RunOpts struct {
 	// Resume restarts from the latest valid checkpoint on the device
 	// (MultiLogVC engine only).
 	Resume bool
-	// Interrupt requests a graceful stop: when it closes, the engine
-	// checkpoints at the next superstep boundary and returns
-	// core.ErrInterrupted (MultiLogVC engine only).
-	Interrupt <-chan struct{}
 	// Context bounds the run (deadline or cancellation); nil means
-	// context.Background(). All three engines honor it.
+	// context.Background(). All three engines honor it; the MultiLogVC
+	// engine checkpoints at the boundary first and returns core.ErrDeadline
+	// or core.ErrInterrupted.
 	Context context.Context
 	// SortBudget overrides the in-memory sort bound (MultiLogVC engine
 	// only); interval logs above it spill through the external
@@ -282,14 +282,13 @@ func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, e
 		UtilThreshold:   o.UtilThreshold,
 		CheckpointEvery: o.CheckpointEvery,
 		Resume:          o.Resume,
-		Interrupt:       o.Interrupt,
 	})
 	return env.finish("multilogvc", prog, o, eng)
 }
 
 // RunGraphChi runs prog on the GraphChi baseline.
 func RunGraphChi(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	eng := graphchi.New(env.Dev, env.DS.Name, env.DS.Edges, env.Graph.Intervals(), graphchi.Config{
+	eng := graphchi.New(env.Graph, graphchi.Config{
 		MaxSupersteps: o.MaxSupersteps,
 		StopAfter:     o.StopAfter,
 		Workers:       o.Workers,
@@ -307,45 +306,4 @@ func RunGraFBoost(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint
 		Workers:       o.Workers,
 	})
 	return env.finish("grafboost", prog, o, eng)
-}
-
-// PrepareWeighted builds a weighted CSR graph for ds (wedges must strip to
-// ds.Edges).
-func PrepareWeighted(ds Dataset, wedges []graphio.WeightedEdge, opts EnvOptions) (*Env, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = 4096
-	}
-	if opts.Channels <= 0 {
-		opts.Channels = 8
-	}
-	if opts.MemBudget <= 0 {
-		graphBytes := int64(len(ds.Edges)) * 4
-		opts.MemBudget = graphBytes * 2 / 100
-		if opts.MemBudget < 64<<10 {
-			opts.MemBudget = 64 << 10
-		}
-	}
-	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, Capacity: opts.Capacity})
-	if err != nil {
-		return nil, err
-	}
-	cache := opts.attachCache(dev)
-	g, err := csr.BuildWeighted(dev, ds.Name, wedges, csr.BuildOptions{
-		NumVertices:    ds.N,
-		IntervalBudget: opts.MemBudget * 75 / 100,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Dev: dev, Graph: g, DS: ds, MemBudget: opts.MemBudget, PageSize: opts.PageSize, Cache: cache}, nil
-}
-
-// RunGraphChiWeighted runs prog on the weighted shard baseline.
-func RunGraphChiWeighted(env *Env, wedges []graphio.WeightedEdge, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	eng := graphchi.NewWeighted(env.Dev, env.DS.Name, wedges, env.Graph.Intervals(), graphchi.Config{
-		MaxSupersteps: o.MaxSupersteps,
-		StopAfter:     o.StopAfter,
-		Workers:       o.Workers,
-	})
-	return env.finish("graphchi-w", prog, o, eng)
 }

@@ -7,6 +7,7 @@ package harness
 // run — a wrong answer is worse than a crash.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestMlogCorruptionWithoutCheckpointsFailsClassified(t *testing.T) {
 	}
 }
 
-// TestInterruptCheckpointsAndResumes closes the interrupt channel two
+// TestInterruptCheckpointsAndResumes cancels the run context two
 // supersteps in: the run must commit a checkpoint — even with periodic
 // checkpointing disabled — return ErrInterrupted, and a resumed run must
 // finish bit-identical to an uninterrupted one.
@@ -189,17 +190,16 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interrupt := make(chan struct{})
-		var fired bool
+		ctx, cancel := context.WithCancel(context.Background())
 		stop := func(step int, cum uint64) bool {
-			if step >= 1 && !fired {
-				fired = true
-				close(interrupt)
+			if step >= 1 {
+				cancel()
 			}
 			return false
 		}
 		_, _, err = RunMLVC(env, app.make(),
-			RunOpts{MaxSupersteps: integritySteps, StopAfter: stop, Interrupt: interrupt})
+			RunOpts{MaxSupersteps: integritySteps, StopAfter: stop, Context: ctx})
+		cancel()
 		if !errors.Is(err, core.ErrInterrupted) {
 			t.Fatalf("%s: interrupted run err = %v, want ErrInterrupted", app.name, err)
 		}

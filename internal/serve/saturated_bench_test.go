@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/pagecache"
@@ -43,7 +44,7 @@ func BenchmarkServeSaturated(b *testing.B) {
 		for _, maxBatch := range []int{1, 16} {
 			b.Run(fmt.Sprintf("clients=%d/maxbatch=%d", clients, maxBatch), func(b *testing.B) {
 				dev := ssd.MustOpen(ssd.Config{PageSize: pageSize, Channels: 8})
-				if _, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: budget * 75 / 100}); err != nil {
+				if _, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: core.IntervalBudget(budget)}); err != nil {
 					b.Fatal(err)
 				}
 				cache := pagecache.FromMB(64, pageSize)

@@ -14,8 +14,10 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"multilogvc/internal/csr"
@@ -59,41 +61,38 @@ type Store struct {
 
 func shardName(name string, k int) string { return fmt.Sprintf("%s.shard.%d", name, k) }
 
-// Build writes the shard files for edges using the given intervals. Every
-// record's value slots start at initVal with no flags.
-func Build(dev *ssd.Device, name string, edges []graphio.Edge, ivs []csr.Interval, initVal uint32) (*Store, error) {
-	wedges := make([]graphio.WeightedEdge, len(edges))
-	for i, e := range edges {
-		wedges[i] = graphio.WeightedEdge{Src: e.Src, Dst: e.Dst}
-	}
-	return BuildWeighted(dev, name, wedges, ivs, initVal)
-}
-
-// BuildWeighted is Build with static per-edge weights.
-func BuildWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, ivs []csr.Interval, initVal uint32) (*Store, error) {
-	if len(ivs) == 0 {
-		return nil, fmt.Errorf("shard: no intervals")
-	}
-	n := ivs[len(ivs)-1].Hi
-	s := &Store{dev: dev, name: name, ivs: ivs, n: n}
-
-	// Bucket edges by destination interval, then sort each bucket by
-	// (src, dst).
-	idx := csr.NewIntervalIndex(ivs, n)
-	buckets := make([][]graphio.WeightedEdge, len(ivs))
-	for _, e := range edges {
-		if e.Src >= n || e.Dst >= n {
-			return nil, fmt.Errorf("shard: edge %v outside vertex range %d", e, n)
+// Build writes shard k of g for every interval k: the interval's in-edge
+// lists as the in-CSR serves them (pending deltas included), sorted by
+// (src, dst, weight). Only one interval's in-edges are in memory at a time.
+// Every record's value slots start at initVal with no flags. The shards are
+// created on g's device, so a scoped view charges their IO to its scope.
+func Build(g *csr.Graph, name string, initVal uint32) (*Store, error) {
+	dev, ivs := g.Device(), g.Intervals()
+	s := &Store{dev: dev, name: name, ivs: ivs, n: g.NumVertices()}
+	var verts []uint32
+	var bucket []graphio.WeightedEdge
+	for k, iv := range ivs {
+		verts = verts[:0]
+		for v := iv.Lo; v < iv.Hi; v++ {
+			verts = append(verts, v)
 		}
-		k := idx.Of(e.Dst)
-		buckets[k] = append(buckets[k], e)
-	}
-	for k, bucket := range buckets {
-		sort.Slice(bucket, func(i, j int) bool {
-			if bucket[i].Src != bucket[j].Src {
-				return bucket[i].Src < bucket[j].Src
+		bucket = bucket[:0]
+		if _, err := g.LoadInEdgesFull(k, verts, func(dst uint32, srcs, weights []uint32, _, _ int32) {
+			for i, src := range srcs {
+				e := graphio.WeightedEdge{Src: src, Dst: dst}
+				if weights != nil {
+					e.Weight = weights[i]
+				}
+				bucket = append(bucket, e)
 			}
-			return bucket[i].Dst < bucket[j].Dst
+		}); err != nil {
+			return nil, err
+		}
+		slices.SortFunc(bucket, func(a, b graphio.WeightedEdge) int {
+			if c := cmp.Compare(uint64(a.Src)<<32|uint64(a.Dst), uint64(b.Src)<<32|uint64(b.Dst)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Weight, b.Weight)
 		})
 		f, err := dev.Create(shardName(name, k))
 		if err != nil {
@@ -102,12 +101,7 @@ func BuildWeighted(dev *ssd.Device, name string, edges []graphio.WeightedEdge, i
 		w := ssd.NewWriter(f)
 		var rec [RecBytes]byte
 		for _, e := range bucket {
-			binary.LittleEndian.PutUint32(rec[0:], e.Src)
-			binary.LittleEndian.PutUint32(rec[4:], e.Dst)
-			binary.LittleEndian.PutUint32(rec[8:], initVal)
-			binary.LittleEndian.PutUint32(rec[12:], initVal)
-			binary.LittleEndian.PutUint32(rec[16:], 0)
-			binary.LittleEndian.PutUint32(rec[20:], e.Weight)
+			encode(rec[:], Record{Src: e.Src, Dst: e.Dst, Val: [2]uint32{initVal, initVal}, Weight: e.Weight})
 			if _, err := w.Write(rec[:]); err != nil {
 				return nil, err
 			}

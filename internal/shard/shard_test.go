@@ -12,9 +12,11 @@ import (
 func testStore(t *testing.T, edges []graphio.Edge, budget int64) *Store {
 	t.Helper()
 	dev := ssd.MustOpen(ssd.Config{PageSize: 256, Channels: 4})
-	n := graphio.NumVertices(edges)
-	ivs := csr.Partition(graphio.InDegrees(edges, n), csr.MsgBytes, budget)
-	s, err := Build(dev, "g", edges, ivs, 7)
+	g, err := csr.Build(dev, "g", edges, csr.BuildOptions{IntervalBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(g, "g.gc", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +195,33 @@ func TestTotalPages(t *testing.T) {
 	}
 }
 
-func TestBuildRejectsOutOfRange(t *testing.T) {
-	dev := ssd.MustOpen(ssd.Config{PageSize: 256, Channels: 2})
-	ivs := []csr.Interval{{Lo: 0, Hi: 2}}
-	if _, err := Build(dev, "g", []graphio.Edge{{Src: 9, Dst: 0}}, ivs, 0); err == nil {
-		t.Fatal("out-of-range edge should fail")
+func TestBuildReadsPendingDeltas(t *testing.T) {
+	dev := ssd.MustOpen(ssd.Config{PageSize: 256, Channels: 4})
+	g, err := csr.Build(dev, "g", paperEdges(), csr.BuildOptions{IntervalBudget: 3 * csr.MsgBytes})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Build(dev, "h", nil, nil, 0); err == nil {
-		t.Fatal("no intervals should fail")
+	if err := g.AddEdge(4, 0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.DelEdge(5, 0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(g, "g.gc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := s.LoadShard(g.IntervalOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs []uint32
+	for _, r := range recs {
+		if r.Dst == 0 {
+			srcs = append(srcs, r.Src)
+		}
+	}
+	if len(srcs) != 2 || srcs[0] != 2 || srcs[1] != 4 {
+		t.Fatalf("in-edges of 0 in its shard come from %v, want [2 4]", srcs)
 	}
 }

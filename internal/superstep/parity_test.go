@@ -95,11 +95,7 @@ func TestCrossEngineParity(t *testing.T) {
 				return core.New(g, core.Config{MaxSupersteps: app.steps, Workers: workers}).Run(app.prog())
 			},
 			"graphchi": func(g *csr.Graph, workers int) (*superstep.Result, error) {
-				cfg := graphchi.Config{MaxSupersteps: app.steps, Workers: workers}
-				if app.weighted {
-					return graphchi.NewWeighted(g.Device(), "g", wedges, g.Intervals(), cfg).Run(app.prog())
-				}
-				return graphchi.New(g.Device(), "g", app.edges, g.Intervals(), cfg).Run(app.prog())
+				return graphchi.New(g, graphchi.Config{MaxSupersteps: app.steps, Workers: workers}).Run(app.prog())
 			},
 			"grafboost": func(g *csr.Graph, workers int) (*superstep.Result, error) {
 				return grafboost.New(g, grafboost.Config{
@@ -195,8 +191,7 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 		{"multilogvc/cached/pagerank", cached(&apps.PageRank{})},
 		{"multilogvc/cached/bfs", cached(&apps.BFS{Source: 0})},
 		{"graphchi", func(g *csr.Graph, workers int) (*superstep.Result, error) {
-			return graphchi.New(g.Device(), "g", edges, g.Intervals(),
-				graphchi.Config{MaxSupersteps: 6, Workers: workers}).Run(&apps.PageRank{})
+			return graphchi.New(g, graphchi.Config{MaxSupersteps: 6, Workers: workers}).Run(&apps.PageRank{})
 		}},
 		// A budget far below the log size, so every superstep sorts many
 		// runs whose boundaries follow the log's record order.

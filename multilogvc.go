@@ -102,9 +102,9 @@ var (
 	// ErrCorruptData is returned when corrupt vital data could not be
 	// recovered: checkpointing was off, or rollback attempts ran out.
 	ErrCorruptData = core.ErrCorruptData
-	// ErrInterrupted is returned when RunOptions.Interrupt fired; a
-	// checkpoint was committed first, so rerunning with Resume continues
-	// the computation.
+	// ErrInterrupted is returned when RunOptions.Context was cancelled
+	// (MultiLogVC engine). Cancellation seen at a superstep boundary commits
+	// a checkpoint first, so rerunning with Resume continues the computation.
 	ErrInterrupted = core.ErrInterrupted
 	// ErrNoSpace is returned when a write exceeded the device's disk
 	// quota (SystemOptions.DiskCapacity) and space reclamation could not
@@ -197,12 +197,20 @@ type GraphOptions struct {
 	MemoryBudget int64
 }
 
+// memoryBudget applies GraphOptions.MemoryBudget's default.
+func memoryBudget(b int64) int64 {
+	if b <= 0 {
+		return 64 << 20
+	}
+	return b
+}
+
 // Graph is a graph stored on a System's device, runnable on any engine.
+// The device's CSR files are its only copy: no engine keeps the edge list
+// in memory.
 type Graph struct {
 	sys       *System
 	g         *csr.Graph
-	edges     []Edge         // retained for the shard baseline
-	wedges    []WeightedEdge // weighted graphs only
 	memBudget int64
 }
 
@@ -210,83 +218,36 @@ type Graph struct {
 // graph. For undirected graphs pass the symmetric closure (see
 // MakeUndirected).
 func (s *System) BuildGraph(name string, edges []Edge, opts GraphOptions) (*Graph, error) {
-	if opts.MemoryBudget <= 0 {
-		opts.MemoryBudget = 64 << 20
-	}
-	g, err := csr.Build(s.dev, name, edges, csr.BuildOptions{
-		NumVertices:    opts.NumVertices,
-		IntervalBudget: opts.MemoryBudget * 75 / 100,
-	})
+	mem := memoryBudget(opts.MemoryBudget)
+	g, err := csr.Build(s.dev, name, edges, csr.BuildOptions{NumVertices: opts.NumVertices, IntervalBudget: core.IntervalBudget(mem)})
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]Edge, len(edges))
-	copy(kept, edges)
-	return &Graph{sys: s, g: g, edges: kept, memBudget: opts.MemoryBudget}, nil
+	return &Graph{sys: s, g: g, memBudget: mem}, nil
 }
 
 // BuildWeightedGraph is BuildGraph for weighted edges: per-edge weights
 // are stored in the CSR val vector (Fig 1a of the paper) and reach
 // programs through Context.OutWeights.
 func (s *System) BuildWeightedGraph(name string, wedges []WeightedEdge, opts GraphOptions) (*Graph, error) {
-	if opts.MemoryBudget <= 0 {
-		opts.MemoryBudget = 64 << 20
-	}
-	g, err := csr.BuildWeighted(s.dev, name, wedges, csr.BuildOptions{
-		NumVertices:    opts.NumVertices,
-		IntervalBudget: opts.MemoryBudget * 75 / 100,
-	})
+	mem := memoryBudget(opts.MemoryBudget)
+	g, err := csr.BuildWeighted(s.dev, name, wedges, csr.BuildOptions{NumVertices: opts.NumVertices, IntervalBudget: core.IntervalBudget(mem)})
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]WeightedEdge, len(wedges))
-	copy(kept, wedges)
-	return &Graph{sys: s, g: g, wedges: kept, memBudget: opts.MemoryBudget}, nil
+	return &Graph{sys: s, g: g, memBudget: mem}, nil
 }
 
 // OpenGraph reopens a graph previously built on this System's device —
 // typically a disk-backed device (SystemOptions.Dir) whose files survive
-// from an earlier process. The edge list for the shard baseline is
-// reconstructed from the stored CSR.
-func (s *System) OpenGraph(name string, memoryBudget int64) (*Graph, error) {
-	if memoryBudget <= 0 {
-		memoryBudget = 64 << 20
-	}
+// from an earlier process. It reads only the graph's metadata; every
+// engine reads the CSR pages it needs when it runs.
+func (s *System) OpenGraph(name string, budget int64) (*Graph, error) {
 	g, err := csr.Open(s.dev, name)
 	if err != nil {
 		return nil, err
 	}
-	edges, err := g.CurrentEdges()
-	if err != nil {
-		return nil, err
-	}
-	out := &Graph{sys: s, g: g, memBudget: memoryBudget}
-	if g.HasWeights() {
-		// Recover weights alongside destinations.
-		var wedges []WeightedEdge
-		for iv := range g.Intervals() {
-			interval := g.Intervals()[iv]
-			verts := make([]uint32, 0, interval.Len())
-			for v := interval.Lo; v < interval.Hi; v++ {
-				verts = append(verts, v)
-			}
-			if _, err := g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-				for i, nb := range nbrs {
-					w := uint32(1)
-					if weights != nil {
-						w = weights[i]
-					}
-					wedges = append(wedges, WeightedEdge{Src: v, Dst: nb, Weight: w})
-				}
-			}); err != nil {
-				return nil, err
-			}
-		}
-		out.wedges = wedges
-	} else {
-		out.edges = edges
-	}
-	return out, nil
+	return &Graph{sys: s, g: g, memBudget: memoryBudget(budget)}, nil
 }
 
 // NumVertices returns the vertex count.
@@ -308,32 +269,12 @@ func (g *Graph) AddEdge(src, dst uint32) error {
 
 // AddWeightedEdge is AddEdge with an explicit weight.
 func (g *Graph) AddWeightedEdge(src, dst, weight uint32) error {
-	if g.g.HasWeights() {
-		g.wedges = append(g.wedges, WeightedEdge{Src: src, Dst: dst, Weight: weight})
-	} else {
-		g.edges = append(g.edges, Edge{Src: src, Dst: dst})
-	}
 	return g.g.AddEdgeWeighted(src, dst, weight, 0)
 }
 
 // RemoveEdge buffers a structural edge removal (§V-E).
 func (g *Graph) RemoveEdge(src, dst uint32) error {
-	if g.g.HasWeights() {
-		for i, e := range g.wedges {
-			if e.Src == src && e.Dst == dst {
-				g.wedges = append(g.wedges[:i], g.wedges[i+1:]...)
-				break
-			}
-		}
-	} else {
-		for i, e := range g.edges {
-			if e.Src == src && e.Dst == dst {
-				g.edges = append(g.edges[:i], g.edges[i+1:]...)
-				break
-			}
-		}
-	}
-	return g.g.RemoveEdge(src, dst, 0)
+	return g.g.DelEdge(src, dst, 0)
 }
 
 // Engine selects which execution engine runs a program.
@@ -415,11 +356,6 @@ type RunOptions struct {
 	// if every checkpoint slot is torn or corrupt the run fails with
 	// ErrCorruptCheckpoint.
 	Resume bool
-	// Interrupt, when non-nil, requests graceful shutdown (MultiLogVC
-	// engine only): at the next superstep boundary after it closes, the
-	// run commits a checkpoint — even with CheckpointEvery 0 — and
-	// returns ErrInterrupted.
-	Interrupt <-chan struct{}
 	// Context, when non-nil, bounds the run on every engine alike:
 	// cancellation or a deadline stops it at the next superstep boundary,
 	// and the device's transient-fault retry backoff observes it too. The
@@ -439,15 +375,11 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 	ctx := opts.Context // nil means context.Background()
 	switch opts.Engine {
 	case EngineGraphChi:
-		cfg := graphchi.Config{
+		return graphchi.New(g.g, graphchi.Config{
 			MaxSupersteps: opts.MaxSupersteps,
 			Workers:       opts.Workers,
 			StopAfter:     opts.StopAfter,
-		}
-		if g.g.HasWeights() {
-			return graphchi.NewWeighted(g.sys.dev, g.g.Name(), g.wedges, g.g.Intervals(), cfg).RunCtx(ctx, prog)
-		}
-		return graphchi.New(g.sys.dev, g.g.Name(), g.edges, g.g.Intervals(), cfg).RunCtx(ctx, prog)
+		}).RunCtx(ctx, prog)
 	case EngineGraFBoost, EngineGraFBoostAdapted:
 		return grafboost.New(g.g, grafboost.Config{
 			MemoryBudget:  g.memBudget,
@@ -470,7 +402,6 @@ func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
 			Trace:           opts.Trace,
 			CheckpointEvery: opts.CheckpointEvery,
 			Resume:          opts.Resume,
-			Interrupt:       opts.Interrupt,
 		}).RunCtx(ctx, prog)
 	}
 }

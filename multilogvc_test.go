@@ -127,7 +127,7 @@ func TestStructuralUpdatesViaPublicAPI(t *testing.T) {
 	if res.Values[3] != 3 {
 		t.Fatalf("depth of 3 = %d, want 3", res.Values[3])
 	}
-	// The shard baseline sees the update too (edges slice maintained).
+	// The shard baseline sees the update too: it builds its shards from the CSR.
 	res, err = g.Run(multilogvc.NewBFS(0), multilogvc.RunOptions{Engine: multilogvc.EngineGraphChi, MaxSupersteps: 10})
 	if err != nil {
 		t.Fatal(err)
