@@ -75,9 +75,13 @@ func writeRuns(f *ssd.File, order []int, buf []byte, ps int) (int, error) {
 
 // Reset empties the arena and sizes it for a batch of n positions, every one
 // of them an empty list until filled. weighted says whether fills also keep
-// edge weights.
+// edge weights; a weighted arena's weight lists are never nil, even empty,
+// since the delta overlay reads nil weights as an unweighted list.
 func (a *Arena) Reset(n int, weighted bool) {
 	a.nbrs, a.weights, a.weighted = a.nbrs[:0], a.weights[:0], weighted
+	if weighted && a.weights == nil {
+		a.weights = []uint32{}
+	}
 	a.span = grown(a.span, 2*n)
 	clear(a.span)
 	a.first, a.last = grown(a.first, n), grown(a.last, n)

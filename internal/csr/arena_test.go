@@ -116,15 +116,10 @@ type adjRecord struct {
 // weights, so a delta add on that vertex lost its weight; the reference (and
 // the arena) keep it.
 func refLoadEdges(g *Graph, side uint8, weighted bool, iv int, verts []uint32) ([]adjRecord, LoadStats, error) {
-	rowF, colF := g.outRow[iv], g.outCol[iv]
-	if side == 1 {
-		rowF, colF = g.inRow[iv], g.inCol[iv]
-	}
+	rowF, colF := g.files[side][colRow][iv], g.files[side][colIdx][iv]
 	var valF *ssd.File
 	if weighted && g.meta.HasWeights {
-		if valF = g.outVal[iv]; side == 1 {
-			valF = g.inVal[iv]
-		}
+		valF = g.files[side][colVal][iv]
 	}
 	var stats LoadStats
 	var epoch uint64
@@ -243,16 +238,14 @@ func visitAll(g *Graph, side uint8, weighted bool, iv int, verts []uint32) ([]ad
 	switch {
 	case side == 0 && weighted:
 		stats, err = g.LoadOutEdgesFull(iv, verts, visit)
-	case side == 0:
-		stats, err = g.LoadOutEdgesEx(iv, verts, func(v uint32, nbrs []uint32, first, last int32) { visit(v, nbrs, nil, first, last) })
 	case weighted:
 		stats, err = g.LoadInEdgesFull(iv, verts, visit)
 	default:
-		// LoadInEdges hands out no page range; take it from the reference's
-		// contract instead by going through the full form without weights.
+		// LoadOutEdges and LoadInEdges hand out no page range; take it from
+		// the reference's contract instead by filling an unweighted arena.
 		var a Arena
 		a.Reset(len(verts), false)
-		if stats, err = g.FillInEdges(iv, verts, nil, &a); err == nil {
+		if stats, err = g.fill(side, iv, verts, nil, &a); err == nil {
 			for i, v := range verts {
 				first, last := a.PageRange(i)
 				visit(v, a.Edges(i), a.Weights(i), first, last)
@@ -349,7 +342,7 @@ func TestArenaParityWithMapBasedLoad(t *testing.T) {
 		t.Fatalf("only %d intervals", len(unweighted.Intervals()))
 	}
 	var spans int32
-	if _, err := unweighted.LoadOutEdgesEx(unweighted.IntervalOf(7), []uint32{7}, func(_ uint32, _ []uint32, first, last int32) {
+	if _, err := unweighted.LoadOutEdgesFull(unweighted.IntervalOf(7), []uint32{7}, func(_ uint32, _, _ []uint32, first, last int32) {
 		spans = last - first + 1
 	}); err != nil || spans < 3 {
 		t.Fatalf("the hub's list spans %d colidx pages (err %v); want at least 3", spans, err)

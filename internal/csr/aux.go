@@ -123,7 +123,7 @@ func (a *Aux) LoadBatch(iv int, verts []uint32) (*AuxBatch, LoadStats, error) {
 		return b, stats, nil
 	}
 	var scratch Arena
-	rowPages, err := a.g.readRowEntries(&scratch, a.g.inRow[iv], a.g.meta.Intervals[iv], verts)
+	rowPages, err := a.g.readRowEntries(&scratch, a.g.files[1][colRow][iv], a.g.meta.Intervals[iv], verts)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -2,9 +2,10 @@ package csr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
@@ -58,13 +59,85 @@ func (o BuildOptions) withDefaults() BuildOptions {
 	return o
 }
 
-func metaName(name string) string             { return name + ".meta" }
-func outRowPtrName(name string, i int) string { return fmt.Sprintf("%s.out.rowptr.%d", name, i) }
-func outColIdxName(name string, i int) string { return fmt.Sprintf("%s.out.colidx.%d", name, i) }
-func inRowPtrName(name string, i int) string  { return fmt.Sprintf("%s.in.rowptr.%d", name, i) }
-func inColIdxName(name string, i int) string  { return fmt.Sprintf("%s.in.colidx.%d", name, i) }
-func outValName(name string, i int) string    { return fmt.Sprintf("%s.out.val.%d", name, i) }
-func inValName(name string, i int) string     { return fmt.Sprintf("%s.in.val.%d", name, i) }
+func metaName(name string) string { return name + ".meta" }
+
+// The CSR files of a graph form one table: a side (out, in) by a column
+// (row pointers, neighbour ids and, on weighted graphs only, weights), one
+// file per interval in each cell.
+const (
+	colRow = iota // uint64 row pointers, one per vertex plus the end
+	colIdx        // uint32 neighbour ids
+	colVal        // uint32 edge weights
+	numCols
+)
+
+var (
+	sideNames = [2]string{"out", "in"}
+	colNames  = [numCols]string{"rowptr", "colidx", "val"}
+)
+
+// fileName names interval iv's file of column col on side side.
+func fileName(name string, side, col, iv int) string {
+	return fmt.Sprintf("%s.%s.%s.%d", name, sideNames[side], colNames[col], iv)
+}
+
+// cols returns how many columns the graph's files have.
+func (m *Meta) cols() int {
+	if m.HasWeights {
+		return numCols
+	}
+	return colVal
+}
+
+// sizes returns the field recording the logical sizes of the files of
+// column col on side side, one per interval.
+func (m *Meta) sizes(side, col int) *[]int64 {
+	return [2][numCols]*[]int64{
+		{&m.OutRowPtrSize, &m.OutColIdxSize, &m.OutValSize},
+		{&m.InRowPtrSize, &m.InColIdxSize, &m.InValSize},
+	}[side][col]
+}
+
+// encoder lays out one interval side of the CSR: a row pointer per vertex
+// plus the end, then every vertex's neighbours and, on weighted graphs,
+// their weights, all little-endian. Build and the delta merge both write
+// through it.
+type encoder struct {
+	cols     [numCols][]byte
+	edges    uint64
+	weighted bool
+}
+
+func (e *encoder) reset(weighted bool) {
+	for c := range e.cols {
+		e.cols[c] = e.cols[c][:0]
+	}
+	e.edges, e.weighted = 0, weighted
+}
+
+// row starts the next vertex's list.
+func (e *encoder) row() {
+	e.cols[colRow] = binary.LittleEndian.AppendUint64(e.cols[colRow], e.edges)
+}
+
+// edge appends one edge to the current vertex's list.
+func (e *encoder) edge(id, w uint32) {
+	e.cols[colIdx] = binary.LittleEndian.AppendUint32(e.cols[colIdx], id)
+	if e.weighted {
+		e.cols[colVal] = binary.LittleEndian.AppendUint32(e.cols[colVal], w)
+	}
+	e.edges++
+}
+
+// finish appends the end pointer and returns the contents of the side's
+// files, in column order.
+func (e *encoder) finish() [][]byte {
+	e.row()
+	if e.weighted {
+		return e.cols[:]
+	}
+	return e.cols[:colVal]
+}
 
 // Build writes edges to the device as an interval-partitioned CSR graph
 // (both out-CSR and in-CSR) and returns the opened Graph.
@@ -98,143 +171,66 @@ func build(dev *ssd.Device, name string, wedges []graphio.WeightedEdge, weighted
 		return nil, fmt.Errorf("csr: cannot build empty graph %q", name)
 	}
 
-	outDeg := graphio.OutDegrees(edges, n)
 	inDeg := graphio.InDegrees(edges, n)
 	ivs := Partition(inDeg, opts.MsgBytes, opts.IntervalBudget)
 
 	meta := Meta{
-		Name:        name,
-		NumVertices: n,
-		NumEdges:    uint64(len(edges)),
-		Intervals:   ivs,
-		HasWeights:  weighted,
-	}
-	for _, d := range outDeg {
-		if d > meta.MaxOutDegree {
-			meta.MaxOutDegree = d
-		}
-	}
-	for _, d := range inDeg {
-		if d > meta.MaxInDegree {
-			meta.MaxInDegree = d
-		}
+		Name:         name,
+		NumVertices:  n,
+		NumEdges:     uint64(len(edges)),
+		Intervals:    ivs,
+		MaxOutDegree: slices.Max(graphio.OutDegrees(edges, n)),
+		MaxInDegree:  slices.Max(inDeg),
+		HasWeights:   weighted,
 	}
 
-	// Out-CSR: edges sorted by (src, dst).
-	graphio.SortWeighted(wedges)
-	if err := writeCSRSide(dev, name, ivs, wedges, outDeg, true, weighted, &meta); err != nil {
-		return nil, err
-	}
-
-	// In-CSR: edges sorted by (dst, src); colidx holds sources.
-	graphio.SortWeightedByDst(wedges)
-	if err := writeCSRSide(dev, name, ivs, wedges, inDeg, false, weighted, &meta); err != nil {
-		return nil, err
+	// The out-CSR holds the edges sorted by (src, dst), the in-CSR by (dst,
+	// src) with the sources as neighbours.
+	var enc encoder
+	for side := range 2 {
+		if side == 0 {
+			graphio.SortWeighted(wedges)
+		} else {
+			graphio.SortWeightedByDst(wedges)
+		}
+		pos := 0
+		for iv, interval := range ivs {
+			enc.reset(weighted)
+			for v := interval.Lo; v < interval.Hi; v++ {
+				enc.row()
+				for ; pos < len(wedges); pos++ {
+					e := wedges[pos]
+					if side == 1 {
+						e.Src, e.Dst = e.Dst, e.Src
+					}
+					if e.Src != v {
+						break
+					}
+					enc.edge(e.Dst, e.Weight)
+				}
+			}
+			for col, b := range enc.finish() {
+				f, err := dev.Create(fileName(name, side, col, iv))
+				if err != nil {
+					return nil, fmt.Errorf("csr: create %s: %w", colNames[col], err)
+				}
+				w := ssd.NewWriter(f)
+				if _, err := w.Write(b); err != nil {
+					return nil, err
+				}
+				if err := w.Close(); err != nil {
+					return nil, err
+				}
+				sizes := meta.sizes(side, col)
+				*sizes = append(*sizes, f.Size())
+			}
+		}
 	}
 
 	if err := writeMeta(dev, name, &meta); err != nil {
 		return nil, err
 	}
 	return Open(dev, name)
-}
-
-// writeCSRSide writes the per-interval rowptr/colidx (and, for weighted
-// graphs, val) files for one side. For the out side, edges are sorted by
-// src and colidx stores dsts; for the in side, edges are sorted by dst and
-// colidx stores srcs.
-func writeCSRSide(dev *ssd.Device, name string, ivs []Interval, sorted []graphio.WeightedEdge, deg []uint32, outSide, weighted bool, meta *Meta) error {
-	key := func(e graphio.WeightedEdge) uint32 {
-		if outSide {
-			return e.Src
-		}
-		return e.Dst
-	}
-	val := func(e graphio.WeightedEdge) uint32 {
-		if outSide {
-			return e.Dst
-		}
-		return e.Src
-	}
-	rowName, colName, valName := inRowPtrName, inColIdxName, inValName
-	if outSide {
-		rowName, colName, valName = outRowPtrName, outColIdxName, outValName
-	}
-
-	pos := 0 // cursor into sorted
-	for i, iv := range ivs {
-		rf, err := dev.Create(rowName(name, i))
-		if err != nil {
-			return fmt.Errorf("csr: create rowptr: %w", err)
-		}
-		cf, err := dev.Create(colName(name, i))
-		if err != nil {
-			return fmt.Errorf("csr: create colidx: %w", err)
-		}
-		rw := ssd.NewWriter(rf)
-		cw := ssd.NewWriter(cf)
-		var vw *ssd.Writer
-		var vf *ssd.File
-		if weighted {
-			vf, err = dev.Create(valName(name, i))
-			if err != nil {
-				return fmt.Errorf("csr: create val: %w", err)
-			}
-			vw = ssd.NewWriter(vf)
-		}
-
-		var off uint64
-		for v := iv.Lo; v < iv.Hi; v++ {
-			if err := rw.WriteU64(off); err != nil {
-				return err
-			}
-			off += uint64(deg[v])
-		}
-		if err := rw.WriteU64(off); err != nil {
-			return err
-		}
-
-		// Advance past any edges from vertices before this interval
-		// (only possible for the first interval if ids were sparse).
-		for pos < len(sorted) && key(sorted[pos]) < iv.Lo {
-			pos++
-		}
-		for pos < len(sorted) && key(sorted[pos]) < iv.Hi {
-			if err := cw.WriteU32(val(sorted[pos])); err != nil {
-				return err
-			}
-			if weighted {
-				if err := vw.WriteU32(sorted[pos].Weight); err != nil {
-					return err
-				}
-			}
-			pos++
-		}
-		if err := rw.Close(); err != nil {
-			return err
-		}
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if weighted {
-			if err := vw.Close(); err != nil {
-				return err
-			}
-		}
-		if outSide {
-			meta.OutRowPtrSize = append(meta.OutRowPtrSize, rf.Size())
-			meta.OutColIdxSize = append(meta.OutColIdxSize, cf.Size())
-			if weighted {
-				meta.OutValSize = append(meta.OutValSize, vf.Size())
-			}
-		} else {
-			meta.InRowPtrSize = append(meta.InRowPtrSize, rf.Size())
-			meta.InColIdxSize = append(meta.InColIdxSize, cf.Size())
-			if weighted {
-				meta.InValSize = append(meta.InValSize, vf.Size())
-			}
-		}
-	}
-	return nil
 }
 
 func writeMeta(dev *ssd.Device, name string, meta *Meta) error {
@@ -275,29 +271,27 @@ func readMeta(dev *ssd.Device, name string) (*Meta, error) {
 	return &meta, nil
 }
 
-// Remove deletes all device files belonging to the named graph.
+// Remove deletes every device file the named graph owns: its CSR files,
+// its metadata, and its write-ahead log and merge files.
 func Remove(dev *ssd.Device, name string) error {
 	meta, err := readMeta(dev, name)
 	if err != nil {
 		return err
 	}
-	for i := range meta.Intervals {
-		for _, fn := range []string{
-			outRowPtrName(name, i), outColIdxName(name, i),
-			inRowPtrName(name, i), inColIdxName(name, i),
-			outValName(name, i), inValName(name, i),
-		} {
-			if dev.Exists(fn) {
-				if err := dev.Remove(fn); err != nil {
-					return err
-				}
+	fns := []string{ingestWALName(name), ingestManifestName(name), ingestShadowName(name)}
+	for side := range 2 {
+		for col := range meta.cols() {
+			for iv := range meta.Intervals {
+				fns = append(fns, fileName(name, side, col, iv))
+			}
+		}
+	}
+	for _, fn := range fns {
+		if dev.Exists(fn) {
+			if err := dev.Remove(fn); err != nil {
+				return err
 			}
 		}
 	}
 	return dev.Remove(metaName(name))
-}
-
-// sortU32 sorts a uint32 slice ascending.
-func sortU32(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -2,6 +2,7 @@ package csr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,8 +156,8 @@ func checkAdjacency(t *testing.T, g *Graph, wantOut, wantIn map[uint32][]uint32)
 				if len(w) != len(gv) {
 					t.Fatalf("%s(%d) = %v, want %v", loadName, v, gv, w)
 				}
-				sortU32(gv)
-				sortU32(w)
+				slices.Sort(gv)
+				slices.Sort(w)
 				for i := range w {
 					if gv[i] != w[i] {
 						t.Fatalf("%s(%d) = %v, want %v", loadName, v, gv, w)
@@ -212,6 +213,47 @@ func TestRemove(t *testing.T) {
 	}
 	if n := len(dev.ListFiles()); n != 0 {
 		t.Fatalf("%d files remain after Remove: %v", n, dev.ListFiles())
+	}
+}
+
+// TestRemoveDropsIngestFiles pins that Remove deletes the graph's WAL and
+// merge files too: a graph rebuilt under the same name must not replay the
+// removed graph's acknowledged mutations.
+func TestRemoveDropsIngestFiles(t *testing.T) {
+	dev := testDev(t)
+	base := []graphio.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
+	if _, err := Build(dev, "g", base, BuildOptions{NumVertices: 8}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenIngest(dev, "g", IngestOptions{WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(5, 6, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CloseIngest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Remove(dev, "g"); err != nil {
+		t.Fatal(err)
+	}
+	if files := dev.ListFiles(); len(files) != 0 {
+		t.Fatalf("files remain after Remove: %v", files)
+	}
+	if _, err := Build(dev, "g", base, BuildOptions{NumVertices: 8}); err != nil {
+		t.Fatal(err)
+	}
+	g, err = OpenIngest(dev, "g", IngestOptions{WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := g.CurrentEdges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(edges) != len(base) {
+		t.Fatalf("rebuilt graph has edges %v, want %v", edges, base)
 	}
 }
 

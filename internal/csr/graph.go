@@ -16,9 +16,9 @@ type Graph struct {
 	meta *Meta
 	idx  *IntervalIndex
 
-	outRow, outCol []*ssd.File
-	inRow, inCol   []*ssd.File
-	outVal, inVal  []*ssd.File // nil entries when the graph is unweighted
+	// files[side][col][iv] is interval iv's file of column col on side side
+	// (see fileName); the val column is empty when the graph is unweighted.
+	files [2][numCols][]*ssd.File
 
 	// ing holds the shared mutable ingest plane (delta overlay, epochs,
 	// WAL). Graph values are copied by View and Snapshot, so it sits
@@ -50,44 +50,16 @@ func Open(dev *ssd.Device, name string) (*Graph, error) {
 	// starts there and new mutations continue the numbering, never reuse it.
 	g.ing.epoch.Store(meta.FoldedSeq)
 	g.ing.nextSeq = meta.FoldedSeq
-	for i := range meta.Intervals {
-		rf, err := dev.OpenFile(outRowPtrName(name, i))
-		if err != nil {
-			return nil, err
-		}
-		rf.SetSize(meta.OutRowPtrSize[i])
-		cf, err := dev.OpenFile(outColIdxName(name, i))
-		if err != nil {
-			return nil, err
-		}
-		cf.SetSize(meta.OutColIdxSize[i])
-		irf, err := dev.OpenFile(inRowPtrName(name, i))
-		if err != nil {
-			return nil, err
-		}
-		irf.SetSize(meta.InRowPtrSize[i])
-		icf, err := dev.OpenFile(inColIdxName(name, i))
-		if err != nil {
-			return nil, err
-		}
-		icf.SetSize(meta.InColIdxSize[i])
-		g.outRow = append(g.outRow, rf)
-		g.outCol = append(g.outCol, cf)
-		g.inRow = append(g.inRow, irf)
-		g.inCol = append(g.inCol, icf)
-		if meta.HasWeights {
-			ovf, err := dev.OpenFile(outValName(name, i))
-			if err != nil {
-				return nil, err
+	for side := range g.files {
+		for col := range meta.cols() {
+			for iv := range meta.Intervals {
+				f, err := dev.OpenFile(fileName(name, side, col, iv))
+				if err != nil {
+					return nil, err
+				}
+				f.SetSize((*meta.sizes(side, col))[iv])
+				g.files[side][col] = append(g.files[side][col], f)
 			}
-			ovf.SetSize(meta.OutValSize[i])
-			ivf, err := dev.OpenFile(inValName(name, i))
-			if err != nil {
-				return nil, err
-			}
-			ivf.SetSize(meta.InValSize[i])
-			g.outVal = append(g.outVal, ovf)
-			g.inVal = append(g.inVal, ivf)
 		}
 	}
 	return g, nil
@@ -181,14 +153,11 @@ func (s *LoadStats) Add(other LoadStats) {
 // internal buffer valid only during the call.
 type EdgeVisitor func(v uint32, nbrs []uint32)
 
-// EdgeVisitorEx additionally receives the column-index page range
-// [firstPage, lastPage] the vertex's edges live on, so callers (the
-// edge-log optimizer) can relate vertices to page utilization. For
-// zero-degree vertices firstPage > lastPage.
-type EdgeVisitorEx func(v uint32, nbrs []uint32, firstPage, lastPage int32)
-
 // EdgeVisitorFull additionally receives the vertex's per-edge weights
-// (nil for unweighted graphs), parallel to nbrs.
+// (nil for unweighted graphs), parallel to nbrs, and the column-index page
+// range [firstPage, lastPage] its edges live on, so callers (the edge-log
+// optimizer) can relate vertices to page utilization. For zero-degree
+// vertices firstPage > lastPage.
 type EdgeVisitorFull func(v uint32, nbrs, weights []uint32, firstPage, lastPage int32)
 
 // ErrVertsNotAscending is returned by a load handed a vertex list out of
@@ -205,15 +174,9 @@ func (g *Graph) LoadOutEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadSta
 		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
 }
 
-// LoadOutEdgesEx is LoadOutEdges with page-range information.
-func (g *Graph) LoadOutEdgesEx(iv int, verts []uint32, visit EdgeVisitorEx) (LoadStats, error) {
-	return g.visitEdges(0, false, iv, verts,
-		func(v uint32, nbrs, _ []uint32, first, last int32) { visit(v, nbrs, first, last) })
-}
-
-// LoadOutEdgesFull is LoadOutEdgesEx plus per-edge weights for weighted
-// graphs; the val pages are fetched alongside the colidx pages and
-// counted in the stats.
+// LoadOutEdgesFull is LoadOutEdges with page ranges and, on weighted
+// graphs, per-edge weights; the val pages are fetched alongside the
+// colidx pages and counted in the stats.
 func (g *Graph) LoadOutEdgesFull(iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
 	return g.visitEdges(0, true, iv, verts, visit)
 }
@@ -267,15 +230,11 @@ func (g *Graph) fill(side uint8, iv int, verts []uint32, pos []int32, a *Arena) 
 	if len(verts) == 0 {
 		return stats, nil
 	}
-	rowF, colF := g.outRow[iv], g.outCol[iv]
-	if side == 1 {
-		rowF, colF = g.inRow[iv], g.inCol[iv]
-	}
+	files := &g.files[side]
+	rowF, colF := files[colRow][iv], files[colIdx][iv]
 	var valF *ssd.File
 	if a.weighted && g.meta.HasWeights {
-		if valF = g.outVal[iv]; side == 1 {
-			valF = g.inVal[iv]
-		}
+		valF = files[colVal][iv]
 	}
 	// Shared-lock the ingest plane for the whole load: a crash-atomic
 	// merge (exclusive) must never rewrite the CSR files under a
@@ -371,9 +330,6 @@ func (g *Graph) fill(side uint8, iv int, verts []uint32, pos []int32, a *Arena) 
 		}
 		edges -= deg
 		if g.ing != nil {
-			if a.weighted && weights == nil {
-				weights = []uint32{} // apply reads nil weights as an unweighted list
-			}
 			// Rare: the overlaid list replaces the decoded one at the slab's
 			// tail, and the lists still to come are reserved afresh behind it.
 			if nbrs, weights, ok := g.ing.deltas.apply(side, v, nbrs, weights, epoch); ok {

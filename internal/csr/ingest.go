@@ -372,12 +372,6 @@ func OpenIngest(dev *ssd.Device, name string, opts IngestOptions) (*Graph, error
 
 // ---- crash-atomic merge -------------------------------------------------
 
-// mergePlan is the fully merged adjacency, one sorted pair list per
-// vertex per side: rows[side][interval][vertex-interval.Lo].
-type mergePlan struct {
-	rows [2][][][]wpair
-}
-
 // ingestManifest is the merge's redo record, committed (checksummed)
 // after the shadow file holds the complete new CSR contents. Its
 // presence and validity is THE commit point: everything after it —
@@ -423,11 +417,7 @@ func (g *Graph) mergeAllLocked() error {
 	defer sc.SetStage(prevS, prevIv)
 
 	foldedSeq := ing.epoch.Load()
-	plan, err := g.buildMergePlan(foldedSeq)
-	if err != nil {
-		return err // nothing written yet; state intact
-	}
-	if err := g.writeShadowAndManifest(plan, foldedSeq); err != nil {
+	if err := g.writeShadowAndManifest(foldedSeq); err != nil {
 		return err // manifest not committed; old state + WAL replay intact
 	}
 	// Commit point passed: from here every failure is sticky — in-memory
@@ -446,12 +436,11 @@ func (g *Graph) mergeAllLocked() error {
 	// Intervals, HasWeights) stay byte-identical, so lock-free readers
 	// of those never observe a write. Shared by every view via g.meta.
 	g.meta.NumEdges = man.Meta.NumEdges
-	g.meta.OutRowPtrSize = man.Meta.OutRowPtrSize
-	g.meta.OutColIdxSize = man.Meta.OutColIdxSize
-	g.meta.InRowPtrSize = man.Meta.InRowPtrSize
-	g.meta.InColIdxSize = man.Meta.InColIdxSize
-	g.meta.OutValSize = man.Meta.OutValSize
-	g.meta.InValSize = man.Meta.InValSize
+	for side := range 2 {
+		for col := range numCols {
+			*g.meta.sizes(side, col) = *man.Meta.sizes(side, col)
+		}
+	}
 	g.meta.FoldedSeq = man.Meta.FoldedSeq
 	if ing.log != nil {
 		if err := ing.log.TruncateThrough(foldedSeq); err != nil {
@@ -472,57 +461,15 @@ func (g *Graph) mergeAllLocked() error {
 	return nil
 }
 
-// buildMergePlan materializes the merged adjacency of every interval at
-// foldedSeq: base CSR read through a raw (lock- and overlay-free) view —
-// the caller holds ing.mu exclusively — with the delta applied
-// explicitly. Memory is O(edges); merges are threshold-bounded, and the
-// out-of-core read paths stay untouched while this runs.
-func (g *Graph) buildMergePlan(foldedSeq uint64) (*mergePlan, error) {
-	raw := *g
-	raw.ing = nil
-	deltas := g.ing.deltas
-	plan := &mergePlan{}
-	for side := uint8(0); side < 2; side++ {
-		plan.rows[side] = make([][][]wpair, len(g.meta.Intervals))
-		for iv, interval := range g.meta.Intervals {
-			verts := make([]uint32, 0, interval.Len())
-			for v := interval.Lo; v < interval.Hi; v++ {
-				verts = append(verts, v)
-			}
-			rows := make([][]wpair, interval.Len())
-			visit := func(v uint32, nbrs, weights []uint32, _, _ int32) {
-				nbrs, weights, _ = deltas.apply(side, v, nbrs, weights, foldedSeq)
-				pairs := make([]wpair, len(nbrs))
-				for i, nb := range nbrs {
-					pairs[i] = wpair{id: nb}
-					if weights != nil {
-						pairs[i].w = weights[i]
-					}
-				}
-				sortPairs(pairs)
-				rows[v-interval.Lo] = pairs
-			}
-			var err error
-			if side == 0 {
-				_, err = raw.LoadOutEdgesFull(iv, verts, visit)
-			} else {
-				_, err = raw.LoadInEdgesFull(iv, verts, visit)
-			}
-			if err != nil {
-				return nil, err
-			}
-			plan.rows[side][iv] = rows
-		}
-	}
-	return plan, nil
-}
-
-// writeShadowAndManifest streams the plan into the shadow file (rowptr,
-// colidx, and — weighted — val segments per interval and side, CRC32C
-// accumulated over the whole stream) and then commits the manifest. The
+// writeShadowAndManifest streams the merged graph at foldedSeq into the
+// shadow file and then commits the manifest. It goes one interval side at a
+// time, in the shadow's order: the side's lists are read through a raw (lock-
+// and overlay-free) view — the caller holds ing.mu exclusively — the delta is
+// applied explicitly, and each list is sorted and encoded, so the merge holds
+// one interval side in memory. CRC32C accumulates over the whole stream. The
 // previous manifest is invalidated first, so a crash while the shadow is
 // half-written recovers to the pre-merge state.
-func (g *Graph) writeShadowAndManifest(plan *mergePlan, foldedSeq uint64) error {
+func (g *Graph) writeShadowAndManifest(foldedSeq uint64) error {
 	name := g.meta.Name
 	if err := truncateDeviceFile(g.dev, ingestManifestName(name)); err != nil {
 		return err
@@ -536,80 +483,67 @@ func (g *Graph) writeShadowAndManifest(plan *mergePlan, foldedSeq uint64) error 
 	}
 	w := ssd.NewWriter(sf)
 	var crc uint32
-	write := func(b []byte) error {
-		crc = crc32.Update(crc, ingestCRC, b)
-		_, err := w.Write(b)
-		return err
-	}
+	var segs []int64
 
 	newMeta := *g.meta
-	newMeta.FoldedSeq = foldedSeq
-	newMeta.OutRowPtrSize = make([]int64, len(g.meta.Intervals))
-	newMeta.OutColIdxSize = make([]int64, len(g.meta.Intervals))
-	newMeta.InRowPtrSize = make([]int64, len(g.meta.Intervals))
-	newMeta.InColIdxSize = make([]int64, len(g.meta.Intervals))
-	if g.meta.HasWeights {
-		newMeta.OutValSize = make([]int64, len(g.meta.Intervals))
-		newMeta.InValSize = make([]int64, len(g.meta.Intervals))
+	newMeta.FoldedSeq, newMeta.NumEdges = foldedSeq, 0
+	for side := range 2 {
+		for col := range newMeta.cols() {
+			*newMeta.sizes(side, col) = make([]int64, len(g.meta.Intervals))
+		}
 	}
 
-	var segs []int64
-	for iv := range g.meta.Intervals {
-		for side := 0; side < 2; side++ {
-			rows := plan.rows[side][iv]
-			rb := make([]byte, 0, (len(rows)+1)*8)
-			var off uint64
-			for _, pairs := range rows {
-				rb = binary.LittleEndian.AppendUint64(rb, off)
-				off += uint64(len(pairs))
+	raw := *g
+	raw.ing = nil
+	var (
+		a     Arena
+		enc   encoder
+		verts []uint32
+		pairs []wpair
+	)
+	for iv, interval := range g.meta.Intervals {
+		verts = verts[:0]
+		for v := interval.Lo; v < interval.Hi; v++ {
+			verts = append(verts, v)
+		}
+		for side := range uint8(2) {
+			a.Reset(len(verts), g.meta.HasWeights)
+			if _, err := raw.fill(side, iv, verts, nil, &a); err != nil {
+				return err
 			}
-			rb = binary.LittleEndian.AppendUint64(rb, off)
-			cb := make([]byte, 0, off*4)
-			var vb []byte
-			for _, pairs := range rows {
-				for _, p := range pairs {
-					cb = binary.LittleEndian.AppendUint32(cb, p.id)
-					if g.meta.HasWeights {
-						vb = binary.LittleEndian.AppendUint32(vb, p.w)
+			enc.reset(g.meta.HasWeights)
+			for i, v := range verts {
+				nbrs, weights, _ := g.ing.deltas.apply(side, v, a.Edges(i), a.Weights(i), foldedSeq)
+				pairs = pairs[:0]
+				for j, nb := range nbrs {
+					p := wpair{id: nb}
+					if weights != nil {
+						p.w = weights[j]
 					}
+					pairs = append(pairs, p)
+				}
+				sortPairs(pairs)
+				enc.row()
+				for _, p := range pairs {
+					enc.edge(p.id, p.w)
 				}
 			}
-			if err := write(rb); err != nil {
-				return err
-			}
-			segs = append(segs, int64(len(rb)))
-			if err := write(cb); err != nil {
-				return err
-			}
-			segs = append(segs, int64(len(cb)))
 			if side == 0 {
-				newMeta.OutRowPtrSize[iv] = int64(len(rb))
-				newMeta.OutColIdxSize[iv] = int64(len(cb))
-			} else {
-				newMeta.InRowPtrSize[iv] = int64(len(rb))
-				newMeta.InColIdxSize[iv] = int64(len(cb))
+				newMeta.NumEdges += enc.edges
 			}
-			if g.meta.HasWeights {
-				if err := write(vb); err != nil {
+			for col, b := range enc.finish() {
+				crc = crc32.Update(crc, ingestCRC, b)
+				if _, err := w.Write(b); err != nil {
 					return err
 				}
-				segs = append(segs, int64(len(vb)))
-				if side == 0 {
-					newMeta.OutValSize[iv] = int64(len(vb))
-				} else {
-					newMeta.InValSize[iv] = int64(len(vb))
-				}
+				segs = append(segs, int64(len(b)))
+				(*newMeta.sizes(int(side), col))[iv] = int64(len(b))
 			}
 		}
 	}
 	if err := w.Close(); err != nil {
 		return err
 	}
-	var edges uint64
-	for _, sz := range newMeta.OutColIdxSize {
-		edges += uint64(sz / 4)
-	}
-	newMeta.NumEdges = edges
 
 	man := ingestManifest{
 		FoldedSeq: foldedSeq,
@@ -619,20 +553,6 @@ func (g *Graph) writeShadowAndManifest(plan *mergePlan, foldedSeq uint64) error 
 		Meta:      &newMeta,
 	}
 	return writeIngestManifest(g.dev, name, &man)
-}
-
-// segmentFiles returns the primary file names of interval iv in the
-// shadow's traversal order.
-func segmentFiles(name string, iv int, weighted bool) []string {
-	fns := []string{outRowPtrName(name, iv), outColIdxName(name, iv)}
-	if weighted {
-		fns = append(fns, outValName(name, iv))
-	}
-	fns = append(fns, inRowPtrName(name, iv), inColIdxName(name, iv))
-	if weighted {
-		fns = append(fns, inValName(name, iv))
-	}
-	return fns
 }
 
 // redoIngestManifest performs the merge's redo if a valid manifest is
@@ -650,6 +570,9 @@ func redoIngestManifest(dev *ssd.Device, name string) (*ingestManifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csr: merge manifest without shadow: %w", err)
 	}
+	if man.ShadowLen < 0 || man.ShadowLen > sf.Size() {
+		return nil, fmt.Errorf("csr: merge manifest of %q claims %d shadow bytes of %d", name, man.ShadowLen, sf.Size())
+	}
 	buf := make([]byte, man.ShadowLen)
 	if err := sf.ReadAt(buf, 0); err != nil {
 		return nil, fmt.Errorf("csr: merge shadow read: %w", err)
@@ -660,19 +583,21 @@ func redoIngestManifest(dev *ssd.Device, name string) (*ingestManifest, error) {
 	var off int64
 	si := 0
 	for iv := range man.Meta.Intervals {
-		for _, fn := range segmentFiles(name, iv, man.Meta.HasWeights) {
-			if si >= len(man.Segments) {
-				return nil, fmt.Errorf("csr: merge manifest of %q truncated segment list", name)
+		for side := range 2 {
+			for col := range man.Meta.cols() {
+				if si >= len(man.Segments) {
+					return nil, fmt.Errorf("csr: merge manifest of %q truncated segment list", name)
+				}
+				n := man.Segments[si]
+				si++
+				if n < 0 || off+n > man.ShadowLen {
+					return nil, fmt.Errorf("csr: merge manifest of %q overruns shadow", name)
+				}
+				if err := rewriteDeviceFile(dev, fileName(name, side, col, iv), buf[off:off+n]); err != nil {
+					return nil, err
+				}
+				off += n
 			}
-			n := man.Segments[si]
-			si++
-			if off+n > man.ShadowLen {
-				return nil, fmt.Errorf("csr: merge manifest of %q overruns shadow", name)
-			}
-			if err := rewriteDeviceFile(dev, fn, buf[off:off+n]); err != nil {
-				return nil, err
-			}
-			off += n
 		}
 	}
 	if si != len(man.Segments) || off != man.ShadowLen {

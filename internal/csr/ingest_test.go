@@ -1,8 +1,13 @@
 package csr
 
 import (
+	"cmp"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"multilogvc/internal/graphio"
@@ -289,60 +294,136 @@ func TestSameEpochAddDelCancels(t *testing.T) {
 // TestCrashMidMergeRecovery sweeps an injected device failure across
 // every IO of the merge and, for each crash point, reopens from the
 // on-disk state: the recovered graph must contain exactly the
-// acknowledged mutations — before the manifest commit because the WAL
-// replays them, after it because the redo completes the merge.
+// acknowledged mutations, with their weights on a weighted graph — before
+// the manifest commit because the WAL replays them, after it because the
+// redo completes the merge.
 func TestCrashMidMergeRecovery(t *testing.T) {
-	base := []graphio.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
-	muts := []Mutation{
-		{Src: 3, Dst: 4}, {Src: 4, Dst: 5}, {Del: true, Src: 0, Dst: 1},
-		{Src: 5, Dst: 0}, {Src: 3, Dst: 4}, // duplicate instance on purpose
-	}
-	o := oracle{}
-	for _, e := range base {
-		o[e]++
-	}
-	for _, m := range muts {
-		o.apply(m)
-	}
-	completed := false
-	for failAt := int64(0); failAt < 400 && !completed; failAt++ {
-		dir := t.TempDir()
+	for _, tc := range []struct {
+		name     string
+		weighted bool
+		budget   int64
+		base     []graphio.WeightedEdge
+		muts     []Mutation
+	}{
 		{
-			dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
-			if _, err := Build(dev, "g", base, BuildOptions{NumVertices: 8, IntervalBudget: 48}); err != nil {
-				t.Fatal(err)
+			name:   "unweighted",
+			budget: 48,
+			base:   []graphio.WeightedEdge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
+			muts: []Mutation{
+				{Src: 3, Dst: 4}, {Src: 4, Dst: 5}, {Del: true, Src: 0, Dst: 1},
+				{Src: 5, Dst: 0}, {Src: 3, Dst: 4}, // duplicate instance on purpose
+			},
+		},
+		{
+			// Three intervals, the last with no base out-edges: an add there
+			// must keep its weight through the merge.
+			name:     "weighted",
+			weighted: true,
+			budget:   12,
+			base: []graphio.WeightedEdge{
+				{Src: 0, Dst: 1, Weight: 10}, {Src: 1, Dst: 2, Weight: 20}, {Src: 2, Dst: 3, Weight: 30},
+			},
+			muts: []Mutation{
+				{Src: 3, Dst: 4, Weight: 34}, {Src: 4, Dst: 5, Weight: 45}, {Del: true, Src: 0, Dst: 1},
+				{Src: 5, Dst: 0, Weight: 50}, {Src: 3, Dst: 4, Weight: 43}, // duplicate, another weight
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The oracle: the edge multiset with weights, sorted. An add appends
+			// an instance, a del removes the newest matching one.
+			want := slices.Clone(tc.base)
+			for _, m := range tc.muts {
+				e := graphio.WeightedEdge{Src: m.Src, Dst: m.Dst, Weight: m.Weight}
+				if !m.Del {
+					want = append(want, e)
+					continue
+				}
+				for i := len(want) - 1; i >= 0; i-- {
+					if want[i].Src == e.Src && want[i].Dst == e.Dst {
+						want = slices.Delete(want, i, i+1)
+						break
+					}
+				}
 			}
-		}
-		dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
-		g, err := OpenIngest(dev, "g", IngestOptions{WAL: true, MergeThreshold: 1 << 30})
-		if err != nil {
-			t.Fatalf("failAt %d: OpenIngest: %v", failAt, err)
-		}
-		if err := g.ApplyMutations(muts, 1<<30); err != nil {
-			t.Fatalf("failAt %d: apply: %v", failAt, err)
-		}
-		dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: failAt})
-		mergeErr := g.MergeInterval(0)
-		if mergeErr == nil {
-			completed = true // the injection point is past the whole merge
-		}
-		// Crash: drop the process state, reopen from disk with a healthy
-		// fresh device. Acknowledged mutations must all be there.
-		dev2 := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
-		g2, err := OpenIngest(dev2, "g", IngestOptions{WAL: true, MergeThreshold: 1 << 30})
-		if err != nil {
-			t.Fatalf("failAt %d: reopen after mergeErr=%v: %v", failAt, mergeErr, err)
-		}
-		checkOracle(t, g2, o, "recovered")
-		// The recovered graph keeps working: merge and re-verify.
-		if err := g2.MergeInterval(0); err != nil {
-			t.Fatalf("failAt %d: post-recovery merge: %v", failAt, err)
-		}
-		checkOracle(t, g2, o, "post-recovery merge")
+			slices.SortFunc(want, cmpWeighted)
+			check := func(g *Graph, failAt int64, ctx string) {
+				t.Helper()
+				var got []graphio.WeightedEdge
+				for iv, interval := range g.Intervals() {
+					var verts []uint32
+					for v := interval.Lo; v < interval.Hi; v++ {
+						verts = append(verts, v)
+					}
+					if _, err := g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
+						for i, nb := range nbrs {
+							e := graphio.WeightedEdge{Src: v, Dst: nb}
+							if weights != nil {
+								e.Weight = weights[i]
+							}
+							got = append(got, e)
+						}
+					}); err != nil {
+						t.Fatalf("failAt %d: %s: %v", failAt, ctx, err)
+					}
+				}
+				slices.SortFunc(got, cmpWeighted)
+				if !slices.Equal(got, want) {
+					t.Fatalf("failAt %d: %s: edges %v, want %v", failAt, ctx, got, want)
+				}
+			}
+			completed := false
+			for failAt := int64(0); failAt < 400 && !completed; failAt++ {
+				dir := t.TempDir()
+				{
+					dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
+					opts := BuildOptions{NumVertices: 8, IntervalBudget: tc.budget}
+					var err error
+					if tc.weighted {
+						_, err = BuildWeighted(dev, "g", tc.base, opts)
+					} else {
+						_, err = Build(dev, "g", graphio.Strip(tc.base), opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
+				g, err := OpenIngest(dev, "g", IngestOptions{WAL: true, MergeThreshold: 1 << 30})
+				if err != nil {
+					t.Fatalf("failAt %d: OpenIngest: %v", failAt, err)
+				}
+				if err := g.ApplyMutations(tc.muts, 1<<30); err != nil {
+					t.Fatalf("failAt %d: apply: %v", failAt, err)
+				}
+				dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: failAt})
+				mergeErr := g.MergeInterval(0)
+				if mergeErr == nil {
+					completed = true // the injection point is past the whole merge
+				}
+				// Crash: drop the process state, reopen from disk with a healthy
+				// fresh device. Acknowledged mutations must all be there.
+				dev2 := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2, Dir: dir})
+				g2, err := OpenIngest(dev2, "g", IngestOptions{WAL: true, MergeThreshold: 1 << 30})
+				if err != nil {
+					t.Fatalf("failAt %d: reopen after mergeErr=%v: %v", failAt, mergeErr, err)
+				}
+				check(g2, failAt, "recovered")
+				// The recovered graph keeps working: merge and re-verify.
+				if err := g2.MergeInterval(0); err != nil {
+					t.Fatalf("failAt %d: post-recovery merge: %v", failAt, err)
+				}
+				check(g2, failAt, "post-recovery merge")
+			}
+			if !completed {
+				t.Fatal("sweep never reached an uninjected merge; raise the bound")
+			}
+		})
 	}
-	if !completed {
-		t.Fatal("sweep never reached an uninjected merge; raise the bound")
-	}
+}
+
+func cmpWeighted(a, b graphio.WeightedEdge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
 }
 
 // TestMergeFailureIsStickyUntilReopen pins the post-commit-point
@@ -504,4 +585,51 @@ func TestIngestStats(t *testing.T) {
 	if err := g.CloseIngest(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzIngestManifest feeds the merge's redo checksum-valid manifests with
+// arbitrary payloads, beside a real shadow file: recovery must return a
+// value or an error, never panic.
+func FuzzIngestManifest(f *testing.F) {
+	dev := manifestFuzzDevice(f)
+	man, ok, err := readIngestManifest(dev, ingestManifestName("g"))
+	if err != nil || !ok {
+		f.Fatalf("no manifest to seed from (ok %v): %v", ok, err)
+	}
+	seed, err := json.Marshal(man)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"shadow_len":-1,"meta":{}}`))
+	f.Add([]byte(`{"shadow_len":8,"segments":[-8,16],"meta":{"intervals":[{"Lo":0,"Hi":1}]}}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dev := manifestFuzzDevice(t)
+		frame := binary.LittleEndian.AppendUint32([]byte(ingestManifestMagic), uint32(len(payload)))
+		frame = append(frame, payload...)
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, ingestCRC))
+		if err := rewriteDeviceFile(dev, ingestManifestName("g"), frame); err != nil {
+			t.Fatal(err)
+		}
+		_ = recoverIngest(dev, "g")
+	})
+}
+
+// manifestFuzzDevice returns a RAM device holding a small weighted graph
+// whose merge has committed its shadow and manifest but not yet redone them.
+func manifestFuzzDevice(tb testing.TB) *ssd.Device {
+	tb.Helper()
+	dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2})
+	base := []graphio.WeightedEdge{{Src: 0, Dst: 1, Weight: 10}, {Src: 1, Dst: 2, Weight: 20}, {Src: 2, Dst: 3, Weight: 30}}
+	g, err := BuildWeighted(dev, "g", base, BuildOptions{NumVertices: 8, IntervalBudget: 12})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := g.AddEdgeWeighted(4, 5, 45, 1<<30); err != nil {
+		tb.Fatal(err)
+	}
+	if err := g.writeShadowAndManifest(g.Epoch()); err != nil {
+		tb.Fatal(err)
+	}
+	return dev
 }

@@ -2,16 +2,25 @@
 // form, partitioned by vertex interval as described in §V of the
 // MultiLogVC paper.
 //
-// A graph named G with k intervals occupies these device files:
+// A graph named G with k intervals owns these device files, all of which
+// Remove deletes:
 //
-//	G.meta           JSON metadata (sizes, intervals, degrees summary)
-//	G.out.rowptr.<i> uint64 row pointers for interval i's out-edges
-//	G.out.colidx.<i> uint32 destination ids for interval i's out-edges
-//	G.in.rowptr.<i>  uint64 row pointers for interval i's in-edges
-//	G.in.colidx.<i>  uint32 source ids for interval i's in-edges
+//	G.meta             JSON metadata (sizes, intervals, degrees summary)
+//	G.out.rowptr.<i>   uint64 row pointers for interval i's out-edges
+//	G.out.colidx.<i>   uint32 destination ids for interval i's out-edges
+//	G.out.val.<i>      uint32 out-edge weights (weighted graphs only)
+//	G.in.rowptr.<i>    uint64 row pointers for interval i's in-edges
+//	G.in.colidx.<i>    uint32 source ids for interval i's in-edges
+//	G.in.val.<i>       uint32 in-edge weights (weighted graphs only)
+//	G.wal              write-ahead log of acknowledged mutations
+//	G.ingest.manifest  a delta merge's redo record
+//	G.ingest.shadow    a delta merge's new CSR contents
 //
-// Row pointers are local to the interval: interval i with vertices
-// [Lo, Hi) stores Hi-Lo+1 offsets into its own colidx file.
+// The CSR files are one table, side (out, in) by column (rowptr, colidx,
+// val), laid out by one encoder for Build and the delta merge alike. Row
+// pointers are local to the interval: interval i with vertices [Lo, Hi)
+// stores Hi-Lo+1 offsets into its own colidx file, and a val file mirrors
+// its colidx file.
 //
 // The loader (Graph) serves adjacency for a *set of active vertices* by
 // reading only the covering row-pointer and column-index pages, batched —

@@ -15,22 +15,13 @@ func (g *Graph) View(sc *ssd.IOScope) *Graph {
 	}
 	v := *g
 	v.dev = g.dev.Scoped(sc)
-	v.outRow = scopedFiles(g.outRow, sc)
-	v.outCol = scopedFiles(g.outCol, sc)
-	v.inRow = scopedFiles(g.inRow, sc)
-	v.inCol = scopedFiles(g.inCol, sc)
-	v.outVal = scopedFiles(g.outVal, sc)
-	v.inVal = scopedFiles(g.inVal, sc)
+	for side := range v.files {
+		for col, fs := range g.files[side] {
+			v.files[side][col] = make([]*ssd.File, len(fs))
+			for iv, f := range fs {
+				v.files[side][col][iv] = f.Scoped(sc)
+			}
+		}
+	}
 	return &v
-}
-
-func scopedFiles(fs []*ssd.File, sc *ssd.IOScope) []*ssd.File {
-	if fs == nil {
-		return nil
-	}
-	out := make([]*ssd.File, len(fs))
-	for i, f := range fs {
-		out[i] = f.Scoped(sc)
-	}
-	return out
 }
