@@ -279,8 +279,10 @@ func (b *batch) processVertices() error {
 	b.halted = cleared(b.halted, len(b.verts))
 	halted := b.halted
 	for start, end := 0, 0; start < len(b.verts); start = end {
-		end = b.waveEnd(start)
-		if err := superstep.ForEach(b.cfg.Workers, end-start, func(w, lo, hi int) error {
+		var sends int
+		end, sends = b.waveEnd(start)
+		work := sends + ranges[end-1][1] - ranges[start][0]
+		if err := superstep.ForEach(b.cfg.Workers, end-start, work, func(w, lo, hi int) error {
 			ctx := &b.ctxs[w]
 			ctx.b, ctx.w = b, w
 			for i := start + lo; i < start+hi; i++ {
@@ -321,16 +323,16 @@ func (b *batch) processVertices() error {
 	return nil
 }
 
-// waveEnd returns where the wave of b.verts starting at start ends: once its
-// out-edges — the sends to expect; adjacency is resident before Process
-// runs — reach waveSends. The cut is a function of the graph, the active set
-// and the log budget, never of the order sends arrive in.
-func (b *batch) waveEnd(start int) int {
-	end := start
-	for sends := 0; end < len(b.verts) && sends < b.waveSends; end++ {
+// waveEnd returns where the wave of b.verts starting at start ends, and the
+// sends it expects: its out-edges, since adjacency is resident before
+// Process runs. The wave ends once they reach waveSends. The cut is a
+// function of the graph, the active set and the log budget, never of the
+// order sends arrive in.
+func (b *batch) waveEnd(start int) (end, sends int) {
+	for end = start; end < len(b.verts) && sends < b.waveSends; end++ {
 		sends += b.adj.Degree(end)
 	}
-	return end
+	return end, sends
 }
 
 // drainSends appends the wave's buffered sends to the logs in sender order.

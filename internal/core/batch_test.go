@@ -233,7 +233,8 @@ func TestUnfusedPlaneBytesBoundsEveryInterval(t *testing.T) {
 // BenchmarkVertexStage: one steady-state processBatch over the whole graph —
 // active set, value pages, adjacency into the arena, Process on every vertex,
 // flush — with no message traffic, so it prices the vertex-data plane alone.
-// ns/vertex and allocs/op are the numbers to read.
+// ns/vertex and allocs/op are the numbers to read; ns/unit is the cost per
+// out-edge, the unit superstep.ForEach's work rule counts.
 func BenchmarkVertexStage(b *testing.B) {
 	edges, n := rmatEdges(b, 14, 12, 1)
 	g := buildGraph(b, edges, n, 1<<16)
@@ -252,4 +253,5 @@ func BenchmarkVertexStage(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ss.Active), "ns/vertex")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*g.NumEdges()), "ns/unit")
 }

@@ -85,8 +85,9 @@ type Config struct {
 	MemoryBudget int64
 	// MaxSupersteps defaults to 15, the paper's evaluation cap.
 	MaxSupersteps int
-	// Workers is the vertex-processing parallelism; defaults to
-	// runtime.GOMAXPROCS(0).
+	// Workers is the most vertex-processing workers a wave may use;
+	// defaults to runtime.GOMAXPROCS(0). A wave forks fewer, down to none,
+	// when its expected work is too small to share (superstep.ForEach).
 	Workers int
 	// DisableEdgeLog turns the edge-log optimizer off (ablation).
 	DisableEdgeLog bool

@@ -64,7 +64,8 @@ type run struct {
 // small enough that buffering sends ahead of the log costs no measurable
 // memory, and a function of the configuration alone. minWaveSends keeps a
 // floor-budget log (one page per interval, the serving shape) from chopping
-// a batch into hundred-vertex waves that each pay a pool fork and join.
+// a batch into hundred-vertex waves, each a drain of its own and each too
+// small for superstep.ForEach to share among workers.
 const (
 	waveBudgetShare = 8
 	minWaveSends    = 4096

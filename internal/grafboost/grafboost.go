@@ -37,8 +37,9 @@ type Config struct {
 	MemoryBudget int64
 	// MaxSupersteps defaults to 15.
 	MaxSupersteps int
-	// Workers is the vertex-processing parallelism; defaults to
-	// runtime.GOMAXPROCS(0).
+	// Workers is the most vertex-processing workers a wave may use;
+	// defaults to runtime.GOMAXPROCS(0). A wave forks fewer, down to none,
+	// when its expected work is too small to share (superstep.ForEach).
 	Workers int
 	// Adapted keeps all messages through the external sort instead of
 	// combining, enabling non-combinable programs at high sort cost.
@@ -288,7 +289,11 @@ func (ir *ivRun) process() error {
 	// the goroutine schedule.
 	ranges := superstep.MsgRanges(nil, verts, msgs)
 	halted := make([]bool, len(verts))
-	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
+	work := len(msgs)
+	for _, v := range verts {
+		work += len(ir.adj[v])
+	}
+	if err := superstep.ForEach(e.cfg.Workers, len(verts), work, func(w, lo, hi int) error {
 		ctx := &gbCtx{ir: ir, w: w}
 		var msgBuf []vc.Msg
 		for i := lo; i < hi; i++ {

@@ -34,8 +34,9 @@ import (
 type Config struct {
 	// MaxSupersteps defaults to 15.
 	MaxSupersteps int
-	// Workers is the vertex-processing parallelism; defaults to
-	// runtime.GOMAXPROCS(0).
+	// Workers is the most vertex-processing workers a wave may use;
+	// defaults to runtime.GOMAXPROCS(0). A wave forks fewer, down to none,
+	// when its expected work is too small to share (superstep.ForEach).
 	Workers int
 	// StopAfter, when non-nil, ends the run after the superstep for which
 	// it returns true (same contract as the MultiLogVC engine).
@@ -205,7 +206,12 @@ func (ir *intervalRun) process() error {
 	// Process vertices in parallel; sends buffer per worker and apply
 	// sequentially afterwards (edge records are shared state).
 	haltedFlags := make([]bool, len(verts))
-	if err := superstep.ForEach(e.cfg.Workers, len(verts), func(w, lo, hi int) error {
+	delivered, sends := 0, 0
+	for _, v := range verts {
+		delivered += len(ir.msgs[v])
+		sends += len(ir.outEdges[v])
+	}
+	if err := superstep.ForEach(e.cfg.Workers, len(verts), delivered+sends, func(w, lo, hi int) error {
 		ctx := &chiCtx{ir: ir, w: w}
 		for i := lo; i < hi; i++ {
 			ctx.vertex = verts[i]
@@ -220,8 +226,8 @@ func (ir *intervalRun) process() error {
 	}
 	for i, v := range verts {
 		ir.halted.SetTo(int(v), haltedFlags[i])
-		ir.ss.MsgsDelivered += uint64(len(ir.msgs[v]))
 	}
+	ir.ss.MsgsDelivered += uint64(delivered)
 	if err := ir.applySends(); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package superstep_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
@@ -144,16 +145,17 @@ func TestCrossEngineParity(t *testing.T) {
 // exists to keep: what reaches the device — pages per stage and the virtual
 // time they cost, and with a cache attached its hits and misses — is a
 // function of the graph, the program and the configuration, never of the
-// worker count or the goroutine schedule.
+// worker count or the goroutine schedule. Every row forks at least one wave
+// at two workers or more, and none at one.
 func TestCountersIndependentOfWorkers(t *testing.T) {
 	edges, err := gen.RMAT(gen.DefaultRMAT(11, 8, 29))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 1 << 11
-	build := func(t *testing.T) *csr.Graph {
+	build := func(t *testing.T, ivBudget int64) *csr.Graph {
 		g, err := csr.Build(ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4}), "g", edges,
-			csr.BuildOptions{NumVertices: n, IntervalBudget: 8 << 10})
+			csr.BuildOptions{NumVertices: n, IntervalBudget: ivBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,36 +180,53 @@ func TestCountersIndependentOfWorkers(t *testing.T) {
 			return res, err
 		}
 	}
+	// Every row runs on intervals of 8 KiB of edges unless it sets ivBudget.
 	engines := []struct {
-		name string
-		run  func(g *csr.Graph, workers int) (*superstep.Result, error)
+		name     string
+		run      func(g *csr.Graph, workers int) (*superstep.Result, error)
+		ivBudget int64
 	}{
-		{"multilogvc", mlvc(core.Config{})},
+		{"multilogvc", mlvc(core.Config{}), 0},
 		// The sort budget fuses the whole graph into one batch of ~16K
 		// sends — several waves — while the message log keeps its floor of
 		// one 42-record page per interval, so evictions fall mid-wave.
-		{"multilogvc/waves+evictions", mlvc(core.Config{MemoryBudget: 1 << 10, SortBudget: 1 << 20})},
-		{"multilogvc/async", mlvc(core.Config{MemoryBudget: 1 << 10, Async: true})},
-		{"multilogvc/cached/pagerank", cached(&apps.PageRank{})},
-		{"multilogvc/cached/bfs", cached(&apps.BFS{Source: 0})},
+		{"multilogvc/waves+evictions", mlvc(core.Config{MemoryBudget: 1 << 10, SortBudget: 1 << 20}), 0},
+		// A sort budget that fuses about half the graph per batch, so a
+		// batch has waves big enough to fork and later intervals still
+		// take forward sends.
+		{"multilogvc/async", mlvc(core.Config{MemoryBudget: 1 << 10, SortBudget: 1 << 17, Async: true}), 0},
+		{"multilogvc/cached/pagerank", cached(&apps.PageRank{}), 0},
+		{"multilogvc/cached/bfs", cached(&apps.BFS{Source: 0}), 0},
+		// The two baselines process an interval in one wave: 128 KiB
+		// intervals (two) give it work enough to fork.
 		{"graphchi", func(g *csr.Graph, workers int) (*superstep.Result, error) {
 			return graphchi.New(g, graphchi.Config{MaxSupersteps: 6, Workers: workers}).Run(&apps.PageRank{})
-		}},
+		}, 128 << 10},
 		// A budget far below the log size, so every superstep sorts many
 		// runs whose boundaries follow the log's record order.
 		{"grafboost", func(g *csr.Graph, workers int) (*superstep.Result, error) {
 			return grafboost.New(g, grafboost.Config{
 				MaxSupersteps: 6, MemoryBudget: 8 << 10, Workers: workers,
 			}).Run(&apps.PageRank{})
-		}},
+		}, 128 << 10},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			var want *superstep.Result
 			for _, workers := range []int{1, 2, 4, 8} {
-				got, err := eng.run(build(t), workers)
+				forked := superstep.ForkedWaves()
+				got, err := eng.run(build(t, cmp.Or(eng.ivBudget, 8<<10)), workers)
 				if err != nil {
 					t.Fatal(err)
+				}
+				// Without a forked wave the row would compare the pool with
+				// itself running inline. (The count is process-wide; no test
+				// of this package runs in parallel.)
+				switch forked = superstep.ForkedWaves() - forked; {
+				case workers == 1 && forked != 0:
+					t.Fatalf("%d waves forked at 1 worker", forked)
+				case workers > 1 && forked == 0:
+					t.Fatalf("no wave forked at %d workers", workers)
 				}
 				if want == nil {
 					want = got

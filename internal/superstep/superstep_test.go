@@ -23,7 +23,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, n - 1, n, n + 3} {
 		hits := make([]atomic.Int32, n)
 		var chunks atomic.Int32
-		err := ForEach(workers, n, func(w, lo, hi int) error {
+		err := ForEach(workers, n, n*forkWork, func(w, lo, hi int) error {
 			chunks.Add(1)
 			if w < 0 || w >= workers {
 				t.Errorf("workers=%d: chunk index %d out of range", workers, w)
@@ -45,7 +45,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 			t.Fatalf("workers=%d: %d chunks", workers, c)
 		}
 	}
-	if err := ForEach(4, 0, func(int, int, int) error { t.Error("fn called for n = 0"); return nil }); err != nil {
+	if err := ForEach(4, 0, forkWork, func(int, int, int) error { t.Error("fn called for n = 0"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestForEachChunkOrder(t *testing.T) {
 	for i := range los {
 		los[i] = -1
 	}
-	if err := ForEach(workers, n, func(w, lo, hi int) error { los[w] = lo; return nil }); err != nil {
+	if err := ForEach(workers, n, n*forkWork, func(w, lo, hi int) error { los[w] = lo; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	prev := -1
@@ -73,7 +73,7 @@ func TestForEachChunkOrder(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := ForEach(4, 4, func(w, lo, hi int) error {
+	err := ForEach(4, 4, 4*forkWork, func(w, lo, hi int) error {
 		ran.Add(1)
 		if w == 2 {
 			return boom
@@ -92,7 +92,7 @@ func TestForEachPanicBecomesError(t *testing.T) {
 	var ran atomic.Int32
 	for _, bad := range []int{0, 1} { // the caller's own chunk, and a spawned one
 		ran.Store(0)
-		err := ForEach(4, 8, func(w, lo, hi int) error {
+		err := ForEach(4, 8, 8*forkWork, func(w, lo, hi int) error {
 			ran.Add(1)
 			if w == bad {
 				panic("injected")
@@ -115,19 +115,30 @@ func goid() string {
 }
 
 // Chunk 0 runs on the calling goroutine, so a pass that has a single chunk —
-// one worker, or one item — starts no goroutine at all.
+// one worker, one item, or less work than one forked worker must get —
+// starts no goroutine at all; otherwise each chunk gets forkWork or more.
 func TestForEachFirstChunkOnCaller(t *testing.T) {
 	caller := goid()
-	for _, tc := range []struct{ workers, n, chunks int }{
-		{1, 100, 1}, {8, 1, 1}, {3, 3, 3}, {4, 100, 4},
+	for _, tc := range []struct{ workers, n, work, chunks int }{
+		{1, 100, 100 * forkWork, 1},
+		{8, 1, forkWork, 1},
+		{3, 3, 3 * forkWork, 3},
+		{4, 100, 100 * forkWork, 4},
+		{4, 100, 0, 1},
+		{4, 100, forkWork - 1, 1},
+		{4, 100, 2*forkWork - 1, 1},
+		{2, 100, 3 * forkWork, 2},
+		{4, 100, 3 * forkWork, 3},
+		{8, 100, 3 * forkWork, 3},
 	} {
 		var chunks, onCaller atomic.Int32
-		if err := ForEach(tc.workers, tc.n, func(w, lo, hi int) error {
+		before := forks.Load()
+		if err := ForEach(tc.workers, tc.n, tc.work, func(w, lo, hi int) error {
 			chunks.Add(1)
 			if goid() == caller {
 				onCaller.Add(1)
 				if w != 0 {
-					t.Errorf("workers=%d n=%d: chunk %d ran on the caller", tc.workers, tc.n, w)
+					t.Errorf("workers=%d n=%d work=%d: chunk %d ran on the caller", tc.workers, tc.n, tc.work, w)
 				}
 			}
 			return nil
@@ -135,8 +146,12 @@ func TestForEachFirstChunkOnCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		if int(chunks.Load()) != tc.chunks || onCaller.Load() != 1 {
-			t.Errorf("workers=%d n=%d: %d chunks, %d on the caller; want %d and 1",
-				tc.workers, tc.n, chunks.Load(), onCaller.Load(), tc.chunks)
+			t.Errorf("workers=%d n=%d work=%d: %d chunks, %d on the caller; want %d and 1",
+				tc.workers, tc.n, tc.work, chunks.Load(), onCaller.Load(), tc.chunks)
+		}
+		if forked := forks.Load() - before; forked != uint64(min(1, tc.chunks-1)) {
+			t.Errorf("workers=%d n=%d work=%d: %d forked waves counted for %d chunks",
+				tc.workers, tc.n, tc.work, forked, tc.chunks)
 		}
 	}
 }

@@ -326,8 +326,10 @@ type RunOptions struct {
 	Engine Engine
 	// MaxSupersteps defaults to 15, the paper's evaluation cap.
 	MaxSupersteps int
-	// Workers is the vertex-processing parallelism (defaults to
-	// GOMAXPROCS).
+	// Workers is the most vertex-processing workers a wave may use
+	// (defaults to GOMAXPROCS). It is a cap, not a fixed fan-out: a wave
+	// runs on the calling goroutine alone unless each worker would get
+	// enough messages and sends to repay starting it.
 	Workers int
 	// StopAfter ends the run early; it receives the superstep index and
 	// the cumulative number of vertex activations.
