@@ -245,21 +245,21 @@ func engineBench(b *testing.B, run func(env *harness.Env) error) {
 
 func BenchmarkEngineMLVCPageRank(b *testing.B) {
 	engineBench(b, func(env *harness.Env) error {
-		_, _, err := harness.RunMLVC(env, &apps.PageRank{}, harness.RunOpts{MaxSupersteps: 15})
+		_, _, err := env.Run(&apps.PageRank{}, multilogvc.RunOptions{MaxSupersteps: 15})
 		return err
 	})
 }
 
 func BenchmarkEngineGraphChiPageRank(b *testing.B) {
 	engineBench(b, func(env *harness.Env) error {
-		_, _, err := harness.RunGraphChi(env, &apps.PageRank{}, harness.RunOpts{MaxSupersteps: 15})
+		_, _, err := env.Run(&apps.PageRank{}, multilogvc.RunOptions{Engine: multilogvc.EngineGraphChi, MaxSupersteps: 15})
 		return err
 	})
 }
 
 func BenchmarkEngineGraFBoostPageRank(b *testing.B) {
 	engineBench(b, func(env *harness.Env) error {
-		_, _, err := harness.RunGraFBoost(env, &apps.PageRank{}, harness.RunOpts{MaxSupersteps: 15})
+		_, _, err := env.Run(&apps.PageRank{}, multilogvc.RunOptions{Engine: multilogvc.EngineGraFBoost, MaxSupersteps: 15})
 		return err
 	})
 }

@@ -162,7 +162,6 @@ func run(args []string) error {
 		BreakerCooldown:   *brkCooldown,
 		BreakerProbes:     *brkProbes,
 		EnableIngest:      *ingest,
-		EnableReplication: *ingest,
 		ReadOnly:          follower,
 		FaultControl:      *fault != "",
 	})

@@ -47,6 +47,8 @@ type Config struct {
 	// StopAfter ends the run after the superstep for which it returns
 	// true.
 	StopAfter func(superstep int, cumProcessed uint64) bool
+	// Trace, when non-nil, receives one "superstep" span per superstep.
+	Trace *obsv.Trace
 }
 
 func (c Config) withDefaults() Config {
@@ -132,6 +134,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	loop.MaxSupersteps = cfg.MaxSupersteps
 	loop.StopAfter = cfg.StopAfter
 	loop.Cache = dev.Cache()
+	loop.Trace = cfg.Trace
 	return loop.Run(r)
 }
 

@@ -41,6 +41,8 @@ type Config struct {
 	// StopAfter, when non-nil, ends the run after the superstep for which
 	// it returns true (same contract as the MultiLogVC engine).
 	StopAfter func(superstep int, cumProcessed uint64) bool
+	// Trace, when non-nil, receives one "superstep" span per superstep.
+	Trace *obsv.Trace
 }
 
 func (c Config) withDefaults() Config {
@@ -110,6 +112,7 @@ func (e *Engine) RunCtx(ctx context.Context, prog vc.Program) (*superstep.Result
 	loop.MaxSupersteps = e.cfg.MaxSupersteps
 	loop.StopAfter = e.cfg.StopAfter
 	loop.Cache = dev.Cache()
+	loop.Trace = e.cfg.Trace
 	return loop.Run(&run{
 		eng: e, prog: prog, store: store, values: values, isAux: isAux,
 		active: superstep.InitialActive(prog.InitActive(e.n), e.n),

@@ -7,6 +7,7 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/pagecache"
@@ -24,13 +25,13 @@ func TestCacheParity(t *testing.T) {
 	}
 	progs := []vc.Program{&apps.PageRank{}, &apps.BFS{Source: 0}, &apps.CDLP{}}
 	for _, prog := range progs {
-		opts := RunOpts{MaxSupersteps: 5}
+		opts := engine.Options{MaxSupersteps: 5}
 
 		cold, err := Prepare(ds, EnvOptions{CacheMB: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldRep, coldVals, err := RunMLVC(cold, prog, opts)
+		coldRep, coldVals, err := cold.Run(prog, opts)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", prog.Name(), err)
 		}
@@ -42,7 +43,7 @@ func TestCacheParity(t *testing.T) {
 		if warm.Cache == nil {
 			t.Fatal("CacheMB: 8 attached no cache")
 		}
-		warmRep, warmVals, err := RunMLVC(warm, prog, opts)
+		warmRep, warmVals, err := warm.Run(prog, opts)
 		if err != nil {
 			t.Fatalf("%s cached: %v", prog.Name(), err)
 		}
@@ -73,33 +74,14 @@ func TestCacheParityBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := &apps.PageRank{}
-	opts := RunOpts{MaxSupersteps: 5}
-
-	type runner func(env *Env) (rep interface {
-		CacheHitRate() float64
-	}, pagesRead uint64, vals []uint32, err error)
-	runners := map[string]runner{
-		"graphchi": func(env *Env) (interface{ CacheHitRate() float64 }, uint64, []uint32, error) {
-			rep, vals, err := RunGraphChi(env, prog, opts)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			return rep, rep.PagesRead, vals, nil
-		},
-		"grafboost": func(env *Env) (interface{ CacheHitRate() float64 }, uint64, []uint32, error) {
-			rep, vals, err := RunGraFBoost(env, prog, opts)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			return rep, rep.PagesRead, vals, nil
-		},
-	}
-	for name, run := range runners {
+	for _, kind := range []engine.Kind{engine.GraphChi, engine.GraFBoost} {
+		name := kind.String()
+		opts := engine.Options{Engine: kind, MaxSupersteps: 5}
 		cold, err := Prepare(ds, EnvOptions{CacheMB: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, coldPages, coldVals, err := run(cold)
+		coldRep, coldVals, err := cold.Run(prog, opts)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}
@@ -107,7 +89,7 @@ func TestCacheParityBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, warmPages, warmVals, err := run(warm)
+		warmRep, warmVals, err := warm.Run(prog, opts)
 		if err != nil {
 			t.Fatalf("%s cached: %v", name, err)
 		}
@@ -116,8 +98,8 @@ func TestCacheParityBaselines(t *testing.T) {
 				t.Fatalf("%s: value[%d] = %d cached, %d uncached", name, v, warmVals[v], coldVals[v])
 			}
 		}
-		if warmPages >= coldPages {
-			t.Errorf("%s: cached run read %d device pages, uncached %d", name, warmPages, coldPages)
+		if warmRep.PagesRead >= coldRep.PagesRead {
+			t.Errorf("%s: cached run read %d device pages, uncached %d", name, warmRep.PagesRead, coldRep.PagesRead)
 		}
 	}
 }
@@ -146,35 +128,44 @@ func TestCacheUnderSweep(t *testing.T) {
 	}
 	valuePages := (4*int(ds.N) + cold.PageSize - 1) / cold.PageSize
 
-	type engine func(*Env, vc.Program, RunOpts) (*metrics.Report, []uint32, error)
+	type runFn func(*Env, vc.Program, engine.Options) (*metrics.Report, []uint32, error)
+	on := func(k engine.Kind) runFn {
+		return func(env *Env, prog vc.Program, o engine.Options) (*metrics.Report, []uint32, error) {
+			o.Engine = k
+			return env.Run(prog, o)
+		}
+	}
 	bfs := func() vc.Program { return &apps.BFS{Source: 0} }
 	pagerank := func() vc.Program { return &apps.PageRank{} }
 	// bare builds the engine from a core.Config holding only the budget
 	// and the step cap: none of the harness's run options. The row keeps
 	// the name it had while the harness run also prefetched.
-	bare := func(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-		eng := core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget, MaxSupersteps: o.MaxSupersteps, StopAfter: o.StopAfter})
-		return env.finish("multilogvc", prog, o, eng)
+	bare := func(env *Env, prog vc.Program, o engine.Options) (*metrics.Report, []uint32, error) {
+		res, err := core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget, MaxSupersteps: o.MaxSupersteps, StopAfter: o.StopAfter}).Run(prog)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Report, res.Values, nil
 	}
 	for _, tc := range []struct {
 		name       string
-		run        engine
+		run        runFn
 		prog       func() vc.Program
 		steps      int
 		edgeFiles  string // what the names of the engine's edge files contain
 		minHitRate float64
 		maxPages   uint64 // the most device reads allowed
 	}{
-		{"multilogvc/bfs", RunMLVC, bfs, 200, ".out.", 0.35, 13959},
+		{"multilogvc/bfs", on(engine.MultiLog), bfs, 200, ".out.", 0.35, 13959},
 		{"multilogvc/bfs/no-prefetch", bare, bfs, 200, ".out.", 0.35, 13959},
-		{"graphchi/pagerank", RunGraphChi, pagerank, 5, ".gc.shard", 0, 11271},
-		{"grafboost/pagerank", RunGraFBoost, pagerank, 5, ".out.", 0, 9144},
+		{"graphchi/pagerank", on(engine.GraphChi), pagerank, 5, ".gc.shard", 0, 11271},
+		{"grafboost/pagerank", on(engine.GraFBoost), pagerank, 5, ".out.", 0, 9144},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// GraphChi builds its shards per run, so the edge files are
 			// counted while the uncached run has them open.
 			dataPages := valuePages
-			coldRep, want, err := tc.run(cold, tc.prog(), RunOpts{MaxSupersteps: tc.steps,
+			coldRep, want, err := tc.run(cold, tc.prog(), engine.Options{MaxSupersteps: tc.steps,
 				StopAfter: func(step int, _ uint64) bool {
 					if step > 0 {
 						return false
@@ -203,7 +194,7 @@ func TestCacheUnderSweep(t *testing.T) {
 			}
 			warm.Cache = pagecache.New(dataPages*2/5, warm.PageSize)
 			warm.Dev.AttachCache(warm.Cache)
-			rep, got, err := tc.run(warm, tc.prog(), RunOpts{MaxSupersteps: tc.steps})
+			rep, got, err := tc.run(warm, tc.prog(), engine.Options{MaxSupersteps: tc.steps})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,6 +16,7 @@ import (
 	"multilogvc/internal/ckpt"
 	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
@@ -244,8 +245,11 @@ func chaosLegs(seed int64, dir string, out *outcome) (*ssd.Device, error) {
 
 	// Engine: mostly MultiLogVC (the governed engine), baselines for the
 	// shared device-level governance (retry-ctx, no-space, corruption).
-	engine := []string{"multilogvc", "multilogvc", "multilogvc", "graphchi", "grafboost"}[rng.Intn(5)]
-	opts := RunOpts{MaxSupersteps: s.steps, Workers: 1 + rng.Intn(4)}
+	kind := []engine.Kind{engine.MultiLog, engine.MultiLog, engine.MultiLog, engine.GraphChi, engine.GraFBoost}[rng.Intn(5)]
+	if _, ok := s.mkProg().(vc.Combiner); !ok && kind == engine.GraFBoost {
+		kind = engine.GraFBoostAdapted
+	}
+	opts := engine.Options{Engine: kind, MaxSupersteps: s.steps, Workers: 1 + rng.Intn(4)}
 	schedule := ""
 	add := func(s string) { schedule += "+" + s }
 
@@ -259,13 +263,13 @@ func chaosLegs(seed int64, dir string, out *outcome) (*ssd.Device, error) {
 		plan.NoSpace.Prob = 0.01 + rng.Float64()*0.05
 		add("nospace")
 	}
-	if engine == "multilogvc" && rng.Intn(3) == 0 {
+	if kind == engine.MultiLog && rng.Intn(3) == 0 {
 		filters := []string{".elog", ".mlog.", ".values"}
 		plan.CorruptOnly = filters[rng.Intn(len(filters))]
 		plan.Corrupt.Prob = 0.002 + rng.Float64()*0.02
 		add("corrupt")
 	}
-	if engine == "multilogvc" && rng.Intn(3) == 0 {
+	if kind == engine.MultiLog && rng.Intn(3) == 0 {
 		opts.SortBudget = int64(64 + rng.Intn(512)) // tiny: forces spilling
 		add("spill")
 	}
@@ -295,31 +299,15 @@ func chaosLegs(seed int64, dir string, out *outcome) (*ssd.Device, error) {
 	if schedule == "" {
 		schedule = "+none"
 	}
-	out.desc = fmt.Sprintf("%s/%s %s", engine, s.mkProg().Name(), schedule[1:])
+	out.desc = fmt.Sprintf("%s/%s %s", kind, s.mkProg().Name(), schedule[1:])
 
 	// Checkpoint when the schedule can kill the run mid-flight, so a
 	// second leg can finish the computation.
-	if engine == "multilogvc" {
+	if kind == engine.MultiLog {
 		opts.CheckpointEvery = 1 + rng.Intn(3)
 	}
-	run := func(env *Env, o RunOpts) ([]uint32, error) {
-		var vals []uint32
-		var err error
-		switch engine {
-		case "graphchi":
-			_, vals, err = RunGraphChi(env, s.mkProg(), o)
-		case "grafboost":
-			if _, ok := s.mkProg().(vc.Combiner); !ok {
-				o.Adapted = true
-			}
-			_, vals, err = RunGraFBoost(env, s.mkProg(), o)
-		default:
-			_, vals, err = RunMLVC(env, s.mkProg(), o)
-		}
-		return vals, err
-	}
 
-	got, err := run(env, opts)
+	_, got, err := env.Run(s.mkProg(), opts)
 	if err == nil {
 		if !slices.Equal(got, want) {
 			return nil, errors.New("silent divergence from reference")
@@ -355,7 +343,7 @@ func chaosLegs(seed int64, dir string, out *outcome) (*ssd.Device, error) {
 	}
 	opts.Context = context.Background()
 	opts.Resume = true
-	if got, err = run(env, opts); err != nil {
+	if _, got, err = env.Run(s.mkProg(), opts); err != nil {
 		if f := classify(err); f != "" {
 			out.n[f]++
 			return env.Dev, nil

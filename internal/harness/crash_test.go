@@ -7,6 +7,7 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/ckpt"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
@@ -63,7 +64,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, want, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: steps})
+			_, want, err := env.Run(app.make(), engine.Options{MaxSupersteps: steps})
 			if err != nil {
 				t.Fatalf("%s: reference run: %v", name, err)
 			}
@@ -79,7 +80,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, got, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: steps, CheckpointEvery: every})
+			rep, got, err := env.Run(app.make(), engine.Options{MaxSupersteps: steps, CheckpointEvery: every})
 			if err != nil {
 				t.Fatalf("%s: checkpointing run: %v", name, err)
 			}
@@ -98,7 +99,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				env.Dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: depth})
-				_, got, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: steps, CheckpointEvery: every})
+				_, got, err := env.Run(app.make(), engine.Options{MaxSupersteps: steps, CheckpointEvery: every})
 				if err == nil {
 					// The fault credit outlived the run: nothing crashed.
 					valuesEqual(t, name+"/uncrashed", got, want)
@@ -108,8 +109,8 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 					t.Fatalf("%s: crash at depth %d surfaced %v, want ErrInjected in chain", name, depth, err)
 				}
 				env.Dev.SetFaults(ssd.FaultPlan{})
-				rep, got, err := RunMLVC(env, app.make(),
-					RunOpts{MaxSupersteps: steps, CheckpointEvery: every, Resume: true})
+				rep, got, err := env.Run(app.make(),
+					engine.Options{MaxSupersteps: steps, CheckpointEvery: every, Resume: true})
 				if err != nil {
 					t.Fatalf("%s: resume after crash at depth %d: %v", name, depth, err)
 				}
@@ -133,7 +134,7 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 4})
+	_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, got, err := RunMLVC(env2, &apps.PageRank{}, RunOpts{MaxSupersteps: 4, Resume: true})
+	rep, got, err := env2.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 4, Resume: true})
 	if err != nil {
 		t.Fatalf("resume with no checkpoint: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestResumeCorruptCheckpointFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 4, CheckpointEvery: 1}); err != nil {
+	if _, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 4, CheckpointEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload bit in both slots, leaving the manifests committed.
@@ -181,7 +182,7 @@ func TestResumeCorruptCheckpointFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 4, Resume: true})
+	_, _, err = env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 4, Resume: true})
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume over torn checkpoints returned %v, want ckpt.ErrCorrupt", err)
 	}
@@ -199,7 +200,7 @@ func TestResumeFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 6})
+	_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestResumeFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunMLVC(env2, &apps.PageRank{}, RunOpts{MaxSupersteps: 6, CheckpointEvery: 1}); err != nil {
+	if _, _, err := env2.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 6, CheckpointEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Find the newest slot and tear it.
@@ -224,7 +225,7 @@ func TestResumeFallsBackToOlderCheckpoint(t *testing.T) {
 	if err := meta.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	rep, got, err := RunMLVC(env2, &apps.PageRank{}, RunOpts{MaxSupersteps: 6, Resume: true})
+	rep, got, err := env2.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 6, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after tearing newest slot: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/ssd"
@@ -16,6 +17,19 @@ import (
 
 // MaxSupersteps is the paper's evaluation cap.
 const MaxSupersteps = 15
+
+// versus runs prog with o on MultiLogVC, then on the baseline, over env.
+func (env *Env) versus(baseline engine.Kind, prog vc.Program, o engine.Options) (ml, base *metrics.Report, err error) {
+	o.Engine = engine.MultiLog
+	if ml, _, err = env.Run(prog, o); err != nil {
+		return nil, nil, err
+	}
+	o.Engine = baseline
+	if base, _, err = env.Run(prog, o); err != nil {
+		return nil, nil, err
+	}
+	return ml, base, nil
+}
 
 // AppSet returns the six evaluated programs tuned for a dataset of n
 // vertices: random-walk sampling is scaled so walker density matches the
@@ -72,7 +86,7 @@ func Fig2(size Size) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, _, err := RunMLVC(env, &apps.Coloring{}, RunOpts{MaxSupersteps: MaxSupersteps})
+		rep, _, err := env.Run(&apps.Coloring{}, engine.Options{MaxSupersteps: MaxSupersteps})
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +116,7 @@ func Fig3(size Size) (*metrics.Table, error) {
 			return nil, err
 		}
 		for _, prog := range AppSet(ds.N) {
-			rep, _, err := RunMLVC(env, prog, RunOpts{MaxSupersteps: MaxSupersteps})
+			rep, _, err := env.Run(prog, engine.Options{MaxSupersteps: MaxSupersteps})
 			if err != nil {
 				return nil, err
 			}
@@ -171,12 +185,8 @@ func Fig5Runs(size Size) ([]Fig5Result, error) {
 		for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 			target := uint64(frac * float64(ds.N))
 			stop := func(step int, cum uint64) bool { return cum >= target }
-			opts := RunOpts{MaxSupersteps: 256, StopAfter: stop}
-			ml, _, err := RunMLVC(env, &apps.BFS{Source: 0}, opts)
-			if err != nil {
-				return nil, err
-			}
-			gc, _, err := RunGraphChi(env, &apps.BFS{Source: 0}, opts)
+			ml, gc, err := env.versus(engine.GraphChi, &apps.BFS{Source: 0},
+				engine.Options{MaxSupersteps: 256, StopAfter: stop})
 			if err != nil {
 				return nil, err
 			}
@@ -207,12 +217,7 @@ func Fig6Runs(size Size) ([]Fig6Result, error) {
 			return nil, err
 		}
 		for _, prog := range AppSet(ds.N) {
-			opts := RunOpts{MaxSupersteps: MaxSupersteps}
-			ml, _, err := RunMLVC(env, prog, opts)
-			if err != nil {
-				return nil, err
-			}
-			gc, _, err := RunGraphChi(env, prog, opts)
+			ml, gc, err := env.versus(engine.GraphChi, prog, engine.Options{MaxSupersteps: MaxSupersteps})
 			if err != nil {
 				return nil, err
 			}
@@ -284,12 +289,7 @@ func Fig8(size Size) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := RunOpts{MaxSupersteps: 2}
-		ml, _, err := RunMLVC(env, &apps.PageRank{}, opts)
-		if err != nil {
-			return nil, err
-		}
-		gb, _, err := RunGraFBoost(env, &apps.PageRank{}, opts)
+		ml, gb, err := env.versus(engine.GraFBoost, &apps.PageRank{}, engine.Options{MaxSupersteps: 2})
 		if err != nil {
 			return nil, err
 		}
@@ -314,12 +314,7 @@ func AdaptedGC(size Size) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := RunOpts{MaxSupersteps: MaxSupersteps}
-		ml, _, err := RunMLVC(env, &apps.Coloring{}, opts)
-		if err != nil {
-			return nil, err
-		}
-		gb, _, err := RunGraFBoost(env, &apps.Coloring{}, RunOpts{MaxSupersteps: MaxSupersteps, Adapted: true})
+		ml, gb, err := env.versus(engine.GraFBoostAdapted, &apps.Coloring{}, engine.Options{MaxSupersteps: MaxSupersteps})
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +340,7 @@ func Fig9(size Size) (*metrics.Table, error) {
 			return nil, err
 		}
 		for _, prog := range AppSet(ds.N) {
-			rep, _, err := RunMLVC(env, prog, RunOpts{MaxSupersteps: MaxSupersteps})
+			rep, _, err := env.Run(prog, engine.Options{MaxSupersteps: MaxSupersteps})
 			if err != nil {
 				return nil, err
 			}
@@ -393,13 +388,7 @@ func Fig10(size Size) (*metrics.Table, error) {
 					return nil, err
 				}
 			}
-			prog := &apps.MIS{Seed: 42}
-			opts := RunOpts{MaxSupersteps: MaxSupersteps}
-			ml, _, err := RunMLVC(env, prog, opts)
-			if err != nil {
-				return nil, err
-			}
-			gc, _, err := RunGraphChi(env, prog, opts)
+			ml, gc, err := env.versus(engine.GraphChi, &apps.MIS{Seed: 42}, engine.Options{MaxSupersteps: MaxSupersteps})
 			if err != nil {
 				return nil, err
 			}
@@ -428,27 +417,27 @@ func Ablation(size Size) (*metrics.Table, error) {
 		type variant struct {
 			feature string
 			prog    vc.Program
-			off     RunOpts
+			off     engine.Options
 		}
 		sample := ds.N / 64
 		if sample == 0 {
 			sample = 1
 		}
 		variants := []variant{
-			{"edge-log", &apps.BFS{Source: 0}, RunOpts{DisableEdgeLog: true}},
-			{"edge-log", &apps.RandomWalk{SampleEvery: sample, WalkLength: 10, Seed: 42}, RunOpts{DisableEdgeLog: true}},
-			{"combiner", &apps.PageRank{}, RunOpts{DisableCombiner: true}},
-			{"fusing", &apps.PageRank{}, RunOpts{DisableFusing: true}},
+			{"edge-log", &apps.BFS{Source: 0}, engine.Options{DisableEdgeLog: true}},
+			{"edge-log", &apps.RandomWalk{SampleEvery: sample, WalkLength: 10, Seed: 42}, engine.Options{DisableEdgeLog: true}},
+			{"combiner", &apps.PageRank{}, engine.Options{DisableCombiner: true}},
+			{"fusing", &apps.PageRank{}, engine.Options{DisableFusing: true}},
 		}
 		for _, v := range variants {
-			on := RunOpts{MaxSupersteps: MaxSupersteps}
+			on := engine.Options{MaxSupersteps: MaxSupersteps}
 			off := v.off
 			off.MaxSupersteps = MaxSupersteps
-			onRep, _, err := RunMLVC(env, v.prog, on)
+			onRep, _, err := env.Run(v.prog, on)
 			if err != nil {
 				return nil, err
 			}
-			offRep, _, err := RunMLVC(env, v.prog, off)
+			offRep, _, err := env.Run(v.prog, off)
 			if err != nil {
 				return nil, err
 			}
@@ -481,12 +470,7 @@ func Extended(size Size) (*metrics.Table, error) {
 			return nil, err
 		}
 		for _, prog := range []vc.Program{&apps.WCC{}, &apps.KCore{K: 4}} {
-			opts := RunOpts{MaxSupersteps: MaxSupersteps}
-			ml, _, err := RunMLVC(env, prog, opts)
-			if err != nil {
-				return nil, err
-			}
-			gc, _, err := RunGraphChi(env, prog, opts)
+			ml, gc, err := env.versus(engine.GraphChi, prog, engine.Options{MaxSupersteps: MaxSupersteps})
 			if err != nil {
 				return nil, err
 			}
@@ -507,12 +491,7 @@ func Extended(size Size) (*metrics.Table, error) {
 			return nil, err
 		}
 		prog := &apps.SSSP{Source: 0}
-		opts := RunOpts{MaxSupersteps: MaxSupersteps}
-		ml, _, err := RunMLVC(wenv, prog, opts)
-		if err != nil {
-			return nil, err
-		}
-		gc, _, err := RunGraphChi(wenv, prog, opts)
+		ml, gc, err := wenv.versus(engine.GraphChi, prog, engine.Options{MaxSupersteps: MaxSupersteps})
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +537,7 @@ func IOBreakdown(size Size) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, _, err := RunMLVC(env, prog, RunOpts{MaxSupersteps: MaxSupersteps}); err != nil {
+			if _, _, err := env.Run(prog, engine.Options{MaxSupersteps: MaxSupersteps}); err != nil {
 				return nil, err
 			}
 			sums := map[string]uint64{}
@@ -594,8 +573,8 @@ func CheckpointOverhead(size Size) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, _, err := RunMLVC(env, &apps.PageRank{},
-				RunOpts{MaxSupersteps: MaxSupersteps, CheckpointEvery: every})
+			rep, _, err := env.Run(&apps.PageRank{},
+				engine.Options{MaxSupersteps: MaxSupersteps, CheckpointEvery: every})
 			if err != nil {
 				return nil, err
 			}
@@ -636,8 +615,8 @@ func SpillOverhead(size Size) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, got, err := RunMLVC(env, &apps.PageRank{},
-				RunOpts{MaxSupersteps: MaxSupersteps, SortBudget: budget})
+			rep, got, err := env.Run(&apps.PageRank{},
+				engine.Options{MaxSupersteps: MaxSupersteps, SortBudget: budget})
 			if err != nil {
 				return nil, err
 			}

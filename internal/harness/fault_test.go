@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/ssd"
 )
 
@@ -24,29 +25,29 @@ func TestFaultInjectionPropagates(t *testing.T) {
 	}
 	runners := []runner{
 		{"multilogvc", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 			return err
 		}},
 		{"graphchi", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunGraphChi(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraphChi, MaxSupersteps: 5})
 			return err
 		}},
 		{"grafboost", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunGraFBoost(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraFBoost, MaxSupersteps: 5})
 			return err
 		}},
 		// Cached variants: the error must reach the engine through cache
 		// misses — never panic or deadlock.
 		{"multilogvc-cached", EnvOptions{CacheMB: 4}, func(env *Env) error {
-			_, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 			return err
 		}},
 		{"graphchi-cached", EnvOptions{CacheMB: 4}, func(env *Env) error {
-			_, _, err := RunGraphChi(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraphChi, MaxSupersteps: 5})
 			return err
 		}},
 		{"grafboost-cached", EnvOptions{CacheMB: 4}, func(env *Env) error {
-			_, _, err := RunGraFBoost(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraFBoost, MaxSupersteps: 5})
 			return err
 		}},
 	}
@@ -102,7 +103,7 @@ func TestTransientFaultsInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+		_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestTransientFaultsInvisible(t *testing.T) {
 		}
 		// One scripted transient fault in each quarter of the op window.
 		env.Dev.SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{At: []int64{1, total / 4, total / 2, 3 * total / 4}}})
-		rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+		rep, got, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 		if err != nil {
 			t.Fatalf("%s: transient faults within budget surfaced: %v", mode, err)
 		}
@@ -161,23 +162,23 @@ func TestTransientExhaustionPropagates(t *testing.T) {
 	}
 	runners := []runner{
 		{"multilogvc", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 3})
 			return err
 		}},
 		{"multilogvc-cached", EnvOptions{CacheMB: 4}, func(env *Env) error {
-			_, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 3})
 			return err
 		}},
 		{"graphchi", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunGraphChi(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraphChi, MaxSupersteps: 3})
 			return err
 		}},
 		{"grafboost", EnvOptions{}, func(env *Env) error {
-			_, _, err := RunGraFBoost(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraFBoost, MaxSupersteps: 3})
 			return err
 		}},
 		{"grafboost-cached", EnvOptions{CacheMB: 4}, func(env *Env) error {
-			_, _, err := RunGraFBoost(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+			_, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraFBoost, MaxSupersteps: 3})
 			return err
 		}},
 	}
@@ -211,11 +212,11 @@ func TestFaultDisarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{Crash: true})
-	if _, _, err := RunMLVC(env, &apps.BFS{Source: 0}, RunOpts{MaxSupersteps: 3}); err == nil {
+	if _, _, err := env.Run(&apps.BFS{Source: 0}, engine.Options{MaxSupersteps: 3}); err == nil {
 		t.Fatal("armed device did not fail")
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{})
-	if _, _, err := RunMLVC(env, &apps.BFS{Source: 0}, RunOpts{MaxSupersteps: 3}); err != nil {
+	if _, _, err := env.Run(&apps.BFS{Source: 0}, engine.Options{MaxSupersteps: 3}); err != nil {
 		t.Fatalf("disarmed device still failing: %v", err)
 	}
 }

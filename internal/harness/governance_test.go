@@ -8,6 +8,7 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
@@ -38,7 +39,7 @@ func TestSpillForcedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := RunMLVC(env, p.make(), RunOpts{MaxSupersteps: steps})
+		_, want, err := env.Run(p.make(), engine.Options{MaxSupersteps: steps})
 		if err != nil {
 			t.Fatalf("%s reference: %v", p.name, err)
 		}
@@ -47,7 +48,7 @@ func TestSpillForcedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, got, err := RunMLVC(env, p.make(), RunOpts{MaxSupersteps: steps, SortBudget: 256})
+		rep, got, err := env.Run(p.make(), engine.Options{MaxSupersteps: steps, SortBudget: 256})
 		if err != nil {
 			t.Fatalf("%s spill-forced: %v", p.name, err)
 		}
@@ -71,7 +72,7 @@ func TestNoSpaceAbsorbedByReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+	_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestNoSpaceAbsorbedByReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{25}}}) // one credit: mid-run, absorbed by the retry
-	rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+	rep, got, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 	if err != nil {
 		t.Fatalf("single no-space fault not absorbed: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestNoSpaceClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{25, 26}}}) // both attempts of one logical write
-	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+	_, _, err = env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 	if !errors.Is(err, ssd.ErrNoSpace) {
 		t.Fatalf("persistent no-space surfaced %v, want ssd.ErrNoSpace", err)
 	}
@@ -125,7 +126,7 @@ func TestQuotaRunReclaimsOrClassifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5, CheckpointEvery: 2})
+	_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5, CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestQuotaRunReclaimsOrClassifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5, CheckpointEvery: 2})
+		rep, got, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5, CheckpointEvery: 2})
 		if err != nil {
 			if !errors.Is(err, ssd.ErrNoSpace) {
 				t.Fatalf("quota %d: unclassified failure %v", floor+slack, err)
@@ -166,7 +167,7 @@ func TestDeadlineCheckpointAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+	_, want, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +179,13 @@ func TestDeadlineCheckpointAndResume(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // deadline has certainly passed
-	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{
+	_, _, err = env.Run(&apps.PageRank{}, engine.Options{
 		MaxSupersteps: 5, CheckpointEvery: 1, Context: ctx,
 	})
 	if !errors.Is(err, core.ErrDeadline) {
 		t.Fatalf("expired deadline surfaced %v, want core.ErrDeadline", err)
 	}
-	rep, got, err := RunMLVC(env, &apps.PageRank{}, RunOpts{
+	rep, got, err := env.Run(&apps.PageRank{}, engine.Options{
 		MaxSupersteps: 5, CheckpointEvery: 1, Resume: true,
 	})
 	if err != nil {
@@ -207,10 +208,10 @@ func TestCancelAbortsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunGraphChi(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5, Context: ctx}); !errors.Is(err, context.Canceled) {
+	if _, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraphChi, MaxSupersteps: 5, Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("graphchi with cancelled ctx: %v, want context.Canceled", err)
 	}
-	if _, _, err := RunGraFBoost(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5, Context: ctx}); !errors.Is(err, context.Canceled) {
+	if _, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: engine.GraFBoost, MaxSupersteps: 5, Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("grafboost with cancelled ctx: %v, want context.Canceled", err)
 	}
 }

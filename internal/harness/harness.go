@@ -5,19 +5,16 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/gen"
-	"multilogvc/internal/grafboost"
-	"multilogvc/internal/graphchi"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
-	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -213,97 +210,13 @@ func Prepare(ds Dataset, opts EnvOptions, wedges ...graphio.WeightedEdge) (*Env,
 	return &Env{Dev: dev, Graph: g, DS: ds, MemBudget: opts.MemBudget, PageSize: opts.PageSize, Cache: cache}, nil
 }
 
-// RunOpts carries the per-run knobs shared by all engines.
-type RunOpts struct {
-	MaxSupersteps int
-	StopAfter     func(step int, cumProcessed uint64) bool
-	// MultiLogVC ablations.
-	DisableEdgeLog  bool
-	DisableCombiner bool
-	DisableFusing   bool
-	// GraFBoost adapted mode.
-	Adapted bool
-	// MemBudget overrides the environment's budget when > 0.
-	MemBudget int64
-	Workers   int
-	// UtilThreshold overrides the edge-log utilization threshold when
-	// > 0 (MultiLogVC engine only); > 1 logs every fetched adjacency.
-	UtilThreshold float64
-	// CheckpointEvery commits a checkpoint every K superstep boundaries
-	// (MultiLogVC engine only); 0 disables checkpointing.
-	CheckpointEvery int
-	// Resume restarts from the latest valid checkpoint on the device
-	// (MultiLogVC engine only).
-	Resume bool
-	// Context bounds the run (deadline or cancellation); nil means
-	// context.Background(). All three engines honor it; the MultiLogVC
-	// engine checkpoints at the boundary first and returns core.ErrDeadline
-	// or core.ErrInterrupted.
-	Context context.Context
-	// SortBudget overrides the in-memory sort bound (MultiLogVC engine
-	// only); interval logs above it spill through the external
-	// sort-group. 0 derives it from the memory budget.
-	SortBudget int64
-}
-
-func (o RunOpts) budget(env *Env) int64 {
-	if o.MemBudget > 0 {
-		return o.MemBudget
-	}
-	return env.MemBudget
-}
-
-// runner is any of the three engines.
-type runner interface {
-	RunCtx(context.Context, vc.Program) (*superstep.Result, error)
-}
-
-// finish runs prog on eng and unpacks the result for the experiment code.
-func (env *Env) finish(engine string, prog vc.Program, o RunOpts, eng runner) (*metrics.Report, []uint32, error) {
-	res, err := eng.RunCtx(o.Context, prog)
+// Run runs prog over env's graph and memory budget on the engine o
+// selects, and hands the report to ReportSink.
+func (env *Env) Run(prog vc.Program, o engine.Options) (*metrics.Report, []uint32, error) {
+	res, err := engine.Run(env.Graph, env.MemBudget, prog, o)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s/%s on %s: %w", engine, prog.Name(), env.DS.Name, err)
+		return nil, nil, fmt.Errorf("harness: %s/%s on %s: %w", o.Engine, prog.Name(), env.DS.Name, err)
 	}
 	emitReport(res.Report)
 	return res.Report, res.Values, nil
-}
-
-// RunMLVC runs prog on the MultiLogVC engine.
-func RunMLVC(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	eng := core.New(env.Graph, core.Config{
-		MemoryBudget:    o.budget(env),
-		SortBudget:      o.SortBudget,
-		MaxSupersteps:   o.MaxSupersteps,
-		StopAfter:       o.StopAfter,
-		DisableEdgeLog:  o.DisableEdgeLog,
-		DisableCombiner: o.DisableCombiner,
-		DisableFusing:   o.DisableFusing,
-		Workers:         o.Workers,
-		UtilThreshold:   o.UtilThreshold,
-		CheckpointEvery: o.CheckpointEvery,
-		Resume:          o.Resume,
-	})
-	return env.finish("multilogvc", prog, o, eng)
-}
-
-// RunGraphChi runs prog on the GraphChi baseline.
-func RunGraphChi(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	eng := graphchi.New(env.Graph, graphchi.Config{
-		MaxSupersteps: o.MaxSupersteps,
-		StopAfter:     o.StopAfter,
-		Workers:       o.Workers,
-	})
-	return env.finish("graphchi", prog, o, eng)
-}
-
-// RunGraFBoost runs prog on the GraFBoost baseline.
-func RunGraFBoost(env *Env, prog vc.Program, o RunOpts) (*metrics.Report, []uint32, error) {
-	eng := grafboost.New(env.Graph, grafboost.Config{
-		MemoryBudget:  o.budget(env),
-		MaxSupersteps: o.MaxSupersteps,
-		StopAfter:     o.StopAfter,
-		Adapted:       o.Adapted,
-		Workers:       o.Workers,
-	})
-	return env.finish("grafboost", prog, o, eng)
 }

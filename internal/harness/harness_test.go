@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"multilogvc/internal/apps"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/vc"
 )
@@ -61,39 +61,21 @@ func TestCrossEngineAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prog := range AppSet(ds.N) {
-		opts := RunOpts{MaxSupersteps: MaxSupersteps}
 		ref := vc.NewRef(ds.Edges, ds.N).Run(prog, MaxSupersteps)
-
-		_, mlVals, err := RunMLVC(env, prog, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name(), err)
+		gb := engine.GraFBoost
+		if _, ok := prog.(vc.Combiner); !ok {
+			gb = engine.GraFBoostAdapted
 		}
-		_, gcVals, err := RunGraphChi(env, prog, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name(), err)
-		}
-		compare := func(engine string, vals []uint32) {
+		for _, kind := range []engine.Kind{engine.MultiLog, engine.GraphChi, gb} {
+			_, vals, err := env.Run(prog, engine.Options{Engine: kind, MaxSupersteps: MaxSupersteps})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, prog.Name(), err)
+			}
 			for v := range ref.Values {
 				if vals[v] != ref.Values[v] {
-					t.Fatalf("%s/%s: value[%d] = %d, ref %d", engine, prog.Name(), v, vals[v], ref.Values[v])
+					t.Fatalf("%s/%s: value[%d] = %d, ref %d", kind, prog.Name(), v, vals[v], ref.Values[v])
 				}
 			}
-		}
-		compare("multilogvc", mlVals)
-		compare("graphchi", gcVals)
-
-		if _, ok := prog.(vc.Combiner); ok {
-			_, gbVals, err := RunGraFBoost(env, prog, opts)
-			if err != nil {
-				t.Fatalf("grafboost/%s: %v", prog.Name(), err)
-			}
-			compare("grafboost", gbVals)
-		} else {
-			_, gbVals, err := RunGraFBoost(env, prog, RunOpts{MaxSupersteps: MaxSupersteps, Adapted: true})
-			if err != nil {
-				t.Fatalf("grafboost-adapted/%s: %v", prog.Name(), err)
-			}
-			compare("grafboost-adapted", gbVals)
 		}
 	}
 }
@@ -268,21 +250,6 @@ func TestAblation(t *testing.T) {
 	}
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
-func TestRunOptsBudgetOverride(t *testing.T) {
-	ds, _ := CFMini(Tiny)
-	env, err := Prepare(ds, EnvOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3, MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Supersteps) == 0 {
-		t.Fatal("no supersteps ran")
 	}
 }
 

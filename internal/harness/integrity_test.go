@@ -13,7 +13,9 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -40,13 +42,16 @@ func TestElogCorruptionHealsBitIdentical(t *testing.T) {
 			opts := EnvOptions{CacheMB: cacheMB}
 			// Log every fetched adjacency so the edge log is genuinely in
 			// the read path at test scale.
-			ro := RunOpts{MaxSupersteps: integritySteps, UtilThreshold: 1.5}
+			run := func(env *Env) (*superstep.Result, error) {
+				return core.New(env.Graph, core.Config{MemoryBudget: env.MemBudget,
+					MaxSupersteps: integritySteps, UtilThreshold: 1.5}).Run(app.make())
+			}
 
 			env, err := Prepare(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, want, err := RunMLVC(env, app.make(), ro)
+			ref, err := run(env)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}
@@ -56,13 +61,14 @@ func TestElogCorruptionHealsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.Dev.SetFaults(ssd.FaultPlan{Seed: 0xE106, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".elog"})
-			rep, got, err := RunMLVC(env, app.make(), ro)
+			res, err := run(env)
 			if err != nil {
 				t.Fatalf("%s: run under elog corruption: %v", name, err)
 			}
-			valuesEqual(t, name, got, want)
+			valuesEqual(t, name, res.Values, ref.Values)
+			rep := res.Report
 			var elogReads uint64
-			for _, ss := range ref.Supersteps {
+			for _, ss := range ref.Report.Supersteps {
 				elogReads += ss.EdgeLogPagesRead
 			}
 			if elogReads > 0 && rep.ElogHealed == 0 {
@@ -100,7 +106,7 @@ func TestMlogCorruptionRollsBackBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.Dev.SetFaults(ssd.FaultPlan{CorruptOnly: ".mlog."})
-		_, want, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: integritySteps, CheckpointEvery: every})
+		_, want, err := env.Run(app.make(), engine.Options{MaxSupersteps: integritySteps, CheckpointEvery: every})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", app.name, err)
 		}
@@ -115,8 +121,8 @@ func TestMlogCorruptionRollsBackBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.Dev.SetFaults(ssd.FaultPlan{Corrupt: ssd.Trigger{At: []int64{target}}, CorruptOnly: ".mlog."})
-			rep, got, err := RunMLVC(env, app.make(),
-				RunOpts{MaxSupersteps: integritySteps, CheckpointEvery: every})
+			rep, got, err := env.Run(app.make(),
+				engine.Options{MaxSupersteps: integritySteps, CheckpointEvery: every})
 			if err != nil {
 				t.Fatalf("%s: corrupt mlog read %d/%d not recovered: %v", app.name, target, ops, err)
 			}
@@ -145,7 +151,7 @@ func TestMlogCorruptionWithoutCheckpointsFailsClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{CorruptOnly: ".mlog."})
-	if _, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: integritySteps}); err != nil {
+	if _, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: integritySteps}); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	ops := env.Dev.CorruptOps()
@@ -158,7 +164,7 @@ func TestMlogCorruptionWithoutCheckpointsFailsClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{Corrupt: ssd.Trigger{At: []int64{ops / 2}}, CorruptOnly: ".mlog."})
-	_, _, err = RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: integritySteps})
+	_, _, err = env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: integritySteps})
 	if !errors.Is(err, core.ErrCorruptData) {
 		t.Fatalf("err = %v, want ErrCorruptData in chain", err)
 	}
@@ -181,7 +187,7 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := RunMLVC(env, app.make(), RunOpts{MaxSupersteps: integritySteps})
+		_, want, err := env.Run(app.make(), engine.Options{MaxSupersteps: integritySteps})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", app.name, err)
 		}
@@ -197,15 +203,15 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 			}
 			return false
 		}
-		_, _, err = RunMLVC(env, app.make(),
-			RunOpts{MaxSupersteps: integritySteps, StopAfter: stop, Context: ctx})
+		_, _, err = env.Run(app.make(),
+			engine.Options{MaxSupersteps: integritySteps, StopAfter: stop, Context: ctx})
 		cancel()
 		if !errors.Is(err, core.ErrInterrupted) {
 			t.Fatalf("%s: interrupted run err = %v, want ErrInterrupted", app.name, err)
 		}
 
-		rep, got, err := RunMLVC(env, app.make(),
-			RunOpts{MaxSupersteps: integritySteps, Resume: true})
+		rep, got, err := env.Run(app.make(),
+			engine.Options{MaxSupersteps: integritySteps, Resume: true})
 		if err != nil {
 			t.Fatalf("%s: resume after interrupt: %v", app.name, err)
 		}
@@ -227,7 +233,7 @@ func TestScrubAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: integritySteps}); err != nil {
+	if _, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: integritySteps}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := env.Dev.Scrub()

@@ -10,6 +10,7 @@ import (
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
@@ -71,35 +72,25 @@ func TestQuickCrossEngineEquality(t *testing.T) {
 		steps := 5 + rng.Intn(25)
 
 		ref := vc.NewRef(edges, n).Run(prog, steps)
-		opts := RunOpts{MaxSupersteps: steps, Workers: 1 + rng.Intn(4)}
+		opts := engine.Options{MaxSupersteps: steps, Workers: 1 + rng.Intn(4)}
 
-		_, mlVals, err := RunMLVC(env, prog, opts)
-		if err != nil {
-			t.Logf("mlvc/%s: %v", prog.Name(), err)
-			return false
+		gb := engine.GraFBoost
+		if _, ok := prog.(vc.Combiner); !ok {
+			gb = engine.GraFBoostAdapted
 		}
-		_, gcVals, err := RunGraphChi(env, prog, opts)
-		if err != nil {
-			t.Logf("graphchi/%s: %v", prog.Name(), err)
-			return false
-		}
-		var gbVals []uint32
-		if _, ok := prog.(vc.Combiner); ok {
-			_, gbVals, err = RunGraFBoost(env, prog, opts)
-		} else {
-			adapted := opts
-			adapted.Adapted = true
-			_, gbVals, err = RunGraFBoost(env, prog, adapted)
-		}
-		if err != nil {
-			t.Logf("grafboost/%s: %v", prog.Name(), err)
-			return false
-		}
-		for v := range ref.Values {
-			if mlVals[v] != ref.Values[v] || gcVals[v] != ref.Values[v] || gbVals[v] != ref.Values[v] {
-				t.Logf("%s seed %d: value[%d] ref=%d mlvc=%d graphchi=%d grafboost=%d",
-					prog.Name(), seed, v, ref.Values[v], mlVals[v], gcVals[v], gbVals[v])
+		for _, kind := range []engine.Kind{engine.MultiLog, engine.GraphChi, gb} {
+			opts.Engine = kind
+			_, vals, err := env.Run(prog, opts)
+			if err != nil {
+				t.Logf("%s/%s: %v", kind, prog.Name(), err)
 				return false
+			}
+			for v := range ref.Values {
+				if vals[v] != ref.Values[v] {
+					t.Logf("%s/%s seed %d: value[%d] = %d, ref %d",
+						kind, prog.Name(), seed, v, vals[v], ref.Values[v])
+					return false
+				}
 			}
 		}
 		return true
@@ -130,7 +121,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 			return false
 		}
 		every := 1 + rng.Intn(3) // random checkpoint interval
-		opts := RunOpts{MaxSupersteps: s.steps, Workers: 1 + rng.Intn(4)}
+		opts := engine.Options{MaxSupersteps: s.steps, Workers: 1 + rng.Intn(4)}
 
 		// Two builds of one setup, so the reference and the crashed run
 		// see identical layouts.
@@ -139,7 +130,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 			t.Logf("build: %v", err)
 			return false
 		}
-		_, want, err := RunMLVC(env, s.mkProg(), opts)
+		_, want, err := env.Run(s.mkProg(), opts)
 		if err != nil {
 			t.Logf("reference: %v", err)
 			return false
@@ -170,7 +161,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 		env.Dev.SetFaults(plan)
 		ckOpts := opts
 		ckOpts.CheckpointEvery = every
-		_, got, err := RunMLVC(env, s.mkProg(), ckOpts)
+		_, got, err := env.Run(s.mkProg(), ckOpts)
 		switch {
 		case err == nil:
 			// The fault credit outlived the checkpointing run; nothing
@@ -188,7 +179,7 @@ func TestQuickCrashRecovery(t *testing.T) {
 		plan.Crash = false
 		env.Dev.SetFaults(plan)
 		ckOpts.Resume = true
-		_, got, err = RunMLVC(env, s.mkProg(), ckOpts)
+		_, got, err = env.Run(s.mkProg(), ckOpts)
 		if err != nil {
 			if corrupting && errors.Is(err, core.ErrCorruptData) {
 				return true

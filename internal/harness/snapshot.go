@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/vc"
@@ -153,32 +154,30 @@ func takeSnapshot(size Size, dir string) (*Snapshot, error) {
 		return nil, err
 	}
 	snap := &Snapshot{SchemaVersion: SnapshotSchemaVersion, Size: sizeName(size)}
-	opts := RunOpts{MaxSupersteps: MaxSupersteps}
-
 	type runSpec struct {
 		ds      Dataset
 		prog    func() vc.Program
-		run     func(*Env, vc.Program, RunOpts) (*metrics.Report, []uint32, error)
+		kind    engine.Kind
 		cacheMB int
 	}
 	specs := []runSpec{
-		{cf, func() vc.Program { return &apps.PageRank{} }, RunMLVC, 0},
-		{cf, func() vc.Program { return &apps.BFS{Source: 0} }, RunMLVC, 0},
-		{yws, func() vc.Program { return &apps.CDLP{} }, RunMLVC, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, RunGraphChi, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, RunGraFBoost, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, RunMLVC, 8},
+		{cf, func() vc.Program { return &apps.PageRank{} }, engine.MultiLog, 0},
+		{cf, func() vc.Program { return &apps.BFS{Source: 0} }, engine.MultiLog, 0},
+		{yws, func() vc.Program { return &apps.CDLP{} }, engine.MultiLog, 0},
+		{cf, func() vc.Program { return &apps.PageRank{} }, engine.GraphChi, 0},
+		{cf, func() vc.Program { return &apps.PageRank{} }, engine.GraFBoost, 0},
+		{cf, func() vc.Program { return &apps.PageRank{} }, engine.MultiLog, 8},
 		// The serving daemon's batch-16 shape: uncached lane-batched
 		// MultiBFS, so pages-per-query of the batching fast path is gated
 		// deterministically like any other engine counter.
-		{cf, func() vc.Program { return servingProg(ServingSources(cf.N, servingQueries)) }, RunMLVC, 0},
+		{cf, func() vc.Program { return servingProg(ServingSources(cf.N, servingQueries)) }, engine.MultiLog, 0},
 	}
 	for i, sp := range specs {
 		env, err := Prepare(sp.ds, EnvOptions{CacheMB: cacheOpt(sp.cacheMB), Dir: devDir(i)})
 		if err != nil {
 			return nil, err
 		}
-		rep, _, err := sp.run(env, sp.prog(), opts)
+		rep, _, err := env.Run(sp.prog(), engine.Options{Engine: sp.kind, MaxSupersteps: MaxSupersteps})
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/metrics"
 )
 
@@ -27,7 +28,7 @@ func StageBreakdown(size Size) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: MaxSupersteps})
+		rep, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: MaxSupersteps})
 		if err != nil {
 			return nil, err
 		}

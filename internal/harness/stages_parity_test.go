@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/metrics"
-	"multilogvc/internal/vc"
 )
 
 // checkStageParity asserts the invariant the attribution layer guarantees
@@ -54,24 +54,16 @@ func TestStageParityAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := []struct {
-		name string
-		run  func(*Env, vc.Program, RunOpts) (*metrics.Report, []uint32, error)
-	}{
-		{"multilogvc", RunMLVC},
-		{"graphchi", RunGraphChi},
-		{"grafboost", RunGraFBoost},
-	}
-	for _, r := range runs {
+	for _, kind := range []engine.Kind{engine.MultiLog, engine.GraphChi, engine.GraFBoost} {
 		env, err := Prepare(ds, EnvOptions{CacheMB: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, _, err := r.run(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 5})
+		rep, _, err := env.Run(&apps.PageRank{}, engine.Options{Engine: kind, MaxSupersteps: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkStageParity(t, rep, r.name)
+		checkStageParity(t, rep, kind.String())
 	}
 }
 
@@ -87,7 +79,7 @@ func TestStageParityCachedWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{
+	rep, _, err := env.Run(&apps.PageRank{}, engine.Options{
 		MaxSupersteps:   6,
 		CheckpointEvery: 2,
 		SortBudget:      1 << 10,
@@ -127,7 +119,7 @@ func TestSuperstepIOSkewPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := RunMLVC(env, &apps.PageRank{}, RunOpts{MaxSupersteps: 3})
+	rep, _, err := env.Run(&apps.PageRank{}, engine.Options{MaxSupersteps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

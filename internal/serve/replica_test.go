@@ -91,7 +91,7 @@ func getJSON(t *testing.T, url string) (int, map[string]interface{}) {
 // and becomes writable.
 func TestFollowerCatchUpAndPromote(t *testing.T) {
 	pg, fg := replicaFixture(t, 33)
-	ps, err := New(Options{Graph: pg, EnableIngest: true, EnableReplication: true})
+	ps, err := New(Options{Graph: pg, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFollowerCatchUpAndPromote(t *testing.T) {
 	tsP := httptest.NewServer(ps)
 	defer tsP.Close()
 
-	fs, err := New(Options{Graph: fg, EnableIngest: true, EnableReplication: true, ReadOnly: true})
+	fs, err := New(Options{Graph: fg, EnableIngest: true, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFollowerCatchUpAndPromote(t *testing.T) {
 // lagging past the threshold (503) -> caught up (200).
 func TestFollowerLagReadiness(t *testing.T) {
 	pg, fg := replicaFixture(t, 34)
-	ps, err := New(Options{Graph: pg, EnableIngest: true, EnableReplication: true})
+	ps, err := New(Options{Graph: pg, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFollowerLagReadiness(t *testing.T) {
 // replica_gap, and it does not clear on retry.
 func TestFollowerGapIsSticky(t *testing.T) {
 	pg, fg := replicaFixture(t, 35)
-	ps, err := New(Options{Graph: pg, EnableIngest: true, EnableReplication: true})
+	ps, err := New(Options{Graph: pg, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFollowerGapIsSticky(t *testing.T) {
 // promotes itself after the grace window.
 func TestPromoteOnDisconnect(t *testing.T) {
 	pg, fg := replicaFixture(t, 36)
-	ps, err := New(Options{Graph: pg, EnableIngest: true, EnableReplication: true})
+	ps, err := New(Options{Graph: pg, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestMutateOutOfRangeNamesBound(t *testing.T) {
 func TestReplicateEndpointValidation(t *testing.T) {
 	// A volatile graph (no WAL) cannot ship frames.
 	g := fixture(t, 38)
-	s, err := New(Options{Graph: g, EnableReplication: true})
+	s, err := New(Options{Graph: g, EnableIngest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

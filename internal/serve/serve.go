@@ -85,15 +85,12 @@ type Options struct {
 	// successes required to close); defaults to 2.
 	BreakerProbes int
 
-	// EnableIngest registers POST /mutate, the streaming-ingest endpoint.
-	// The graph should be opened with csr.OpenIngest for durability;
-	// without it mutations apply volatile (lost on restart).
+	// EnableIngest registers POST /mutate, the streaming-ingest endpoint,
+	// and GET /replicate, the WAL-shipping endpoint followers tail. The
+	// graph should be opened with csr.OpenIngest for durability; without
+	// it mutations apply volatile (lost on restart), and without a WAL
+	// (OpenIngest with WAL: true) /replicate answers not_ready.
 	EnableIngest bool
-
-	// EnableReplication registers GET /replicate, the WAL-shipping
-	// endpoint followers tail. Requires a WAL-backed graph (OpenIngest
-	// with WAL: true); without one /replicate answers not_ready.
-	EnableReplication bool
 	// ReadOnly starts the server rejecting /mutate with a structured
 	// read_only error — follower mode. Cleared by promotion.
 	ReadOnly bool
@@ -186,8 +183,6 @@ func New(opts Options) (*Server, error) {
 	mux.HandleFunc("/walk", s.handleWalk)
 	if opts.EnableIngest {
 		mux.HandleFunc("/mutate", s.handleMutate)
-	}
-	if opts.EnableReplication {
 		mux.HandleFunc("/replicate", s.handleReplicate)
 	}
 	mux.HandleFunc("/admin/promote", s.handlePromote)
@@ -207,10 +202,8 @@ func New(opts Options) (*Server, error) {
 		}
 		usage := "mlvcd: POST /query/bfs /query/sssp /walk; GET /graph /stats /healthz /readyz /metrics /debug/vars"
 		if s.opts.EnableIngest {
-			usage = "mlvcd: POST /query/bfs /query/sssp /walk /mutate; GET /graph /stats /healthz /readyz /metrics /debug/vars"
-		}
-		if s.opts.EnableReplication {
-			usage += "; replication: GET /replicate, POST /admin/promote"
+			usage = "mlvcd: POST /query/bfs /query/sssp /walk /mutate; GET /graph /stats /healthz /readyz /metrics /debug/vars" +
+				"; replication: GET /replicate, POST /admin/promote"
 		}
 		fmt.Fprintln(w, usage)
 	})

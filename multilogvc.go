@@ -26,7 +26,6 @@
 package multilogvc
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -35,9 +34,8 @@ import (
 	"multilogvc/internal/ckpt"
 	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
+	"multilogvc/internal/engine"
 	"multilogvc/internal/gen"
-	"multilogvc/internal/grafboost"
-	"multilogvc/internal/graphchi"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
@@ -278,134 +276,30 @@ func (g *Graph) RemoveEdge(src, dst uint32) error {
 }
 
 // Engine selects which execution engine runs a program.
-type Engine int
+type Engine = engine.Kind
 
 const (
 	// EngineMultiLog is the MultiLogVC engine (the paper's system).
-	EngineMultiLog Engine = iota
+	EngineMultiLog = engine.MultiLog
 	// EngineGraphChi is the shard-based baseline.
-	EngineGraphChi
+	EngineGraphChi = engine.GraphChi
 	// EngineGraFBoost is the single-log baseline (requires a Combiner).
-	EngineGraFBoost
+	EngineGraFBoost = engine.GraFBoost
 	// EngineGraFBoostAdapted is the single log forced to keep all
 	// messages, enabling non-combinable programs (§VIII).
-	EngineGraFBoostAdapted
+	EngineGraFBoostAdapted = engine.GraFBoostAdapted
 )
 
-func (e Engine) String() string {
-	switch e {
-	case EngineGraphChi:
-		return "graphchi"
-	case EngineGraFBoost:
-		return "grafboost"
-	case EngineGraFBoostAdapted:
-		return "grafboost-adapted"
-	default:
-		return "multilogvc"
-	}
-}
-
 // ParseEngine maps a name to an Engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "multilogvc", "mlvc", "":
-		return EngineMultiLog, nil
-	case "graphchi":
-		return EngineGraphChi, nil
-	case "grafboost":
-		return EngineGraFBoost, nil
-	case "grafboost-adapted":
-		return EngineGraFBoostAdapted, nil
-	}
-	return 0, fmt.Errorf("multilogvc: unknown engine %q", name)
-}
+func ParseEngine(name string) (Engine, error) { return engine.Parse(name) }
 
-// RunOptions tunes one program run.
-type RunOptions struct {
-	// Engine defaults to EngineMultiLog.
-	Engine Engine
-	// MaxSupersteps defaults to 15, the paper's evaluation cap.
-	MaxSupersteps int
-	// Workers is the most vertex-processing workers a wave may use
-	// (defaults to GOMAXPROCS). It is a cap, not a fixed fan-out: a wave
-	// runs on the calling goroutine alone unless each worker would get
-	// enough messages and sends to repay starting it.
-	Workers int
-	// StopAfter ends the run early; it receives the superstep index and
-	// the cumulative number of vertex activations.
-	StopAfter func(superstep int, cumProcessed uint64) bool
-	// DisableEdgeLog / DisableCombiner / DisableFusing switch off
-	// MultiLogVC optimizations (ablations).
-	DisableEdgeLog  bool
-	DisableCombiner bool
-	DisableFusing   bool
-	// Async selects MultiLogVC's asynchronous computation model (§V-F):
-	// forward updates are delivered within the sending superstep.
-	// Fixpoint algorithms (BFS, SSSP, WCC, PageRank) converge in fewer
-	// supersteps; phase-structured algorithms (MIS) need synchronous
-	// execution. Only the MultiLogVC engine honors it.
-	Async bool
-	// Trace, when non-nil, records per-superstep and per-stage spans of
-	// the run (MultiLogVC engine only). Disabled tracing costs one pointer
-	// test per stage.
-	Trace *Trace
-	// CheckpointEvery commits a crash-recovery checkpoint every K
-	// superstep boundaries (MultiLogVC engine only); 0 disables it.
-	// Checkpoint IO is charged to the device and reported per superstep.
-	CheckpointEvery int
-	// Resume restarts from the latest valid checkpoint on the device
-	// (MultiLogVC engine only). With none present the run starts fresh;
-	// if every checkpoint slot is torn or corrupt the run fails with
-	// ErrCorruptCheckpoint.
-	Resume bool
-	// Context, when non-nil, bounds the run on every engine alike:
-	// cancellation or a deadline stops it at the next superstep boundary,
-	// and the device's transient-fault retry backoff observes it too. The
-	// MultiLogVC engine commits a checkpoint first and classifies deadline
-	// expiry as ErrDeadline (plain cancellation as ErrInterrupted); the
-	// baseline engines, which have no checkpoints, stop with the context's
-	// error wrapped.
-	Context context.Context
-	// SortBudget overrides the in-memory sort bound in bytes (MultiLogVC
-	// engine only); interval logs above it spill through the external
-	// sort-group. 0 derives it from the graph's MemoryBudget as usual.
-	SortBudget int64
-}
+// RunOptions tunes one program run; its fields are documented on
+// Options in internal/engine.
+type RunOptions = engine.Options
 
 // Run executes prog on the selected engine.
 func (g *Graph) Run(prog Program, opts RunOptions) (*RunResult, error) {
-	ctx := opts.Context // nil means context.Background()
-	switch opts.Engine {
-	case EngineGraphChi:
-		return graphchi.New(g.g, graphchi.Config{
-			MaxSupersteps: opts.MaxSupersteps,
-			Workers:       opts.Workers,
-			StopAfter:     opts.StopAfter,
-		}).RunCtx(ctx, prog)
-	case EngineGraFBoost, EngineGraFBoostAdapted:
-		return grafboost.New(g.g, grafboost.Config{
-			MemoryBudget:  g.memBudget,
-			MaxSupersteps: opts.MaxSupersteps,
-			Workers:       opts.Workers,
-			Adapted:       opts.Engine == EngineGraFBoostAdapted,
-			StopAfter:     opts.StopAfter,
-		}).RunCtx(ctx, prog)
-	default:
-		return core.New(g.g, core.Config{
-			MemoryBudget:    g.memBudget,
-			SortBudget:      opts.SortBudget,
-			MaxSupersteps:   opts.MaxSupersteps,
-			Workers:         opts.Workers,
-			StopAfter:       opts.StopAfter,
-			DisableEdgeLog:  opts.DisableEdgeLog,
-			DisableCombiner: opts.DisableCombiner,
-			DisableFusing:   opts.DisableFusing,
-			Async:           opts.Async,
-			Trace:           opts.Trace,
-			CheckpointEvery: opts.CheckpointEvery,
-			Resume:          opts.Resume,
-		}).RunCtx(ctx, prog)
-	}
+	return engine.Run(g.g, g.memBudget, prog, opts)
 }
 
 // The six applications the paper evaluates (§VII).
