@@ -120,7 +120,8 @@ func (b *MultiBFS) Process(ctx vc.Context, msgs []vc.Msg) {
 		ctx.VoteToHalt()
 		return
 	}
-	best := make([]uint32, len(b.Sources))
+	var lanes [MaxLanes]uint32 // on the stack: Process runs once per vertex
+	best := lanes[:len(b.Sources)]
 	for i := range best {
 		best[i] = LaneInf
 	}
@@ -217,7 +218,8 @@ func (s *MultiSSSP) Process(ctx vc.Context, msgs []vc.Msg) {
 		ctx.VoteToHalt()
 		return
 	}
-	best := make([]uint32, len(s.Sources))
+	var lanes [MaxLanes]uint32 // on the stack: Process runs once per vertex
+	best := lanes[:len(s.Sources)]
 	for i := range best {
 		best[i] = LaneInf
 	}

