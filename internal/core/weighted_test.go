@@ -82,7 +82,7 @@ func TestWeightedStructuralUpdate(t *testing.T) {
 	if res.Values[2] != 20 {
 		t.Fatalf("dist before shortcut = %d, want 20", res.Values[2])
 	}
-	if err := g.AddEdgeWeighted(0, 2, 3, 1000); err != nil {
+	if err := g.ApplyMutations([]csr.Mutation{{Src: 0, Dst: 2, Weight: 3}}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	res, err = New(g, Config{MaxSupersteps: 20}).Run(&apps.SSSP{Source: 0})

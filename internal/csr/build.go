@@ -46,16 +46,11 @@ type BuildOptions struct {
 	// IntervalBudget is the per-interval worst-case update volume in
 	// bytes (§V-A1). Defaults to 1MB.
 	IntervalBudget int64
-	// MsgBytes is the logged record size. Defaults to MsgBytes (12).
-	MsgBytes int
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.IntervalBudget <= 0 {
 		o.IntervalBudget = 1 << 20
-	}
-	if o.MsgBytes <= 0 {
-		o.MsgBytes = MsgBytes
 	}
 	return o
 }
@@ -191,7 +186,7 @@ func build(dev *ssd.Device, name string, wedges []graphio.WeightedEdge, weighted
 		}
 		maxOut = max(maxOut, run)
 	}
-	ivs := Partition(inDeg, opts.MsgBytes, opts.IntervalBudget)
+	ivs := Partition(inDeg, MsgBytes, opts.IntervalBudget)
 	meta := Meta{
 		Name:         name,
 		NumVertices:  n,

@@ -230,7 +230,7 @@ func TestRemoveDropsIngestFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(5, 6, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 5, Dst: 6}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.CloseIngest(); err != nil {
@@ -531,10 +531,10 @@ func TestStructuralUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Add 4->5 and remove 5->0; reads must reflect both immediately.
-	if err := g.AddEdge(4, 5, 1000); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 4, Dst: 5}}, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.DelEdge(5, 0, 1000); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 5, Dst: 0}}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if g.PendingUpdates() == 0 {
@@ -573,7 +573,7 @@ func TestStructuralUpdateThresholdTriggersMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(3, uint32(i), 4); err != nil {
+		if err := g.ApplyMutations([]Mutation{{Src: 3, Dst: uint32(i)}}, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -589,14 +589,14 @@ func TestStructuralUpdateThresholdTriggersMerge(t *testing.T) {
 func TestAddRemoveCancel(t *testing.T) {
 	dev := testDev(t)
 	g, _ := Build(dev, "g", paperEdges(), BuildOptions{})
-	g.AddEdge(0, 3, 1000)
-	g.DelEdge(0, 3, 1000) // cancels the pending add
+	g.ApplyMutations([]Mutation{{Src: 0, Dst: 3}}, 1000)
+	g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 3}}, 1000) // cancels the pending add
 	deg, err := g.OutDegreeSlow(0)
 	if err != nil || deg != 1 {
 		t.Fatalf("degree = %d, want 1 (add cancelled)", deg)
 	}
-	g.DelEdge(0, 1, 1000)
-	g.AddEdge(0, 1, 1000) // cancels the pending remove
+	g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 1}}, 1000)
+	g.ApplyMutations([]Mutation{{Src: 0, Dst: 1}}, 1000) // cancels the pending remove
 	deg, err = g.OutDegreeSlow(0)
 	if err != nil || deg != 1 {
 		t.Fatalf("degree = %d, want 1 (remove cancelled)", deg)
@@ -606,10 +606,10 @@ func TestAddRemoveCancel(t *testing.T) {
 func TestStructuralUpdateOutOfRange(t *testing.T) {
 	dev := testDev(t)
 	g, _ := Build(dev, "g", paperEdges(), BuildOptions{})
-	if err := g.AddEdge(0, 100, 0); err == nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 100}}, 0); err == nil {
 		t.Fatal("out-of-range AddEdge should fail")
 	}
-	if err := g.DelEdge(100, 0, 0); err == nil {
+	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 100, Dst: 0}}, 0); err == nil {
 		t.Fatal("out-of-range DelEdge should fail")
 	}
 }
@@ -635,13 +635,13 @@ func TestQuickStructuralUpdates(t *testing.T) {
 			e := graphio.Edge{Src: src, Dst: dst}
 			if rng.Intn(2) == 0 {
 				if !ref[e] {
-					if err := g.AddEdge(src, dst, 1000); err != nil {
+					if err := g.ApplyMutations([]Mutation{{Src: src, Dst: dst}}, 1000); err != nil {
 						return false
 					}
 					ref[e] = true
 				}
 			} else if ref[e] {
-				if err := g.DelEdge(src, dst, 1000); err != nil {
+				if err := g.ApplyMutations([]Mutation{{Del: true, Src: src, Dst: dst}}, 1000); err != nil {
 					return false
 				}
 				delete(ref, e)

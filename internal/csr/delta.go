@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"multilogvc/internal/graphio"
+	"multilogvc/internal/wal"
 )
 
 // DeltaSet buffers graph structural updates (§V-E) as an epoch-ordered
@@ -49,17 +50,17 @@ func newDeltaSet() *DeltaSet {
 // delta is folded into the CSR files.
 const DefaultMergeThreshold = 4096
 
-// insert records one mutation at the given sequence number. A delete
-// whose matching add is still buffered and invisible to every pinned
-// snapshot (add seq > maxPinned) cancels the add physically instead of
-// accumulating both ops — deleting an edge added in the same delta epoch
-// must not grow the buffer.
-func (d *DeltaSet) insert(m Mutation, seq, maxPinned uint64) {
-	if m.Del && d.cancel(m.Src, m.Dst, maxPinned) {
+// insert records one numbered mutation. A delete whose matching add is
+// still buffered and invisible to every pinned snapshot (add seq >
+// maxPinned) cancels the add physically instead of accumulating both ops —
+// deleting an edge added in the same delta epoch must not grow the buffer.
+func (d *DeltaSet) insert(r wal.Record, maxPinned uint64) {
+	del := r.Op == wal.OpDel
+	if del && d.cancel(r.Src, r.Dst, maxPinned) {
 		return
 	}
-	d.outOps[m.Src] = append(d.outOps[m.Src], edgeOp{del: m.Del, id: m.Dst, w: m.Weight, seq: seq})
-	d.inOps[m.Dst] = append(d.inOps[m.Dst], edgeOp{del: m.Del, id: m.Src, w: m.Weight, seq: seq})
+	d.outOps[r.Src] = append(d.outOps[r.Src], edgeOp{del: del, id: r.Dst, w: r.W, seq: r.Seq})
+	d.inOps[r.Dst] = append(d.inOps[r.Dst], edgeOp{del: del, id: r.Src, w: r.W, seq: r.Seq})
 	d.ops += 2
 }
 
@@ -179,27 +180,6 @@ func (g *Graph) Merges() int {
 	g.ing.mu.RLock()
 	defer g.ing.mu.RUnlock()
 	return g.ing.deltas.merges
-}
-
-// AddEdge buffers the addition of directed edge (src, dst). The edge is
-// visible to subsequent adjacency reads immediately (durably so when the
-// graph was opened with OpenIngest); the CSR files are rewritten lazily
-// once the buffered volume crosses mergeThreshold (0 for the default).
-func (g *Graph) AddEdge(src, dst uint32, mergeThreshold int) error {
-	return g.AddEdgeWeighted(src, dst, 1, mergeThreshold)
-}
-
-// AddEdgeWeighted is AddEdge with an explicit weight (meaningful on
-// weighted graphs; ignored otherwise).
-func (g *Graph) AddEdgeWeighted(src, dst, weight uint32, mergeThreshold int) error {
-	return g.ApplyMutations([]Mutation{{Src: src, Dst: dst, Weight: weight}}, mergeThreshold)
-}
-
-// DelEdge buffers the removal of directed edge (src, dst). Deleting an
-// edge whose add is still buffered in the same delta epoch cancels the
-// buffered add rather than recording both.
-func (g *Graph) DelEdge(src, dst uint32, mergeThreshold int) error {
-	return g.ApplyMutations([]Mutation{{Del: true, Src: src, Dst: dst}}, mergeThreshold)
 }
 
 func sortPairs(pairs []wpair) {

@@ -49,7 +49,6 @@ func Open(dev *ssd.Device, name string) (*Graph, error) {
 	// the merged prefix 1..FoldedSeq lives in the CSR files, so the epoch
 	// starts there and new mutations continue the numbering, never reuse it.
 	g.ing.epoch.Store(meta.FoldedSeq)
-	g.ing.nextSeq = meta.FoldedSeq
 	for side := range g.files {
 		for col := range meta.cols() {
 			for iv := range meta.Intervals {

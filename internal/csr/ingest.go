@@ -49,7 +49,8 @@ var ErrIngestBackpressure = errors.New("csr: ingest backpressure: pending struct
 // ErrVertexOutOfRange is returned by ApplyMutations/ApplyReplicated for a
 // mutation naming a vertex at or past NumVertices — a client error (the
 // serving layer maps it to a structured 400), until vertex-set growth
-// extends the universe instead.
+// extends the universe instead — and by OpenIngest for a WAL frame that
+// does, which belongs to another graph's log.
 var ErrVertexOutOfRange = errors.New("csr: vertex out of range")
 
 // Mutation is one structural edge mutation for ApplyMutations.
@@ -92,9 +93,9 @@ type ingestState struct {
 	// never rewrite CSR pages under a half-assembled neighbor list.
 	mu     sync.RWMutex
 	deltas *DeltaSet
-	epoch  atomic.Uint64 // highest published (readable) sequence number
-
-	nextSeq uint64 // volatile-mode sequence source (the WAL assigns otherwise)
+	// epoch is the highest published (readable) sequence number; under
+	// seqMu it is also the last one assigned, the source of the next.
+	epoch atomic.Uint64
 
 	pins      map[uint64]int // pinned epoch -> snapshot count
 	maxPinned uint64         // highest pinned epoch (0 when none)
@@ -127,67 +128,81 @@ func ingestShadowName(name string) string   { return name + ".ingest.shadow" }
 var ingestCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ApplyMutations applies a batch of structural mutations: validated,
-// framed in the WAL as one group commit (durable mode), inserted into
-// the delta overlay, and published under a single new epoch. On return
-// without error the whole batch is acknowledged — durable and visible to
-// subsequent reads. On error none of it is acknowledged (frames may
-// still be on the device; replay may surface them after a crash, which
+// numbered, framed in the WAL as one group commit (durable mode), inserted
+// into the delta overlay, and published under a single new epoch. On
+// return without error the whole batch is acknowledged — durable and
+// visible to subsequent reads. On error none of it is acknowledged (frames
+// may still be on the device; replay may surface them after a crash, which
 // only ever adds unacknowledged suffix, never loses acknowledged state).
 //
 // mergeThreshold bounds the buffered delta: crossing it triggers the
 // crash-atomic merge (0 uses IngestOptions.MergeThreshold, then
 // DefaultMergeThreshold).
 func (g *Graph) ApplyMutations(ms []Mutation, mergeThreshold int) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	n := g.meta.NumVertices
-	for _, m := range ms {
-		if m.Src >= n || m.Dst >= n {
-			return fmt.Errorf("%w: mutation (%d,%d) outside [0,%d)", ErrVertexOutOfRange, m.Src, m.Dst, n)
+	recs := make([]wal.Record, len(ms))
+	for i, m := range ms {
+		recs[i] = wal.Record{Op: wal.OpAdd, Src: m.Src, Dst: m.Dst, W: m.Weight}
+		if m.Del {
+			recs[i].Op = wal.OpDel
 		}
+	}
+	_, err := g.apply(recs, true, mergeThreshold)
+	return err
+}
+
+// apply is the one way a batch enters the ingest plane, local or
+// replicated. It validates the batch, then under seqMu numbers a local
+// batch epoch+1… — or, for a replicated batch, drops the already-applied
+// seqs and requires the rest to extend the epoch contiguously — applies
+// backpressure, logs the batch (durable mode), publishes it, and merges
+// once the buffered delta crosses the threshold. Under seqMu the epoch is
+// always the WAL's last assigned seq, so local numbering writes the frames
+// the log would have numbered itself. It returns how many records were
+// newly applied; a merge failure after the publish still counts them.
+func (g *Graph) apply(recs []wal.Record, local bool, mergeThreshold int) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	if err := g.validate(recs); err != nil {
+		return 0, err
 	}
 	ing := g.ing
 	if ing == nil {
-		return fmt.Errorf("csr: graph view is not mutable")
+		return 0, fmt.Errorf("csr: graph view is not mutable")
 	}
 	ing.seqMu.Lock()
 	defer ing.seqMu.Unlock()
 	if ing.failed != nil {
-		return ing.failed
+		return 0, ing.failed
 	}
-	if cap := ing.opts.MaxPending; cap > 0 && ing.deltas.ops+2*len(ms) > cap {
-		return fmt.Errorf("%w (pending %d + batch %d > cap %d)",
-			ErrIngestBackpressure, ing.deltas.ops, 2*len(ms), cap)
+	applied := ing.epoch.Load()
+	if !local {
+		for len(recs) > 0 && recs[0].Seq <= applied {
+			recs = recs[1:] // duplicate delivery: already applied, seq is identity
+		}
 	}
-
-	var first uint64
+	for i := range recs {
+		want := applied + 1 + uint64(i)
+		if local {
+			recs[i].Seq = want
+		} else if recs[i].Seq != want {
+			return 0, fmt.Errorf("%w: replicated batch has seq %d where seq %d extends applied seq %d",
+				wal.ErrSeqGap, recs[i].Seq, want, applied)
+		}
+	}
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	if cap := ing.opts.MaxPending; cap > 0 && ing.deltas.ops+2*len(recs) > cap {
+		return 0, fmt.Errorf("%w (pending %d + batch %d > cap %d)",
+			ErrIngestBackpressure, ing.deltas.ops, 2*len(recs), cap)
+	}
 	if ing.log != nil {
-		recs := make([]wal.Record, len(ms))
-		for i, m := range ms {
-			op := wal.OpAdd
-			if m.Del {
-				op = wal.OpDel
-			}
-			recs[i] = wal.Record{Op: op, Src: m.Src, Dst: m.Dst, W: m.Weight}
+		if err := ing.log.AppendAt(recs); err != nil { // blocks until durable
+			return 0, err
 		}
-		f, _, err := ing.log.Append(recs) // blocks until durable
-		if err != nil {
-			return err
-		}
-		first = f
-	} else {
-		first = ing.nextSeq + 1
-		ing.nextSeq += uint64(len(ms))
 	}
-
-	ing.mu.Lock()
-	for i, m := range ms {
-		ing.deltas.insert(m, first+uint64(i), ing.maxPinned)
-	}
-	ing.epoch.Store(first + uint64(len(ms)) - 1)
-	pending := ing.deltas.ops
-	ing.mu.Unlock()
+	pending := ing.publish(recs)
 
 	if mergeThreshold <= 0 {
 		mergeThreshold = ing.opts.MergeThreshold
@@ -196,9 +211,37 @@ func (g *Graph) ApplyMutations(ms []Mutation, mergeThreshold int) error {
 		mergeThreshold = DefaultMergeThreshold
 	}
 	if pending >= mergeThreshold {
-		return g.mergeAllLocked()
+		return len(recs), g.mergeAllLocked()
+	}
+	return len(recs), nil
+}
+
+// validate rejects a batch naming a vertex outside the graph or carrying
+// an opcode the delta overlay does not know.
+func (g *Graph) validate(recs []wal.Record) error {
+	n := g.meta.NumVertices
+	for _, r := range recs {
+		if r.Src >= n || r.Dst >= n {
+			return fmt.Errorf("%w: mutation (%d,%d) outside [0,%d)", ErrVertexOutOfRange, r.Src, r.Dst, n)
+		}
+		if r.Op != wal.OpAdd && r.Op != wal.OpDel {
+			return fmt.Errorf("%w: record with unknown opcode %d", wal.ErrBadShipFrame, r.Op)
+		}
 	}
 	return nil
+}
+
+// publish inserts a numbered batch into the delta overlay and makes it
+// readable under one new epoch, its last seq. It returns the buffered
+// side-entry count after the insert.
+func (ing *ingestState) publish(recs []wal.Record) int {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	for _, r := range recs {
+		ing.deltas.insert(r, ing.maxPinned)
+	}
+	ing.epoch.Store(recs[len(recs)-1].Seq)
+	return ing.deltas.ops
 }
 
 // MergeInterval folds the buffered delta into the CSR files. The
@@ -356,16 +399,12 @@ func OpenIngest(dev *ssd.Device, name string, opts IngestOptions) (*Graph, error
 	log.SetNextSeq(g.meta.FoldedSeq)
 	if len(recs) > 0 {
 		// Open's recovery already truncated frames a committed merge
-		// folded, so everything surviving here is unmerged: replay it.
-		g.ing.mu.Lock()
-		for _, r := range recs {
-			if r.Src >= g.meta.NumVertices || r.Dst >= g.meta.NumVertices {
-				continue // a frame from a graph this isn't; skip defensively
-			}
-			g.ing.deltas.insert(Mutation{Del: r.Op == wal.OpDel, Src: r.Src, Dst: r.Dst, Weight: r.W}, r.Seq, 0)
+		// folded, so everything surviving here is unmerged: replay it. A
+		// frame outside the graph belongs to some other graph's log.
+		if err := g.validate(recs); err != nil {
+			return nil, fmt.Errorf("csr: replay %q: %w", ingestWALName(name), err)
 		}
-		g.ing.epoch.Store(recs[len(recs)-1].Seq)
-		g.ing.mu.Unlock()
+		g.ing.publish(recs)
 	}
 	return g, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/wal"
 )
 
 // oracle is a brute-force multiset adjacency: the reference the ingest
@@ -153,15 +154,15 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(0, 3, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 3}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
 	defer snap.Release()
-	if err := g.AddEdge(0, 4, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 4}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.DelEdge(0, 1, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 1}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	degSnap, err := snap.Graph().OutDegreeSlow(0)
@@ -197,7 +198,7 @@ func TestSnapshotDefersMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
-	if err := g.AddEdge(4, 5, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 4, Dst: 5}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.MergeInterval(0); err != nil {
@@ -226,11 +227,11 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	g.ing.opts.MaxPending = 8 // four mutations' worth of side-entries
 	for i := 0; i < 4; i++ {
-		if err := g.AddEdge(0, uint32(i%6), 1<<30); err != nil {
+		if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: uint32(i % 6)}}, 1<<30); err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	err = g.AddEdge(0, 5, 1<<30)
+	err = g.ApplyMutations([]Mutation{{Src: 0, Dst: 5}}, 1<<30)
 	if !errors.Is(err, ErrIngestBackpressure) {
 		t.Fatalf("over-cap add: %v", err)
 	}
@@ -240,7 +241,7 @@ func TestIngestBackpressure(t *testing.T) {
 	if err := g.MergeInterval(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(0, 5, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 5}}, 1<<30); err != nil {
 		t.Fatalf("post-merge add: %v", err)
 	}
 }
@@ -256,13 +257,13 @@ func TestSameEpochAddDelCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(0, 3, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 3}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if p := g.PendingUpdates(); p != 2 {
 		t.Fatalf("pending after add = %d", p)
 	}
-	if err := g.DelEdge(0, 3, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 3}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if p := g.PendingUpdates(); p != 0 {
@@ -270,12 +271,12 @@ func TestSameEpochAddDelCancels(t *testing.T) {
 	}
 
 	// Same dance under a pinned snapshot: no physical cancellation.
-	if err := g.AddEdge(0, 4, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 4}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
 	defer snap.Release()
-	if err := g.DelEdge(0, 4, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 4}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	if p := g.PendingUpdates(); p != 4 {
@@ -447,7 +448,7 @@ func TestMergeFailureIsStickyUntilReopen(t *testing.T) {
 	// until the merge error reports the sticky wrapper.
 	var stuck bool
 	for failAt := int64(0); failAt < 400; failAt++ {
-		if err := g.AddEdge(4, 5, 1<<30); err != nil {
+		if err := g.ApplyMutations([]Mutation{{Src: 4, Dst: 5}}, 1<<30); err != nil {
 			t.Fatalf("failAt %d: add: %v", failAt, err)
 		}
 		dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: failAt})
@@ -466,13 +467,13 @@ func TestMergeFailureIsStickyUntilReopen(t *testing.T) {
 		}
 		if g.ing.failed == nil {
 			// Pre-commit failure: state intact, mutations must still work.
-			if err := g.DelEdge(4, 5, 1<<30); err != nil {
+			if err := g.ApplyMutations([]Mutation{{Del: true, Src: 4, Dst: 5}}, 1<<30); err != nil {
 				t.Fatalf("failAt %d: post-precommit-failure del: %v", failAt, err)
 			}
 			continue
 		}
 		stuck = true
-		if err := g.AddEdge(0, 1, 1<<30); err == nil {
+		if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 1}}, 1<<30); err == nil {
 			t.Fatal("mutation accepted on a failed graph")
 		}
 		if _, err := g.OutDegreeSlow(0); err == nil {
@@ -511,7 +512,7 @@ func TestWeightedIngestMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdgeWeighted(0, 3, 77, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 3, Weight: 77}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	check := func(g *Graph, ctx string) {
@@ -563,7 +564,7 @@ func TestIngestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(4, 5, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 4, Dst: 5}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	st := g.IngestStats()
@@ -625,11 +626,123 @@ func manifestFuzzDevice(tb testing.TB) *ssd.Device {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := g.AddEdgeWeighted(4, 5, 45, 1<<30); err != nil {
+	if err := g.ApplyMutations([]Mutation{{Src: 4, Dst: 5, Weight: 45}}, 1<<30); err != nil {
 		tb.Fatal(err)
 	}
 	if err := g.writeShadowAndManifest(g.Epoch()); err != nil {
 		tb.Fatal(err)
 	}
 	return dev
+}
+
+// FuzzApply feeds random local and replicated batches to one volatile
+// graph — duplicate and gapped seqs, out-of-range vertices, unknown
+// opcodes, a pending cap and merge thresholds low enough to fold. Nothing
+// may panic, every rejection must be the classified error the batch
+// earns, and AppliedSeq must equal the last accepted seq, with the graph
+// holding exactly the accepted mutations.
+//
+// Each batch is a header byte (bit 0: replicated; bits 1-3: length - 1;
+// bits 4-5: merge threshold; bits 6-7: first seq relative to AppliedSeq)
+// followed by three bytes a record: opcode and gap bits, source,
+// destination.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte{0x02, 1, 0, 1, 1, 1, 2})
+	f.Add([]byte{0x43, 1, 0, 1, 1, 1, 2, 0x01, 2, 3, 4})
+	f.Add([]byte{0x41, 1, 0, 1, 0x05, 1, 2, 0x00, 2, 9})
+	f.Add([]byte{0x31, 3, 0, 1, 0x80, 2, 3, 4, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 8
+		dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2})
+		base := []graphio.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
+		if _, err := Build(dev, "g", base, BuildOptions{NumVertices: n, IntervalBudget: 48}); err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenIngest(dev, "g", IngestOptions{MaxPending: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := oracle{}
+		for _, e := range base {
+			o[e]++
+		}
+		for len(data) > 0 {
+			hdr := data[0]
+			k := min(1+int(hdr>>1&7), (len(data)-1)/3)
+			body := data[1 : 1+3*k]
+			data = data[1+3*k:]
+			replicated, threshold := hdr&1 == 1, []int{0, 1, 6, 1 << 30}[hdr>>4&3]
+			applied := g.AppliedSeq()
+			seq := applied + 1 - min(applied, uint64(hdr>>6)) // a dup, the next seq, or a gap
+			if hdr>>6 == 3 {
+				seq = applied + 2
+			}
+			recs := make([]wal.Record, k)
+			for i := range recs {
+				b := body[3*i:]
+				recs[i] = wal.Record{Op: b[0] & 3, Src: uint32(b[1] % (n + 2)), Dst: uint32(b[2] % (n + 2)), Seq: seq}
+				seq += 1 + uint64(b[0]>>2&1) // bit 2 opens a gap after this record
+			}
+
+			// What the batch earns: validation first, then (replicated) the
+			// duplicate prefix and contiguity of the rest.
+			var want error
+			for i, r := range recs {
+				if !replicated {
+					recs[i].Op = wal.OpAdd + r.Op&1 // ApplyMutations knows add and del only
+				}
+				switch {
+				case want != nil:
+				case r.Src >= n || r.Dst >= n:
+					want = ErrVertexOutOfRange
+				case recs[i].Op != wal.OpAdd && recs[i].Op != wal.OpDel:
+					want = wal.ErrBadShipFrame
+				}
+			}
+			fresh := recs
+			if replicated {
+				for len(fresh) > 0 && fresh[0].Seq <= applied {
+					fresh = fresh[1:]
+				}
+				for i, r := range fresh {
+					if want == nil && r.Seq != applied+1+uint64(i) {
+						want = wal.ErrSeqGap
+					}
+				}
+			}
+
+			if replicated {
+				var got int
+				got, err = g.ApplyReplicated(slices.Clone(recs), threshold)
+				if err == nil && got != len(fresh) {
+					t.Fatalf("ApplyReplicated applied %d of %d fresh records", got, len(fresh))
+				}
+			} else {
+				ms := make([]Mutation, k)
+				for i, r := range recs {
+					ms[i] = Mutation{Del: r.Op == wal.OpDel, Src: r.Src, Dst: r.Dst}
+				}
+				err = g.ApplyMutations(ms, threshold)
+			}
+			switch {
+			case want != nil && !errors.Is(err, want):
+				t.Fatalf("batch %v: err = %v, want %v", recs, err, want)
+			case want == nil && err != nil && !errors.Is(err, ErrIngestBackpressure):
+				t.Fatalf("batch %v: unclassified rejection: %v", recs, err)
+			}
+			if err != nil {
+				if a := g.AppliedSeq(); a != applied {
+					t.Fatalf("rejected batch moved AppliedSeq %d -> %d", applied, a)
+				}
+				continue
+			}
+			for _, r := range fresh {
+				o.apply(Mutation{Del: r.Op == wal.OpDel, Src: r.Src, Dst: r.Dst})
+			}
+			if a, last := g.AppliedSeq(), applied+uint64(len(fresh)); a != last {
+				t.Fatalf("AppliedSeq = %d after accepting through seq %d", a, last)
+			}
+		}
+		checkOracle(t, g, o, "after the batches")
+	})
 }

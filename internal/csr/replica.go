@@ -12,7 +12,6 @@ package csr
 
 import (
 	"errors"
-	"fmt"
 
 	"multilogvc/internal/wal"
 )
@@ -57,75 +56,5 @@ func (g *Graph) ReplicationFrames(from uint64, max int) ([]wal.Record, uint64, e
 // so a follower crash never rewinds the cursor. Returns how many records
 // were newly applied.
 func (g *Graph) ApplyReplicated(recs []wal.Record, mergeThreshold int) (int, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	n := g.meta.NumVertices
-	for _, r := range recs {
-		if r.Src >= n || r.Dst >= n {
-			return 0, fmt.Errorf("%w: replicated mutation (%d,%d) outside [0,%d)", ErrVertexOutOfRange, r.Src, r.Dst, n)
-		}
-		if r.Op != wal.OpAdd && r.Op != wal.OpDel {
-			return 0, fmt.Errorf("csr: replicated record with unknown opcode %d", r.Op)
-		}
-	}
-	ing := g.ing
-	if ing == nil {
-		return 0, fmt.Errorf("csr: graph view is not mutable")
-	}
-	ing.seqMu.Lock()
-	defer ing.seqMu.Unlock()
-	if ing.failed != nil {
-		return 0, ing.failed
-	}
-
-	applied := ing.epoch.Load()
-	skip := 0
-	for skip < len(recs) && recs[skip].Seq <= applied {
-		skip++ // duplicate delivery: already applied, seq is identity
-	}
-	recs = recs[skip:]
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	if recs[0].Seq != applied+1 {
-		return 0, fmt.Errorf("%w: replicated batch starts at seq %d, applied through %d", wal.ErrSeqGap, recs[0].Seq, applied)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Seq != recs[i-1].Seq+1 {
-			return 0, fmt.Errorf("%w: replicated batch not contiguous at seq %d", wal.ErrSeqGap, recs[i].Seq)
-		}
-	}
-	if cap := ing.opts.MaxPending; cap > 0 && ing.deltas.ops+2*len(recs) > cap {
-		return 0, fmt.Errorf("%w (pending %d + batch %d > cap %d)",
-			ErrIngestBackpressure, ing.deltas.ops, 2*len(recs), cap)
-	}
-
-	if ing.log != nil {
-		if err := ing.log.AppendAt(recs); err != nil { // blocks until durable
-			return 0, err
-		}
-	}
-	ing.nextSeq = recs[len(recs)-1].Seq
-
-	ing.mu.Lock()
-	for _, r := range recs {
-		ing.deltas.insert(Mutation{Del: r.Op == wal.OpDel, Src: r.Src, Dst: r.Dst, Weight: r.W}, r.Seq, ing.maxPinned)
-	}
-	ing.epoch.Store(recs[len(recs)-1].Seq)
-	pending := ing.deltas.ops
-	ing.mu.Unlock()
-
-	if mergeThreshold <= 0 {
-		mergeThreshold = ing.opts.MergeThreshold
-	}
-	if mergeThreshold <= 0 {
-		mergeThreshold = DefaultMergeThreshold
-	}
-	if pending >= mergeThreshold {
-		if err := g.mergeAllLocked(); err != nil {
-			return len(recs), err
-		}
-	}
-	return len(recs), nil
+	return g.apply(recs, false, mergeThreshold)
 }

@@ -189,18 +189,13 @@ func Dedup(edges []Edge) []Edge {
 // keys keep their input order.
 
 func srcDst(e Edge) uint64                 { return key(e.Src, e.Dst) }
-func dstSrc(e Edge) uint64                 { return key(e.Dst, e.Src) }
 func weightedSrcDst(e WeightedEdge) uint64 { return key(e.Src, e.Dst) }
-func weightedDstSrc(e WeightedEdge) uint64 { return key(e.Dst, e.Src) }
 
 // SortEdges sorts by (src, dst), stably.
 func SortEdges(edges []Edge) { sortStable(edges, srcDst) }
 
 // key maps a pair to an integer that orders as (hi, lo) does.
 func key(hi, lo uint32) uint64 { return uint64(hi)<<32 | uint64(lo) }
-
-// SortEdgesByDst sorts by (dst, src), stably: the in-CSR's order.
-func SortEdgesByDst(edges []Edge) { sortStable(edges, dstSrc) }
 
 // countRange bounds the counting path of sortStable: it runs only while
 // the largest vertex ID is below countRange × len(s), so its counts (4 B a
@@ -283,9 +278,6 @@ func AttachWeights(edges []Edge, w func(src, dst uint32) uint32) []WeightedEdge 
 // SortWeighted sorts by (src, dst), stably, keeping weights attached:
 // parallel edges keep their input order.
 func SortWeighted(wedges []WeightedEdge) { sortStable(wedges, weightedSrcDst) }
-
-// SortWeightedByDst sorts by (dst, src), stably, keeping weights attached.
-func SortWeightedByDst(wedges []WeightedEdge) { sortStable(wedges, weightedDstSrc) }
 
 // DedupWeighted sorts by (src, dst) and removes duplicate edges (keeping
 // the first weight).

@@ -162,17 +162,6 @@ func TestDedup(t *testing.T) {
 	}
 }
 
-func TestSortEdgesByDst(t *testing.T) {
-	edges := []Edge{{2, 1}, {0, 2}, {1, 1}}
-	SortEdgesByDst(edges)
-	want := []Edge{{1, 1}, {2, 1}, {0, 2}}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("got %v, want %v", edges, want)
-		}
-	}
-}
-
 // Property: MakeUndirected output is symmetric, loop-free, and deduplicated.
 func TestQuickUndirectedSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
@@ -247,10 +236,6 @@ func TestSortWeighted(t *testing.T) {
 	SortWeighted(w)
 	if w[0] != (WeightedEdge{0, 2, 3}) || w[2] != (WeightedEdge{2, 0, 9}) {
 		t.Fatalf("SortWeighted = %v", w)
-	}
-	SortWeightedByDst(w)
-	if w[0].Dst != 0 || w[2].Dst != 5 {
-		t.Fatalf("SortWeightedByDst = %v", w)
 	}
 }
 

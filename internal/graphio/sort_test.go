@@ -76,24 +76,12 @@ func TestSortsMatchStableReference(t *testing.T) {
 					t.Errorf("%s differs from the stable reference", op)
 				}
 			}
-			for _, c := range []struct {
-				op string
-				f  func([]Edge)
-				k  func(Edge) uint64
-			}{{"SortEdges", SortEdges, srcDst}, {"SortEdgesByDst", SortEdgesByDst, dstSrc}} {
-				got := slices.Clone(inE)
-				c.f(got)
-				check(c.op, slices.Equal(got, refSort(inE, c.k)))
-			}
-			for _, c := range []struct {
-				op string
-				f  func([]WeightedEdge)
-				k  func(WeightedEdge) uint64
-			}{{"SortWeighted", SortWeighted, weightedSrcDst}, {"SortWeightedByDst", SortWeightedByDst, weightedDstSrc}} {
-				got := slices.Clone(in)
-				c.f(got)
-				check(c.op, slices.Equal(got, refSort(in, c.k)))
-			}
+			got := slices.Clone(inE)
+			SortEdges(got)
+			check("SortEdges", slices.Equal(got, refSort(inE, srcDst)))
+			gotW := slices.Clone(in)
+			SortWeighted(gotW)
+			check("SortWeighted", slices.Equal(gotW, refSort(in, weightedSrcDst)))
 			check("Dedup", slices.Equal(Dedup(slices.Clone(inE)), refDedup(inE, srcDst)))
 			check("DedupWeighted", slices.Equal(DedupWeighted(slices.Clone(in)), refDedup(in, weightedSrcDst)))
 			check("MakeUndirected", slices.Equal(MakeUndirected(slices.Clone(inE)), Strip(refUndirected(in))))
@@ -147,7 +135,6 @@ func TestSparseSortAllocatesLittle(t *testing.T) {
 		"SortEdges":              func() { SortEdges(Strip(in)) },
 		"Dedup":                  func() { Dedup(Strip(in)) },
 		"MakeUndirected":         func() { MakeUndirected(Strip(in)) },
-		"SortWeightedByDst":      func() { SortWeightedByDst(slices.Clone(in)) },
 		"MakeUndirectedWeighted": func() { MakeUndirectedWeighted(in) },
 	} {
 		var m0, m1 runtime.MemStats

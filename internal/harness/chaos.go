@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -174,10 +175,11 @@ func (s chaosSetup) env(dir string, reopen bool) (*Env, error) {
 	return &Env{Dev: dev, Graph: g, DS: s.ds, MemBudget: s.mem, PageSize: dev.PageSize()}, nil
 }
 
-// drainAudit is the check every soak case ends in: its device holds no
-// query or run-tag scratch (".q"), the goroutines the case started have
-// exited once they settle, and a device backed by dir leaves nothing
-// there beyond the files it lists.
+// drainAudit is the check every soak case ends in, once it has closed its
+// device: the device holds no query or run-tag scratch (".q"), the
+// goroutines the case started have exited once they settle, and a device
+// backed by dir leaves nothing there beyond the files it lists, and no
+// descriptor open on any of them.
 func drainAudit(dev *ssd.Device, dir string, goroutines int) error {
 	live := map[string]bool{}
 	for _, name := range dev.ListFiles() {
@@ -193,6 +195,9 @@ func drainAudit(dev *ssd.Device, dir string, goroutines int) error {
 	}
 	if dir == "" {
 		return nil
+	}
+	if open := openUnder(dir); len(open) > 0 {
+		return fmt.Errorf("%d store descriptors left open, %q among them", len(open), open[0])
 	}
 	return filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
 		if err != nil || e.IsDir() {
@@ -210,6 +215,28 @@ func drainAudit(dev *ssd.Device, dir string, goroutines int) error {
 	})
 }
 
+// openUnder lists the files under dir this process holds descriptors on,
+// read from /proc/self/fd; it lists none where the platform has no such
+// directory.
+func openUnder(dir string) []string {
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		return nil
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return nil
+	}
+	var open []string
+	for _, fd := range fds {
+		path, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(path, dir+string(filepath.Separator)) {
+			open = append(open, path)
+		}
+	}
+	return open
+}
+
 // chaosCase runs one randomized resource-governance case: a random graph
 // and program on a random engine under a random mix of transient faults,
 // checksum corruption, a mid-run crash, no-space injection, a forced sort
@@ -222,7 +249,7 @@ func chaosCase(seed int64, dir string) (outcome, error) {
 	out := outcome{n: map[string]int{}}
 	dev, err := chaosLegs(seed, dir, &out)
 	if err == nil {
-		err = drainAudit(dev, dir, goroutines)
+		err = errors.Join(dev.Close(), drainAudit(dev, dir, goroutines))
 	}
 	if err != nil {
 		return out, fmt.Errorf("seed %d [%s]: %w", seed, out.desc, err)
@@ -335,8 +362,11 @@ func chaosLegs(seed int64, dir string, out *outcome) (*ssd.Device, error) {
 	}
 	env.Dev.SetFaults(ssd.FaultPlan{})
 	if dir != "" {
-		// The crashed process's device is abandoned unsynced; its restart
-		// opens the directory cold.
+		// The crashed process's device is closed as a kill leaves it; its
+		// restart opens the directory cold.
+		if err := env.Dev.Close(); err != nil {
+			return nil, fmt.Errorf("close crashed device: %w", err)
+		}
 		if env, err = s.env(dir, true); err != nil {
 			return nil, fmt.Errorf("reopen: %w", err)
 		}

@@ -301,6 +301,9 @@ func servingSoak(t *testing.T, dir string) outcome {
 	}
 	s.Close()
 	ts.Close()
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := drainAudit(dev, dir, goroutines); err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +322,7 @@ func TestChaosKitChecksFail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { c.close() })
 		nd := c.primary
 		if follower {
 			nd = c.follower
@@ -329,8 +333,8 @@ func TestChaosKitChecksFail(t *testing.T) {
 		c.stream = stream
 		return c, nd
 	}
-	// audit runs drainAudit over a directory-backed device holding one
-	// graph file, after spoil when the state is broken.
+	// audit closes a directory-backed device holding one graph file and
+	// runs drainAudit over it, after spoil when the state is broken.
 	audit := func(t *testing.T, broken bool, spoil func(*ssd.Device, string) error) error {
 		dir := t.TempDir()
 		dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 1, Dir: dir})
@@ -341,6 +345,9 @@ func TestChaosKitChecksFail(t *testing.T) {
 			if err := spoil(dev, dir); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := dev.Close(); err != nil {
+			t.Fatal(err)
 		}
 		return drainAudit(dev, dir, runtime.NumGoroutine())
 	}
@@ -377,6 +384,21 @@ func TestChaosKitChecksFail(t *testing.T) {
 				_, err := dev.Create("g.q7.mlog.0")
 				return err
 			})
+		}},
+		{"drain/device-left-open", "left open", func(t *testing.T, broken bool) error {
+			// A finished ingest case whose node drops its Close.
+			c, err := newWALCase(1, t.TempDir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.close() })
+			nd := c.primary
+			if !broken {
+				if err := nd.dev.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return drainAudit(nd.dev, nd.cfg.Dir, runtime.NumGoroutine())
 		}},
 		{"drain/stray-dir-entry", "not on the device", func(t *testing.T, broken bool) error {
 			return audit(t, broken, func(_ *ssd.Device, dir string) error {

@@ -76,6 +76,7 @@ func newWALCase(seed int64, dirs func() string, follower bool) (*walCase, error)
 		if err != nil {
 			return nil, err
 		}
+		nd.dev = dev // the build's device, closed by the first reopen
 		if _, err := csr.Build(dev, "wal", edges, csr.BuildOptions{
 			NumVertices: n, IntervalBudget: int64(192 + rng.Intn(1024)),
 		}); err != nil {
@@ -93,10 +94,13 @@ func newWALCase(seed int64, dirs func() string, follower bool) (*walCase, error)
 	return c, nil
 }
 
-// reopen opens a fresh, injector-free device over the node's directory
-// and the graph on it, replaying the WAL and redoing any interrupted
-// merge.
+// reopen closes the node's device, as a kill leaves it, then opens a
+// fresh, injector-free device over the node's directory and the graph on
+// it, replaying the WAL and redoing any interrupted merge.
 func (c *walCase) reopen(nd *walNode) error {
+	if err := nd.dev.Close(); err != nil {
+		return err
+	}
 	dev, err := ssd.Open(nd.cfg)
 	if err != nil {
 		return err
@@ -154,8 +158,8 @@ func (c *walCase) check(nd *walNode) error {
 	return nil
 }
 
-// crash kills a node — its device is abandoned without Close, and
-// disk-backed stores write through, so its files are what a crashed
+// crash kills a node — its device is closed without flushing its graph,
+// and disk-backed stores write through, so its files are what a crashed
 // process leaves — and reopens it cold. The primary must recover every
 // acknowledged mutation plus a prefix of the in-flight batch (WAL frames
 // land in submission order), and that prefix joins the stream; then the
@@ -226,7 +230,7 @@ func walChaosCase(seed int64, dirs func() string, follower bool) (outcome, error
 	if err != nil {
 		return outcome{}, fmt.Errorf("wal seed %d: %w", seed, err)
 	}
-	err = c.run()
+	err = errors.Join(c.run(), c.close())
 	for _, nd := range []*walNode{c.primary, c.follower} {
 		if err == nil && nd != nil {
 			err = drainAudit(nd.dev, nd.cfg.Dir, goroutines)
@@ -236,6 +240,17 @@ func walChaosCase(seed int64, dirs func() string, follower bool) (outcome, error
 		return c.out, fmt.Errorf("wal seed %d [%s]: %w", seed, c.out.desc, err)
 	}
 	return c.out, nil
+}
+
+// close closes every node's device.
+func (c *walCase) close() error {
+	var errs []error
+	for _, nd := range []*walNode{c.primary, c.follower} {
+		if nd != nil {
+			errs = append(errs, nd.dev.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // run drives the case's rounds and its finale.

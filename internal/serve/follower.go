@@ -52,9 +52,11 @@ type FollowerOptions struct {
 	// PromoteOnDisconnect auto-promotes after this long without primary
 	// contact. 0 disables auto-promotion (operator-only failover).
 	PromoteOnDisconnect time.Duration
-	// Client overrides the HTTP client (tests, custom timeouts).
-	Client *http.Client
 }
+
+// replicateClient fetches frames from the primary; its timeout bounds one
+// /replicate round trip.
+var replicateClient = &http.Client{Timeout: 30 * time.Second}
 
 func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.Poll <= 0 {
@@ -68,9 +70,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	}
 	if o.LagThreshold == 0 {
 		o.LagThreshold = 256
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return o
 }
@@ -323,7 +322,7 @@ func (f *Follower) pollOnce() (int, error) {
 	f.fetches.Add(1)
 	from := f.applied.Load() + 1
 	url := fmt.Sprintf("%s/replicate?from=%d&max=%d", strings.TrimRight(f.opts.Primary, "/"), from, f.opts.BatchMax)
-	resp, err := f.opts.Client.Get(url)
+	resp, err := replicateClient.Get(url)
 	if err != nil {
 		f.noteDisconnect(err)
 		return 0, err

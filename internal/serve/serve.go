@@ -327,6 +327,42 @@ func requestDeadline(ms int64, def time.Duration) time.Time {
 	return time.Now().Add(d)
 }
 
+// admit runs the admission steps every query passes, in order: drain,
+// deadline, queue cap, breaker. On refusal it writes the shed reply and
+// returns false. On admission the query holds a queue place, which the
+// caller gives back with s.queued.Add(-1) once it is done; the breaker
+// gates last, so a query it admits is recorded exactly once at its final
+// resolution and half-open probe accounting stays balanced.
+func (s *Server) admit(w http.ResponseWriter, deadline time.Time) bool {
+	live := obsv.Live()
+	if s.closed.Load() {
+		live.QueriesShed.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
+		return false
+	}
+	if !deadline.After(time.Now()) {
+		live.QueriesShed.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "deadline", "deadline expired before admission")
+		return false
+	}
+	if s.queued.Add(1) > int64(s.opts.MaxQueue) {
+		s.queued.Add(-1)
+		live.QueriesShed.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "overloaded",
+			fmt.Sprintf("query queue full (%d)", s.opts.MaxQueue))
+		return false
+	}
+	if ok, retryAfter := s.brk.admit(); !ok {
+		s.queued.Add(-1)
+		live.QueriesShed.Add(1)
+		live.BreakerSheds.Add(1)
+		writeErrorRetry(w, http.StatusServiceUnavailable, "breaker_open",
+			"fault circuit breaker is open; device faults are being shed", retryAfter)
+		return false
+	}
+	return true
+}
+
 // handlePoint admits one point query into b and waits for its lane result.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher) {
 	entered := time.Now()
@@ -353,36 +389,11 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher)
 			return
 		}
 	}
-	if s.closed.Load() {
-		live.QueriesShed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-		return
-	}
 	deadline := requestDeadline(req.DeadlineMS, s.opts.DefaultDeadline)
-	if !deadline.After(time.Now()) {
-		live.QueriesShed.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "deadline", "deadline expired before admission")
-		return
-	}
-	if s.queued.Add(1) > int64(s.opts.MaxQueue) {
-		s.queued.Add(-1)
-		live.QueriesShed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "overloaded",
-			fmt.Sprintf("query queue full (%d)", s.opts.MaxQueue))
+	if !s.admit(w, deadline) {
 		return
 	}
 	defer s.queued.Add(-1)
-
-	// The breaker gates admission last: a query it admits is recorded
-	// exactly once at its final resolution (in the batch/solo paths), so
-	// half-open probe accounting stays balanced.
-	if ok, retryAfter := s.brk.admit(); !ok {
-		live.QueriesShed.Add(1)
-		live.BreakerSheds.Add(1)
-		writeErrorRetry(w, http.StatusServiceUnavailable, "breaker_open",
-			"fault circuit breaker is open; device faults are being shed", retryAfter)
-		return
-	}
 
 	q := &pointQuery{source: req.Source, deadline: deadline, admitted: time.Now(), done: make(chan pointResult, 1)}
 	if err := b.enqueue(q); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -405,6 +406,70 @@ func TestServeWalkDeterministic(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || errCode(t, data) != "bad_request" {
 		t.Fatalf("oversized walk batch: status %d body %s", resp.StatusCode, data)
 	}
+}
+
+// TestServeWalkAdmission: /walk passes the point queries' admission while
+// one parked query holds an execution slot. A walk arriving at the full
+// queue is shed 503 overloaded; a walk waiting for a slot gives up 504 at
+// its deadline, and gives its queue place back when its client leaves.
+func TestServeWalkAdmission(t *testing.T) {
+	g := fixture(t, 66)
+	// serve starts a daemon whose only queued query holds one of its slots.
+	serve := func(maxConcurrent, maxQueue int) (*Server, string) {
+		s, err := New(Options{Graph: g, MaxConcurrent: maxConcurrent, MaxQueue: maxQueue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold := installSlotHold(s)
+		ts := httptest.NewServer(s)
+		holders := hold.holdSlots(t, ts.URL, "bfs")
+		t.Cleanup(func() {
+			hold.release()
+			holders.Wait()
+			ts.Close()
+			s.Close()
+		})
+		return s, ts.URL
+	}
+	// walk posts a walk and returns its status and error code, or the
+	// transport error in place of the code.
+	walk := func(ctx context.Context, url string, deadlineMS int64) (int, string) {
+		buf, _ := json.Marshal(walkRequest{Source: 3, Walks: 2, Length: 4, DeadlineMS: deadlineMS})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/walk", bytes.NewReader(buf))
+		resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(req)
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		var e errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error.Code
+	}
+
+	_, url := serve(2, 1) // a free slot, a full queue
+	if status, code := walk(context.Background(), url, 0); status != http.StatusServiceUnavailable || code != "overloaded" {
+		t.Errorf("walk at a full queue: status %d code %q, want 503 overloaded", status, code)
+	}
+
+	_, url = serve(1, 4) // room in the queue, no free slot
+	if status, code := walk(context.Background(), url, 50); status != http.StatusGatewayTimeout || code != "deadline" {
+		t.Errorf("walk waiting past its deadline: status %d code %q, want 504 deadline", status, code)
+	}
+
+	s, url := serve(1, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	go walk(ctx, url, 60_000)
+	waitQueued := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); s.queued.Load() != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d queries queued, want %d", s.queued.Load(), n)
+			}
+		}
+	}
+	waitQueued(2) // the slot holder and the waiting walk
+	cancel()
+	waitQueued(1) // the walk left with its client
 }
 
 // TestServeIntrospection covers /graph and /stats.

@@ -41,8 +41,8 @@ type walkResponse struct {
 // handleWalk serves a random-walk batch directly over the CSR adjacency —
 // walks touch a handful of vertices, so spinning a full engine run per
 // request would cost more in scratch setup than the walk itself. It still
-// passes admission (an execution slot, the queue cap, a deadline) so walk
-// traffic cannot starve point queries.
+// passes admission (the queue cap, the breaker, a deadline, then an
+// execution slot) so walk traffic cannot starve point queries.
 func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	live := obsv.Live()
 	if r.Method != http.MethodPost {
@@ -71,22 +71,13 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "walk length too large")
 		return
 	}
-	if s.closed.Load() {
-		live.QueriesShed.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-		return
-	}
+	// Walks pass point queries' admission — their CSR reads hit the same
+	// device — and record exactly one breaker outcome.
 	deadline := requestDeadline(req.DeadlineMS, s.opts.DefaultDeadline)
-
-	// Walks pass the same breaker gate as point queries — their CSR
-	// reads hit the same device — and record exactly one outcome.
-	if ok, retryAfter := s.brk.admit(); !ok {
-		live.QueriesShed.Add(1)
-		live.BreakerSheds.Add(1)
-		writeErrorRetry(w, http.StatusServiceUnavailable, "breaker_open",
-			"fault circuit breaker is open; device faults are being shed", retryAfter)
+	if !s.admit(w, deadline) {
 		return
 	}
+	defer s.queued.Add(-1)
 	recorded := false
 	record := func(o outcome) {
 		if !recorded {
@@ -96,8 +87,19 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer record(outcomeNeutral) // any early return not otherwise classified
 
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
+	// Wait for a slot no longer than the deadline and the client allow.
+	expire := time.NewTimer(time.Until(deadline))
+	defer expire.Stop()
+	select {
+	case s.sem <- struct{}{}:
+		defer func() { <-s.sem }()
+	case <-expire.C:
+		live.QueryDeadlines.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "deadline", "walk deadline expired waiting for an execution slot")
+		return
+	case <-r.Context().Done():
+		return
+	}
 
 	resp := walkResponse{
 		Source: req.Source, Walks: req.Walks, Length: req.Length,

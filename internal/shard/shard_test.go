@@ -201,10 +201,10 @@ func TestBuildReadsPendingDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(4, 0, 1<<20); err != nil {
+	if err := g.ApplyMutations([]csr.Mutation{{Src: 4, Dst: 0}}, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.DelEdge(5, 0, 1<<20); err != nil {
+	if err := g.ApplyMutations([]csr.Mutation{{Del: true, Src: 5, Dst: 0}}, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Build(g, "g.gc", 0)

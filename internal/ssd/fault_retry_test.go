@@ -108,22 +108,35 @@ func TestRetryDisabled(t *testing.T) {
 }
 
 // TestBackoffGrowsAndCaps: consecutive retries double the backoff window
-// up to MaxBackoff; total charged backoff stays within the sum of the
-// per-attempt windows.
+// from retryBaseBackoff up to retryMaxBackoff. Every fresh device draws
+// the same jitter stream, so a device allowed k retries repeats the first
+// k-1 delays of one allowed k-1, and the difference of their totals is
+// retry k's delay, which must lie in its window's jitter envelope [w/2, w].
+// Nine retries reach the cap at the eighth and hold it at the ninth, whose
+// uncapped window would start past the cap.
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	pol := RetryPolicy{MaxRetries: 4, BaseBackoff: 100 * time.Microsecond, MaxBackoff: 300 * time.Microsecond}
-	dev := retryDev(t, pol)
-	f := fillPages(t, dev, "a", 2)
-	dev.SetFaults(FaultPlan{Transient: Trigger{At: []int64{0, 1, 2, 3, 4}}}) // exhaust: 1 attempt + 4 retries
-	if err := f.ReadPage(0, make([]byte, dev.PageSize())); err == nil {
-		t.Fatal("want exhaustion")
+	exhaust := func(retries int) time.Duration {
+		dev := retryDev(t, RetryPolicy{MaxRetries: retries})
+		f := fillPages(t, dev, "a", 2)
+		at := make([]int64, retries+1) // the attempt and every retry fail
+		for i := range at {
+			at[i] = int64(i)
+		}
+		dev.SetFaults(FaultPlan{Transient: Trigger{At: at}})
+		if err := f.ReadPage(0, make([]byte, dev.PageSize())); err == nil {
+			t.Fatal("want exhaustion")
+		}
+		return dev.Stats().RetryBackoff
 	}
-	st := dev.Stats()
-	// Windows: 100, 200, 300 (capped), 300 µs; jitter keeps each delay in
-	// [w/2, w), so the total lies in [450µs, 900µs).
-	lo, hi := 450*time.Microsecond, 900*time.Microsecond
-	if st.RetryBackoff < lo || st.RetryBackoff >= hi {
-		t.Fatalf("total backoff %v outside jitter envelope [%v, %v)", st.RetryBackoff, lo, hi)
+	var prev time.Duration
+	w := retryBaseBackoff
+	for k := 1; k <= 9; k++ {
+		total := exhaust(k)
+		if d := total - prev; d < w/2 || d > w {
+			t.Fatalf("retry %d waited %v, outside window %v's jitter envelope [%v, %v]", k, d, w, w/2, w)
+		}
+		prev = total
+		w = min(2*w, retryMaxBackoff)
 	}
 }
 

@@ -60,8 +60,8 @@ type Config struct {
 	// default).
 	Capacity int64
 	// Retry is the transient-fault retry policy applied on every page
-	// operation. The zero value selects the defaults (3 retries, 100µs
-	// base backoff); set Retry.MaxRetries to -1 to disable retrying.
+	// operation. The zero value selects the default of 3 retries; set
+	// Retry.MaxRetries to -1 to disable retrying.
 	Retry RetryPolicy
 }
 
@@ -73,14 +73,16 @@ type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts after the first failed
 	// attempt. 0 selects the default (3); negative disables retrying.
 	MaxRetries int
-	// BaseBackoff is the delay before the first retry; each subsequent
-	// retry doubles it up to MaxBackoff. Defaults to 100µs.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Defaults to 10ms.
-	MaxBackoff time.Duration
-	// JitterSeed seeds the deterministic jitter PRNG. Defaults to 1.
-	JitterSeed uint64
 }
+
+// The retry backoff schedule: the first retry waits up to retryBaseBackoff,
+// each later one doubles the window up to retryMaxBackoff, and the jitter
+// inside each window comes from a PRNG seeded with retryJitterSeed.
+const (
+	retryBaseBackoff = 100 * time.Microsecond
+	retryMaxBackoff  = 10 * time.Millisecond
+	retryJitterSeed  = 1
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxRetries == 0 {
@@ -88,15 +90,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0 // normalized: no re-attempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Microsecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 10 * time.Millisecond
-	}
-	if p.JitterSeed == 0 {
-		p.JitterSeed = 1
 	}
 	return p
 }
@@ -338,9 +331,8 @@ func (d *Device) opCheck(sc *IOScope) error {
 	if err == nil || !errors.Is(err, ErrTransient) {
 		return err
 	}
-	pol := d.cfg.Retry
-	backoff := pol.BaseBackoff
-	for attempt := 1; attempt <= pol.MaxRetries; attempt++ {
+	backoff := retryBaseBackoff
+	for attempt := 1; attempt <= d.cfg.Retry.MaxRetries; attempt++ {
 		// A canceled run context aborts the schedule instead of burning the
 		// remaining budget, so deadlines are not overshot by retries.
 		if cerr := sc.runContextErr(); cerr != nil {
@@ -356,15 +348,10 @@ func (d *Device) opCheck(sc *IOScope) error {
 		if !errors.Is(err, ErrTransient) {
 			return err
 		}
-		if backoff < pol.MaxBackoff {
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-		}
+		backoff = min(2*backoff, retryMaxBackoff)
 	}
 	d.account(sc, 0, func(s *Stats, _ *StageStats) { s.RetriesExhausted++ })
-	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, 1+pol.MaxRetries, err)
+	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, 1+d.cfg.Retry.MaxRetries, err)
 }
 
 // ErrNotExist is returned when opening or removing a file that does not
@@ -379,7 +366,7 @@ var ErrExist = errors.New("ssd: file already exists")
 // graphs built by an earlier process can be reopened (see csr.Open).
 func Open(cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
-	d := &Device{device: &device{cfg: cfg, files: make(map[string]*File), retryRNG: cfg.Retry.JitterSeed}}
+	d := &Device{device: &device{cfg: cfg, files: make(map[string]*File), retryRNG: retryJitterSeed}}
 	d.noSpaceArmed.Store(cfg.Capacity > 0)
 	d.pool.max = poolMaxBytes / cfg.PageSize
 	if cfg.Dir != "" {
@@ -528,6 +515,27 @@ func (d *Device) Remove(name string) error {
 	}
 	d.freePages(np)
 	return err
+}
+
+// Close closes every disk-backed file's data and checksum descriptors and
+// flushes nothing: disk stores write through, so the files are left
+// exactly as a killed process leaves them, and a later Open of the
+// directory adopts them. A RAM device holds no descriptors. Close the
+// device once, when it is done with; no file of it may be used after.
+func (d *Device) Close() error {
+	d.mu.Lock()
+	files := make([]*File, 0, len(d.files))
+	for _, f := range d.files {
+		files = append(files, f)
+	}
+	d.mu.Unlock()
+	var errs []error
+	for _, f := range files { // file locks are never taken under d.mu
+		f.s.mu.Lock()
+		errs = append(errs, f.s.store.close())
+		f.s.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }
 
 // RemovePrefix removes every file whose name starts with prefix and

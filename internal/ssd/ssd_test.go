@@ -545,6 +545,76 @@ func TestRemoveUnlinksOnDisk(t *testing.T) {
 	}
 }
 
+// TestCloseLeavesFilesForReopen: Close releases every store descriptor
+// and keeps the data, so a device reopened over the directory reads what
+// the closed one wrote, while the closed one refuses IO.
+func TestCloseLeavesFilesForReopen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{PageSize: 128, Channels: 2, Dir: dir}
+	d := MustOpen(cfg)
+	page := bytes.Repeat([]byte{0x5A}, 128)
+	for _, name := range []string{"a", "sub/b"} {
+		f, err := d.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AppendPages(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A truncated file takes new pages; a reopen must read them, checksums
+	// included, and an emptied file must come back empty.
+	rewritten, err := d.Create("rewritten")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptied, err := d.Create("emptied")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*File{rewritten, emptied} {
+		if err := f.AppendPages(bytes.Repeat([]byte{0x11}, 2*128)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rewritten.AppendPages(page); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.OpenFile("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadPage(0, make([]byte, 128)); err == nil {
+		t.Fatal("a closed device still reads")
+	}
+	re := MustOpen(cfg)
+	for _, name := range []string{"a", "sub/b", "rewritten"} {
+		f, err := re.OpenFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 128)
+		if err := f.ReadPage(0, got); err != nil || !bytes.Equal(got, page) || f.NumPages() != 1 {
+			t.Fatalf("%s after reopen: %d pages: %v", name, f.NumPages(), err)
+		}
+	}
+	if f, err := re.OpenFile("emptied"); err != nil || f.NumPages() != 0 {
+		t.Fatalf("a truncated file adopts with pages: %v", err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := MustOpen(Config{PageSize: 128}).Close(); err != nil {
+		t.Fatalf("closing a RAM device: %v", err)
+	}
+}
+
 func TestMaxPerChannel(t *testing.T) {
 	if got := maxPerChannel(0, 4, nil); got != 0 {
 		t.Fatalf("empty = %d", got)

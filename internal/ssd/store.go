@@ -28,6 +28,9 @@ type store interface {
 	// remove releases the store for good: RAM pages go back to the pool,
 	// a disk file and its sidecar are closed and unlinked.
 	remove() error
+	// close releases what the store holds of the OS and keeps its data: a
+	// disk file and its sidecar are closed, a RAM store is untouched.
+	close() error
 }
 
 // crcSidecarSuffix names the on-disk checksum region of a disk-backed
@@ -150,6 +153,8 @@ func (m *memStore) truncate(pages int) error {
 	return nil
 }
 
+func (m *memStore) close() error { return nil }
+
 func (m *memStore) remove() error {
 	m.pool.put(m.pages)
 	m.pages = nil
@@ -263,6 +268,9 @@ func (d *diskStore) getCRC(idx int) (uint32, bool) {
 func (d *diskStore) numPages() int { return d.npages }
 
 func (d *diskStore) truncate(pages int) error {
+	if pages == 0 {
+		return d.empty()
+	}
 	if err := d.f.Truncate(int64(pages) * int64(d.pageSize)); err != nil {
 		return err
 	}
@@ -279,9 +287,32 @@ func (d *diskStore) truncate(pages int) error {
 	return nil
 }
 
+// empty replaces the backing file and its sidecar with new empty files
+// instead of truncating them to zero: on ext4 (auto_da_alloc) closing a
+// file truncated to zero forces its buffered pages to disk, after which
+// every truncate or unlink of it waits on the device, while the buffered
+// pages of a replaced file are dropped unwritten.
+func (d *diskStore) empty() error {
+	if err := errors.Join(d.close(), os.Remove(d.path), os.Remove(d.path+crcSidecarSuffix)); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(d.path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	sc, err := os.OpenFile(d.path+crcSidecarSuffix, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	d.f, d.sc, d.npages, d.crcs, d.known = f, sc, 0, nil, nil
+	return nil
+}
+
+func (d *diskStore) close() error { return errors.Join(d.f.Close(), d.sc.Close()) }
+
 func (d *diskStore) remove() error {
-	return errors.Join(d.f.Close(), d.sc.Close(),
-		os.Remove(d.path), os.Remove(d.path+crcSidecarSuffix))
+	return errors.Join(d.close(), os.Remove(d.path), os.Remove(d.path+crcSidecarSuffix))
 }
 
 // sanitize maps a device file name to a filesystem-safe relative path.

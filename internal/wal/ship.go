@@ -10,7 +10,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrSeqGap reports a sequence discontinuity in a shipped stream: the
@@ -73,56 +72,12 @@ func EncodeFrames(recs []Record) []byte {
 }
 
 // AppendAt writes records that already carry sequence numbers — shipped
-// from a primary — and blocks until they are durable, under the same
-// group-commit and sticky-failure rules as Append. The batch must extend
-// the log contiguously: recs[0].Seq == last assigned seq + 1 and each
-// subsequent record increments by one, else ErrSeqGap and nothing is
-// logged.
-func (l *Log) AppendAt(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if recs[0].Seq != l.nextSeq+1 {
-		err := fmt.Errorf("%w: batch starts at seq %d, log expects %d", ErrSeqGap, recs[0].Seq, l.nextSeq+1)
-		l.mu.Unlock()
-		return err
-	}
-	for i, r := range recs {
-		if r.Seq != recs[0].Seq+uint64(i) {
-			err := fmt.Errorf("%w: batch not contiguous at index %d (seq %d)", ErrSeqGap, i, r.Seq)
-			l.mu.Unlock()
-			return err
-		}
-	}
-	for _, r := range recs {
-		l.pendB = appendFrame(l.pendB, r)
-	}
-	l.nextSeq = recs[len(recs)-1].Seq
-	l.pend = append(l.pend, recs...)
-
-	if l.opts.FlushEvery <= 0 {
-		err := l.flushLocked()
-		l.mu.Unlock()
-		return err
-	}
-	ch := make(chan error, 1)
-	l.waiters = append(l.waiters, ch)
-	if l.timer == nil {
-		l.timer = time.AfterFunc(l.opts.FlushEvery, l.flushTimer)
-	}
-	l.mu.Unlock()
-	return <-ch
-}
+// from a primary, or numbered by the ingest plane — and blocks until they
+// are durable, under the same group-commit and sticky-failure rules as
+// Append. The batch must extend the log contiguously: recs[0].Seq == last
+// assigned seq + 1 and each subsequent record increments by one, else
+// ErrSeqGap and nothing is logged.
+func (l *Log) AppendAt(recs []Record) error { return l.append(recs, false) }
 
 // SetNextSeq raises the next sequence number the log will assign (or
 // accept via AppendAt) to seq+1, if it is not already past it. Callers

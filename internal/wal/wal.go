@@ -154,29 +154,46 @@ func (l *Log) Append(recs []Record) (first, last uint64, err error) {
 	if len(recs) == 0 {
 		return 0, 0, nil
 	}
+	err = l.append(recs, true)
+	return recs[0].Seq, recs[len(recs)-1].Seq, err
+}
+
+// append is the body of Append and AppendAt. With number set it assigns
+// recs the log's next sequence numbers; otherwise recs must already carry
+// them, extending the log contiguously (else ErrSeqGap and nothing is
+// logged). Either way it frames the batch into the pending group commit
+// and blocks until that commit lands.
+func (l *Log) append(recs []Record, number bool) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
+	err := l.failed
+	if err == nil && l.closed {
+		err = ErrClosed
+	}
+	for i := 0; err == nil && i < len(recs); i++ {
+		want := l.nextSeq + 1 + uint64(i)
+		if number {
+			recs[i].Seq = want
+		} else if recs[i].Seq != want {
+			err = fmt.Errorf("%w: batch has seq %d at index %d, log expects %d", ErrSeqGap, recs[i].Seq, i, want)
+		}
+	}
+	if err != nil {
 		l.mu.Unlock()
-		return 0, 0, err
+		return err
 	}
-	if l.closed {
-		l.mu.Unlock()
-		return 0, 0, ErrClosed
+	for _, r := range recs {
+		l.pendB = appendFrame(l.pendB, r)
 	}
-	first = l.nextSeq + 1
-	for i := range recs {
-		l.nextSeq++
-		recs[i].Seq = l.nextSeq
-		l.pendB = appendFrame(l.pendB, recs[i])
-	}
-	last = l.nextSeq
+	l.nextSeq = recs[len(recs)-1].Seq
 	l.pend = append(l.pend, recs...)
 
 	if l.opts.FlushEvery <= 0 {
 		err := l.flushLocked()
 		l.mu.Unlock()
-		return first, last, err
+		return err
 	}
 	ch := make(chan error, 1)
 	l.waiters = append(l.waiters, ch)
@@ -184,7 +201,7 @@ func (l *Log) Append(recs []Record) (first, last uint64, err error) {
 		l.timer = time.AfterFunc(l.opts.FlushEvery, l.flushTimer)
 	}
 	l.mu.Unlock()
-	return first, last, <-ch
+	return <-ch
 }
 
 func (l *Log) flushTimer() {

@@ -28,7 +28,6 @@ package multilogvc
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/ckpt"
@@ -129,10 +128,6 @@ type SystemOptions struct {
 	PageSize int
 	// Channels is the simulated flash channel count; defaults to 8.
 	Channels int
-	// PageReadLatency / PageWriteLatency drive the virtual storage
-	// clock; defaults 50µs / 70µs per page.
-	PageReadLatency  time.Duration
-	PageWriteLatency time.Duration
 	// Dir backs the device with real files when non-empty; otherwise
 	// pages live in RAM (still fully accounted).
 	Dir string
@@ -164,13 +159,11 @@ type System struct {
 // NewSystem opens a storage device.
 func NewSystem(opts SystemOptions) (*System, error) {
 	dev, err := ssd.Open(ssd.Config{
-		PageSize:         opts.PageSize,
-		Channels:         opts.Channels,
-		PageReadLatency:  opts.PageReadLatency,
-		PageWriteLatency: opts.PageWriteLatency,
-		Dir:              opts.Dir,
-		Capacity:         opts.DiskCapacity,
-		Retry:            ssd.RetryPolicy{MaxRetries: opts.MaxRetries},
+		PageSize: opts.PageSize,
+		Channels: opts.Channels,
+		Dir:      opts.Dir,
+		Capacity: opts.DiskCapacity,
+		Retry:    ssd.RetryPolicy{MaxRetries: opts.MaxRetries},
 	})
 	if err != nil {
 		return nil, err
@@ -267,12 +260,12 @@ func (g *Graph) AddEdge(src, dst uint32) error {
 
 // AddWeightedEdge is AddEdge with an explicit weight.
 func (g *Graph) AddWeightedEdge(src, dst, weight uint32) error {
-	return g.g.AddEdgeWeighted(src, dst, weight, 0)
+	return g.g.ApplyMutations([]csr.Mutation{{Src: src, Dst: dst, Weight: weight}}, 0)
 }
 
 // RemoveEdge buffers a structural edge removal (§V-E).
 func (g *Graph) RemoveEdge(src, dst uint32) error {
-	return g.g.DelEdge(src, dst, 0)
+	return g.g.ApplyMutations([]csr.Mutation{{Del: true, Src: src, Dst: dst}}, 0)
 }
 
 // Engine selects which execution engine runs a program.
