@@ -73,17 +73,17 @@ func TestEveryEngineRunsOnTheCSR(t *testing.T) {
 			t.Fatal(err)
 		}
 		var current []WeightedEdge
+		var a csr.Arena
 		for iv, interval := range g.g.Intervals() {
-			var verts []uint32
-			for v := interval.Lo; v < interval.Hi; v++ {
-				verts = append(verts, v)
-			}
-			if _, err := g.g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-				for i, nb := range nbrs {
-					current = append(current, WeightedEdge{Src: v, Dst: nb, Weight: weights[i]})
-				}
-			}); err != nil {
+			verts := interval.AppendVerts(nil)
+			a.Reset(len(verts), true)
+			if _, err := g.g.FillOutEdges(iv, verts, nil, &a); err != nil {
 				t.Fatal(err)
+			}
+			for i, v := range verts {
+				for j, nb := range a.Edges(i) {
+					current = append(current, WeightedEdge{Src: v, Dst: nb, Weight: a.Weights(i)[j]})
+				}
 			}
 		}
 		want := vc.NewRefWeighted(current, g.NumVertices()).Run(NewSSSP(0), 50).Values

@@ -3,6 +3,7 @@ package csr
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -100,7 +101,7 @@ func TestQuickIntervalIndexEveryVertex(t *testing.T) {
 	}
 }
 
-// adjRecord is what a visitor form hands its callback for one vertex.
+// adjRecord is what a load delivers for one vertex.
 type adjRecord struct {
 	v             uint32
 	nbrs, weights []uint32
@@ -223,36 +224,33 @@ func refLoadEdges(g *Graph, side uint8, weighted bool, iv int, verts []uint32) (
 	return out, stats, nil
 }
 
-// visitAll runs one of the visitor forms and records every callback.
-func visitAll(g *Graph, side uint8, weighted bool, iv int, verts []uint32) ([]adjRecord, LoadStats, error) {
+// loadAll runs one load form and records every vertex it delivers: a fill
+// of an arena weighted as an engine weights it (weighted && g.HasWeights()),
+// or, with visitor set, LoadOutEdges, the one visitor form. That hands out no
+// weights and no page range, so the caller compares its lists alone.
+func loadAll(g *Graph, side uint8, weighted, visitor bool, iv int, verts []uint32) ([]adjRecord, LoadStats, error) {
 	var out []adjRecord
-	visit := func(v uint32, nbrs, weights []uint32, first, last int32) {
-		rec := adjRecord{v: v, nbrs: slices.Clone(nbrs), first: first, last: last}
-		if weights != nil {
-			rec.weights = slices.Clone(weights)
-		}
-		out = append(out, rec)
+	if visitor {
+		stats, err := g.LoadOutEdges(iv, verts, func(v uint32, nbrs []uint32) {
+			out = append(out, adjRecord{v: v, nbrs: slices.Clone(nbrs)})
+		})
+		return out, stats, err
 	}
-	var stats LoadStats
-	var err error
-	switch {
-	case side == 0 && weighted:
-		stats, err = g.LoadOutEdgesFull(iv, verts, visit)
-	case weighted:
-		stats, err = g.LoadInEdgesFull(iv, verts, visit)
-	default:
-		// LoadOutEdges and LoadInEdges hand out no page range; take it from
-		// the reference's contract instead by filling an unweighted arena.
-		var a Arena
-		a.Reset(len(verts), false)
-		if stats, err = g.fill(side, iv, verts, nil, &a); err == nil {
-			for i, v := range verts {
-				first, last := a.PageRange(i)
-				visit(v, a.Edges(i), a.Weights(i), first, last)
-			}
-		}
+	fill := g.FillOutEdges
+	if side == 1 {
+		fill = g.FillInEdges
 	}
-	return out, stats, err
+	var a Arena
+	a.Reset(len(verts), weighted && g.HasWeights())
+	stats, err := fill(iv, verts, nil, &a)
+	if err != nil {
+		return nil, stats, err
+	}
+	for i, v := range verts {
+		first, last := a.PageRange(i)
+		out = append(out, adjRecord{v: v, nbrs: slices.Clone(a.Edges(i)), weights: slices.Clone(a.Weights(i)), first: first, last: last})
+	}
+	return out, stats, nil
 }
 
 func sameRecords(a, b []adjRecord) bool {
@@ -263,8 +261,10 @@ func sameRecords(a, b []adjRecord) bool {
 	})
 }
 
-// checkParity compares every visitor form with the reference on whole
-// intervals and on a sparse sample of each, device page counts included.
+// checkParity compares every load form with the reference on whole
+// intervals and on a sparse sample of each, device page counts included: the
+// fills on both sides at both weightings, and LoadOutEdges beside the
+// unweighted out-edge fill.
 func checkParity(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -279,26 +279,37 @@ func checkParity(t *testing.T, name string, g *Graph) {
 		for _, verts := range [][]uint32{all, sample, all[len(all)-1:]} {
 			for side := uint8(0); side < 2; side++ {
 				for _, weighted := range []bool{false, true} {
-					before := g.dev.Stats()
-					want, wantStats, err := refLoadEdges(g, side, weighted, iv, verts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refIO := g.dev.Stats().Sub(before)
-					before = g.dev.Stats()
-					got, gotStats, err := visitAll(g, side, weighted, iv, verts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if io := g.dev.Stats().Sub(before); io != refIO {
-						t.Fatalf("%s iv %d side %d weighted %v: device saw %+v, reference %+v", name, iv, side, weighted, io, refIO)
-					}
-					if !sameRecords(got, want) {
-						t.Fatalf("%s iv %d side %d weighted %v, %d vertices:\n got %+v\nwant %+v", name, iv, side, weighted, len(verts), got, want)
-					}
-					if gotStats.RowPtrPages != wantStats.RowPtrPages || gotStats.ColIdxPages != wantStats.ColIdxPages ||
-						gotStats.ValPages != wantStats.ValPages || !slices.Equal(gotStats.PageUtils, wantStats.PageUtils) {
-						t.Fatalf("%s iv %d side %d weighted %v: stats %+v, reference %+v", name, iv, side, weighted, gotStats, wantStats)
+					for _, visitor := range []bool{false, true} {
+						if visitor && (side != 0 || weighted) {
+							continue
+						}
+						form := fmt.Sprintf("%s iv %d side %d weighted %v visitor %v", name, iv, side, weighted, visitor)
+						before := g.dev.Stats()
+						want, wantStats, err := refLoadEdges(g, side, weighted, iv, verts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						refIO := g.dev.Stats().Sub(before)
+						before = g.dev.Stats()
+						got, gotStats, err := loadAll(g, side, weighted, visitor, iv, verts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if io := g.dev.Stats().Sub(before); io != refIO {
+							t.Fatalf("%s: device saw %+v, reference %+v", form, io, refIO)
+						}
+						if visitor {
+							for i := range got {
+								got[i].first, got[i].last = want[i].first, want[i].last
+							}
+						}
+						if !sameRecords(got, want) {
+							t.Fatalf("%s, %d vertices:\n got %+v\nwant %+v", form, len(verts), got, want)
+						}
+						if gotStats.RowPtrPages != wantStats.RowPtrPages || gotStats.ColIdxPages != wantStats.ColIdxPages ||
+							gotStats.ValPages != wantStats.ValPages || !slices.Equal(gotStats.PageUtils, wantStats.PageUtils) {
+							t.Fatalf("%s: stats %+v, reference %+v", form, gotStats, wantStats)
+						}
 					}
 				}
 			}
@@ -341,11 +352,11 @@ func TestArenaParityWithMapBasedLoad(t *testing.T) {
 	if len(unweighted.Intervals()) < 3 {
 		t.Fatalf("only %d intervals", len(unweighted.Intervals()))
 	}
-	var spans int32
-	if _, err := unweighted.LoadOutEdgesFull(unweighted.IntervalOf(7), []uint32{7}, func(_ uint32, _, _ []uint32, first, last int32) {
-		spans = last - first + 1
-	}); err != nil || spans < 3 {
-		t.Fatalf("the hub's list spans %d colidx pages (err %v); want at least 3", spans, err)
+	var hub Arena
+	hub.Reset(1, false)
+	_, err = unweighted.FillOutEdges(unweighted.IntervalOf(7), []uint32{7}, nil, &hub)
+	if first, last := hub.PageRange(0); err != nil || last-first+1 < 3 {
+		t.Fatalf("the hub's list spans %d colidx pages (err %v); want at least 3", last-first+1, err)
 	}
 	checkParity(t, "unweighted", unweighted)
 
@@ -458,11 +469,11 @@ func TestLoadRejectsUnsortedAndDuplicateVerts(t *testing.T) {
 		if _, err := g.LoadOutEdges(0, verts, noVisit); !errors.Is(err, ErrVertsNotAscending) {
 			t.Errorf("out-edges, %s: err = %v, want ErrVertsNotAscending", name, err)
 		}
-		if _, err := g.LoadInEdges(0, verts, noVisit); !errors.Is(err, ErrVertsNotAscending) {
-			t.Errorf("in-edges, %s: err = %v, want ErrVertsNotAscending", name, err)
-		}
 		var a Arena
 		a.Reset(len(verts), false)
+		if _, err := g.FillInEdges(0, verts, nil, &a); !errors.Is(err, ErrVertsNotAscending) {
+			t.Errorf("in-edges, %s: err = %v, want ErrVertsNotAscending", name, err)
+		}
 		if _, err := g.FillOutEdges(0, verts, nil, &a); !errors.Is(err, ErrVertsNotAscending) {
 			t.Errorf("fill, %s: err = %v, want ErrVertsNotAscending", name, err)
 		}

@@ -133,27 +133,36 @@ func TestBuildAndLoadPaperGraph(t *testing.T) {
 	checkAdjacency(t, g, wantOut, wantIn)
 }
 
+// fillInterval fills a with every list of interval iv on side (0 out, 1 in),
+// weighted on a weighted graph, and returns the interval's vertices: list i
+// is vertex verts[i]'s.
+func fillInterval(t testing.TB, g *Graph, side uint8, iv int, a *Arena) (verts []uint32, stats LoadStats) {
+	t.Helper()
+	verts = g.Intervals()[iv].AppendVerts(nil)
+	a.Reset(len(verts), g.HasWeights())
+	stats, err := g.fill(side, iv, verts, nil, a)
+	if err != nil {
+		t.Fatalf("fill side %d interval %d: %v", side, iv, err)
+	}
+	return verts, stats
+}
+
+// outDegree returns v's current out-degree, pending deltas included.
+func outDegree(g *Graph, v uint32) (uint32, error) {
+	var deg uint32
+	_, err := g.LoadOutEdges(g.IntervalOf(v), []uint32{v}, func(_ uint32, nbrs []uint32) { deg = uint32(len(nbrs)) })
+	return deg, err
+}
+
 func checkAdjacency(t *testing.T, g *Graph, wantOut, wantIn map[uint32][]uint32) {
 	t.Helper()
 	for iv := range g.Intervals() {
-		interval := g.Intervals()[iv]
-		var verts []uint32
-		for v := interval.Lo; v < interval.Hi; v++ {
-			verts = append(verts, v)
-		}
-		check := func(loadName string, want map[uint32][]uint32,
-			load func(int, []uint32, EdgeVisitor) (LoadStats, error)) {
-			got := make(map[uint32][]uint32)
-			if _, err := load(iv, verts, func(v uint32, nbrs []uint32) {
-				cp := make([]uint32, len(nbrs))
-				copy(cp, nbrs)
-				got[v] = cp
-			}); err != nil {
-				t.Fatalf("%s interval %d: %v", loadName, iv, err)
-			}
-			for _, v := range verts {
+		check := func(loadName string, want map[uint32][]uint32, side uint8) {
+			var a Arena
+			verts, _ := fillInterval(t, g, side, iv, &a)
+			for i, v := range verts {
 				w := want[v]
-				gv := got[v]
+				gv := slices.Clone(a.Edges(i))
 				if len(w) != len(gv) {
 					t.Fatalf("%s(%d) = %v, want %v", loadName, v, gv, w)
 				}
@@ -166,8 +175,8 @@ func checkAdjacency(t *testing.T, g *Graph, wantOut, wantIn map[uint32][]uint32)
 				}
 			}
 		}
-		check("out", wantOut, g.LoadOutEdges)
-		check("in", wantIn, g.LoadInEdges)
+		check("out", wantOut, 0)
+		check("in", wantIn, 1)
 	}
 }
 
@@ -180,7 +189,7 @@ func TestBuildIsolatedTrailingVertices(t *testing.T) {
 	if g.NumVertices() != 10 {
 		t.Fatalf("NumVertices = %d, want 10", g.NumVertices())
 	}
-	deg, err := g.OutDegreeSlow(9)
+	deg, err := outDegree(g, 9)
 	if err != nil || deg != 0 {
 		t.Fatalf("isolated vertex degree = %d err = %v", deg, err)
 	}
@@ -580,7 +589,7 @@ func TestStructuralUpdateThresholdTriggersMerge(t *testing.T) {
 	if g.Merges() == 0 {
 		t.Fatal("threshold did not trigger a merge")
 	}
-	deg, err := g.OutDegreeSlow(3)
+	deg, err := outDegree(g, 3)
 	if err != nil || deg != 3 {
 		t.Fatalf("degree after merged adds = %d, err %v", deg, err)
 	}
@@ -591,13 +600,13 @@ func TestAddRemoveCancel(t *testing.T) {
 	g, _ := Build(dev, "g", paperEdges(), BuildOptions{})
 	g.ApplyMutations([]Mutation{{Src: 0, Dst: 3}}, 1000)
 	g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 3}}, 1000) // cancels the pending add
-	deg, err := g.OutDegreeSlow(0)
+	deg, err := outDegree(g, 0)
 	if err != nil || deg != 1 {
 		t.Fatalf("degree = %d, want 1 (add cancelled)", deg)
 	}
 	g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 1}}, 1000)
 	g.ApplyMutations([]Mutation{{Src: 0, Dst: 1}}, 1000) // cancels the pending remove
-	deg, err = g.OutDegreeSlow(0)
+	deg, err = outDegree(g, 0)
 	if err != nil || deg != 1 {
 		t.Fatalf("degree = %d, want 1 (remove cancelled)", deg)
 	}
@@ -686,12 +695,10 @@ func TestWeightedBuildRoundTrip(t *testing.T) {
 		want[[2]uint32{e.Src, e.Dst}] = e.Weight
 	}
 	for iv := range g.Intervals() {
-		interval := g.Intervals()[iv]
-		var verts []uint32
-		for v := interval.Lo; v < interval.Hi; v++ {
-			verts = append(verts, v)
-		}
-		stats, err := g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
+		var a Arena
+		verts, stats := fillInterval(t, g, 0, iv, &a)
+		for i, v := range verts {
+			nbrs, weights := a.Edges(i), a.Weights(i)
 			if len(weights) != len(nbrs) {
 				t.Fatalf("weights len %d != nbrs %d", len(weights), len(nbrs))
 			}
@@ -701,9 +708,6 @@ func TestWeightedBuildRoundTrip(t *testing.T) {
 				}
 				delete(want, [2]uint32{v, nb})
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if len(verts) > 0 && stats.ValPages == 0 {
 			t.Fatal("no val pages accounted")
@@ -748,24 +752,20 @@ func TestWeightedBuildKeepsParallelEdgesInInputOrder(t *testing.T) {
 		wantIn[e.Dst] = append(wantIn[e.Dst], e.Src, e.Weight)
 	}
 	seen := 0
-	for iv, interval := range g.Intervals() {
-		var verts []uint32
-		for v := interval.Lo; v < interval.Hi; v++ {
-			verts = append(verts, v)
-		}
-		for side, load := range []func(int, []uint32, EdgeVisitorFull) (LoadStats, error){g.LoadOutEdgesFull, g.LoadInEdgesFull} {
+	for iv := range g.Intervals() {
+		for side := range uint8(2) {
 			want := [][][]uint32{wantOut, wantIn}[side]
-			if _, err := load(iv, verts, func(v uint32, ids, weights []uint32, _, _ int32) {
+			var a Arena
+			verts, _ := fillInterval(t, g, side, iv, &a)
+			for i, v := range verts {
 				seen++
 				var got []uint32
-				for i, id := range ids {
-					got = append(got, id, weights[i])
+				for j, id := range a.Edges(i) {
+					got = append(got, id, a.Weights(i)[j])
 				}
 				if !slices.Equal(got, want[v]) {
 					t.Errorf("side %d vertex %d: (id, weight) = %v, want %v", side, v, got, want[v])
 				}
-			}); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -807,25 +807,17 @@ func TestQuickWeightedRoundTrip(t *testing.T) {
 		}
 		ok := true
 		for iv := range g.Intervals() {
-			interval := g.Intervals()[iv]
-			var verts []uint32
-			for v := interval.Lo; v < interval.Hi; v++ {
-				verts = append(verts, v)
+			for side, want := range []map[[2]uint32]uint32{wantOut, wantIn} {
+				var a Arena
+				verts, _ := fillInterval(t, g, uint8(side), iv, &a)
+				for i, v := range verts {
+					for j, nb := range a.Edges(i) {
+						if a.Weights(i)[j] != want[[2]uint32{v, nb}] {
+							ok = false
+						}
+					}
+				}
 			}
-			g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-				for i, nb := range nbrs {
-					if weights[i] != wantOut[[2]uint32{v, nb}] {
-						ok = false
-					}
-				}
-			})
-			g.LoadInEdgesFull(iv, verts, func(v uint32, srcs, weights []uint32, _, _ int32) {
-				for i, src := range srcs {
-					if weights[i] != wantIn[[2]uint32{v, src}] {
-						ok = false
-					}
-				}
-			})
 		}
 		return ok
 	}

@@ -190,13 +190,18 @@ func sortPairs(pairs []wpair) {
 // deltas), sorted. Intended for tests and tools.
 func (g *Graph) CurrentEdges() ([]graphio.Edge, error) {
 	var edges []graphio.Edge
-	for iv := range g.meta.Intervals {
-		if err := g.ReadWholeInterval(iv, func(v uint32, nbrs []uint32) {
-			for _, nb := range nbrs {
+	var a Arena
+	var verts []uint32
+	for iv, interval := range g.meta.Intervals {
+		verts = interval.AppendVerts(verts[:0])
+		a.Reset(len(verts), false)
+		if _, err := g.FillOutEdges(iv, verts, nil, &a); err != nil {
+			return nil, err
+		}
+		for i, v := range verts {
+			for _, nb := range a.Edges(i) {
 				edges = append(edges, graphio.Edge{Src: v, Dst: nb})
 			}
-		}); err != nil {
-			return nil, err
 		}
 	}
 	graphio.SortEdges(edges)

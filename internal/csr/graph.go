@@ -140,77 +140,37 @@ type LoadStats struct {
 	PageUtils   []PageUtil
 }
 
-// Add accumulates other into s.
-func (s *LoadStats) Add(other LoadStats) {
-	s.RowPtrPages += other.RowPtrPages
-	s.ColIdxPages += other.ColIdxPages
-	s.ValPages += other.ValPages
-	s.PageUtils = append(s.PageUtils, other.PageUtils...)
-}
-
-// EdgeVisitor receives one vertex's neighbor list. nbrs aliases an
-// internal buffer valid only during the call.
-type EdgeVisitor func(v uint32, nbrs []uint32)
-
-// EdgeVisitorFull additionally receives the vertex's per-edge weights
-// (nil for unweighted graphs), parallel to nbrs, and the column-index page
-// range [firstPage, lastPage] its edges live on, so callers (the edge-log
-// optimizer) can relate vertices to page utilization. For zero-degree
-// vertices firstPage > lastPage.
-type EdgeVisitorFull func(v uint32, nbrs, weights []uint32, firstPage, lastPage int32)
-
 // ErrVertsNotAscending is returned by a load handed a vertex list out of
 // order: pages are decoded in one forward pass that relies on it. Adjacency
 // and aux loads need the list strictly ascending; value loads let a vertex
 // repeat.
 var ErrVertsNotAscending = errors.New("csr: vertex list not ascending")
 
-// LoadOutEdges loads the out-edge lists of the given vertices, which must
-// all lie in interval iv and be strictly ascending. Only the row-pointer and
-// column-index pages covering the requested vertices are read, in batches.
-func (g *Graph) LoadOutEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadStats, error) {
-	return g.visitEdges(0, false, iv, verts,
-		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
-}
-
-// LoadOutEdgesFull is LoadOutEdges with page ranges and, on weighted
-// graphs, per-edge weights; the val pages are fetched alongside the
-// colidx pages and counted in the stats.
-func (g *Graph) LoadOutEdgesFull(iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
-	return g.visitEdges(0, true, iv, verts, visit)
-}
-
-// LoadInEdges is LoadOutEdges for the in-edge (source) lists.
-func (g *Graph) LoadInEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadStats, error) {
-	return g.visitEdges(1, false, iv, verts,
-		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
-}
-
-// LoadInEdgesFull is LoadInEdges plus in-edge weights.
-func (g *Graph) LoadInEdgesFull(iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
-	return g.visitEdges(1, true, iv, verts, visit)
-}
-
-// visitEdges is the visitor form of every load: one fill of an arena of its
-// own, then a walk over it. No list is visited unless all were loaded.
-func (g *Graph) visitEdges(side uint8, weights bool, iv int, verts []uint32, visit EdgeVisitorFull) (LoadStats, error) {
+// LoadOutEdges visits the out-edge lists of the given vertices, which must
+// all lie in interval iv and be strictly ascending: one FillOutEdges into an
+// arena of its own, then a walk over it, so no list is visited unless all
+// were loaded; nbrs aliases that arena and is valid only during the call. It
+// is the one visitor form, for one-off reads (serve's /walk, tests, and
+// bench/probes.go, which engine changes leave alone until ROADMAP item 15);
+// a caller that loads batch after batch fills an Arena it keeps instead.
+func (g *Graph) LoadOutEdges(iv int, verts []uint32, visit func(v uint32, nbrs []uint32)) (LoadStats, error) {
 	var a Arena
-	a.Reset(len(verts), weights && g.meta.HasWeights)
-	stats, err := g.fill(side, iv, verts, nil, &a)
+	a.Reset(len(verts), false)
+	stats, err := g.fill(0, iv, verts, nil, &a)
 	if err != nil {
 		return stats, err
 	}
 	for i, v := range verts {
-		visit(v, a.Edges(i), a.Weights(i), a.first[i], a.last[i])
+		visit(v, a.Edges(i))
 	}
 	return stats, nil
 }
 
 // FillOutEdges loads the out-edge lists of verts — strictly ascending, all in
 // interval iv — into a, verts[i]'s at position pos[i] (position i when pos is
-// nil), with their weights when a is weighted. It issues the device reads
-// LoadOutEdgesFull does. The stats' PageUtils alias a's scratch: they are
-// valid until a's next fill.
+// nil), with their weights when a is weighted, reading only the covering
+// row-pointer, column-index and (weighted) val pages, in batches. The stats'
+// PageUtils alias a's scratch: they are valid until a's next fill.
 func (g *Graph) FillOutEdges(iv int, verts []uint32, pos []int32, a *Arena) (LoadStats, error) {
 	return g.fill(0, iv, verts, pos, a)
 }
@@ -387,27 +347,4 @@ func (g *Graph) readRowEntries(a *Arena, rowF *ssd.File, interval Interval, vert
 		}
 	}
 	return len(a.pages), nil
-}
-
-// ReadWholeInterval reads every out-edge list of an interval sequentially
-// (used by builders of derived structures and by tests).
-func (g *Graph) ReadWholeInterval(iv int, visit EdgeVisitor) error {
-	interval := g.meta.Intervals[iv]
-	verts := make([]uint32, 0, interval.Len())
-	for v := interval.Lo; v < interval.Hi; v++ {
-		verts = append(verts, v)
-	}
-	_, err := g.LoadOutEdges(iv, verts, visit)
-	return err
-}
-
-// OutDegreeSlow returns v's current out-degree including deltas. Intended
-// for tests and tools, not hot paths.
-func (g *Graph) OutDegreeSlow(v uint32) (uint32, error) {
-	iv := g.IntervalOf(v)
-	var deg uint32
-	_, err := g.LoadOutEdges(iv, []uint32{v}, func(_ uint32, nbrs []uint32) {
-		deg = uint32(len(nbrs))
-	})
-	return deg, err
 }

@@ -541,10 +541,7 @@ func (g *Graph) writeShadowAndManifest(foldedSeq uint64) error {
 		pairs []wpair
 	)
 	for iv, interval := range g.meta.Intervals {
-		verts = verts[:0]
-		for v := interval.Lo; v < interval.Hi; v++ {
-			verts = append(verts, v)
-		}
+		verts = interval.AppendVerts(verts[:0])
 		for side := range uint8(2) {
 			a.Reset(len(verts), g.meta.HasWeights)
 			if _, err := raw.fill(side, iv, verts, nil, &a); err != nil {

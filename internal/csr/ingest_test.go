@@ -165,11 +165,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err := g.ApplyMutations([]Mutation{{Del: true, Src: 0, Dst: 1}}, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	degSnap, err := snap.Graph().OutDegreeSlow(0)
+	degSnap, err := outDegree(snap.Graph(), 0)
 	if err != nil || degSnap != 2 { // base {1} + pinned add of 3
 		t.Fatalf("snapshot degree = %d (err %v), want 2", degSnap, err)
 	}
-	degLive, err := g.OutDegreeSlow(0)
+	degLive, err := outDegree(g, 0)
 	if err != nil || degLive != 2 { // {3, 4} after removing 1
 		t.Fatalf("live degree = %d (err %v), want 2", degLive, err)
 	}
@@ -282,11 +282,11 @@ func TestSameEpochAddDelCancels(t *testing.T) {
 	if p := g.PendingUpdates(); p != 4 {
 		t.Fatalf("pinned add was cancelled: pending = %d", p)
 	}
-	deg, err := snap.Graph().OutDegreeSlow(0)
+	deg, err := outDegree(snap.Graph(), 0)
 	if err != nil || deg != 2 {
 		t.Fatalf("snapshot lost its pinned add: degree = %d (err %v)", deg, err)
 	}
-	degLive, err := g.OutDegreeSlow(0)
+	degLive, err := outDegree(g, 0)
 	if err != nil || degLive != 1 {
 		t.Fatalf("live degree = %d (err %v), want 1", degLive, err)
 	}
@@ -351,21 +351,21 @@ func TestCrashMidMergeRecovery(t *testing.T) {
 			check := func(g *Graph, failAt int64, ctx string) {
 				t.Helper()
 				var got []graphio.WeightedEdge
+				var a Arena
 				for iv, interval := range g.Intervals() {
-					var verts []uint32
-					for v := interval.Lo; v < interval.Hi; v++ {
-						verts = append(verts, v)
+					verts := interval.AppendVerts(nil)
+					a.Reset(len(verts), g.HasWeights())
+					if _, err := g.FillOutEdges(iv, verts, nil, &a); err != nil {
+						t.Fatalf("failAt %d: %s: %v", failAt, ctx, err)
 					}
-					if _, err := g.LoadOutEdgesFull(iv, verts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-						for i, nb := range nbrs {
+					for i, v := range verts {
+						for j, nb := range a.Edges(i) {
 							e := graphio.WeightedEdge{Src: v, Dst: nb}
-							if weights != nil {
-								e.Weight = weights[i]
+							if weights := a.Weights(i); weights != nil {
+								e.Weight = weights[j]
 							}
 							got = append(got, e)
 						}
-					}); err != nil {
-						t.Fatalf("failAt %d: %s: %v", failAt, ctx, err)
 					}
 				}
 				slices.SortFunc(got, cmpWeighted)
@@ -476,7 +476,7 @@ func TestMergeFailureIsStickyUntilReopen(t *testing.T) {
 		if err := g.ApplyMutations([]Mutation{{Src: 0, Dst: 1}}, 1<<30); err == nil {
 			t.Fatal("mutation accepted on a failed graph")
 		}
-		if _, err := g.OutDegreeSlow(0); err == nil {
+		if _, err := outDegree(g, 0); err == nil {
 			t.Fatal("read served on a failed graph")
 		}
 		break
@@ -489,7 +489,7 @@ func TestMergeFailureIsStickyUntilReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after sticky failure: %v", err)
 	}
-	if _, err := g2.OutDegreeSlow(0); err != nil {
+	if _, err := outDegree(g2, 0); err != nil {
 		t.Fatalf("read after recovery: %v", err)
 	}
 }
@@ -517,15 +517,14 @@ func TestWeightedIngestMergeRoundTrip(t *testing.T) {
 	}
 	check := func(g *Graph, ctx string) {
 		t.Helper()
-		var ws map[uint32]uint32
-		_, err := g.LoadOutEdgesFull(g.IntervalOf(0), []uint32{0}, func(_ uint32, nbrs, weights []uint32, _, _ int32) {
-			ws = make(map[uint32]uint32, len(nbrs))
-			for i, nb := range nbrs {
-				ws[nb] = weights[i]
-			}
-		})
-		if err != nil {
+		var a Arena
+		a.Reset(1, true)
+		if _, err := g.FillOutEdges(g.IntervalOf(0), []uint32{0}, nil, &a); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
+		}
+		ws := make(map[uint32]uint32, a.Degree(0))
+		for i, nb := range a.Edges(0) {
+			ws[nb] = a.Weights(0)[i]
 		}
 		if ws[1] != 10 || ws[3] != 77 {
 			t.Fatalf("%s: weights = %v, want 1:10 3:77", ctx, ws)

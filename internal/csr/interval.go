@@ -45,6 +45,15 @@ func (iv Interval) Len() uint32 { return iv.Hi - iv.Lo }
 // Contains reports whether v lies in the interval.
 func (iv Interval) Contains(v uint32) bool { return v >= iv.Lo && v < iv.Hi }
 
+// AppendVerts appends the interval's vertices to dst in ascending order: the
+// vertex list of a fill that covers the whole interval.
+func (iv Interval) AppendVerts(dst []uint32) []uint32 {
+	for v := iv.Lo; v < iv.Hi; v++ {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
 
 // MsgBytes is the size of one logged update record <dst, src, data>,

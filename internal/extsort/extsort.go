@@ -11,6 +11,7 @@ package extsort
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 
 	"multilogvc/internal/ssd"
@@ -22,6 +23,25 @@ const RecordBytes = 12
 // Record is one update record.
 type Record struct {
 	Dst, Src, Data uint32
+}
+
+// PutRecord encodes r into b[:RecordBytes] in the on-device layout every
+// update log shares: dst, src and data as little-endian uint32s.
+func PutRecord(b []byte, r Record) {
+	_ = b[RecordBytes-1]
+	binary.LittleEndian.PutUint32(b, r.Dst)
+	binary.LittleEndian.PutUint32(b[4:], r.Src)
+	binary.LittleEndian.PutUint32(b[8:], r.Data)
+}
+
+// GetRecord decodes the record PutRecord encoded at the head of b.
+func GetRecord(b []byte) Record {
+	_ = b[RecordBytes-1]
+	return Record{
+		Dst:  binary.LittleEndian.Uint32(b),
+		Src:  binary.LittleEndian.Uint32(b[4:]),
+		Data: binary.LittleEndian.Uint32(b[8:]),
+	}
 }
 
 // Stats reports what the sort did.
@@ -275,13 +295,10 @@ func combineSorted(recs []Record, combine func(a, b uint32) uint32, st *Stats) [
 }
 
 func writeRec(w *ssd.Writer, r Record) error {
-	if err := w.WriteU32(r.Dst); err != nil {
-		return err
-	}
-	if err := w.WriteU32(r.Src); err != nil {
-		return err
-	}
-	return w.WriteU32(r.Data)
+	var b [RecordBytes]byte
+	PutRecord(b[:], r)
+	_, err := w.Write(b[:])
+	return err
 }
 
 // runReader streams one run during the merge.
@@ -305,17 +322,9 @@ func (rr *runReader) advance() bool {
 		rr.err = err
 		return false
 	}
-	rr.cur = Record{
-		Dst:  le32(rec[0:]),
-		Src:  le32(rec[4:]),
-		Data: le32(rec[8:]),
-	}
+	rr.cur = GetRecord(rec)
 	rr.remaining--
 	return true
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 type runHeap []*runReader

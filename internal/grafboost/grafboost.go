@@ -17,7 +17,6 @@ package grafboost
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"multilogvc/internal/bitset"
@@ -153,6 +152,13 @@ type run struct {
 	logCount uint64
 	sorted   []extsort.Record      // the superstep's messages not yet consumed
 	sends    *superstep.SendBuffer // the interval's sends on their way to the log
+
+	// The interval in progress, in buffers reused from interval to interval
+	// as core's vertexPlane reuses its own: every vertex of the interval and
+	// its out-edges at position v−Lo, and the active set's in-edge sources
+	// at their position in the set (AuxUser programs).
+	ivVerts []uint32
+	out, in csr.Arena
 }
 
 func (r *run) Pending() bool { return r.carry.Any() || r.logCount > 0 }
@@ -199,11 +205,7 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 			if err := rd.ReadFull(rec[:]); err != nil {
 				return err
 			}
-			if err := yield(extsort.Record{
-				Dst:  binary.LittleEndian.Uint32(rec[0:]),
-				Src:  binary.LittleEndian.Uint32(rec[4:]),
-				Data: binary.LittleEndian.Uint32(rec[8:]),
-			}); err != nil {
+			if err := yield(extsort.GetRecord(rec[:])); err != nil {
 				return err
 			}
 		}
@@ -221,11 +223,11 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 // appendLog writes message records to the next superstep's log and returns
 // how many it wrote in full.
 func (r *run) appendLog(recs []extsort.Record) (int, error) {
+	var b [extsort.RecordBytes]byte
 	for i, rec := range recs {
-		for _, word := range [3]uint32{rec.Dst, rec.Src, rec.Data} {
-			if err := r.logW.WriteU32(word); err != nil {
-				return i, err
-			}
+		extsort.PutRecord(b[:], rec)
+		if _, err := r.logW.Write(b[:]); err != nil {
+			return i, err
 		}
 		r.logCount++
 	}
@@ -239,22 +241,21 @@ type ivRun struct {
 	step int
 	ss   *metrics.SuperstepStats
 
-	adj       map[uint32][]uint32
-	adjW      map[uint32][]uint32 // nil for unweighted graphs
-	vb        *csr.ValueBatch
-	auxBatch  *csr.AuxBatch // nil unless prog is a vc.AuxUser
-	inSources map[uint32][]uint32
+	lo       uint32 // the interval's first vertex: position 0 of r.out
+	vb       *csr.ValueBatch
+	auxBatch *csr.AuxBatch // nil unless prog is a vc.AuxUser
 }
 
 func (ir *ivRun) process() error {
 	e, g := ir.eng, ir.eng.g
 	interval := g.Intervals()[ir.iv]
+	ir.lo = interval.Lo
 	// The whole-graph streaming scan, value loads, and message-log appends
 	// are vertex-processing IO on this interval.
 	prevS, prevIv := e.sc.SetStage(obsv.StageVertex, ir.iv)
 	defer e.sc.SetStage(prevS, prevIv)
 
-	if err := ir.loadAdjacency(); err != nil {
+	if err := ir.loadAdjacency(ir.iv); err != nil {
 		return err
 	}
 	// This interval's messages from the sorted stream.
@@ -278,10 +279,8 @@ func (ir *ivRun) process() error {
 		if ir.auxBatch, _, err = ir.aux.LoadBatch(ir.iv, verts); err != nil {
 			return err
 		}
-		ir.inSources = make(map[uint32][]uint32)
-		if _, err := g.LoadInEdges(ir.iv, verts, func(v uint32, srcs []uint32) {
-			ir.inSources[v] = append(make([]uint32, 0, len(srcs)), srcs...)
-		}); err != nil {
+		ir.in.Reset(len(verts), false)
+		if _, err := g.FillInEdges(ir.iv, verts, nil, &ir.in); err != nil {
 			return err
 		}
 	}
@@ -294,14 +293,14 @@ func (ir *ivRun) process() error {
 	halted := make([]bool, len(verts))
 	work := len(msgs)
 	for _, v := range verts {
-		work += len(ir.adj[v])
+		work += ir.out.Degree(int(v - interval.Lo))
 	}
 	if err := superstep.ForEach(e.cfg.Workers, len(verts), work, func(w, lo, hi int) error {
 		ctx := &gbCtx{ir: ir, w: w}
 		var msgBuf []vc.Msg
 		for i := lo; i < hi; i++ {
 			msgBuf = superstep.AppendMsgs(msgBuf[:0], msgs[ranges[i][0]:ranges[i][1]])
-			ctx.vertex = verts[i]
+			ctx.vertex, ctx.pos = verts[i], i
 			ctx.haltedFlag = &halted[i]
 			ir.prog.Process(ctx, msgBuf)
 		}
@@ -327,24 +326,13 @@ func (ir *ivRun) process() error {
 	return nil
 }
 
-// loadAdjacency streams the interval's full adjacency (whole-graph scan).
-func (ir *ivRun) loadAdjacency() error {
-	g := ir.eng.g
-	interval := g.Intervals()[ir.iv]
-	allVerts := make([]uint32, 0, interval.Len())
-	for v := interval.Lo; v < interval.Hi; v++ {
-		allVerts = append(allVerts, v)
-	}
-	ir.adj = make(map[uint32][]uint32, len(allVerts))
-	if g.HasWeights() {
-		ir.adjW = make(map[uint32][]uint32, len(allVerts))
-	}
-	_, err := g.LoadOutEdgesFull(ir.iv, allVerts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-		ir.adj[v] = append(make([]uint32, 0, len(nbrs)), nbrs...)
-		if ir.adjW != nil {
-			ir.adjW[v] = append(make([]uint32, 0, len(weights)), weights...)
-		}
-	})
+// loadAdjacency streams interval iv's full adjacency (whole-graph scan) into
+// r.out, vertex v's list at position v−Lo.
+func (r *run) loadAdjacency(iv int) error {
+	g := r.eng.g
+	r.ivVerts = g.Intervals()[iv].AppendVerts(r.ivVerts[:0])
+	r.out.Reset(len(r.ivVerts), g.HasWeights())
+	_, err := g.FillOutEdges(iv, r.ivVerts, nil, &r.out)
 	return err
 }
 
@@ -353,20 +341,26 @@ type gbCtx struct {
 	ir *ivRun
 
 	vertex     uint32
+	pos        int // the vertex's position in the active set
 	haltedFlag *bool
 	w          int // worker index: its bucket of ir.sends
 }
 
-func (c *gbCtx) Superstep() int          { return c.ir.step }
-func (c *gbCtx) NumVertices() uint32     { return c.ir.eng.g.NumVertices() }
-func (c *gbCtx) Vertex() uint32          { return c.vertex }
-func (c *gbCtx) Value() uint32           { return c.ir.vb.Get(c.vertex) }
-func (c *gbCtx) SetValue(v uint32)       { c.ir.vb.Set(c.vertex, v) }
-func (c *gbCtx) VoteToHalt()             { *c.haltedFlag = true }
-func (c *gbCtx) OutEdges() []uint32      { return c.ir.adj[c.vertex] }
-func (c *gbCtx) OutWeights() []uint32    { return c.ir.adjW[c.vertex] }
-func (c *gbCtx) InEdgeSources() []uint32 { return c.ir.inSources[c.vertex] }
-func (c *gbCtx) Send(dst, data uint32)   { c.ir.sends.Send(c.w, c.vertex, dst, data) }
+func (c *gbCtx) Superstep() int        { return c.ir.step }
+func (c *gbCtx) NumVertices() uint32   { return c.ir.eng.g.NumVertices() }
+func (c *gbCtx) Vertex() uint32        { return c.vertex }
+func (c *gbCtx) Value() uint32         { return c.ir.vb.Get(c.vertex) }
+func (c *gbCtx) SetValue(v uint32)     { c.ir.vb.Set(c.vertex, v) }
+func (c *gbCtx) VoteToHalt()           { *c.haltedFlag = true }
+func (c *gbCtx) OutEdges() []uint32    { return c.ir.out.Edges(int(c.vertex - c.ir.lo)) }
+func (c *gbCtx) OutWeights() []uint32  { return c.ir.out.Weights(int(c.vertex - c.ir.lo)) }
+func (c *gbCtx) Send(dst, data uint32) { c.ir.sends.Send(c.w, c.vertex, dst, data) }
+func (c *gbCtx) InEdgeSources() []uint32 {
+	if c.ir.aux == nil {
+		return nil
+	}
+	return c.ir.in.Edges(c.pos)
+}
 func (c *gbCtx) Aux() []uint32 {
 	if c.ir.auxBatch == nil {
 		return nil

@@ -79,7 +79,7 @@ func TestGraFBoostAdaptedColoring(t *testing.T) {
 func TestGraFBoostAdaptedMIS(t *testing.T) {
 	edges, n := rmatEdges(t, 8, 6, 23)
 	res := runBoth(t, edges, n, &apps.MIS{Seed: 5}, 100, Config{Adapted: true})
-	adj := make(map[uint32][]uint32)
+	adj := make([][]uint32, n)
 	for _, e := range edges {
 		adj[e.Src] = append(adj[e.Src], e.Dst)
 	}

@@ -24,8 +24,9 @@ import (
 	"multilogvc/internal/ssd"
 )
 
-// RecordBytes is the on-device size of one logged update.
-const RecordBytes = 12
+// RecordBytes is the on-device size of one logged update, encoded by
+// extsort.PutRecord.
+const RecordBytes = extsort.RecordBytes
 
 // Record is one logged update in memory: what AppendRecs takes and ReadRecs
 // gives back, and the record the sort-and-group unit sorts.
@@ -185,10 +186,7 @@ func (l *Log) put(iv int, r Record) bool {
 	if t.page == nil {
 		t.page, t.fill = l.bufs.page(l.pageSize), pageHeader
 	}
-	rec := t.page[t.fill : t.fill+RecordBytes]
-	binary.LittleEndian.PutUint32(rec, r.Dst)
-	binary.LittleEndian.PutUint32(rec[4:], r.Src)
-	binary.LittleEndian.PutUint32(rec[8:], r.Data)
+	extsort.PutRecord(t.page[t.fill:], r)
 	t.fill += RecordBytes
 	l.count[iv]++
 	if t.fill+RecordBytes <= l.pageSize {
@@ -325,7 +323,7 @@ func (l *Log) Total() uint64 {
 func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
 	return l.readPages(interval, func(enc []byte) {
 		for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
-			r := decodeRecord(enc)
+			r := extsort.GetRecord(enc)
 			fn(r.Dst, r.Src, r.Data)
 		}
 	})
@@ -395,20 +393,10 @@ func pageRecords(page []byte, remaining uint64) ([]byte, error) {
 	return page[pageHeader : pageHeader+int(inPage)*RecordBytes], nil
 }
 
-// decodeRecord decodes the record at the head of enc.
-func decodeRecord(enc []byte) Record {
-	_ = enc[RecordBytes-1]
-	return Record{
-		Dst:  binary.LittleEndian.Uint32(enc),
-		Src:  binary.LittleEndian.Uint32(enc[4:]),
-		Data: binary.LittleEndian.Uint32(enc[8:]),
-	}
-}
-
 // appendRecords decodes a whole number of encoded records onto recs.
 func appendRecords(recs []Record, enc []byte) []Record {
 	for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
-		recs = append(recs, decodeRecord(enc))
+		recs = append(recs, extsort.GetRecord(enc))
 	}
 	return recs
 }

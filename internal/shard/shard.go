@@ -70,23 +70,24 @@ func Build(g *csr.Graph, name string, initVal uint32) (*Store, error) {
 	dev, ivs := g.Device(), g.Intervals()
 	s := &Store{dev: dev, name: name, ivs: ivs, n: g.NumVertices()}
 	var verts []uint32
+	var in csr.Arena
 	var bucket []graphio.WeightedEdge
 	for k, iv := range ivs {
-		verts = verts[:0]
-		for v := iv.Lo; v < iv.Hi; v++ {
-			verts = append(verts, v)
+		verts = iv.AppendVerts(verts[:0])
+		in.Reset(len(verts), g.HasWeights())
+		if _, err := g.FillInEdges(k, verts, nil, &in); err != nil {
+			return nil, err
 		}
 		bucket = bucket[:0]
-		if _, err := g.LoadInEdgesFull(k, verts, func(dst uint32, srcs, weights []uint32, _, _ int32) {
-			for i, src := range srcs {
+		for i, dst := range verts {
+			weights := in.Weights(i)
+			for j, src := range in.Edges(i) {
 				e := graphio.WeightedEdge{Src: src, Dst: dst}
 				if weights != nil {
-					e.Weight = weights[i]
+					e.Weight = weights[j]
 				}
 				bucket = append(bucket, e)
 			}
-		}); err != nil {
-			return nil, err
 		}
 		slices.SortFunc(bucket, func(a, b graphio.WeightedEdge) int {
 			if c := cmp.Compare(uint64(a.Src)<<32|uint64(a.Dst), uint64(b.Src)<<32|uint64(b.Dst)); c != 0 {
