@@ -119,13 +119,6 @@ func (s *Set) AnyInRange(lo, hi int) bool {
 	return s.words[hiW]&(^uint64(0)>>(wordBits-1-uint(hi-1)%wordBits)) != 0
 }
 
-// CountInRange returns the number of set bits in [lo, hi).
-func (s *Set) CountInRange(lo, hi int) int {
-	c := 0
-	s.RangeInRange(lo, hi, func(int) bool { c++; return true })
-	return c
-}
-
 // Range calls fn for each set bit in ascending order. If fn returns false,
 // iteration stops.
 func (s *Set) Range(fn func(i int) bool) {
@@ -166,41 +159,11 @@ func (s *Set) RangeInRange(lo, hi int, fn func(i int) bool) {
 	}
 }
 
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
 // Or sets s to the bitwise OR of s and t. Panics if lengths differ.
 func (s *Set) Or(t *Set) {
 	s.checkLen(t)
 	for i, w := range t.words {
 		s.words[i] |= w
-	}
-}
-
-// And sets s to the bitwise AND of s and t. Panics if lengths differ.
-func (s *Set) And(t *Set) {
-	s.checkLen(t)
-	for i, w := range t.words {
-		s.words[i] &= w
 	}
 }
 
@@ -210,12 +173,6 @@ func (s *Set) AndNot(t *Set) {
 	for i, w := range t.words {
 		s.words[i] &^= w
 	}
-}
-
-// CopyFrom overwrites s with the contents of t. Panics if lengths differ.
-func (s *Set) CopyFrom(t *Set) {
-	s.checkLen(t)
-	copy(s.words, t.words)
 }
 
 // Words returns a copy of the set's backing 64-bit words, for

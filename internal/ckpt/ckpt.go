@@ -24,7 +24,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -34,6 +33,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 const (
@@ -58,11 +58,6 @@ var ErrCorrupt = errors.New("ckpt: checkpoint corrupt")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// MsgRec is one pending multi-log message.
-type MsgRec struct {
-	Dst, Src, Data uint32
-}
-
 // ElogEntry is one vertex's re-logged adjacency.
 type ElogEntry struct {
 	V       uint32
@@ -86,7 +81,7 @@ type State struct {
 	Values []uint32 // vertex values, one per vertex
 
 	// Multi-log: the current generation's pending messages, per interval.
-	Msgs [][]MsgRec
+	Msgs [][]vc.Msg
 
 	// Edge log: current generation, nil when the optimizer is disabled.
 	Elog []ElogEntry
@@ -149,19 +144,32 @@ func Save(dev *ssd.Device, prefix string, st *State) error {
 	}
 
 	// 3. Manifest — the commit point.
-	var m [manifestBytes]byte
-	binary.LittleEndian.PutUint32(m[0:], magic)
-	binary.LittleEndian.PutUint32(m[4:], version)
-	binary.LittleEndian.PutUint64(m[8:], st.Seq)
-	binary.LittleEndian.PutUint64(m[16:], uint64(st.Step))
-	binary.LittleEndian.PutUint64(m[24:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(m[32:], crc32.Checksum(payload, crcTable))
-	binary.LittleEndian.PutUint32(m[36:], crc32.Checksum(m[:36], crcTable))
+	m := manifest{magic: magic, version: version, seq: st.Seq, step: uint64(st.Step),
+		plen: uint64(len(payload)), crc: crc32.Checksum(payload, crcTable)}
+	c := &codec{write: true}
+	m.walk(c)
 	mw := ssd.NewWriter(meta)
-	if _, err := mw.Write(m[:]); err != nil {
+	if _, err := mw.Write(binary.LittleEndian.AppendUint32(c.buf, crc32.Checksum(c.buf, crcTable))); err != nil {
 		return err
 	}
 	return mw.Close()
+}
+
+// manifest is a slot's commit record. On the device it is followed by a
+// CRC of its own bytes, which makes manifestBytes.
+type manifest struct {
+	magic, version  uint32
+	seq, step, plen uint64 // plen: payload length
+	crc             uint32 // payload CRC
+}
+
+func (m *manifest) walk(c *codec) {
+	c.u32(&m.magic)
+	c.u32(&m.version)
+	c.u64(&m.seq)
+	c.u64(&m.step)
+	c.u64(&m.plen)
+	c.u32(&m.crc)
 }
 
 // GCStale removes the checkpoint slot NOT holding sequence newestSeq —
@@ -226,8 +234,8 @@ func loadSlot(dev *ssd.Device, prefix string, slot uint64) (st *State, corrupt b
 	if merr != nil || derr != nil || meta.NumPages() == 0 {
 		return nil, false, nil // interrupted or never-written commit
 	}
-	var m [manifestBytes]byte
-	if err := meta.ReadAt(m[:], 0); err != nil {
+	var raw [manifestBytes]byte
+	if err := meta.ReadAt(raw[:], 0); err != nil {
 		if errors.Is(err, ssd.ErrCorruptPage) {
 			// A manifest page failing its device checksum is corruption
 			// evidence, not an interrupted commit — keep scanning slots.
@@ -235,258 +243,206 @@ func loadSlot(dev *ssd.Device, prefix string, slot uint64) (st *State, corrupt b
 		}
 		return nil, false, err
 	}
-	if binary.LittleEndian.Uint32(m[0:]) != magic ||
-		binary.LittleEndian.Uint32(m[4:]) != version ||
-		binary.LittleEndian.Uint32(m[36:]) != crc32.Checksum(m[:36], crcTable) {
+	var m manifest
+	body := raw[:manifestBytes-4]
+	m.walk(&codec{buf: body})
+	if m.magic != magic || m.version != version ||
+		binary.LittleEndian.Uint32(raw[len(body):]) != crc32.Checksum(body, crcTable) {
 		return nil, false, nil // torn manifest: commit never completed
 	}
-	seq := binary.LittleEndian.Uint64(m[8:])
-	step := int(binary.LittleEndian.Uint64(m[16:]))
-	plen := binary.LittleEndian.Uint64(m[24:])
-	wantCRC := binary.LittleEndian.Uint32(m[32:])
 	ps := uint64(dev.PageSize())
-	if plen == 0 || uint64(data.NumPages())*ps < plen {
+	if m.plen == 0 || uint64(data.NumPages())*ps < m.plen {
 		return nil, true, nil // committed manifest, missing payload
 	}
-	payload := make([]byte, plen)
+	payload := make([]byte, m.plen)
 	if err := data.ReadAt(payload, 0); err != nil {
 		if errors.Is(err, ssd.ErrCorruptPage) {
 			return nil, true, nil // corrupt payload page: try the other slot
 		}
 		return nil, false, err
 	}
-	if crc32.Checksum(payload, crcTable) != wantCRC {
+	if crc32.Checksum(payload, crcTable) != m.crc {
 		return nil, true, nil
 	}
 	st, err = decode(payload)
 	if err != nil {
 		return nil, true, nil // undecodable despite CRC
 	}
-	st.Seq = seq
-	st.Step = step
+	st.Seq = m.seq
+	st.Step = int(m.step)
 	return st, false, nil
 }
 
-// encode serializes the state as a little-endian binary stream. The
-// superstep stats ride along as a JSON blob — they are report metadata,
-// not hot-path data, and JSON keeps them schema-stable.
+// encode serializes the state as a little-endian binary stream.
 func encode(st *State) ([]byte, error) {
-	var b bytes.Buffer
-	putStr := func(s string) {
-		putU32(&b, uint32(len(s)))
-		b.WriteString(s)
-	}
-	putStr(st.App)
-	putStr(st.Graph)
-	putU32(&b, st.NumVertices)
-	putU64(&b, st.CumProcessed)
-
-	putU32(&b, uint32(len(st.Carry)))
-	for _, w := range st.Carry {
-		putU64(&b, w)
-	}
-	putU32(&b, uint32(len(st.Values)))
-	for _, v := range st.Values {
-		putU32(&b, v)
-	}
-
-	putU32(&b, uint32(len(st.Msgs)))
-	for _, recs := range st.Msgs {
-		putU32(&b, uint32(len(recs)))
-		for _, r := range recs {
-			putU32(&b, r.Dst)
-			putU32(&b, r.Src)
-			putU32(&b, r.Data)
-		}
-	}
-
-	putU32(&b, uint32(len(st.Elog)))
-	for _, e := range st.Elog {
-		putU32(&b, e.V)
-		putU32(&b, uint32(len(e.Nbrs)))
-		for _, nb := range e.Nbrs {
-			putU32(&b, nb)
-		}
-		if e.Weights != nil {
-			putU32(&b, 1)
-			for _, w := range e.Weights {
-				putU32(&b, w)
-			}
-		} else {
-			putU32(&b, 0)
-		}
-	}
-
-	if st.PredActive == nil {
-		putU32(&b, 0)
-	} else {
-		putU32(&b, 1)
-		putU32(&b, uint32(len(st.PredActive)))
-		for _, w := range st.PredActive {
-			putU64(&b, w)
-		}
-		putU32(&b, uint32(len(st.PredIneff)))
-		for _, k := range st.PredIneff {
-			b.WriteByte(k.Side)
-			putU32(&b, uint32(k.Interval))
-			putU32(&b, uint32(k.Page))
-		}
-	}
-
-	putU32(&b, uint32(len(st.Aux)))
-	for _, vals := range st.Aux {
-		putU32(&b, uint32(len(vals)))
-		for _, v := range vals {
-			putU32(&b, v)
-		}
-	}
-
-	stats, err := json.Marshal(st.Supersteps)
-	if err != nil {
-		return nil, err
-	}
-	putU32(&b, uint32(len(stats)))
-	b.Write(stats)
-	return b.Bytes(), nil
+	c := &codec{write: true}
+	err := st.walk(c)
+	return c.buf, err
 }
 
+// decode parses what encode wrote.
 func decode(payload []byte) (*State, error) {
-	r := &reader{buf: payload}
 	st := &State{}
-	st.App = r.str()
-	st.Graph = r.str()
-	st.NumVertices = r.u32()
-	st.CumProcessed = r.u64()
-
-	st.Carry = make([]uint64, r.u32())
-	for i := range st.Carry {
-		st.Carry[i] = r.u64()
-	}
-	st.Values = make([]uint32, r.u32())
-	for i := range st.Values {
-		st.Values[i] = r.u32()
-	}
-
-	st.Msgs = make([][]MsgRec, r.u32())
-	for i := range st.Msgs {
-		recs := make([]MsgRec, r.u32())
-		for j := range recs {
-			recs[j] = MsgRec{Dst: r.u32(), Src: r.u32(), Data: r.u32()}
-		}
-		st.Msgs[i] = recs
-	}
-
-	st.Elog = make([]ElogEntry, r.u32())
-	for i := range st.Elog {
-		e := ElogEntry{V: r.u32()}
-		e.Nbrs = make([]uint32, r.u32())
-		for j := range e.Nbrs {
-			e.Nbrs[j] = r.u32()
-		}
-		if r.u32() == 1 {
-			e.Weights = make([]uint32, len(e.Nbrs))
-			for j := range e.Weights {
-				e.Weights[j] = r.u32()
-			}
-		}
-		st.Elog[i] = e
-	}
-
-	if r.u32() == 1 {
-		st.PredActive = make([]uint64, r.u32())
-		for i := range st.PredActive {
-			st.PredActive[i] = r.u64()
-		}
-		st.PredIneff = make([]csr.PageKey, r.u32())
-		for i := range st.PredIneff {
-			st.PredIneff[i] = csr.PageKey{
-				Side:     r.byte(),
-				Interval: int32(r.u32()),
-				Page:     int32(r.u32()),
-			}
-		}
-	}
-
-	st.Aux = make([][]uint32, r.u32())
-	if len(st.Aux) == 0 {
-		st.Aux = nil
-	}
-	for i := range st.Aux {
-		vals := make([]uint32, r.u32())
-		for j := range vals {
-			vals[j] = r.u32()
-		}
-		st.Aux[i] = vals
-	}
-
-	stats := r.bytes(int(r.u32()))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(stats) > 0 {
-		if err := json.Unmarshal(stats, &st.Supersteps); err != nil {
-			return nil, err
-		}
+	if err := st.walk(&codec{buf: payload}); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
-func putU32(b *bytes.Buffer, v uint32) {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	b.Write(t[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	b.Write(t[:])
-}
-
-// reader decodes the payload with sticky error handling: after the first
-// short read every accessor returns zero values and err stays set.
-type reader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.pos+n > len(r.buf) {
-		if r.err == nil {
-			r.err = fmt.Errorf("ckpt: truncated payload at %d(+%d)/%d", r.pos, n, len(r.buf))
+// walk is the payload's one declaration: every field in its order on the
+// device, each slice behind a u32 length. A reading codec fills st, a
+// writing one serializes it. The superstep stats ride along as a JSON
+// blob — they are report metadata, not hot-path data, and JSON keeps them
+// schema-stable.
+func (st *State) walk(c *codec) error {
+	c.str(&st.App)
+	c.str(&st.Graph)
+	c.u32(&st.NumVertices)
+	c.u64(&st.CumProcessed)
+	walkSlice(c, &st.Carry, 8, c.u64)
+	walkSlice(c, &st.Values, 4, c.u32)
+	walkSlice(c, &st.Msgs, 4, func(recs *[]vc.Msg) {
+		walkSlice(c, recs, 12, func(m *vc.Msg) {
+			c.u32(&m.Dst)
+			c.u32(&m.Src)
+			c.u32(&m.Data)
+		})
+	})
+	walkSlice(c, &st.Elog, 12, func(e *ElogEntry) {
+		c.u32(&e.V)
+		walkSlice(c, &e.Nbrs, 4, c.u32)
+		if c.flag(e.Weights != nil) {
+			walkFixed(c, &e.Weights, len(e.Nbrs), 4, c.u32)
 		}
+	})
+	if c.flag(st.PredActive != nil) {
+		walkSlice(c, &st.PredActive, 8, c.u64)
+		walkSlice(c, &st.PredIneff, 9, func(k *csr.PageKey) {
+			iv, page := uint32(k.Interval), uint32(k.Page)
+			c.u8(&k.Side)
+			c.u32(&iv)
+			c.u32(&page)
+			k.Interval, k.Page = int32(iv), int32(page)
+		})
+	}
+	walkSlice(c, &st.Aux, 4, func(vals *[]uint32) { walkSlice(c, vals, 4, c.u32) })
+	if !c.write && len(st.Aux) == 0 {
+		st.Aux = nil
+	}
+
+	var stats []byte
+	if c.write {
+		var err error
+		if stats, err = json.Marshal(st.Supersteps); err != nil {
+			return err
+		}
+	}
+	c.bytes(&stats)
+	if c.err != nil || c.write || len(stats) == 0 {
+		return c.err
+	}
+	return json.Unmarshal(stats, &st.Supersteps)
+}
+
+// codec walks a checkpoint's bytes in one direction. Writing, each field
+// it is handed is appended to buf; reading, each is filled from the head
+// of buf. After a short read err is set and every later field reads as
+// zero.
+type codec struct {
+	write bool
+	buf   []byte
+	err   error
+}
+
+// fits reports whether n elements of at least size bytes each can follow
+// in a reading codec, and fails it when they cannot: a length prefix is
+// checked against the bytes left before anything is allocated for it.
+func (c *codec) fits(n, size int) bool {
+	if c.err == nil && uint64(n)*uint64(size) > uint64(len(c.buf)) {
+		c.err = fmt.Errorf("ckpt: truncated payload: %d×%d bytes wanted, %d left", n, size, len(c.buf))
+	}
+	return c.err == nil
+}
+
+// take consumes the next n bytes of a reading codec.
+func (c *codec) take(n int) []byte {
+	if !c.fits(n, 1) {
 		return nil
 	}
-	out := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return out
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
 }
 
-func (r *reader) byte() uint8 {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
+// flag walks a u32 that is 1 when an optional section follows.
+func (c *codec) flag(present bool) bool {
+	var f uint32
+	if present {
+		f = 1
 	}
-	return b[0]
+	c.u32(&f)
+	return f == 1
 }
 
-func (r *reader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
+func (c *codec) u8(v *uint8) {
+	if c.write {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-func (r *reader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
+func (c *codec) u32(v *uint32) {
+	if c.write {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *reader) str() string {
-	return string(r.bytes(int(r.u32())))
+func (c *codec) u64(v *uint64) {
+	if c.write {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// bytes walks a u32 length and that many bytes; reading, *b aliases buf.
+func (c *codec) bytes(b *[]byte) {
+	n := uint32(len(*b))
+	if c.u32(&n); c.write {
+		c.buf = append(c.buf, *b...)
+	} else {
+		*b = c.take(int(n))
+	}
+}
+
+func (c *codec) str(s *string) {
+	b := []byte(*s)
+	if c.bytes(&b); !c.write {
+		*s = string(b)
+	}
+}
+
+// walkSlice walks a u32 length and then each element of *s; every element
+// takes at least size bytes.
+func walkSlice[T any](c *codec, s *[]T, size int, elem func(*T)) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	walkFixed(c, s, int(n), size, elem)
+}
+
+// walkFixed walks the n elements of *s. Reading, it allocates *s only
+// once the bytes left can hold them.
+func walkFixed[T any](c *codec, s *[]T, n, size int, elem func(*T)) {
+	if !c.write {
+		if !c.fits(n, size) {
+			return
+		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(&(*s)[i])
+	}
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 func testDev(t *testing.T) *ssd.Device {
@@ -30,7 +32,7 @@ func sampleState(seq uint64, step int) *State {
 		CumProcessed: 4242,
 		Carry:        []uint64{0xdeadbeef, 0, 0xffffffffffffffff},
 		Values:       []uint32{1, 2, 3, 0xffffffff},
-		Msgs: [][]MsgRec{
+		Msgs: [][]vc.Msg{
 			{{Dst: 1, Src: 2, Data: 3}, {Dst: 4, Src: 5, Data: 6}},
 			{},
 			{{Dst: 7, Src: 8, Data: 9}},
@@ -346,7 +348,7 @@ func TestEmptyOptionalSections(t *testing.T) {
 		NumVertices: 4,
 		Carry:       []uint64{0},
 		Values:      []uint32{0, 1, 2, 3},
-		Msgs:        [][]MsgRec{{}},
+		Msgs:        [][]vc.Msg{{}},
 	}
 	if err := Save(dev, "g.bfs", want); err != nil {
 		t.Fatal(err)
@@ -382,7 +384,7 @@ func TestDecodePR19StatsPayload(t *testing.T) {
 	// The stats section is the payload's tail: a u32 length and the JSON.
 	// With no supersteps that JSON is "null"; swap in the old-format text.
 	var tail bytes.Buffer
-	putU32(&tail, uint32(len(pr19Stats)))
+	tail.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(pr19Stats))))
 	tail.WriteString(pr19Stats)
 	payload = append(payload[:len(payload)-len("null")-4], tail.Bytes()...)
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"multilogvc/internal/csr"
-	"multilogvc/internal/extsort"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/sortgroup"
@@ -286,8 +285,10 @@ func (b *batch) processVertices() error {
 			ctx := &b.ctxs[w]
 			ctx.b, ctx.w = b, w
 			for i := start + lo; i < start+hi; i++ {
-				ctx.msgBuf = superstep.AppendMsgs(ctx.msgBuf[:0], recs[ranges[i][0]:ranges[i][1]])
-				msgs := ctx.msgBuf
+				msgs := recs[ranges[i][0]:ranges[i][1]]
+				// The combiner folds in place, into the vertex's first record:
+				// vertex ranges are disjoint, so no other worker reads them,
+				// and nothing reads the batch's records after the vertex stage.
 				if b.combiner != nil && len(msgs) > 1 {
 					acc := msgs[0].Data
 					for _, m := range msgs[1:] {
@@ -349,7 +350,7 @@ func (b *batch) drainSends() error {
 // processed this superstep (a forward send). Consecutive sends bound for the
 // same generation go to it as one run. It returns how many records were
 // logged, which falls short of len(recs) only beside an error.
-func (b *batch) logSends(recs []extsort.Record) (int, error) {
+func (b *batch) logSends(recs []vc.Msg) (int, error) {
 	ivs := b.sendIvs[:0]
 	for _, rec := range recs {
 		ivs = append(ivs, int32(b.g.IntervalOf(rec.Dst)))
@@ -431,7 +432,6 @@ type engineCtx struct {
 	pos    int // the processed vertex's position in b.verts
 	vertex uint32
 	muts   []vc.Mutation
-	msgBuf []vc.Msg // the processed vertex's messages
 }
 
 func (c *engineCtx) Superstep() int      { return c.b.step }

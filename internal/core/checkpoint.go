@@ -11,6 +11,7 @@ import (
 	"multilogvc/internal/mlog"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 // Fault-tolerance policies of a run, all optional and all outside the
@@ -66,13 +67,12 @@ func (r *run) restore(rst *ckpt.State) error {
 			len(rst.Msgs), r.curLog.NumIntervals())
 	}
 	var ivs []int32
-	var recs []mlog.Record
 	for iv, msgs := range rst.Msgs {
-		ivs, recs = ivs[:0], recs[:0]
-		for _, m := range msgs {
-			ivs, recs = append(ivs, int32(iv)), append(recs, mlog.Record(m))
+		ivs = ivs[:0]
+		for range msgs {
+			ivs = append(ivs, int32(iv))
 		}
-		if _, err := r.curLog.AppendRecs(ivs, recs); err != nil {
+		if _, err := r.curLog.AppendRecs(ivs, msgs); err != nil {
 			return err
 		}
 	}
@@ -129,17 +129,11 @@ func (r *run) checkpoint(step int, ss *metrics.SuperstepStats) error {
 	if st.Values, err = r.values.LoadAll(); err != nil {
 		return err
 	}
-	st.Msgs = make([][]ckpt.MsgRec, r.curLog.NumIntervals())
-	var recs []mlog.Record
+	st.Msgs = make([][]vc.Msg, r.curLog.NumIntervals())
 	for iv := range st.Msgs {
-		if recs, err = r.curLog.ReadRecs(iv, recs[:0]); err != nil {
+		if st.Msgs[iv], err = r.curLog.ReadRecs(iv, make([]vc.Msg, 0, r.curLog.Count(iv))); err != nil {
 			return err
 		}
-		msgs := make([]ckpt.MsgRec, len(recs))
-		for i, rec := range recs {
-			msgs[i] = ckpt.MsgRec(rec)
-		}
-		st.Msgs[iv] = msgs
 	}
 	if r.elog != nil {
 		if err := r.snapshotElog(st, ss); err != nil {

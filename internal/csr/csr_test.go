@@ -393,10 +393,7 @@ func TestValues(t *testing.T) {
 		}
 	}
 	// Unaligned store crossing a page boundary (page = 64 values).
-	vals := []uint32{1, 2, 3, 4, 5}
-	if err := vv.StoreRange(62, vals); err != nil {
-		t.Fatal(err)
-	}
+	storeRange(t, vv, 62, []uint32{1, 2, 3, 4, 5})
 	got, err := vv.LoadRange(60, 70)
 	if err != nil {
 		t.Fatal(err)
@@ -410,33 +407,32 @@ func TestValues(t *testing.T) {
 	if _, err := vv.LoadRange(90, 101); err == nil {
 		t.Fatal("out-of-range load should fail")
 	}
-	if err := vv.StoreRange(99, []uint32{1, 2}); err == nil {
-		t.Fatal("out-of-range store should fail")
-	}
 	if _, err := vv.LoadRange(5, 5); err != nil {
 		t.Fatal("empty range should succeed")
 	}
 }
 
-func TestOpenValues(t *testing.T) {
-	dev := testDev(t)
-	if _, err := CreateValues(dev, "vals", 10, 3); err != nil {
-		t.Fatal(err)
+// storeRange writes vals to slots [lo, lo+len(vals)) through a value batch.
+func storeRange(t *testing.T, vv *Values, lo uint32, vals []uint32) {
+	t.Helper()
+	verts := make([]uint32, len(vals))
+	for i := range verts {
+		verts[i] = lo + uint32(i)
 	}
-	vv, err := OpenValues(dev, "vals", 10)
+	b, _, err := vv.LoadForVerts(verts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := vv.LoadRange(0, 10)
-	if got[9] != 3 {
-		t.Fatalf("reopened values = %v", got)
+	for i, v := range vals {
+		b.Set(verts[i], v)
 	}
-	if _, err := OpenValues(dev, "missing", 10); err == nil {
-		t.Fatal("OpenValues of missing file should fail")
+	if _, err := b.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// Property: StoreRange/LoadRange behave like an in-memory array.
+// Property: stores through a value batch and LoadRange behave like an
+// in-memory array.
 func TestQuickValues(t *testing.T) {
 	dev := ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2})
 	const n = 500
@@ -453,9 +449,7 @@ func TestQuickValues(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint32()
 		}
-		if err := vv.StoreRange(lo, vals); err != nil {
-			t.Fatal(err)
-		}
+		storeRange(t, vv, lo, vals)
 		copy(ref[lo:], vals)
 		qlo := uint32(rng.Intn(n))
 		qhi := qlo + uint32(rng.Intn(n-int(qlo)))

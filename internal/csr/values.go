@@ -57,15 +57,6 @@ func CreateValues(dev *ssd.Device, name string, n uint32, init uint32) (*Values,
 	return &Values{dev: dev, f: f, n: n}, nil
 }
 
-// OpenValues opens an existing value array of n entries.
-func OpenValues(dev *ssd.Device, name string, n uint32) (*Values, error) {
-	f, err := dev.OpenFile(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Values{dev: dev, f: f, n: n}, nil
-}
-
 // Len returns the number of entries.
 func (vv *Values) Len() uint32 { return vv.n }
 
@@ -92,39 +83,6 @@ func (vv *Values) LoadRange(lo, hi uint32) ([]uint32, error) {
 		out[i] = binary.LittleEndian.Uint32(buf[base+int64(i)*4:])
 	}
 	return out, nil
-}
-
-// StoreRange writes vals back to positions [lo, lo+len(vals)) with a
-// read-modify-write of the boundary pages.
-func (vv *Values) StoreRange(lo uint32, vals []uint32) error {
-	if len(vals) == 0 {
-		return nil
-	}
-	hi := lo + uint32(len(vals))
-	if hi > vv.slots() {
-		return fmt.Errorf("csr: value store [%d,%d) out of [0,%d)", lo, hi, vv.slots())
-	}
-	ps := vv.dev.PageSize()
-	bLo, bHi := int64(lo)*4, int64(hi)*4
-	pLo, pHi := int(bLo/int64(ps)), int((bHi-1)/int64(ps))
-	nPages := pHi - pLo + 1
-	buf := make([]byte, nPages*ps)
-	// RMW: fetch boundary pages when the range does not cover them fully.
-	if bLo%int64(ps) != 0 {
-		if err := vv.f.ReadPage(pLo, buf[:ps]); err != nil {
-			return err
-		}
-	}
-	if bHi%int64(ps) != 0 && (nPages > 1 || bLo%int64(ps) == 0) {
-		if err := vv.f.ReadPage(pHi, buf[(nPages-1)*ps:]); err != nil {
-			return err
-		}
-	}
-	base := bLo - int64(pLo)*int64(ps)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[base+int64(i)*4:], v)
-	}
-	return vv.f.WritePageRange(pLo, buf)
 }
 
 // LoadAll reads the whole array (every slot of every lane). Intended for

@@ -1,8 +1,9 @@
-// Package extsort externally sorts 12-byte <dst, src, data> update records
-// within a memory budget: it cuts the input into sorted runs on the
-// device, then streams a k-way merge. An optional combine function merges
-// records with equal destinations during both phases — GraFBoost's central
-// trick for shortening its single log (the paper's [11]).
+// Package extsort externally sorts update records (vc.Msg, 12 bytes on the
+// device) by destination within a memory budget: it cuts the input into
+// sorted runs on the device, then streams a k-way merge. An optional
+// combine function merges records with equal destinations during both
+// phases — GraFBoost's central trick for shortening its single log (the
+// paper's [11]).
 //
 // The IO this package performs (run writes + run reads) is exactly the
 // sorting overhead the paper's Fig 8 attributes GraFBoost's slowdown to
@@ -15,19 +16,19 @@ import (
 	"fmt"
 
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 // RecordBytes is the on-device record size.
 const RecordBytes = 12
 
-// Record is one update record.
-type Record struct {
-	Dst, Src, Data uint32
-}
+// Record is the update record under its old name. The package sorts
+// vc.Msg; the alias remains only because the benchmark module names it.
+type Record = vc.Msg
 
 // PutRecord encodes r into b[:RecordBytes] in the on-device layout every
 // update log shares: dst, src and data as little-endian uint32s.
-func PutRecord(b []byte, r Record) {
+func PutRecord(b []byte, r vc.Msg) {
 	_ = b[RecordBytes-1]
 	binary.LittleEndian.PutUint32(b, r.Dst)
 	binary.LittleEndian.PutUint32(b[4:], r.Src)
@@ -35,9 +36,9 @@ func PutRecord(b []byte, r Record) {
 }
 
 // GetRecord decodes the record PutRecord encoded at the head of b.
-func GetRecord(b []byte) Record {
+func GetRecord(b []byte) vc.Msg {
 	_ = b[RecordBytes-1]
-	return Record{
+	return vc.Msg{
 		Dst:  binary.LittleEndian.Uint32(b),
 		Src:  binary.LittleEndian.Uint32(b[4:]),
 		Data: binary.LittleEndian.Uint32(b[8:]),
@@ -53,10 +54,10 @@ type Stats struct {
 }
 
 // Emit receives sorted output records.
-type Emit func(r Record) error
+type Emit func(r vc.Msg) error
 
 // Source streams input records.
-type Source func(yield func(r Record) error) error
+type Source func(yield func(r vc.Msg) error) error
 
 // Sort sorts the records produced by src by destination within memBudget
 // bytes of record memory, spilling runs to device files "<prefix>.run.N".
@@ -70,9 +71,9 @@ func Sort(dev *ssd.Device, prefix string, src Source, memBudget int64, combine f
 
 	rs := NewRuns(dev, prefix, combine)
 	defer rs.Remove()
-	buf := make([]Record, 0, capRecs)
+	buf := make([]vc.Msg, 0, capRecs)
 
-	err := src(func(r Record) error {
+	err := src(func(r vc.Msg) error {
 		rs.st.Input++
 		buf = append(buf, r)
 		if len(buf) >= capRecs {
@@ -133,7 +134,7 @@ type Runs struct {
 	files   []*ssd.File
 	counts  []uint64
 	st      Stats
-	scratch []Record // SortByDst's second buffer, kept from Flush to Flush
+	scratch []vc.Msg // SortByDst's second buffer, kept from Flush to Flush
 }
 
 // NewRuns prepares a run accumulator. combine, when non-nil, merges
@@ -144,7 +145,7 @@ func NewRuns(dev *ssd.Device, prefix string, combine func(a, b uint32) uint32) *
 
 // Flush sorts recs and writes them as one run. The slice is sorted in
 // place and may be reused by the caller afterwards. Empty input is a no-op.
-func (rs *Runs) Flush(recs []Record) error {
+func (rs *Runs) Flush(recs []vc.Msg) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -224,7 +225,7 @@ func (rs *Runs) Merge() *Merger {
 type Merger struct {
 	rs          *Runs
 	h           *runHeap
-	pending     Record
+	pending     vc.Msg
 	havePending bool
 	err         error
 }
@@ -232,9 +233,9 @@ type Merger struct {
 // Next returns the next merged record. The second result is false when the
 // sequence is exhausted. Read errors on run files surface here — a Merger
 // never silently truncates its output.
-func (m *Merger) Next() (Record, bool, error) {
+func (m *Merger) Next() (vc.Msg, bool, error) {
 	if m.err != nil {
-		return Record{}, false, m.err
+		return vc.Msg{}, false, m.err
 	}
 	for m.h.Len() > 0 {
 		rr := (*m.h)[0]
@@ -244,7 +245,7 @@ func (m *Merger) Next() (Record, bool, error) {
 		} else {
 			if rr.err != nil {
 				m.err = rr.err
-				return Record{}, false, m.err
+				return vc.Msg{}, false, m.err
 			}
 			heap.Pop(m.h)
 		}
@@ -266,7 +267,7 @@ func (m *Merger) Next() (Record, bool, error) {
 		m.rs.st.Output++
 		return m.pending, true, nil
 	}
-	return Record{}, false, nil
+	return vc.Msg{}, false, nil
 }
 
 // Close releases the merger and deletes the underlying run files.
@@ -277,7 +278,7 @@ func (m *Merger) Close() {
 }
 
 // combineSorted merges equal-destination neighbors in a dst-sorted slice.
-func combineSorted(recs []Record, combine func(a, b uint32) uint32, st *Stats) []Record {
+func combineSorted(recs []vc.Msg, combine func(a, b uint32) uint32, st *Stats) []vc.Msg {
 	if len(recs) == 0 {
 		return recs
 	}
@@ -294,7 +295,7 @@ func combineSorted(recs []Record, combine func(a, b uint32) uint32, st *Stats) [
 	return recs[:w+1]
 }
 
-func writeRec(w *ssd.Writer, r Record) error {
+func writeRec(w *ssd.Writer, r vc.Msg) error {
 	var b [RecordBytes]byte
 	PutRecord(b[:], r)
 	_, err := w.Write(b[:])
@@ -306,7 +307,7 @@ type runReader struct {
 	r         *ssd.Reader
 	run       int // flush order: the tie-break that keeps the merge stable
 	remaining uint64
-	cur       Record
+	cur       vc.Msg
 	err       error             // sticky read failure; checked by Merger
 	buf       [RecordBytes]byte // the encoded cur; a local would escape through ReadFull
 }

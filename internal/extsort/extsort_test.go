@@ -7,14 +7,15 @@ import (
 	"testing/quick"
 
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 func dev() *ssd.Device {
 	return ssd.MustOpen(ssd.Config{PageSize: 128, Channels: 2})
 }
 
-func sliceSource(recs []Record) Source {
-	return func(yield func(Record) error) error {
+func sliceSource(recs []vc.Msg) Source {
+	return func(yield func(vc.Msg) error) error {
 		for _, r := range recs {
 			if err := yield(r); err != nil {
 				return err
@@ -24,10 +25,10 @@ func sliceSource(recs []Record) Source {
 	}
 }
 
-func randomRecs(rng *rand.Rand, n, dstRange int) []Record {
-	recs := make([]Record, n)
+func randomRecs(rng *rand.Rand, n, dstRange int) []vc.Msg {
+	recs := make([]vc.Msg, n)
 	for i := range recs {
-		recs[i] = Record{
+		recs[i] = vc.Msg{
 			Dst:  uint32(rng.Intn(dstRange)),
 			Src:  rng.Uint32(),
 			Data: uint32(rng.Intn(100)),
@@ -38,9 +39,9 @@ func randomRecs(rng *rand.Rand, n, dstRange int) []Record {
 
 func TestInMemorySort(t *testing.T) {
 	d := dev()
-	recs := []Record{{Dst: 5}, {Dst: 1}, {Dst: 3}}
-	var out []Record
-	st, err := Sort(d, "s", sliceSource(recs), 1<<20, nil, func(r Record) error {
+	recs := []vc.Msg{{Dst: 5}, {Dst: 1}, {Dst: 3}}
+	var out []vc.Msg
+	st, err := Sort(d, "s", sliceSource(recs), 1<<20, nil, func(r vc.Msg) error {
 		out = append(out, r)
 		return nil
 	})
@@ -63,8 +64,8 @@ func TestExternalSortSpillsRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	recs := randomRecs(rng, 1000, 500)
 	// Budget for ~50 records per run.
-	var out []Record
-	st, err := Sort(d, "s", sliceSource(recs), 50*RecordBytes, nil, func(r Record) error {
+	var out []vc.Msg
+	st, err := Sort(d, "s", sliceSource(recs), 50*RecordBytes, nil, func(r vc.Msg) error {
 		out = append(out, r)
 		return nil
 	})
@@ -92,11 +93,11 @@ func TestSortPreservesMultiset(t *testing.T) {
 	d := dev()
 	rng := rand.New(rand.NewSource(2))
 	recs := randomRecs(rng, 700, 60)
-	counts := make(map[Record]int)
+	counts := make(map[vc.Msg]int)
 	for _, r := range recs {
 		counts[r]++
 	}
-	_, err := Sort(d, "s", sliceSource(recs), 64*RecordBytes, nil, func(r Record) error {
+	_, err := Sort(d, "s", sliceSource(recs), 64*RecordBytes, nil, func(r vc.Msg) error {
 		counts[r]--
 		return nil
 	})
@@ -112,11 +113,11 @@ func TestSortPreservesMultiset(t *testing.T) {
 
 func TestCombineInMemory(t *testing.T) {
 	d := dev()
-	recs := []Record{{Dst: 1, Data: 10}, {Dst: 1, Data: 20}, {Dst: 2, Data: 5}}
-	var out []Record
+	recs := []vc.Msg{{Dst: 1, Data: 10}, {Dst: 1, Data: 20}, {Dst: 2, Data: 5}}
+	var out []vc.Msg
 	st, err := Sort(d, "s", sliceSource(recs), 1<<20,
 		func(a, b uint32) uint32 { return a + b },
-		func(r Record) error { out = append(out, r); return nil })
+		func(r vc.Msg) error { out = append(out, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCombineExternalMatchesSum(t *testing.T) {
 	got := make(map[uint32]uint32)
 	st, err := Sort(d, "s", sliceSource(recs), 64*RecordBytes,
 		func(a, b uint32) uint32 { return a + b },
-		func(r Record) error {
+		func(r vc.Msg) error {
 			if _, dup := got[r.Dst]; dup {
 				t.Fatalf("dst %d emitted twice", r.Dst)
 			}
@@ -161,7 +162,7 @@ func TestCombineExternalMatchesSum(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	d := dev()
-	st, err := Sort(d, "s", sliceSource(nil), 1<<20, nil, func(Record) error {
+	st, err := Sort(d, "s", sliceSource(nil), 1<<20, nil, func(vc.Msg) error {
 		t.Fatal("emit on empty input")
 		return nil
 	})
@@ -177,15 +178,15 @@ func TestQuickSortMatchesStdlib(t *testing.T) {
 		n := rng.Intn(500)
 		recs := randomRecs(rng, n, 50)
 		budget := int64(budgetRaw%40+2) * RecordBytes
-		var out []Record
-		_, err := Sort(dev(), "s", sliceSource(recs), budget, nil, func(r Record) error {
+		var out []vc.Msg
+		_, err := Sort(dev(), "s", sliceSource(recs), budget, nil, func(r vc.Msg) error {
 			out = append(out, r)
 			return nil
 		})
 		if err != nil || len(out) != n {
 			return false
 		}
-		want := make([]Record, n)
+		want := make([]vc.Msg, n)
 		copy(want, recs)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Dst < want[j].Dst })
 		// Compare dst sequence (full record order within a dst is
@@ -195,7 +196,7 @@ func TestQuickSortMatchesStdlib(t *testing.T) {
 				return false
 			}
 		}
-		counts := make(map[Record]int)
+		counts := make(map[vc.Msg]int)
 		for _, r := range out {
 			counts[r]++
 		}

@@ -1,5 +1,7 @@
 package extsort
 
+import "multilogvc/internal/vc"
+
 // insertionMax is the batch size up to which SortByDst insertion-sorts: below
 // it the 256-entry histogram of a radix pass costs more than the compares.
 const insertionMax = 48
@@ -14,7 +16,7 @@ const insertionMax = 48
 //
 // scratch is the sort's second buffer: it must not overlap recs, is grown
 // when shorter than recs, and is returned for the next call to reuse.
-func SortByDst(recs, scratch []Record) []Record {
+func SortByDst(recs, scratch []vc.Msg) []vc.Msg {
 	n := len(recs)
 	if n < 2 {
 		return scratch
@@ -47,7 +49,7 @@ func SortByDst(recs, scratch []Record) []Record {
 	}
 
 	if cap(scratch) < n {
-		scratch = make([]Record, n)
+		scratch = make([]vc.Msg, n)
 	}
 	src, dst := recs, scratch[:n]
 	for d := 0; d < digits; d++ {
@@ -72,7 +74,7 @@ func SortByDst(recs, scratch []Record) []Record {
 	return scratch
 }
 
-func insertionSort(recs []Record) {
+func insertionSort(recs []vc.Msg) {
 	for i := 1; i < len(recs); i++ {
 		r := recs[i]
 		j := i

@@ -7,12 +7,14 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"multilogvc/internal/vc"
 )
 
 // checkSortByDst holds SortByDst to sort.SliceStable on the same input:
 // equal, element for element — which is the send-order contract, since Src
 // and Data tell records of one destination apart.
-func checkSortByDst(t *testing.T, name string, recs []Record) {
+func checkSortByDst(t *testing.T, name string, recs []vc.Msg) {
 	t.Helper()
 	want := slices.Clone(recs)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Dst < want[j].Dst })
@@ -56,9 +58,9 @@ func TestSortByDstMatchesStableSort(t *testing.T) {
 			if n > 1000 && !rg.big {
 				continue
 			}
-			recs := make([]Record, n)
+			recs := make([]vc.Msg, n)
 			for i := range recs {
-				recs[i] = Record{Dst: uint32(rg.lo + uint64(rng.Int63n(int64(rg.width)))), Src: uint32(i), Data: rng.Uint32()}
+				recs[i] = vc.Msg{Dst: uint32(rg.lo + uint64(rng.Int63n(int64(rg.width)))), Src: uint32(i), Data: rng.Uint32()}
 			}
 			checkSortByDst(t, rg.name+"/random", recs)
 
@@ -75,9 +77,9 @@ func TestSortByDstMatchesStableSort(t *testing.T) {
 		}
 	}
 	// Both ends of the key space in one batch.
-	recs := make([]Record, 10*insertionMax)
+	recs := make([]vc.Msg, 10*insertionMax)
 	for i := range recs {
-		recs[i] = Record{Dst: []uint32{math.MaxUint32, 0, 1 << 31}[i%3], Src: uint32(i)}
+		recs[i] = vc.Msg{Dst: []uint32{math.MaxUint32, 0, 1 << 31}[i%3], Src: uint32(i)}
 	}
 	checkSortByDst(t, "extremes", recs)
 }
@@ -86,7 +88,7 @@ func TestSortByDstMatchesStableSort(t *testing.T) {
 // touched when the batch needs no radix pass.
 func TestSortByDstScratch(t *testing.T) {
 	recs := randomRecs(rand.New(rand.NewSource(3)), 10*insertionMax, 5000)
-	short := make([]Record, 3)
+	short := make([]vc.Msg, 3)
 	grown := SortByDst(slices.Clone(recs), short)
 	if cap(grown) < len(recs) {
 		t.Fatalf("scratch grown to %d for %d records", cap(grown), len(recs))
@@ -110,16 +112,16 @@ func TestMergeIsStableAcrossRuns(t *testing.T) {
 	defer rs.Remove()
 	const runs, perRun, dsts = 5, 200, 7
 	for run := 0; run < runs; run++ {
-		recs := make([]Record, perRun)
+		recs := make([]vc.Msg, perRun)
 		for i := range recs {
-			recs[i] = Record{Dst: uint32(i % dsts), Src: uint32(run*perRun + i)}
+			recs[i] = vc.Msg{Dst: uint32(i % dsts), Src: uint32(run*perRun + i)}
 		}
 		if err := rs.Flush(recs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m := rs.Merge()
-	var prev Record
+	var prev vc.Msg
 	for n := 0; ; n++ {
 		r, ok, err := m.Next()
 		if err != nil {
@@ -138,7 +140,7 @@ func TestMergeIsStableAcrossRuns(t *testing.T) {
 	}
 }
 
-var sinkScratch []Record
+var sinkScratch []vc.Msg
 
 // BenchmarkSortByDst: the two shapes the engine sorts — a dense batch over
 // one interval's ~80 vertices (PageRank) and a thin one scattered over a
@@ -151,7 +153,7 @@ func BenchmarkSortByDst(b *testing.B) {
 	}{{"dense80", 80}, {"sparse1M", 1 << 20}} {
 		for _, n := range []int{1000, 100_000} {
 			input := randomRecs(rand.New(rand.NewSource(1)), n, shape.width)
-			recs := make([]Record, n)
+			recs := make([]vc.Msg, n)
 			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -121,41 +121,6 @@ func Grid(rows, cols int) ([]graphio.Edge, error) {
 	return graphio.MakeUndirected(edges), nil
 }
 
-// PreferentialAttachment generates a Barabási–Albert graph: each new vertex
-// attaches k edges to existing vertices with probability proportional to
-// their degree. Produces a power-law tail with a connected topology.
-func PreferentialAttachment(n uint32, k int, seed int64) ([]graphio.Edge, error) {
-	if n < uint32(k)+1 || k < 1 {
-		return nil, fmt.Errorf("gen: preferential attachment needs n > k >= 1 (n=%d k=%d)", n, k)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	// targets holds one entry per half-edge endpoint; sampling uniformly
-	// from it is degree-proportional sampling.
-	targets := make([]uint32, 0, 2*int(n)*k)
-	var edges []graphio.Edge
-	// Seed clique over the first k+1 vertices.
-	for i := uint32(0); i <= uint32(k); i++ {
-		for j := i + 1; j <= uint32(k); j++ {
-			edges = append(edges, graphio.Edge{Src: i, Dst: j})
-			targets = append(targets, i, j)
-		}
-	}
-	for v := uint32(k) + 1; v < n; v++ {
-		chosen := make(map[uint32]bool, k)
-		for len(chosen) < k {
-			t := targets[rng.Intn(len(targets))]
-			if t != v {
-				chosen[t] = true
-			}
-		}
-		for t := range chosen {
-			edges = append(edges, graphio.Edge{Src: v, Dst: t})
-			targets = append(targets, v, t)
-		}
-	}
-	return graphio.MakeUndirected(edges), nil
-}
-
 // SmallWorld generates a rows×cols grid with `shortcuts` extra random
 // long-range edges (Watts–Strogatz-flavored). BFS frontiers on it expand
 // gradually over tens of supersteps — the long-tail depth structure of

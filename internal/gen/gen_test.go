@@ -154,23 +154,6 @@ func TestGridDegrees(t *testing.T) {
 	}
 }
 
-func TestPreferentialAttachment(t *testing.T) {
-	edges, err := PreferentialAttachment(200, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkUndirected(t, edges)
-	deg := graphio.OutDegrees(edges, 200)
-	for v, d := range deg {
-		if d == 0 {
-			t.Fatalf("vertex %d isolated; PA graphs are connected", v)
-		}
-	}
-	if _, err := PreferentialAttachment(3, 3, 1); err == nil {
-		t.Fatal("n <= k should fail")
-	}
-}
-
 func TestSmallWorld(t *testing.T) {
 	edges, err := SmallWorld(16, 16, 20, 3)
 	if err != nil {

@@ -150,7 +150,7 @@ type run struct {
 	logF     *ssd.File
 	logW     *ssd.Writer
 	logCount uint64
-	sorted   []extsort.Record      // the superstep's messages not yet consumed
+	sorted   []vc.Msg              // the superstep's messages not yet consumed
 	sends    *superstep.SendBuffer // the interval's sends on their way to the log
 
 	// The interval in progress, in buffers reused from interval to interval
@@ -192,13 +192,13 @@ func (r *run) Superstep(_ context.Context, step int, ss *metrics.SuperstepStats)
 // sortLog externally sorts the single log into destination order, applying
 // the combine operator during run generation and merge. GraFBoost keeps
 // one global log, so the sort phase carries no interval attribution.
-func (r *run) sortLog() ([]extsort.Record, error) {
+func (r *run) sortLog() ([]vc.Msg, error) {
 	prevS, prevIv := r.eng.sc.SetStage(obsv.StageSortGroup, -1)
 	defer r.eng.sc.SetStage(prevS, prevIv)
 	if err := r.logW.Close(); err != nil {
 		return nil, err
 	}
-	readLog := func(yield func(extsort.Record) error) error {
+	readLog := func(yield func(vc.Msg) error) error {
 		rd := ssd.NewReader(r.logF, 64)
 		var rec [extsort.RecordBytes]byte
 		for i := uint64(0); i < r.logCount; i++ {
@@ -211,9 +211,9 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 		}
 		return nil
 	}
-	var sorted []extsort.Record
+	var sorted []vc.Msg
 	_, err := extsort.Sort(r.eng.g.Device(), r.eng.g.Name()+".gb.sort", readLog, r.eng.cfg.MemoryBudget,
-		r.combine, func(rec extsort.Record) error {
+		r.combine, func(rec vc.Msg) error {
 			sorted = append(sorted, rec)
 			return nil
 		})
@@ -222,7 +222,7 @@ func (r *run) sortLog() ([]extsort.Record, error) {
 
 // appendLog writes message records to the next superstep's log and returns
 // how many it wrote in full.
-func (r *run) appendLog(recs []extsort.Record) (int, error) {
+func (r *run) appendLog(recs []vc.Msg) (int, error) {
 	var b [extsort.RecordBytes]byte
 	for i, rec := range recs {
 		extsort.PutRecord(b[:], rec)
@@ -297,12 +297,10 @@ func (ir *ivRun) process() error {
 	}
 	if err := superstep.ForEach(e.cfg.Workers, len(verts), work, func(w, lo, hi int) error {
 		ctx := &gbCtx{ir: ir, w: w}
-		var msgBuf []vc.Msg
 		for i := lo; i < hi; i++ {
-			msgBuf = superstep.AppendMsgs(msgBuf[:0], msgs[ranges[i][0]:ranges[i][1]])
 			ctx.vertex, ctx.pos = verts[i], i
 			ctx.haltedFlag = &halted[i]
-			ir.prog.Process(ctx, msgBuf)
+			ir.prog.Process(ctx, msgs[ranges[i][0]:ranges[i][1]])
 		}
 		return nil
 	}); err != nil {

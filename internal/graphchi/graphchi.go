@@ -21,7 +21,6 @@ import (
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
-	"multilogvc/internal/extsort"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/shard"
@@ -259,7 +258,7 @@ func (ir *intervalRun) loadShard() (err error) {
 		}
 		ir.inEdges[r.Dst] = append(ir.inEdges[r.Dst], i)
 		if r.Flags&curFlag != 0 {
-			ir.msgs[r.Dst] = append(ir.msgs[r.Dst], vc.Msg{Src: r.Src, Data: r.Val[p]})
+			ir.msgs[r.Dst] = append(ir.msgs[r.Dst], vc.Msg{Dst: r.Dst, Src: r.Src, Data: r.Val[p]})
 			r.Flags &^= curFlag // consumed
 		}
 	}
@@ -307,7 +306,7 @@ func (ir *intervalRun) loadWindows() error {
 // block or window) and activates the destination.
 func (ir *intervalRun) applySends() error {
 	otherFlag := uint32(shard.FlagMsg0 << (1 - ir.p))
-	sent, err := ir.sends.Drain(func(sends []extsort.Record) (int, error) {
+	sent, err := ir.sends.Drain(func(sends []vc.Msg) (int, error) {
 		for _, s := range sends {
 			ir.nextActive.Set(int(s.Dst))
 			var rec *shard.Record

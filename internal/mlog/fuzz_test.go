@@ -3,6 +3,8 @@ package mlog
 import (
 	"encoding/binary"
 	"testing"
+
+	"multilogvc/internal/vc"
 )
 
 // TestPageRecordsRejectsCorruptHeader pins the corrupt-header bounds: a
@@ -70,14 +72,14 @@ func FuzzPageDecode(f *testing.F) {
 		if cap := uint64((len(page) - pageHeader) / RecordBytes); n > cap {
 			t.Fatalf("consumed %d records from a page holding %d", n, cap)
 		}
-		held := Record{Dst: 1, Src: 2, Data: 3}
-		recs := appendRecords([]Record{held}, enc)
+		held := vc.Msg{Dst: 1, Src: 2, Data: 3}
+		recs := appendRecords([]vc.Msg{held}, enc)
 		if uint64(len(recs)) != n+1 || recs[0] != held {
 			t.Fatalf("bulk decode of %d records left %d after the one held, first %+v", n, len(recs)-1, recs[0])
 		}
 		for i, r := range recs[1:] {
 			off := pageHeader + i*RecordBytes
-			want := Record{
+			want := vc.Msg{
 				Dst:  binary.LittleEndian.Uint32(page[off:]),
 				Src:  binary.LittleEndian.Uint32(page[off+4:]),
 				Data: binary.LittleEndian.Uint32(page[off+8:]),

@@ -22,15 +22,12 @@ import (
 	"multilogvc/internal/extsort"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 // RecordBytes is the on-device size of one logged update, encoded by
 // extsort.PutRecord.
 const RecordBytes = extsort.RecordBytes
-
-// Record is one logged update in memory: what AppendRecs takes and ReadRecs
-// gives back, and the record the sort-and-group unit sorts.
-type Record = extsort.Record
 
 // readBatch is how many pages Read and ReadRecs fetch per device read.
 const readBatch = 64
@@ -149,7 +146,7 @@ func (l *Log) Budget() int64 { return l.budget }
 // goroutine-safe form of AppendRecs.
 func (l *Log) Append(interval int, dst, src, data uint32) error {
 	l.mu.Lock()
-	over := l.put(interval, Record{Dst: dst, Src: src, Data: data})
+	over := l.put(interval, vc.Msg{Dst: dst, Src: src, Data: data})
 	l.mu.Unlock()
 	if over {
 		return l.evictFull()
@@ -163,7 +160,7 @@ func (l *Log) Append(interval int, dst, src, data uint32) error {
 // write may re-enter ReclaimConsumed — so the two leave the same pages on the
 // device after the same device writes. It returns how many records it logged:
 // all of them, or those up to and including the one whose eviction failed.
-func (l *Log) AppendRecs(ivs []int32, recs []Record) (int, error) {
+func (l *Log) AppendRecs(ivs []int32, recs []vc.Msg) (int, error) {
 	l.mu.Lock()
 	for i, r := range recs {
 		if l.put(int(ivs[i]), r) {
@@ -181,7 +178,7 @@ func (l *Log) AppendRecs(ivs []int32, recs []Record) (int, error) {
 // put appends r to interval iv's top page, under mu, and reports whether
 // that completed a page which took the completed pages past the budget: the
 // caller then owes an evictFull, outside mu.
-func (l *Log) put(iv int, r Record) bool {
+func (l *Log) put(iv int, r vc.Msg) bool {
 	t := &l.top[iv]
 	if t.page == nil {
 		t.page, t.fill = l.bufs.page(l.pageSize), pageHeader
@@ -332,7 +329,7 @@ func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
 // ReadRecs is Read for a caller that wants the records side by side: it
 // appends interval's records to recs, in log order, and returns the extended
 // slice. It issues the same device reads as Read.
-func (l *Log) ReadRecs(interval int, recs []Record) ([]Record, error) {
+func (l *Log) ReadRecs(interval int, recs []vc.Msg) ([]vc.Msg, error) {
 	err := l.readPages(interval, func(enc []byte) { recs = appendRecords(recs, enc) })
 	return recs, err
 }
@@ -394,7 +391,7 @@ func pageRecords(page []byte, remaining uint64) ([]byte, error) {
 }
 
 // appendRecords decodes a whole number of encoded records onto recs.
-func appendRecords(recs []Record, enc []byte) []Record {
+func appendRecords(recs []vc.Msg, enc []byte) []vc.Msg {
 	for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
 		recs = append(recs, extsort.GetRecord(enc))
 	}
@@ -410,7 +407,7 @@ type buffers struct {
 	mu    sync.Mutex
 	pages [][]byte   // log pages whose content reached the device
 	stage []byte     // while neither flush nor Read holds it; at most readBatch pages
-	recs  [][]Record // at most maxFreeRecs
+	recs  [][]vc.Msg // at most maxFreeRecs
 }
 
 // maxFreeRecs bounds the record buffers kept: a sort batch holds two at a
@@ -461,23 +458,23 @@ func (b *buffers) putStage(buf []byte, keep int) {
 // GetRecs returns an empty record buffer with room for n records: one that
 // PutRecs returned if it is large enough, a new one otherwise. The buffer is
 // the caller's alone until PutRecs.
-func (l *Log) GetRecs(n int) []Record {
+func (l *Log) GetRecs(n int) []vc.Msg {
 	b := l.bufs
 	b.mu.Lock()
-	var buf []Record
+	var buf []vc.Msg
 	if k := len(b.recs); k > 0 {
 		buf, b.recs = b.recs[k-1], b.recs[:k-1]
 	}
 	b.mu.Unlock()
 	if cap(buf) < n {
-		buf = make([]Record, 0, n)
+		buf = make([]vc.Msg, 0, n)
 	}
 	return buf[:0]
 }
 
 // PutRecs hands a buffer from GetRecs — possibly regrown since — back for
 // reuse; the caller must not touch it afterwards.
-func (l *Log) PutRecs(buf []Record) {
+func (l *Log) PutRecs(buf []vc.Msg) {
 	b := l.bufs
 	b.mu.Lock()
 	if len(b.recs) < maxFreeRecs && cap(buf) > 0 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 func testLog(t *testing.T, intervals int, budget int64) (*Log, *ssd.Device) {
@@ -237,12 +238,12 @@ func TestReadEmptyInterval(t *testing.T) {
 }
 
 // testStream is a seeded record stream over the intervals of a Log.
-func testStream(n, intervals int, seed int64) ([]int32, []Record) {
+func testStream(n, intervals int, seed int64) ([]int32, []vc.Msg) {
 	rng := rand.New(rand.NewSource(seed))
-	ivs, recs := make([]int32, n), make([]Record, n)
+	ivs, recs := make([]int32, n), make([]vc.Msg, n)
 	for i := range recs {
 		ivs[i] = int32(rng.Intn(intervals))
-		recs[i] = Record{Dst: rng.Uint32(), Src: uint32(i), Data: rng.Uint32()}
+		recs[i] = vc.Msg{Dst: rng.Uint32(), Src: uint32(i), Data: rng.Uint32()}
 	}
 	return ivs, recs
 }
@@ -402,18 +403,18 @@ func TestReadRecsMatchesRead(t *testing.T) {
 	if err := l.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	held := Record{Dst: 7, Src: 8, Data: 9}
+	held := vc.Msg{Dst: 7, Src: 8, Data: 9}
 	for iv := 0; iv < intervals; iv++ {
 		before := dev.Stats()
-		want := []Record{held}
+		want := []vc.Msg{held}
 		if err := l.Read(iv, func(dst, src, data uint32) {
-			want = append(want, Record{Dst: dst, Src: src, Data: data})
+			want = append(want, vc.Msg{Dst: dst, Src: src, Data: data})
 		}); err != nil {
 			t.Fatal(err)
 		}
 		readIO := dev.Stats().Sub(before)
 		before = dev.Stats()
-		got, err := l.ReadRecs(iv, []Record{held})
+		got, err := l.ReadRecs(iv, []vc.Msg{held})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,13 +434,13 @@ func TestReadRecsMatchesRead(t *testing.T) {
 // until PutRecs, however many are out, and the Log keeps a bounded number.
 func TestRecsBuffersNeverShared(t *testing.T) {
 	l, _ := testLog(t, 1, 1<<20)
-	var out [][]Record
+	var out [][]vc.Msg
 	for i := 0; i < 5; i++ {
 		buf := l.GetRecs(10)
 		if cap(buf) < 10 || len(buf) != 0 {
 			t.Fatalf("GetRecs(10): len %d cap %d", len(buf), cap(buf))
 		}
-		out = append(out, append(buf, Record{Dst: uint32(i)}))
+		out = append(out, append(buf, vc.Msg{Dst: uint32(i)}))
 	}
 	for i, buf := range out {
 		if buf[0].Dst != uint32(i) {
@@ -448,7 +449,7 @@ func TestRecsBuffersNeverShared(t *testing.T) {
 		l.PutRecs(buf)
 	}
 	a, b, c := l.GetRecs(1), l.GetRecs(1), l.GetRecs(1)
-	a, b, c = append(a, Record{}), append(b, Record{}), append(c, Record{})
+	a, b, c = append(a, vc.Msg{}), append(b, vc.Msg{}), append(c, vc.Msg{})
 	if &a[0] == &b[0] || &a[0] == &c[0] || &b[0] == &c[0] {
 		t.Fatal("one returned buffer handed out twice")
 	}
@@ -491,14 +492,14 @@ func TestGenerationsShareBuffers(t *testing.T) {
 	if cur.Total() != uint64(len(recs)) || next.Total() != 100 {
 		t.Fatalf("totals %d and %d, want %d and 100", cur.Total(), next.Total(), len(recs))
 	}
-	var got []Record
+	var got []vc.Msg
 	for iv := 0; iv < intervals; iv++ {
 		var err error
 		if got, err = cur.ReadRecs(iv, got); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slices.SortFunc(got, func(a, b Record) int { return int(a.Src) - int(b.Src) })
+	slices.SortFunc(got, func(a, b vc.Msg) int { return int(a.Src) - int(b.Src) })
 	if !slices.Equal(got, recs) {
 		t.Fatal("the first generation's records changed under the second's appends")
 	}

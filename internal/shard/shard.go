@@ -125,9 +125,6 @@ func Build(g *csr.Graph, name string, initVal uint32) (*Store, error) {
 	return s, nil
 }
 
-// NumShards returns the shard count (== interval count).
-func (s *Store) NumShards() int { return len(s.files) }
-
 // Count returns the number of records in shard k.
 func (s *Store) Count(k int) int { return s.counts[k] }
 

@@ -34,7 +34,7 @@ func paperEdges() []graphio.Edge {
 func TestBuildShardContents(t *testing.T) {
 	s := testStore(t, paperEdges(), 3*csr.MsgBytes)
 	total := 0
-	for k := 0; k < s.NumShards(); k++ {
+	for k := 0; k < len(s.files); k++ {
 		recs, err := s.LoadShard(k)
 		if err != nil {
 			t.Fatal(err)
@@ -92,13 +92,13 @@ func TestStoreShardCountMismatch(t *testing.T) {
 func TestWindows(t *testing.T) {
 	edges, _ := gen.RMAT(gen.DefaultRMAT(8, 8, 5))
 	s := testStore(t, edges, 2048)
-	if s.NumShards() < 2 {
+	if len(s.files) < 2 {
 		t.Skip("need multiple shards")
 	}
 	// Every record of shard j must appear in exactly one window block.
-	for j := 0; j < s.NumShards(); j++ {
+	for j := 0; j < len(s.files); j++ {
 		seen := 0
-		for k := 0; k < s.NumShards(); k++ {
+		for k := 0; k < len(s.files); k++ {
 			w, err := s.LoadWindow(j, k)
 			if err != nil {
 				t.Fatal(err)
@@ -120,12 +120,12 @@ func TestWindows(t *testing.T) {
 func TestWindowFindAndWriteBack(t *testing.T) {
 	edges, _ := gen.RMAT(gen.DefaultRMAT(8, 8, 6))
 	s := testStore(t, edges, 2048)
-	if s.NumShards() < 2 {
+	if len(s.files) < 2 {
 		t.Skip("need multiple shards")
 	}
 	// Pick a window with records; mutate via Find; write back; re-read.
-	for j := 0; j < s.NumShards(); j++ {
-		for k := 0; k < s.NumShards(); k++ {
+	for j := 0; j < len(s.files); j++ {
+		for k := 0; k < len(s.files); k++ {
 			if j == k {
 				continue
 			}
@@ -167,10 +167,10 @@ func TestWindowFindAndWriteBack(t *testing.T) {
 func TestWindowWriteBackPreservesNeighbors(t *testing.T) {
 	edges, _ := gen.RMAT(gen.DefaultRMAT(8, 8, 7))
 	s := testStore(t, edges, 1024)
-	if s.NumShards() < 3 {
+	if len(s.files) < 3 {
 		t.Skip("need several shards")
 	}
-	j := s.NumShards() - 1
+	j := len(s.files) - 1
 	before, _ := s.LoadShard(j)
 	// Write back an unmodified middle window; the shard must be unchanged.
 	w, err := s.LoadWindow(j, 1)

@@ -8,6 +8,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/mlog"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 // sendLog fills a log over equal-width intervals with n sends whose Src
@@ -41,7 +42,7 @@ func sendLog(t testing.TB, pageSize, intervals int, width uint32, n int, seed in
 
 // checkSendOrder holds recs — one chunk, sorted by destination — to the
 // delivery contract: each destination's messages in the order they were sent.
-func checkSendOrder(t *testing.T, recs []Rec, sent map[uint32][]uint32) {
+func checkSendOrder(t *testing.T, recs []vc.Msg, sent map[uint32][]uint32) {
 	t.Helper()
 	for i := 0; i < len(recs); {
 		dst, j := recs[i].Dst, i
@@ -96,7 +97,7 @@ func TestDeliveryInSendOrder(t *testing.T) {
 func TestRecsSurviveLaterLoadsUntilClose(t *testing.T) {
 	l, ivs, _ := sendLog(t, 120, 6, 50, 6000, 2)
 	opts := Options{SortBudget: 2500 * mlog.RecordBytes} // two intervals a batch
-	loadAll := func() (open []*Batch, snaps [][]Rec) {
+	loadAll := func() (open []*Batch, snaps [][]vc.Msg) {
 		for iv := 0; iv < len(ivs); {
 			b, err := Load(l, ivs, iv, opts)
 			if err != nil {

@@ -20,7 +20,6 @@ package sortgroup
 
 import (
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/csr"
 	"multilogvc/internal/extsort"
@@ -29,10 +28,6 @@ import (
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
-
-// Rec is one update record read back from a log: the same record the
-// external sort moves, so dst-sorted slices of either origin share helpers.
-type Rec = extsort.Record
 
 // Batch is the sorted, grouped update set of one or more fused intervals.
 // A spilled batch (Spilled true) serves one budget-sized chunk at a time:
@@ -51,7 +46,7 @@ type Batch struct {
 	Lo, Hi uint32
 	// Recs are the updates sorted by destination — the current chunk of a
 	// spilled batch, or everything for an in-memory one.
-	Recs []Rec
+	Recs []vc.Msg
 	// Spilled reports that the interval's log exceeded the sort budget and
 	// is being served through the external sort-group.
 	Spilled bool
@@ -66,7 +61,7 @@ type spillState struct {
 	m          *extsort.Merger
 	sc         *ssd.IOScope // for tagging merge reads as StageSpill
 	budgetRecs int
-	next       extsort.Record // lookahead across the chunk boundary
+	next       vc.Msg // lookahead across the chunk boundary
 	have       bool
 	ivHi       uint32 // owning interval's Hi: the last chunk extends to it
 	nextLo     uint32 // vertex range low bound of the next chunk
@@ -161,7 +156,7 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 		if flushErr != nil {
 			return
 		}
-		buf = append(buf, extsort.Record{Dst: dst, Src: src, Data: data})
+		buf = append(buf, vc.Msg{Dst: dst, Src: src, Data: data})
 		if len(buf) >= budgetRecs {
 			sc.SetStage(obsv.StageSpill, ivIdx)
 			flushErr = runs.Flush(buf)
@@ -283,15 +278,11 @@ func (b *Batch) Close() {
 	}
 }
 
-// MsgsFor returns the messages bound for vertex v, optionally reduced by a
-// combiner (the paper's optional combine path: applied to all updates for
-// a target before its processing function runs). The scratch slice is
-// reused across calls; the result aliases it.
+// Grouper walks a batch's records one destination at a time.
 type Grouper struct {
 	batch    *Batch
 	pos      int
 	combiner vc.Combiner
-	scratch  []vc.Msg
 }
 
 // NewGrouper iterates the batch's messages grouped by destination.
@@ -301,35 +292,29 @@ func NewGrouper(b *Batch, combiner vc.Combiner) *Grouper {
 }
 
 // Next returns the next destination and its messages, or ok=false when the
-// batch is exhausted. Destinations arrive in ascending order. The msgs
-// slice is only valid until the following Next call.
+// batch is exhausted. Destinations arrive in ascending order. msgs is the
+// destination's run of the batch's records, read in place; a combiner
+// (the paper's optional combine path, applied to all updates for a target
+// before its processing function runs) folds the run into its first
+// record and msgs is that record alone.
 func (g *Grouper) Next() (dst uint32, msgs []vc.Msg, ok bool) {
 	recs := g.batch.Recs
 	if g.pos >= len(recs) {
 		return 0, nil, false
 	}
-	dst = recs[g.pos].Dst
-	g.scratch = g.scratch[:0]
+	start := g.pos
+	dst = recs[start].Dst
 	for g.pos < len(recs) && recs[g.pos].Dst == dst {
-		r := recs[g.pos]
-		g.scratch = append(g.scratch, vc.Msg{Src: r.Src, Data: r.Data})
 		g.pos++
 	}
-	msgs = g.scratch
+	msgs = recs[start:g.pos]
 	if g.combiner != nil && len(msgs) > 1 {
 		acc := msgs[0].Data
 		for _, m := range msgs[1:] {
 			acc = g.combiner.Combine(acc, m.Data)
 		}
-		g.scratch[0] = vc.Msg{Src: msgs[0].Src, Data: acc}
-		msgs = g.scratch[:1]
+		msgs[0].Data = acc
+		msgs = msgs[:1]
 	}
 	return dst, msgs, true
-}
-
-// SkipTo advances the grouper so the next Next call returns the first
-// destination >= v.
-func (g *Grouper) SkipTo(v uint32) {
-	recs := g.batch.Recs
-	g.pos += sort.Search(len(recs)-g.pos, func(i int) bool { return recs[g.pos+i].Dst >= v })
 }

@@ -151,21 +151,6 @@ func TestGrouperCombines(t *testing.T) {
 	}
 }
 
-func TestGrouperSkipTo(t *testing.T) {
-	l, ivs := fixture(t)
-	for _, dst := range []uint32{1, 3, 5, 7} {
-		l.Append(0, dst, 0, uint32(dst))
-	}
-	l.FlushAll()
-	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
-	g := NewGrouper(b, nil)
-	g.SkipTo(4)
-	dst, _, ok := g.Next()
-	if !ok || dst != 5 {
-		t.Fatalf("after SkipTo(4), Next = %d", dst)
-	}
-}
-
 // Property: grouped output equals a map-based grouping of the input.
 func TestGrouperMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -176,7 +161,7 @@ func TestGrouperMatchesMapGrouping(t *testing.T) {
 		src := uint32(rng.Intn(30))
 		data := rng.Uint32()
 		l.Append(int(dst/10), dst, src, data)
-		ref[dst] = append(ref[dst], vc.Msg{Src: src, Data: data})
+		ref[dst] = append(ref[dst], vc.Msg{Dst: dst, Src: src, Data: data})
 	}
 	l.FlushAll()
 	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20})
@@ -240,5 +225,4 @@ func TestGrouperEmptyBatch(t *testing.T) {
 	if _, _, ok := g.Next(); ok {
 		t.Fatal("Next on empty batch returned a group")
 	}
-	g.SkipTo(100) // must not panic
 }

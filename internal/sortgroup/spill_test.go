@@ -7,6 +7,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/mlog"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 // wideFixture builds a single 1000-vertex interval so spill chunking has
@@ -24,9 +25,9 @@ func wideFixture(t *testing.T) (*mlog.Log, []csr.Interval) {
 
 // drainChunks iterates a batch's chunks, checking per-chunk invariants, and
 // returns the concatenated records and the chunk count.
-func drainChunks(t *testing.T, b *Batch, iv csr.Interval) ([]Rec, int) {
+func drainChunks(t *testing.T, b *Batch, iv csr.Interval) ([]vc.Msg, int) {
 	t.Helper()
-	var all []Rec
+	var all []vc.Msg
 	chunks := 0
 	prevHi := iv.Lo
 	for {
@@ -64,10 +65,10 @@ func drainChunks(t *testing.T, b *Batch, iv csr.Interval) ([]Rec, int) {
 func TestSpillSingleOversizedInterval(t *testing.T) {
 	l, ivs := wideFixture(t)
 	rng := rand.New(rand.NewSource(7))
-	ref := make(map[Rec]int)
+	ref := make(map[vc.Msg]int)
 	const n = 500
 	for i := 0; i < n; i++ {
-		r := Rec{Dst: uint32(rng.Intn(1000)), Src: uint32(i), Data: rng.Uint32()}
+		r := vc.Msg{Dst: uint32(rng.Intn(1000)), Src: uint32(i), Data: rng.Uint32()}
 		l.Append(0, r.Dst, r.Src, r.Data)
 		ref[r]++
 	}

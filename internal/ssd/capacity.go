@@ -14,9 +14,6 @@ import (
 // same write without freeing space cannot succeed.
 var ErrNoSpace = errors.New("ssd: device capacity exhausted")
 
-// Capacity returns the device byte quota (0 = unlimited).
-func (d *Device) Capacity() int64 { return d.cfg.Capacity }
-
 // UsedBytes returns the bytes currently allocated across all live files
 // (allocated pages × page size; checksum sidecars are store metadata and
 // are not counted).

@@ -318,12 +318,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		b[0], b[1], b[2], b[3] = byte(i*7), byte(i*7>>8), byte(i*7>>16), byte(i*7>>24)
 		want = append(want, b[:]...)
 	}
-	w.WriteU64(0xdeadbeefcafef00d)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != int64(len(want)+8) {
-		t.Fatalf("Size = %d, want %d", f.Size(), len(want)+8)
+	if f.Size() != int64(len(want)) {
+		t.Fatalf("Size = %d, want %d", f.Size(), len(want))
 	}
 
 	r := NewReader(f, 2)
@@ -335,13 +334,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if v != uint32(i*7) {
 			t.Fatalf("U32 #%d = %d, want %d", i, v, i*7)
 		}
-	}
-	v64, err := r.U64()
-	if err != nil || v64 != 0xdeadbeefcafef00d {
-		t.Fatalf("U64 = %x, err %v", v64, err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", r.Remaining())
 	}
 	var b [1]byte
 	if _, err := r.Read(b[:]); err != io.EOF {

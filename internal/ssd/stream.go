@@ -52,14 +52,6 @@ func (w *Writer) WriteU32(v uint32) error {
 	return err
 }
 
-// WriteU64 appends a little-endian uint64.
-func (w *Writer) WriteU64(v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
 // Offset returns the number of bytes written so far.
 func (w *Writer) Offset() int64 { return w.off }
 
@@ -171,15 +163,3 @@ func (r *Reader) U32() (uint32, error) {
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() (uint64, error) {
-	var b [8]byte
-	if err := r.ReadFull(b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int64 { return r.size - r.pos }

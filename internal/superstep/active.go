@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"multilogvc/internal/bitset"
-	"multilogvc/internal/extsort"
 	"multilogvc/internal/vc"
 )
 
@@ -39,7 +38,7 @@ func InitialActive(is vc.InitSet, n uint32) *bitset.Set {
 // ActiveSet returns, ascending and without duplicates, the vertices one
 // batch must process: the destinations of recs (sorted by Dst) plus the
 // vertices of [lo, hi) set in live. The result reuses buf's storage.
-func ActiveSet(buf []uint32, recs []extsort.Record, live *bitset.Set, lo, hi uint32) []uint32 {
+func ActiveSet(buf []uint32, recs []vc.Msg, live *bitset.Set, lo, hi uint32) []uint32 {
 	verts := buf[:0]
 	for _, r := range recs {
 		if n := len(verts); n == 0 || verts[n-1] != r.Dst {
@@ -57,7 +56,7 @@ func ActiveSet(buf []uint32, recs []extsort.Record, live *bitset.Set, lo, hi uin
 // MsgRanges locates each vertex's messages inside recs (sorted by Dst):
 // recs[out[i][0]:out[i][1]] are bound for verts[i]. verts must ascend. The
 // result reuses buf's storage when it is large enough.
-func MsgRanges(buf [][2]int, verts []uint32, recs []extsort.Record) [][2]int {
+func MsgRanges(buf [][2]int, verts []uint32, recs []vc.Msg) [][2]int {
 	out := buf[:0]
 	if cap(out) < len(verts) {
 		out = make([][2]int, len(verts))
@@ -75,12 +74,4 @@ func MsgRanges(buf [][2]int, verts []uint32, recs []extsort.Record) [][2]int {
 		out[i] = [2]int{start, pos}
 	}
 	return out
-}
-
-// AppendMsgs appends recs to buf in the shape Process takes them.
-func AppendMsgs(buf []vc.Msg, recs []extsort.Record) []vc.Msg {
-	for _, r := range recs {
-		buf = append(buf, vc.Msg{Src: r.Src, Data: r.Data})
-	}
-	return buf
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"multilogvc/internal/extsort"
+	"multilogvc/internal/vc"
 )
 
 // ErrPanic is returned when a panic escapes a run — a vertex worker's
@@ -97,18 +97,18 @@ var ErrBadSend = errors.New("superstep: message to a vertex that does not exist"
 // external-sort run boundaries, virtual device time.
 type SendBuffer struct {
 	numVertices uint32
-	buckets     [][]extsort.Record // capacity survives Drain
+	buckets     [][]vc.Msg // capacity survives Drain
 }
 
 // NewSendBuffer makes the buffer of a workers-wide pool over numVertices vertices.
 func NewSendBuffer(workers int, numVertices uint32) *SendBuffer {
-	return &SendBuffer{numVertices: numVertices, buckets: make([][]extsort.Record, workers)}
+	return &SendBuffer{numVertices: numVertices, buckets: make([][]vc.Msg, workers)}
 }
 
 // Send files the message <dst, src, data> in worker w's bucket; workers
 // share nothing, so it needs no synchronisation.
 func (b *SendBuffer) Send(w int, src, dst, data uint32) {
-	b.buckets[w] = append(b.buckets[w], extsort.Record{Dst: dst, Src: src, Data: data})
+	b.buckets[w] = append(b.buckets[w], vc.Msg{Dst: dst, Src: src, Data: data})
 }
 
 // Drain hands deliver each worker's buffered sends, a bucket at a time and
@@ -118,7 +118,7 @@ func (b *SendBuffer) Send(w int, src, dst, data uint32) {
 // error path too. It stops at the first bucket deliver fails on or the first
 // send whose destination is not a vertex (ErrBadSend), having delivered the
 // sends before it. deliver must not keep the slice.
-func (b *SendBuffer) Drain(deliver func([]extsort.Record) (int, error)) (uint64, error) {
+func (b *SendBuffer) Drain(deliver func([]vc.Msg) (int, error)) (uint64, error) {
 	var n uint64
 	for w, bucket := range b.buckets {
 		b.buckets[w] = bucket[:0]

@@ -12,7 +12,6 @@ import (
 
 	"multilogvc/internal/bitset"
 	"multilogvc/internal/csr"
-	"multilogvc/internal/extsort"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
@@ -157,7 +156,7 @@ func TestForEachFirstChunkOnCaller(t *testing.T) {
 }
 
 func TestActiveSetAndMsgRanges(t *testing.T) {
-	recs := []extsort.Record{{Dst: 3, Src: 9}, {Dst: 3, Src: 8}, {Dst: 5}, {Dst: 7}, {Dst: 7}, {Dst: 7}}
+	recs := []vc.Msg{{Dst: 3, Src: 9}, {Dst: 3, Src: 8}, {Dst: 5}, {Dst: 7}, {Dst: 7}, {Dst: 7}}
 	live := bitset.New(16)
 	for _, v := range []int{1, 5, 6, 12} { // 1 and 12 lie outside [2, 10)
 		live.Set(v)
@@ -169,10 +168,6 @@ func TestActiveSetAndMsgRanges(t *testing.T) {
 	ranges := MsgRanges(nil, verts, recs)
 	if want := [][2]int{{0, 2}, {2, 3}, {3, 3}, {3, 6}}; !slices.Equal(ranges, want) {
 		t.Fatalf("ranges = %v, want %v", ranges, want)
-	}
-	msgs := AppendMsgs(nil, recs[ranges[0][0]:ranges[0][1]])
-	if want := []vc.Msg{{Src: 9}, {Src: 8}}; !slices.Equal(msgs, want) {
-		t.Fatalf("msgs = %v, want %v", msgs, want)
 	}
 	if got := ActiveSet(nil, nil, bitset.New(4), 0, 4); len(got) != 0 {
 		t.Fatalf("empty batch active = %v", got)
@@ -347,7 +342,7 @@ func TestSendBufferDrainsBucketsInOrder(t *testing.T) {
 	sb.Send(2, 21, 4, 0)
 	var got []uint32
 	buckets := 0
-	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
+	n, err := sb.Drain(func(recs []vc.Msg) (int, error) {
 		buckets++
 		for _, r := range recs {
 			got = append(got, r.Src)
@@ -360,7 +355,7 @@ func TestSendBufferDrainsBucketsInOrder(t *testing.T) {
 	if want := []uint32{1, 2, 20, 21}; !slices.Equal(got, want) {
 		t.Fatalf("senders in drain order %v, want %v", got, want)
 	}
-	if n, err := sb.Drain(func([]extsort.Record) (int, error) { t.Error("deliver called on an empty buffer"); return 0, nil }); n != 0 || err != nil {
+	if n, err := sb.Drain(func([]vc.Msg) (int, error) { t.Error("deliver called on an empty buffer"); return 0, nil }); n != 0 || err != nil {
 		t.Fatalf("second drain: %d sends, err %v", n, err)
 	}
 }
@@ -374,7 +369,7 @@ func TestSendBufferBadSend(t *testing.T) {
 	sb.Send(0, 3, 4, 0)
 	sb.Send(1, 4, 5, 0)
 	var got []uint32
-	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
+	n, err := sb.Drain(func(recs []vc.Msg) (int, error) {
 		for _, r := range recs {
 			got = append(got, r.Src)
 		}
@@ -397,7 +392,7 @@ func TestSendBufferCountsPartialDelivery(t *testing.T) {
 		sb.Send(1, i, 2, 0)
 	}
 	boom := errors.New("boom")
-	n, err := sb.Drain(func(recs []extsort.Record) (int, error) {
+	n, err := sb.Drain(func(recs []vc.Msg) (int, error) {
 		if recs[0].Dst == 2 {
 			return 2, boom
 		}

@@ -226,7 +226,7 @@ func (e *RefEngine) Run(prog Program, maxSupersteps int) *RefResult {
 		for _, v := range verts {
 			ctx.vertex = v
 			ctx.send = func(dst, data uint32) {
-				nextInbox[dst] = append(nextInbox[dst], Msg{Src: v, Data: data})
+				nextInbox[dst] = append(nextInbox[dst], Msg{Dst: dst, Src: v, Data: data})
 				sent++
 			}
 			prog.Process(ctx, inbox[v])

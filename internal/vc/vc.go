@@ -9,20 +9,19 @@
 // its value, send messages along its out-edges, and vote to halt. A halted
 // vertex is reactivated by an incoming message.
 //
-// Messages are fixed-size <src, data> pairs (uint32 each); on storage they
-// are logged as 12-byte <dst, src, data> records, matching §V-A of the
-// paper. Programs whose updates are associative and commutative may
+// A message is one fixed-size <dst, src, data> update record (uint32 each),
+// matching §V-A of the paper: the same record is logged as 12 bytes on
+// storage, sorted by destination and handed to Process. Programs whose updates are associative and commutative may
 // additionally implement Combiner to unlock the engines' merge fast paths
 // (GraFBoost requires it).
 package vc
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// Msg is one update delivered to a vertex.
+// Msg is one update record: the type a Send becomes, the multi-log logs,
+// the sort orders by Dst, Process receives and a checkpoint saves.
 type Msg struct {
+	Dst  uint32 // receiving vertex
 	Src  uint32 // sending vertex
 	Data uint32 // payload (bit-cast float32 for numeric algorithms)
 }
@@ -78,7 +77,9 @@ type Program interface {
 	// in superstep 0 with an empty message list.
 	InitActive(n uint32) InitSet
 	// Process handles one active vertex. msgs are the updates sent to
-	// this vertex in the previous superstep, in unspecified order.
+	// this vertex in the previous superstep, in unspecified order; each
+	// has Dst == ctx.Vertex(). The slice aliases engine memory and is
+	// valid only during the call.
 	Process(ctx Context, msgs []Msg)
 }
 
@@ -180,9 +181,3 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// F32 converts a float32 payload to message bits.
-func F32(f float32) uint32 { return math.Float32bits(f) }
-
-// ToF32 converts message bits back to a float32 payload.
-func ToF32(u uint32) float32 { return math.Float32frombits(u) }

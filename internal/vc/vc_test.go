@@ -2,7 +2,6 @@ package vc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"multilogvc/internal/graphio"
 )
@@ -50,13 +49,6 @@ func TestHash64Distribution(t *testing.T) {
 		if c < want/2 || c > want*2 {
 			t.Fatalf("bucket %d has %d of %d (expected ~%d)", b, c, n, want)
 		}
-	}
-}
-
-func TestF32RoundTrip(t *testing.T) {
-	f := func(x float32) bool { return ToF32(F32(x)) == x || x != x }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
