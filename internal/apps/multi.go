@@ -7,8 +7,8 @@ import (
 	"multilogvc/internal/vc"
 )
 
-// Multi-source query batching: MultiBFS and MultiSSSP run K independent
-// point queries ("lanes") in one superstep execution. Each lane owns one
+// Multi-source query batching: MultiSource runs K independent point
+// queries ("lanes") in one superstep execution. Each lane owns one
 // slot of a lane-strided value array and tags its messages with the lane
 // id, so the union frontier makes one pass over the adjacency lists and
 // message logs while the per-lane results stay bit-identical to K
@@ -60,68 +60,81 @@ func laneSources(kind string, sources []uint32) ([]uint32, error) {
 	return out, nil
 }
 
-// MultiBFS computes hop distances from K sources at once, one lane per
-// source. Lane q's extracted result (LaneResult) is bit-identical to
-// BFS{Source: Sources[q]}.
+// MultiSource computes distances from K sources at once, one lane per
+// source: hop counts (NewMultiBFS), where every edge costs 1, or
+// shortest paths (NewMultiSSSP), where an edge costs its weight. That
+// cost is the only difference between the two. Lane q's extracted result
+// (LaneResult) is bit-identical to BFS{Source: Sources[q]} or
+// SSSP{Source: Sources[q]} whenever every finite distance is below
+// LaneInf (always true for this repository's graphs).
 //
 // It deliberately does not implement vc.Combiner: messages of different
 // lanes share a destination but must never merge.
-type MultiBFS struct {
-	Sources []uint32
-	active  []uint32
+type MultiSource struct {
+	Sources  []uint32
+	active   []uint32
+	name     string
+	weighted bool // an edge costs its weight, not 1
 }
 
-// NewMultiBFS validates the batch and builds the program.
-func NewMultiBFS(sources []uint32) (*MultiBFS, error) {
-	active, err := laneSources("multibfs", sources)
+// NewMultiBFS validates the batch and builds its hop-count program.
+func NewMultiBFS(sources []uint32) (*MultiSource, error) {
+	return newMultiSource("multibfs", false, sources)
+}
+
+// NewMultiSSSP validates the batch and builds its weighted program.
+func NewMultiSSSP(sources []uint32) (*MultiSource, error) {
+	return newMultiSource("multisssp", true, sources)
+}
+
+func newMultiSource(name string, weighted bool, sources []uint32) (*MultiSource, error) {
+	active, err := laneSources(name, sources)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiBFS{Sources: append([]uint32(nil), sources...), active: active}, nil
+	return &MultiSource{Sources: append([]uint32(nil), sources...), active: active, name: name, weighted: weighted}, nil
 }
 
 // Name implements vc.Program.
-func (b *MultiBFS) Name() string { return "multibfs" }
+func (p *MultiSource) Name() string { return p.name }
 
 // Lanes implements vc.LaneProgram.
-func (b *MultiBFS) Lanes() int { return len(b.Sources) }
+func (p *MultiSource) Lanes() int { return len(p.Sources) }
 
 // InitValueLane implements vc.LaneProgram: lane q starts at 0 on its own
 // source and LaneInf everywhere else.
-func (b *MultiBFS) InitValueLane(v uint32, lane int, n uint32) uint32 {
-	if v == b.Sources[lane] {
+func (p *MultiSource) InitValueLane(v uint32, lane int, n uint32) uint32 {
+	if v == p.Sources[lane] {
 		return 0
 	}
 	return LaneInf
 }
 
 // InitValue implements vc.Program (lane 0's view, for single-lane engines).
-func (b *MultiBFS) InitValue(v, n uint32) uint32 { return b.InitValueLane(v, 0, n) }
+func (p *MultiSource) InitValue(v, n uint32) uint32 { return p.InitValueLane(v, 0, n) }
 
 // InitActive implements vc.Program: the union of the lane sources.
-func (b *MultiBFS) InitActive(n uint32) vc.InitSet {
-	return vc.InitSet{Verts: b.active}
+func (p *MultiSource) InitActive(n uint32) vc.InitSet {
+	return vc.InitSet{Verts: p.active}
 }
 
-// Process implements vc.Program, mirroring BFS.Process per lane exactly.
-func (b *MultiBFS) Process(ctx vc.Context, msgs []vc.Msg) {
-	lc := ctx.(vc.LaneContext)
+// Process implements vc.Program, mirroring the single-source program per
+// lane exactly: superstep 0 relaxes each lane whose source this vertex is
+// from distance 0; later supersteps relax any lane a message improved.
+func (p *MultiSource) Process(ctx vc.Context, msgs []vc.Msg) {
 	if ctx.Superstep() == 0 {
-		// Each lane whose source this vertex is announces depth 1.
 		v := ctx.Vertex()
-		for lane, src := range b.Sources {
-			if src != v {
-				continue
-			}
-			for _, dst := range ctx.OutEdges() {
-				ctx.Send(dst, packLane(lane, 1))
+		for lane, src := range p.Sources {
+			if src == v {
+				p.relax(ctx, lane, 0)
 			}
 		}
 		ctx.VoteToHalt()
 		return
 	}
+	lc := ctx.(vc.LaneContext)
 	var lanes [MaxLanes]uint32 // on the stack: Process runs once per vertex
-	best := lanes[:len(b.Sources)]
+	best := lanes[:len(p.Sources)]
 	for i := range best {
 		best[i] = LaneInf
 	}
@@ -136,107 +149,29 @@ func (b *MultiBFS) Process(ctx vc.Context, msgs []vc.Msg) {
 			continue
 		}
 		lc.SetValueLane(lane, d)
+		p.relax(ctx, lane, d)
+	}
+	ctx.VoteToHalt()
+}
+
+// relax sends lane's distance d plus each out-edge's cost along it.
+func (p *MultiSource) relax(ctx vc.Context, lane int, d uint32) {
+	var weights []uint32
+	if p.weighted {
+		weights = ctx.OutWeights()
+	}
+	for i, dst := range ctx.OutEdges() {
 		next := d + 1
-		for _, dst := range ctx.OutEdges() {
+		if weights != nil {
+			next = d + weights[i]
+		}
+		if next < d { // overflow guard
+			next = LaneInf
+		}
+		if next < LaneInf {
 			ctx.Send(dst, packLane(lane, next))
 		}
 	}
-	ctx.VoteToHalt()
-}
-
-// MultiSSSP computes shortest path distances from K sources at once, one
-// lane per source. Lane q's extracted result is bit-identical to
-// SSSP{Source: Sources[q]} whenever every finite distance is below
-// LaneInf (always true for this repository's graphs).
-type MultiSSSP struct {
-	Sources []uint32
-	active  []uint32
-}
-
-// NewMultiSSSP validates the batch and builds the program.
-func NewMultiSSSP(sources []uint32) (*MultiSSSP, error) {
-	active, err := laneSources("multisssp", sources)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiSSSP{Sources: append([]uint32(nil), sources...), active: active}, nil
-}
-
-// Name implements vc.Program.
-func (s *MultiSSSP) Name() string { return "multisssp" }
-
-// Lanes implements vc.LaneProgram.
-func (s *MultiSSSP) Lanes() int { return len(s.Sources) }
-
-// InitValueLane implements vc.LaneProgram.
-func (s *MultiSSSP) InitValueLane(v uint32, lane int, n uint32) uint32 {
-	if v == s.Sources[lane] {
-		return 0
-	}
-	return LaneInf
-}
-
-// InitValue implements vc.Program (lane 0's view).
-func (s *MultiSSSP) InitValue(v, n uint32) uint32 { return s.InitValueLane(v, 0, n) }
-
-// InitActive implements vc.Program.
-func (s *MultiSSSP) InitActive(n uint32) vc.InitSet {
-	return vc.InitSet{Verts: s.active}
-}
-
-// Process implements vc.Program, mirroring SSSP.Process per lane exactly:
-// superstep 0 relaxes each source lane from distance 0; later supersteps
-// relax any lane whose distance a message improved.
-func (s *MultiSSSP) Process(ctx vc.Context, msgs []vc.Msg) {
-	lc := ctx.(vc.LaneContext)
-	relax := func(lane int, best uint32) {
-		out := ctx.OutEdges()
-		weights := ctx.OutWeights()
-		for i, dst := range out {
-			w := uint32(1)
-			if weights != nil {
-				w = weights[i]
-			}
-			next := best + w
-			if next < best { // overflow guard
-				next = LaneInf
-			}
-			if next < LaneInf {
-				ctx.Send(dst, packLane(lane, next))
-			}
-		}
-	}
-	if ctx.Superstep() == 0 {
-		v := ctx.Vertex()
-		for lane, src := range s.Sources {
-			if src != v {
-				continue
-			}
-			lc.SetValueLane(lane, 0)
-			relax(lane, 0)
-		}
-		ctx.VoteToHalt()
-		return
-	}
-	var lanes [MaxLanes]uint32 // on the stack: Process runs once per vertex
-	best := lanes[:len(s.Sources)]
-	for i := range best {
-		best[i] = LaneInf
-	}
-	for _, m := range msgs {
-		lane, d := unpackLane(m.Data)
-		if lane < len(best) && d < best[lane] {
-			best[lane] = d
-		}
-	}
-	for lane, d := range best {
-		if d >= lc.ValueLane(lane) {
-			continue
-		}
-		lc.SetValueLane(lane, d)
-		relax(lane, d)
-	}
-	ctx.VoteToHalt()
 }
 
 // LaneResult extracts lane's per-vertex values from a lane-strided result

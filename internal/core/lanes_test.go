@@ -9,6 +9,7 @@ import (
 
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
+	"multilogvc/internal/vc"
 )
 
 func TestLaneBatchBFSBitIdentical(t *testing.T) {
@@ -71,34 +72,47 @@ func TestLaneBatchBFSBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLaneBatchSSSPBitIdenticalWeighted runs both lane kinds on a weighted
+// graph: an SSSP lane must equal its single-source SSSP run, and a BFS lane
+// its single-source BFS hop counts, which ignore the weights.
 func TestLaneBatchSSSPBitIdenticalWeighted(t *testing.T) {
 	_, _, g := weightedFixture(t, 8, 5)
 	sources := []uint32{0, 9, 200}
-
-	singles := make([][]uint32, len(sources))
-	for i, src := range sources {
-		res, err := New(g, Config{MaxSupersteps: 300}).Run(&apps.SSSP{Source: src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		singles[i] = res.Values
-	}
-
-	prog, err := apps.NewMultiSSSP(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := New(g, Config{MaxSupersteps: 300, RunTag: "sbatch", Ephemeral: true}).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := range sources {
-		got := apps.LaneResult(res.Values, len(sources), lane)
-		for v := range got {
-			if got[v] != singles[lane][v] {
-				t.Fatalf("lane %d vertex %d: batched %d != single %d", lane, v, got[v], singles[lane][v])
+	for _, kind := range []struct {
+		name   string
+		single func(src uint32) vc.Program
+		multi  func([]uint32) (*apps.MultiSource, error)
+	}{
+		{"sssp", func(src uint32) vc.Program { return &apps.SSSP{Source: src} }, apps.NewMultiSSSP},
+		{"bfs", func(src uint32) vc.Program { return &apps.BFS{Source: src} }, apps.NewMultiBFS},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			singles := make([][]uint32, len(sources))
+			for i, src := range sources {
+				res, err := New(g, Config{MaxSupersteps: 300}).Run(kind.single(src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				singles[i] = res.Values
 			}
-		}
+
+			prog, err := kind.multi(sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := New(g, Config{MaxSupersteps: 300, RunTag: "sbatch", Ephemeral: true}).Run(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lane := range sources {
+				got := apps.LaneResult(res.Values, len(sources), lane)
+				for v := range got {
+					if got[v] != singles[lane][v] {
+						t.Fatalf("lane %d vertex %d: batched %d != single %d", lane, v, got[v], singles[lane][v])
+					}
+				}
+			}
+		})
 	}
 }
 

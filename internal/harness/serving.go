@@ -26,16 +26,11 @@ func ServingSources(n uint32, k int) []uint32 {
 	return out
 }
 
-// servingProg builds the lane-batched program for a query group; group
-// size 1 uses the plain single-source BFS the daemon's parity contract
-// is defined against.
+// servingProg builds the lane-batched program for a query group.
 func servingProg(group []uint32) vc.Program {
-	if len(group) == 1 {
-		return &apps.BFS{Source: group[0]}
-	}
 	p, err := apps.NewMultiBFS(group)
 	if err != nil {
-		// group sizes are 1..16, well inside MaxLanes; unreachable.
+		// the group is servingQueries sources, well inside MaxLanes; unreachable.
 		panic(err)
 	}
 	return p

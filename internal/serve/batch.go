@@ -37,14 +37,14 @@ func (q *pointQuery) deliver(res pointResult) {
 }
 
 // pointResult is what one query gets back from its batch (or from its
-// solo re-run, when batch fault isolation kicked in).
+// re-run as a batch of one, when batch fault isolation kicked in).
 type pointResult struct {
 	values       []uint32 // this lane's per-vertex distances (Inf = unreached)
 	batchSize    int
 	supersteps   int
 	pagesRead    uint64 // the whole execution's scoped device reads
 	pagesWritten uint64
-	isolated     bool          // answered by a solo re-run after its batch faulted
+	isolated     bool          // answered by a re-run after its batch faulted
 	engine       time.Duration // the engine execution that answered it
 	err          error
 }
@@ -57,18 +57,15 @@ type pointResult struct {
 // query at once, and a saturated one coalesces exactly the queries that had
 // to wait for a slot anyway — nothing ever waits for company.
 type batcher struct {
-	s    *Server
-	kind string // "bfs" or "sssp"
+	s       *Server
+	kind    string // "bfs" or "sssp", as the reply names it
+	newProg func(sources []uint32) (*apps.MultiSource, error)
 
 	mu      sync.Mutex
 	pending []*pointQuery
 	// dispatching says a dispatcher has yet to take its batch; it holds
 	// whenever pending is non-empty, so no query is ever left behind.
 	dispatching bool
-}
-
-func newBatcher(s *Server, kind string) *batcher {
-	return &batcher{s: s, kind: kind}
 }
 
 // enqueue admits q, starting a dispatcher unless one is already waiting
@@ -124,44 +121,34 @@ func retryable(err error) bool {
 		errors.Is(err, ssd.ErrNoSpace)
 }
 
-// runBatch executes one lane-batched engine run for batch, under the
-// execution slot its dispatcher holds, and fans the per-lane results back
-// out. The batch's context deadline is the LATEST member deadline: a member
-// whose own deadline passes while a longer-deadline companion keeps the run
-// alive still gets its result ("late but computed" beats recomputing), while
-// a batch whose every member expired is cut before it costs an execution. A
+// runBatch executes batch as one lane program under the execution slot its
+// dispatcher holds and fans the per-lane results back out. The batch's
+// context deadline is the LATEST member deadline: a member whose own
+// deadline passes while a longer-deadline companion keeps the run alive
+// still gets its result ("late but computed" beats recomputing), while a
+// batch whose every member expired is cut before it costs an execution. A
 // retryable device fault does not fail the companions: surviving members
-// re-run solo within their remaining deadlines (batch fault isolation).
+// re-run as batches of one within their remaining deadlines (batch fault
+// isolation).
 func (b *batcher) runBatch(batch []*pointQuery) {
-	live := obsv.Live()
 	slotAt := time.Now()
 
 	// Panic containment at the batch-goroutine boundary: a panic here
-	// (engine internals beyond core's own recovery, or serving code)
-	// must not kill the daemon. Members that have not heard back get a
-	// classified internal error; the run's scratch namespace is swept
-	// (the engine's own ephemeral sweep already ran during unwinding if
-	// the panic rose through it — this one covers panics around it).
-	var tag string
+	// (engine internals beyond core's own recovery, or serving code) must
+	// not kill the daemon. Members that have not heard back get a
+	// classified internal error. A run's scratch needs no sweep here:
+	// core removes an ephemeral run's namespace on every exit, a panic
+	// unwinding through it included.
 	defer func() {
 		if rec := recover(); rec != nil {
-			live.PanicsRecovered.Add(1)
-			if tag != "" {
-				_, _ = b.s.dev.RemovePrefix(b.s.g.Name() + "." + tag + ".")
-			}
-			err := fmt.Errorf("serve: panic in batch execution: %v", rec)
-			for _, q := range batch {
-				q.deliver(pointResult{err: err, batchSize: len(batch)})
-			}
-			b.s.brk.recordN(outcomeNeutral, len(batch))
+			obsv.Live().PanicsRecovered.Add(1)
+			b.fail(batch, outcomeNeutral, fmt.Errorf("serve: panic in batch execution: %v", rec))
 		}
 	}()
 
-	sources := make([]uint32, len(batch))
 	latest := batch[0].deadline
-	for i, q := range batch {
+	for _, q := range batch {
 		q.wait = slotAt.Sub(q.admitted)
-		sources[i] = q.source
 		if q.deadline.After(latest) {
 			latest = q.deadline
 		}
@@ -171,11 +158,8 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 	// the slot it waited for: no program build, no engine. (Queries park
 	// behind busy slots; a short-deadline batch can be dead on dispatch.)
 	if !latest.After(slotAt) {
-		err := fmt.Errorf("serve: every batch member's deadline expired before execution: %w", core.ErrDeadline)
-		for _, q := range batch {
-			q.deliver(pointResult{err: err, batchSize: len(batch)})
-		}
-		b.s.brk.recordN(outcomeNeutral, len(batch))
+		b.fail(batch, outcomeNeutral,
+			fmt.Errorf("serve: every batch member's deadline expired before execution: %w", core.ErrDeadline))
 		return
 	}
 
@@ -183,126 +167,105 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 		b.s.testBatchHook(b.kind, len(batch))
 	}
 
-	var prog vc.Program
-	var err error
-	switch b.kind {
-	case "bfs":
-		prog, err = apps.NewMultiBFS(sources)
-	case "sssp":
-		prog, err = apps.NewMultiSSSP(sources)
-	default:
-		err = fmt.Errorf("serve: unknown batch kind %q", b.kind)
-	}
-	if err != nil {
-		for _, q := range batch {
-			q.deliver(pointResult{err: err, batchSize: len(batch)})
-		}
-		b.s.brk.recordN(outcomeNeutral, len(batch))
+	res, err := b.execute(batch, latest)
+	if err != nil && len(batch) > 1 && retryable(err) {
+		b.isolate(batch, err)
 		return
 	}
+	b.finish(batch, res, err)
+}
 
-	tag = fmt.Sprintf("q%d", b.s.runSeq.Add(1))
-	ctx, cancel := context.WithDeadline(context.Background(), latest)
+// isolate is batch fault isolation: the lane-batched execution died of a
+// retryable device fault, so each member with deadline remaining re-runs
+// as a batch of one instead of inheriting its companions' failure. The
+// re-runs execute sequentially under the batch's admission slot —
+// isolation is bounded to one extra run per member and never multiplies
+// the daemon's engine concurrency.
+func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
+	live := obsv.Live()
+	live.QueriesIsolated.Add(int64(len(batch)))
+	for _, q := range batch {
+		one := []*pointQuery{q}
+		if !q.deadline.After(time.Now()) {
+			// No time left for a re-run: the batch's classified fault is
+			// this member's honest outcome.
+			b.fail(one, outcomeFault, batchErr)
+			continue
+		}
+		live.QueriesRetried.Add(1)
+		res, err := b.execute(one, q.deadline)
+		if err != nil {
+			err = fmt.Errorf("batch failed (%v); solo retry failed: %w", batchErr, err)
+		} else {
+			res[0].isolated = true
+		}
+		b.finish(one, res, err)
+	}
+}
+
+// execute runs batch as one lane program under deadline, with its own
+// scratch namespace and IO scope, and returns each member's result in
+// batch order.
+func (b *batcher) execute(batch []*pointQuery, deadline time.Time) ([]pointResult, error) {
+	sources := make([]uint32, len(batch))
+	for i, q := range batch {
+		sources[i] = q.source
+	}
+	prog, err := b.newProg(sources)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	res, st, engine, err := b.s.runEngine(ctx, tag, prog)
+	res, st, engine, err := b.s.runEngine(ctx, fmt.Sprintf("q%d", b.s.runSeq.Add(1)), prog)
 
+	live := obsv.Live()
 	live.BatchesRun.Add(1)
 	if len(batch) > 1 {
 		live.BatchedQueries.Add(int64(len(batch)))
 	}
 	live.QueryPagesRead.Add(int64(st.PagesRead))
 	live.QueryPagesWrite.Add(int64(st.PagesWritten))
-
 	if err != nil {
-		if len(batch) > 1 && retryable(err) {
-			b.isolate(batch, err)
-			return
-		}
-		o := outcomeNeutral
-		if retryable(err) {
-			o = outcomeFault
-		}
-		// Record first: a client holding its answer must find the breaker moved.
-		b.s.brk.recordN(o, len(batch))
-		for _, q := range batch {
-			q.deliver(pointResult{err: err, batchSize: len(batch)})
-		}
-		return
+		return nil, err
 	}
-	b.s.brk.recordN(outcomeSuccess, len(batch))
-	for i, q := range batch {
-		q.deliver(pointResult{
+	out := make([]pointResult, len(batch))
+	for i := range out {
+		out[i] = pointResult{
 			values:       apps.LaneResult(res.Values, len(batch), i),
 			batchSize:    len(batch),
 			supersteps:   len(res.Report.Supersteps),
 			pagesRead:    st.PagesRead,
 			pagesWritten: st.PagesWritten,
 			engine:       engine,
-		})
+		}
+	}
+	return out, nil
+}
+
+// finish resolves batch: each member gets its result, or every member
+// gets err, with the breaker recorded first.
+func (b *batcher) finish(batch []*pointQuery, res []pointResult, err error) {
+	if err != nil {
+		o := outcomeNeutral
+		if retryable(err) {
+			o = outcomeFault
+		}
+		b.fail(batch, o, err)
+		return
+	}
+	b.s.brk.recordN(outcomeSuccess, len(batch))
+	for i, q := range batch {
+		q.deliver(res[i])
 	}
 }
 
-// isolate is batch fault isolation: the lane-batched execution died of a
-// retryable device fault, so each member with deadline remaining re-runs
-// as an individual single-source execution instead of inheriting its
-// companions' failure. Solo runs execute sequentially under the batch's
-// admission slot — isolation is bounded to one extra run per member and
-// never multiplies the daemon's engine concurrency.
-func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
-	live := obsv.Live()
-	live.QueriesIsolated.Add(int64(len(batch)))
+// fail records o once per member, then hands every member err: a client
+// holding its answer must find the breaker already moved.
+func (b *batcher) fail(batch []*pointQuery, o outcome, err error) {
+	b.s.brk.recordN(o, len(batch))
 	for _, q := range batch {
-		if !q.deadline.After(time.Now()) {
-			// No time left for a solo run: the batch's classified fault
-			// is this member's honest outcome.
-			b.s.brk.record(outcomeFault)
-			q.deliver(pointResult{err: batchErr, batchSize: len(batch)})
-			continue
-		}
-		live.QueriesRetried.Add(1)
-		res := b.runSolo(q, batchErr)
-		o := outcomeSuccess
-		if res.err != nil {
-			o = outcomeNeutral
-			if retryable(res.err) {
-				o = outcomeFault
-			}
-		}
-		b.s.brk.record(o)
-		q.deliver(res)
-	}
-}
-
-// runSolo executes one member's single-source program under its own
-// deadline, scratch namespace, and IO scope.
-func (b *batcher) runSolo(q *pointQuery, batchErr error) pointResult {
-	prog, err := apps.NewPoint(b.kind, q.source)
-	if err != nil {
-		return pointResult{err: err, batchSize: 1}
-	}
-	tag := fmt.Sprintf("q%d", b.s.runSeq.Add(1))
-	ctx, cancel := context.WithDeadline(context.Background(), q.deadline)
-	defer cancel()
-	res, st, engine, err := b.s.runEngine(ctx, tag, prog)
-
-	live := obsv.Live()
-	live.BatchesRun.Add(1)
-	live.QueryPagesRead.Add(int64(st.PagesRead))
-	live.QueryPagesWrite.Add(int64(st.PagesWritten))
-	if err != nil {
-		return pointResult{
-			err:       fmt.Errorf("batch failed (%v); solo retry failed: %w", batchErr, err),
-			batchSize: 1, isolated: true,
-		}
-	}
-	return pointResult{
-		values:       res.Values,
-		batchSize:    1,
-		supersteps:   len(res.Report.Supersteps),
-		pagesRead:    st.PagesRead,
-		pagesWritten: st.PagesWritten,
-		isolated:     true,
-		engine:       engine,
+		q.deliver(pointResult{err: err})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // ingestFixture builds a graph and reopens it through the ingest plane
 // (volatile WAL-less ingest is enough for handler tests; durability is
 // covered by csr/wal tests and the CI kill -9 smoke).
-func ingestFixture(t *testing.T, opts csr.IngestOptions) *csr.Graph {
+func ingestFixture(t testing.TB, opts csr.IngestOptions) *csr.Graph {
 	t.Helper()
 	edges, err := gen.RMAT(gen.DefaultRMAT(8, 8, 42))
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"multilogvc/internal/csr"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
@@ -21,88 +22,99 @@ import (
 // companions. Corruption is armed only for the batch's scratch namespace
 // (".q2." — the second RunTag this server issues, the first being the
 // slot holder's), so the 2-lane batch dies of corrupt scratch while the
-// solo re-runs (tags q3, q4) execute clean. Both clients still get 200s, solo-sized, marked isolated, and
-// bit-identical to sequential single-source runs.
+// re-runs as batches of one (tags q3, q4) execute clean. Both clients
+// still get 200s, solo-sized, marked isolated, and bit-identical to
+// sequential single-source runs. SSSP runs on a weighted graph, so its
+// re-runs must keep the weights its batch had.
 func TestServeBatchFaultIsolation(t *testing.T) {
-	g := fixture(t, 91)
-	dev := g.Device()
-	sources := []uint32{3, 7}
-	want := make([][]uint32, len(sources))
-	for i, src := range sources {
-		want[i] = single(t, g, "bfs", src)
-	}
-	dev.SetFaults(ssd.FaultPlan{Seed: 42, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".q2."})
+	for _, c := range []struct {
+		kind    string
+		fixture func(*testing.T, int64) *csr.Graph
+	}{
+		{"bfs", fixture},
+		{"sssp", weightedFixture},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			g := c.fixture(t, 91)
+			dev := g.Device()
+			sources := []uint32{3, 7}
+			want := make([][]uint32, len(sources))
+			for i, src := range sources {
+				want[i] = single(t, g, c.kind, src)
+			}
+			dev.SetFaults(ssd.FaultPlan{Seed: 42, Corrupt: ssd.Trigger{Prob: 1}, CorruptOnly: ".q2."})
 
-	s, err := New(Options{Graph: g, MaxConcurrent: 1, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	hold := installSlotHold(s)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	holders := hold.holdSlots(t, ts.URL, "bfs")
+			s, err := New(Options{Graph: g, MaxConcurrent: 1, MaxBatch: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			hold := installSlotHold(s)
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			holders := hold.holdSlots(t, ts.URL, "bfs")
 
-	live := obsv.Live()
-	isolated0 := live.QueriesIsolated.Value()
-	retried0 := live.QueriesRetried.Value()
+			live := obsv.Live()
+			isolated0 := live.QueriesIsolated.Value()
+			retried0 := live.QueriesRetried.Value()
 
-	type reply struct {
-		resp pointResponse
-		code int
-		body []byte
-	}
-	replies := make([]reply, len(sources))
-	var wg sync.WaitGroup
-	for i, src := range sources {
-		wg.Add(1)
-		go func(i int, src uint32) {
-			defer wg.Done()
-			resp, data := postJSON(t, ts.URL+"/query/bfs",
-				pointRequest{Source: src, Values: true, DeadlineMS: 30_000})
-			replies[i] = reply{code: resp.StatusCode, body: data}
-			if resp.StatusCode == http.StatusOK {
-				if err := json.Unmarshal(data, &replies[i].resp); err != nil {
-					t.Error(err)
+			type reply struct {
+				resp pointResponse
+				code int
+				body []byte
+			}
+			replies := make([]reply, len(sources))
+			var wg sync.WaitGroup
+			for i, src := range sources {
+				wg.Add(1)
+				go func(i int, src uint32) {
+					defer wg.Done()
+					resp, data := postJSON(t, ts.URL+"/query/"+c.kind,
+						pointRequest{Source: src, Values: true, DeadlineMS: 30_000})
+					replies[i] = reply{code: resp.StatusCode, body: data}
+					if resp.StatusCode == http.StatusOK {
+						if err := json.Unmarshal(data, &replies[i].resp); err != nil {
+							t.Error(err)
+						}
+					}
+				}(i, src)
+			}
+			waitPending(t, map[string]*batcher{"bfs": s.bfs, "sssp": s.sssp}[c.kind], len(sources))
+			hold.release()
+			wg.Wait()
+			holders.Wait()
+			for i := range sources {
+				r := replies[i]
+				if r.code != http.StatusOK {
+					t.Fatalf("query %d: status %d (companion not isolated from the batch fault): %s",
+						i, r.code, r.body)
+				}
+				if !r.resp.Isolated {
+					t.Fatalf("query %d not marked isolated; batch_size %d", i, r.resp.BatchSize)
+				}
+				if r.resp.BatchSize != 1 {
+					t.Fatalf("query %d: solo re-run reports batch_size %d, want 1", i, r.resp.BatchSize)
+				}
+				for v := range want[i] {
+					if r.resp.AllValues[v] != want[i][v] {
+						t.Fatalf("query %d vertex %d: isolated result %d != sequential %d",
+							i, v, r.resp.AllValues[v], want[i][v])
+					}
 				}
 			}
-		}(i, src)
-	}
-	waitPending(t, s.bfs, len(sources))
-	hold.release()
-	wg.Wait()
-	holders.Wait()
-
-	for i := range sources {
-		r := replies[i]
-		if r.code != http.StatusOK {
-			t.Fatalf("query %d: status %d (companion not isolated from the batch fault): %s",
-				i, r.code, r.body)
-		}
-		if !r.resp.Isolated {
-			t.Fatalf("query %d not marked isolated; batch_size %d", i, r.resp.BatchSize)
-		}
-		if r.resp.BatchSize != 1 {
-			t.Fatalf("query %d: solo re-run reports batch_size %d, want 1", i, r.resp.BatchSize)
-		}
-		for v := range want[i] {
-			if r.resp.AllValues[v] != want[i][v] {
-				t.Fatalf("query %d vertex %d: isolated result %d != sequential %d",
-					i, v, r.resp.AllValues[v], want[i][v])
+			if d := live.QueriesIsolated.Value() - isolated0; d != 2 {
+				t.Fatalf("queries_isolated advanced by %d, want 2", d)
 			}
-		}
-	}
-	if d := live.QueriesIsolated.Value() - isolated0; d != 2 {
-		t.Fatalf("queries_isolated advanced by %d, want 2", d)
-	}
-	if d := live.QueriesRetried.Value() - retried0; d != 2 {
-		t.Fatalf("queries_retried advanced by %d, want 2", d)
-	}
-	// The faulted batch's scratch and the solo runs' scratch are all gone.
-	for _, name := range dev.ListFiles() {
-		if strings.HasPrefix(name, "g.q") {
-			t.Fatalf("scratch file %q survived isolation", name)
-		}
+			if d := live.QueriesRetried.Value() - retried0; d != 2 {
+				t.Fatalf("queries_retried advanced by %d, want 2", d)
+			}
+			// The faulted batch's scratch and the solo runs' scratch are all gone.
+			for _, name := range dev.ListFiles() {
+				if strings.HasPrefix(name, "g.q") {
+					t.Fatalf("scratch file %q survived isolation", name)
+				}
+			}
+		})
 	}
 }
 

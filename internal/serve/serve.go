@@ -8,11 +8,11 @@
 //
 //   - Multi-source batching: compatible point queries (same app) that
 //     wait for the same execution slot coalesce into ONE lane-batched
-//     engine execution (apps.MultiBFS / apps.MultiSSSP), so K queued BFS
-//     queries cost one pass over the logs instead of K; a query that finds
-//     a slot free runs at once, alone. Per-lane results are bit-identical
-//     to K individual runs — batching is invisible to callers except in
-//     latency and shared IO.
+//     engine execution (apps.MultiSource: NewMultiBFS or NewMultiSSSP), so
+//     K queued BFS queries cost one pass over the logs instead of K; a
+//     query that finds a slot free runs at once, alone, as a batch of one.
+//     Per-lane results are bit-identical to K individual runs — batching
+//     is invisible to callers except in latency and shared IO.
 //
 //   - Isolation: every execution gets its own RunTag scratch namespace,
 //     an Ephemeral config (scratch removed even on failure), and an
@@ -32,6 +32,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,8 +175,8 @@ func New(opts Options) (*Server, error) {
 		cooldown:   opts.BreakerCooldown,
 		probes:     opts.BreakerProbes,
 	}, func() { obsv.Live().BreakerOpens.Add(1) })
-	s.bfs = newBatcher(s, "bfs")
-	s.sssp = newBatcher(s, "sssp")
+	s.bfs = &batcher{s: s, kind: "bfs", newProg: apps.NewMultiBFS}
+	s.sssp = &batcher{s: s, kind: "sssp", newProg: apps.NewMultiSSSP}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query/bfs", func(w http.ResponseWriter, r *http.Request) { s.handlePoint(w, r, s.bfs) })
@@ -440,7 +441,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, b *batcher)
 		if len(req.Targets) > 0 {
 			resp.Dist = make(map[string]uint32, len(req.Targets))
 			for _, t := range req.Targets {
-				resp.Dist[fmt.Sprint(t)] = res.values[t]
+				resp.Dist[strconv.FormatUint(uint64(t), 10)] = res.values[t]
 			}
 		}
 		if req.Values {

@@ -18,9 +18,11 @@ import (
 	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
+	"multilogvc/internal/graphio"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
+	"multilogvc/internal/vc"
 )
 
 // fixture builds a small resident rmat graph on a fresh in-memory device.
@@ -32,6 +34,25 @@ func fixture(t *testing.T, seed int64) *csr.Graph {
 	}
 	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
 	g, err := csr.Build(dev, "g", edges, csr.BuildOptions{NumVertices: 1 << 9, IntervalBudget: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// weightedFixture is fixture with a deterministic weight in [1, 16] on
+// every edge, so weighted and hop distances differ.
+func weightedFixture(t *testing.T, seed int64) *csr.Graph {
+	t.Helper()
+	edges, err := gen.RMAT(gen.DefaultRMAT(9, 8, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedges := graphio.AttachWeights(edges, func(s, d uint32) uint32 {
+		return uint32(vc.Hash64(uint64(s), uint64(d))%16) + 1
+	})
+	dev := ssd.MustOpen(ssd.Config{PageSize: 512, Channels: 4})
+	g, err := csr.BuildWeighted(dev, "g", wedges, csr.BuildOptions{NumVertices: 1 << 9, IntervalBudget: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

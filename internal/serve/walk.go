@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
 	"multilogvc/internal/obsv"
@@ -155,26 +156,11 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 			h := vc.Hash64(req.Seed, uint64(cur), uint64(step), uint64(wi))
 			cur = nbrs[h%uint64(len(nbrs))]
 			path = append(path, cur)
-			resp.Visits[itoa(cur)]++
+			resp.Visits[strconv.FormatUint(uint64(cur), 10)]++
 		}
 		resp.Paths[wi] = path
 	}
 	record(outcomeSuccess)
 	live.QueriesServed.Add(1)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func itoa(v uint32) string {
-	// strconv-free tiny helper keeps the hot loop allocation-light.
-	if v == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
