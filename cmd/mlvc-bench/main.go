@@ -68,7 +68,7 @@ var experiments = []experiment{
 		}
 		return harness.Fig6(runs), nil
 	}},
-	{"fig7", "Fig 7: page-access ratios of the fig6 runs", func(b *benchCtx) (*metrics.Table, error) {
+	{"fig7", "Fig 7: per-superstep speedup over GraphChi of the fig6 runs", func(b *benchCtx) (*metrics.Table, error) {
 		runs, err := b.sharedFig6Runs()
 		if err != nil {
 			return nil, err
@@ -77,8 +77,8 @@ var experiments = []experiment{
 	}},
 	{"fig8", "Fig 8: GraFBoost comparison (mergeable apps)", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig8(b.size) }},
 	{"adapted", "GraFBoost adapted-mode graph coloring", func(b *benchCtx) (*metrics.Table, error) { return harness.AdaptedGC(b.size) }},
-	{"fig9", "Fig 9: memory-budget sensitivity", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig9(b.size) }},
-	{"fig10", "Fig 10: SSSP on weighted graphs", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig10(b.size) }},
+	{"fig9", "Fig 9: predicted over actual inefficient pages", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig9(b.size) }},
+	{"fig10", "Fig 10: MIS speedup against memory budget", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig10(b.size) }},
 	{"ablation", "edge-log / combiner / fusing ablations", func(b *benchCtx) (*metrics.Table, error) { return harness.Ablation(b.size) }},
 	{"extended", "extended app set beyond the paper", func(b *benchCtx) (*metrics.Table, error) { return harness.Extended(b.size) }},
 	{"iobreakdown", "device traffic by storage structure", func(b *benchCtx) (*metrics.Table, error) { return harness.IOBreakdown(b.size) }},

@@ -31,7 +31,8 @@ type batch struct {
 // had to hold while it ran) and a steady-state batch allocates nothing per
 // vertex. A batch that leaves more than run.planeKeep bytes behind — more than
 // a whole interval's batch must hold anyway, and more than the budgets — takes
-// them with it, and the plane dies with the run.
+// them with it, and the plane dies with the run. A run on a Slot keeps its
+// largest batch's buffers instead, and hands them to the slot's next run.
 type vertexPlane struct {
 	verts []uint32       // the active set, ascending
 	vb    csr.ValueBatch // value pages
@@ -108,8 +109,9 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 	}
 	// A batch far larger than any one interval's — superstep 0 of an
 	// all-active program fuses every interval, having no messages to bound
-	// it — must not leave its buffers with the run.
-	if r.bytes() > r.planeKeep {
+	// it — must not leave its buffers with the run. A slot's runs are short
+	// and come one after another: they keep them for the next.
+	if r.slot == nil && r.bytes() > r.planeKeep {
 		r.vertexPlane = vertexPlane{}
 	}
 	return nil

@@ -49,15 +49,12 @@ type run struct {
 	step int           // superstep in progress
 	muts []vc.Mutation // structural mutations it has requested so far
 
-	vertexPlane     // the vertex data of the batch in progress
-	planeKeep   int // bytes of it that may outlive a batch
+	workingSet     // the buffers a Slot carries from run to run
+	planeKeep  int // bytes of the vertex plane that may outlive a batch
+	waveSends  int // expected sends after which a wave's sends are drained
 
-	// The vertex stage's send path: workers fill sends, the run goroutine
-	// drains it into the logs every waveSends expected sends.
-	ctxs      []engineCtx // one per worker
-	sends     *superstep.SendBuffer
-	sendIvs   []int32 // destination interval of each send of the bucket being drained
-	waveSends int
+	slot *Slot // the slot whose working set the run holds; nil for none
+	ok   bool  // the run ended without error: its working set may outlive it
 }
 
 // A wave buffers about an eighth of the message log's own buffer budget —
@@ -143,7 +140,9 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 	if cfg.CheckpointEvery > 0 {
 		loop.AfterStep = r.periodicCheckpoint
 	}
-	return loop.Run(r)
+	res, err := loop.Run(r)
+	r.ok = err == nil
+	return res, err
 }
 
 // open creates the run's storage units — from the newest checkpoint when
@@ -160,6 +159,11 @@ func (r *run) open(resume bool) error {
 		if rst, err = r.loadCheckpoint(); err != nil {
 			return err
 		}
+	}
+
+	var held bool
+	if r.workingSet, held = cfg.Slot.take(); held {
+		r.slot = cfg.Slot
 	}
 
 	lanes, laneProg := lanesOf(prog)
@@ -192,7 +196,10 @@ func (r *run) open(resume bool) error {
 		r.sortOpts.SortBudget = cfg.SortBudget
 	}
 	r.elogBudget = cfg.MemoryBudget * elogPct / 100
-	if r.curLog, err = mlog.New(dev, name+".mlog.0", len(g.Intervals()), cfg.MemoryBudget*mlogPct/100); err != nil {
+	if r.logBufs == nil {
+		r.logBufs = &mlog.Buffers{}
+	}
+	if r.curLog, err = mlog.NewWith(dev, name+".mlog.0", len(g.Intervals()), cfg.MemoryBudget*mlogPct/100, r.logBufs); err != nil {
 		return err
 	}
 	r.curLog.SetTracer(cfg.Trace)
@@ -205,8 +212,10 @@ func (r *run) open(resume bool) error {
 		r.pred = edgelog.NewPredictor(n, dev.PageSize(), cfg.UtilThreshold)
 	}
 	r.carry = superstep.InitialActive(prog.InitActive(n), n)
-	r.sends = superstep.NewSendBuffer(cfg.Workers, n)
-	r.ctxs = make([]engineCtx, cfg.Workers)
+	r.sends = r.sends.Reuse(cfg.Workers, n)
+	if len(r.ctxs) != cfg.Workers {
+		r.ctxs = make([]engineCtx, cfg.Workers)
+	}
 	r.waveSends = max(int(r.nextLog.Budget()/mlog.RecordBytes/waveBudgetShare), minWaveSends)
 	r.planeKeep = int(max(r.sortOpts.SortBudget, r.nextLog.Budget(), unfusedPlaneBytes(g, lanes)))
 
@@ -224,12 +233,20 @@ func (r *run) open(resume bool) error {
 	return nil
 }
 
-// close runs on every exit of the attempt, success or not.
+// close runs on every exit of the attempt, success or not. The batch buffers
+// die with the attempt unless it holds a slot and ended without error: then
+// they go back to the slot for its next run.
 func (r *run) close() {
-	r.vertexPlane = vertexPlane{} // the batch buffers die with the attempt
 	if r.unregister != nil {
 		r.unregister()
 	}
+	if r.slot != nil {
+		clear(r.auxBatches)
+		r.vb.Forget()
+		r.slot.give(r.workingSet, r.ok)
+		r.slot = nil
+	}
+	r.workingSet = workingSet{}
 	// An ephemeral run leaves nothing behind: its scratch namespace
 	// (values, message logs, edge log, spill runs) and any aux arrays.
 	if r.cfg.Ephemeral {

@@ -37,53 +37,71 @@ func servingGraph(t testing.TB) *csr.Graph {
 
 // serveRun executes one lane-batched BFS exactly as serve.runEngine
 // configures it: pinned snapshot, private scratch namespace swept on exit,
-// its own IO scope, the shared cache.
-func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32) (*superstep.Result, ssd.Stats) {
+// its own IO scope, the shared cache, and the working set of the execution
+// slot it runs on.
+func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32, slot *Slot) (*superstep.Result, ssd.Stats) {
 	t.Helper()
-	prog, err := apps.NewMultiBFS(sources)
+	res, st, err := serveExec(g, tag, sources, slot)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return res, st
+}
+
+// serveExec is serveRun returning the run's error instead of failing on it.
+func serveExec(g *csr.Graph, tag string, sources []uint32, slot *Slot) (*superstep.Result, ssd.Stats, error) {
+	prog, err := apps.NewMultiBFS(sources)
+	if err != nil {
+		return nil, ssd.Stats{}, err
 	}
 	snap := g.Snapshot()
 	defer snap.Release()
 	sc := ssd.NewScope()
 	res, err := New(snap.Graph(), Config{
 		MemoryBudget: servingBudget, MaxSupersteps: 100,
-		RunTag: tag, Ephemeral: true, Scope: sc,
+		RunTag: tag, Ephemeral: true, Scope: sc, Slot: slot,
 	}).RunCtx(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, sc.Stats()
+	return res, sc.Stats(), err
 }
 
 // BenchmarkServeEngine is the serving hot path without HTTP: one engine
 // execution per iteration in the serving shape, at the batch sizes the
-// daemon's batcher produces. ns/op and B/op are per execution; pages and
-// storage time are per query (the execution's divided by its lanes), and
-// spills/op counts batches that outgrew the sort budget. Profile it with
-// -cpuprofile to see where a point query's time goes.
+// daemon's batcher produces, every execution of a case on one execution slot
+// as the daemon runs them; cold runs on no slot, so each execution allocates
+// its working set afresh, as Graph.Run does.
+// ns/op and B/op are per execution; pages and storage time are per query
+// (the execution's divided by its lanes), and spills/op counts batches that
+// outgrew the sort budget. Profile it with -cpuprofile to see where a point
+// query's time goes.
 func BenchmarkServeEngine(b *testing.B) {
 	g := servingGraph(b)
 	n := g.NumVertices()
-	for _, lanes := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			sources := make([]uint32, lanes)
+	for _, c := range []struct {
+		name  string
+		lanes int
+		cold  bool
+	}{{"lanes=1", 1, false}, {"lanes=2", 2, false}, {"lanes=4", 4, false}, {"cold", 1, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			sources := make([]uint32, c.lanes)
+			var slot *Slot
+			if !c.cold {
+				slot = new(Slot)
+			}
 			var read, written, spills uint64
 			var storage float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for l := range sources {
-					sources[l] = uint32(i*lanes+l) * 2654435761 % n
+					sources[l] = uint32(i*c.lanes+l) * 2654435761 % n
 				}
-				res, st := serveRun(b, g, fmt.Sprintf("q%d", i), sources)
+				res, st := serveRun(b, g, fmt.Sprintf("q%d", i), sources, slot)
 				read += st.PagesRead
 				written += st.PagesWritten
 				storage += st.StorageTime().Seconds() * 1e3
 				spills += res.Report.Spills
 			}
-			perQuery := float64(b.N * lanes)
+			perQuery := float64(b.N * c.lanes)
 			b.ReportMetric(float64(read)/perQuery, "pages-read/query")
 			b.ReportMetric(float64(written)/perQuery, "pages-written/query")
 			b.ReportMetric(storage/perQuery, "storage-ms/query")

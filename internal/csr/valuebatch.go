@@ -68,6 +68,10 @@ func (vv *Values) LoadBatch(b *ValueBatch, verts []uint32) (int, error) {
 	return len(b.order), nil
 }
 
+// Forget empties the batch and drops its tie to the value file, keeping its
+// buffers for a later LoadBatch, possibly of another file.
+func (b *ValueBatch) Forget() { b.vv, b.order = nil, b.order[:0] }
+
 // Bytes returns the memory the batch holds on to between loads.
 func (b *ValueBatch) Bytes() int { return cap(b.buf) + 8*cap(b.order) + 4*cap(b.slot) }
 

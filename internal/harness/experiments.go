@@ -230,7 +230,7 @@ func Fig6Runs(size Size) ([]Fig6Result, error) {
 // Fig6 reproduces Fig 6: per-application speedup over GraphChi.
 func Fig6(runs []Fig6Result) *metrics.Table {
 	t := &metrics.Table{
-		Title:   "Fig 6: application speedup over GraphChi (total modeled time)",
+		Title:   "Fig 6: application speedup over GraphChi (storage plus host compute time)",
 		Headers: []string{"dataset", "app", "speedup", "page ratio", "supersteps"},
 	}
 	for _, r := range runs {

@@ -45,7 +45,7 @@ const pageHeader = 4
 // device). So mu guards every field below it, never across a device write.
 //
 // The buffers a record crosses on its way through the Log are recycled, not
-// reallocated (see buffers).
+// reallocated (see Buffers).
 type Log struct {
 	dev      *ssd.Device
 	prefix   string
@@ -64,7 +64,7 @@ type Log struct {
 	// swap.
 	consumed []bool
 
-	bufs *buffers // shared with the run's other generation
+	bufs *Buffers // shared with the run's other generation
 
 	tr *obsv.Trace // nil = tracing disabled
 }
@@ -96,6 +96,13 @@ func (l *Log) SetTracer(tr *obsv.Trace) { l.tr = tr }
 // floored at one page per interval, matching the paper's requirement that
 // at least one log buffer page exists per interval.
 func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, error) {
+	return NewWith(dev, prefix, numIntervals, budget, &Buffers{})
+}
+
+// NewWith is New drawing on bufs: fresh ones, or the buffers an earlier Log
+// of the caller's recycled, kept so that this one allocates none of them
+// afresh.
+func NewWith(dev *ssd.Device, prefix string, numIntervals int, budget int64, bufs *Buffers) (*Log, error) {
 	if numIntervals <= 0 {
 		return nil, fmt.Errorf("mlog: numIntervals %d invalid", numIntervals)
 	}
@@ -113,7 +120,7 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 		full:     make([][][]byte, numIntervals),
 		count:    make([]uint64, numIntervals),
 		consumed: make([]bool, numIntervals),
-		bufs:     &buffers{},
+		bufs:     bufs,
 	}, nil
 }
 
@@ -398,12 +405,18 @@ func appendRecords(recs []vc.Msg, enc []byte) []vc.Msg {
 	return recs
 }
 
-// buffers recycles what a record crosses on its way through a Log: written-
+// Buffers recycles what a record crosses on its way through a Log: written-
 // out pages become top pages again, one staging buffer carries pages to and
 // from the device, and the record buffers of closed sort batches wait for the
-// next one. The two generations of a run share one (NewGeneration). mu is a
-// leaf: it is taken under Log.mu, never the other way round.
-type buffers struct {
+// next one. The two generations of a run share one (NewGeneration), and a
+// host that runs one run after another may hand them to the next (NewWith).
+// What they hold is bounded by the Logs drawing on them: the pages buffered
+// at once (a generation takes appends up to the budget, one more page and a
+// top page per interval; only the asynchronous model appends to both), at
+// most readBatch pages of staging, and maxFreeRecs record buffers of one sort
+// batch each. mu is a leaf: it is taken under Log.mu, never the other way
+// round.
+type Buffers struct {
 	mu    sync.Mutex
 	pages [][]byte   // log pages whose content reached the device
 	stage []byte     // while neither flush nor Read holds it; at most readBatch pages
@@ -415,10 +428,10 @@ type buffers struct {
 const maxFreeRecs = 2
 
 // page returns a log page of size bytes, recycled if there is one.
-func (b *buffers) page(size int) []byte {
+func (b *Buffers) page(size int) []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if n := len(b.pages); n > 0 {
+	if n := len(b.pages); n > 0 && cap(b.pages[n-1]) >= size {
 		page := b.pages[n-1][:size]
 		b.pages = b.pages[:n-1]
 		return page
@@ -426,7 +439,7 @@ func (b *buffers) page(size int) []byte {
 	return make([]byte, size)
 }
 
-func (b *buffers) putPages(pages ...[]byte) {
+func (b *Buffers) putPages(pages ...[]byte) {
 	b.mu.Lock()
 	b.pages = append(b.pages, pages...)
 	b.mu.Unlock()
@@ -436,7 +449,7 @@ func (b *buffers) putPages(pages ...[]byte) {
 // it back, unless it is longer than keep — an outsized flush allocates its
 // own. Two flushes can overlap — Append is goroutine-safe — and then the
 // second allocates too.
-func (b *buffers) takeStage(n int) []byte {
+func (b *Buffers) takeStage(n int) []byte {
 	b.mu.Lock()
 	buf := b.stage
 	b.stage = nil
@@ -447,12 +460,26 @@ func (b *buffers) takeStage(n int) []byte {
 	return buf[:n]
 }
 
-func (b *buffers) putStage(buf []byte, keep int) {
+func (b *Buffers) putStage(buf []byte, keep int) {
 	b.mu.Lock()
 	if cap(buf) <= keep && cap(buf) > cap(b.stage) {
 		b.stage = buf
 	}
 	b.mu.Unlock()
+}
+
+// Bytes returns the memory the buffers hold for the next Log to draw on.
+func (b *Buffers) Bytes() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := cap(b.stage)
+	for _, p := range b.pages {
+		n += cap(p)
+	}
+	for _, r := range b.recs {
+		n += RecordBytes * cap(r)
+	}
+	return n
 }
 
 // GetRecs returns an empty record buffer with room for n records: one that

@@ -71,6 +71,12 @@ type LiveVars struct {
 	BreakerOpens    *expvar.Int `metric:"mlvc.breaker_opens" kind:"counter" help:"Fault circuit-breaker open transitions"`
 	BreakerSheds    *expvar.Int `metric:"mlvc.breaker_sheds" kind:"counter" help:"Queries shed while the breaker was open or probing"`
 
+	// SlotIdleBytes is what the serving daemon's execution slots keep of
+	// the engine working set between executions (core.Slot): it rises
+	// as executions return their buffers and falls when one fails or the
+	// daemon drains.
+	SlotIdleBytes *expvar.Int `metric:"mlvc.slot_idle_bytes" kind:"gauge" unit:"bytes" help:"Engine working-set bytes held by idle execution slots"`
+
 	// Streaming-ingest counters: cumulative across the process. Zero
 	// unless the graph was opened for durable ingest.
 	IngestMutations    *expvar.Int `metric:"mlvc.ingest_mutations" kind:"counter" help:"Edge mutations acknowledged (durable and applied)"`
@@ -113,17 +119,20 @@ func Live() *LiveVars {
 // declare registers one expvar per field of the struct v and records its
 // metadata in varMeta. A field is a metric's one declaration: its tags give
 // the expvar name, the kind ("counter" or "gauge"), the help text and, for
-// a map family, the label its keys populate. A field missing one panics
-// here, at first use, instead of exporting as untyped.
+// a map family, the label its keys populate; an optional unit tag names the
+// unit, which the name must end with ("mlvc.x_bytes", unit "bytes"). A field
+// missing one, or whose name does not end with its unit, panics here, at
+// first use, instead of exporting as untyped.
 func declare(v reflect.Value) {
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)
 		name := f.Tag.Get("metric")
-		meta := metricMeta{help: f.Tag.Get("help"), typ: f.Tag.Get("kind"), label: f.Tag.Get("label")}
+		meta := metricMeta{help: f.Tag.Get("help"), typ: f.Tag.Get("kind"), label: f.Tag.Get("label"), unit: f.Tag.Get("unit")}
 		_, isMap := v.Field(i).Interface().(*expvar.Map)
 		if !strings.HasPrefix(name, "mlvc.") || meta.help == "" ||
-			(meta.typ != "counter" && meta.typ != "gauge") || isMap != (meta.label != "") {
-			panic(fmt.Sprintf("obsv: field %s needs metric:\"mlvc.…\", kind:\"counter|gauge\", help and (maps only) label tags; has `%s`", f.Name, f.Tag))
+			(meta.typ != "counter" && meta.typ != "gauge") || isMap != (meta.label != "") ||
+			(meta.unit != "" && !strings.HasSuffix(name, "_"+meta.unit)) {
+			panic(fmt.Sprintf("obsv: field %s needs metric:\"mlvc.…\", kind:\"counter|gauge\", help, (maps only) label and (optional) unit tags, the name ending in its unit; has `%s`", f.Name, f.Tag))
 		}
 		switch p := v.Field(i).Addr().Interface().(type) {
 		case **expvar.Int:

@@ -78,34 +78,40 @@ var liveFamiliesAtPR19 = []string{
 	"mlvc_queries_shed", "mlvc_query_deadlines", "mlvc_query_errors", "mlvc_query_pages_read",
 	"mlvc_query_pages_written", "mlvc_reclaimed_bytes", "mlvc_reclaims", "mlvc_replica_applied_seq",
 	"mlvc_replica_lag_frames", "mlvc_resumes", "mlvc_retries", "mlvc_rollbacks", "mlvc_runs",
-	"mlvc_spill_bytes", "mlvc_spills", "mlvc_stage_pages_read", "mlvc_stage_pages_written",
+	"mlvc_slot_idle_bytes", "mlvc_spill_bytes", "mlvc_spills", "mlvc_stage_pages_read", "mlvc_stage_pages_written",
 	"mlvc_superstep", "mlvc_transient_faults", "mlvc_wal_flushes", "mlvc_wal_frames",
 	"mlvc_wal_replayed_frames", "mlvc_wal_torn_tails",
 }
 
 // TestLiveVarsAllDeclared reads /metrics the way a scraper does: every
 // family the process registers is typed and documented, and the family
-// set is exactly the 50 names above — none added, renamed or dropped.
+// set is exactly the 51 names above — none added, renamed or dropped.
 func TestLiveVarsAllDeclared(t *testing.T) {
 	Live()
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	kinds, helps := map[string]string{}, map[string]string{}
+	kinds, helps, units := map[string]string{}, map[string]string{}, map[string]string{}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		f := strings.SplitN(line, " ", 4)
 		if len(f) < 4 || f[0] != "#" {
 			continue
 		}
-		into := kinds
-		if f[1] == "HELP" {
-			into = helps
+		into := map[string]map[string]string{"HELP": helps, "TYPE": kinds, "UNIT": units}[f[1]]
+		if into == nil {
+			t.Errorf("family %s has a %s line", f[2], f[1])
+			continue
 		}
 		if _, dup := into[f[2]]; dup {
 			t.Errorf("family %s has two %s lines", f[2], f[1])
 		}
 		into[f[2]] = f[3]
+	}
+	for name, unit := range units {
+		if !strings.HasSuffix(name, "_"+unit) {
+			t.Errorf("family %s has unit %q, not the suffix of its name", name, unit)
+		}
 	}
 	for name, kind := range kinds {
 		if kind != "counter" && kind != "gauge" {
@@ -141,6 +147,9 @@ func liveMetricTable() string {
 		m := varMeta[name]
 		if m.label != "" {
 			m.typ += ", by `" + m.label + "`"
+		}
+		if m.unit != "" {
+			m.typ += ", " + m.unit
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", name, m.typ, m.help)
 	}
@@ -196,6 +205,9 @@ func TestDeclareRejectsIncompleteField(t *testing.T) {
 		}{},
 		"label on scalar": &struct {
 			Scalar *expvar.Float `metric:"mlvc.t_x" kind:"gauge" label:"l" help:"h"`
+		}{},
+		"unit not in name": &struct {
+			Unitless *expvar.Int `metric:"mlvc.t_x" kind:"gauge" unit:"bytes" help:"h"`
 		}{},
 		"not an expvar": &struct {
 			Plain *int `metric:"mlvc.t_x" kind:"gauge" help:"h"`

@@ -30,6 +30,7 @@ type metricMeta struct {
 	help  string
 	typ   string // "counter" or "gauge"
 	label string // label name for map families; "" for scalars
+	unit  string // the unit the family name ends with; "" for a count
 }
 
 // varMeta is filled by Live from the LiveVars field tags and only read
@@ -44,8 +45,9 @@ var (
 func promNum(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // WriteOpenMetrics writes every "mlvc."-prefixed expvar in Prometheus
-// text exposition format: families sorted by name, HELP/TYPE preceding
-// samples, map keys sorted within a family, and a trailing # EOF marker.
+// text exposition format: families sorted by name, HELP/TYPE (and UNIT, for
+// a family declared with one) preceding samples, map keys sorted within a
+// family, and a trailing # EOF marker.
 func WriteOpenMetrics(w io.Writer) error {
 	var vars []expvar.KeyValue
 	expvar.Do(func(kv expvar.KeyValue) {
@@ -73,6 +75,11 @@ func writeOpenMetricsVars(w io.Writer, vars []expvar.KeyValue) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 			name, helpEscaper.Replace(meta.help), name, meta.typ); err != nil {
 			return err
+		}
+		if meta.unit != "" {
+			if _, err := fmt.Fprintf(w, "# UNIT %s %s\n", name, meta.unit); err != nil {
+				return err
+			}
 		}
 		var err error
 		switch v := kv.Value.(type) {

@@ -95,6 +95,26 @@ func TestOpenMetricsReplicationFamilies(t *testing.T) {
 	}
 }
 
+// TestOpenMetricsUnitLine: a family declared with a unit carries a UNIT
+// line after its HELP and TYPE.
+func TestOpenMetricsUnitLine(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeOpenMetricsVars(&buf, []expvar.KeyValue{kvInt("mlvc.slot_idle_bytes", 4096)}); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		"# HELP mlvc_slot_idle_bytes Engine working-set bytes held by idle execution slots",
+		"# TYPE mlvc_slot_idle_bytes gauge",
+		"# UNIT mlvc_slot_idle_bytes bytes",
+		"mlvc_slot_idle_bytes 4096",
+		"# EOF",
+		"",
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestOpenMetricsStableOrdering(t *testing.T) {
 	vars := []expvar.KeyValue{
 		kvInt("mlvc.runs", 1),

@@ -85,14 +85,14 @@ func (b *batcher) enqueue(q *pointQuery) error {
 	return nil
 }
 
-// dispatch takes one execution slot from the admission semaphore, then the
-// oldest pending queries as one batch, and runs it under that slot. If more
-// queries are pending than the batch may hold it hands dispatching on to a
-// fresh goroutine first, which queues for the next slot while this one runs.
+// dispatch takes one execution slot, then the oldest pending queries as one
+// batch, and runs it under that slot. If more queries are pending than the
+// batch may hold it hands dispatching on to a fresh goroutine first, which
+// queues for the next slot while this one runs.
 func (b *batcher) dispatch() {
 	defer b.s.wg.Done()
-	b.s.sem <- struct{}{}
-	defer func() { <-b.s.sem }()
+	sl := <-b.s.slots
+	defer func() { b.s.slots <- sl }()
 
 	b.mu.Lock()
 	n := min(len(b.pending), b.s.maxBatch())
@@ -105,7 +105,7 @@ func (b *batcher) dispatch() {
 		b.pending, b.dispatching = nil, false
 	}
 	b.mu.Unlock()
-	b.runBatch(batch)
+	b.runBatch(batch, sl)
 }
 
 // retryable reports whether a failed batch execution is worth isolating:
@@ -129,8 +129,8 @@ func retryable(err error) bool {
 // batch whose every member expired is cut before it costs an execution. A
 // retryable device fault does not fail the companions: surviving members
 // re-run as batches of one within their remaining deadlines (batch fault
-// isolation).
-func (b *batcher) runBatch(batch []*pointQuery) {
+// isolation). Every execution reuses the working set of the slot, sl.
+func (b *batcher) runBatch(batch []*pointQuery, sl *core.Slot) {
 	slotAt := time.Now()
 
 	// Panic containment at the batch-goroutine boundary: a panic here
@@ -167,9 +167,9 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 		b.s.testBatchHook(b.kind, len(batch))
 	}
 
-	res, err := b.execute(batch, latest)
+	res, err := b.execute(batch, latest, sl)
 	if err != nil && len(batch) > 1 && retryable(err) {
-		b.isolate(batch, err)
+		b.isolate(batch, err, sl)
 		return
 	}
 	b.finish(batch, res, err)
@@ -181,7 +181,7 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 // re-runs execute sequentially under the batch's admission slot —
 // isolation is bounded to one extra run per member and never multiplies
 // the daemon's engine concurrency.
-func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
+func (b *batcher) isolate(batch []*pointQuery, batchErr error, sl *core.Slot) {
 	live := obsv.Live()
 	live.QueriesIsolated.Add(int64(len(batch)))
 	for _, q := range batch {
@@ -193,7 +193,7 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
 			continue
 		}
 		live.QueriesRetried.Add(1)
-		res, err := b.execute(one, q.deadline)
+		res, err := b.execute(one, q.deadline, sl)
 		if err != nil {
 			err = fmt.Errorf("batch failed (%v); solo retry failed: %w", batchErr, err)
 		} else {
@@ -204,9 +204,9 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
 }
 
 // execute runs batch as one lane program under deadline, with its own
-// scratch namespace and IO scope, and returns each member's result in
-// batch order.
-func (b *batcher) execute(batch []*pointQuery, deadline time.Time) ([]pointResult, error) {
+// scratch namespace and IO scope, on the working set of slot sl, and returns
+// each member's result in batch order.
+func (b *batcher) execute(batch []*pointQuery, deadline time.Time, sl *core.Slot) ([]pointResult, error) {
 	sources := make([]uint32, len(batch))
 	for i, q := range batch {
 		sources[i] = q.source
@@ -217,7 +217,7 @@ func (b *batcher) execute(batch []*pointQuery, deadline time.Time) ([]pointResul
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	res, st, engine, err := b.s.runEngine(ctx, fmt.Sprintf("q%d", b.s.runSeq.Add(1)), prog)
+	res, st, engine, err := b.s.runEngine(ctx, fmt.Sprintf("q%d", b.s.runSeq.Add(1)), prog, sl)
 
 	live := obsv.Live()
 	live.BatchesRun.Add(1)
@@ -271,9 +271,13 @@ func (b *batcher) fail(batch []*pointQuery, o outcome, err error) {
 
 // runEngine is the one place a serving execution is configured: private
 // scratch namespace, ephemeral cleanup on any exit, per-run IO scope,
-// shared cache. It also times the execution.
-func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, time.Duration, error) {
+// shared cache, and the working set of the execution slot sl, which the
+// engine keeps for sl's next execution only if this one succeeds. It also
+// times the execution.
+func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program, sl *core.Slot) (*superstep.Result, ssd.Stats, time.Duration, error) {
 	start := time.Now()
+	s.keepSlot(-sl.Bytes())
+	defer func() { s.keepSlot(sl.Bytes()) }()
 	// Pin the delta epoch for the whole execution: queries read a frozen
 	// graph while streaming ingest acknowledges mutations around them,
 	// and every lane of the batch sees the same structure.
@@ -286,6 +290,7 @@ func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*s
 		RunTag:        tag,
 		Ephemeral:     true,
 		Scope:         sc,
+		Slot:          sl,
 	}
 	res, err := core.New(snap.Graph(), cfg).RunCtx(ctx, prog)
 	return res, sc.Stats(), time.Since(start), err

@@ -139,7 +139,7 @@ func TestServeLoneQueryRunsAtOnce(t *testing.T) {
 }
 
 // TestServeCloseDrainsParkedDispatcher: Close with queries pending behind a
-// busy slot — their dispatcher parked on the semaphore — sheds newcomers,
+// busy slot — their dispatcher parked waiting for it — sheds newcomers,
 // still runs the pending ones, and returns only after the dispatcher and its
 // execution are gone.
 func TestServeCloseDrainsParkedDispatcher(t *testing.T) {
@@ -204,7 +204,7 @@ func TestServeCloseDrainsParkedDispatcher(t *testing.T) {
 	if pending != 0 || dispatching {
 		t.Fatalf("after Close: %d queries pending, dispatching %v", pending, dispatching)
 	}
-	if len(s.sem) != 0 {
-		t.Fatalf("after Close: %d execution slots still held", len(s.sem))
+	if held := cap(s.slots) - len(s.slots); held != 0 {
+		t.Fatalf("after Close: %d execution slots still held", held)
 	}
 }

@@ -19,8 +19,9 @@
 //     ssd.IOScope so its page traffic is attributed to the query rather
 //     than smeared device-wide.
 //
-//   - Admission control: a concurrency semaphore bounds simultaneous
-//     engine executions, a queue cap sheds excess load with structured
+//   - Admission control: MaxConcurrent execution slots bound simultaneous
+//     engine executions (each keeps the engine working set its executions
+//     reuse, core.Slot), a queue cap sheds excess load with structured
 //     503s, per-query deadlines become context deadlines on the batch
 //     (expired-on-arrival queries are shed with 504 before costing IO),
 //     and device-quota exhaustion surfaces as 507 — the serving face of
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"multilogvc/internal/apps"
+	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
@@ -132,7 +134,13 @@ type Server struct {
 	dev  *ssd.Device
 	mux  *http.ServeMux
 
-	sem     chan struct{} // MaxConcurrent execution slots
+	// slots are the MaxConcurrent execution slots: a batch or a walk runs
+	// while it holds one, and a batch's engine executions reuse the
+	// slot's working set (core.Slot). all lists them for Close.
+	slots     chan *core.Slot
+	all       []*core.Slot
+	slotBytes atomic.Int64 // what the slots keep between executions
+
 	runSeq  atomic.Uint64 // RunTag sequence: q1, q2, ...
 	queued  atomic.Int64  // admitted-not-finished queries, vs MaxQueue
 	closed  atomic.Bool   // shutting down: shed new queries
@@ -164,8 +172,13 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		g:       opts.Graph,
 		dev:     opts.Graph.Device(),
-		sem:     make(chan struct{}, opts.MaxConcurrent),
+		slots:   make(chan *core.Slot, opts.MaxConcurrent),
 		started: time.Now(),
+	}
+	for range opts.MaxConcurrent {
+		sl := new(core.Slot)
+		s.all = append(s.all, sl)
+		s.slots <- sl
 	}
 	s.readOnly.Store(opts.ReadOnly)
 	s.brk = newBreaker(breakerConfig{
@@ -243,7 +256,8 @@ func (s *Server) maxBatch() int {
 
 // Close drains the server: new queries are shed with 503, queries already
 // pending still get their slot and run, and Close returns once every
-// dispatcher and in-flight execution has finished.
+// dispatcher and in-flight execution has finished and every slot has let go
+// of its working set.
 func (s *Server) Close() {
 	// Flip closed under both batcher locks: an enqueue either saw it, or has
 	// already counted its dispatcher into wg before the Wait below.
@@ -259,6 +273,17 @@ func (s *Server) Close() {
 		f.Stop()
 	}
 	s.wg.Wait()
+	for _, sl := range s.all {
+		s.keepSlot(-sl.Bytes())
+		sl.Release()
+	}
+}
+
+// keepSlot moves the bytes the slots keep between executions by delta, in
+// /stats and in the process-wide gauge.
+func (s *Server) keepSlot(delta int64) {
+	s.slotBytes.Add(delta)
+	obsv.Live().SlotIdleBytes.Add(delta)
 }
 
 // pointRequest is the JSON body of POST /query/bfs and /query/sssp.
@@ -489,11 +514,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"query_pages_read":    live.QueryPagesRead.Value(),
 			"query_pages_written": live.QueryPagesWrite.Value(),
 		},
-		"breaker":        s.brk.snapshot(),
-		"brownout":       s.brk.brownout(),
-		"queued":         s.queued.Load(),
-		"max_concurrent": s.opts.MaxConcurrent,
-		"read_only":      s.readOnly.Load(),
+		"breaker":         s.brk.snapshot(),
+		"brownout":        s.brk.brownout(),
+		"queued":          s.queued.Load(),
+		"max_concurrent":  s.opts.MaxConcurrent,
+		"slot_idle_bytes": s.slotBytes.Load(),
+		"read_only":       s.readOnly.Load(),
 	}
 	if f := s.fol.Load(); f != nil {
 		st := f.status()

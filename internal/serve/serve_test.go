@@ -19,6 +19,7 @@ import (
 	"multilogvc/internal/csr"
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
+	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
@@ -541,6 +542,77 @@ func TestServeIntrospection(t *testing.T) {
 	}
 	if stats.Serving["query_pages_read"] < 1 {
 		t.Fatalf("query_pages_read = %d, want >= 1", stats.Serving["query_pages_read"])
+	}
+}
+
+// TestServeSlotsKeepWorkingSet: a served query leaves its working set with
+// the execution slot, and /stats and the process gauge count it; a query
+// that dies of a device fault empties the slot, and so does Close.
+func TestServeSlotsKeepWorkingSet(t *testing.T) {
+	g := fixture(t, 78)
+	s, err := New(Options{Graph: g, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	gauge := obsv.Live().SlotIdleBytes
+	slotBytes := func() int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats struct {
+			SlotIdleBytes int64 `json:"slot_idle_bytes"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if held := s.all[0].Bytes(); stats.SlotIdleBytes != held {
+			t.Fatalf("/stats slot_idle_bytes %d, the slot holds %d", stats.SlotIdleBytes, held)
+		}
+		return stats.SlotIdleBytes
+	}
+	query := func(want int) {
+		t.Helper()
+		if resp, data := postJSON(t, ts.URL+"/query/bfs", pointRequest{Source: 2}); resp.StatusCode != want {
+			t.Fatalf("query: %d %s", resp.StatusCode, data)
+		}
+	}
+
+	before := gauge.Value()
+	query(http.StatusOK)
+	kept := slotBytes()
+	if kept == 0 || gauge.Value()-before != kept {
+		t.Fatalf("after a query the slot keeps %d bytes and the gauge moved %d", kept, gauge.Value()-before)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "# UNIT mlvc_slot_idle_bytes bytes\n") {
+		t.Fatal("/metrics lacks the slot gauge's UNIT line")
+	}
+
+	g.Device().SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{Prob: 1}})
+	query(http.StatusInternalServerError)
+	g.Device().SetFaults(ssd.FaultPlan{})
+	if left := slotBytes(); left != 0 || gauge.Value() != before {
+		t.Fatalf("after a failed query the slot keeps %d bytes, the gauge is %d from where it started", left, gauge.Value()-before)
+	}
+
+	query(http.StatusOK)
+	if slotBytes() == 0 {
+		t.Fatal("the slot kept nothing from a query after the failed one")
+	}
+	s.Close()
+	if left := slotBytes(); left != 0 || gauge.Value() != before {
+		t.Fatalf("after Close the slot keeps %d bytes, the gauge is %d from where it started", left, gauge.Value()-before)
 	}
 }
 

@@ -105,6 +105,26 @@ func NewSendBuffer(workers int, numVertices uint32) *SendBuffer {
 	return &SendBuffer{numVertices: numVertices, buckets: make([][]vc.Msg, workers)}
 }
 
+// Reuse returns b ready for a workers-wide pool over numVertices vertices,
+// its buckets' room kept; a nil b, or one of another width, gives a new
+// buffer. b must hold no undrained send: a Drain that failed leaves some.
+func (b *SendBuffer) Reuse(workers int, numVertices uint32) *SendBuffer {
+	if b == nil || len(b.buckets) != workers {
+		return NewSendBuffer(workers, numVertices)
+	}
+	b.numVertices = numVertices
+	return b
+}
+
+// Bytes returns the memory the buckets hold on to between passes.
+func (b *SendBuffer) Bytes() int {
+	n := 0
+	for _, bucket := range b.buckets {
+		n += cap(bucket)
+	}
+	return 12 * n // a vc.Msg is three uint32
+}
+
 // Send files the message <dst, src, data> in worker w's bucket; workers
 // share nothing, so it needs no synchronisation.
 func (b *SendBuffer) Send(w int, src, dst, data uint32) {
