@@ -29,10 +29,8 @@ type batch struct {
 // each buffer is sized from what a batch needs and never doubled, so the plane
 // holds little more than the largest batch's vertex data (bytes a batch always
 // had to hold while it ran) and a steady-state batch allocates nothing per
-// vertex. A batch that leaves more than run.planeKeep bytes behind — more than
-// a whole interval's batch must hold anyway, and more than the budgets — takes
-// them with it, and the plane dies with the run. A run on a Slot keeps its
-// largest batch's buffers instead, and hands them to the slot's next run.
+// vertex. The plane is part of the run's working set: the next run draws on
+// it too.
 type vertexPlane struct {
 	verts []uint32       // the active set, ascending
 	vb    csr.ValueBatch // value pages
@@ -64,11 +62,6 @@ func (p *vertexPlane) positions(n int) []int32 {
 	}
 	return p.iota[:n]
 }
-
-// planeVertexBytes is the part of bytes that grows with a batch's vertices
-// rather than with its edges or values: the three flags, the message range,
-// the six vertex and position lists, and the out-edge arena's share.
-const planeVertexBytes = 3 + 16 + 6*4 + csr.ArenaPositionBytes
 
 // bytes returns the memory the plane holds on to between batches.
 func (p *vertexPlane) bytes() int {
@@ -106,13 +99,6 @@ func (r *run) processBatch(sg *sortgroup.Batch, ss *metrics.SuperstepStats) erro
 		if err := step(); err != nil {
 			return err
 		}
-	}
-	// A batch far larger than any one interval's — superstep 0 of an
-	// all-active program fuses every interval, having no messages to bound
-	// it — must not leave its buffers with the run. A slot's runs are short
-	// and come one after another: they keep them for the next.
-	if r.slot == nil && r.bytes() > r.planeKeep {
-		r.vertexPlane = vertexPlane{}
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"multilogvc/internal/apps"
-	"multilogvc/internal/csr"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/sortgroup"
 	"multilogvc/internal/ssd"
@@ -99,7 +97,7 @@ func TestProcessBatchAllocsIndependentOfBatchSize(t *testing.T) {
 		}
 	}
 	stage(large)() // grow the plane to the largest batch once
-	if r.bytes() == 0 {
+	if r.vertexPlane.bytes() == 0 {
 		t.Fatal("the plane did not survive the batch; the test measures nothing")
 	}
 	smallAllocs := testing.AllocsPerRun(20, stage(small))
@@ -130,33 +128,9 @@ func TestProcessBatchAllocsIndependentOfBatchSize(t *testing.T) {
 	}
 }
 
-// An outsized batch takes its buffers with it instead of leaving them with
-// the run for the rest of the execution.
-func TestPlaneDropsOutsizedBatch(t *testing.T) {
-	edges, n := rmatEdges(t, 11, 8, 4)
-	g := buildGraph(t, edges, n, 4096)
-	ivs := g.Intervals()
-	r := openRun(t, New(g, Config{MemoryBudget: 1, Workers: 1, DisableEdgeLog: true}), degreeSum{})
-	var ss metrics.SuperstepStats
-	if err := r.processBatch(&sortgroup.Batch{FirstIv: 0, LastIv: 0, Lo: ivs[0].Lo, Hi: ivs[0].Hi}, &ss); err != nil {
-		t.Fatal(err)
-	}
-	kept := r.bytes()
-	if kept == 0 || kept > r.planeKeep {
-		t.Fatalf("a one-interval batch left %d bytes, the run keeps up to %d", kept, r.planeKeep)
-	}
-	if err := r.processBatch(&sortgroup.Batch{FirstIv: 0, LastIv: len(ivs) - 1, Lo: 0, Hi: n}, &ss); err != nil {
-		t.Fatal(err)
-	}
-	if left := r.bytes(); left != 0 {
-		t.Fatalf("a whole-graph batch under a floor budget left %d bytes behind (keep %d)", left, r.planeKeep)
-	}
-}
-
-// In the serving shape a whole interval's batch outweighs both budgets, and
-// the run still keeps its plane for the next one: a second pass over the
-// intervals allocates next to nothing, where re-reserving the arena after
-// every outsized batch would cost the plane's size each time.
+// A run keeps its plane from batch to batch: in the serving shape a second
+// pass over the intervals allocates next to nothing, where re-reserving the
+// arena after every batch would cost the plane's size each time.
 func TestServingBatchesReusePlane(t *testing.T) {
 	g := servingGraph(t)
 	r := openRun(t, New(g, Config{MemoryBudget: servingBudget, Workers: 1}), degreeSum{})
@@ -166,67 +140,17 @@ func TestServingBatchesReusePlane(t *testing.T) {
 			if err := r.processBatch(&sortgroup.Batch{FirstIv: iv, LastIv: iv, Lo: span.Lo, Hi: span.Hi}, &ss); err != nil {
 				t.Fatal(err)
 			}
-			largest = max(largest, r.bytes())
+			largest = max(largest, r.vertexPlane.bytes())
 		}
 		return largest
 	}
 	kept := pass()
-	if budgets := int(max(r.sortOpts.SortBudget, r.nextLog.Budget())); kept <= budgets || kept > r.planeKeep {
-		t.Fatalf("the largest one-interval batch left %d bytes; budgets %d, keep %d: it must outweigh the budgets and still be kept", kept, budgets, r.planeKeep)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	pass()
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(kept)/8 {
 		t.Fatalf("a second pass over %d intervals allocated %d bytes beside a %d-byte plane", len(g.Intervals()), grew, kept)
-	}
-}
-
-// unfusedPlaneBytes is computed from CSR metadata before anything is loaded;
-// vertexPlane.bytes is what the buffers then weigh. On every fixture, a fresh
-// plane that has served any one whole interval stays inside the bound — a
-// field added to the plane and not to planeVertexBytes fails here, not as a
-// silently re-reserved arena.
-func TestUnfusedPlaneBytesBoundsEveryInterval(t *testing.T) {
-	small, nSmall := rmatEdges(t, 11, 8, 4)
-	large, nLarge := rmatEdges(t, 13, 16, 2)
-	_, _, weighted := weightedFixture(t, 10, 3)
-	serving := servingGraph(t)
-	multi, err := apps.NewMultiBFS([]uint32{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, fx := range map[string]struct {
-		g    *csr.Graph
-		prog vc.Program
-	}{
-		"rmat11":        {buildGraph(t, small, nSmall, 4096), degreeSum{}},
-		"rmat13":        {buildGraph(t, large, nLarge, 1<<16), degreeSum{}},
-		"weighted":      {weighted, &apps.SSSP{Source: 0}},
-		"serving":       {serving, degreeSum{}},
-		"serving-lanes": {serving, multi},
-	} {
-		r := openRun(t, New(fx.g, Config{MemoryBudget: 1, Workers: 1}), fx.prog)
-		lanes, _ := lanesOf(fx.prog)
-		bound := int(unfusedPlaneBytes(fx.g, lanes))
-		if r.planeKeep < bound {
-			t.Fatalf("%s: the run keeps %d bytes, less than the %d a whole interval needs", name, r.planeKeep, bound)
-		}
-		for v := 0; v < r.carry.Len(); v++ { // every vertex of every interval is active
-			r.carry.Set(v)
-		}
-		var ss metrics.SuperstepStats
-		for iv, span := range fx.g.Intervals() {
-			r.vertexPlane = vertexPlane{}
-			if err := r.processBatch(&sortgroup.Batch{FirstIv: iv, LastIv: iv, Lo: span.Lo, Hi: span.Hi}, &ss); err != nil {
-				t.Fatal(err)
-			}
-			if got := r.bytes(); got == 0 || got > bound {
-				t.Fatalf("%s interval %d (%d vertices, %d edge bytes): the plane holds %d bytes, bound %d",
-					name, iv, span.Len(), fx.g.OutEdgeBytes(iv), got, bound)
-			}
-		}
 	}
 }
 

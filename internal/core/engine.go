@@ -155,10 +155,6 @@ type Config struct {
 	// context and counters it reads per superstep. Nil gives the engine a
 	// scope of its own; a caller sets it to read the scope's counters.
 	Scope *ssd.IOScope
-	// Slot, when non-nil, lends the run a working set kept from the
-	// slot's earlier runs and takes it back when the run ends without
-	// error (see Slot). Nil allocates the run's buffers afresh.
-	Slot *Slot
 }
 
 func (c Config) withDefaults() Config {

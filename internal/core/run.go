@@ -49,12 +49,10 @@ type run struct {
 	step int           // superstep in progress
 	muts []vc.Mutation // structural mutations it has requested so far
 
-	workingSet     // the buffers a Slot carries from run to run
-	planeKeep  int // bytes of the vertex plane that may outlive a batch
+	workingSet     // the standing buffers, popped from idle at open
 	waveSends  int // expected sends after which a wave's sends are drained
 
-	slot *Slot // the slot whose working set the run holds; nil for none
-	ok   bool  // the run ended without error: its working set may outlive it
+	ok bool // the run ended without error: its working set goes back to idle
 }
 
 // A wave buffers about an eighth of the message log's own buffer budget —
@@ -67,23 +65,6 @@ const (
 	waveBudgetShare = 8
 	minWaveSends    = 4096
 )
-
-// unfusedPlaneBytes returns what the vertex plane holds after a batch over
-// the one interval that needs most — all of its vertices active, every
-// out-edge decoded — which is what any run may have to hold whatever its
-// budgets, since an interval is never split by vertex. The plane may keep
-// that much between batches (run.planeKeep), or the budgets if they are
-// larger: a function of the graph and the configuration alone. Edges count
-// twice, once in the neighbour slab and once in the pages they were decoded
-// from; four pages cover the rounding of the value, row, column and weight
-// buffers.
-func unfusedPlaneBytes(g *csr.Graph, lanes int) int64 {
-	var most int64
-	for iv, span := range g.Intervals() {
-		most = max(most, 2*g.OutEdgeBytes(iv)+int64(span.Len())*int64(planeVertexBytes+4*lanes))
-	}
-	return most + 4*int64(g.Device().PageSize())
-}
 
 // lanesOf returns the lane count of prog (1 for a plain program) and its
 // lane view when it has one.
@@ -161,10 +142,7 @@ func (r *run) open(resume bool) error {
 		}
 	}
 
-	var held bool
-	if r.workingSet, held = cfg.Slot.take(); held {
-		r.slot = cfg.Slot
-	}
+	r.workingSet = popIdle()
 
 	lanes, laneProg := lanesOf(prog)
 	initLane := func(v uint32, lane int) uint32 {
@@ -217,7 +195,6 @@ func (r *run) open(resume bool) error {
 		r.ctxs = make([]engineCtx, cfg.Workers)
 	}
 	r.waveSends = max(int(r.nextLog.Budget()/mlog.RecordBytes/waveBudgetShare), minWaveSends)
-	r.planeKeep = int(max(r.sortOpts.SortBudget, r.nextLog.Budget(), unfusedPlaneBytes(g, lanes)))
 
 	// Space governance: register what this run can give back when a write
 	// hits the disk quota — consumed intervals of the previous-generation
@@ -233,18 +210,17 @@ func (r *run) open(resume bool) error {
 	return nil
 }
 
-// close runs on every exit of the attempt, success or not. The batch buffers
-// die with the attempt unless it holds a slot and ended without error: then
-// they go back to the slot for its next run.
+// close runs on every exit of the attempt, success or not. The working set
+// goes back to idle when the attempt ended without error and dies with it
+// otherwise.
 func (r *run) close() {
 	if r.unregister != nil {
 		r.unregister()
 	}
-	if r.slot != nil {
+	if r.ok {
 		clear(r.auxBatches)
 		r.vb.Forget()
-		r.slot.give(r.workingSet, r.ok)
-		r.slot = nil
+		pushIdle(r.workingSet)
 	}
 	r.workingSet = workingSet{}
 	// An ephemeral run leaves nothing behind: its scratch namespace

@@ -37,11 +37,10 @@ func servingGraph(t testing.TB) *csr.Graph {
 
 // serveRun executes one lane-batched BFS exactly as serve.runEngine
 // configures it: pinned snapshot, private scratch namespace swept on exit,
-// its own IO scope, the shared cache, and the working set of the execution
-// slot it runs on.
-func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32, slot *Slot) (*superstep.Result, ssd.Stats) {
+// its own IO scope and the shared cache.
+func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32) (*superstep.Result, ssd.Stats) {
 	t.Helper()
-	res, st, err := serveExec(g, tag, sources, slot)
+	res, st, err := serveExec(g, tag, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func serveRun(t testing.TB, g *csr.Graph, tag string, sources []uint32, slot *Sl
 }
 
 // serveExec is serveRun returning the run's error instead of failing on it.
-func serveExec(g *csr.Graph, tag string, sources []uint32, slot *Slot) (*superstep.Result, ssd.Stats, error) {
+func serveExec(g *csr.Graph, tag string, sources []uint32) (*superstep.Result, ssd.Stats, error) {
 	prog, err := apps.NewMultiBFS(sources)
 	if err != nil {
 		return nil, ssd.Stats{}, err
@@ -59,16 +58,16 @@ func serveExec(g *csr.Graph, tag string, sources []uint32, slot *Slot) (*superst
 	sc := ssd.NewScope()
 	res, err := New(snap.Graph(), Config{
 		MemoryBudget: servingBudget, MaxSupersteps: 100,
-		RunTag: tag, Ephemeral: true, Scope: sc, Slot: slot,
+		RunTag: tag, Ephemeral: true, Scope: sc,
 	}).RunCtx(context.Background(), prog)
 	return res, sc.Stats(), err
 }
 
 // BenchmarkServeEngine is the serving hot path without HTTP: one engine
 // execution per iteration in the serving shape, at the batch sizes the
-// daemon's batcher produces, every execution of a case on one execution slot
-// as the daemon runs them; cold runs on no slot, so each execution allocates
-// its working set afresh, as Graph.Run does.
+// daemon's batcher produces, each execution on the working set the one
+// before it left; cold empties the idle stack before every execution, so
+// each allocates its working set afresh.
 // ns/op and B/op are per execution; pages and storage time are per query
 // (the execution's divided by its lanes), and spills/op counts batches that
 // outgrew the sort budget. Profile it with -cpuprofile to see where a point
@@ -83,10 +82,6 @@ func BenchmarkServeEngine(b *testing.B) {
 	}{{"lanes=1", 1, false}, {"lanes=2", 2, false}, {"lanes=4", 4, false}, {"cold", 1, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			sources := make([]uint32, c.lanes)
-			var slot *Slot
-			if !c.cold {
-				slot = new(Slot)
-			}
 			var read, written, spills uint64
 			var storage float64
 			b.ReportAllocs()
@@ -95,7 +90,10 @@ func BenchmarkServeEngine(b *testing.B) {
 				for l := range sources {
 					sources[l] = uint32(i*c.lanes+l) * 2654435761 % n
 				}
-				res, st := serveRun(b, g, fmt.Sprintf("q%d", i), sources, slot)
+				if c.cold {
+					emptyIdle()
+				}
+				res, st := serveRun(b, g, fmt.Sprintf("q%d", i), sources)
 				read += st.PagesRead
 				written += st.PagesWritten
 				storage += st.StorageTime().Seconds() * 1e3

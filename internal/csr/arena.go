@@ -105,11 +105,6 @@ func reserved(slab []uint32, more int) []uint32 {
 	return append(make([]uint32, 0, max(len(slab)+more, cap(slab)+cap(slab)/4)), slab...)
 }
 
-// ArenaPositionBytes is the part of Bytes that grows with the positions of a
-// batch rather than with its edges: span (two uint32), first and last, the
-// two row offsets, and the position's row pointer inside rowBuf.
-const ArenaPositionBytes = 2*4 + 4 + 4 + 2*8 + 8
-
 // Bytes returns the memory the arena holds on to between batches.
 func (a *Arena) Bytes() int {
 	return 4*(cap(a.nbrs)+cap(a.weights)+cap(a.span)+cap(a.first)+cap(a.last)) +

@@ -92,22 +92,6 @@ func (g *Graph) MaxOutDegree() uint32 {
 	return g.meta.MaxOutDegree
 }
 
-// OutEdgeBytes returns the bytes interval iv's out-edge lists take in the CSR
-// files — neighbours, plus weights on a weighted graph (delta merges update
-// it; buffered deltas are not counted). It is also what a batch over the
-// whole interval decodes into memory.
-func (g *Graph) OutEdgeBytes(iv int) int64 {
-	if g.ing != nil {
-		g.ing.mu.RLock()
-		defer g.ing.mu.RUnlock()
-	}
-	n := g.meta.OutColIdxSize[iv]
-	if g.meta.HasWeights {
-		n += g.meta.OutValSize[iv]
-	}
-	return n
-}
-
 // Intervals returns the vertex intervals. Callers must not mutate.
 func (g *Graph) Intervals() []Interval { return g.meta.Intervals }
 

@@ -71,11 +71,11 @@ type LiveVars struct {
 	BreakerOpens    *expvar.Int `metric:"mlvc.breaker_opens" kind:"counter" help:"Fault circuit-breaker open transitions"`
 	BreakerSheds    *expvar.Int `metric:"mlvc.breaker_sheds" kind:"counter" help:"Queries shed while the breaker was open or probing"`
 
-	// SlotIdleBytes is what the serving daemon's execution slots keep of
-	// the engine working set between executions (core.Slot): it rises
-	// as executions return their buffers and falls when one fails or the
-	// daemon drains.
-	SlotIdleBytes *expvar.Int `metric:"mlvc.slot_idle_bytes" kind:"gauge" unit:"bytes" help:"Engine working-set bytes held by idle execution slots"`
+	// SlotIdleBytes is what the process keeps of MultiLogVC engine working
+	// sets between runs, on core's stack of idle sets: a finished run's
+	// push raises it, a starting run's pop lowers it, and a failed run
+	// does not give back what it popped.
+	SlotIdleBytes *expvar.Int `metric:"mlvc.slot_idle_bytes" kind:"gauge" unit:"bytes" help:"Engine working-set bytes kept idle between runs for the next run"`
 
 	// Streaming-ingest counters: cumulative across the process. Zero
 	// unless the graph was opened for durable ingest.

@@ -103,7 +103,7 @@ func TestOpenMetricsUnitLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		"# HELP mlvc_slot_idle_bytes Engine working-set bytes held by idle execution slots",
+		"# HELP mlvc_slot_idle_bytes Engine working-set bytes kept idle between runs for the next run",
 		"# TYPE mlvc_slot_idle_bytes gauge",
 		"# UNIT mlvc_slot_idle_bytes bytes",
 		"mlvc_slot_idle_bytes 4096",

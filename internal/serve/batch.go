@@ -91,8 +91,8 @@ func (b *batcher) enqueue(q *pointQuery) error {
 // queues for the next slot while this one runs.
 func (b *batcher) dispatch() {
 	defer b.s.wg.Done()
-	sl := <-b.s.slots
-	defer func() { b.s.slots <- sl }()
+	b.s.slots <- struct{}{}
+	defer func() { <-b.s.slots }()
 
 	b.mu.Lock()
 	n := min(len(b.pending), b.s.maxBatch())
@@ -105,7 +105,7 @@ func (b *batcher) dispatch() {
 		b.pending, b.dispatching = nil, false
 	}
 	b.mu.Unlock()
-	b.runBatch(batch, sl)
+	b.runBatch(batch)
 }
 
 // retryable reports whether a failed batch execution is worth isolating:
@@ -129,8 +129,8 @@ func retryable(err error) bool {
 // batch whose every member expired is cut before it costs an execution. A
 // retryable device fault does not fail the companions: surviving members
 // re-run as batches of one within their remaining deadlines (batch fault
-// isolation). Every execution reuses the working set of the slot, sl.
-func (b *batcher) runBatch(batch []*pointQuery, sl *core.Slot) {
+// isolation).
+func (b *batcher) runBatch(batch []*pointQuery) {
 	slotAt := time.Now()
 
 	// Panic containment at the batch-goroutine boundary: a panic here
@@ -167,9 +167,9 @@ func (b *batcher) runBatch(batch []*pointQuery, sl *core.Slot) {
 		b.s.testBatchHook(b.kind, len(batch))
 	}
 
-	res, err := b.execute(batch, latest, sl)
+	res, err := b.execute(batch, latest)
 	if err != nil && len(batch) > 1 && retryable(err) {
-		b.isolate(batch, err, sl)
+		b.isolate(batch, err)
 		return
 	}
 	b.finish(batch, res, err)
@@ -181,7 +181,7 @@ func (b *batcher) runBatch(batch []*pointQuery, sl *core.Slot) {
 // re-runs execute sequentially under the batch's admission slot —
 // isolation is bounded to one extra run per member and never multiplies
 // the daemon's engine concurrency.
-func (b *batcher) isolate(batch []*pointQuery, batchErr error, sl *core.Slot) {
+func (b *batcher) isolate(batch []*pointQuery, batchErr error) {
 	live := obsv.Live()
 	live.QueriesIsolated.Add(int64(len(batch)))
 	for _, q := range batch {
@@ -193,7 +193,7 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error, sl *core.Slot) {
 			continue
 		}
 		live.QueriesRetried.Add(1)
-		res, err := b.execute(one, q.deadline, sl)
+		res, err := b.execute(one, q.deadline)
 		if err != nil {
 			err = fmt.Errorf("batch failed (%v); solo retry failed: %w", batchErr, err)
 		} else {
@@ -204,9 +204,9 @@ func (b *batcher) isolate(batch []*pointQuery, batchErr error, sl *core.Slot) {
 }
 
 // execute runs batch as one lane program under deadline, with its own
-// scratch namespace and IO scope, on the working set of slot sl, and returns
-// each member's result in batch order.
-func (b *batcher) execute(batch []*pointQuery, deadline time.Time, sl *core.Slot) ([]pointResult, error) {
+// scratch namespace and IO scope, and returns each member's result in batch
+// order.
+func (b *batcher) execute(batch []*pointQuery, deadline time.Time) ([]pointResult, error) {
 	sources := make([]uint32, len(batch))
 	for i, q := range batch {
 		sources[i] = q.source
@@ -217,7 +217,7 @@ func (b *batcher) execute(batch []*pointQuery, deadline time.Time, sl *core.Slot
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	res, st, engine, err := b.s.runEngine(ctx, fmt.Sprintf("q%d", b.s.runSeq.Add(1)), prog, sl)
+	res, st, engine, err := b.s.runEngine(ctx, fmt.Sprintf("q%d", b.s.runSeq.Add(1)), prog)
 
 	live := obsv.Live()
 	live.BatchesRun.Add(1)
@@ -270,14 +270,10 @@ func (b *batcher) fail(batch []*pointQuery, o outcome, err error) {
 }
 
 // runEngine is the one place a serving execution is configured: private
-// scratch namespace, ephemeral cleanup on any exit, per-run IO scope,
-// shared cache, and the working set of the execution slot sl, which the
-// engine keeps for sl's next execution only if this one succeeds. It also
-// times the execution.
-func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program, sl *core.Slot) (*superstep.Result, ssd.Stats, time.Duration, error) {
+// scratch namespace, ephemeral cleanup on any exit, per-run IO scope, and
+// shared cache. It also times the execution.
+func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program) (*superstep.Result, ssd.Stats, time.Duration, error) {
 	start := time.Now()
-	s.keepSlot(-sl.Bytes())
-	defer func() { s.keepSlot(sl.Bytes()) }()
 	// Pin the delta epoch for the whole execution: queries read a frozen
 	// graph while streaming ingest acknowledges mutations around them,
 	// and every lane of the batch sees the same structure.
@@ -290,7 +286,6 @@ func (s *Server) runEngine(ctx context.Context, tag string, prog vc.Program, sl 
 		RunTag:        tag,
 		Ephemeral:     true,
 		Scope:         sc,
-		Slot:          sl,
 	}
 	res, err := core.New(snap.Graph(), cfg).RunCtx(ctx, prog)
 	return res, sc.Stats(), time.Since(start), err

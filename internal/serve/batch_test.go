@@ -204,7 +204,7 @@ func TestServeCloseDrainsParkedDispatcher(t *testing.T) {
 	if pending != 0 || dispatching {
 		t.Fatalf("after Close: %d queries pending, dispatching %v", pending, dispatching)
 	}
-	if held := cap(s.slots) - len(s.slots); held != 0 {
+	if held := len(s.slots); held != 0 {
 		t.Fatalf("after Close: %d execution slots still held", held)
 	}
 }

@@ -20,8 +20,7 @@
 //     than smeared device-wide.
 //
 //   - Admission control: MaxConcurrent execution slots bound simultaneous
-//     engine executions (each keeps the engine working set its executions
-//     reuse, core.Slot), a queue cap sheds excess load with structured
+//     engine executions, a queue cap sheds excess load with structured
 //     503s, per-query deadlines become context deadlines on the batch
 //     (expired-on-arrival queries are shed with 504 before costing IO),
 //     and device-quota exhaustion surfaces as 507 — the serving face of
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"multilogvc/internal/apps"
-	"multilogvc/internal/core"
 	"multilogvc/internal/csr"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
@@ -135,11 +133,8 @@ type Server struct {
 	mux  *http.ServeMux
 
 	// slots are the MaxConcurrent execution slots: a batch or a walk runs
-	// while it holds one, and a batch's engine executions reuse the
-	// slot's working set (core.Slot). all lists them for Close.
-	slots     chan *core.Slot
-	all       []*core.Slot
-	slotBytes atomic.Int64 // what the slots keep between executions
+	// while it holds one.
+	slots chan struct{}
 
 	runSeq  atomic.Uint64 // RunTag sequence: q1, q2, ...
 	queued  atomic.Int64  // admitted-not-finished queries, vs MaxQueue
@@ -172,13 +167,8 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		g:       opts.Graph,
 		dev:     opts.Graph.Device(),
-		slots:   make(chan *core.Slot, opts.MaxConcurrent),
+		slots:   make(chan struct{}, opts.MaxConcurrent),
 		started: time.Now(),
-	}
-	for range opts.MaxConcurrent {
-		sl := new(core.Slot)
-		s.all = append(s.all, sl)
-		s.slots <- sl
 	}
 	s.readOnly.Store(opts.ReadOnly)
 	s.brk = newBreaker(breakerConfig{
@@ -256,8 +246,7 @@ func (s *Server) maxBatch() int {
 
 // Close drains the server: new queries are shed with 503, queries already
 // pending still get their slot and run, and Close returns once every
-// dispatcher and in-flight execution has finished and every slot has let go
-// of its working set.
+// dispatcher and in-flight execution has finished.
 func (s *Server) Close() {
 	// Flip closed under both batcher locks: an enqueue either saw it, or has
 	// already counted its dispatcher into wg before the Wait below.
@@ -273,17 +262,6 @@ func (s *Server) Close() {
 		f.Stop()
 	}
 	s.wg.Wait()
-	for _, sl := range s.all {
-		s.keepSlot(-sl.Bytes())
-		sl.Release()
-	}
-}
-
-// keepSlot moves the bytes the slots keep between executions by delta, in
-// /stats and in the process-wide gauge.
-func (s *Server) keepSlot(delta int64) {
-	s.slotBytes.Add(delta)
-	obsv.Live().SlotIdleBytes.Add(delta)
 }
 
 // pointRequest is the JSON body of POST /query/bfs and /query/sssp.
@@ -518,7 +496,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"brownout":        s.brk.brownout(),
 		"queued":          s.queued.Load(),
 		"max_concurrent":  s.opts.MaxConcurrent,
-		"slot_idle_bytes": s.slotBytes.Load(),
+		"slot_idle_bytes": live.SlotIdleBytes.Value(),
 		"read_only":       s.readOnly.Load(),
 	}
 	if f := s.fol.Load(); f != nil {

@@ -545,12 +545,14 @@ func TestServeIntrospection(t *testing.T) {
 	}
 }
 
-// TestServeSlotsKeepWorkingSet: a served query leaves its working set with
-// the execution slot, and /stats and the process gauge count it; a query
-// that dies of a device fault empties the slot, and so does Close.
+// TestServeSlotsKeepWorkingSet: /stats slot_idle_bytes is the process gauge
+// of idle engine working sets. A served query leaves its set idle, and a
+// query that dies of a device fault lowers the gauge by exactly the set it
+// took. Failed queries first drop whatever sets earlier tests left idle, so
+// the test's own query leaves the only one.
 func TestServeSlotsKeepWorkingSet(t *testing.T) {
 	g := fixture(t, 78)
-	s, err := New(Options{Graph: g, MaxConcurrent: 1})
+	s, err := New(Options{Graph: g, MaxConcurrent: 1, BreakerMinSamples: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +560,7 @@ func TestServeSlotsKeepWorkingSet(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	gauge := obsv.Live().SlotIdleBytes
-	slotBytes := func() int64 {
+	idleBytes := func() int64 {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/stats")
 		if err != nil {
@@ -571,8 +573,8 @@ func TestServeSlotsKeepWorkingSet(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 			t.Fatal(err)
 		}
-		if held := s.all[0].Bytes(); stats.SlotIdleBytes != held {
-			t.Fatalf("/stats slot_idle_bytes %d, the slot holds %d", stats.SlotIdleBytes, held)
+		if stats.SlotIdleBytes != gauge.Value() {
+			t.Fatalf("/stats slot_idle_bytes %d, the gauge %d", stats.SlotIdleBytes, gauge.Value())
 		}
 		return stats.SlotIdleBytes
 	}
@@ -582,12 +584,27 @@ func TestServeSlotsKeepWorkingSet(t *testing.T) {
 			t.Fatalf("query: %d %s", resp.StatusCode, data)
 		}
 	}
+	faulty := func(on bool) {
+		plan := ssd.FaultPlan{}
+		if on {
+			plan.Transient = ssd.Trigger{Prob: 1}
+		}
+		g.Device().SetFaults(plan)
+	}
 
-	before := gauge.Value()
+	faulty(true)
+	for i := 0; idleBytes() != 0; i++ {
+		if i == 64 {
+			t.Fatalf("64 failed queries left %d idle bytes", idleBytes())
+		}
+		query(http.StatusInternalServerError)
+	}
+	faulty(false)
+
 	query(http.StatusOK)
-	kept := slotBytes()
-	if kept == 0 || gauge.Value()-before != kept {
-		t.Fatalf("after a query the slot keeps %d bytes and the gauge moved %d", kept, gauge.Value()-before)
+	kept := idleBytes()
+	if kept == 0 {
+		t.Fatal("a served query left no working set idle")
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -596,23 +613,18 @@ func TestServeSlotsKeepWorkingSet(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "# UNIT mlvc_slot_idle_bytes bytes\n") {
-		t.Fatal("/metrics lacks the slot gauge's UNIT line")
+		t.Fatal("/metrics lacks the idle working-set gauge's UNIT line")
 	}
 
-	g.Device().SetFaults(ssd.FaultPlan{Transient: ssd.Trigger{Prob: 1}})
+	faulty(true)
 	query(http.StatusInternalServerError)
-	g.Device().SetFaults(ssd.FaultPlan{})
-	if left := slotBytes(); left != 0 || gauge.Value() != before {
-		t.Fatalf("after a failed query the slot keeps %d bytes, the gauge is %d from where it started", left, gauge.Value()-before)
+	faulty(false)
+	if left := idleBytes(); left != 0 {
+		t.Fatalf("a failed query took the %d-byte set and left the gauge at %d", kept, left)
 	}
-
 	query(http.StatusOK)
-	if slotBytes() == 0 {
-		t.Fatal("the slot kept nothing from a query after the failed one")
-	}
-	s.Close()
-	if left := slotBytes(); left != 0 || gauge.Value() != before {
-		t.Fatalf("after Close the slot keeps %d bytes, the gauge is %d from where it started", left, gauge.Value()-before)
+	if idleBytes() == 0 {
+		t.Fatal("a query after the failed one left no working set idle")
 	}
 }
 

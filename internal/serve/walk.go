@@ -92,8 +92,8 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	expire := time.NewTimer(time.Until(deadline))
 	defer expire.Stop()
 	select {
-	case sl := <-s.slots: // a walk runs no engine: it leaves sl's working set alone
-		defer func() { s.slots <- sl }()
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
 	case <-expire.C:
 		live.QueryDeadlines.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "deadline", "walk deadline expired waiting for an execution slot")
