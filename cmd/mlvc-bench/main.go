@@ -79,7 +79,7 @@ var experiments = []experiment{
 	{"adapted", "GraFBoost adapted-mode graph coloring", func(b *benchCtx) (*metrics.Table, error) { return harness.AdaptedGC(b.size) }},
 	{"fig9", "Fig 9: predicted over actual inefficient pages", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig9(b.size) }},
 	{"fig10", "Fig 10: MIS speedup against memory budget", func(b *benchCtx) (*metrics.Table, error) { return harness.Fig10(b.size) }},
-	{"ablation", "edge-log / combiner / fusing ablations", func(b *benchCtx) (*metrics.Table, error) { return harness.Ablation(b.size) }},
+	{"ablation", "edge-log / fusing ablations", func(b *benchCtx) (*metrics.Table, error) { return harness.Ablation(b.size) }},
 	{"extended", "extended app set beyond the paper", func(b *benchCtx) (*metrics.Table, error) { return harness.Extended(b.size) }},
 	{"iobreakdown", "device traffic by storage structure", func(b *benchCtx) (*metrics.Table, error) { return harness.IOBreakdown(b.size) }},
 	{"stageio", "device traffic by pipeline stage (serial-time attribution)", func(b *benchCtx) (*metrics.Table, error) { return harness.StageBreakdown(b.size) }},

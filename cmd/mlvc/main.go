@@ -112,7 +112,7 @@ func usage() {
   mlvc build -graph FILE -dir DIR [-name G] [-mem BYTES] [-weighted]
   mlvc run   -graph FILE -app NAME -engine NAME [-steps N] [-mem BYTES]
              [-source V] [-weighted] [-async] [-k N]
-             [-no-edgelog] [-no-combiner] [-per-superstep]
+             [-no-edgelog] [-per-superstep]
              [-checkpoint-every K] [-resume] [-retries N]
              [-timeout D] [-disk-cap BYTES] [-sort-budget BYTES]
              [-trace out.json] [-json report.json] [-listen :6060]
@@ -246,7 +246,6 @@ func cmdRun(args []string) error {
 	sample := fs.Uint("sample", 1000, "randomwalk: one walker per k vertices")
 	seed := fs.Uint64("seed", 42, "randomized app seed")
 	noEdgeLog := fs.Bool("no-edgelog", false, "disable the edge-log optimizer")
-	noCombiner := fs.Bool("no-combiner", false, "disable the combiner fast path")
 	async := fs.Bool("async", false, "asynchronous computation model (MultiLogVC only)")
 	weighted := fs.Bool("weighted", false, "attach deterministic pseudo-random edge weights [1,16]")
 	kcoreK := fs.Uint("k", 3, "kcore: minimum degree k")
@@ -338,7 +337,6 @@ func cmdRun(args []string) error {
 		Engine:          engine,
 		MaxSupersteps:   *steps,
 		DisableEdgeLog:  *noEdgeLog,
-		DisableCombiner: *noCombiner,
 		Async:           *async,
 		Trace:           trace,
 		CheckpointEvery: *ckptEvery,

@@ -68,8 +68,8 @@ func laneSources(kind string, sources []uint32) ([]uint32, error) {
 // SSSP{Source: Sources[q]} whenever every finite distance is below
 // LaneInf (always true for this repository's graphs).
 //
-// It deliberately does not implement vc.Combiner: messages of different
-// lanes share a destination but must never merge.
+// It does not implement vc.Combiner: messages of different lanes share a
+// destination, and no single fold of their payloads keeps the lanes apart.
 type MultiSource struct {
 	Sources  []uint32
 	active   []uint32

@@ -273,20 +273,8 @@ func (b *batch) processVertices() error {
 			ctx := &b.ctxs[w]
 			ctx.b, ctx.w = b, w
 			for i := start + lo; i < start+hi; i++ {
-				msgs := recs[ranges[i][0]:ranges[i][1]]
-				// The combiner folds in place, into the vertex's first record:
-				// vertex ranges are disjoint, so no other worker reads them,
-				// and nothing reads the batch's records after the vertex stage.
-				if b.combiner != nil && len(msgs) > 1 {
-					acc := msgs[0].Data
-					for _, m := range msgs[1:] {
-						acc = b.combiner.Combine(acc, m.Data)
-					}
-					msgs[0].Data = acc
-					msgs = msgs[:1]
-				}
 				ctx.pos, ctx.vertex = i, b.verts[i]
-				b.prog.Process(ctx, msgs)
+				b.prog.Process(ctx, recs[ranges[i][0]:ranges[i][1]])
 			}
 			return nil
 		}); err != nil {

@@ -91,9 +91,6 @@ type Config struct {
 	Workers int
 	// DisableEdgeLog turns the edge-log optimizer off (ablation).
 	DisableEdgeLog bool
-	// DisableCombiner ignores programs' Combiner even when present
-	// (ablation).
-	DisableCombiner bool
 	// DisableFusing processes every vertex interval's log separately
 	// instead of fusing small consecutive logs into one sort batch
 	// (ablation of §V-A2).

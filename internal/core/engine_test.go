@@ -68,11 +68,6 @@ func TestEngineBFSGrid(t *testing.T) {
 	runBoth(t, edges, 144, &apps.BFS{Source: 0}, 60, Config{})
 }
 
-func TestEnginePageRankNoCombiner(t *testing.T) {
-	edges, n := rmatEdges(t, 8, 6, 7)
-	runBoth(t, edges, n, &apps.PageRank{}, 10, Config{DisableCombiner: true})
-}
-
 func TestEngineColoringMatchesReference(t *testing.T) {
 	edges, n := rmatEdges(t, 8, 6, 19)
 	res, _ := runBoth(t, edges, n, &apps.Coloring{}, 40, Config{})

@@ -22,9 +22,8 @@ import (
 // the shared superstep loop.
 type run struct {
 	*Engine
-	loop     *superstep.Loop
-	prog     vc.Program
-	combiner vc.Combiner // nil: deliver every message
+	loop *superstep.Loop
+	prog vc.Program
 
 	// base prefixes every scratch file, auxName the aux arrays; both carry
 	// Config.RunTag so concurrent runs over one resident graph never collide.
@@ -81,15 +80,9 @@ func lanesOf(prog vc.Program) (int, vc.LaneProgram) {
 func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, rollbacks int) (*superstep.Result, error) {
 	cfg := e.cfg
 	// Lane-batched programs fan K point queries into one execution. Lanes
-	// rule out checkpoint/resume (snapshots are single-lane) and Combiner
-	// (messages of different lanes must never merge).
-	if lanes, _ := lanesOf(prog); lanes > 1 {
-		if cfg.CheckpointEvery > 0 || resume {
-			return nil, fmt.Errorf("core: lane-batched program %q does not support checkpointing or resume", prog.Name())
-		}
-		if _, ok := prog.(vc.Combiner); ok {
-			return nil, fmt.Errorf("core: lane-batched program %q must not implement vc.Combiner", prog.Name())
-		}
+	// rule out checkpoint/resume: snapshots are single-lane.
+	if lanes, _ := lanesOf(prog); lanes > 1 && (cfg.CheckpointEvery > 0 || resume) {
+		return nil, fmt.Errorf("core: lane-batched program %q does not support checkpointing or resume", prog.Name())
 	}
 	if cfg.Ephemeral {
 		if cfg.RunTag == "" {
@@ -163,9 +156,6 @@ func (r *run) open(resume bool) error {
 		if r.aux, err = csr.CreateAux(g, r.auxName, auxUser.AuxInit(n)); err != nil {
 			return err
 		}
-	}
-	if c, ok := prog.(vc.Combiner); ok && !cfg.DisableCombiner {
-		r.combiner = c
 	}
 
 	// The memory budget is split as in Fig 4 of the paper.

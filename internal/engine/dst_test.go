@@ -9,8 +9,9 @@ import (
 	"multilogvc/internal/vc"
 )
 
-// dstProbe floods the minimum vertex ID along out-edges and counts every
-// message Process receives whose Dst is not the vertex processing it.
+// dstProbe floods the minimum vertex ID along out-edges and counts the
+// messages Process receives, and among them every one whose Dst is not the
+// vertex processing it.
 type dstProbe struct {
 	delivered, misaddressed *atomic.Int64
 }
@@ -39,20 +40,27 @@ func (p dstProbe) Process(ctx vc.Context, msgs []vc.Msg) {
 	ctx.VoteToHalt()
 }
 
-func (p dstProbe) check(t *testing.T) {
+// check fails unless Process received want messages (the run's
+// MsgsDelivered), all of them addressed to the vertex processing them.
+func (p dstProbe) check(t *testing.T, want uint64) {
 	t.Helper()
-	if p.delivered.Load() == 0 {
+	got := uint64(p.delivered.Load())
+	if got == 0 {
 		t.Fatal("no message was delivered")
 	}
+	if got != want {
+		t.Fatalf("Process received %d messages, the run delivered %d", got, want)
+	}
 	if n := p.misaddressed.Load(); n != 0 {
-		t.Fatalf("%d of %d delivered messages had Dst != ctx.Vertex()", n, p.delivered.Load())
+		t.Fatalf("%d of %d delivered messages had Dst != ctx.Vertex()", n, got)
 	}
 }
 
 // TestMsgDstIsVertex holds every engine to the contract Msg.Dst adds: a
-// message reaches Process addressed to the vertex being processed. The
-// MultiLogVC rows cover both computation models, the combiner folding in
-// place or switched off, and a batch served through the spill path.
+// message reaches Process addressed to the vertex being processed, and
+// every message the run delivers reaches Process, though the probe
+// implements vc.Combiner. The MultiLogVC rows cover both computation
+// models and a batch served through the spill path.
 func TestMsgDstIsVertex(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -61,8 +69,6 @@ func TestMsgDstIsVertex(t *testing.T) {
 	}{
 		{"multilogvc", Options{}, false},
 		{"multilogvc/async", Options{Async: true}, false},
-		{"multilogvc/no-combiner", Options{DisableCombiner: true}, false},
-		{"multilogvc/async/no-combiner", Options{Async: true, DisableCombiner: true}, false},
 		{"multilogvc/spilled", Options{SortBudget: 64 * 12}, true},
 		{"graphchi", Options{Engine: GraphChi}, false},
 		{"grafboost", Options{Engine: GraFBoost}, false},
@@ -75,7 +81,7 @@ func TestMsgDstIsVertex(t *testing.T) {
 			if spills := res.Report.Spills; tc.spill != (spills > 0) {
 				t.Fatalf("%d spilled batches, want spill %v", spills, tc.spill)
 			}
-			p.check(t)
+			p.check(t, res.Report.MsgsDelivered)
 		})
 	}
 	t.Run("reference", func(t *testing.T) {
@@ -84,7 +90,12 @@ func TestMsgDstIsVertex(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := newDstProbe()
-		vc.NewRef(edges, graphio.NumVertices(edges)).Run(p, 6)
-		p.check(t)
+		res := vc.NewRef(edges, graphio.NumVertices(edges)).Run(p, 6)
+		// A superstep delivers what the one before it sent.
+		var want uint64
+		for _, sent := range res.MsgsPerStep[:len(res.MsgsPerStep)-1] {
+			want += sent
+		}
+		p.check(t, want)
 	})
 }

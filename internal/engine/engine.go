@@ -76,11 +76,10 @@ type Options struct {
 	// StopAfter ends the run early; it receives the superstep index and
 	// the cumulative number of vertex activations.
 	StopAfter func(superstep int, cumProcessed uint64) bool
-	// DisableEdgeLog / DisableCombiner / DisableFusing switch off
-	// MultiLogVC optimizations (ablations).
-	DisableEdgeLog  bool
-	DisableCombiner bool
-	DisableFusing   bool
+	// DisableEdgeLog / DisableFusing switch off MultiLogVC optimizations
+	// (ablations).
+	DisableEdgeLog bool
+	DisableFusing  bool
 	// Async selects MultiLogVC's asynchronous computation model (§V-F):
 	// forward updates are delivered within the sending superstep.
 	// Fixpoint algorithms (BFS, SSSP, WCC, PageRank) converge in fewer
@@ -128,7 +127,6 @@ func Run(g *csr.Graph, memBudget int64, prog vc.Program, o Options) (*superstep.
 			Workers:         o.Workers,
 			StopAfter:       o.StopAfter,
 			DisableEdgeLog:  o.DisableEdgeLog,
-			DisableCombiner: o.DisableCombiner,
 			DisableFusing:   o.DisableFusing,
 			Async:           o.Async,
 			Trace:           o.Trace,

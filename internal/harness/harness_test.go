@@ -248,8 +248,18 @@ func TestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 8 {
+	if len(tab.Rows) != 6 { // 3 variants × 2 datasets
 		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// "no modeled effect" exactly when both sides' pages and storage match.
+	for _, row := range tab.Rows {
+		same := row[3] == row[5] && row[4] == row[6]
+		if none := row[8] == "no modeled effect"; none != same {
+			t.Errorf("%v: modeled cell disagrees with its pages and storage", row)
+		}
+		if r, _ := strconv.ParseFloat(row[7], 64); r <= 0 {
+			t.Errorf("%v: bad off/on ratio", row)
+		}
 	}
 }
 

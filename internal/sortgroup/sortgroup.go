@@ -137,8 +137,8 @@ func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch,
 
 // loadSpilled externally sorts interval ivIdx's oversized log into
 // budget-sized runs and primes the first chunk. No records are combined
-// here — the Grouper applies the program's combiner exactly as on the
-// in-memory path, so results are identical.
+// here: the spilled batch yields every record, as the in-memory path does,
+// so results are identical.
 func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batch, error) {
 	budgetRecs := int(budget / mlog.RecordBytes)
 	if budgetRecs < 1 {
@@ -286,7 +286,8 @@ type Grouper struct {
 }
 
 // NewGrouper iterates the batch's messages grouped by destination.
-// combiner may be nil.
+// combiner may be nil; the engine does not group through a Grouper, and
+// bench/'s probe passes nil.
 func NewGrouper(b *Batch, combiner vc.Combiner) *Grouper {
 	return &Grouper{batch: b, combiner: combiner}
 }

@@ -11,9 +11,10 @@
 //
 // A message is one fixed-size <dst, src, data> update record (uint32 each),
 // matching §V-A of the paper: the same record is logged as 12 bytes on
-// storage, sorted by destination and handed to Process. Programs whose updates are associative and commutative may
-// additionally implement Combiner to unlock the engines' merge fast paths
-// (GraFBoost requires it).
+// storage, sorted by destination and handed to Process. Programs whose
+// updates are associative and commutative may additionally implement
+// Combiner, which makes them runnable on the GraFBoost baseline (it
+// requires one).
 package vc
 
 import "sort"
@@ -90,8 +91,7 @@ type Program interface {
 // per-lane frontiers, so K queries cost one pass over the logs instead of
 // K. Lanes are fully independent — a lane's values and messages never
 // influence another lane — which is what makes the batched result
-// bit-identical to K sequential single-source runs. LanePrograms must not
-// implement Combiner: messages of different lanes must never merge.
+// bit-identical to K sequential single-source runs.
 type LaneProgram interface {
 	Program
 	// Lanes returns the number of member queries (value slots per vertex).
@@ -115,9 +115,10 @@ type LaneContext interface {
 
 // Combiner is implemented by programs whose updates can be merged into a
 // single value per destination without affecting correctness (BFS's min,
-// PageRank's sum). Engines may apply Combine to any subset of a vertex's
-// incoming messages; the paper's GraFBoost baseline only supports programs
-// that implement it.
+// PageRank's sum). The GraFBoost baseline only supports programs that
+// implement it, and may apply Combine to any subset of a vertex's incoming
+// messages while it sorts them; MultiLogVC, GraphChi and the reference
+// engine hand Process every message.
 type Combiner interface {
 	Combine(a, b uint32) uint32
 }
