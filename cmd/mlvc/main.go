@@ -15,15 +15,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
 	multilogvc "multilogvc"
+	"multilogvc/internal/failure"
 	"multilogvc/internal/graphio"
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
@@ -57,52 +58,25 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlvc:", err)
-		os.Exit(exitCode(err))
+		f := failure.Of(err)
+		if hint := hints[f]; hint != "" {
+			fmt.Fprintln(os.Stderr, "mlvc:", hint)
+		}
+		os.Exit(f.Exit)
 	}
 }
 
-// exitCode classifies a failed run so scripts can distinguish fault
-// families, with a one-line diagnosis on stderr:
-//
-//	3  transient retries exhausted — the device recovered too slowly;
-//	   raise -retries or rerun
-//	4  permanent device fault — the device is gone; rebuild it
-//	5  corrupt checkpoint — every committed slot failed validation;
-//	   rerun without -resume to recompute
-//	6  corrupt data — a page failed its checksum and recovery was not
-//	   possible; rebuild the device (or the flagged files) from source
-//	7  interrupted — a checkpoint was committed; rerun with -resume
-//	8  out of space — the -disk-cap quota held even after reclamation;
-//	   raise the quota or shrink the run
-//	9  deadline exceeded — the -timeout expired; on the MultiLogVC engine
-//	   a checkpoint was committed, so rerun with -resume
-//	1  anything else
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, multilogvc.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		fmt.Fprintln(os.Stderr, "mlvc: run deadline exceeded; rerun with -resume (MultiLogVC engine) or a larger -timeout")
-		return 9
-	case errors.Is(err, multilogvc.ErrNoSpace):
-		fmt.Fprintln(os.Stderr, "mlvc: device out of space after reclamation; raise -disk-cap or shrink the run")
-		return 8
-	case errors.Is(err, multilogvc.ErrInterrupted):
-		fmt.Fprintln(os.Stderr, "mlvc: interrupted; checkpoint committed — rerun with -resume to continue")
-		return 7
-	case errors.Is(err, multilogvc.ErrRetriesExhausted):
-		fmt.Fprintln(os.Stderr, "mlvc: transient retries exhausted; raise -retries or rerun")
-		return 3
-	case errors.Is(err, multilogvc.ErrCorruptCheckpoint):
-		fmt.Fprintln(os.Stderr, "mlvc: checkpoint corrupt beyond recovery; rerun without -resume to recompute")
-		return 5
-	case errors.Is(err, multilogvc.ErrCorruptData), errors.Is(err, multilogvc.ErrCorruptPage):
-		fmt.Fprintln(os.Stderr, "mlvc: corrupt data beyond recovery; rebuild the device or rerun with -checkpoint-every armed")
-		return 6
-	case errors.Is(err, multilogvc.ErrDeviceFault):
-		fmt.Fprintln(os.Stderr, "mlvc: permanent device fault; the device must be rebuilt")
-		return 4
-	default:
-		return 1
-	}
+// hints are the one-line diagnoses mlvc prints after a classified
+// failure, keyed by its failure.Family, whose Exit is the process's exit
+// code; usage lists them by exit code.
+var hints = map[*failure.Family]string{
+	failure.DeviceFault:       "transient retries exhausted; raise -retries or rerun",
+	failure.Crash:             "injected device crash; rerun with -resume (MultiLogVC engine) from the newest checkpoint",
+	failure.CorruptCheckpoint: "checkpoint corrupt beyond recovery; rerun without -resume to recompute",
+	failure.Corrupt:           "corrupt data beyond recovery; rebuild the device or rerun with -checkpoint-every armed",
+	failure.ShuttingDown:      "interrupted; on the MultiLogVC engine a checkpoint was committed, so rerun with -resume to continue",
+	failure.NoSpace:           "device out of space after reclamation; raise -disk-cap or shrink the run",
+	failure.Deadline:          "run deadline exceeded; rerun with -resume (MultiLogVC engine) or a larger -timeout",
 }
 
 func usage() {
@@ -120,11 +94,12 @@ func usage() {
   mlvc scrub -dir DIR [-page N] [-channels N]   (verify every page checksum)
   mlvc wal dump -dir DIR [-name G] [-from SEQ] [-limit N]   (inspect the ingest WAL, read-only)
 
-exit codes: 1 generic error, 2 usage, 3 transient retries exhausted,
-            4 permanent device fault, 5 corrupt checkpoint,
-            6 corrupt data, 7 interrupted (checkpoint committed),
-            8 out of space (quota held after reclamation),
-            9 deadline exceeded (checkpoint committed)`)
+exit codes: 1 generic error, 2 usage, and one per failure family:`)
+	fams := slices.DeleteFunc(slices.Clone(failure.Table), func(f *failure.Family) bool { return f.Exit == 1 })
+	slices.SortFunc(fams, func(a, b *failure.Family) int { return a.Exit - b.Exit })
+	for _, f := range fams {
+		fmt.Fprintf(os.Stderr, "  %d %s: %s\n", f.Exit, f.Code, hints[f])
+	}
 }
 
 func cmdGen(args []string) error {

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"multilogvc/internal/gen"
 	"multilogvc/internal/graphio"
+	"multilogvc/internal/superstep"
 	"multilogvc/internal/vc"
 )
 
@@ -40,6 +42,15 @@ func (p dstProbe) Process(ctx vc.Context, msgs []vc.Msg) {
 	ctx.VoteToHalt()
 }
 
+// perStep is the messages res delivered in each superstep.
+func perStep(res *superstep.Result) []uint64 {
+	var n []uint64
+	for _, ss := range res.Report.Supersteps {
+		n = append(n, ss.MsgsDelivered)
+	}
+	return n
+}
+
 // check fails unless Process received want messages (the run's
 // MsgsDelivered), all of them addressed to the vertex processing them.
 func (p dstProbe) check(t *testing.T, want uint64) {
@@ -60,7 +71,10 @@ func (p dstProbe) check(t *testing.T, want uint64) {
 // message reaches Process addressed to the vertex being processed, and
 // every message the run delivers reaches Process, though the probe
 // implements vc.Combiner. The MultiLogVC rows cover both computation
-// models and a batch served through the spill path.
+// models and a batch served through the spill path. The async row runs
+// unfused, so a later interval's messages can arrive in the superstep
+// that sent them; its per-superstep deliveries must differ from a
+// synchronous unfused run's.
 func TestMsgDstIsVertex(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -68,7 +82,7 @@ func TestMsgDstIsVertex(t *testing.T) {
 		spill bool
 	}{
 		{"multilogvc", Options{}, false},
-		{"multilogvc/async", Options{Async: true}, false},
+		{"multilogvc/async", Options{Async: true, DisableFusing: true}, false},
 		{"multilogvc/spilled", Options{SortBudget: 64 * 12}, true},
 		{"graphchi", Options{Engine: GraphChi}, false},
 		{"grafboost", Options{Engine: GraFBoost}, false},
@@ -82,6 +96,13 @@ func TestMsgDstIsVertex(t *testing.T) {
 				t.Fatalf("%d spilled batches, want spill %v", spills, tc.spill)
 			}
 			p.check(t, res.Report.MsgsDelivered)
+			if tc.o.Async {
+				sync := tc.o
+				sync.Async = false
+				if got, want := perStep(res), perStep(run(t, newDstProbe(), sync)); slices.Equal(got, want) {
+					t.Fatalf("async deliveries per superstep %v equal the synchronous run's: no message was delivered forward", got)
+				}
+			}
 		})
 	}
 	t.Run("reference", func(t *testing.T) {

@@ -312,7 +312,7 @@ func (c *walCase) run() error {
 		if snap != nil {
 			after, serr := snap.Graph().CurrentEdges()
 			snap.Release()
-			if serr != nil && classify(serr) == "" {
+			if serr != nil && family(serr) == "" {
 				return fmt.Errorf("snapshot probe reread: %w", serr)
 			}
 			if serr == nil && !slices.Equal(before, after) {
@@ -321,11 +321,11 @@ func (c *walCase) run() error {
 		}
 
 		if err != nil {
-			family := classify(err)
-			if family == "" {
+			fam := family(err)
+			if fam == "" {
 				return fmt.Errorf("unclassified primary ingest failure: %w", err)
 			}
-			c.out.n[family]++
+			c.out.n[fam]++
 			// A failed batch may be partially durable; after a merge error
 			// the batch itself is fully applied. Both are prefixes crash
 			// accepts.
@@ -343,11 +343,11 @@ func (c *walCase) run() error {
 				if errors.Is(err, wal.ErrSeqGap) {
 					return fmt.Errorf("unexpected replication gap: %w", err)
 				}
-				family := classify(err)
-				if family == "" {
+				fam := family(err)
+				if fam == "" {
 					return fmt.Errorf("unclassified ship failure: %w", err)
 				}
-				c.out.n[family]++
+				c.out.n[fam]++
 				if err := c.crash(f, nil); err != nil {
 					return err
 				}
@@ -389,7 +389,7 @@ func (c *walCase) gapProbe() (gapped bool, err error) {
 		p.dev.SetFaults(ssd.FaultPlan{Crash: true, CrashAfter: 2 + c.rng.Int63n(20)})
 	}
 	if err := p.g.MergeInterval(0); err != nil {
-		if classify(err) == "" {
+		if family(err) == "" {
 			return false, fmt.Errorf("unclassified primary fold failure: %w", err)
 		}
 		// Died mid-merge: kill the primary there.

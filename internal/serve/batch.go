@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 
 	"multilogvc/internal/apps"
 	"multilogvc/internal/core"
+	"multilogvc/internal/failure"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/superstep"
@@ -108,28 +108,15 @@ func (b *batcher) dispatch() {
 	b.runBatch(batch)
 }
 
-// retryable reports whether a failed batch execution is worth isolating:
-// the fault families where re-running members individually can plausibly
-// succeed (a transient storm that exhausted retries, corruption that a
-// fresh run's fresh scratch won't re-read, quota pressure that smaller
-// solo runs fit under). Deadlines and cancellations are not — the
-// members' own deadlines are as dead solo as batched.
-func retryable(err error) bool {
-	return errors.Is(err, ssd.ErrRetriesExhausted) ||
-		errors.Is(err, core.ErrCorruptData) ||
-		errors.Is(err, ssd.ErrCorruptPage) ||
-		errors.Is(err, ssd.ErrNoSpace)
-}
-
 // runBatch executes batch as one lane program under the execution slot its
 // dispatcher holds and fans the per-lane results back out. The batch's
 // context deadline is the LATEST member deadline: a member whose own
 // deadline passes while a longer-deadline companion keeps the run alive
 // still gets its result ("late but computed" beats recomputing), while a
 // batch whose every member expired is cut before it costs an execution. A
-// retryable device fault does not fail the companions: surviving members
-// re-run as batches of one within their remaining deadlines (batch fault
-// isolation).
+// device fault (failure.Family.Fault) does not fail the companions:
+// surviving members re-run as batches of one within their remaining
+// deadlines (batch fault isolation).
 func (b *batcher) runBatch(batch []*pointQuery) {
 	slotAt := time.Now()
 
@@ -168,7 +155,7 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 	}
 
 	res, err := b.execute(batch, latest)
-	if err != nil && len(batch) > 1 && retryable(err) {
+	if err != nil && len(batch) > 1 && failure.Of(err).Fault {
 		b.isolate(batch, err)
 		return
 	}
@@ -176,8 +163,8 @@ func (b *batcher) runBatch(batch []*pointQuery) {
 }
 
 // isolate is batch fault isolation: the lane-batched execution died of a
-// retryable device fault, so each member with deadline remaining re-runs
-// as a batch of one instead of inheriting its companions' failure. The
+// device fault, so each member with deadline remaining re-runs as a batch
+// of one instead of inheriting its companions' failure. The
 // re-runs execute sequentially under the batch's admission slot —
 // isolation is bounded to one extra run per member and never multiplies
 // the daemon's engine concurrency.
@@ -248,7 +235,7 @@ func (b *batcher) execute(batch []*pointQuery, deadline time.Time) ([]pointResul
 func (b *batcher) finish(batch []*pointQuery, res []pointResult, err error) {
 	if err != nil {
 		o := outcomeNeutral
-		if retryable(err) {
+		if failure.Of(err).Fault {
 			o = outcomeFault
 		}
 		b.fail(batch, o, err)

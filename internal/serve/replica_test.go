@@ -368,11 +368,6 @@ func TestMutateOutOfRangeNamesBound(t *testing.T) {
 	if !strings.Contains(string(data), fmt.Sprint(1<<9)) {
 		t.Fatalf("error does not name the bound: %s", data)
 	}
-	// The csr sentinel classifies the same way (the path replication and
-	// future vertex-growth work will take).
-	if code, status := classify(fmt.Errorf("wrap: %w", csr.ErrVertexOutOfRange)); code != "bad_request" || status != http.StatusBadRequest {
-		t.Fatalf("classify(ErrVertexOutOfRange) = %s, %d", code, status)
-	}
 }
 
 // TestReplicateEndpointValidation covers the handler's client-error and
