@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"multilogvc/internal/csr"
+	"multilogvc/internal/failure"
 	"multilogvc/internal/wal"
 )
 
@@ -59,12 +60,14 @@ func FuzzServeRequests(f *testing.F) {
 			f.Add(uint8(i), []byte(body))
 		}
 	}
+	// Every family's code but three this fixture never earns: internal (a
+	// recovered handler panic), crash (no crash is armed) and not_found
+	// (every fuzzed path exists).
 	classified := map[string]bool{}
-	for _, code := range []string{
-		"deadline", "overloaded", "shutting_down", "breaker_open", "ingest_backpressure",
-		"no_space", "device_fault", "corrupt", "bad_request", "read_only", "not_ready", "gap",
-	} {
-		classified[code] = true
+	for _, f := range failure.Table {
+		if f != failure.Internal && f != failure.Crash && f != failure.NotFound {
+			classified[f.Code] = true
+		}
 	}
 
 	g := ingestFixture(f, csr.IngestOptions{})
