@@ -323,31 +323,28 @@ func (b *batch) drainSends() error {
 // logSends appends one worker's sends, in order, to the message logs: each
 // to its destination interval's log of the next generation, or — in the
 // asynchronous model — of the current one when that interval is still to be
-// processed this superstep (a forward send). Consecutive sends bound for the
-// same generation go to it as one run. It returns how many records were
-// logged, which falls short of len(recs) only beside an error.
+// processed this superstep (a forward send). Each log takes sends while they
+// fall in its window of intervals, so consecutive sends bound for the same
+// generation go to it as one run, routed as they are logged. It returns how
+// many records were logged, which falls short of len(recs) only beside an
+// error.
 func (b *batch) logSends(recs []vc.Msg) (int, error) {
-	ivs := b.sendIvs[:0]
-	for _, rec := range recs {
-		ivs = append(ivs, int32(b.g.IntervalOf(rec.Dst)))
-	}
-	b.sendIvs = ivs
+	idx, last := b.g.Index(), b.curLog.NumIntervals()-1
 	if !b.cfg.Async {
-		return b.nextLog.AppendRecs(ivs, recs)
+		return b.nextLog.AppendRecs(idx, 0, last, recs)
 	}
-	forward := func(i int) bool { return int(ivs[i]) > b.sg.LastIv }
-	for start, end := 0, 0; start < len(recs); start = end {
-		log, fwd := b.nextLog, forward(start)
+	done := 0
+	for fwd := false; done < len(recs); fwd = !fwd {
+		log, first, end := b.nextLog, 0, b.sg.LastIv
 		if fwd {
-			log = b.curLog
+			log, first, end = b.curLog, b.sg.LastIv+1, last
 		}
-		for end = start + 1; end < len(recs) && forward(end) == fwd; end++ {
-		}
-		if n, err := log.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
-			return start + n, err
+		n, err := log.AppendRecs(idx, first, end, recs[done:])
+		if done += n; err != nil {
+			return done, err
 		}
 	}
-	return len(recs), nil
+	return done, nil
 }
 
 // relog makes the edge-log decisions (single-threaded; the log writer is

@@ -66,14 +66,13 @@ func (r *run) restore(rst *ckpt.State) error {
 		return fmt.Errorf("core: checkpoint has %d message-log intervals, graph has %d",
 			len(rst.Msgs), r.curLog.NumIntervals())
 	}
-	var ivs []int32
 	for iv, msgs := range rst.Msgs {
-		ivs = ivs[:0]
-		for range msgs {
-			ivs = append(ivs, int32(iv))
-		}
-		if _, err := r.curLog.AppendRecs(ivs, msgs); err != nil {
+		n, err := r.curLog.AppendRecs(r.g.Index(), iv, iv, msgs)
+		if err != nil {
 			return err
+		}
+		if n < len(msgs) {
+			return fmt.Errorf("core: checkpoint logs a message to vertex %d in interval %d's log", msgs[n].Dst, iv)
 		}
 	}
 	// The edge log is an adjacency cache: replay only when the optimizer

@@ -16,16 +16,15 @@ type workingSet struct {
 
 	// The vertex stage's send path: workers fill sends, the run goroutine
 	// drains it into the logs after every wave.
-	ctxs    []engineCtx // one per worker
-	sends   *superstep.SendBuffer
-	sendIvs []int32 // destination interval of each send of the bucket being drained
+	ctxs  []engineCtx // one per worker
+	sends *superstep.SendBuffer
 
 	logBufs *mlog.Buffers // the buffers both message-log generations draw on
 }
 
 // bytes returns the memory ws holds.
 func (ws *workingSet) bytes() int64 {
-	n := ws.vertexPlane.bytes() + 4*cap(ws.sendIvs)
+	n := ws.vertexPlane.bytes()
 	if ws.sends != nil {
 		n += ws.sends.Bytes()
 	}
@@ -57,8 +56,9 @@ func (ws *workingSet) bytes() int64 {
 //     quarter more, the arena's growth step;
 //   - the multi-log buffers: the pages of one generation (the log budget
 //     plus one page per interval and one more; twice that in the
-//     asynchronous model), at most 64 pages of staging, and two record
-//     buffers of at most the sort budget each;
+//     asynchronous model) and a page list per interval and generation, at
+//     most 64 pages of staging, and one sort batch's log pages and records,
+//     each at most the sort budget and its page headers;
 //   - the send buckets: per worker, the most sends it buffered in one wave,
 //     and up to twice that after append's growth. A wave ends once its
 //     out-edges reach waveSends, so a lane program that sends at most once

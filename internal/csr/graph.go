@@ -98,6 +98,9 @@ func (g *Graph) Intervals() []Interval { return g.meta.Intervals }
 // IntervalOf returns the index of the interval containing v.
 func (g *Graph) IntervalOf(v uint32) int { return g.idx.Of(v) }
 
+// Index returns the vertex-to-interval map IntervalOf looks up.
+func (g *Graph) Index() *IntervalIndex { return g.idx }
+
 // Device returns the underlying device.
 func (g *Graph) Device() *ssd.Device { return g.dev }
 

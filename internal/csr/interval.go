@@ -98,6 +98,7 @@ func Partition(inDeg []uint32, msgBytes int, budgetBytes int64) []Interval {
 // BenchmarkIntervalOf measures both ahead of the block scan it replaced.
 type IntervalIndex struct {
 	ivs    []Interval
+	n      uint32 // vertices covered
 	blocks []ivBlock
 }
 
@@ -109,7 +110,7 @@ type ivBlock struct {
 // NewIntervalIndex builds the lookup structure. Intervals must be sorted,
 // non-empty, non-overlapping, and cover [0, n).
 func NewIntervalIndex(ivs []Interval, n uint32) *IntervalIndex {
-	idx := &IntervalIndex{ivs: ivs, blocks: make([]ivBlock, n>>6+1)}
+	idx := &IntervalIndex{ivs: ivs, n: n, blocks: make([]ivBlock, n>>6+1)}
 	for _, iv := range ivs {
 		idx.blocks[iv.Lo>>6].starts |= 1 << (iv.Lo & 63)
 	}
@@ -122,11 +123,15 @@ func NewIntervalIndex(ivs []Interval, n uint32) *IntervalIndex {
 }
 
 // Of returns the index of the interval containing v: the intervals started
-// before v's block plus those started inside it at or before v.
+// before v's block plus those started inside it at or before v. v must be
+// below NumVertices.
 func (x *IntervalIndex) Of(v uint32) int {
 	b := &x.blocks[v>>6]
 	return int(b.before) + bits.OnesCount64(b.starts<<(63-v&63))
 }
+
+// NumVertices returns the number of vertices the intervals cover.
+func (x *IntervalIndex) NumVertices() uint32 { return x.n }
 
 // Intervals returns the underlying interval slice. Callers must not
 // mutate it.

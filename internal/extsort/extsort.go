@@ -134,7 +134,7 @@ type Runs struct {
 	files   []*ssd.File
 	counts  []uint64
 	st      Stats
-	scratch []vc.Msg // SortByDst's second buffer, kept from Flush to Flush
+	scratch []byte // SortByDst's second buffer, kept from Flush to Flush
 }
 
 // NewRuns prepares a run accumulator. combine, when non-nil, merges

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,6 +29,49 @@ func checkSortByDst(t *testing.T, name string, recs []vc.Msg) {
 	SortByDst(got, scratch)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s (n=%d): differs from sort.SliceStable with a reused scratch", name, len(recs))
+	}
+	checkSortEncoded(t, name, recs, want)
+}
+
+// testBlock is the block layout checkSortEncoded encodes records in: a
+// little-endian record count, then up to five records.
+const testBlock = 4 + 5*RecordBytes
+
+func testBlockRecords(block []byte) []byte {
+	return block[4 : 4+int(binary.LittleEndian.Uint32(block))*RecordBytes]
+}
+
+// checkSortEncoded holds SortEncoded, over recs encoded into blocks, to want:
+// the records sorted, and an error once the vertex range leaves one out.
+func checkSortEncoded(t *testing.T, name string, recs, want []vc.Msg) {
+	t.Helper()
+	lo, hi := uint32(0), uint32(1)
+	if len(want) > 0 {
+		lo, hi = want[0].Dst, want[len(want)-1].Dst
+		if hi == math.MaxUint32 {
+			return // no [lo, hi) holds it
+		}
+		hi++
+	}
+	var blocks []byte
+	for rest := recs; len(rest) > 0 || len(blocks) == 0; {
+		k := min(len(rest), 1+len(blocks)%5) // ragged blocks, some not full
+		block := make([]byte, testBlock)
+		binary.LittleEndian.PutUint32(block, uint32(k))
+		for i, r := range rest[:k] {
+			PutRecord(block[4+i*RecordBytes:], r)
+		}
+		blocks, rest = append(blocks, block...), rest[k:]
+	}
+	held := []vc.Msg{{Dst: 1}}
+	got, err := SortEncoded(held, slices.Clone(blocks), testBlock, testBlockRecords, lo, hi)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("%s (n=%d): SortEncoded differs from sort.SliceStable (err %v)", name, len(recs), err)
+	}
+	if len(want) > 0 {
+		if _, err := SortEncoded(nil, slices.Clone(blocks), testBlock, testBlockRecords, lo, hi-1); err == nil {
+			t.Fatalf("%s (n=%d): SortEncoded took a record to %d into [%d, %d)", name, len(recs), hi-1, lo, hi-1)
+		}
 	}
 }
 
@@ -88,9 +132,9 @@ func TestSortByDstMatchesStableSort(t *testing.T) {
 // touched when the batch needs no radix pass.
 func TestSortByDstScratch(t *testing.T) {
 	recs := randomRecs(rand.New(rand.NewSource(3)), 10*insertionMax, 5000)
-	short := make([]vc.Msg, 3)
+	short := make([]byte, 3)
 	grown := SortByDst(slices.Clone(recs), short)
-	if cap(grown) < len(recs) {
+	if cap(grown) < len(recs)*RecordBytes {
 		t.Fatalf("scratch grown to %d for %d records", cap(grown), len(recs))
 	}
 	if kept := SortByDst(slices.Clone(recs), grown); &kept[:1][0] != &grown[:1][0] {
@@ -140,7 +184,7 @@ func TestMergeIsStableAcrossRuns(t *testing.T) {
 	}
 }
 
-var sinkScratch []vc.Msg
+var sinkScratch []byte
 
 // BenchmarkSortByDst: the two shapes the engine sorts — a dense batch over
 // one interval's ~80 vertices (PageRank) and a thin one scattered over a

@@ -17,8 +17,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"sync"
 
+	"multilogvc/internal/csr"
 	"multilogvc/internal/extsort"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
@@ -29,7 +33,8 @@ import (
 // extsort.PutRecord.
 const RecordBytes = extsort.RecordBytes
 
-// readBatch is how many pages Read and ReadRecs fetch per device read.
+// readBatch is how many pages Read, ReadRecs and ReadPages fetch per device
+// read.
 const readBatch = 64
 
 // pageHeader is the per-page record-count prefix. It lets a log be read
@@ -147,6 +152,9 @@ func (l *Log) NumIntervals() int { return len(l.count) }
 // Budget returns the in-memory buffer size in bytes, after New's floor.
 func (l *Log) Budget() int64 { return l.budget }
 
+// PageSize returns the size of one log page, the device's.
+func (l *Log) PageSize() int { return l.pageSize }
+
 // Append logs the update <dst, src, data> to interval's log. Once the
 // completed pages outgrow the budget it evicts them all, so the order of
 // Appends alone decides which one evicts, and what. It is the one-record,
@@ -161,16 +169,30 @@ func (l *Log) Append(interval int, dst, src, data uint32) error {
 	return nil
 }
 
-// AppendRecs logs recs[i] to interval ivs[i]'s log, in order, under one hold
-// of the lock. It evicts at exactly the records where Append, called once per
-// record, would have — the lock is dropped around each eviction, as a device
-// write may re-enter ReclaimConsumed — so the two leave the same pages on the
-// device after the same device writes. It returns how many records it logged:
-// all of them, or those up to and including the one whose eviction failed.
-func (l *Log) AppendRecs(ivs []int32, recs []vc.Msg) (int, error) {
+// AppendRecs logs recs, in order, each to the log of the interval idx maps
+// its destination to, while that interval lies in the window [first, last]:
+// routing and logging are one loop under one hold of the lock. It evicts at
+// exactly the records where Append, called once per record, would have — the
+// lock is dropped around each eviction, as a device write may re-enter
+// ReclaimConsumed — so the two leave the same pages on the device after the
+// same device writes. It returns how many records it logged: all of them,
+// those before the first whose interval lies outside the window, or those up
+// to and including the one whose eviction failed. idx must map onto the Log's
+// intervals, and a destination it has no vertex for is an error.
+func (l *Log) AppendRecs(idx *csr.IntervalIndex, first, last int, recs []vc.Msg) (int, error) {
+	nv := idx.NumVertices()
 	l.mu.Lock()
 	for i, r := range recs {
-		if l.put(int(ivs[i]), r) {
+		if r.Dst >= nv {
+			l.mu.Unlock()
+			return i, fmt.Errorf("mlog: record to vertex %d, the graph has %d", r.Dst, nv)
+		}
+		iv := idx.Of(r.Dst)
+		if iv < first || iv > last {
+			l.mu.Unlock()
+			return i, nil
+		}
+		if !l.putMid(iv, r) && l.turn(iv, r) {
 			l.mu.Unlock()
 			if err := l.evictFull(); err != nil {
 				return i + 1, err
@@ -184,8 +206,29 @@ func (l *Log) AppendRecs(ivs []int32, recs []vc.Msg) (int, error) {
 
 // put appends r to interval iv's top page, under mu, and reports whether
 // that completed a page which took the completed pages past the budget: the
-// caller then owes an evictFull, outside mu.
+// caller then owes an evictFull, outside mu. AppendRecs spells it out, so
+// that putMid inlines into its loop.
 func (l *Log) put(iv int, r vc.Msg) bool {
+	return !l.putMid(iv, r) && l.turn(iv, r)
+}
+
+// putMid is put for a record that neither opens nor completes its top page,
+// the one case it takes: it reports whether it was that case. It is small
+// enough for the compiler to inline into the append loops.
+func (l *Log) putMid(iv int, r vc.Msg) bool {
+	t := &l.top[iv]
+	o := t.fill
+	if o+2*RecordBytes > len(t.page) { // no page yet, or r completes it
+		return false
+	}
+	extsort.PutRecord(t.page[o:o+RecordBytes], r)
+	t.fill = o + RecordBytes
+	l.count[iv]++
+	return true
+}
+
+// turn is put for the record that opens a top page or completes one.
+func (l *Log) turn(iv int, r vc.Msg) bool {
 	t := &l.top[iv]
 	if t.page == nil {
 		t.page, t.fill = l.bufs.page(l.pageSize), pageHeader
@@ -195,6 +238,9 @@ func (l *Log) put(iv int, r vc.Msg) bool {
 	l.count[iv]++
 	if t.fill+RecordBytes <= l.pageSize {
 		return false
+	}
+	if l.full[iv] == nil {
+		l.full[iv] = l.bufs.list()
 	}
 	l.full[iv] = append(l.full[iv], t.page[:t.fill])
 	t.page = nil
@@ -223,16 +269,19 @@ func (l *Log) flushEach(top bool) error {
 }
 
 // flush writes interval iv's completed pages — and, with top set, its
-// partial top page — to the interval's file as one device write. The pages
-// leave the Log under mu; sealing them into the staging buffer and the write
-// itself run outside it, the write because one that hits the disk quota calls
-// back into ReclaimConsumed.
+// partial top page — to the interval's file as one device write. The pages,
+// and the list holding them, leave the Log under mu; sealing them into the
+// staging buffer and the write itself run outside it, the write because one
+// that hits the disk quota calls back into ReclaimConsumed.
 func (l *Log) flush(iv int, top bool) error {
 	l.mu.Lock()
 	pages := l.full[iv]
 	l.full[iv] = nil
 	l.buffered -= int64(len(pages) * l.pageSize)
 	if t := &l.top[iv]; top && t.page != nil {
+		if pages == nil {
+			pages = l.bufs.list()
+		}
 		pages = append(pages, t.page[:t.fill])
 		t.page = nil
 	}
@@ -246,6 +295,7 @@ func (l *Log) flush(iv int, top bool) error {
 		sealPage(buf[i*l.pageSize:(i+1)*l.pageSize], page)
 	}
 	l.bufs.putPages(pages...)
+	l.bufs.putList(pages)
 	f, err := l.file(iv)
 	if err != nil {
 		return err
@@ -261,7 +311,7 @@ func (l *Log) file(iv int) (*ssd.File, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.files[iv] == nil {
-		f, err := l.dev.OpenOrCreate(fmt.Sprintf("%s.%d", l.prefix, iv))
+		f, err := l.dev.OpenOrCreate(l.prefix + "." + strconv.Itoa(iv))
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +375,7 @@ func (l *Log) Total() uint64 {
 // so a log dispersed over the channels loads at full bandwidth (§V-A3). Each
 // page's record count comes from its header.
 func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
-	return l.readPages(interval, func(enc []byte) {
+	return l.readStaged(interval, func(enc []byte) {
 		for ; len(enc) >= RecordBytes; enc = enc[RecordBytes:] {
 			r := extsort.GetRecord(enc)
 			fn(r.Dst, r.Src, r.Data)
@@ -337,13 +387,44 @@ func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
 // appends interval's records to recs, in log order, and returns the extended
 // slice. It issues the same device reads as Read.
 func (l *Log) ReadRecs(interval int, recs []vc.Msg) ([]vc.Msg, error) {
-	err := l.readPages(interval, func(enc []byte) { recs = appendRecords(recs, enc) })
+	err := l.readStaged(interval, func(enc []byte) { recs = appendRecords(recs, enc) })
 	return recs, err
 }
 
+// ReadPages appends interval's log to pages as the device holds it — whole
+// sealed pages, PageSize bytes each, every header checked as Read checks it —
+// and returns the extended buffer. It issues the same device reads as Read,
+// each straight into pages, so a sort can decode the records from where the
+// device put them (PageRecords).
+func (l *Log) ReadPages(interval int, pages []byte) ([]byte, error) {
+	end := len(pages)
+	err := l.readPages(interval, func(n int) []byte {
+		pages = slices.Grow(pages, n)[:len(pages)+n]
+		return pages[len(pages)-n:]
+	}, func([]byte) { end += l.pageSize })
+	return pages[:end], err
+}
+
+// readStaged is readPages through the staging buffer.
+func (l *Log) readStaged(interval int, visit func(recs []byte)) error {
+	var stage []byte
+	err := l.readPages(interval, func(n int) []byte {
+		if stage == nil {
+			stage = l.bufs.takeStage(n) // the first batch is the largest
+		}
+		return stage[:n]
+	}, visit)
+	if stage != nil {
+		l.bufs.putStage(stage, readBatch*l.pageSize)
+	}
+	return err
+}
+
 // readPages flushes interval's buffers, then reads its log file readBatch
-// pages at a time and hands visit each page's record bytes, in log order.
-func (l *Log) readPages(interval int, visit func(recs []byte)) error {
+// pages at a time, each batch into the buffer into returns for its length in
+// bytes, and hands visit each page's record bytes, in log order, until every
+// record the interval counts is read.
+func (l *Log) readPages(interval int, into func(n int) []byte, visit func(recs []byte)) error {
 	if err := l.flush(interval, true); err != nil {
 		return err
 	}
@@ -355,18 +436,17 @@ func (l *Log) readPages(interval int, visit func(recs []byte)) error {
 		return nil
 	}
 	ps, total := l.pageSize, f.DataPages()
-	buf := l.bufs.takeStage(min(readBatch, total) * ps)
-	defer l.bufs.putStage(buf, readBatch*ps)
 	for start := 0; remaining > 0; {
 		n := min(readBatch, total-start)
 		if n <= 0 {
 			return fmt.Errorf("mlog: read interval %d: %d records missing: %w", interval, remaining, io.ErrUnexpectedEOF)
 		}
-		if err := f.ReadPageRange(start, n, buf[:n*ps]); err != nil {
+		buf := into(n * ps)
+		if err := f.ReadPageRange(start, n, buf); err != nil {
 			return fmt.Errorf("mlog: read interval %d: %w", interval, err)
 		}
 		start += n
-		for page := buf[:n*ps]; len(page) > 0 && remaining > 0; page = page[ps:] {
+		for page := buf; len(page) > 0 && remaining > 0; page = page[ps:] {
 			recs, err := pageRecords(page[:ps], remaining)
 			if err != nil {
 				return fmt.Errorf("mlog: interval %d: %w", interval, err)
@@ -377,6 +457,10 @@ func (l *Log) readPages(interval int, visit func(recs []byte)) error {
 	}
 	return nil
 }
+
+// PageRecords returns the record bytes of one sealed log page, such as
+// ReadPages reads, its header checked against the page's capacity.
+func PageRecords(page []byte) ([]byte, error) { return pageRecords(page, math.MaxUint64) }
 
 // pageRecords returns the record bytes of one sealed log page. The header's
 // record count is validated against both the page's record capacity and the
@@ -406,26 +490,30 @@ func appendRecords(recs []vc.Msg, enc []byte) []vc.Msg {
 }
 
 // Buffers recycles what a record crosses on its way through a Log: written-
-// out pages become top pages again, one staging buffer carries pages to and
-// from the device, and the record buffers of closed sort batches wait for the
-// next one. The two generations of a run share one (NewGeneration), and a
-// host that runs one run after another may hand them to the next (NewWith).
-// What they hold is bounded by the Logs drawing on them: the pages buffered
-// at once (a generation takes appends up to the budget, one more page and a
-// top page per interval; only the asynchronous model appends to both), at
-// most readBatch pages of staging, and maxFreeRecs record buffers of one sort
-// batch each. mu is a leaf: it is taken under Log.mu, never the other way
-// round.
+// out pages become top pages again, and the lists that held an interval's
+// completed pages hold the next ones; one staging buffer carries pages to and
+// from the device; one batch page buffer takes a sort batch's pages from the
+// device and is its sort's scratch; and the record buffer of a closed sort
+// batch waits for the next one. The two generations of a run share one
+// (NewGeneration), and a host that runs one run after another may hand them
+// to the next (NewWith). What they hold is bounded by the Logs drawing on
+// them: the pages buffered at once (a generation takes appends up to the
+// budget, one more page and a top page per interval; only the asynchronous
+// model appends to both) and a list per interval and generation, at most
+// readBatch pages of staging, and the pages and the records of one sort
+// batch. mu is a leaf: it is taken under Log.mu, never the other way round.
 type Buffers struct {
 	mu    sync.Mutex
 	pages [][]byte   // log pages whose content reached the device
+	lists [][][]byte // empty page lists, their room kept
 	stage []byte     // while neither flush nor Read holds it; at most readBatch pages
+	batch []byte     // the batch page buffer, while no Load holds it
 	recs  [][]vc.Msg // at most maxFreeRecs
 }
 
-// maxFreeRecs bounds the record buffers kept: a sort batch holds two at a
-// time, its records and the sort's scratch.
-const maxFreeRecs = 2
+// maxFreeRecs bounds the record buffers kept: a sort batch holds one, its
+// records; the batch page buffer is its sort's scratch.
+const maxFreeRecs = 1
 
 // page returns a log page of size bytes, recycled if there is one.
 func (b *Buffers) page(size int) []byte {
@@ -442,6 +530,31 @@ func (b *Buffers) page(size int) []byte {
 func (b *Buffers) putPages(pages ...[]byte) {
 	b.mu.Lock()
 	b.pages = append(b.pages, pages...)
+	b.mu.Unlock()
+}
+
+// list returns an empty page list, recycled if there is one: a list that
+// held an interval's completed pages keeps its room for the next ones.
+func (b *Buffers) list() [][]byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.lists)
+	if n == 0 {
+		return nil
+	}
+	list := b.lists[n-1]
+	b.lists = b.lists[:n-1]
+	return list
+}
+
+// putList takes back a page list whose pages went back through putPages.
+func (b *Buffers) putList(list [][]byte) {
+	if cap(list) == 0 {
+		return
+	}
+	clear(list)
+	b.mu.Lock()
+	b.lists = append(b.lists, list[:0])
 	b.mu.Unlock()
 }
 
@@ -472,9 +585,12 @@ func (b *Buffers) putStage(buf []byte, keep int) {
 func (b *Buffers) Bytes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := cap(b.stage)
+	n := cap(b.stage) + cap(b.batch)
 	for _, p := range b.pages {
 		n += cap(p)
+	}
+	for _, l := range b.lists {
+		n += 24 * cap(l)
 	}
 	for _, r := range b.recs {
 		n += RecordBytes * cap(r)
@@ -506,6 +622,28 @@ func (l *Log) PutRecs(buf []vc.Msg) {
 	b.mu.Lock()
 	if len(b.recs) < maxFreeRecs && cap(buf) > 0 {
 		b.recs = append(b.recs, buf)
+	}
+	b.mu.Unlock()
+}
+
+// GetPageBuf returns the batch page buffer, empty, for ReadPages to fill: the
+// caller's alone until PutPageBuf.
+func (l *Log) GetPageBuf() []byte {
+	b := l.bufs
+	b.mu.Lock()
+	buf := b.batch
+	b.batch = nil
+	b.mu.Unlock()
+	return buf[:0]
+}
+
+// PutPageBuf hands the buffer from GetPageBuf — possibly regrown since — back
+// for reuse; the caller must not touch it afterwards.
+func (l *Log) PutPageBuf(buf []byte) {
+	b := l.bufs
+	b.mu.Lock()
+	if cap(buf) > cap(b.batch) {
+		b.batch = buf
 	}
 	b.mu.Unlock()
 }
@@ -554,6 +692,7 @@ func (l *Log) reset(pick func(iv int) bool) error {
 		}
 		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
 		l.bufs.putPages(l.full[iv]...)
+		l.bufs.putList(l.full[iv])
 		if page := l.top[iv].page; page != nil {
 			l.bufs.putPages(page)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"multilogvc/internal/csr"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
@@ -237,13 +238,27 @@ func TestReadEmptyInterval(t *testing.T) {
 	}
 }
 
-// testStream is a seeded record stream over the intervals of a Log.
+// testWidth is the number of vertices in each interval of testIndex.
+const testWidth = 1000
+
+// testIndex maps the vertices of intervals intervals of testWidth each.
+func testIndex(intervals int) *csr.IntervalIndex {
+	ivs := make([]csr.Interval, intervals)
+	for i := range ivs {
+		ivs[i] = csr.Interval{Lo: uint32(i) * testWidth, Hi: uint32(i+1) * testWidth}
+	}
+	return csr.NewIntervalIndex(ivs, uint32(intervals)*testWidth)
+}
+
+// testStream is a seeded record stream over the intervals of a Log: ivs[i]
+// is the testIndex interval of recs[i]'s destination.
 func testStream(n, intervals int, seed int64) ([]int32, []vc.Msg) {
 	rng := rand.New(rand.NewSource(seed))
 	ivs, recs := make([]int32, n), make([]vc.Msg, n)
 	for i := range recs {
 		ivs[i] = int32(rng.Intn(intervals))
-		recs[i] = vc.Msg{Dst: rng.Uint32(), Src: uint32(i), Data: rng.Uint32()}
+		dst := uint32(ivs[i])*testWidth + uint32(rng.Intn(testWidth))
+		recs[i] = vc.Msg{Dst: dst, Src: uint32(i), Data: rng.Uint32()}
 	}
 	return ivs, recs
 }
@@ -282,6 +297,7 @@ func TestAppendRecsMatchesAppend(t *testing.T) {
 	one, devOne := testLog(t, intervals, budget)
 	bulk, devBulk := testLog(t, intervals, budget)
 	fresh, devFresh := testLog(t, intervals, budget)
+	idx := testIndex(intervals)
 
 	for gen, seed := range []int64{1, 2} {
 		ivs, recs := testStream(n, intervals, seed)
@@ -293,7 +309,7 @@ func TestAppendRecsMatchesAppend(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := bulk.AppendRecs(ivs[start:end], recs[start:end]); err != nil {
+			if _, err := bulk.AppendRecs(idx, 0, intervals-1, recs[start:end]); err != nil {
 				t.Fatal(err)
 			}
 			if a, b := devOne.Stats(), devBulk.Stats(); a != b {
@@ -302,7 +318,7 @@ func TestAppendRecsMatchesAppend(t *testing.T) {
 			start = end
 		}
 		if gen == 1 {
-			if _, err := fresh.AppendRecs(ivs, recs); err != nil {
+			if _, err := fresh.AppendRecs(idx, 0, intervals-1, recs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -369,12 +385,12 @@ func TestAppendRecsEvictionReentersReclaimer(t *testing.T) {
 	})()
 	dev.SetFaults(ssd.FaultPlan{NoSpace: ssd.Trigger{At: []int64{0}}}) // the next write that grows a file finds the device full
 
-	ivs, recs := testStream(500, 2, 4)
-	for i := range ivs {
-		ivs[i] += 2
+	_, recs := testStream(500, 2, 4)
+	for i := range recs {
+		recs[i].Dst += 2 * testWidth
 	}
 	done := make(chan error, 1)
-	go func() { _, err := l.AppendRecs(ivs, recs); done <- err }()
+	go func() { _, err := l.AppendRecs(testIndex(4), 0, 3, recs); done <- err }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -396,8 +412,8 @@ func TestAppendRecsEvictionReentersReclaimer(t *testing.T) {
 func TestReadRecsMatchesRead(t *testing.T) {
 	const intervals = 3
 	l, dev := testLog(t, intervals, 1<<20)
-	ivs, recs := testStream(2500, intervals, 9) // > readBatch pages in each interval
-	if _, err := l.AppendRecs(ivs, recs); err != nil {
+	_, recs := testStream(2500, intervals, 9) // > readBatch pages in each interval
+	if _, err := l.AppendRecs(testIndex(intervals), 0, intervals-1, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.FlushAll(); err != nil {
@@ -469,8 +485,9 @@ func TestGenerationsShareBuffers(t *testing.T) {
 	if next.Budget() != cur.Budget() || next.NumIntervals() != intervals || next.Device() != dev {
 		t.Fatalf("NewGeneration: budget %d, %d intervals", next.Budget(), next.NumIntervals())
 	}
-	ivs, recs := testStream(10*(readBatch+6), intervals, 3) // a flush of > readBatch pages
-	if _, err := cur.AppendRecs(ivs, recs); err != nil {
+	_, recs := testStream(10*(readBatch+6), intervals, 3) // a flush of > readBatch pages
+	idx := testIndex(intervals)
+	if _, err := cur.AppendRecs(idx, 0, intervals-1, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := cur.FlushAll(); err != nil {
@@ -483,7 +500,7 @@ func TestGenerationsShareBuffers(t *testing.T) {
 	if keep := readBatch * dev.PageSize(); cap(cur.bufs.stage) > keep {
 		t.Fatalf("staging buffer of %d bytes kept, the bound is %d", cap(cur.bufs.stage), keep)
 	}
-	if _, err := next.AppendRecs(ivs, recs[:100]); err != nil {
+	if _, err := next.AppendRecs(idx, 0, intervals-1, recs[:100]); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(next.bufs.pages); got >= pages {
@@ -511,6 +528,7 @@ func TestGenerationsShareBuffers(t *testing.T) {
 func BenchmarkLogAppend(b *testing.B) {
 	const intervals, run = 64, 4096
 	ivs, recs := testStream(run, intervals, 1)
+	idx := testIndex(intervals)
 	newLog := func(b *testing.B) *Log {
 		dev := ssd.MustOpen(ssd.Config{PageSize: 16384, Channels: 8})
 		l, err := New(dev, "bench", intervals, 1<<20)
@@ -545,7 +563,7 @@ func BenchmarkLogAppend(b *testing.B) {
 		for i := 0; i < b.N; i += run {
 			reset(b, l, i)
 			n := min(run, b.N-i)
-			if _, err := l.AppendRecs(ivs[:n], recs[:n]); err != nil {
+			if _, err := l.AppendRecs(idx, 0, intervals-1, recs[:n]); err != nil {
 				b.Fatal(err)
 			}
 		}

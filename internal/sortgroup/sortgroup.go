@@ -2,10 +2,12 @@
 // the update log of a vertex interval from the device, fuses the logs of
 // consecutive intervals while they fit the sort budget (§V-A2), sorts the
 // records in memory by destination vertex, and serves per-vertex message
-// groups to the engine. The sort is stable (extsort.SortByDst), and a log
-// keeps its records in append order, so the messages of one destination are
-// delivered in the order they were sent — across fused intervals and on the
-// spill path too, whose runs are cut in log order and merged stably.
+// groups to the engine. The batch's log pages are read into one buffer and
+// sorted from there (extsort.SortEncoded): the sort decodes each record
+// straight into its sorted slot. The sort is stable, and a log keeps its
+// records in append order, so the messages of one destination are delivered
+// in the order they were sent — across fused intervals and on the spill path
+// too, whose runs are cut in log order and merged stably.
 //
 // The paper sizes intervals so one interval's worst-case log fits the sort
 // budget, but at runtime a log can exceed that build-time bound (random
@@ -88,7 +90,9 @@ type Options struct {
 // sort budget (always at least one interval). Records are sorted by
 // destination. The per-interval record counters provide the first-order
 // size estimate, as in the paper. When startIv's log alone exceeds the
-// budget, the batch is served through the spill path (see Batch).
+// budget, the batch is served through the spill path (see Batch). A record
+// addressed outside the batch's vertices [Lo, Hi) — logged to the wrong
+// interval — is an error.
 func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch, error) {
 	budget := opts.SortBudget
 	total := int64(log.Count(startIv)) * mlog.RecordBytes
@@ -117,22 +121,49 @@ func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch,
 		Recs:    log.GetRecs(int(total / mlog.RecordBytes)),
 		log:     log,
 	}
+	pages := log.GetPageBuf()
+	defer func() { log.PutPageBuf(pages) }()
 	sc := log.Device().Scope()
 	for iv := startIv; iv <= last; iv++ {
 		// Tag per fused interval so interval-level IO skew attributes log
 		// read-back to the interval that produced it.
 		prevS, prevIv := sc.SetStage(obsv.StageSortGroup, iv)
 		var err error
-		b.Recs, err = log.ReadRecs(iv, b.Recs)
+		pages, err = log.ReadPages(iv, pages)
 		sc.SetStage(prevS, prevIv)
 		if err != nil {
 			b.Close()
 			return nil, err
 		}
 	}
-	// The scratch buffer is only grown if the sort needs one.
-	log.PutRecs(extsort.SortByDst(b.Recs, log.GetRecs(0)))
+	var err error
+	if b.Recs, err = sortPages(b.Recs, pages, log.PageSize(), b.Lo, b.Hi); err != nil {
+		b.Close()
+		return nil, fmt.Errorf("sortgroup: intervals %d..%d: %w", startIv, last, err)
+	}
 	return b, nil
+}
+
+// sortPages decodes the records of pages — whole sealed log pages of pageSize
+// bytes — into recs, sorted stably by destination, each of which must lie in
+// [lo, hi). Every page header is checked first; pages is the sort's scratch,
+// so what it held is gone afterwards.
+func sortPages(recs []vc.Msg, pages []byte, pageSize int, lo, hi uint32) ([]vc.Msg, error) {
+	if pageSize <= 0 || len(pages)%pageSize != 0 {
+		return recs[:0], fmt.Errorf("%d bytes of log pages is no whole number of %d-byte pages", len(pages), pageSize)
+	}
+	for p := pages; len(p) > 0; p = p[pageSize:] {
+		if _, err := mlog.PageRecords(p[:pageSize]); err != nil {
+			return recs[:0], err
+		}
+	}
+	return extsort.SortEncoded(recs, pages, pageSize, pageRecords, lo, hi)
+}
+
+// pageRecords returns the record bytes of a page sortPages has checked.
+func pageRecords(page []byte) []byte {
+	enc, _ := mlog.PageRecords(page)
+	return enc
 }
 
 // loadSpilled externally sorts interval ivIdx's oversized log into

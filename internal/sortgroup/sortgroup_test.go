@@ -10,7 +10,7 @@ import (
 	"multilogvc/internal/vc"
 )
 
-func fixture(t *testing.T) (*mlog.Log, []csr.Interval) {
+func fixture(t testing.TB) (*mlog.Log, []csr.Interval) {
 	t.Helper()
 	dev := ssd.MustOpen(ssd.Config{PageSize: 120, Channels: 2})
 	ivs := []csr.Interval{{Lo: 0, Hi: 10}, {Lo: 10, Hi: 20}, {Lo: 20, Hi: 30}}
