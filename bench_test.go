@@ -58,7 +58,7 @@ func BenchmarkTable1Datasets(b *testing.B) {
 func BenchmarkFig2ActiveShrink(b *testing.B) {
 	var lastActive float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig2(benchSize)
+		t, err := harness.Fig2(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFig2ActiveShrink(b *testing.B) {
 func BenchmarkFig3PageUtil(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig3(benchSize)
+		t, err := harness.Fig3(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkFig3PageUtil(b *testing.B) {
 func BenchmarkFig5aBFSSpeedup(b *testing.B) {
 	var speedup, pageRatio float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig5(benchSize)
+		t, err := harness.Fig5(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,22 +98,20 @@ func BenchmarkFig5aBFSSpeedup(b *testing.B) {
 	b.ReportMetric(pageRatio, "page-ratio")
 }
 
-// fig6Bench runs the Fig 6 cross-engine comparison for one application.
+// fig6Bench runs the Fig 6 cross-engine comparison for one application:
+// its pair of runs on each dataset, read through a fresh registry.
 func fig6Bench(b *testing.B, app string) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		runs, err := harness.Fig6Runs(benchSize)
+		runs, err := harness.NewRegistry(benchSize).Fig6Runs(app)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum, n := 0.0, 0
+		sum := 0.0
 		for _, r := range runs {
-			if r.App == app {
-				sum += metrics.Speedup(r.GraphChi, r.MLVC)
-				n++
-			}
+			sum += metrics.Speedup(r.GraphChi, r.MLVC)
 		}
-		speedup = sum / float64(n)
+		speedup = sum / float64(len(runs))
 	}
 	b.ReportMetric(speedup, "speedup-vs-graphchi")
 }
@@ -128,11 +126,11 @@ func BenchmarkFig6dMIS(b *testing.B)        { fig6Bench(b, "mis") }
 func BenchmarkFig6eRandomWalk(b *testing.B) { fig6Bench(b, "randomwalk") }
 
 // BenchmarkFig7PerSuperstep regenerates Fig 7's per-superstep series
-// (derived from the same runs as Fig 6).
+// (derived from the Fig 6 runs of the iterative applications).
 func BenchmarkFig7PerSuperstep(b *testing.B) {
 	var rows int
 	for i := 0; i < b.N; i++ {
-		runs, err := harness.Fig6Runs(benchSize)
+		runs, err := harness.NewRegistry(benchSize).Fig6Runs(harness.Fig7Apps...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +144,7 @@ func BenchmarkFig7PerSuperstep(b *testing.B) {
 func BenchmarkFig8GraFBoost(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig8(benchSize)
+		t, err := harness.Fig8(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +158,7 @@ func BenchmarkFig8GraFBoost(b *testing.B) {
 func BenchmarkAdaptedGraFBoostGC(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.AdaptedGC(benchSize)
+		t, err := harness.AdaptedGC(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +172,7 @@ func BenchmarkAdaptedGraFBoostGC(b *testing.B) {
 func BenchmarkFig9Prediction(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig9(benchSize)
+		t, err := harness.Fig9(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +186,7 @@ func BenchmarkFig9Prediction(b *testing.B) {
 func BenchmarkFig10MemScale(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig10(benchSize)
+		t, err := harness.Fig10(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +201,7 @@ func BenchmarkFig10MemScale(b *testing.B) {
 func ablationBench(b *testing.B, feature string) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Ablation(benchSize)
+		t, err := harness.Ablation(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +266,7 @@ func BenchmarkEngineGraFBoostPageRank(b *testing.B) {
 func BenchmarkExtendedApps(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Extended(benchSize)
+		t, err := harness.Extended(harness.NewRegistry(benchSize))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,24 +18,6 @@ import (
 	"multilogvc/internal/vc"
 )
 
-// ReportSink, when non-nil, receives every engine run report the harness
-// produces, in completion order. mlvc-bench wires it to a per-run JSON
-// writer (-json DIR) so benchmark trajectories are machine-readable
-// instead of being parsed back out of text tables.
-var ReportSink func(*metrics.Report)
-
-// DefaultCacheMB, when > 0, attaches a page cache of that size (MiB) to
-// every environment Prepare builds, unless the EnvOptions override it.
-// mlvc-bench wires it to -cache-mb so the whole experiment suite runs
-// cached without threading a knob through every experiment.
-var DefaultCacheMB int
-
-func emitReport(r *metrics.Report) {
-	if ReportSink != nil {
-		ReportSink(r)
-	}
-}
-
 // Dataset is a named edge list.
 type Dataset struct {
 	Name  string
@@ -75,6 +57,13 @@ func (s Size) scale() int {
 	}
 }
 
+// The datasets' names.
+const (
+	cfMini      = "cf-mini"
+	ywsMini     = "yws-mini"
+	webFrontier = "webfrontier-mini"
+)
+
 // CFMini generates the com-friendster analog: dense power-law, average
 // degree ≈ 24 after symmetrization (paper: 29).
 func CFMini(size Size) (Dataset, error) {
@@ -83,7 +72,7 @@ func CFMini(size Size) (Dataset, error) {
 	if err != nil {
 		return Dataset{}, err
 	}
-	return Dataset{Name: "cf-mini", Edges: edges, N: 1 << scale}, nil
+	return Dataset{Name: cfMini, Edges: edges, N: 1 << scale}, nil
 }
 
 // YWSMini generates the Yahoo-Webscope analog: sparser web-like power
@@ -94,7 +83,7 @@ func YWSMini(size Size) (Dataset, error) {
 	if err != nil {
 		return Dataset{}, err
 	}
-	return Dataset{Name: "yws-mini", Edges: edges, N: 1 << scale}, nil
+	return Dataset{Name: ywsMini, Edges: edges, N: 1 << scale}, nil
 }
 
 // WebFrontier generates the BFS-depth analog used by the Fig 5 traversal
@@ -110,7 +99,7 @@ func WebFrontier(size Size) (Dataset, error) {
 	if err != nil {
 		return Dataset{}, err
 	}
-	return Dataset{Name: "webfrontier-mini", Edges: edges, N: uint32(side * side)}, nil
+	return Dataset{Name: webFrontier, Edges: edges, N: uint32(side * side)}, nil
 }
 
 // Datasets returns both analogs.
@@ -146,34 +135,22 @@ type EnvOptions struct {
 	PageSize int
 	// Channels defaults to 8.
 	Channels int
-	// MemBudget defaults to ~2% of the graph's edge bytes (the paper's
-	// 1GB : 50-100GB ratio), floored at 64 KiB.
+	// MemBudget defaults to DefaultBudget.
 	MemBudget int64
 	// Dir backs the device with real files when non-empty.
 	Dir string
-	// CacheMB attaches a page cache of that size (MiB): > 0 sets the
-	// size, 0 falls back to DefaultCacheMB, < 0 forces uncached.
+	// CacheMB > 0 attaches a page cache of that size (MiB); the device
+	// is uncached otherwise.
 	CacheMB int
 	// Capacity caps the device byte footprint (ssd.Config.Capacity);
 	// 0 leaves it unbounded.
 	Capacity int64
 }
 
-// attachCache resolves opts.CacheMB against DefaultCacheMB and attaches
-// the cache to dev. Must run before any IO on the device.
-func (o EnvOptions) attachCache(dev *ssd.Device) *pagecache.Cache {
-	mb := o.CacheMB
-	if mb == 0 {
-		mb = DefaultCacheMB
-	}
-	if mb <= 0 {
-		return nil
-	}
-	c := pagecache.FromMB(mb, dev.PageSize())
-	if c != nil {
-		dev.AttachCache(c)
-	}
-	return c
+// DefaultBudget is ds's default memory budget: ~2% of the graph's edge
+// bytes (the paper's 1GB : 50-100GB ratio), floored at 64 KiB.
+func DefaultBudget(ds Dataset) int64 {
+	return max(int64(len(ds.Edges))*4*2/100, 64<<10)
 }
 
 // Prepare builds the CSR graph for ds on a fresh device. With wedges it
@@ -186,17 +163,16 @@ func Prepare(ds Dataset, opts EnvOptions, wedges ...graphio.WeightedEdge) (*Env,
 		opts.Channels = 8
 	}
 	if opts.MemBudget <= 0 {
-		graphBytes := int64(len(ds.Edges)) * 4
-		opts.MemBudget = graphBytes * 2 / 100
-		if opts.MemBudget < 64<<10 {
-			opts.MemBudget = 64 << 10
-		}
+		opts.MemBudget = DefaultBudget(ds)
 	}
 	dev, err := ssd.Open(ssd.Config{PageSize: opts.PageSize, Channels: opts.Channels, Dir: opts.Dir, Capacity: opts.Capacity})
 	if err != nil {
 		return nil, err
 	}
-	cache := opts.attachCache(dev)
+	cache := pagecache.FromMB(opts.CacheMB, dev.PageSize())
+	if cache != nil {
+		dev.AttachCache(cache)
+	}
 	bopts := csr.BuildOptions{NumVertices: ds.N, IntervalBudget: core.IntervalBudget(opts.MemBudget)}
 	var g *csr.Graph
 	if wedges != nil {
@@ -211,12 +187,11 @@ func Prepare(ds Dataset, opts EnvOptions, wedges ...graphio.WeightedEdge) (*Env,
 }
 
 // Run runs prog over env's graph and memory budget on the engine o
-// selects, and hands the report to ReportSink.
+// selects.
 func (env *Env) Run(prog vc.Program, o engine.Options) (*metrics.Report, []uint32, error) {
 	res, err := engine.Run(env.Graph, env.MemBudget, prog, o)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: %s/%s on %s: %w", o.Engine, prog.Name(), env.DS.Name, err)
 	}
-	emitReport(res.Report)
 	return res.Report, res.Values, nil
 }

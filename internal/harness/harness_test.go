@@ -81,7 +81,7 @@ func TestCrossEngineAgreement(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tab, err := Table1(Tiny)
+	tab, err := Table1(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig2ActivityShrinks(t *testing.T) {
-	tab, err := Fig2(Tiny)
+	tab, err := Fig2(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFig6SpeedupsPositive(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
-	tab, err := Fig8(Tiny)
+	tab, err := Fig8(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFig8(t *testing.T) {
 }
 
 func TestAdaptedGC(t *testing.T) {
-	tab, err := AdaptedGC(Tiny)
+	tab, err := AdaptedGC(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAdaptedGC(t *testing.T) {
 }
 
 func TestFig9AccuracyRange(t *testing.T) {
-	tab, err := Fig9(Tiny)
+	tab, err := Fig9(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFig9AccuracyRange(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	tab, err := Fig10(Tiny)
+	tab, err := Fig10(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	tab, err := Ablation(Tiny)
+	tab, err := Ablation(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestAblation(t *testing.T) {
 }
 
 func TestExtendedApps(t *testing.T) {
-	tab, err := Extended(Tiny)
+	tab, err := Extended(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestExtendedApps(t *testing.T) {
 }
 
 func TestIOBreakdown(t *testing.T) {
-	tab, err := IOBreakdown(Tiny)
+	tab, err := IOBreakdown(NewRegistry(Tiny))
 	if err != nil {
 		t.Fatal(err)
 	}

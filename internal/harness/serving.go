@@ -10,8 +10,12 @@ import (
 // so its pages per query are a pure function of the message flow, and
 // the serving soak queries the same sources over HTTP.
 
-// servingQueries is the query count of the snapshot's batched shape.
-const servingQueries = 16
+// servingQueries is the query count of the snapshot's batched shape, and
+// servingApp its program's name.
+const (
+	servingQueries = 16
+	servingApp     = "multibfs"
+)
 
 // ServingSources spreads k deterministic query sources across [0, n):
 // the daemon's steady-state mix of near and far sources, reproducible

@@ -4,28 +4,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
-	"time"
 
-	"multilogvc/internal/apps"
 	"multilogvc/internal/engine"
-	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
-	"multilogvc/internal/vc"
 )
 
-// Continuous-benchmarking snapshots: a fixed suite of engine runs distilled
-// into a schema-versioned JSON file (BENCH_<size>.json). CI regenerates a
-// fresh snapshot on every push and diffs it against the committed baseline:
-// counter increases (page counts, supersteps, spills) fail the build,
-// wall-clock drift only warns — the virtual storage clock makes page and
+// Continuous-benchmarking snapshots: every record of a Registry that ran
+// every experiment table and the gate's own runs, distilled into a
+// schema-versioned JSON file (BENCH_<size>.json). CI regenerates a fresh
+// snapshot on every push and diffs it against the committed baseline:
+// counter increases (page counts, spills, retries) fail the build, and
+// every other deterministic field must match exactly. Host times are
+// written but never compared — the virtual storage clock makes page and
 // device-time accounting reproducible in a way host timing never is.
 
 // SnapshotSchemaVersion identifies the snapshot layout. Bump it when a
 // field changes meaning; Compare refuses to diff across versions.
-const SnapshotSchemaVersion = 1
+const SnapshotSchemaVersion = 2
 
 // StageSnap is one stage's row in a snapshot entry, mirrored from
 // metrics.StageIO with a plain int64 time for stable JSON.
@@ -36,16 +33,29 @@ type StageSnap struct {
 	TimeNS       int64  `json:"time_ns"`
 }
 
+// StepSnap is one superstep's row in a snapshot entry: the counters Fig 2
+// and Fig 9 print.
+type StepSnap struct {
+	Active           uint64 `json:"active"`
+	MsgsSent         uint64 `json:"msgs_sent"`
+	InefficientPages uint64 `json:"inefficient_pages,omitempty"`
+	CorrectPredicted uint64 `json:"correct_predicted,omitempty"`
+}
+
 // SnapEntry is one benchmark run's distilled result. Entries are keyed by
-// (Engine, App, Graph, CacheMB). Every counter but the host times is
-// bit-identical between runs of the same binary, cached runs included:
-// fixed-size log records make page counts a pure function of the message
-// flow, and the demand-only cache's hits are a pure function of the reads.
+// (Engine, App, Graph, CacheMB, Variant). Every field but the host times
+// (ComputeNS, WallNS) and CacheHitRate is gated, and is bit-identical
+// between runs of the same binary, cached runs included: fixed-size log
+// records make page counts a pure function of the message flow, and the
+// demand-only cache's hits are a pure function of the reads.
 type SnapEntry struct {
-	Engine       string      `json:"engine"`
-	App          string      `json:"app"`
-	Graph        string      `json:"graph"`
-	CacheMB      int         `json:"cache_mb"`
+	Engine  string `json:"engine"`
+	App     string `json:"app"`
+	Graph   string `json:"graph"`
+	CacheMB int    `json:"cache_mb"`
+	// Variant names the run's other options set away from their defaults
+	// (see RunKey.variant); empty for a plain run.
+	Variant      string      `json:"variant,omitempty"`
 	Supersteps   int         `json:"supersteps"`
 	PagesRead    uint64      `json:"pages_read"`
 	PagesWritten uint64      `json:"pages_written"`
@@ -56,11 +66,26 @@ type SnapEntry struct {
 	Spills       uint64      `json:"spills"`
 	Retries      uint64      `json:"retries"`
 	Stages       []StageSnap `json:"stages,omitempty"`
+
+	// What the tables print beyond the counters above: spill and
+	// checkpoint volumes, Fig 3's touched pages, IOBreakdown's pages per
+	// storage structure, and Fig 2's and Fig 9's superstep rows.
+	SpillBytes       uint64            `json:"spill_bytes,omitempty"`
+	Checkpoints      uint64            `json:"checkpoints,omitempty"`
+	CheckpointPages  uint64            `json:"checkpoint_pages,omitempty"`
+	CheckpointNS     int64             `json:"checkpoint_ns,omitempty"`
+	UtilPagesTouched uint64            `json:"util_pages_touched,omitempty"`
+	Structures       map[string]uint64 `json:"structures,omitempty"`
+	Steps            []StepSnap        `json:"steps,omitempty"`
 }
 
 // Key identifies the entry across snapshots.
 func (e SnapEntry) Key() string {
-	return fmt.Sprintf("%s/%s/%s/cache%d", e.Engine, e.App, e.Graph, e.CacheMB)
+	k := fmt.Sprintf("%s/%s/%s/cache%d", e.Engine, e.App, e.Graph, e.CacheMB)
+	if e.Variant != "" {
+		k += "/" + e.Variant
+	}
+	return k
 }
 
 // Snapshot is the whole benchmark state of one commit at one size.
@@ -92,21 +117,29 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	return &s, nil
 }
 
-func entryFromReport(r *metrics.Report, cacheMB int) SnapEntry {
+func entryFromRecord(rec *Record) SnapEntry {
+	r := rec.Report
 	e := SnapEntry{
-		Engine:       r.Engine,
-		App:          r.App,
-		Graph:        r.Graph,
-		CacheMB:      cacheMB,
-		Supersteps:   len(r.Supersteps),
-		PagesRead:    r.PagesRead,
-		PagesWritten: r.PagesWritten,
-		StorageNS:    int64(r.StorageTime),
-		ComputeNS:    int64(r.ComputeTime),
-		WallNS:       int64(r.WallTime),
-		CacheHitRate: r.CacheHitRate(),
-		Spills:       r.Spills,
-		Retries:      r.Retries,
+		Engine:           r.Engine,
+		App:              r.App,
+		Graph:            r.Graph,
+		CacheMB:          rec.Key.CacheMB,
+		Variant:          rec.Key.variant(),
+		Supersteps:       len(r.Supersteps),
+		PagesRead:        r.PagesRead,
+		PagesWritten:     r.PagesWritten,
+		StorageNS:        int64(r.StorageTime),
+		ComputeNS:        int64(r.ComputeTime),
+		WallNS:           int64(r.WallTime),
+		CacheHitRate:     r.CacheHitRate(),
+		Spills:           r.Spills,
+		Retries:          r.Retries,
+		SpillBytes:       r.SpillBytes,
+		Checkpoints:      r.Checkpoints,
+		CheckpointPages:  r.CheckpointPages,
+		CheckpointNS:     int64(r.CheckpointTime),
+		UtilPagesTouched: r.UtilPagesTouched,
+		Structures:       rec.Structures,
 	}
 	for _, st := range r.Stages {
 		e.Stages = append(e.Stages, StageSnap{
@@ -114,6 +147,14 @@ func entryFromReport(r *metrics.Report, cacheMB int) SnapEntry {
 			PagesRead:    st.PagesRead,
 			PagesWritten: st.PagesWritten,
 			TimeNS:       int64(st.Time),
+		})
+	}
+	for _, ss := range r.Supersteps {
+		e.Steps = append(e.Steps, StepSnap{
+			Active:           ss.Active,
+			MsgsSent:         ss.MsgsSent,
+			InefficientPages: ss.InefficientPages,
+			CorrectPredicted: ss.CorrectPredicted,
 		})
 	}
 	return e
@@ -130,70 +171,61 @@ func sizeName(size Size) string {
 	}
 }
 
-// TakeSnapshot runs the benchmark suite at the given size and distills it
-// into a Snapshot. The suite covers all three engines on the paper's two
-// workhorse apps, a sparser-graph run, one cached MultiLogVC run, the
-// serving batch shape and the durable-ingest shape.
-func TakeSnapshot(size Size) (*Snapshot, error) { return takeSnapshot(size, "") }
+// gateRuns are the snapshot's runs beyond the experiments': the paper's
+// two workhorse apps on all three engines, a sparser-graph run, one cached
+// MultiLogVC run, and the serving daemon's batch-16 shape (uncached
+// lane-batched MultiBFS, so pages per query of the batching fast path are
+// gated like any other engine counter).
+var gateRuns = []RunKey{
+	{Dataset: cfMini, App: "pagerank", Steps: MaxSupersteps},
+	{Dataset: cfMini, App: "bfs", Steps: MaxSupersteps},
+	{Dataset: ywsMini, App: "cdlp", Steps: MaxSupersteps},
+	{Dataset: cfMini, App: "pagerank", Engine: engine.GraphChi, Steps: MaxSupersteps},
+	{Dataset: cfMini, App: "pagerank", Engine: engine.GraFBoost, Steps: MaxSupersteps},
+	{Dataset: cfMini, App: "pagerank", CacheMB: 8, Steps: MaxSupersteps},
+	{Dataset: cfMini, App: servingApp, Steps: MaxSupersteps},
+}
 
-// takeSnapshot is TakeSnapshot with each run's device backed by files in a
-// subdirectory of dir of its own; an empty dir keeps every device in RAM.
-func takeSnapshot(size Size, dir string) (*Snapshot, error) {
-	devDir := func(run int) string {
-		if dir == "" {
-			return ""
-		}
-		return filepath.Join(dir, strconv.Itoa(run))
-	}
-	cf, err := CFMini(size)
-	if err != nil {
-		return nil, err
-	}
-	yws, err := YWSMini(size)
-	if err != nil {
-		return nil, err
-	}
-	snap := &Snapshot{SchemaVersion: SnapshotSchemaVersion, Size: sizeName(size)}
-	type runSpec struct {
-		ds      Dataset
-		prog    func() vc.Program
-		kind    engine.Kind
-		cacheMB int
-	}
-	specs := []runSpec{
-		{cf, func() vc.Program { return &apps.PageRank{} }, engine.MultiLog, 0},
-		{cf, func() vc.Program { return &apps.BFS{Source: 0} }, engine.MultiLog, 0},
-		{yws, func() vc.Program { return &apps.CDLP{} }, engine.MultiLog, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, engine.GraphChi, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, engine.GraFBoost, 0},
-		{cf, func() vc.Program { return &apps.PageRank{} }, engine.MultiLog, 8},
-		// The serving daemon's batch-16 shape: uncached lane-batched
-		// MultiBFS, so pages-per-query of the batching fast path is gated
-		// deterministically like any other engine counter.
-		{cf, func() vc.Program { return servingProg(ServingSources(cf.N, servingQueries)) }, engine.MultiLog, 0},
-	}
-	for i, sp := range specs {
-		env, err := Prepare(sp.ds, EnvOptions{CacheMB: cacheOpt(sp.cacheMB), Dir: devDir(i)})
-		if err != nil {
+// TakeSnapshot executes the runs of every experiment and of the gate at
+// the given size and distills them into a Snapshot.
+func TakeSnapshot(size Size) (*Snapshot, error) { return NewRegistry(size).Snapshot() }
+
+// Snapshot executes the runs of every experiment (uncached) and of the
+// gate that r has not executed yet, plus the durable-ingest shape, and
+// distills every record of r into a Snapshot.
+func (r *Registry) Snapshot() (*Snapshot, error) {
+	for _, e := range Experiments {
+		if _, err := r.Table(e, 0); err != nil {
 			return nil, err
 		}
-		rep, _, err := env.Run(sp.prog(), engine.Options{Engine: sp.kind, MaxSupersteps: MaxSupersteps})
-		if err != nil {
+	}
+	return r.snapshot()
+}
+
+// snapshot is Snapshot without the experiments: the gate's runs, the
+// ingest shape, and whatever r already holds.
+func (r *Registry) snapshot() (*Snapshot, error) {
+	for _, k := range gateRuns {
+		if _, err := r.Get(k); err != nil {
 			return nil, err
 		}
-		snap.Entries = append(snap.Entries, entryFromReport(rep, sp.cacheMB))
 	}
+	cf := r.datasets(cfMini)
 	// The durable-ingest shape: the fixed mutation stream through the
 	// sync-flushed WAL plus one crash-atomic merge. Uncached and
 	// fixed-seed, so page counts and WAL bytes gate deterministically.
-	ingest, wall, err := runIngestBench(cf, devDir(len(specs)))
+	ingest, wall, err := runIngestBench(cf[0], r.devDir("ingest"))
 	if err != nil {
 		return nil, err
+	}
+	snap := &Snapshot{SchemaVersion: SnapshotSchemaVersion, Size: sizeName(r.size)}
+	for _, rec := range r.order {
+		snap.Entries = append(snap.Entries, entryFromRecord(rec))
 	}
 	ie := SnapEntry{
 		Engine:       "multilogvc",
 		App:          ingestApp,
-		Graph:        cf.Name,
+		Graph:        cfMini,
 		PagesRead:    ingest.PagesRead,
 		PagesWritten: ingest.PagesWritten,
 		StorageNS:    int64(ingest.StorageTime()),
@@ -218,21 +250,9 @@ func takeSnapshot(size Size, dir string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// cacheOpt maps a snapshot cache size to EnvOptions.CacheMB semantics,
-// where 0 falls through to the process default and < 0 forces uncached.
-func cacheOpt(mb int) int {
-	if mb == 0 {
-		return -1
-	}
-	return mb
-}
-
-// wallTolPct is the wall-time drift, in percent either way, that warns.
-const wallTolPct = 50
-
 // DiffResult is the outcome of a baseline comparison. Regressions fail
-// the CI gate; warnings are informational (wall drift, stale-baseline
-// improvements).
+// the CI gate; warnings are informational (stale-baseline improvements,
+// entries new to the baseline).
 type DiffResult struct {
 	Regressions []string
 	Warnings    []string
@@ -241,19 +261,12 @@ type DiffResult struct {
 // OK reports whether the gate passes.
 func (d *DiffResult) OK() bool { return len(d.Regressions) == 0 }
 
-func pctDrift(base, fresh int64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * float64(fresh-base) / float64(base)
-}
-
 // Compare diffs a fresh snapshot against the committed baseline. On every
-// entry any page-count, superstep, spill, or retry increase — total or
-// per-stage — is a regression, and decreases warn that the baseline is
-// stale; virtual device time, total and per-stage, is a pure function of
-// (graph, program, config) and must match exactly. Wall time always warns
-// only.
+// entry any page-count, spill, or retry increase — total or per-stage — is
+// a regression, and decreases warn that the baseline is stale; every other
+// gated field (supersteps, virtual device time total and per stage, the
+// table counters) is a pure function of (graph, program, config) and must
+// match exactly. Host times are never compared.
 func Compare(base, fresh *Snapshot) *DiffResult {
 	d := &DiffResult{}
 	if base.SchemaVersion != fresh.SchemaVersion {
@@ -290,6 +303,13 @@ func Compare(base, fresh *Snapshot) *DiffResult {
 	return d
 }
 
+func pctDrift(base, fresh int64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return 100 * float64(fresh-base) / float64(base)
+}
+
 func compareEntry(d *DiffResult, b, f SnapEntry) {
 	key := b.Key()
 	regress := func(format string, args ...any) {
@@ -307,13 +327,24 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 			warn("%s decreased %d -> %d — baseline is stale, consider regenerating", name, base, fresh)
 		}
 	}
+	exact := func(name string, base, fresh any) {
+		if !reflect.DeepEqual(base, fresh) {
+			regress("%s changed %v -> %v", name, base, fresh)
+		}
+	}
 	counter("pages_read", b.PagesRead, f.PagesRead)
 	counter("pages_written", b.PagesWritten, f.PagesWritten)
 	counter("spills", b.Spills, f.Spills)
 	counter("retries", b.Retries, f.Retries)
-	if f.Supersteps != b.Supersteps {
-		regress("superstep count changed %d -> %d", b.Supersteps, f.Supersteps)
-	}
+	exact("supersteps", b.Supersteps, f.Supersteps)
+	exact("storage_ns", b.StorageNS, f.StorageNS)
+	exact("spill_bytes", b.SpillBytes, f.SpillBytes)
+	exact("checkpoints", b.Checkpoints, f.Checkpoints)
+	exact("checkpoint_pages", b.CheckpointPages, f.CheckpointPages)
+	exact("checkpoint_ns", b.CheckpointNS, f.CheckpointNS)
+	exact("util_pages_touched", b.UtilPagesTouched, f.UtilPagesTouched)
+	exact("structures", b.Structures, f.Structures)
+	exact("steps", b.Steps, f.Steps)
 
 	// Per-stage page counts: an increase in any stage is a regression even
 	// when the totals balance out — attribution moving between stages is a
@@ -322,9 +353,7 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 	stage := func(bs, fs StageSnap) {
 		counter("stage["+fs.Stage+"].pages_read", bs.PagesRead, fs.PagesRead)
 		counter("stage["+fs.Stage+"].pages_written", bs.PagesWritten, fs.PagesWritten)
-		if fs.TimeNS != bs.TimeNS {
-			regress("stage[%s].time_ns changed %d -> %d", fs.Stage, bs.TimeNS, fs.TimeNS)
-		}
+		exact("stage["+fs.Stage+"].time_ns", bs.TimeNS, fs.TimeNS)
 	}
 	baseStages := make(map[string]StageSnap, len(b.Stages))
 	for _, bs := range b.Stages {
@@ -338,13 +367,5 @@ func compareEntry(d *DiffResult, b, f SnapEntry) {
 		if _, missing := baseStages[bs.Stage]; missing {
 			stage(bs, StageSnap{Stage: bs.Stage})
 		}
-	}
-
-	if f.StorageNS != b.StorageNS {
-		regress("storage_ns changed %d -> %d", b.StorageNS, f.StorageNS)
-	}
-	if drift := pctDrift(b.WallNS, f.WallNS); drift > wallTolPct || drift < -wallTolPct {
-		warn("wall time drifted %+.1f%% (%s -> %s)", drift,
-			time.Duration(b.WallNS), time.Duration(f.WallNS))
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -205,31 +206,102 @@ func TestCompareGateFires(t *testing.T) {
 	}
 }
 
+// gated zeroes what the gate never compares: the host times and the cache
+// hit ratio.
+func gated(e SnapEntry) SnapEntry {
+	e.ComputeNS, e.WallNS, e.CacheHitRate = 0, 0, 0
+	return e
+}
+
+// checkPinned fails for every entry of fresh that differs from base's
+// entry of the same key in any gated field, and for every key one side
+// has and the other lacks.
+func checkPinned(t *testing.T, base, fresh *Snapshot) {
+	t.Helper()
+	committed := map[string]SnapEntry{}
+	for _, b := range base.Entries {
+		committed[b.Key()] = b
+	}
+	for _, f := range fresh.Entries {
+		b, ok := committed[f.Key()]
+		if !ok {
+			t.Errorf("%s: not in the committed snapshot", f.Key())
+			continue
+		}
+		delete(committed, f.Key())
+		bv, fv := reflect.ValueOf(gated(b)), reflect.ValueOf(gated(f))
+		for i := 0; i < bv.NumField(); i++ {
+			if !reflect.DeepEqual(bv.Field(i).Interface(), fv.Field(i).Interface()) {
+				t.Errorf("%s: %s moved: committed %v, fresh %v", f.Key(), bv.Type().Field(i).Name, bv.Field(i), fv.Field(i))
+			}
+		}
+	}
+	for key := range committed {
+		t.Errorf("%s: committed but not run", key)
+	}
+}
+
 // TestSnapshotStoreParity: virtual time and page counts belong to the
-// device model, not to the store behind it. The snapshot suite run on
-// file-backed devices must reproduce every entry of the committed
-// BENCH_small.json bit for bit in everything the gate holds: pages,
-// supersteps, spills, retries, storage time and every stage's pages and
-// time. The host times and the cache hit ratio, which the gate does not
-// hold, are left out.
+// device model, not to the store behind it. The gate's own runs and the
+// ingest shape (not the experiments' runs) on file-backed devices must
+// reproduce their entries of the committed BENCH_small.json in every field
+// the gate holds: pages, supersteps, spills, retries, storage time, every
+// stage's pages and time, and the table counters.
 func TestSnapshotStoreParity(t *testing.T) {
 	base, err := LoadSnapshot(filepath.Join("..", "..", "BENCH_small.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := takeSnapshot(Small, t.TempDir())
+	r := NewRegistry(Small)
+	r.dir = t.TempDir()
+	fresh, err := r.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Entries) != len(base.Entries) {
-		t.Fatalf("%d entries on files, %d committed", len(fresh.Entries), len(base.Entries))
+	if len(fresh.Entries) != len(gateRuns)+1 {
+		t.Fatalf("%d entries on files, want the gate's %d runs and the ingest shape", len(fresh.Entries), len(gateRuns))
 	}
-	for i, b := range base.Entries {
-		f := fresh.Entries[i]
-		b.ComputeNS, b.WallNS, b.CacheHitRate = 0, 0, 0
-		f.ComputeNS, f.WallNS, f.CacheHitRate = 0, 0, 0
-		if !reflect.DeepEqual(b, f) {
-			t.Errorf("%s differs on files:\ncommitted: %+v\nfiles:     %+v", b.Key(), b, f)
+	keys := map[string]bool{}
+	for _, f := range fresh.Entries {
+		keys[f.Key()] = true
+	}
+	gate := *base
+	gate.Entries = slices.DeleteFunc(slices.Clone(base.Entries), func(b SnapEntry) bool { return !keys[b.Key()] })
+	checkPinned(t, &gate, fresh)
+}
+
+// TestSnapshotTinyPinned pins every table's runs at tiny: a fresh snapshot
+// must reproduce the committed BENCH_tiny.json in every gated field of
+// every entry, so any cell of any table that moves fails here by key.
+// Regenerate the file with
+//
+//	go run ./cmd/mlvc-bench -size tiny -snapshot BENCH_tiny.json
+func TestSnapshotTinyPinned(t *testing.T) {
+	base, err := LoadSnapshot(filepath.Join("..", "..", "BENCH_tiny.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := TakeSnapshot(Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.SchemaVersion != fresh.SchemaVersion || base.Size != fresh.Size {
+		t.Fatalf("committed v%d %q, fresh v%d %q", base.SchemaVersion, base.Size, fresh.SchemaVersion, fresh.Size)
+	}
+	checkPinned(t, base, fresh)
+}
+
+// TestRegistryRunsEachKeyOnce: every table of -exp all reads one set of
+// runs. At tiny the 16 tables ask for 144 runs, of which 100 are distinct,
+// and the registry executes exactly those 100.
+func TestRegistryRunsEachKeyOnce(t *testing.T) {
+	r := NewRegistry(Tiny)
+	for _, e := range Experiments {
+		if _, err := r.Table(e, 0); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
+	}
+	if n := len(r.Records()); n != 100 {
+		t.Fatalf("-exp all executed %d runs, want 100", n)
 	}
 }
